@@ -34,8 +34,6 @@ from .series import (
 
 S1, S2 = "s1", "s2"
 
-WITNESS_KINDS = ("m1", "m2", "m3")
-
 
 class PoleWitness(NamedTuple):
     """A nonnegative pole-clearing exponent for one of the pair statements."""
@@ -149,7 +147,7 @@ def poly_compose_sum(numerator, which_arg):
 
 
 class TripleInstance:
-    """Concrete (f, g, h) in slot variables, with optional generating form."""
+    """Concrete, immutable (f, g, h) in slot variables, with optional form."""
 
     def __init__(self, f, g, h, form=None, seed=None, gen_lo=None, gen_hi=None):
         self.f, self.g, self.h = f, g, h
@@ -157,6 +155,14 @@ class TripleInstance:
         self.seed = seed
         self.gen_lo = gen_lo
         self.gen_hi = gen_hi
+        self._results = {}
+
+    def result(self, fn, *args):
+        """fn(self, *args), computed at most once per instance."""
+        key = (fn, args)
+        if key not in self._results:
+            self._results[key] = fn(self, *args)
+        return self._results[key]
 
     def f_at(self, v1, v2):
         return self.f.rename({S1: v1, S2: v2})
@@ -441,7 +447,10 @@ def replay_implication(which, inst: TripleInstance, N=8, m_max=None):
 
     Returns a record dict {implication, hypothesis, verdict, artifacts}.  A
     verified hypothesis with a failing conclusion raises
-    ConsistencyViolationError: it would falsify the encoded theorem.
+    ConsistencyViolationError: it would falsify the encoded theorem.  Each
+    statement ((A), a pole witness, (E)/(F)/(G)) is computed once per instance
+    and shared by every implication replayed on it; instances are immutable
+    (``perturb_f`` returns a new one).
     """
     if m_max is None:
         m_max = (max(inst.form.a, inst.form.b, inst.form.c) + 2
@@ -458,11 +467,11 @@ def replay_implication(which, inst: TripleInstance, N=8, m_max=None):
         return True
 
     if which in ("ia", "ib", "ic"):
-        ok_A, witness = check_A(inst, N)
+        ok_A, witness = inst.result(check_A, N)
         if not need(ok_A, f"(A) fails at {witness}"):
             return rec
         kind = {"ia": "m1", "ib": "m2", "ic": "m3"}[which]
-        m = find_pole_witness(inst, kind, m_max, N)
+        m = inst.result(find_pole_witness, kind, m_max, N)
         if m is None:
             raise ConsistencyViolationError(
                 f"({which}) conclusion failed: no witness {kind} <= {m_max}")
@@ -472,7 +481,7 @@ def replay_implication(which, inst: TripleInstance, N=8, m_max=None):
 
     if which in ("iia", "iib", "iic"):
         kind = {"iia": "m1", "iib": "m2", "iic": "m3"}[which]
-        m = find_pole_witness(inst, kind, m_max, N)
+        m = inst.result(find_pole_witness, kind, m_max, N)
         if not need(m is not None, f"no pole witness {kind} <= {m_max}"):
             return rec
         form = reconstruct_form(inst, kind, m, N)  # raises on mismatch
@@ -484,10 +493,10 @@ def replay_implication(which, inst: TripleInstance, N=8, m_max=None):
 
     if which in ("iiia", "iiib", "iiic"):
         pair = {"iiia": ("E", "F"), "iiib": ("E", "G"), "iiic": ("F", "G")}[which]
-        ok = all(check_EFG(inst, s, N) for s in pair)
+        ok = all(inst.result(check_EFG, s, N) for s in pair)
         if not need(ok, f"instance does not satisfy ({pair[0]}) and ({pair[1]})"):
             return rec
-        ok_A, witness = check_A(inst, N)
+        ok_A, witness = inst.result(check_A, N)
         if not ok_A:
             raise ConsistencyViolationError(
                 f"({which}) conclusion failed: (A) breaks at {witness}")
@@ -495,12 +504,3 @@ def replay_implication(which, inst: TripleInstance, N=8, m_max=None):
         return rec
 
     raise ValueError(f"unknown implication {which!r}")
-
-
-def replay_chain(seed, N=8, max_deg=4, max_pole=3):
-    """Full-chain replay on one seeded instance; returns all records."""
-    inst = generate_instance(seed, N, max_deg, max_pole)
-    records = []
-    for which in IMPLICATIONS:
-        records.append(replay_implication(which, inst, N))
-    return inst, records

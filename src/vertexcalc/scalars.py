@@ -7,24 +7,24 @@ The ground field is Q throughout.  Scalars are plain ``int`` where possible and
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial
 
 Scalar = (int, Fraction)
 
 
+@lru_cache(maxsize=4096)
 def binom(n: int, k: int) -> int:
     """Generalized binomial coefficient n(n-1)...(n-k+1)/k! for any integer n.
 
-    Integer-valued for all inputs; k must be nonnegative.
+    Integer-valued for all inputs; k must be nonnegative.  For n < 0 it uses
+    the sign rule binom(n, k) = (-1)^k * comb(k - n - 1, k).
     """
     if k < 0:
         raise ValueError(f"binom requires k >= 0, got k={k}")
-    num = 1
-    for i in range(k):
-        num *= n - i
-    q = Fraction(num, factorial(k))
-    assert q.denominator == 1
-    return int(q)
+    if n >= 0:
+        return comb(n, k)
+    return (-1) ** k * comb(k - n - 1, k)
 
 
 def multinomial(parts) -> int:

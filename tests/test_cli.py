@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -144,3 +146,18 @@ def test_emitted_corpus_has_expected_files(corpus_dir):
     modules = [n for n in names if n.endswith(".module.json")]
     assert len(structures) == 18
     assert len(modules) == 17
+
+
+def test_replay_report_is_unchanged_under_optimize_flag():
+    # -O strips assert statements; no verdict may depend on one
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    cmd = ["-m", "vertexcalc.cli", "replay-elem", "--n", "2",
+           "--format", "machine"]
+    plain, optimized = [
+        subprocess.run([sys.executable, *flags, *cmd], env=env,
+                       capture_output=True, timeout=300)
+        for flags in ([], ["-O"])]
+    assert plain.returncode == 0, plain.stderr
+    assert optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout == plain.stdout

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from vertexcalc import rationalforms
 from vertexcalc.errors import ConsistencyViolationError
 from vertexcalc.rationalforms import (
     IMPLICATIONS,
@@ -159,3 +160,45 @@ def test_full_chain_closes():
                 inst, kind, max(inst.form.a, inst.form.b, inst.form.c) + 2, 5)
             assert m is not None
             reconstruct_form(inst, kind, m, 5)
+
+
+def test_shared_instance_replays_match_fresh_instances():
+    for seed in (11, 12):
+        shared = generate_instance(seed, N=5, max_deg=3, max_pole=2)
+        for which in IMPLICATIONS:
+            fresh = generate_instance(seed, N=5, max_deg=3, max_pole=2)
+            assert (replay_implication(which, shared, N=5)
+                    == replay_implication(which, fresh, N=5)), (seed, which)
+
+
+def test_replay_computes_each_statement_once_per_instance(monkeypatch):
+    calls = []
+
+    def counting(original):
+        def wrapper(inst, *args):
+            calls.append((original.__name__, args[0]))
+            return original(inst, *args)
+        return wrapper
+
+    for name in ("check_A", "find_pole_witness", "check_EFG"):
+        monkeypatch.setattr(rationalforms, name,
+                            counting(getattr(rationalforms, name)))
+    for seed in (21, 22):
+        calls.clear()
+        inst = generate_instance(seed, N=5, max_deg=3, max_pole=2)
+        for which in IMPLICATIONS:
+            assert replay_implication(which, inst, N=5)["verdict"] == "PASS"
+        assert sorted(calls) == [
+            ("check_A", 5),
+            ("check_EFG", "E"), ("check_EFG", "F"), ("check_EFG", "G"),
+            ("find_pole_witness", "m1"), ("find_pole_witness", "m2"),
+            ("find_pole_witness", "m3"),
+        ], seed
+
+
+def test_perturbed_copy_does_not_inherit_replay_results():
+    inst = instance_from_form(RationalForm({(0, 0): 1}, 1, 0, 0), N=4)
+    assert replay_implication("ia", inst, N=4)["verdict"] == "PASS"
+    bad = inst.perturb_f((0, 0), 5)
+    assert replay_implication("ia", bad, N=4)["verdict"] == "UNTESTED"
+    assert replay_implication("ia", inst, N=4)["verdict"] == "PASS"

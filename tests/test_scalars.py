@@ -28,8 +28,21 @@ def test_binom_empty_product():
 
 
 def test_binom_rejects_negative_k():
-    with pytest.raises(ValueError):
-        binom(2, -1)
+    # twice: a cached binom must not swallow the error on a repeat call
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            binom(2, -1)
+
+
+def test_binom_matches_falling_factorial_reference():
+    for n in range(-30, 31):
+        for k in range(0, 31):
+            num, den = 1, 1
+            for i in range(k):
+                num *= n - i
+                den *= i + 1
+            assert num % den == 0, (n, k)
+            assert binom(n, k) == num // den, (n, k)
 
 
 def test_binom_pascal_recurrence():

@@ -7,9 +7,11 @@ Layers, bottom up:
   with a coefficient-window oracle and the two-identity prover;
 * ``series`` — concrete windowed Laurent series, the independent substrate;
 * ``rationalforms`` — the statement family (A)-(G) and implication replays;
-* ``structures`` / ``corpus`` — finite vertex structures, twelve axiom
-  checkers, the replacement-row matrix, the built-in testbed;
-* ``modules`` — module mirrors of the checkers and the main-theorem harness;
+* ``structures`` / ``corpus`` — finite vertex structures and their actions
+  (a structure is its own regular module), twelve axiom checkers of which
+  seven run on an action, the replacement-row matrix, the built-in testbed;
+* ``modules`` — module construction, the m_* axioms on the shared action
+  checkers, and the main-theorem harness;
 * ``configio`` / ``cli`` — config files, deterministic reports, subcommands.
 """
 

@@ -3,7 +3,7 @@
 Commands: prove-deltas, replay-elem, check, check-module,
 implication-matrix, main-theorem, examples.  Exit codes: 0 all checks pass;
 1 a check failed (expected for mutants); 2 theorem-consistency violation
-(an implementation bug); 3 config or parse error.
+(an implementation bug); 3 config, parse or usage error.
 """
 from __future__ import annotations
 
@@ -102,33 +102,16 @@ def cmd_replay_elem(args):
     return _verdict_exit(records)
 
 
-def cmd_check(args):
+def cmd_check(args, load, axioms, check):
+    """check / check-module: run ``check`` for each requested axiom."""
     t0 = time.time()
-    S = configio.load_structure(args.path)
-    axioms = args.axiom or list(AXIOMS)
+    member = load(args.path)
     records = []
-    for axiom in axioms:
-        if axiom not in AXIOMS:
-            raise ConfigError(f"unknown axiom {axiom!r}")
-        rep = check_axiom(S, axiom, m_max=args.m_max, window=args.window)
-        records.append({"id": f"{S.name}/{axiom}", "anchor": rep.anchor,
+    for axiom in args.axiom or axioms:
+        rep = check(member, axiom, m_max=args.m_max, window=args.window)
+        records.append({"id": f"{member.name}/{axiom}", "anchor": rep.anchor,
                         "verdict": rep.verdict, "witness": rep.witnesses})
-    _emit(args, "check", records, t0)
-    return _verdict_exit(records)
-
-
-def cmd_check_module(args):
-    t0 = time.time()
-    M = configio.load_module(args.path)
-    axioms = args.axiom or list(MODULE_AXIOMS)
-    records = []
-    for axiom in axioms:
-        if axiom not in MODULE_AXIOMS:
-            raise ConfigError(f"unknown module axiom {axiom!r}")
-        rep = check_module_axiom(M, axiom, m_max=args.m_max, window=args.window)
-        records.append({"id": f"{M.name}/{axiom}", "anchor": rep.anchor,
-                        "verdict": rep.verdict, "witness": rep.witnesses})
-    _emit(args, "check-module", records, t0)
+    _emit(args, args.command, records, t0)
     return _verdict_exit(records)
 
 
@@ -150,33 +133,19 @@ def _load_corpus_dir(path, want_modules):
     return out
 
 
-def cmd_implication_matrix(args):
+def cmd_rows(args, want_modules, harness, anchor):
+    """implication-matrix / main-theorem: replay ``harness`` on a corpus."""
     t0 = time.time()
-    members = _load_corpus_dir(args.path, want_modules=False)
-    rows = implication_matrix(members, m_max=args.m_max, window=args.window)
-    records = [{"id": f"{r['member']}/{r['row']}",
-                "anchor": "premises -> conclusions on the recorded window",
+    members = _load_corpus_dir(args.path, want_modules)
+    rows = harness(members, m_max=args.m_max, window=args.window)
+    records = [{"id": f"{r['member']}/{r['row']}", "anchor": anchor,
                 "verdict": r["verdict"], "witness": r["premises"]}
                for r in rows]
-    _emit(args, "implication-matrix", records, t0)
-    return EXIT_PASS
-
-
-def cmd_main_theorem(args):
-    t0 = time.time()
-    members = _load_corpus_dir(args.path, want_modules=True)
-    rows = main_theorem_harness(members, m_max=args.m_max, window=args.window)
-    records = [{"id": f"{r['member']}/{r['row']}",
-                "anchor": "module replacement rows on the recorded window",
-                "verdict": r["verdict"], "witness": r["premises"]}
-               for r in rows]
-    _emit(args, "main-theorem", records, t0)
+    _emit(args, args.command, records, t0)
     return EXIT_PASS
 
 
 def cmd_examples(args):
-    if args.action != "emit":
-        raise ConfigError(f"unknown examples action {args.action!r}")
     outdir = args.out or "corpus-out"
     os.makedirs(outdir, exist_ok=True)
     written = []
@@ -198,14 +167,35 @@ def cmd_examples(args):
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are config errors: exit 3, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _shared_flags(defaults):
     sp = argparse.ArgumentParser(add_help=False)
     d = (lambda v: v) if defaults else (lambda v: argparse.SUPPRESS)
-    sp.add_argument("--window", type=int, default=d(None), metavar="N",
+    sp.add_argument("--window", type=_int_at_least(1), default=d(None),
+                    metavar="N",
                     help="coefficient window half-width "
                          "(default: completeness bound)")
-    sp.add_argument("--m-max", type=int, default=d(None), dest="m_max",
-                    metavar="M",
+    sp.add_argument("--m-max", type=_int_at_least(0), default=d(None),
+                    dest="m_max", metavar="M",
                     help="pole-witness search bound (default: pole order + 2)")
     sp.add_argument("--seed", type=int, default=d(0), metavar="S",
                     help="base RNG seed, recorded in every report")
@@ -220,7 +210,7 @@ def build_parser():
     # values already parsed from before the subcommand
     shared = _shared_flags(defaults=False)
 
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="vertexcalc", parents=[_shared_flags(defaults=True)],
         description="Exact delta-calculus prover and vertex-structure axiom checker")
     sub = p.add_subparsers(dest="command", required=True)
@@ -231,7 +221,8 @@ def build_parser():
     rp = sub.add_parser("replay-elem", parents=[shared],
                         help="replay the implication family on seeded "
                              "random instances")
-    rp.add_argument("--n", type=int, default=10, help="number of instances")
+    rp.add_argument("--n", type=_int_at_least(0), default=10,
+                    help="number of instances")
 
     cp = sub.add_parser("check", parents=[shared],
                         help="run axiom checkers on a structure config")
@@ -263,10 +254,16 @@ def main(argv=None) -> int:
     handlers = {
         "prove-deltas": cmd_prove_deltas,
         "replay-elem": cmd_replay_elem,
-        "check": cmd_check,
-        "check-module": cmd_check_module,
-        "implication-matrix": cmd_implication_matrix,
-        "main-theorem": cmd_main_theorem,
+        "check": lambda a: cmd_check(
+            a, configio.load_structure, AXIOMS, check_axiom),
+        "check-module": lambda a: cmd_check(
+            a, configio.load_module, MODULE_AXIOMS, check_module_axiom),
+        "implication-matrix": lambda a: cmd_rows(
+            a, False, implication_matrix,
+            "premises -> conclusions on the recorded window"),
+        "main-theorem": lambda a: cmd_rows(
+            a, True, main_theorem_harness,
+            "module replacement rows on the recorded window"),
         "examples": cmd_examples,
     }
     try:

@@ -6,6 +6,10 @@ Module configs extend this with {"wbasis", "wmodes": [{"u", "n", "w",
 "coeff"}...], "over": "structure-name"}; the base structure is resolved as
 "<over>.json" next to the module file.
 
+A config is refused with ConfigError when it repeats a basis entry, names
+anything outside the basis it refers to, has a mode index that is not an
+integer, or a coefficient that is not a rational.
+
 Machine reports are canonical JSON (sorted keys, fixed separators, no
 timestamps or durations) so identical config + seed gives identical bytes.
 """
@@ -16,16 +20,38 @@ import os
 
 from .errors import ConfigError
 from .modules import ModuleStructure
-from .scalars import Vec, format_scalar, parse_scalar
+from .scalars import Vec
 from .structures import VertexStructure
 
 
-def _coeff_to_json(vec: Vec):
-    return {k: format_scalar(v) for k, v in sorted(vec.entries.items())}
+def _names(names, what):
+    """A basis list as a tuple, refusing repeated entries."""
+    names = tuple(names)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"{what} lists {name!r} twice")
+    return names
 
 
-def _coeff_from_json(data) -> Vec:
-    return Vec({k: parse_scalar(v) for k, v in data.items()})
+def _member(name, basis, what):
+    """``name``, refused unless it is in ``basis``."""
+    if name not in basis:
+        raise ConfigError(f"{what} {name!r} is not in the basis {list(basis)}")
+    return name
+
+
+def _mode_index(n):
+    """A mode index, refused unless it is a JSON integer."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ConfigError(f"mode index {n!r} is not an integer")
+    return n
+
+
+def _coeff(data, basis, what):
+    """A {basis: "p/q"} coefficient as a Vec, refusing names outside ``basis``."""
+    for name in data:
+        _member(name, basis, f"{what} coefficient key")
+    return Vec.from_json(data)
 
 
 def structure_to_config(S: VertexStructure) -> dict:
@@ -33,22 +59,27 @@ def structure_to_config(S: VertexStructure) -> dict:
     for (u, v) in sorted(S.ytable):
         for n in sorted(S.ytable[(u, v)]):
             modes.append({"u": u, "n": n, "v": v,
-                          "coeff": _coeff_to_json(S.ytable[(u, v)][n])})
+                          "coeff": S.ytable[(u, v)][n].to_json()})
     return {"name": S.name, "basis": list(S.basis), "modes": modes,
             "vacuum": S.vacuum, "tags": list(S.tags)}
 
 
 def structure_from_config(data: dict) -> VertexStructure:
     try:
-        basis = tuple(data["basis"])
+        basis = _names(data["basis"], "basis")
+        vacuum = data.get("vacuum")
+        if vacuum is not None:
+            _member(vacuum, basis, "vacuum")
         table = {}
         for rec in data["modes"]:
-            table.setdefault((rec["u"], rec["v"]), {})[int(rec["n"])] = \
-                _coeff_from_json(rec["coeff"])
-        return VertexStructure(data["name"], basis, table,
-                               vacuum=data.get("vacuum"),
+            u = _member(rec["u"], basis, "mode u")
+            v = _member(rec["v"], basis, "mode v")
+            table.setdefault((u, v), {})[_mode_index(rec["n"])] = \
+                _coeff(rec["coeff"], basis, "mode")
+        return VertexStructure(data["name"], basis, table, vacuum=vacuum,
                                tags=tuple(data.get("tags", ())))
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, AttributeError,
+            ZeroDivisionError) as err:
         raise ConfigError(f"bad structure config: {err}") from err
 
 
@@ -57,7 +88,7 @@ def module_to_config(M: ModuleStructure) -> dict:
     for (u, w) in sorted(M.ywtable):
         for n in sorted(M.ywtable[(u, w)]):
             wmodes.append({"u": u, "n": n, "w": w,
-                           "coeff": _coeff_to_json(M.ywtable[(u, w)][n])})
+                           "coeff": M.ywtable[(u, w)][n].to_json()})
     return {"name": M.name, "over": M.over.name,
             "wbasis": list(M.wbasis), "wmodes": wmodes,
             "tags": list(M.tags)}
@@ -68,13 +99,17 @@ def module_from_config(data: dict, over: VertexStructure) -> ModuleStructure:
         if data["over"] != over.name:
             raise ConfigError(
                 f"module expects base {data['over']!r}, got {over.name!r}")
+        wbasis = _names(data["wbasis"], "wbasis")
         table = {}
         for rec in data["wmodes"]:
-            table.setdefault((rec["u"], rec["w"]), {})[int(rec["n"])] = \
-                _coeff_from_json(rec["coeff"])
-        return ModuleStructure(data["name"], over, tuple(data["wbasis"]),
-                               table, tags=tuple(data.get("tags", ())))
-    except (KeyError, TypeError, ValueError) as err:
+            u = _member(rec["u"], over.basis, "module mode u")
+            w = _member(rec["w"], wbasis, "module mode w")
+            table.setdefault((u, w), {})[_mode_index(rec["n"])] = \
+                _coeff(rec["coeff"], wbasis, "module mode")
+        return ModuleStructure(data["name"], over, wbasis, table,
+                               tags=tuple(data.get("tags", ())))
+    except (KeyError, TypeError, ValueError, AttributeError,
+            ZeroDivisionError) as err:
         raise ConfigError(f"bad module config: {err}") from err
 
 
@@ -91,9 +126,12 @@ def canonical_json(data) -> str:
 def load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read {path}: {err}") from err
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} does not hold a JSON object")
+    return data
 
 
 def load_structure(path) -> VertexStructure:

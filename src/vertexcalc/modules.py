@@ -1,133 +1,32 @@
-"""Modules over finite vertex structures and their mirrored axiom checkers.
+"""Modules over finite vertex structures and the main-theorem harness.
 
-A ModuleStructure holds a finite module basis and finite action tables
-Y_W(u, x)w for u in the base structure's basis.  Iterates Y_W(Y(u,x0)v, x2)
-take the inner Y from the base structure.  Checkers mirror the algebra side;
-the main-theorem harness replays, on every corpus member, the equivalence of
-the module Jacobi identity with either weak associativity or weak
-skew-associativity in the presence of the module's minor axioms.
+The action type ModuleStructure and the checkers a module shares with its
+base structure live in ``structures``: a structure is checked on its regular
+action, a module on itself.  This module builds modules from algebra actions,
+dispatches the m_* axioms to those checkers and replays, on every corpus
+member, the equivalence of the module Jacobi identity with either weak
+associativity or weak skew-associativity in the presence of the module's
+minor axioms.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ConsistencyViolationError, ConstructionError
-from .rationalforms import S1, S2, TripleInstance, check_A
 from .scalars import Vec
-from .series import INF, WindowedSeries, binomial_power, taylor_substitute
 from .structures import (
+    ACTION_CHECKERS,
+    ModuleStructure,
     PropertyReport,
     VertexStructure,
     _alg_mul,
-    _jacobi_symbolic_zero,
-    _search_min_m,
-    _zero_verdict,
-    ANCHORS,
+    divided_power_table,
+    replay_rows,
 )
 
-MODULE_AXIOMS = (
-    "m_jacobi", "m_weak_comm", "m_weak_assoc", "m_weak_skew_assoc",
-    "m_vf_skew_symmetry", "m_vacuum_prop", "m_d_derivative",
-)
+MODULE_CHECKERS = {f"m_{axiom}": check for axiom, check in ACTION_CHECKERS.items()}
 
-ANCHORS.update({
-    "m_jacobi": "x0^-1 d((x1-x2)/x0) Yw(u,x1)Yw(v,x2)w - x0^-1 d((-x2+x1)/x0) "
-                "Yw(v,x2)Yw(u,x1)w = x1^-1 d((x2+x0)/x1) Yw(Y(u,x0)v,x2)w",
-    "m_weak_comm": "(x1-x2)^m [Yw(u,x1), Yw(v,x2)] = 0",
-    "m_weak_assoc": "(x0+x2)^m (Yw(u,x0+x2)Yw(v,x2)w - Yw(Y(u,x0)v,x2)w) = 0",
-    "m_weak_skew_assoc": "(x1-x0)^m (Yw(v,-x0+x1)Yw(u,x1)w - Yw(Y(u,x0)v,x1-x0)w) = 0",
-    "m_vf_skew_symmetry": "Yw(Y(u,x0)v,x2) = Yw(Y(v,-x0)u,x2+x0)",
-    "m_vacuum_prop": "Yw(1,x) = id",
-    "m_d_derivative": "Yw(Dv,x) = d/dx Yw(v,x)",
-})
+MODULE_AXIOMS = tuple(MODULE_CHECKERS)
 
 VACUUM_MODULE_AXIOMS = {"m_vacuum_prop", "m_d_derivative"}
-
-
-class ModuleStructure:
-    """Finite module basis plus finite mode tables over a VertexStructure."""
-
-    def __init__(self, name, over: VertexStructure, wbasis, ywtable, tags=()):
-        self.name = name
-        self.over = over
-        self.wbasis = tuple(wbasis)
-        self.ywtable = {}
-        for (u, w), modes in ywtable.items():
-            clean = {n: vec for n, vec in modes.items() if vec}
-            if clean:
-                self.ywtable[(u, w)] = clean
-        self.tags = tuple(tags)
-
-    def _as_wvec(self, x):
-        return x if isinstance(x, Vec) else Vec.unit(x)
-
-    def yw_modes(self, u, w):
-        """Y_W(u,x)w as a dict exponent -> module Vec."""
-        uvec = u if isinstance(u, Vec) else Vec.unit(u)
-        wvec = self._as_wvec(w)
-        out = {}
-        for a, ca in uvec.entries.items():
-            for b, cb in wvec.entries.items():
-                modes = self.ywtable.get((a, b))
-                if not modes:
-                    continue
-                c = ca * cb
-                for n, vec in modes.items():
-                    e = -n - 1
-                    prev = out.get(e)
-                    add = vec.scale(c)
-                    out[e] = add if prev is None else prev + add
-        return {e: v for e, v in out.items() if v}
-
-    def yw_series(self, u, w, xvar="x"):
-        return WindowedSeries.from_monomials(
-            (xvar,), {(e,): vec for e, vec in self.yw_modes(u, w).items()})
-
-    def compose_yw(self, a, xa, b, xb, w):
-        inner = self.yw_modes(b, w)
-        out = {}
-        for eb, vec in inner.items():
-            for ea, vec2 in self.yw_modes(a, vec).items():
-                key = (ea, eb)
-                prev = out.get(key)
-                out[key] = vec2 if prev is None else prev + vec2
-        return WindowedSeries.from_monomials((xa, xb), out)
-
-    def iterate_yw(self, u, x0, v, x2, w):
-        """Y_W(Y(u,x0)v, x2)w; the inner Y comes from the base structure."""
-        inner = self.over.y_modes(u, v)
-        out = {}
-        for e0, vec in inner.items():
-            for e2, vec2 in self.yw_modes(vec, w).items():
-                key = (e0, e2)
-                prev = out.get(key)
-                out[key] = vec2 if prev is None else prev + vec2
-        return WindowedSeries.from_monomials((x0, x2), out)
-
-    def max_pole_order(self):
-        worst = self.over.max_pole_order()
-        for modes in self.ywtable.values():
-            top = max(modes)
-            if top >= 0:
-                worst = max(worst, top + 1)
-        return worst
-
-    def support_extent(self):
-        ext = self.over.support_extent()
-        for modes in self.ywtable.values():
-            for n in modes:
-                ext = max(ext, abs(-n - 1))
-        return ext
-
-    def mutate(self, name, edits, tags=()):
-        table = {pair: dict(modes) for pair, modes in self.ywtable.items()}
-        for (u, n, w), vec in edits.items():
-            modes = table.setdefault((u, w), {})
-            if vec:
-                modes[n] = vec
-            else:
-                modes.pop(n, None)
-        return ModuleStructure(name, self.over, self.wbasis, table, tags)
 
 
 def module_construct(S: VertexStructure, mult, derivation, wbasis, action,
@@ -140,188 +39,26 @@ def module_construct(S: VertexStructure, mult, derivation, wbasis, action,
     derivation acts on the algebra side only).
     """
     wbasis = tuple(wbasis)
-
-    def act(avec: Vec, wvec: Vec) -> Vec:
-        out = Vec()
-        for a, ca in avec.entries.items():
-            for w, cw in wvec.entries.items():
-                img = action.get((a, w))
-                if img:
-                    out = out + img.scale(ca * cw)
-        return out
-
     for a in S.basis:
         for b in S.basis:
             for w in wbasis:
-                left = act(mult.get((a, b), Vec()), Vec.unit(w))
-                right = act(Vec.unit(a), act(Vec.unit(b), Vec.unit(w)))
+                left = _alg_mul(action, mult.get((a, b), Vec()), Vec.unit(w))
+                right = _alg_mul(action, Vec.unit(a),
+                                 _alg_mul(action, Vec.unit(b), Vec.unit(w)))
                 if left != right:
                     raise ConstructionError(
                         f"action not associative over the product at ({a},{b},{w})")
-    dvecs = {b: derivation.get(b, Vec()) for b in S.basis}
-
-    def d_of(vec):
-        out = Vec()
-        for b, c in vec.entries.items():
-            out = out + dvecs[b].scale(c)
-        return out
-
-    ywtable = {}
-    for u in S.basis:
-        powers = []
-        cur = Vec.unit(u)
-        fact = 1
-        m = 0
-        while cur:
-            if m > len(S.basis):
-                raise ConstructionError("derivation is not nilpotent")
-            powers.append(cur.scale(Fraction(1, fact)) if fact > 1 else cur)
-            cur = d_of(cur)
-            m += 1
-            fact *= m
-        for w in wbasis:
-            modes = {}
-            for m, dmu in enumerate(powers):
-                img = act(dmu, Vec.unit(w))
-                if img:
-                    modes[-m - 1] = img
-            if modes:
-                ywtable[(u, w)] = modes
+    ywtable = divided_power_table(S.basis, derivation, action, wbasis)
     return ModuleStructure(name, S, wbasis, ywtable, tags=tags)
-
-
-# ---------------------------------------------------------------------------
-# checkers
-
-def default_window(M: ModuleStructure):
-    return M.support_extent() + 2 * M.max_pole_order() + 2
-
-
-def check_m_jacobi(M: ModuleStructure, window=None):
-    N = window or default_window(M)
-    S = M.over
-    for u in S.basis:
-        for v in S.basis:
-            for w in M.wbasis:
-                f = M.compose_yw(u, "x1", v, "x2", w)
-                g = M.compose_yw(v, "x2", u, "x1", w)
-                h = M.iterate_yw(u, "x0", v, "x2", w)
-                ok_sym, wit_sym = _jacobi_symbolic_zero(f, g, h, N)
-                inst = TripleInstance(
-                    f.rename({"x1": S1, "x2": S2}),
-                    M.compose_yw(v, S1, u, S2, w),
-                    M.iterate_yw(u, S2, v, S1, w))
-                ok_ser, _ = check_A(inst, N)
-                if ok_sym != ok_ser:
-                    raise ConsistencyViolationError(
-                        f"module jacobi routes disagree on ({u},{v},{w})")
-                if not ok_sym:
-                    return PropertyReport(
-                        "m_jacobi", "FAIL",
-                        {"triple": (u, v, w), "monomial": wit_sym[0]}, window=N)
-    return PropertyReport("m_jacobi", "PASS", {}, window=N)
-
-
-def _m_weak_diff(M, axiom, u, v, w, N):
-    if axiom == "m_weak_comm":
-        d = (M.compose_yw(u, "x1", v, "x2", w)
-             - M.compose_yw(v, "x2", u, "x1", w).align(("x1", "x2")))
-        clearing = lambda m: binomial_power(("x1", "x2"), (1, "x1"), (-1, "x2"), m)
-        b = {"x1": (-N, N), "x2": (-N, N)}
-    elif axiom == "m_weak_assoc":
-        f = M.compose_yw(u, "t", v, "x2", w)
-        fsub = taylor_substitute(f, "t", (1, "x0"), (1, "x2"), {"x2": (INF, N)})
-        d = fsub - M.iterate_yw(u, "x0", v, "x2", w)
-        clearing = lambda m: binomial_power(("x0", "x2"), (1, "x0"), (1, "x2"), m)
-        b = {"x0": (-N, N), "x2": (-N, N)}
-    elif axiom == "m_weak_skew_assoc":
-        c1 = M.compose_yw(v, "t", u, "x1", w)
-        c1 = taylor_substitute(c1, "t", (-1, "x0"), (1, "x1"), {"x1": (INF, N)})
-        c2 = M.iterate_yw(u, "x0", v, "t", w)
-        c2 = taylor_substitute(c2, "t", (1, "x1"), (-1, "x0"), {"x0": (INF, N)})
-        d = c1 - c2
-        clearing = lambda m: binomial_power(("x0", "x1"), (1, "x1"), (-1, "x0"), m)
-        b = {"x0": (-N, N), "x1": (-N, N)}
-    else:
-        raise ValueError(axiom)
-    return d, clearing, b
-
-
-def check_m_weak(M: ModuleStructure, axiom, m_max=None, window=None):
-    N = window or default_window(M)
-    if m_max is None:
-        m_max = M.max_pole_order() + 2
-    witnesses = {}
-    for u in M.over.basis:
-        for v in M.over.basis:
-            worst = 0
-            for w in M.wbasis:
-                d, clearing, b = _m_weak_diff(M, axiom, u, v, w, N)
-                m = _search_min_m(d, clearing, m_max, b)
-                if m is None:
-                    return PropertyReport(
-                        axiom, "FAIL", {"triple": (u, v, w), "m_max": m_max},
-                        window=N)
-                worst = max(worst, m)
-            witnesses[f"{u},{v}"] = worst
-    return PropertyReport(axiom, "PASS", {"min_m": witnesses}, window=N)
-
-
-def check_m_vf_skew_symmetry(M: ModuleStructure, window=None):
-    N = window or default_window(M)
-    for u in M.over.basis:
-        for v in M.over.basis:
-            for w in M.wbasis:
-                left = M.iterate_yw(u, "x0", v, "x2", w)
-                right = M.iterate_yw(v, "x0", u, "t", w).flip_sign("x0")
-                right = taylor_substitute(right, "t", (1, "x2"), (1, "x0"),
-                                          {"x0": (INF, N)})
-                ok, wit = _zero_verdict(left - right,
-                                        {"x0": (-N, N), "x2": (-N, N)})
-                if not ok:
-                    return PropertyReport(
-                        "m_vf_skew_symmetry", "FAIL",
-                        {"triple": (u, v, w), "monomial": wit[0]}, window=N)
-    return PropertyReport("m_vf_skew_symmetry", "PASS", {}, window=N)
-
-
-def check_m_vacuum_prop(M: ModuleStructure, window=None):
-    for w in M.wbasis:
-        got = M.yw_modes(M.over.one, w)
-        if got != {0: Vec.unit(w)}:
-            return PropertyReport("m_vacuum_prop", "FAIL", {"element": w})
-    return PropertyReport("m_vacuum_prop", "PASS", {})
-
-
-def check_m_d_derivative(M: ModuleStructure, window=None):
-    S = M.over
-    for v in S.basis:
-        dv = S.dop.get(v, Vec())
-        for w in M.wbasis:
-            lhs = M.yw_series(dv, w, "x") if dv else WindowedSeries.zero(("x",))
-            rhs = M.yw_series(v, w, "x").derivative("x")
-            if not (lhs - rhs).is_zero():
-                return PropertyReport(
-                    "m_d_derivative", "FAIL",
-                    {"pair": (v, w), "monomial": (lhs - rhs).first_nonzero()[0]})
-    return PropertyReport("m_d_derivative", "PASS", {})
 
 
 def check_module_axiom(M: ModuleStructure, axiom, m_max=None, window=None):
     if axiom in VACUUM_MODULE_AXIOMS and M.over.vacuum is None:
         return PropertyReport(axiom, "UNTESTED",
                               {"reason": "base structure has no vacuum element"})
-    if axiom == "m_jacobi":
-        return check_m_jacobi(M, window)
-    if axiom in ("m_weak_comm", "m_weak_assoc", "m_weak_skew_assoc"):
-        return check_m_weak(M, axiom, m_max, window)
-    if axiom == "m_vf_skew_symmetry":
-        return check_m_vf_skew_symmetry(M, window)
-    if axiom == "m_vacuum_prop":
-        return check_m_vacuum_prop(M, window)
-    if axiom == "m_d_derivative":
-        return check_m_d_derivative(M, window)
-    raise ValueError(f"unknown module axiom {axiom!r}")
+    if axiom not in MODULE_CHECKERS:
+        raise ValueError(f"unknown module axiom {axiom!r}")
+    return MODULE_CHECKERS[axiom](M, axiom, m_max, window)
 
 
 def check_module_all(M: ModuleStructure, m_max=None, window=None):
@@ -367,20 +104,7 @@ def main_theorem_harness(corpus, m_max=None, window=None):
     report = []
     for M in corpus:
         verdicts = check_module_all(M, m_max, window)
-        for row_id, premises, conclusions in MODULE_ROWS:
-            prem = {p: verdicts[p].verdict for p in premises}
-            if any(v != "PASS" for v in prem.values()):
-                report.append({"member": M.name, "row": row_id,
-                               "verdict": "UNTESTED", "premises": prem})
-                continue
-            concl = {c: verdicts[c].verdict for c in conclusions}
-            if all(v == "PASS" for v in concl.values()):
-                report.append({"member": M.name, "row": row_id,
-                               "verdict": "PASS", "premises": prem})
-            else:
-                raise ConsistencyViolationError(
-                    f"module row {row_id} on {M.name}: premises pass {prem} "
-                    f"but conclusions fail {concl}")
+        report += replay_rows(M.name, MODULE_ROWS, verdicts)
         # the main equivalence at verdict level
         minors_ok = all(verdicts[a].verdict == "PASS" for a in MODULE_MINORS)
         jac = verdicts["m_jacobi"].verdict == "PASS"

@@ -1,9 +1,16 @@
-"""Finite vertex structures and exact axiom checkers.
+"""Finite vertex structures, their actions, and exact axiom checkers.
 
 A VertexStructure is a finite basis plus mode tables u_n v (finitely many
 nonzero modes per pair, so every Y(u,x)v is a Laurent polynomial) and optional
 vacuum data.  The derivation operator is always derived from the table
 (D v = v_(-2) 1), never user-supplied.
+
+A ModuleStructure is an action Y_W(u,x)w of a structure on a finite module
+basis.  A structure is its own (regular) module, so the seven axioms stated
+for every module (Jacobi, the three weak properties, vacuum-free skew
+symmetry, the vacuum property and the D-derivative property) each have one
+checker, which runs on an action: on ``S.regular`` for a structure S, and on
+the module itself for a module.
 
 Checkers return PropertyReport records.  Identities between exact Laurent
 polynomials are decided exactly; identities involving delta factors or
@@ -13,6 +20,8 @@ contains the full support of every term plus a completeness margin.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from math import factorial
 
 from .deltacalc import Delta, DeltaExpr, Term, window_coeffs
 from .errors import ConsistencyViolationError, ConstructionError
@@ -52,6 +61,14 @@ ANCHORS = {
     "creation_prop": "Y(u,x)1 in V[[x]] and Y(u,0)1 = u",
     "strong_creation": "Y(u,x)1 = e^(xD) u",
     "injectivity": "u -> Y(u,x) is injective",
+    "m_jacobi": "x0^-1 d((x1-x2)/x0) Yw(u,x1)Yw(v,x2)w - x0^-1 d((-x2+x1)/x0) "
+                "Yw(v,x2)Yw(u,x1)w = x1^-1 d((x2+x0)/x1) Yw(Y(u,x0)v,x2)w",
+    "m_weak_comm": "(x1-x2)^m [Yw(u,x1), Yw(v,x2)] = 0",
+    "m_weak_assoc": "(x0+x2)^m (Yw(u,x0+x2)Yw(v,x2)w - Yw(Y(u,x0)v,x2)w) = 0",
+    "m_weak_skew_assoc": "(x1-x0)^m (Yw(v,-x0+x1)Yw(u,x1)w - Yw(Y(u,x0)v,x1-x0)w) = 0",
+    "m_vf_skew_symmetry": "Yw(Y(u,x0)v,x2) = Yw(Y(v,-x0)u,x2+x0)",
+    "m_vacuum_prop": "Yw(1,x) = id",
+    "m_d_derivative": "Yw(Dv,x) = d/dx Yw(v,x)",
 }
 
 
@@ -78,17 +95,58 @@ class PropertyReport:
         return f"PropertyReport({self.axiom}: {self.verdict})"
 
 
+# ---------------------------------------------------------------------------
+# mode tables {(u, v): {n: Vec}}
+
+def _clean_table(table):
+    """Copy of a mode table without zero modes or empty pairs."""
+    out = {}
+    for pair, modes in table.items():
+        clean = {n: vec for n, vec in modes.items() if vec}
+        if clean:
+            out[pair] = clean
+    return out
+
+
+def _pole_order(mode_dicts):
+    """Largest n + 1 over the modes n >= 0 in ``mode_dicts``; 0 without any."""
+    return max([0] + [max(modes, default=-1) + 1 for modes in mode_dicts])
+
+
+def _support_extent(mode_dicts):
+    """Largest |exponent| = |n + 1| over the modes in ``mode_dicts``, at least 1."""
+    return max([1] + [abs(n + 1) for modes in mode_dicts for n in modes])
+
+
+def _edited_table(table, edits):
+    """Copy of a mode table with single-entry edits {(u, n, v): Vec-or-None}."""
+    out = {pair: dict(modes) for pair, modes in table.items()}
+    for (u, n, v), vec in edits.items():
+        modes = out.setdefault((u, v), {})
+        if vec:
+            modes[n] = vec
+        else:
+            modes.pop(n, None)
+    return out
+
+
+def _linear(images, vec: Vec) -> Vec:
+    """The linear map with basis images ``images`` applied to ``vec``."""
+    out = Vec()
+    for b, c in vec.entries.items():
+        img = images.get(b)
+        if img:
+            out = out + img.scale(c)
+    return out
+
+
 class VertexStructure:
     """Finite basis, finite mode tables, optional vacuum element."""
 
     def __init__(self, name, basis, ytable, vacuum=None, tags=()):
         self.name = name
         self.basis = tuple(basis)
-        self.ytable = {}
-        for (u, v), modes in ytable.items():
-            clean = {n: vec for n, vec in modes.items() if vec}
-            if clean:
-                self.ytable[(u, v)] = clean
+        self.ytable = _clean_table(ytable)
         self.vacuum = vacuum
         self.tags = tuple(tags)
         self.one = Vec.unit(vacuum) if vacuum else None
@@ -97,53 +155,81 @@ class VertexStructure:
     def _derive_dop(self):
         dop = {}
         for v in self.basis:
-            img = Vec()
-            for b, c in self.one.entries.items():
-                vec = self.ytable.get((v, b), {}).get(-2)
-                if vec:
-                    img = img + vec.scale(c)
+            img = self.y_modes(v, self.one).get(1)  # D v = v_(-2) 1
             if img:
                 dop[v] = img
         # nilpotency and D(1) = 0 are derivable facts; assert them
         for v in self.basis:
             cur = Vec.unit(v)
             for _ in range(len(self.basis) + 1):
-                nxt = Vec()
-                for b, c in cur.entries.items():
-                    if b in dop:
-                        nxt = nxt + dop[b].scale(c)
-                cur = nxt
+                cur = _linear(dop, cur)
                 if not cur:
                     break
             if cur:
                 raise ConstructionError("derived derivation operator is not nilpotent")
-        done = Vec()
-        for b, c in self.one.entries.items():
-            if b in dop:
-                done = done + dop[b].scale(c)
-        if done:
+        if _linear(dop, self.one):
             raise ConstructionError("derived derivation does not annihilate the vacuum")
         return dop
 
     def d_apply(self, vec: Vec) -> Vec:
-        out = Vec()
-        for b, c in vec.entries.items():
-            img = self.dop.get(b)
-            if img:
-                out = out + img.scale(c)
-        return out
+        return _linear(self.dop, vec)
 
-    # -- mode application ---------------------------------------------------
-    def _as_vec(self, x):
-        return x if isinstance(x, Vec) else Vec.unit(x)
+    @cached_property
+    def regular(self) -> "ModuleStructure":
+        """The structure acting on itself: W = V and Y_W = Y."""
+        return ModuleStructure(self.name, self, self.basis, self.ytable)
 
+    # -- mode application, through the regular action -----------------------
     def y_modes(self, u, v):
         """Y(u,x)v as a dict exponent -> Vec (exponent of x is -n-1)."""
-        uvec, vvec = self._as_vec(u), self._as_vec(v)
+        return self.regular.yw_modes(u, v)
+
+    def y_series(self, u, v, xvar="x"):
+        return self.regular.yw_series(u, v, xvar)
+
+    def compose_y(self, a, xa, b, xb, w):
+        """Y(a,xa) Y(b,xb) w as an exact two-variable series."""
+        return self.regular.compose_yw(a, xa, b, xb, w)
+
+    def iterate_y(self, u, x0, v, x2, w):
+        """Y(Y(u,x0)v, x2) w as an exact two-variable series."""
+        return self.regular.iterate_yw(u, x0, v, x2, w)
+
+    def max_pole_order(self):
+        return _pole_order(self.ytable.values())
+
+    def support_extent(self):
+        return _support_extent(self.ytable.values())
+
+    def mutate(self, name, edits, tags=()):
+        """Copy with single-entry edits {(u, n, v): new Vec-or-None}."""
+        return VertexStructure(name, self.basis,
+                               _edited_table(self.ytable, edits),
+                               self.vacuum, tags)
+
+
+class ModuleStructure:
+    """An action Y_W(u,x)w of a VertexStructure on a finite module basis.
+
+    u ranges over ``over.basis`` and w over ``wbasis``; ``ywtable`` holds the
+    modes u_n w.  Iterates Y_W(Y(u,x0)v, x2)w take the inner Y from ``over``.
+    """
+
+    def __init__(self, name, over: VertexStructure, wbasis, ywtable, tags=()):
+        self.name = name
+        self.over = over
+        self.wbasis = tuple(wbasis)
+        self.ywtable = _clean_table(ywtable)
+        self.tags = tuple(tags)
+
+    def yw_modes(self, u, w):
+        """Y_W(u,x)w as a dict exponent -> module Vec (exponent is -n-1)."""
+        uvec = u if isinstance(u, Vec) else Vec.unit(u)
+        wvec = w if isinstance(w, Vec) else Vec.unit(w)
         out = {}
         for a, ca in uvec.entries.items():
-            for b, cb in vvec.entries.items():
-                modes = self.ytable.get((a, b))
+            for b, cb in wvec.entries.items():
+                modes = self.ywtable.get((a, b))
                 if not modes:
                     continue
                 c = ca * cb
@@ -154,63 +240,51 @@ class VertexStructure:
                     out[e] = add if prev is None else prev + add
         return {e: v for e, v in out.items() if v}
 
-    def y_series(self, u, v, xvar="x"):
+    def yw_series(self, u, w, xvar="x"):
         return WindowedSeries.from_monomials(
-            (xvar,), {(e,): vec for e, vec in self.y_modes(u, v).items()})
+            (xvar,), {(e,): vec for e, vec in self.yw_modes(u, w).items()})
 
-    def compose_y(self, a, xa, b, xb, w):
-        """Y(a,xa) Y(b,xb) w as an exact two-variable series."""
-        inner = self.y_modes(b, w)
+    def compose_yw(self, a, xa, b, xb, w):
+        """Y_W(a,xa) Y_W(b,xb) w as an exact two-variable series."""
+        inner = self.yw_modes(b, w)
         out = {}
         for eb, vec in inner.items():
-            for ea, vec2 in self.y_modes(a, vec).items():
+            for ea, vec2 in self.yw_modes(a, vec).items():
                 key = (ea, eb)
                 prev = out.get(key)
                 out[key] = vec2 if prev is None else prev + vec2
         return WindowedSeries.from_monomials((xa, xb), out)
 
-    def iterate_y(self, u, x0, v, x2, w):
-        """Y(Y(u,x0)v, x2) w as an exact two-variable series."""
-        inner = self.y_modes(u, v)
+    def iterate_yw(self, u, x0, v, x2, w):
+        """Y_W(Y(u,x0)v, x2)w; the inner Y comes from the base structure."""
+        inner = self.over.y_modes(u, v)
         out = {}
         for e0, vec in inner.items():
-            for e2, vec2 in self.y_modes(vec, w).items():
+            for e2, vec2 in self.yw_modes(vec, w).items():
                 key = (e0, e2)
                 prev = out.get(key)
                 out[key] = vec2 if prev is None else prev + vec2
         return WindowedSeries.from_monomials((x0, x2), out)
 
     def max_pole_order(self):
-        worst = 0
-        for modes in self.ytable.values():
-            top = max(modes)
-            if top >= 0:
-                worst = max(worst, top + 1)
-        return worst
+        return max(self.over.max_pole_order(),
+                   _pole_order(self.ywtable.values()))
 
     def support_extent(self):
-        ext = 1
-        for modes in self.ytable.values():
-            for n in modes:
-                ext = max(ext, abs(-n - 1))
-        return ext
+        return max(self.over.support_extent(),
+                   _support_extent(self.ywtable.values()))
 
     def mutate(self, name, edits, tags=()):
-        """Copy with single-entry edits {(u, n, v): new Vec-or-None}."""
-        table = {pair: dict(modes) for pair, modes in self.ytable.items()}
-        for (u, n, v), vec in edits.items():
-            modes = table.setdefault((u, v), {})
-            if vec:
-                modes[n] = vec
-            else:
-                modes.pop(n, None)
-        return VertexStructure(name, self.basis, table, self.vacuum, tags)
+        """Copy with single-entry edits {(u, n, w): new Vec-or-None}."""
+        return ModuleStructure(name, self.over, self.wbasis,
+                               _edited_table(self.ywtable, edits), tags)
 
 
 # ---------------------------------------------------------------------------
-# construction from commutative differential algebras
+# construction from commutative differential algebras and their actions
 
 def _alg_mul(mult, x: Vec, y: Vec) -> Vec:
+    """The bilinear map with basis products ``mult`` applied to (x, y)."""
     out = Vec()
     for a, ca in x.entries.items():
         for b, cb in y.entries.items():
@@ -218,6 +292,33 @@ def _alg_mul(mult, x: Vec, y: Vec) -> Vec:
             if prod:
                 out = out + prod.scale(ca * cb)
     return out
+
+
+def divided_power_table(basis, derivation, product, targets):
+    """Mode table of Y(u,x)w = (e^(xD)u) . w, that is u_(-m-1) w = (D^m u/m!) . w.
+
+    ``product`` maps (basis, target) pairs to Vecs.  A derivation that is not
+    nilpotent within len(basis) steps is refused.
+    """
+    table = {}
+    for u in basis:
+        powers = []
+        cur = Vec.unit(u)
+        while cur:
+            m = len(powers)
+            if m > len(basis):
+                raise ConstructionError("derivation is not nilpotent")
+            powers.append(cur.scale(Fraction(1, factorial(m))) if m > 1 else cur)
+            cur = _linear(derivation, cur)
+        for w in targets:
+            modes = {}
+            for m, dmu in enumerate(powers):
+                img = _alg_mul(product, dmu, Vec.unit(w))
+                if img:
+                    modes[-m - 1] = img
+            if modes:
+                table[(u, w)] = modes
+    return table
 
 
 def borcherds_construct(name, basis, mult, derivation, unit=None, tags=()):
@@ -242,48 +343,18 @@ def borcherds_construct(name, basis, mult, derivation, unit=None, tags=()):
                 right = _alg_mul(mult, Vec.unit(a), mult.get((b, c), Vec()))
                 if left != right:
                     raise ConstructionError(f"product not associative at ({a},{b},{c})")
-    dvecs = {b: derivation.get(b, Vec()) for b in basis}
-
-    def d_of(vec):
-        out = Vec()
-        for b, c in vec.entries.items():
-            out = out + dvecs[b].scale(c)
-        return out
-
     for a in basis:
         for b in basis:
-            lhs = d_of(mult.get((a, b), Vec()))
-            rhs = (_alg_mul(mult, dvecs[a], Vec.unit(b))
-                   + _alg_mul(mult, Vec.unit(a), dvecs[b]))
+            lhs = _linear(derivation, mult.get((a, b), Vec()))
+            rhs = (_alg_mul(mult, derivation.get(a, Vec()), Vec.unit(b))
+                   + _alg_mul(mult, Vec.unit(a), derivation.get(b, Vec())))
             if lhs != rhs:
                 raise ConstructionError(f"derivation fails the Leibniz rule at ({a},{b})")
     if unit is not None:
         for b in basis:
             if mult.get((unit, b), Vec()) != Vec.unit(b):
                 raise ConstructionError(f"unit law fails at {b}")
-
-    # powers D^m u / m!, refusing non-nilpotent derivations
-    ytable = {}
-    for u in basis:
-        powers = []
-        cur = Vec.unit(u)
-        fact = 1
-        m = 0
-        while cur:
-            if m > len(basis):
-                raise ConstructionError("derivation is not nilpotent")
-            powers.append(cur.scale(Fraction(1, fact)) if fact > 1 else cur)
-            cur = d_of(cur)
-            m += 1
-            fact *= m
-        for v in basis:
-            modes = {}
-            for m, dmu in enumerate(powers):
-                prod = _alg_mul(mult, dmu, Vec.unit(v))
-                if prod:
-                    modes[-m - 1] = prod
-            if modes:
-                ytable[(u, v)] = modes
+    ytable = divided_power_table(basis, derivation, mult, basis)
     return VertexStructure(name, basis, ytable, vacuum=unit, tags=tags)
 
 
@@ -316,24 +387,18 @@ def _zero_verdict(series, window_box):
     return False, series.first_nonzero(window_box)
 
 
-def default_window(S: VertexStructure):
-    return S.support_extent() + 2 * S.max_pole_order() + 2
+def default_window(A: ModuleStructure):
+    return A.support_extent() + 2 * A.max_pole_order() + 2
 
 
 def minimal_pole_order(S: VertexStructure, u, v):
     """Negative of the least power of x in Y(u,x)v when negative, else 0."""
-    modes = S.ytable.get((u, v), {})
-    if not modes:
-        return 0
-    top = max(modes)
-    return top + 1 if top >= 0 else 0
+    return _pole_order([S.ytable.get((u, v), {})])
 
 
 def _search_min_m(diff, clearing, m_max, box):
     for m in range(0, m_max + 1):
-        prod = multiply(diff, clearing(m)) if m else diff
-        ok, _ = _zero_verdict(prod, box)
-        if ok:
+        if witness_is_valid(diff, clearing, m, box):
             return m
     return None
 
@@ -345,7 +410,9 @@ def witness_is_valid(diff, clearing, m, box):
 
 
 # ---------------------------------------------------------------------------
-# the twelve axiom checkers
+# the seven checkers shared by structures and modules, each run on an action
+# A and reporting under the name ``axiom`` it was asked for (jacobi for a
+# structure's regular action, m_jacobi for a module, and so on)
 
 def _jacobi_symbolic_zero(f12, g12, h02, N):
     """Window-oracle verdict on the three-term delta combination."""
@@ -370,50 +437,54 @@ def _jacobi_symbolic_zero(f12, g12, h02, N):
     return False, (dict(mono), out[mono])
 
 
-def check_jacobi(S: VertexStructure, window=None):
-    N = window or default_window(S)
-    for u in S.basis:
-        for v in S.basis:
-            for w in S.basis:
-                f = S.compose_y(u, "x1", v, "x2", w)
-                g = S.compose_y(v, "x2", u, "x1", w)
-                h = S.iterate_y(u, "x0", v, "x2", w)
+def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
+    N = window or default_window(A)
+    for u in A.over.basis:
+        for v in A.over.basis:
+            for w in A.wbasis:
+                f = A.compose_yw(u, "x1", v, "x2", w)
+                g = A.compose_yw(v, "x2", u, "x1", w)
+                h = A.iterate_yw(u, "x0", v, "x2", w)
                 # route 1: symbolic delta expansion with the window oracle
                 ok_sym, wit_sym = _jacobi_symbolic_zero(f, g, h, N)
                 # route 2: concrete delta convolution via the (A)-checker
                 inst = TripleInstance(
                     f.rename({"x1": S1, "x2": S2}),
-                    S.compose_y(v, S1, u, S2, w),
-                    S.iterate_y(u, S2, v, S1, w))
-                ok_ser, wit_ser = check_A(inst, N)
+                    A.compose_yw(v, S1, u, S2, w),
+                    A.iterate_yw(u, S2, v, S1, w))
+                ok_ser, _ = check_A(inst, N)
                 if ok_sym != ok_ser:
                     raise ConsistencyViolationError(
-                        f"jacobi routes disagree on ({u},{v},{w}): "
+                        f"{axiom} routes disagree on ({u},{v},{w}): "
                         f"symbolic={ok_sym} series={ok_ser}")
                 if not ok_sym:
                     return PropertyReport(
-                        "jacobi", "FAIL",
+                        axiom, "FAIL",
                         {"triple": (u, v, w), "monomial": wit_sym[0]},
                         window=N)
-    return PropertyReport("jacobi", "PASS", {}, window=N)
+    return PropertyReport(axiom, "PASS", {}, window=N)
 
 
-def _weak_diff(S, axiom, u, v, w, N):
+def _weak_difference(A: ModuleStructure, axiom, u, v, w, N):
+    """(difference series, clearing factor m -> series, window box) of a weak
+    property; ``axiom`` is weak_comm / weak_assoc / weak_skew_assoc, with or
+    without the m_ prefix."""
+    axiom = axiom.removeprefix("m_")
     if axiom == "weak_comm":
-        d = (S.compose_y(u, "x1", v, "x2", w)
-             - S.compose_y(v, "x2", u, "x1", w).align(("x1", "x2")))
+        d = (A.compose_yw(u, "x1", v, "x2", w)
+             - A.compose_yw(v, "x2", u, "x1", w).align(("x1", "x2")))
         clearing = lambda m: binomial_power(("x1", "x2"), (1, "x1"), (-1, "x2"), m)
         b = {"x1": (-N, N), "x2": (-N, N)}
     elif axiom == "weak_assoc":
-        f = S.compose_y(u, "t", v, "x2", w)
+        f = A.compose_yw(u, "t", v, "x2", w)
         fsub = taylor_substitute(f, "t", (1, "x0"), (1, "x2"), {"x2": (INF, N)})
-        d = fsub - S.iterate_y(u, "x0", v, "x2", w)
+        d = fsub - A.iterate_yw(u, "x0", v, "x2", w)
         clearing = lambda m: binomial_power(("x0", "x2"), (1, "x0"), (1, "x2"), m)
         b = {"x0": (-N, N), "x2": (-N, N)}
     elif axiom == "weak_skew_assoc":
-        c1 = S.compose_y(v, "t", u, "x1", w)
+        c1 = A.compose_yw(v, "t", u, "x1", w)
         c1 = taylor_substitute(c1, "t", (-1, "x0"), (1, "x1"), {"x1": (INF, N)})
-        c2 = S.iterate_y(u, "x0", v, "t", w)
+        c2 = A.iterate_yw(u, "x0", v, "t", w)
         c2 = taylor_substitute(c2, "t", (1, "x1"), (-1, "x0"), {"x0": (INF, N)})
         d = c1 - c2
         clearing = lambda m: binomial_power(("x0", "x1"), (1, "x1"), (-1, "x0"), m)
@@ -423,17 +494,22 @@ def _weak_diff(S, axiom, u, v, w, N):
     return d, clearing, b
 
 
-def check_weak(S: VertexStructure, axiom, m_max=None, window=None):
-    """weak_comm / weak_assoc / weak_skew_assoc with minimal witnesses."""
-    N = window or default_window(S)
+def _weak_diff(S: VertexStructure, axiom, u, v, w, N):
+    """The weak-property recipe on a structure's regular action."""
+    return _weak_difference(S.regular, axiom, u, v, w, N)
+
+
+def check_weak(A: ModuleStructure, axiom, m_max=None, window=None):
+    """The three weak properties with minimal witnesses."""
+    N = window or default_window(A)
     if m_max is None:
-        m_max = S.max_pole_order() + 2
+        m_max = A.max_pole_order() + 2
     witnesses = {}
-    for u in S.basis:
-        for v in S.basis:
+    for u in A.over.basis:
+        for v in A.over.basis:
             worst = 0
-            for w in S.basis:
-                d, clearing, b = _weak_diff(S, axiom, u, v, w, N)
+            for w in A.wbasis:
+                d, clearing, b = _weak_difference(A, axiom, u, v, w, N)
                 m = _search_min_m(d, clearing, m_max, b)
                 if m is None:
                     return PropertyReport(
@@ -444,23 +520,58 @@ def check_weak(S: VertexStructure, axiom, m_max=None, window=None):
     return PropertyReport(axiom, "PASS", {"min_m": witnesses}, window=N)
 
 
-def check_vf_skew_symmetry(S: VertexStructure, window=None):
-    N = window or default_window(S)
-    for u in S.basis:
-        for v in S.basis:
-            for w in S.basis:
-                left = S.iterate_y(u, "x0", v, "x2", w)
-                right = S.iterate_y(v, "x0", u, "t", w).flip_sign("x0")
+def check_vf_skew_symmetry(A: ModuleStructure, axiom, m_max=None, window=None):
+    N = window or default_window(A)
+    for u in A.over.basis:
+        for v in A.over.basis:
+            for w in A.wbasis:
+                left = A.iterate_yw(u, "x0", v, "x2", w)
+                right = A.iterate_yw(v, "x0", u, "t", w).flip_sign("x0")
                 right = taylor_substitute(right, "t", (1, "x2"), (1, "x0"),
                                           {"x0": (INF, N)})
                 ok, wit = _zero_verdict(left - right,
                                         {"x0": (-N, N), "x2": (-N, N)})
                 if not ok:
                     return PropertyReport(
-                        "vf_skew_symmetry", "FAIL",
+                        axiom, "FAIL",
                         {"triple": (u, v, w), "monomial": wit[0]}, window=N)
-    return PropertyReport("vf_skew_symmetry", "PASS", {}, window=N)
+    return PropertyReport(axiom, "PASS", {}, window=N)
 
+
+def check_vacuum_prop(A: ModuleStructure, axiom, m_max=None, window=None):
+    for w in A.wbasis:
+        if A.yw_modes(A.over.one, w) != {0: Vec.unit(w)}:
+            return PropertyReport(axiom, "FAIL", {"element": w})
+    return PropertyReport(axiom, "PASS", {})
+
+
+def check_d_derivative(A: ModuleStructure, axiom, m_max=None, window=None):
+    S = A.over
+    for u in S.basis:
+        du = S.dop.get(u, Vec())
+        for w in A.wbasis:
+            lhs = A.yw_series(du, w, "x") if du else WindowedSeries.zero(("x",))
+            rhs = A.yw_series(u, w, "x").derivative("x")
+            if not (lhs - rhs).is_zero():
+                return PropertyReport(
+                    axiom, "FAIL",
+                    {"pair": (u, w), "monomial": (lhs - rhs).first_nonzero()[0]})
+    return PropertyReport(axiom, "PASS", {})
+
+
+ACTION_CHECKERS = {
+    "jacobi": check_jacobi,
+    "weak_comm": check_weak,
+    "weak_assoc": check_weak,
+    "weak_skew_assoc": check_weak,
+    "vf_skew_symmetry": check_vf_skew_symmetry,
+    "vacuum_prop": check_vacuum_prop,
+    "d_derivative": check_d_derivative,
+}
+
+
+# ---------------------------------------------------------------------------
+# the five checkers that only a structure has
 
 def _exp_d_apply(S: VertexStructure, series: WindowedSeries, xvar):
     """e^(x D) applied to every coefficient of a one-variable series."""
@@ -486,19 +597,6 @@ def check_skew_symmetry(S: VertexStructure, window=None):
     return PropertyReport("skew_symmetry", "PASS", {})
 
 
-def check_d_derivative(S: VertexStructure, window=None):
-    for u in S.basis:
-        du = S.dop.get(u, Vec())
-        for v in S.basis:
-            lhs = S.y_series(du, v, "x") if du else WindowedSeries.zero(("x",))
-            rhs = S.y_series(u, v, "x").derivative("x")
-            if not (lhs - rhs).is_zero():
-                return PropertyReport(
-                    "d_derivative", "FAIL",
-                    {"pair": (u, v), "monomial": (lhs - rhs).first_nonzero()[0]})
-    return PropertyReport("d_derivative", "PASS", {})
-
-
 def check_d_bracket(S: VertexStructure, window=None):
     for u in S.basis:
         for v in S.basis:
@@ -514,15 +612,6 @@ def check_d_bracket(S: VertexStructure, window=None):
                     "d_bracket", "FAIL",
                     {"pair": (u, v), "monomial": (lhs - rhs).first_nonzero()[0]})
     return PropertyReport("d_bracket", "PASS", {})
-
-
-def check_vacuum_prop(S: VertexStructure, window=None):
-    for v in S.basis:
-        got = S.y_modes(S.one, v)
-        want = {0: Vec.unit(v)}
-        if got != want:
-            return PropertyReport("vacuum_prop", "FAIL", {"element": v})
-    return PropertyReport("vacuum_prop", "PASS", {})
 
 
 def check_creation_prop(S: VertexStructure, window=None):
@@ -592,30 +681,23 @@ def check_injectivity(S: VertexStructure, window=None):
     return PropertyReport("injectivity", "PASS", {"rank": rank})
 
 
+STRUCTURE_CHECKERS = {
+    "skew_symmetry": check_skew_symmetry,
+    "d_bracket": check_d_bracket,
+    "creation_prop": check_creation_prop,
+    "strong_creation": check_strong_creation,
+    "injectivity": check_injectivity,
+}
+
+
 def check_axiom(S: VertexStructure, axiom, m_max=None, window=None) -> PropertyReport:
     if axiom in VACUUM_AXIOMS and S.vacuum is None:
         return PropertyReport(axiom, "UNTESTED",
                               {"reason": "structure has no vacuum element"})
-    if axiom == "jacobi":
-        return check_jacobi(S, window)
-    if axiom in ("weak_comm", "weak_assoc", "weak_skew_assoc"):
-        return check_weak(S, axiom, m_max, window)
-    if axiom == "vf_skew_symmetry":
-        return check_vf_skew_symmetry(S, window)
-    if axiom == "skew_symmetry":
-        return check_skew_symmetry(S, window)
-    if axiom == "d_derivative":
-        return check_d_derivative(S, window)
-    if axiom == "d_bracket":
-        return check_d_bracket(S, window)
-    if axiom == "vacuum_prop":
-        return check_vacuum_prop(S, window)
-    if axiom == "creation_prop":
-        return check_creation_prop(S, window)
-    if axiom == "strong_creation":
-        return check_strong_creation(S, window)
-    if axiom == "injectivity":
-        return check_injectivity(S, window)
+    if axiom in ACTION_CHECKERS:
+        return ACTION_CHECKERS[axiom](S.regular, axiom, m_max, window)
+    if axiom in STRUCTURE_CHECKERS:
+        return STRUCTURE_CHECKERS[axiom](S, window)
     raise ValueError(f"unknown axiom {axiom!r}")
 
 
@@ -624,7 +706,7 @@ def check_all(S: VertexStructure, m_max=None, window=None):
 
 
 # ---------------------------------------------------------------------------
-# the implication matrix
+# replacement rows
 
 MINORS = ("vacuum_prop", "creation_prop", "injectivity")
 
@@ -675,29 +757,34 @@ ALGEBRA_ROWS = [
 ]
 
 
-def implication_matrix(corpus, m_max=None, window=None):
-    """Replay every encoded replacement row on every corpus member.
+def replay_rows(member, rows, verdicts):
+    """Replay replacement rows (id, premises, conclusions) on one member.
 
-    Per member and row: if every premise checker passes, the conclusion
-    checkers must pass; a premises-pass/conclusion-fails event raises
-    ConsistencyViolationError with full diagnostics.  Rows whose premises are
-    not all satisfied are reported UNTESTED for that member.
+    If every premise checker passes, the conclusion checkers must pass; a
+    premises-pass/conclusion-fails event raises ConsistencyViolationError
+    with full diagnostics.  Rows whose premises are not all satisfied are
+    reported UNTESTED for that member.
     """
     report = []
+    for row_id, premises, conclusions in rows:
+        prem = {p: verdicts[p].verdict for p in premises}
+        if any(v != "PASS" for v in prem.values()):
+            report.append({"member": member, "row": row_id,
+                           "verdict": "UNTESTED", "premises": prem})
+            continue
+        concl = {c: verdicts[c].verdict for c in conclusions}
+        if not all(v == "PASS" for v in concl.values()):
+            raise ConsistencyViolationError(
+                f"row {row_id} on {member}: premises pass {prem} "
+                f"but conclusions fail {concl}")
+        report.append({"member": member, "row": row_id,
+                       "verdict": "PASS", "premises": prem})
+    return report
+
+
+def implication_matrix(corpus, m_max=None, window=None):
+    """Replay every encoded replacement row on every corpus member."""
+    report = []
     for S in corpus:
-        verdicts = check_all(S, m_max, window)
-        for row_id, premises, conclusions in ALGEBRA_ROWS:
-            prem = {p: verdicts[p].verdict for p in premises}
-            if any(v != "PASS" for v in prem.values()):
-                report.append({"member": S.name, "row": row_id,
-                               "verdict": "UNTESTED", "premises": prem})
-                continue
-            concl = {c: verdicts[c].verdict for c in conclusions}
-            if all(v == "PASS" for v in concl.values()):
-                report.append({"member": S.name, "row": row_id,
-                               "verdict": "PASS", "premises": prem})
-            else:
-                raise ConsistencyViolationError(
-                    f"row {row_id} on {S.name}: premises pass {prem} "
-                    f"but conclusions fail {concl}")
+        report += replay_rows(S.name, ALGEBRA_ROWS, check_all(S, m_max, window))
     return report

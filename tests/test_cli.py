@@ -161,3 +161,90 @@ def test_replay_report_is_unchanged_under_optimize_flag():
     assert plain.returncode == 0, plain.stderr
     assert optimized.returncode == 0, optimized.stderr
     assert optimized.stdout == plain.stdout
+
+
+# defect -> (command, edit of the borcherds-k3 structure or module config)
+MALFORMED = {
+    "fractional-mode-index":
+        ("check", lambda c: c["modes"][0].update(n=-1.5)),
+    "zero-denominator":
+        ("check", lambda c: c["modes"][0].update(coeff={"e0": "1/0"})),
+    "vacuum-outside-basis":
+        ("check", lambda c: c.update(vacuum="zz")),
+    "unknown-coefficient-key":
+        ("check", lambda c: c["modes"][0].update(coeff={"zz": "1"})),
+    "duplicate-basis-entry":
+        ("check", lambda c: c["basis"].append("e0")),
+    "u-outside-base-basis":
+        ("check-module", lambda c: c["wmodes"][0].update(u="zz")),
+    "w-outside-module-basis":
+        ("check-module", lambda c: c["wmodes"][0].update(w="zz")),
+    "unknown-module-coefficient-key":
+        ("check-module", lambda c: c["wmodes"][0].update(coeff={"zz": "1"})),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MALFORMED))
+def test_malformed_config_is_refused_with_exit_three(corpus_dir, tmp_path,
+                                                     capsys, defect):
+    command, edit = MALFORMED[defect]
+    base = configio.load_json(str(corpus_dir / "borcherds-k3.json"))
+    module = configio.load_json(
+        str(corpus_dir / "regular-module-k3.module.json"))
+    edit(base if command == "check" else module)
+    configio.dump_json(base, tmp_path / "borcherds-k3.json")
+    configio.dump_json(module, tmp_path / "m.module.json")
+    target = "borcherds-k3.json" if command == "check" else "m.module.json"
+    rc = main([command, str(tmp_path / target), "--format", "machine"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_config_that_is_not_an_object_is_refused(tmp_path, capsys):
+    path = tmp_path / "number.json"
+    path.write_text("5\n")
+    for argv in (["check", str(path)], ["check-module", str(path)],
+                 ["main-theorem", str(tmp_path)]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "X", "--window", "-2"],
+    ["check", "X", "--window", "0"],
+    ["check", "X", "--m-max", "-1"],
+    ["replay-elem", "--m-max", "-1"],
+    ["replay-elem", "--n", "-3"],
+    ["--window", "0", "check", "X"],
+    ["check", "X", "--window", "two"],
+    ["check", "X", "--axiom", "no_such_axiom"],
+    ["check-module", "X", "--axiom", "jacobi"],
+    ["no-such-command"],
+])
+def test_usage_errors_exit_three(corpus_dir, capsys, argv):
+    argv = [str(corpus_dir / "borcherds-k3.json") if a == "X" else a
+            for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert "--window" in capsys.readouterr().out
+
+
+def test_smallest_allowed_window_and_m_max_are_recorded(corpus_dir, capsys):
+    rc = main(["check", str(corpus_dir / "borcherds-k3.json"), "--axiom",
+               "weak_comm", "--window", "1", "--m-max", "0",
+               "--format", "machine"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert data["params"] == {"window": 1, "m_max": 0}

@@ -137,3 +137,45 @@ def test_vacuum_free_module_over_ideal_structure():
     for axiom in ("m_jacobi", "m_weak_comm", "m_weak_assoc",
                   "m_weak_skew_assoc", "m_vf_skew_symmetry"):
         assert check_module_axiom(M, axiom).verdict == "PASS"
+
+
+SHARED_AXIOMS = ("jacobi", "weak_comm", "weak_assoc", "weak_skew_assoc",
+                 "vf_skew_symmetry", "vacuum_prop", "d_derivative")
+
+
+def _comparable(report):
+    """Report JSON without the side-specific name, anchor and UNTESTED reason."""
+    out = report.to_json()
+    del out["axiom"], out["anchor"]
+    if out["verdict"] == "UNTESTED":
+        out["witness"] = {k: v for k, v in out["witness"].items()
+                          if k != "reason"}
+    return out
+
+
+def test_shared_checkers_agree_on_regular_module_across_corpus():
+    # an algebra is its own regular module: each shared axiom must give the
+    # same verdict, witness and window on both sides, for every member
+    from vertexcalc.corpus import full_corpus
+    for S in full_corpus():
+        M = ModuleStructure(S.name, S, S.basis, S.ytable)
+        for axiom in SHARED_AXIOMS:
+            want = _comparable(check_axiom(S, axiom))
+            got = _comparable(check_module_axiom(M, f"m_{axiom}"))
+            assert got == want, (S.name, axiom)
+
+
+def test_module_anchors_need_only_the_structures_module():
+    import os
+    import subprocess
+    import sys
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    code = ("from vertexcalc.structures import PropertyReport; "
+            "print(PropertyReport('m_jacobi', 'PASS').anchor)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == (
+        "x0^-1 d((x1-x2)/x0) Yw(u,x1)Yw(v,x2)w - x0^-1 d((-x2+x1)/x0) "
+        "Yw(v,x2)Yw(u,x1)w = x1^-1 d((x2+x0)/x1) Yw(Y(u,x0)v,x2)w")

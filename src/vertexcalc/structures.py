@@ -155,7 +155,7 @@ class VertexStructure:
     def _derive_dop(self):
         dop = {}
         for v in self.basis:
-            img = self.y_modes(v, self.one).get(1)  # D v = v_(-2) 1
+            img = self.ytable.get((v, self.vacuum), {}).get(-2)  # D v = v_(-2) 1
             if img:
                 dop[v] = img
         # nilpotency and D(1) = 0 are derivable facts; assert them

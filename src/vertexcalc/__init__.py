@@ -47,7 +47,6 @@ from .rationalforms import (
     RationalForm,
     TripleInstance,
     check_A,
-    expand_rational_form,
     find_pole_witness,
     generate_instance,
     instance_from_form,

@@ -8,6 +8,7 @@ implication-matrix, main-theorem, examples.  Exit codes: 0 all checks pass;
 from __future__ import annotations
 
 import argparse
+import functools
 import glob
 import os
 import sys
@@ -205,7 +206,9 @@ def _shared_flags(defaults):
     return sp
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process (parsing leaves it as it was)."""
     # the subcommand copies use SUPPRESS defaults so they never clobber
     # values already parsed from before the subcommand
     shared = _shared_flags(defaults=False)

@@ -177,9 +177,6 @@ def module_family():
     out = []
     for k in FAMILY_K:
         for which in ("regular", "ideal", "quotient"):
-            if which == "quotient" and k == 2:
-                # A_2 / t A_2 is the trivial-action line; keep it, it is legal
-                pass
             out.append(make_module(k, which))
     return out
 

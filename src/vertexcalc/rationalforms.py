@@ -14,12 +14,29 @@ conclusion failure under a verified hypothesis is an implementation bug and
 raises ConsistencyViolationError.
 
 Instances are stored in slot variables ("s1", "s2"); a statement plugs the
-slots with its own variables by renaming.
+slots with its own variables by renaming.  For a vertex structure acting on
+w the slots hold f = Y(u,s1)Y(v,s2)w, g = Y(v,s1)Y(u,s2)w and
+h = Y(Y(u,s2)v,s1)w.
+
+The pairs of (B)-(G) are the three weak properties, the three pairwise views
+of the one S3-symmetric Jacobi identity.  ``PAIRS`` writes each recipe once:
+the pair variables, the clearing binomial and the two sides, each a slot
+series in the pair variables, possibly with s1 substituted:
+
+  m1  weak commutativity       f(x1,x2)      g(x2,x1)       (x1-x2)^m   (B), (E)
+  m2  weak associativity       f(x0+x2,x2)   h(x2,x0)       (x0+x2)^m   (C), (F)
+  m3  weak skew-associativity  g(-x0+x1,x1)  h(x1-x0,x0)    (-x0+x1)^m  (D), (G)
+
+A pair statement reads one rational form over the binomial: the left side
+is its "direct" expansion, the right side its "reversed" one.  The pole
+witnesses, the reconstruction, (E)/(F)/(G), ``instance_from_form`` and the
+weak-property checkers of ``structures`` all read the table.
 """
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .errors import ConsistencyViolationError, WindowUnderflowError
 from .scalars import binom, coeff_add, coeff_mul
@@ -45,20 +62,19 @@ class RationalForm:
     """p(v1,v2) / (binomial^a * v1^b * v2^c) with a two-way pole expansion.
 
     ``numerator`` maps (i, j) exponent pairs to coefficients; a, b, c are the
-    nonnegative pole orders.  ``binom_head``/``binom_tail`` fix the binomial
-    (default v1 - v2); mode "direct" expands with that head, mode "reversed"
-    expands the opposite ordering of the same binomial.
+    nonnegative pole orders.  The binomial is that of pair ``kind`` in
+    ``PAIRS`` (default m1: v1 - v2); mode "direct" expands with its head
+    dominant, mode "reversed" with its tail dominant.
     """
 
-    def __init__(self, numerator, a, b, c, binom_head=(1, S1), binom_tail=(-1, S2)):
+    def __init__(self, numerator, a, b, c, kind="m1"):
         if min(a, b, c) < 0:
             raise ValueError("pole orders must be nonnegative")
         if any(i < 0 or j < 0 for i, j in numerator):
             raise ValueError("numerator must be a polynomial")
         self.numerator = {k: v for k, v in numerator.items() if v}
         self.a, self.b, self.c = a, b, c
-        self.binom_head = binom_head
-        self.binom_tail = binom_tail
+        self.kind = kind
 
     def degree(self):
         if not self.numerator:
@@ -69,14 +85,10 @@ class RationalForm:
         """Windowed expansion; head exponents kept down to window_lo, tail up
         to window_hi.  Exact when a == 0."""
         v1, v2 = variables
-        if mode == "direct":
-            (hs, hvar), (ts, tvar) = self.binom_head, self.binom_tail
-        elif mode == "reversed":
-            (hs, hvar), (ts, tvar) = (
-                (self.binom_tail[0], self.binom_tail[1]),
-                (self.binom_head[0], self.binom_head[1]))
-        else:
+        if mode not in ("direct", "reversed"):
             raise ValueError(f"unknown expansion mode {mode!r}")
+        binomial = PAIRS[self.kind].binomial
+        (hs, hvar), (ts, tvar) = binomial if mode == "direct" else binomial[::-1]
         names = {S1: v1, S2: v2}
         hvar, tvar = names[hvar], names[tvar]
         ih = (variables.index(hvar), variables.index(tvar))
@@ -117,11 +129,6 @@ class RationalForm:
         }
 
 
-def expand_rational_form(form: RationalForm, mode, window_lo, window_hi,
-                         variables=(S1, S2)):
-    return form.expand(mode, window_lo, window_hi, variables)
-
-
 def poly_compose_sum(numerator, which_arg):
     """Substitute one argument of a polynomial by a sum of the two variables.
 
@@ -146,8 +153,70 @@ def poly_compose_sum(numerator, which_arg):
     return {k: v for k, v in out.items() if v}
 
 
+# ---------------------------------------------------------------------------
+# the pair recipes
+
+class Pair(NamedTuple):
+    """The recipe of one pair statement; see the module docstring.
+
+    A side is (slot, {slot: pair variable}, sub): the slot series renamed,
+    and if ``sub`` is a (head, tail) pair of signed variables, with s1
+    replaced by head + tail, expanded in nonnegative powers of the tail.
+    """
+    name: str          # the pair's name in consistency-violation messages
+    variables: tuple   # the pair variables (v1, v2)
+    binomial: tuple    # (head, tail) signed slots of head + tail (s1 is v1)
+    left: tuple        # the side that is the "direct" expansion
+    right: tuple       # the side that is the "reversed" expansion
+    recast: Callable   # (p, a, b, c) of the (E) form -> those of this pair's
+
+
+PAIRS = {
+    "m1": Pair("commutator", ("x1", "x2"), ((1, S1), (-1, S2)),
+               ("f", {S1: "x1", S2: "x2"}, None),
+               ("g", {S1: "x2", S2: "x1"}, None),
+               lambda p, a, b, c: (p, a, b, c)),
+    "m2": Pair("associator", ("x0", "x2"), ((1, S1), (1, S2)),
+               ("f", {S2: "x2"}, ((1, "x0"), (1, "x2"))),
+               ("h", {S1: "x2", S2: "x0"}, None),
+               lambda p, a, b, c: (poly_compose_sum(p, "first+second"), b, a, c)),
+    "m3": Pair("skew", ("x0", "x1"), ((-1, S1), (1, S2)),
+               ("g", {S2: "x1"}, ((-1, "x0"), (1, "x1"))),
+               ("h", {S2: "x0"}, ((1, "x1"), (-1, "x0"))),
+               lambda p, a, b, c: (poly_compose_sum(p, "second-minus"), c, a, b)),
+}
+
+
+def statement_form(form: RationalForm, kind):
+    """The (E), (F) or (G) form of kind m1, m2 or m3: ``form``, taken as
+    p / ((x1-x2)^a x1^b x2^c), rewritten in the pair variables."""
+    return RationalForm(*PAIRS[kind].recast(form.numerator, form.a, form.b, form.c), kind)
+
+
+def clearing(kind, m):
+    """The kind's binomial to the power m, in its pair variables."""
+    pair = PAIRS[kind]
+    names = dict(zip((S1, S2), pair.variables))
+    (hs, hslot), (ts, tslot) = pair.binomial
+    return binomial_power(pair.variables, (hs, names[hslot]), (ts, names[tslot]), m)
+
+
+def pair_sides(inst, kind, hi):
+    """The kind's (left, right) series in its pair variables; a substituted
+    side is expanded up to exponent ``hi`` of its tail variable."""
+    sides = []
+    for slot, rename, sub in (PAIRS[kind].left, PAIRS[kind].right):
+        series = getattr(inst, slot).rename(rename)
+        if sub is not None:
+            head, tail = sub
+            series = taylor_substitute(series, S1, head, tail, {tail[1]: (INF, hi)})
+        sides.append(series)
+    return tuple(sides)
+
+
 class TripleInstance:
-    """Concrete, immutable (f, g, h) in slot variables, with optional form."""
+    """Concrete, immutable (f, g, h) in slot variables, with optional form and
+    the generation windows gen_lo/gen_hi that the pair statements expand at."""
 
     def __init__(self, f, g, h, form=None, seed=None, gen_lo=None, gen_hi=None):
         self.f, self.g, self.h = f, g, h
@@ -196,20 +265,13 @@ def instance_from_form(form: RationalForm, N, m_max=None, seed=None):
     if m_max is None:
         m_max = max(form.a, form.b, form.c) + 2
     lo, hi = windows_for(N, m_max, form.degree())
-    p = form.numerator
-    a, b, c = form.a, form.b, form.c
-    f = RationalForm(p, a, b, c).expand("direct", lo, hi)
-    # g(x2,x1) = p(x1,x2) / ((-x2+x1)^a x1^b x2^c): as a slot series,
-    # g = p(s2,s1) * (-s1+s2)^-a * s2^-b * s1^-c
-    p_t = {(j, i): v for (i, j), v in p.items()}
-    g = RationalForm(p_t, a, c, b, binom_head=(-1, S1),
-                     binom_tail=(1, S2)).expand("direct", lo, hi)
-    # h(x2,x0) = p2(x0,x2) / (x0^a (x2+x0)^b x2^c), p2(x0,x2) = p(x0+x2,x2):
-    # as a slot series, h = p2(s2,s1) * (s1+s2)^-b * s1^-c * s2^-a
-    p2 = poly_compose_sum(p, "first+second")
-    p2_t = {(j, i): v for (i, j), v in p2.items()}
-    h = RationalForm(p2_t, b, c, a, binom_head=(1, S1),
-                     binom_tail=(1, S2)).expand("direct", lo, hi)
+    # f(x1,x2) and g(x2,x1) are the two expansions of the (E) form and
+    # h(x2,x0) the reversed one of the (F) form; g and h read their pair
+    # variables with the slots swapped
+    E, F = statement_form(form, "m1"), statement_form(form, "m2")
+    f = E.expand("direct", lo, hi)
+    g = E.expand("reversed", lo, hi, variables=(S2, S1))
+    h = F.expand("reversed", lo, hi, variables=(S2, S1))
     return TripleInstance(f, g, h, form=form, seed=seed, gen_lo=lo, gen_hi=hi)
 
 
@@ -254,40 +316,18 @@ def check_A(inst: TripleInstance, N):
     return False, total.first_nonzero(w3)
 
 
-def _pair_difference(inst: TripleInstance, kind, N, extra):
-    """The series difference whose pole the witness must clear."""
-    if kind == "m1":
-        d = inst.f_at("x1", "x2") - inst.g_at("x2", "x1")
-        clearing = lambda m: binomial_power(("x1", "x2"), (1, "x1"), (-1, "x2"), m)
-        vars2 = ("x1", "x2")
-    elif kind == "m2":
-        fr = inst.f.rename({S2: "x2"})
-        fsub = taylor_substitute(fr, S1, (1, "x0"), (1, "x2"),
-                                 {"x2": (INF, N + extra)})
-        d = fsub - inst.h_at("x2", "x0")
-        clearing = lambda m: binomial_power(("x0", "x2"), (1, "x0"), (1, "x2"), m)
-        vars2 = ("x0", "x2")
-    elif kind == "m3":
-        gr = inst.g.rename({S2: "x1"})
-        gsub = taylor_substitute(gr, S1, (-1, "x0"), (1, "x1"),
-                                 {"x1": (INF, N + extra)})
-        hr = inst.h.rename({S2: "x0"})
-        hsub = taylor_substitute(hr, S1, (1, "x1"), (-1, "x0"),
-                                 {"x0": (INF, N + extra)})
-        d = gsub - hsub
-        clearing = lambda m: binomial_power(("x0", "x1"), (1, "x1"), (-1, "x0"), m)
-        vars2 = ("x0", "x1")
-    else:
-        raise ValueError(f"unknown witness kind {kind!r}")
-    return d, clearing, vars2
+def pole_statement(inst, kind, hi, N):
+    """The (B)/(C)/(D) statement of the kind, some power of its binomial kills
+    the pair difference on [-N, N]^2, as (left - right, m -> binomial^m, box)."""
+    left, right = inst.result(pair_sides, kind, hi)
+    return left - right, partial(clearing, kind), box(N, *PAIRS[kind].variables)
 
 
 def find_pole_witness(inst: TripleInstance, kind, m_max, N):
     """Smallest m <= m_max clearing the pole of the kind's pair difference."""
-    d, clearing, vars2 = _pair_difference(inst, kind, N, extra=m_max + 1)
-    w2 = box(N, *vars2)
+    d, clear, w2 = pole_statement(inst, kind, inst.gen_hi, N)
     for m in range(0, m_max + 1):
-        prod = multiply(d, clearing(m)) if m else d
+        prod = multiply(d, clear(m)) if m else d
         try:
             if prod.is_zero_on(w2):
                 return m
@@ -317,6 +357,16 @@ def _collect_polynomial(P: WindowedSeries, vars2):
     return numerator, b, c
 
 
+def _pair_matches(inst: TripleInstance, kind, form: RationalForm, N):
+    """Whether the kind's pair is the direct and the reversed expansion of
+    ``form`` on [-N, N]^2."""
+    variables = PAIRS[kind].variables
+    left, right = inst.result(pair_sides, kind, inst.gen_hi)
+    lo, hi, w = inst.gen_lo, inst.gen_hi, box(N, *variables)
+    return ((form.expand("direct", lo, hi, variables) - left).is_zero_on(w)
+            and (form.expand("reversed", lo, hi, variables) - right).is_zero_on(w))
+
+
 def reconstruct_form(inst: TripleInstance, kind, m, N):
     """From a pole witness, rebuild (p, a, b, c) and verify by re-expansion.
 
@@ -324,67 +374,15 @@ def reconstruct_form(inst: TripleInstance, kind, m, N):
     raises ConsistencyViolationError if the re-expansions disagree with the
     instance (that would falsify the implication).
     """
-    if kind == "m1":
-        F = inst.f_at("x1", "x2")
-        P = multiply(F, binomial_power(("x1", "x2"), (1, "x1"), (-1, "x2"), m)) if m else F
-        numerator, b, c = _collect_polynomial(P, ("x1", "x2"))
-        form = RationalForm(numerator, m, b, c)
-        lo, hi = inst.gen_lo, inst.gen_hi
-        f_re = form.expand("direct", lo, hi)
-        g_re = RationalForm({(j, i): v for (i, j), v in numerator.items()},
-                            m, c, b, binom_head=(-1, S1), binom_tail=(1, S2)
-                            ).expand("direct", lo, hi)
-        ok_f = (f_re - inst.f).is_zero_on(box(N, S1, S2))
-        ok_g = (g_re - inst.g).is_zero_on(box(N, S1, S2))
-        if not (ok_f and ok_g):
-            raise ConsistencyViolationError(
-                "reconstructed commutator form does not re-expand to the pair")
-        return form
-    if kind == "m2":
-        fr = inst.f.rename({S2: "x2"})
-        fsub = taylor_substitute(fr, S1, (1, "x0"), (1, "x2"),
-                                 {"x2": (INF, inst.gen_hi)})
-        P = multiply(fsub, binomial_power(("x0", "x2"), (1, "x0"), (1, "x2"), m)) if m else fsub
-        numerator, a, c = _collect_polynomial(P, ("x0", "x2"))
-        # f(x0+x2, x2) = p2 / (x0^a (x0+x2)^m x2^c); h(x2,x0) uses (x2+x0)^m
-        form = RationalForm(numerator, m, a, c)
-        lo, hi = inst.gen_lo, inst.gen_hi
-        f_re = RationalForm(numerator, m, a, c, binom_head=(1, S1),
-                            binom_tail=(1, S2)).expand("direct", lo, hi)
-        f_re = f_re.rename({S1: "x0", S2: "x2"})
-        ok_f = (f_re - fsub).is_zero_on(box(N, "x0", "x2"))
-        p_t = {(j, i): v for (i, j), v in numerator.items()}
-        h_re = RationalForm(p_t, m, c, a, binom_head=(1, S1),
-                            binom_tail=(1, S2)).expand("direct", lo, hi)
-        ok_h = (h_re - inst.h).is_zero_on(box(N, S1, S2))
-        if not (ok_f and ok_h):
-            raise ConsistencyViolationError(
-                "reconstructed associator form does not re-expand to the pair")
-        return form
-    if kind == "m3":
-        gr = inst.g.rename({S2: "x1"})
-        gsub = taylor_substitute(gr, S1, (-1, "x0"), (1, "x1"),
-                                 {"x1": (INF, inst.gen_hi)})
-        P = multiply(gsub, binomial_power(("x0", "x1"), (1, "x1"), (-1, "x0"), m)) if m else gsub
-        numerator, a, b = _collect_polynomial(P, ("x0", "x1"))
-        form = RationalForm(numerator, m, a, b)
-        lo, hi = inst.gen_lo, inst.gen_hi
-        g_re = RationalForm(numerator, m, a, b, binom_head=(-1, S1),
-                            binom_tail=(1, S2)).expand("direct", lo, hi)
-        g_re = g_re.rename({S1: "x0", S2: "x1"})
-        ok_g = (g_re - gsub).is_zero_on(box(N, "x0", "x1"))
-        hr = inst.h.rename({S2: "x0"})
-        hsub = taylor_substitute(hr, S1, (1, "x1"), (-1, "x0"),
-                                 {"x0": (INF, inst.gen_hi)})
-        h_re = RationalForm(numerator, m, a, b, binom_head=(-1, S1),
-                            binom_tail=(1, S2)).expand("reversed", lo, hi)
-        h_re = h_re.rename({S1: "x0", S2: "x1"})
-        ok_h = (h_re - hsub).is_zero_on(box(N, "x0", "x1"))
-        if not (ok_g and ok_h):
-            raise ConsistencyViolationError(
-                "reconstructed skew form does not re-expand to the pair")
-        return form
-    raise ValueError(f"unknown witness kind {kind!r}")
+    pair = PAIRS[kind]
+    left, _ = inst.result(pair_sides, kind, inst.gen_hi)
+    cleared = multiply(left, clearing(kind, m)) if m else left
+    numerator, b, c = _collect_polynomial(cleared, pair.variables)
+    form = RationalForm(numerator, m, b, c, kind)
+    if not _pair_matches(inst, kind, form, N):
+        raise ConsistencyViolationError(
+            f"reconstructed {pair.name} form does not re-expand to the pair")
+    return form
 
 
 # ---------------------------------------------------------------------------
@@ -394,46 +392,8 @@ def check_EFG(inst: TripleInstance, which, N):
     """Verify the stored pair matches its form's two expansions on the window."""
     if inst.form is None:
         return False
-    p = inst.form.numerator
-    a, b, c = inst.form.a, inst.form.b, inst.form.c
-    lo, hi = inst.gen_lo, inst.gen_hi
-    w = box(N, S1, S2)
-    if which == "E":
-        f_re = RationalForm(p, a, b, c).expand("direct", lo, hi)
-        p_t = {(j, i): v for (i, j), v in p.items()}
-        g_re = RationalForm(p_t, a, c, b, binom_head=(-1, S1),
-                            binom_tail=(1, S2)).expand("direct", lo, hi)
-        return (f_re - inst.f).is_zero_on(w) and (g_re - inst.g).is_zero_on(w)
-    if which == "F":
-        p2 = poly_compose_sum(p, "first+second")
-        fr = inst.f.rename({S2: "x2"})
-        fsub = taylor_substitute(fr, S1, (1, "x0"), (1, "x2"),
-                                 {"x2": (INF, hi)})
-        f_re = RationalForm(p2, b, a, c, binom_head=(1, S1),
-                            binom_tail=(1, S2)).expand("direct", lo, hi)
-        f_re = f_re.rename({S1: "x0", S2: "x2"})
-        p2_t = {(j, i): v for (i, j), v in p2.items()}
-        h_re = RationalForm(p2_t, b, c, a, binom_head=(1, S1),
-                            binom_tail=(1, S2)).expand("direct", lo, hi)
-        return ((f_re - fsub).is_zero_on(box(N, "x0", "x2"))
-                and (h_re - inst.h).is_zero_on(w))
-    if which == "G":
-        p3 = poly_compose_sum(p, "second-minus")
-        gr = inst.g.rename({S2: "x1"})
-        gsub = taylor_substitute(gr, S1, (-1, "x0"), (1, "x1"),
-                                 {"x1": (INF, hi)})
-        g_re = RationalForm(p3, c, a, b, binom_head=(-1, S1),
-                            binom_tail=(1, S2)).expand("direct", lo, hi)
-        g_re = g_re.rename({S1: "x0", S2: "x1"})
-        hr = inst.h.rename({S2: "x0"})
-        hsub = taylor_substitute(hr, S1, (1, "x1"), (-1, "x0"),
-                                 {"x0": (INF, hi)})
-        h_re = RationalForm(p3, c, a, b, binom_head=(-1, S1),
-                            binom_tail=(1, S2)).expand("reversed", lo, hi)
-        h_re = h_re.rename({S1: "x0", S2: "x1"})
-        return ((g_re - gsub).is_zero_on(box(N, "x0", "x1"))
-                and (h_re - hsub).is_zero_on(box(N, "x0", "x1")))
-    raise ValueError(f"unknown statement {which!r}")
+    kind = {"E": "m1", "F": "m2", "G": "m3"}[which]
+    return _pair_matches(inst, kind, statement_form(inst.form, kind), N)
 
 
 # ---------------------------------------------------------------------------

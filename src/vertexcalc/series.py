@@ -169,7 +169,9 @@ class WindowedSeries:
     def __add__(self, other):
         if self.variables != other.variables:
             allv = tuple(sorted(set(self.variables) | set(other.variables)))
-            return self.align(allv) + other.align(allv)
+            a = self if self.variables == allv else self.align(allv)
+            b = other if other.variables == allv else other.align(allv)
+            return a + b
         coeffs = dict(self.coeffs)
         for k, c in other.coeffs.items():
             prev = coeffs.get(k)

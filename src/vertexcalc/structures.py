@@ -10,7 +10,9 @@ basis.  A structure is its own (regular) module, so the seven axioms stated
 for every module (Jacobi, the three weak properties, vacuum-free skew
 symmetry, the vacuum property and the D-derivative property) each have one
 checker, which runs on an action: on ``S.regular`` for a structure S, and on
-the module itself for a module.
+the module itself for a module.  The weak checkers read the same pair
+recipes (``rationalforms.PAIRS``) as the (B)-(G) statements, on the slot
+triple of the action at (u, v, w).
 
 Checkers return PropertyReport records.  Identities between exact Laurent
 polynomials are decided exactly; identities involving delta factors or
@@ -25,16 +27,9 @@ from math import factorial
 
 from .deltacalc import Delta, DeltaExpr, Term, window_coeffs
 from .errors import ConsistencyViolationError, ConstructionError
-from .rationalforms import S1, S2, TripleInstance, check_A
+from .rationalforms import S1, S2, TripleInstance, check_A, pole_statement
 from .scalars import Vec
-from .series import (
-    INF,
-    WindowedSeries,
-    binomial_power,
-    exp_endo,
-    multiply,
-    taylor_substitute,
-)
+from .series import INF, WindowedSeries, exp_endo, multiply, taylor_substitute
 
 AXIOMS = (
     "jacobi", "weak_comm", "weak_assoc", "weak_skew_assoc",
@@ -437,21 +432,31 @@ def _jacobi_symbolic_zero(f12, g12, h02, N):
     return False, (dict(mono), out[mono])
 
 
+class ActionTriple(TripleInstance):
+    """The slot triple of action A at (u, v, w): f = Y(u,s1)Y(v,s2)w,
+    g = Y(v,s1)Y(u,s2)w and h = Y(Y(u,s2)v,s1)w, each built on first use, so
+    a weak checker builds only the two series its pair reads."""
+
+    def __init__(self, A: ModuleStructure, u, v, w):
+        self._results = {}
+        self.A, self.u, self.v, self.w = A, u, v, w
+
+    f = cached_property(lambda t: t.A.compose_yw(t.u, S1, t.v, S2, t.w))
+    g = cached_property(lambda t: t.A.compose_yw(t.v, S1, t.u, S2, t.w))
+    h = cached_property(lambda t: t.A.iterate_yw(t.u, S2, t.v, S1, t.w))
+
+
 def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
     N = window or default_window(A)
     for u in A.over.basis:
         for v in A.over.basis:
             for w in A.wbasis:
-                f = A.compose_yw(u, "x1", v, "x2", w)
-                g = A.compose_yw(v, "x2", u, "x1", w)
-                h = A.iterate_yw(u, "x0", v, "x2", w)
+                inst = ActionTriple(A, u, v, w)
                 # route 1: symbolic delta expansion with the window oracle
-                ok_sym, wit_sym = _jacobi_symbolic_zero(f, g, h, N)
+                ok_sym, wit_sym = _jacobi_symbolic_zero(
+                    inst.f_at("x1", "x2"), inst.g_at("x2", "x1"),
+                    inst.h_at("x2", "x0"), N)
                 # route 2: concrete delta convolution via the (A)-checker
-                inst = TripleInstance(
-                    f.rename({"x1": S1, "x2": S2}),
-                    A.compose_yw(v, S1, u, S2, w),
-                    A.iterate_yw(u, S2, v, S1, w))
                 ok_ser, _ = check_A(inst, N)
                 if ok_sym != ok_ser:
                     raise ConsistencyViolationError(
@@ -465,33 +470,16 @@ def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
     return PropertyReport(axiom, "PASS", {}, window=N)
 
 
+WEAK_PAIRS = {"weak_comm": "m1", "weak_assoc": "m2", "weak_skew_assoc": "m3"}
+
+
 def _weak_difference(A: ModuleStructure, axiom, u, v, w, N):
     """(difference series, clearing factor m -> series, window box) of a weak
     property; ``axiom`` is weak_comm / weak_assoc / weak_skew_assoc, with or
-    without the m_ prefix."""
-    axiom = axiom.removeprefix("m_")
-    if axiom == "weak_comm":
-        d = (A.compose_yw(u, "x1", v, "x2", w)
-             - A.compose_yw(v, "x2", u, "x1", w).align(("x1", "x2")))
-        clearing = lambda m: binomial_power(("x1", "x2"), (1, "x1"), (-1, "x2"), m)
-        b = {"x1": (-N, N), "x2": (-N, N)}
-    elif axiom == "weak_assoc":
-        f = A.compose_yw(u, "t", v, "x2", w)
-        fsub = taylor_substitute(f, "t", (1, "x0"), (1, "x2"), {"x2": (INF, N)})
-        d = fsub - A.iterate_yw(u, "x0", v, "x2", w)
-        clearing = lambda m: binomial_power(("x0", "x2"), (1, "x0"), (1, "x2"), m)
-        b = {"x0": (-N, N), "x2": (-N, N)}
-    elif axiom == "weak_skew_assoc":
-        c1 = A.compose_yw(v, "t", u, "x1", w)
-        c1 = taylor_substitute(c1, "t", (-1, "x0"), (1, "x1"), {"x1": (INF, N)})
-        c2 = A.iterate_yw(u, "x0", v, "t", w)
-        c2 = taylor_substitute(c2, "t", (1, "x1"), (-1, "x0"), {"x0": (INF, N)})
-        d = c1 - c2
-        clearing = lambda m: binomial_power(("x0", "x1"), (1, "x1"), (-1, "x0"), m)
-        b = {"x0": (-N, N), "x1": (-N, N)}
-    else:
-        raise ValueError(axiom)
-    return d, clearing, b
+    without the m_ prefix.  The recipe is the property's pair in
+    ``rationalforms.PAIRS``, on the action's slot triple, with tails cut at N."""
+    kind = WEAK_PAIRS[axiom.removeprefix("m_")]
+    return pole_statement(ActionTriple(A, u, v, w), kind, N, N)
 
 
 def _weak_diff(S: VertexStructure, axiom, u, v, w, N):

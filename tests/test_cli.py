@@ -6,9 +6,10 @@ import sys
 import pytest
 
 from vertexcalc import configio
-from vertexcalc.cli import main
+from vertexcalc.cli import build_parser, main
 from vertexcalc.corpus import borcherds_structure, make_module, mutants
 from vertexcalc.errors import ConfigError
+from vertexcalc.structures import AXIOMS
 
 
 @pytest.fixture(scope="module")
@@ -248,3 +249,16 @@ def test_smallest_allowed_window_and_m_max_are_recorded(corpus_dir, capsys):
     data = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert data["params"] == {"window": 1, "m_max": 0}
+
+
+def test_one_parser_serves_every_call_without_leaking_state(corpus_dir, capsys):
+    path = str(corpus_dir / "borcherds-k4.json")
+
+    def checked_ids(argv):
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return [line.split()[1] for line in lines if line.startswith("PASS")]
+
+    assert checked_ids(["check", path, "--axiom", "jacobi"]) == ["borcherds-k4/jacobi"]
+    assert checked_ids(["check", path]) == [f"borcherds-k4/{a}" for a in AXIOMS]
+    assert build_parser() is build_parser()

@@ -9,10 +9,10 @@ from vertexcalc.rationalforms import (
     RationalForm,
     S1,
     S2,
+    TripleInstance,
     box,
     check_A,
     check_EFG,
-    expand_rational_form,
     find_pole_witness,
     generate_instance,
     instance_from_form,
@@ -26,7 +26,7 @@ from vertexcalc.series import WindowedSeries, binomial_power
 
 def test_expand_no_poles_is_the_polynomial():
     form = RationalForm({(1, 2): 3, (0, 0): -1}, 0, 0, 0)
-    s = expand_rational_form(form, "direct", -5, 5)
+    s = form.expand("direct", -5, 5)
     assert s.is_exact()
     assert s.coeff({S1: 1, S2: 2}) == 3
     assert s.coeff({S1: 0, S2: 0}) == -1
@@ -202,3 +202,52 @@ def test_perturbed_copy_does_not_inherit_replay_results():
     bad = inst.perturb_f((0, 0), 5)
     assert replay_implication("ia", bad, N=4)["verdict"] == "UNTESTED"
     assert replay_implication("ia", inst, N=4)["verdict"] == "PASS"
+
+
+def _with_slot_changed(inst, slot, value):
+    """A copy of ``inst``, same form and windows, with ``value`` added to the
+    constant term of one slot series (inside every [-N, N]^2 box)."""
+    series = getattr(inst, slot)
+    coeffs = dict(series.coeffs)
+    coeffs[(0, 0)] = coeffs.get((0, 0), 0) + value
+    slots = {"f": inst.f, "g": inst.g, "h": inst.h}
+    slots[slot] = WindowedSeries(series.variables, coeffs, series.window,
+                                 series.exact, series.shape)
+    return TripleInstance(slots["f"], slots["g"], slots["h"], inst.form,
+                          inst.seed, inst.gen_lo, inst.gen_hi)
+
+
+def test_EFG_rejects_a_changed_side():
+    inst = instance_from_form(RationalForm({(1, 1): 1, (0, 0): 3}, 1, 2, 1), N=5)
+    assert all(check_EFG(inst, which, 5) for which in "EFG")
+    bad_h = _with_slot_changed(inst, "h", 1)
+    assert [check_EFG(bad_h, which, 5) for which in "EFG"] == [True, False, False]
+    bad_g = _with_slot_changed(inst, "g", 1)
+    assert not check_EFG(bad_g, "E", 5)
+
+
+@pytest.mark.parametrize("kind, uncleared", [("m1", "g"), ("m2", "h"), ("m3", "h")])
+def test_reconstruction_rejects_a_changed_uncleared_side(kind, uncleared):
+    form = RationalForm({(1, 1): 1, (0, 0): 3}, 1, 2, 1)
+    inst = instance_from_form(form, N=5)
+    m = find_pole_witness(inst, kind, max(form.a, form.b, form.c) + 2, 5)
+    reconstruct_form(inst, kind, m, 5)
+    bad = _with_slot_changed(inst, uncleared, 1)
+    with pytest.raises(ConsistencyViolationError, match="does not re-expand"):
+        reconstruct_form(bad, kind, m, 5)
+
+
+def test_replay_substitutes_each_pair_side_once(monkeypatch):
+    original = rationalforms.taylor_substitute
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rationalforms, "taylor_substitute", counting)
+    inst = generate_instance(21, N=5, max_deg=3, max_pole=2)
+    for which in IMPLICATIONS:
+        assert replay_implication(which, inst, N=5)["verdict"] == "PASS"
+    # one substituted side for m2, two for m3, shared by every statement
+    assert len(calls) == 3

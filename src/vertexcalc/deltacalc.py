@@ -50,15 +50,6 @@ DEFAULT_VARS = ("x0", "x1", "x2")
 # ---------------------------------------------------------------------------
 # signed variables and monomials
 
-def sv_parse(text):
-    """"+x1" / "-x2" / "x1" -> signed variable (sign, name)."""
-    if text.startswith("-"):
-        return (-1, text[1:])
-    if text.startswith("+"):
-        return (1, text[1:])
-    return (1, text)
-
-
 def sv_format(s):
     sign, var = s
     return ("+" if sign > 0 else "-") + var

@@ -39,10 +39,10 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .errors import ConsistencyViolationError, WindowUnderflowError
-from .scalars import binom, coeff_add, coeff_mul
 from .series import (
     INF,
     WindowedSeries,
+    add_power,
     apply_delta,
     binomial_power,
     multiply,
@@ -91,36 +91,20 @@ class RationalForm:
         (hs, hvar), (ts, tvar) = binomial if mode == "direct" else binomial[::-1]
         names = {S1: v1, S2: v2}
         hvar, tvar = names[hvar], names[tvar]
-        ih = (variables.index(hvar), variables.index(tvar))
+        ih, it = variables.index(hvar), variables.index(tvar)
         coeffs = {}
         for (i, j), cnum in self.numerator.items():
-            base = [i - self.b, j - self.c]
-            if self.a == 0:
-                key = tuple(base)
-                coeffs[key] = coeffs.get(key, 0) + cnum
-                continue
-            kmax = window_hi - base[ih[1]]
-            for k in range(0, kmax + 1):
-                bc = binom(-self.a, k)
-                if (-self.a - k) % 2 and hs < 0:
-                    bc = -bc
-                if k % 2 and ts < 0:
-                    bc = -bc
-                new = list(base)
-                new[ih[0]] += -self.a - k
-                new[ih[1]] += k
-                if new[ih[0]] < window_lo:
-                    continue
-                key = tuple(new)
-                val = coeff_mul(cnum, bc)
-                prev = coeffs.get(key)
-                coeffs[key] = val if prev is None else coeff_add(prev, val)
+            base = (i - self.b, j - self.c)
+            # with poles the tail exponent rises and the head exponent
+            # base[ih] - a - k falls by one per tail power k
+            kmax = (min(window_hi - base[it], base[ih] - self.a - window_lo)
+                    if self.a else 0)
+            add_power(coeffs, base, cnum, -self.a, (hs, ih), (ts, it), kmax)
         if self.a == 0:
             return WindowedSeries.from_monomials(variables, coeffs)
         window = {hvar: (window_lo, INF), tvar: (INF, window_hi)}
-        exact = {hvar: False, tvar: False}
         shape = {hvar: (False, True), tvar: (True, False)}
-        return WindowedSeries(variables, coeffs, window, exact, shape)
+        return WindowedSeries(variables, coeffs, window, shape)
 
     def to_json(self):
         return {
@@ -139,15 +123,10 @@ def poly_compose_sum(numerator, which_arg):
     for (i, j), c in numerator.items():
         if which_arg == "first+second":
             # (u+w)^i w^j
-            for k in range(i + 1):
-                key = (i - k, j + k)
-                out[key] = out.get(key, 0) + c * binom(i, k)
+            add_power(out, (0, j), c, i, (1, 0), (1, 1), i)
         elif which_arg == "second-minus":
-            # p(w, -u+w): w^i (-u+w)^j -> sum_k C(j,k) (-u)^(j-k) w^(i+k)
-            for k in range(j + 1):
-                sign = -1 if (j - k) % 2 else 1
-                key = (j - k, i + k)
-                out[key] = out.get(key, 0) + c * binom(j, k) * sign
+            # p(w, -u+w) = w^i (-u+w)^j
+            add_power(out, (0, i), c, j, (-1, 0), (1, 1), j)
         else:
             raise ValueError(which_arg)
     return {k: v for k, v in out.items() if v}
@@ -247,8 +226,7 @@ class TripleInstance:
         coeffs = dict(self.f.coeffs)
         key = (mono[0], mono[1])
         coeffs[key] = coeffs.get(key, 0) + value
-        f2 = WindowedSeries(self.f.variables, coeffs, self.f.window,
-                            self.f.exact, self.f.shape)
+        f2 = WindowedSeries(self.f.variables, coeffs, self.f.window, self.f.shape)
         return TripleInstance(f2, self.g, self.h, None, self.seed,
                               self.gen_lo, self.gen_hi)
 

@@ -130,6 +130,16 @@ class Vec:
         return cls({k: parse_scalar(v) for k, v in data.items()})
 
 
+def linear_map(images, vec: Vec) -> Vec:
+    """The linear map with basis images ``images`` applied to ``vec``."""
+    out = Vec()
+    for b, c in vec.entries.items():
+        img = images.get(b)
+        if img:
+            out = out + img.scale(c)
+    return out
+
+
 def linear_combine(terms) -> Vec:
     """Exact linear combination of (scalar, Vec) pairs, canonical result."""
     out = Vec()
@@ -173,9 +183,3 @@ def coeff_to_json(a):
     if isinstance(a, Vec):
         return a.to_json()
     return format_scalar(a)
-
-
-def coeff_from_json(data):
-    if isinstance(data, dict):
-        return Vec.from_json(data)
-    return parse_scalar(data)

@@ -3,9 +3,17 @@
 A WindowedSeries stores exact coefficients for the monomials it knows about.
 Per variable it carries a *knowledge window* (lo, hi) — coefficients with that
 variable's exponent inside the window are complete, outside they are unknown —
-plus an *exact* flag meaning the whole support lies inside the window (so the
-series is complete everywhere in that direction), and truncation *shape* flags
-used to certify that products are finite convolutions.
+and truncation *shape* flags (bounded below, bounded above) used to certify
+that products are finite convolutions.  A variable whose shape is bounded on
+both sides is *exact*: the whole support lies inside the window, so the series
+is complete everywhere in that direction.  Exactness is derived from the
+shape, never stored.
+
+Every binomial power (s_h x_h + s_t x_t)^n, whatever the sign of n, is
+expanded in nonnegative powers of its tail x_t (the formal-calculus
+convention).  ``add_power`` is the one place that writes this expansion out;
+``binomial_power``, ``taylor_substitute``, ``apply_delta`` and the rational
+forms of ``rationalforms`` all call it.
 
 Any operation that cannot guarantee exactness of a requested coefficient
 raises instead of truncating silently.
@@ -15,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SummabilityError, WindowUnderflowError
-from .scalars import Vec, binom, coeff_add, coeff_is_zero, coeff_mul
+from .scalars import Vec, binom, coeff_add, coeff_is_zero, coeff_mul, linear_map
 
 INF = None  # open window end
 
@@ -30,30 +38,28 @@ def _known_contains(known, lo, hi):
 
 
 class WindowedSeries:
-    __slots__ = ("variables", "coeffs", "window", "exact", "shape")
+    """Immutable: no code changes a series' coefficients, windows or shapes
+    once the function that built it has returned it.  Derived series may
+    therefore share the ``coeffs`` dict of the series they come from."""
 
-    def __init__(self, variables, coeffs, window=None, exact=None, shape=None):
+    __slots__ = ("variables", "coeffs", "window", "shape")
+
+    def __init__(self, variables, coeffs, window=None, shape=None):
         self.variables = tuple(variables)
         self.coeffs = {k: v for k, v in coeffs.items() if not coeff_is_zero(v)}
         self.window = dict(window) if window else {}
-        self.exact = dict(exact) if exact else {}
         self.shape = dict(shape) if shape else {}
         for v in self.variables:
             self.window.setdefault(v, (INF, INF))
-            self.exact.setdefault(v, True)
             self.shape.setdefault(v, (True, True))
 
     # -- construction -----------------------------------------------------
     @classmethod
     def from_monomials(cls, variables, coeffs):
         """Exact finite-support series; monomials keyed by exponent tuples."""
-        variables = tuple(variables)
         out = cls(variables, coeffs)
-        for i, v in enumerate(variables):
-            exps = [k[i] for k in out.coeffs] or [0]
-            out.window[v] = (min(exps), max(exps))
-            out.exact[v] = True
-            out.shape[v] = (True, True)
+        for v in out.variables:
+            out.window[v] = out.support(v)
         return out
 
     @classmethod
@@ -70,42 +76,27 @@ class WindowedSeries:
 
     def known(self, var):
         """Interval on which coefficients in this variable are complete."""
-        return (INF, INF) if self.exact.get(var, False) else self.window[var]
+        return (INF, INF) if self.exact(var) else self.window[var]
 
     def support(self, var):
         i = self.idx(var)
         exps = [k[i] for k in self.coeffs]
         return (min(exps), max(exps)) if exps else (0, 0)
 
-    def finite_support(self, var):
-        lo, hi = self.shape.get(var, (False, False))
-        return lo and hi
+    def exact(self, var):
+        """Whether the support in ``var`` is bounded on both sides, so that
+        the series is complete everywhere in that direction."""
+        return self.shape[var] == (True, True)
 
     def is_exact(self):
-        return all(self.exact[v] for v in self.variables)
+        return all(self.exact(v) for v in self.variables)
 
     def copy_meta(self, coeffs):
-        return WindowedSeries(self.variables, coeffs, self.window, self.exact, self.shape)
+        return WindowedSeries(self.variables, coeffs, self.window, self.shape)
 
     def __repr__(self):
         n = len(self.coeffs)
         return f"WindowedSeries({','.join(self.variables)}; {n} monomials)"
-
-    def to_records(self):
-        recs = []
-        for key in sorted(self.coeffs):
-            mono = {v: e for v, e in zip(self.variables, key) if e}
-            c = self.coeffs[key]
-            recs.append({"monomial": mono,
-                         "coeff": c.to_json() if isinstance(c, Vec) else
-                         (str(c) if isinstance(c, int) else f"{c.numerator}/{c.denominator}")})
-        meta = {
-            "variables": list(self.variables),
-            "window": {v: list(self.window[v]) for v in self.variables},
-            "exact": {v: self.exact[v] for v in self.variables},
-            "shape": {v: list(self.shape[v]) for v in self.variables},
-        }
-        return {"terms": recs, **meta}
 
     # -- linear structure ---------------------------------------------------
     def align(self, variables):
@@ -127,27 +118,29 @@ class WindowedSeries:
                     new[p] = e
         # keys may collide only if a dropped variable was live, excluded above
             coeffs[tuple(new)] = c
-        window, exact, shape = {}, {}, {}
+        window, shape = {}, {}
         for v in variables:
             if v in self.variables:
                 window[v] = self.window[v]
-                exact[v] = self.exact[v]
                 shape[v] = self.shape[v]
             else:
-                window[v], exact[v], shape[v] = (0, 0), True, (True, True)
-        return WindowedSeries(variables, coeffs, window, exact, shape)
+                window[v], shape[v] = (0, 0), (True, True)
+        return WindowedSeries(variables, coeffs, window, shape)
 
     def rename(self, mapping):
-        """Bijectively rename variables; series content is untouched."""
+        """Bijectively rename variables; series content is untouched.
+
+        The renamed series shares this one's coefficient dict: the keys are
+        exponent tuples in variable order, which a renaming keeps."""
         new_vars = tuple(mapping.get(v, v) for v in self.variables)
         if len(set(new_vars)) != len(new_vars):
             raise ValueError("rename must stay bijective")
-        return WindowedSeries(
-            new_vars, self.coeffs,
-            {mapping.get(v, v): self.window[v] for v in self.variables},
-            {mapping.get(v, v): self.exact[v] for v in self.variables},
-            {mapping.get(v, v): self.shape[v] for v in self.variables},
-        )
+        out = WindowedSeries.__new__(WindowedSeries)
+        out.variables = new_vars
+        out.coeffs = self.coeffs
+        out.window = {n: self.window[v] for n, v in zip(new_vars, self.variables)}
+        out.shape = {n: self.shape[v] for n, v in zip(new_vars, self.variables)}
+        return out
 
     def flip_sign(self, var):
         """Substitute var -> -var."""
@@ -176,20 +169,19 @@ class WindowedSeries:
         for k, c in other.coeffs.items():
             prev = coeffs.get(k)
             coeffs[k] = c if prev is None else coeff_add(prev, c)
-        window, exact, shape = {}, {}, {}
+        window, shape = {}, {}
         for v in self.variables:
-            exact[v] = self.exact[v] and other.exact[v]
             ka, kb = self.known(v), other.known(v)
             lo = None if ka[0] is None and kb[0] is None else max(
                 x for x in (ka[0], kb[0]) if x is not None)
             hi = None if ka[1] is None and kb[1] is None else min(
                 x for x in (ka[1], kb[1]) if x is not None)
-            window[v] = (lo, hi) if not exact[v] else (
+            window[v] = (lo, hi) if not (self.exact(v) and other.exact(v)) else (
                 min(self.window[v][0], other.window[v][0]),
                 max(self.window[v][1], other.window[v][1]))
             shape[v] = (self.shape[v][0] and other.shape[v][0],
                         self.shape[v][1] and other.shape[v][1])
-        out = WindowedSeries(self.variables, coeffs, window, exact, shape)
+        out = WindowedSeries(self.variables, coeffs, window, shape)
         return out._drop_unknown()
 
     def __sub__(self, other):
@@ -197,17 +189,15 @@ class WindowedSeries:
 
     def _drop_unknown(self):
         """Remove stored coefficients outside the knowledge region."""
+        known = [self.known(v) for v in self.variables]
         keep = {}
         for key, c in self.coeffs.items():
-            ok = True
-            for v, e in zip(self.variables, key):
-                lo, hi = self.known(v)
+            for (lo, hi), e in zip(known, key):
                 if (lo is not None and e < lo) or (hi is not None and e > hi):
-                    ok = False
                     break
-            if ok:
+            else:
                 keep[key] = c
-        return WindowedSeries(self.variables, keep, self.window, self.exact, self.shape)
+        return WindowedSeries(self.variables, keep, self.window, self.shape)
 
     # -- coefficient access ---------------------------------------------------
     def coeff(self, mono):
@@ -293,7 +283,6 @@ class WindowedSeries:
         return WindowedSeries(
             rest, coeffs,
             {v: self.window[v] for v in rest},
-            {v: self.exact[v] for v in rest},
             {v: self.shape[v] for v in rest},
         )
 
@@ -312,24 +301,23 @@ def multiply(a: WindowedSeries, b: WindowedSeries) -> WindowedSeries:
         allv = tuple(sorted(set(a.variables) | set(b.variables)))
         return multiply(a.align(allv), b.align(allv))
     b = b.align(a.variables)
-    window, exact, shape = {}, {}, {}
+    window, shape = {}, {}
     for v in a.variables:
         fa, fb = a.shape[v], b.shape[v]
         if not ((fa[0] and fa[1]) or (fb[0] and fb[1]) or (fa[0] and fb[0]) or (fa[1] and fb[1])):
             raise SummabilityError(
                 f"shapes cannot certify finite convolution in {v!r}: {fa} vs {fb}")
         shape[v] = (fa[0] and fb[0], fa[1] and fb[1])
-        exact[v] = a.exact[v] and b.exact[v]
-        if exact[v]:
+        if a.exact(v) and b.exact(v):
             alo, ahi = a.window[v]
             blo, bhi = b.window[v]
             window[v] = (alo + blo, ahi + bhi)
-        elif a.exact[v]:
+        elif a.exact(v):
             slo, shi = a.support(v)
             blo, bhi = b.known(v)
             window[v] = (blo + shi if blo is not None else INF,
                          bhi + slo if bhi is not None else INF)
-        elif b.exact[v]:
+        elif b.exact(v):
             slo, shi = b.support(v)
             alo, ahi = a.known(v)
             window[v] = (alo + shi if alo is not None else INF,
@@ -344,11 +332,43 @@ def multiply(a: WindowedSeries, b: WindowedSeries) -> WindowedSeries:
             c = coeff_mul(c1, c2)
             prev = coeffs.get(key)
             coeffs[key] = c if prev is None else coeff_add(prev, c)
-    out = WindowedSeries(a.variables, coeffs, window, exact, shape)
+    out = WindowedSeries(a.variables, coeffs, window, shape)
     return out._drop_unknown()
 
 
-def binomial_power(variables, head_sv, tail_sv, n, var_list=None):
+# ---------------------------------------------------------------------------
+# binomial powers
+
+def add_power(coeffs, base, c, n, head, tail, kmax):
+    """Add c * (s_h x_h + s_t x_t)^n * x^base to ``coeffs``, tail powers 0..kmax.
+
+    The expansion is in nonnegative powers of the tail, for any integer n:
+    (s_h x_h + s_t x_t)^n = sum_k binom(n, k) (s_h x_h)^(n-k) (s_t x_t)^k,
+    a finite sum (k <= n) when n >= 0.  ``coeffs`` maps exponent tuples to
+    coefficients; ``base`` is an exponent tuple; ``head`` and ``tail`` are
+    (sign, position in the exponent tuple).  With kmax = 0 only the head
+    term is added and the tail is never read.
+    """
+    hs, ih = head
+    ts, it = tail
+    if n >= 0:
+        kmax = min(kmax, n)
+    for k in range(kmax + 1):
+        bc = binom(n, k)
+        if (n - k) % 2 and hs < 0:
+            bc = -bc
+        if k % 2 and ts < 0:
+            bc = -bc
+        key = list(base)
+        key[ih] += n - k
+        key[it] += k
+        key = tuple(key)
+        val = coeff_mul(c, bc)
+        prev = coeffs.get(key)
+        coeffs[key] = val if prev is None else coeff_add(prev, val)
+
+
+def binomial_power(variables, head_sv, tail_sv, n):
     """(s_h v_h + s_t v_t)^n for n >= 0 as an exact polynomial series."""
     if n < 0:
         raise ValueError("binomial_power is for nonnegative exponents")
@@ -356,17 +376,8 @@ def binomial_power(variables, head_sv, tail_sv, n, var_list=None):
     hs, hv = head_sv
     ts, tv = tail_sv
     coeffs = {}
-    for k in range(n + 1):
-        c = binom(n, k)
-        if (n - k) % 2 and hs < 0:
-            c = -c
-        if k % 2 and ts < 0:
-            c = -c
-        key = [0] * len(variables)
-        key[variables.index(hv)] += n - k
-        key[variables.index(tv)] += k
-        key = tuple(key)
-        coeffs[key] = coeffs.get(key, 0) + c
+    add_power(coeffs, (0,) * len(variables), 1, n,
+              (hs, variables.index(hv)), (ts, variables.index(tv)), n)
     return WindowedSeries.from_monomials(variables, coeffs)
 
 
@@ -397,7 +408,7 @@ def taylor_substitute(s: WindowedSeries, var, head_sv, tail_sv, out_window=None)
         raise WindowUnderflowError(
             f"negative powers of {var!r}: need a finite upper window for {tv!r}")
     hv_pre = hv in s.variables and hv != var and any(k[s.idx(hv)] for k in s.coeffs)
-    if hv_pre and not s.exact[hv]:
+    if hv_pre and not s.exact(hv):
         raise WindowUnderflowError(
             f"substitution head {hv!r} already live and inexact; not supported")
 
@@ -419,39 +430,22 @@ def taylor_substitute(s: WindowedSeries, var, head_sv, tail_sv, out_window=None)
             if v != var:
                 base[new_vars.index(v)] += e
         kmax = n if n >= 0 else out_window[tv][1] - base[it]
-        for k in range(0, kmax + 1):
-            bc = binom(n, k)
-            if bc == 0:
-                continue
-            if (n - k) % 2 and hs < 0:
-                bc = -bc
-            if k % 2 and ts < 0:
-                bc = -bc
-            new = list(base)
-            new[ih] += n - k
-            new[it] += k
-            key2 = tuple(new)
-            val = coeff_mul(c, bc)
-            prev = coeffs.get(key2)
-            coeffs[key2] = val if prev is None else coeff_add(prev, val)
+        add_power(coeffs, base, c, n, (hs, ih), (ts, it), kmax)
 
-    window, exact, shape = {}, {}, {}
+    window, shape = {}, {}
     for v in new_vars:
         if v in s.variables and v not in (hv, tv):
-            window[v], exact[v], shape[v] = s.window[v], s.exact[v], s.shape[v]
+            window[v], shape[v] = s.window[v], s.shape[v]
         else:
-            window[v], exact[v], shape[v] = (INF, INF), True, (True, True)
-    if not negative and s.exact[var]:
+            window[v], shape[v] = (INF, INF), (True, True)
+    if not negative and s.exact(var):
         # finite expansion into exact directions: support-derived exact windows
         ok_spread = all(
-            v == var or v not in s.variables or s.exact[v] for v in (hv, tv))
+            v == var or v not in s.variables or s.exact(v) for v in (hv, tv))
         if ok_spread:
-            out = WindowedSeries(new_vars, coeffs, window, exact, shape)
+            out = WindowedSeries(new_vars, coeffs, window, shape)
             for v in (hv, tv):
-                exps = [k[new_vars.index(v)] for k in out.coeffs] or [0]
-                out.window[v] = (min(exps), max(exps))
-                out.exact[v] = True
-                out.shape[v] = (True, True)
+                out.window[v] = out.support(v)
             return out
     # truncated / inexact expansion: the head is complete above klo (shifted by
     # any pre-existing exact head exponents), the tail below the window cap
@@ -459,7 +453,6 @@ def taylor_substitute(s: WindowedSeries, var, head_sv, tail_sv, out_window=None)
     if hv_pre and klo is not None:
         head_lo = klo + s.support(hv)[1]
     window[hv] = (head_lo, INF)
-    exact[hv] = False
     shape[hv] = (False, False)
     tail_known_hi = out_window[tv][1] if negative else INF
     if tv in s.variables:
@@ -469,9 +462,8 @@ def taylor_substitute(s: WindowedSeries, var, head_sv, tail_sv, out_window=None)
         window[tv] = (tlo, tail_known_hi)
     else:
         window[tv] = (0, tail_known_hi)
-    exact[tv] = False
     shape[tv] = (True, False) if (tv not in s.variables or s.shape[tv][0]) else (False, False)
-    out = WindowedSeries(new_vars, coeffs, window, exact, shape)
+    out = WindowedSeries(new_vars, coeffs, window, shape)
     return out._drop_unknown()
 
 
@@ -491,7 +483,6 @@ def delta_series(var, window, variables=None):
     return WindowedSeries(
         variables, coeffs,
         {v: ((lo, hi) if v == var else (0, 0)) for v in variables},
-        {v: v != var for v in variables},
         {v: ((False, False) if v == var else (True, True)) for v in variables},
     )
 
@@ -546,44 +537,24 @@ def apply_delta(num_head, num_tail, denom, s: WindowedSeries, out_window):
             variables.append(v)
     variables = tuple(variables)
     base_idx = [variables.index(v) for v in s.variables]
-    ih = variables.index(hv)
+    head = (hs, variables.index(hv))
     idn = variables.index(denom)
-    it = variables.index(num_tail[1]) if num_tail is not None else None
+    # without a tail only k = 0 is expanded, and the tail is never read
+    tail = head if num_tail is None else (ts, variables.index(tv))
 
     coeffs = {}
     for key, c in s.coeffs.items():
         base = [0] * len(variables)
         for p, e in zip(base_idx, key):
             base[p] += e
+        kmax = 0 if num_tail is None else out_window[tv][1] - base[tail[1]]
         for n in n_values:
-            if num_tail is None:
-                kmax = 0
-            else:
-                kmax = out_window[num_tail[1]][1] - base[it]
-                if n >= 0:
-                    kmax = min(kmax, n)
-            for k in range(0, kmax + 1):
-                bc = binom(n, k)
-                if bc == 0:
-                    continue
-                if (n - k) % 2 and hs < 0:
-                    bc = -bc
-                if num_tail is not None and k % 2 and num_tail[0] < 0:
-                    bc = -bc
-                new = list(base)
-                new[ih] += n - k
-                if num_tail is not None:
-                    new[it] += k
-                new[idn] += -n - 1
-                key2 = tuple(new)
-                val = coeff_mul(c, bc)
-                prev = coeffs.get(key2)
-                coeffs[key2] = val if prev is None else coeff_add(prev, val)
+            base[idn] = -n - 1  # s does not involve the denominator
+            add_power(coeffs, base, c, n, head, tail, kmax)
 
     window = {v: out_window.get(v, (0, 0)) for v in variables}
-    exact = {v: False for v in variables}
     shape = {v: (False, False) for v in variables}
-    out = WindowedSeries(variables, coeffs, window, exact, shape)
+    out = WindowedSeries(variables, coeffs, window, shape)
     return out._drop_unknown()
 
 
@@ -596,14 +567,6 @@ def exp_endo(dop, xvar, vec: Vec, max_steps=64):
     ``dop`` maps basis names to Vec images.  Refused if D fails to annihilate
     the vector within max_steps applications (the series would be infinite).
     """
-    def apply(v: Vec) -> Vec:
-        out = Vec()
-        for name, c in v.entries.items():
-            img = dop.get(name)
-            if img:
-                out = out + img.scale(c)
-        return out
-
     coeffs = {}
     cur = vec
     k = 0
@@ -615,6 +578,6 @@ def exp_endo(dop, xvar, vec: Vec, max_steps=64):
             fact *= k
         c = cur.scale(Fraction(1, fact)) if fact > 1 else cur
         coeffs[(k,)] = c
-        cur = apply(cur)
+        cur = linear_map(dop, cur)
         k += 1
     return WindowedSeries.from_monomials((xvar,), coeffs)

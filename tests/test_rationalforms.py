@@ -212,7 +212,7 @@ def _with_slot_changed(inst, slot, value):
     coeffs[(0, 0)] = coeffs.get((0, 0), 0) + value
     slots = {"f": inst.f, "g": inst.g, "h": inst.h}
     slots[slot] = WindowedSeries(series.variables, coeffs, series.window,
-                                 series.exact, series.shape)
+                                 series.shape)
     return TripleInstance(slots["f"], slots["g"], slots["h"], inst.form,
                           inst.seed, inst.gen_lo, inst.gen_hi)
 

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from vertexcalc.deltacalc import Delta, DeltaExpr, Term, window_coeffs
+from vertexcalc.deltacalc import Delta, DeltaExpr, Term, make_term, window_coeffs
 from vertexcalc.errors import SummabilityError, WindowUnderflowError
 from vertexcalc.scalars import Vec, binom
 from vertexcalc.series import (
     WindowedSeries,
+    add_power,
     apply_delta,
     binomial_power,
     delta_series,
@@ -42,7 +43,7 @@ def test_delta_times_one_minus_x_telescopes():
 def test_geometric_series_times_one_minus_x():
     geo = WindowedSeries(
         ("x",), {(n,): 1 for n in range(0, 8)},
-        window={"x": (None, 7)}, exact={"x": False}, shape={"x": (True, False)})
+        window={"x": (None, 7)}, shape={"x": (True, False)})
     p = poly(("x",), {(0,): 1, (1,): -1})
     prod = multiply(geo, p)
     one = poly(("x",), {(0,): 1})
@@ -69,7 +70,7 @@ def test_multiply_associative_when_certified():
 def test_multiply_associative_with_truncated_factor():
     geo = WindowedSeries(
         ("x",), {(n,): 1 for n in range(0, 9)},
-        window={"x": (None, 8)}, exact={"x": False}, shape={"x": (True, False)})
+        window={"x": (None, 8)}, shape={"x": (True, False)})
     p = poly(("x",), {(0,): 1, (1,): -1})
     q = poly(("x",), {(0,): 2, (2,): 3})
     left = multiply(multiply(geo, p), q)
@@ -81,7 +82,7 @@ def test_multiply_window_clipping_is_safe():
     # inexact * exact: the product window shrinks by the polynomial's spread
     geo = WindowedSeries(
         ("x",), {(n,): 1 for n in range(0, 6)},
-        window={"x": (None, 5)}, exact={"x": False}, shape={"x": (True, False)})
+        window={"x": (None, 5)}, shape={"x": (True, False)})
     p = poly(("x",), {(0,): 1, (2,): 5})
     prod = multiply(geo, p)
     assert prod.known("x") == (None, 5)
@@ -177,7 +178,7 @@ def test_residue_of_derivative_vanishes():
 def test_coeff_outside_window_refused():
     geo = WindowedSeries(
         ("x",), {(n,): 1 for n in range(0, 4)},
-        window={"x": (None, 3)}, exact={"x": False}, shape={"x": (True, False)})
+        window={"x": (None, 3)}, shape={"x": (True, False)})
     assert geo.coeff({"x": -2}) == 0
     with pytest.raises(WindowUnderflowError):
         geo.coeff({"x": 4})
@@ -247,7 +248,6 @@ def test_apply_delta_underflow_reports_needed_region():
     f = WindowedSeries(
         ("x1", "x2"), {(0, 0): 1},
         window={"x1": (-1, None), "x2": (None, 3)},
-        exact={"x1": False, "x2": False},
         shape={"x1": (False, True), "x2": (True, False)})
     with pytest.raises(WindowUnderflowError):
         apply_delta((1, "x1"), (-1, "x2"), "x0", f,
@@ -277,3 +277,46 @@ def test_binomial_power_polynomial():
     assert p.coeff({"x": 2}) == 1
     assert p.coeff({"x": 1, "y": 1}) == -2
     assert p.coeff({"y": 2}) == 1
+
+
+@pytest.mark.parametrize("hs, ts", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_add_power_matches_the_atom_oracle(hs, ts):
+    # (hs h + ts t)^n expanded by the kernel against the symbolic layer's own
+    # expansion of the same atom, for every n in [-6, 6], tail powers 0..8
+    w = {"h": (-16, 8), "t": (-2, 8)}
+    for n in range(-6, 7):
+        got = {}
+        add_power(got, (0, 0), 1, n, (hs, 0), (ts, 1), 8)
+        got = {tuple((v, e) for v, e in zip(("h", "t"), key) if e): c
+               for key, c in got.items() if c}
+        atom = DeltaExpr([make_term(1, raw_atoms=[((hs, "h"), ((ts, "t"),), n)])],
+                         ("h", "t"))
+        assert got == window_coeffs(atom, w), n
+
+
+def test_truncated_shape_is_inexact_and_known_on_its_window():
+    geo = WindowedSeries(
+        ("x",), {(n,): 1 for n in range(0, 4)},
+        window={"x": (None, 3)}, shape={"x": (True, False)})
+    assert not geo.exact("x") and not geo.is_exact()
+    assert geo.known("x") == (None, 3)
+
+
+def test_monomial_series_is_exact_on_its_support():
+    p = poly(("x", "y"), {(-2, 1): 3, (4, 0): -1})
+    assert p.exact("x") and p.exact("y") and p.is_exact()
+    assert p.window == {"x": (-2, 4), "y": (0, 1)}
+    assert p.known("x") == (None, None)
+
+
+def test_rename_keeps_exactness_and_knowledge():
+    geo = WindowedSeries(
+        ("x", "y"), {(n, 1): 1 for n in range(0, 4)},
+        window={"x": (None, 3)}, shape={"x": (True, False)})
+    out = geo.rename({"x": "z"})
+    assert out.variables == ("z", "y")
+    assert not out.is_exact() and out.exact("y")
+    assert out.known("z") == (None, 3) and out.known("y") == (None, None)
+    assert out.coeff({"z": 2, "y": 1}) == 1
+    p = poly(("x", "y"), {(-2, 1): 3})
+    assert p.rename({"x": "y", "y": "x"}).is_exact()

@@ -1,11 +1,15 @@
-"""The runtime stays standard-library only."""
+"""The runtime stays standard-library only, and the demos run."""
 import ast
 import os
 import re
+import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "vertexcalc")
+DEMOS = os.path.join(ROOT, "demos")
 
 
 def _absolute_imports(path):
@@ -32,3 +36,13 @@ def test_pyproject_declares_no_runtime_dependencies():
     with open(os.path.join(ROOT, "pyproject.toml")) as fh:
         text = fh.read()
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+@pytest.mark.parametrize(
+    "demo", sorted(f for f in os.listdir(DEMOS) if f.endswith(".py")))
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, os.path.join(DEMOS, demo)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

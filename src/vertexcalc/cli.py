@@ -108,10 +108,11 @@ def cmd_check(args, load, axioms, check):
     t0 = time.time()
     member = load(args.path)
     records = []
-    for axiom in args.axiom or axioms:
-        rep = check(member, axiom, m_max=args.m_max, window=args.window)
-        records.append({"id": f"{member.name}/{axiom}", "anchor": rep.anchor,
-                        "verdict": rep.verdict, "witness": rep.witnesses})
+    with member.shared_triples():
+        for axiom in args.axiom or axioms:
+            rep = check(member, axiom, m_max=args.m_max, window=args.window)
+            records.append({"id": f"{member.name}/{axiom}", "anchor": rep.anchor,
+                            "verdict": rep.verdict, "witness": rep.witnesses})
     _emit(args, args.command, records, t0)
     return _verdict_exit(records)
 

@@ -62,7 +62,8 @@ def check_module_axiom(M: ModuleStructure, axiom, m_max=None, window=None):
 
 
 def check_module_all(M: ModuleStructure, m_max=None, window=None):
-    return {a: check_module_axiom(M, a, m_max, window) for a in MODULE_AXIOMS}
+    with M.shared_triples():
+        return {a: check_module_axiom(M, a, m_max, window) for a in MODULE_AXIOMS}
 
 
 # ---------------------------------------------------------------------------

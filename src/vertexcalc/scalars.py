@@ -1,8 +1,10 @@
 """Exact scalars: rationals, generalized binomial coefficients, basis vectors.
 
 The ground field is Q throughout.  Scalars are plain ``int`` where possible and
-``fractions.Fraction`` otherwise; the two mix freely.  Rationals serialize as
-"p/q" (or "p" when the denominator is 1).
+``fractions.Fraction`` otherwise; the two mix freely.  ``parse_scalar`` and
+every ``Vec`` keep an integral value as an ``int``, so a ``Vec`` entry is an
+``int`` exactly when it is integral and arithmetic on integral entries stays
+in ``int``.  Rationals serialize as "p/q" (or "p" when the denominator is 1).
 """
 from __future__ import annotations
 
@@ -36,15 +38,22 @@ def multinomial(parts) -> int:
     return out
 
 
-def parse_scalar(s) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational."""
-    if isinstance(s, Scalar):
-        return Fraction(s)
-    return Fraction(str(s))
+def parse_scalar(s) -> int | Fraction:
+    """Parse "p/q" or "p" into an exact rational: an ``int`` when integral."""
+    return _integral(Fraction(s) if isinstance(s, Scalar) else Fraction(str(s)))
+
+
+def _integral(q):
+    """``q`` with an integral ``Fraction`` turned into its ``int`` numerator."""
+    if type(q) is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
 
 
 def format_scalar(q) -> str:
     """Render a rational as "p/q", or "p" when the denominator is 1."""
+    if type(q) is int:
+        return str(q)
     q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
@@ -54,7 +63,8 @@ def format_scalar(q) -> str:
 class Vec:
     """Sparse vector over a named basis with exact rational entries.
 
-    Entries equal to zero are never stored; equality is entrywise.
+    Entries equal to zero are never stored, integral entries are stored as
+    ``int``; equality is entrywise.
     """
 
     __slots__ = ("entries",)
@@ -64,7 +74,7 @@ class Vec:
         if entries:
             for name, value in entries.items():
                 if value:
-                    self.entries[name] = value
+                    self.entries[name] = _integral(value)
 
     @classmethod
     def unit(cls, name):
@@ -74,6 +84,8 @@ class Vec:
         out = dict(self.entries)
         for name, value in other.entries.items():
             new = out.get(name, 0) + value
+            if type(new) is Fraction and new.denominator == 1:
+                new = new.numerator
             if new:
                 out[name] = new
             else:
@@ -93,8 +105,15 @@ class Vec:
     def scale(self, c):
         if not c:
             return Vec()
+        entries = {}
+        for name, value in self.entries.items():
+            # _integral inlined: a call per entry made scale three times slower
+            p = c * value
+            if type(p) is Fraction and p.denominator == 1:
+                p = p.numerator
+            entries[name] = p
         v = Vec.__new__(Vec)
-        v.entries = {name: c * value for name, value in self.entries.items()}
+        v.entries = entries
         return v
 
     def __eq__(self, other):
@@ -105,7 +124,7 @@ class Vec:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset((k, Fraction(v)) for k, v in self.entries.items()))
+        return hash(frozenset(self.entries.items()))
 
     def __bool__(self):
         return bool(self.entries)
@@ -150,31 +169,32 @@ def linear_combine(terms) -> Vec:
 
 def coeff_mul(a, b):
     """Multiply two coefficients; at most one of them may be a Vec."""
-    if isinstance(a, Vec):
-        if isinstance(b, Vec):
-            raise TypeError("cannot multiply two vector coefficients")
-        return a.scale(b)
-    if isinstance(b, Vec):
+    if type(a) is not Vec:
+        if type(b) is not Vec:
+            return a * b
         return b.scale(a)
-    return a * b
+    if type(b) is Vec:
+        raise TypeError("cannot multiply two vector coefficients")
+    return a.scale(b)
 
 
 def coeff_add(a, b):
-    if isinstance(a, Vec) or isinstance(b, Vec):
-        if not isinstance(a, Vec):
-            if a != 0:
-                raise TypeError("cannot add scalar and vector coefficients")
-            return b
-        if not isinstance(b, Vec):
-            if b != 0:
-                raise TypeError("cannot add scalar and vector coefficients")
-            return a
-        return a + b
+    """Add two coefficients; a Vec takes only a Vec or the scalar 0."""
+    if type(a) is not Vec:
+        if type(b) is not Vec:
+            return a + b
+        if a != 0:
+            raise TypeError("cannot add scalar and vector coefficients")
+        return b
+    if type(b) is not Vec:
+        if b != 0:
+            raise TypeError("cannot add scalar and vector coefficients")
+        return a
     return a + b
 
 
 def coeff_is_zero(a):
-    if isinstance(a, Vec):
+    if type(a) is Vec:
         return not a.entries
     return a == 0
 

@@ -197,7 +197,13 @@ class WindowedSeries:
                     break
             else:
                 keep[key] = c
-        return WindowedSeries(self.variables, keep, self.window, self.shape)
+        # the kept coefficients are already nonzero: no re-filtering
+        out = WindowedSeries.__new__(WindowedSeries)
+        out.variables = self.variables
+        out.coeffs = keep
+        out.window = dict(self.window)
+        out.shape = dict(self.shape)
+        return out
 
     # -- coefficient access ---------------------------------------------------
     def coeff(self, mono):

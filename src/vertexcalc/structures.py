@@ -12,7 +12,10 @@ symmetry, the vacuum property and the D-derivative property) each have one
 checker, which runs on an action: on ``S.regular`` for a structure S, and on
 the module itself for a module.  The weak checkers read the same pair
 recipes (``rationalforms.PAIRS``) as the (B)-(G) statements, on the slot
-triple of the action at (u, v, w).
+triple of the action at (u, v, w).  Within a ``shared_triples`` block (one
+``check_all``, ``check_module_all`` or ``check`` command) the checkers share
+one slot triple per (u, v, w), so each product is built once per member; the
+triples are dropped when the block ends.
 
 Checkers return PropertyReport records.  Identities between exact Laurent
 polynomials are decided exactly; identities involving delta factors or
@@ -21,6 +24,7 @@ contains the full support of every term plus a completeness margin.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
@@ -180,6 +184,10 @@ class VertexStructure:
         """Y(Y(u,x0)v, x2) w as an exact two-variable series."""
         return self.regular.iterate_yw(u, x0, v, x2, w)
 
+    def shared_triples(self):
+        """Share the regular action's slot triples within a block."""
+        return self.regular.shared_triples()
+
     def max_pole_order(self):
         return _pole_order(self.ytable.values())
 
@@ -206,6 +214,29 @@ class ModuleStructure:
         self.wbasis = tuple(wbasis)
         self.ywtable = _clean_table(ywtable)
         self.tags = tuple(tags)
+        self._triples = None
+
+    def triple(self, u, v, w):
+        """The slot triple at (u, v, w).  Inside ``shared_triples`` every
+        checker reads one shared triple per (u, v, w); outside it each call
+        builds a fresh one, so no products outlive the checks that read them."""
+        if self._triples is None:
+            return ActionTriple(self, u, v, w)
+        key = (u, v, w)
+        t = self._triples.get(key)
+        if t is None:
+            t = self._triples[key] = ActionTriple(self, u, v, w)
+        return t
+
+    @contextmanager
+    def shared_triples(self):
+        """Share slot triples between the checkers run inside this block,
+        and drop them all when it ends."""
+        self._triples = {}
+        try:
+            yield
+        finally:
+            self._triples = None
 
     def yw_modes(self, u, w):
         """Y_W(u,x)w as a dict exponent -> module Vec (exponent is -n-1)."""
@@ -426,14 +457,16 @@ def _jacobi_symbolic_zero(f12, g12, h02, N):
 class ActionTriple(TripleInstance):
     """The slot triple of action A at (u, v, w): f = Y(u,s1)Y(v,s2)w,
     g = Y(v,s1)Y(u,s2)w and h = Y(Y(u,s2)v,s1)w, each built on first use, so
-    a weak checker builds only the two series its pair reads."""
+    a weak checker builds only the two series its pair reads.  g is the f of
+    the triple at (v, u, w), read through ``A.triple`` so that a shared triple
+    builds each product once."""
 
     def __init__(self, A: ModuleStructure, u, v, w):
         self._results = {}
         self.A, self.u, self.v, self.w = A, u, v, w
 
     f = cached_property(lambda t: t.A.compose_yw(t.u, S1, t.v, S2, t.w))
-    g = cached_property(lambda t: t.A.compose_yw(t.v, S1, t.u, S2, t.w))
+    g = cached_property(lambda t: t.A.triple(t.v, t.u, t.w).f)
     h = cached_property(lambda t: t.A.iterate_yw(t.u, S2, t.v, S1, t.w))
 
 
@@ -442,7 +475,7 @@ def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
     for u in A.over.basis:
         for v in A.over.basis:
             for w in A.wbasis:
-                inst = ActionTriple(A, u, v, w)
+                inst = A.triple(u, v, w)
                 # route 1: symbolic delta expansion with the window oracle
                 ok_sym, wit_sym = _jacobi_symbolic_zero(
                     inst.f_at("x1", "x2"), inst.g_at("x2", "x1"),
@@ -470,7 +503,7 @@ def _weak_difference(A: ModuleStructure, axiom, u, v, w, N):
     without the m_ prefix.  The recipe is the property's pair in
     ``rationalforms.PAIRS``, on the action's slot triple, with tails cut at N."""
     kind = WEAK_PAIRS[axiom.removeprefix("m_")]
-    return pole_statement(ActionTriple(A, u, v, w), kind, N, N)
+    return pole_statement(A.triple(u, v, w), kind, N, N)
 
 
 def _weak_diff(S: VertexStructure, axiom, u, v, w, N):
@@ -504,8 +537,9 @@ def check_vf_skew_symmetry(A: ModuleStructure, axiom, m_max=None, window=None):
     for u in A.over.basis:
         for v in A.over.basis:
             for w in A.wbasis:
-                left = A.iterate_yw(u, "x0", v, "x2", w)
-                right = A.iterate_yw(v, "x0", u, "t", w).flip_sign("x0")
+                # Y(Y(u,x0)v,x2)w and Y(Y(v,x0)u,t)w are slot h of two triples
+                left = A.triple(u, v, w).h_at("x2", "x0")
+                right = A.triple(v, u, w).h_at("t", "x0").flip_sign("x0")
                 right = taylor_substitute(right, "t", (1, "x2"), (1, "x0"),
                                           {"x0": (INF, N)})
                 ok, wit = _zero_verdict(left - right,
@@ -684,7 +718,8 @@ def check_axiom(S: VertexStructure, axiom, m_max=None, window=None) -> PropertyR
 
 
 def check_all(S: VertexStructure, m_max=None, window=None):
-    return {axiom: check_axiom(S, axiom, m_max, window) for axiom in AXIOMS}
+    with S.shared_triples():
+        return {axiom: check_axiom(S, axiom, m_max, window) for axiom in AXIOMS}
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -65,6 +66,19 @@ def test_implication_matrix_and_main_theorem(corpus_dir, capsys):
     assert main(["implication-matrix", str(corpus_dir)]) == 0
     assert main(["main-theorem", str(corpus_dir)]) == 0
     capsys.readouterr()
+
+
+def test_sweep_reports_match_the_benchmark_pins(corpus_dir, capsys):
+    # the two corpus-wide machine reports are byte-identical to the ones the
+    # benchmark pins in bench/pins.json, so report drift fails here too
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "bench", "pins.json")) as fh:
+        pins = json.load(fh)["sweep"]
+    for command in ("implication-matrix", "main-theorem"):
+        capsys.readouterr()
+        assert main([command, str(corpus_dir), "--format", "machine"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pins[command]
 
 
 def test_machine_reports_are_deterministic(corpus_dir, tmp_path):

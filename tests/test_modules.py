@@ -21,7 +21,7 @@ from vertexcalc.modules import (
     module_construct,
 )
 from vertexcalc.scalars import Vec
-from vertexcalc.structures import check_axiom
+from vertexcalc.structures import ActionTriple, check_axiom
 
 
 def regular_by_tables(S):
@@ -179,3 +179,17 @@ def test_module_anchors_need_only_the_structures_module():
     assert proc.stdout.strip() == (
         "x0^-1 d((x1-x2)/x0) Yw(u,x1)Yw(v,x2)w - x0^-1 d((-x2+x1)/x0) "
         "Yw(v,x2)Yw(u,x1)w = x1^-1 d((x2+x0)/x1) Yw(Y(u,x0)v,x2)w")
+
+
+def test_check_module_all_shares_one_slot_triple_per_member(monkeypatch,
+                                                            slot_product_calls):
+    corpus = full_module_corpus()
+    shared = [{a: r.to_json() for a, r in check_module_all(M).items()}
+              for M in corpus]
+    assert slot_product_calls and max(slot_product_calls.values()) == 1
+    assert all(M._triples is None for M in corpus)
+    monkeypatch.setattr(ModuleStructure, "triple",
+                        lambda A, u, v, w: ActionTriple(A, u, v, w))
+    fresh = [{a: r.to_json() for a, r in check_module_all(M).items()}
+             for M in full_module_corpus()]
+    assert shared == fresh

@@ -6,6 +6,8 @@ import pytest
 from vertexcalc.scalars import (
     Vec,
     binom,
+    coeff_add,
+    coeff_mul,
     format_scalar,
     linear_combine,
     multinomial,
@@ -105,3 +107,69 @@ def test_vec_never_stores_zeros():
 def test_vec_json_round_trip():
     v = Vec({"e0": Fraction(-1, 2), "e3": 4})
     assert Vec.from_json(v.to_json()) == v
+
+
+def test_parse_scalar_is_int_exactly_when_integral():
+    assert type(parse_scalar("4/2")) is int and parse_scalar("4/2") == 2
+    assert type(parse_scalar(Fraction(-6, 3))) is int
+    assert type(parse_scalar("1/2")) is Fraction
+    assert parse_scalar("1/2") == Fraction(1, 2)
+
+
+def test_vec_arithmetic_keeps_integral_entries_as_int():
+    half = Vec({"a": Fraction(1, 2), "b": Fraction(3, 2)})
+    for v in (Vec({"a": Fraction(4, 2)}), half.scale(2), half.scale(Fraction(2)),
+              half + half, half - Vec({"a": Fraction(-1, 2), "b": Fraction(1, 2)})):
+        assert v.entries and all(type(c) is int for c in v.entries.values()), v
+    assert half.scale(3).entries == {"a": Fraction(3, 2), "b": Fraction(9, 2)}
+    assert hash(half.scale(2)) == hash(Vec({"a": 1, "b": 3}))
+
+
+def test_to_json_is_unchanged_by_integral_storage():
+    v = Vec({"a": Fraction(3, 1), "b": Fraction(-1, 2), "c": 4})
+    assert v.to_json() == {"a": "3", "b": "-1/2", "c": "4"}
+    assert v.scale(2).to_json() == {"a": "6", "b": "-1", "c": "8"}
+    assert format_scalar(-7) == "-7" and format_scalar(Fraction(-14, 2)) == "-7"
+
+
+def _rational_entries(tables):
+    for table in tables:
+        for modes in table.values():
+            for vec in modes.values():
+                yield from vec.entries.values()
+
+
+def test_loaded_corpus_stores_int_exactly_when_integral(tmp_path):
+    from vertexcalc import configio
+    from vertexcalc.cli import main
+    assert main(["examples", "emit", "--out", str(tmp_path)]) == 0
+    seen = set()
+    for path in sorted(tmp_path.glob("*.json")):
+        data = configio.load_json(path)
+        if configio.is_module_config(data):
+            M = configio.load_module(str(path))
+            tables = (M.ywtable, M.over.ytable)
+            assert configio.module_to_config(M) == data, path.name
+        else:
+            S = configio.load_structure(str(path))
+            tables = (S.ytable,)
+            assert configio.structure_to_config(S) == data, path.name
+        for c in _rational_entries(tables):
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1), \
+                (path.name, c)
+            seen.add(type(c))
+    assert int in seen
+
+
+def test_coefficient_dispatch_refuses_mixed_vector_arithmetic():
+    v = Vec({"a": 1, "b": Fraction(1, 3)})
+    assert coeff_mul(Fraction(1, 2), 4) == 2
+    assert coeff_add(Fraction(1, 2), Fraction(1, 2)) == 1
+    assert coeff_mul(3, v) == coeff_mul(v, 3) == Vec({"a": 3, "b": 1})
+    assert coeff_add(0, v) is v and coeff_add(v, 0) is v
+    assert coeff_add(v, v) == v.scale(2)
+    with pytest.raises(TypeError):
+        coeff_mul(v, v)
+    for a, b in ((1, v), (v, Fraction(1, 2))):
+        with pytest.raises(TypeError):
+            coeff_add(a, b)

@@ -17,6 +17,8 @@ from vertexcalc.scalars import Vec
 from vertexcalc.series import INF, taylor_substitute
 from vertexcalc.structures import (
     AXIOMS,
+    ActionTriple,
+    ModuleStructure,
     borcherds_construct,
     check_all,
     check_axiom,
@@ -251,3 +253,19 @@ def test_vfss_equivalent_to_ss_plus_dder_at_verdict_level():
         both = (check_axiom(S, "skew_symmetry").verdict == "PASS"
                 and check_axiom(S, "d_derivative").verdict == "PASS")
         assert vf == both, S.name
+
+
+def test_check_all_shares_one_slot_triple_per_member(monkeypatch,
+                                                     slot_product_calls):
+    corpus = full_corpus()
+    shared = [{a: r.to_json() for a, r in check_all(S).items()} for S in corpus]
+    # every slot series is built at most once per member, and the triples
+    # are dropped when check_all returns
+    assert slot_product_calls and max(slot_product_calls.values()) == 1
+    assert all(S.regular._triples is None for S in corpus)
+    # a fresh triple for every read gives the same verdicts and witnesses
+    monkeypatch.setattr(ModuleStructure, "triple",
+                        lambda A, u, v, w: ActionTriple(A, u, v, w))
+    fresh = [{a: r.to_json() for a, r in check_all(S).items()}
+             for S in full_corpus()]
+    assert shared == fresh

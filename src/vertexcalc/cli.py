@@ -34,12 +34,12 @@ DELTA_ANCHORS = {
 
 
 def _emit(args, command, records, started):
-    body_machine = configio.machine_report(
-        command, args.seed, {"window": args.window, "m_max": args.m_max}, records)
-    body_text = configio.text_report(
-        command, args.seed, {"window": args.window, "m_max": args.m_max},
-        records, durations=time.time() - started)
-    body = body_machine if args.format == "machine" else body_text
+    params = {"window": args.window, "m_max": args.m_max}
+    if args.format == "machine":
+        body = configio.machine_report(command, args.seed, params, records)
+    else:
+        body = configio.text_report(command, args.seed, params, records,
+                                    durations=time.time() - started)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(body)

@@ -54,13 +54,15 @@ def _coeff(data, basis, what):
     return Vec.from_json(data)
 
 
+def _mode_records(table, target):
+    """A mode table as config records, the acted-on name under ``target``."""
+    return [{"u": u, "n": n, target: w, "coeff": modes[n].to_json()}
+            for (u, w), modes in sorted(table.items()) for n in sorted(modes)]
+
+
 def structure_to_config(S: VertexStructure) -> dict:
-    modes = []
-    for (u, v) in sorted(S.ytable):
-        for n in sorted(S.ytable[(u, v)]):
-            modes.append({"u": u, "n": n, "v": v,
-                          "coeff": S.ytable[(u, v)][n].to_json()})
-    return {"name": S.name, "basis": list(S.basis), "modes": modes,
+    return {"name": S.name, "basis": list(S.basis),
+            "modes": _mode_records(S.ytable, "v"),
             "vacuum": S.vacuum, "tags": list(S.tags)}
 
 
@@ -84,13 +86,8 @@ def structure_from_config(data: dict) -> VertexStructure:
 
 
 def module_to_config(M: ModuleStructure) -> dict:
-    wmodes = []
-    for (u, w) in sorted(M.ywtable):
-        for n in sorted(M.ywtable[(u, w)]):
-            wmodes.append({"u": u, "n": n, "w": w,
-                           "coeff": M.ywtable[(u, w)][n].to_json()})
     return {"name": M.name, "over": M.over.name,
-            "wbasis": list(M.wbasis), "wmodes": wmodes,
+            "wbasis": list(M.wbasis), "wmodes": _mode_records(M.ywtable, "w"),
             "tags": list(M.tags)}
 
 

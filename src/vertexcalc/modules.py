@@ -1,8 +1,8 @@
 """Modules over finite vertex structures and the main-theorem harness.
 
 The action type ModuleStructure and the checkers a module shares with its
-base structure live in ``structures``: a structure is checked on its regular
-action, a module on itself.  This module builds modules from algebra actions,
+base structure live in ``structures``: a structure is its own regular
+module, so both are checked on themselves.  This module builds modules from algebra actions,
 dispatches the m_* axioms to those checkers and replays, on every corpus
 member, the equivalence of the module Jacobi identity with either weak
 associativity or weak skew-associativity in the presence of the module's

@@ -100,8 +100,11 @@ class WindowedSeries:
 
     # -- linear structure ---------------------------------------------------
     def align(self, variables):
-        """Re-express over a variable superset (dropped vars must be unused)."""
+        """Re-express over a variable superset (dropped vars must be unused).
+        Series are immutable, so over its own variables a series is itself."""
         variables = tuple(variables)
+        if variables == self.variables:
+            return self
         positions = []
         for v in self.variables:
             if v not in variables:
@@ -162,9 +165,7 @@ class WindowedSeries:
     def __add__(self, other):
         if self.variables != other.variables:
             allv = tuple(sorted(set(self.variables) | set(other.variables)))
-            a = self if self.variables == allv else self.align(allv)
-            b = other if other.variables == allv else other.align(allv)
-            return a + b
+            return self.align(allv) + other.align(allv)
         coeffs = dict(self.coeffs)
         for k, c in other.coeffs.items():
             prev = coeffs.get(k)
@@ -291,6 +292,18 @@ class WindowedSeries:
             {v: self.window[v] for v in rest},
             {v: self.shape[v] for v in rest},
         )
+
+
+def zero_verdict(series, window_box=None):
+    """(is_zero, witness) — exact when possible, otherwise on the window
+    (an exact series needs none)."""
+    if series.is_exact():
+        if series.is_zero():
+            return True, None
+        return False, series.first_nonzero()
+    if series.is_zero_on(window_box):
+        return True, None
+    return False, series.first_nonzero(window_box)
 
 
 # ---------------------------------------------------------------------------

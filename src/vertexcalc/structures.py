@@ -6,13 +6,15 @@ vacuum data.  The derivation operator is always derived from the table
 (D v = v_(-2) 1), never user-supplied.
 
 A ModuleStructure is an action Y_W(u,x)w of a structure on a finite module
-basis.  A structure is its own (regular) module, so the seven axioms stated
-for every module (Jacobi, the three weak properties, vacuum-free skew
-symmetry, the vacuum property and the D-derivative property) each have one
-checker, which runs on an action: on ``S.regular`` for a structure S, and on
-the module itself for a module.  The weak checkers read the same pair
-recipes (``rationalforms.PAIRS``) as the (B)-(G) statements, on the slot
-triple of the action at (u, v, w).  Within a ``shared_triples`` block (one
+basis.  A structure *is* its own (regular) module: VertexStructure is the
+ModuleStructure whose ``over`` is itself and whose module table is its own
+table.  So the seven axioms stated for every module (Jacobi, the three weak
+properties, vacuum-free skew symmetry, the vacuum property and the
+D-derivative property) each have one checker, which runs on the structure or
+the module itself.  The weak checkers read the same pair recipes
+(``rationalforms.PAIRS``) as the (B)-(G) statements, on the slot triple of
+the action at (u, v, w), and search their witnesses with the replays' own
+``rationalforms.least_clearing_power``.  Within a ``shared_triples`` block (one
 ``check_all``, ``check_module_all`` or ``check`` command) the checkers share
 one slot triple per (u, v, w), so each product is built once per member; the
 triples are dropped when the block ends.
@@ -29,11 +31,13 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
-from .deltacalc import Delta, DeltaExpr, Term, window_coeffs
+from .deltacalc import Delta, DeltaExpr, Term, mono_of, window_coeffs
 from .errors import ConsistencyViolationError, ConstructionError
-from .rationalforms import S1, S2, TripleInstance, check_A, pole_statement
+from .rationalforms import (S1, S2, TripleInstance, box, check_A,
+                            least_clearing_power, pole_statement)
 from .scalars import Vec, linear_map
-from .series import INF, WindowedSeries, exp_endo, multiply, taylor_substitute
+from .series import (INF, WindowedSeries, exp_endo, multiply,
+                     taylor_substitute, zero_verdict)
 
 AXIOMS = (
     "jacobi", "weak_comm", "weak_assoc", "weak_skew_assoc",
@@ -81,10 +85,6 @@ class PropertyReport:
         self.window = window
         self.anchor = ANCHORS.get(axiom, axiom)
 
-    @property
-    def passed(self):
-        return self.verdict == "PASS"
-
     def to_json(self):
         return {"axiom": self.axiom, "anchor": self.anchor,
                 "verdict": self.verdict, "witness": self.witnesses,
@@ -127,78 +127,6 @@ def _edited_table(table, edits):
         else:
             modes.pop(n, None)
     return out
-
-
-class VertexStructure:
-    """Finite basis, finite mode tables, optional vacuum element."""
-
-    def __init__(self, name, basis, ytable, vacuum=None, tags=()):
-        self.name = name
-        self.basis = tuple(basis)
-        self.ytable = _clean_table(ytable)
-        self.vacuum = vacuum
-        self.tags = tuple(tags)
-        self.one = Vec.unit(vacuum) if vacuum else None
-        self.dop = self._derive_dop() if vacuum else None
-
-    def _derive_dop(self):
-        dop = {}
-        for v in self.basis:
-            img = self.ytable.get((v, self.vacuum), {}).get(-2)  # D v = v_(-2) 1
-            if img:
-                dop[v] = img
-        # nilpotency and D(1) = 0 are derivable facts; assert them
-        for v in self.basis:
-            cur = Vec.unit(v)
-            for _ in range(len(self.basis) + 1):
-                cur = linear_map(dop, cur)
-                if not cur:
-                    break
-            if cur:
-                raise ConstructionError("derived derivation operator is not nilpotent")
-        if linear_map(dop, self.one):
-            raise ConstructionError("derived derivation does not annihilate the vacuum")
-        return dop
-
-    def d_apply(self, vec: Vec) -> Vec:
-        return linear_map(self.dop, vec)
-
-    @cached_property
-    def regular(self) -> "ModuleStructure":
-        """The structure acting on itself: W = V and Y_W = Y."""
-        return ModuleStructure(self.name, self, self.basis, self.ytable)
-
-    # -- mode application, through the regular action -----------------------
-    def y_modes(self, u, v):
-        """Y(u,x)v as a dict exponent -> Vec (exponent of x is -n-1)."""
-        return self.regular.yw_modes(u, v)
-
-    def y_series(self, u, v, xvar="x"):
-        return self.regular.yw_series(u, v, xvar)
-
-    def compose_y(self, a, xa, b, xb, w):
-        """Y(a,xa) Y(b,xb) w as an exact two-variable series."""
-        return self.regular.compose_yw(a, xa, b, xb, w)
-
-    def iterate_y(self, u, x0, v, x2, w):
-        """Y(Y(u,x0)v, x2) w as an exact two-variable series."""
-        return self.regular.iterate_yw(u, x0, v, x2, w)
-
-    def shared_triples(self):
-        """Share the regular action's slot triples within a block."""
-        return self.regular.shared_triples()
-
-    def max_pole_order(self):
-        return _pole_order(self.ytable.values())
-
-    def support_extent(self):
-        return _support_extent(self.ytable.values())
-
-    def mutate(self, name, edits, tags=()):
-        """Copy with single-entry edits {(u, n, v): new Vec-or-None}."""
-        return VertexStructure(name, self.basis,
-                               _edited_table(self.ytable, edits),
-                               self.vacuum, tags)
 
 
 class ModuleStructure:
@@ -273,7 +201,7 @@ class ModuleStructure:
 
     def iterate_yw(self, u, x0, v, x2, w):
         """Y_W(Y(u,x0)v, x2)w; the inner Y comes from the base structure."""
-        inner = self.over.y_modes(u, v)
+        inner = self.over.yw_modes(u, v)
         out = {}
         for e0, vec in inner.items():
             for e2, vec2 in self.yw_modes(vec, w).items():
@@ -283,17 +211,67 @@ class ModuleStructure:
         return WindowedSeries.from_monomials((x0, x2), out)
 
     def max_pole_order(self):
-        return max(self.over.max_pole_order(),
-                   _pole_order(self.ywtable.values()))
+        return _pole_order([*self.over.ywtable.values(), *self.ywtable.values()])
 
     def support_extent(self):
-        return max(self.over.support_extent(),
-                   _support_extent(self.ywtable.values()))
+        return _support_extent([*self.over.ywtable.values(), *self.ywtable.values()])
 
     def mutate(self, name, edits, tags=()):
         """Copy with single-entry edits {(u, n, w): new Vec-or-None}."""
         return ModuleStructure(name, self.over, self.wbasis,
                                _edited_table(self.ywtable, edits), tags)
+
+
+class VertexStructure(ModuleStructure):
+    """Finite basis, finite mode tables, optional vacuum element.
+
+    A structure is its own (regular) module: ``over`` is the structure
+    itself, ``basis`` is ``wbasis`` and ``ytable`` is ``ywtable``, one
+    cleaned table.  Y(u,x)v is Y_W(u,x)v, so every mode product and every
+    shared checker is the module one.
+    """
+
+    def __init__(self, name, basis, ytable, vacuum=None, tags=()):
+        super().__init__(name, self, basis, ytable, tags)
+        self.basis = self.wbasis
+        self.ytable = self.ywtable
+        self.vacuum = vacuum
+        self.one = Vec.unit(vacuum) if vacuum else None
+        self.dop = self._derive_dop() if vacuum else None
+
+    def _derive_dop(self):
+        dop = {}
+        for v in self.basis:
+            img = self.ytable.get((v, self.vacuum), {}).get(-2)  # D v = v_(-2) 1
+            if img:
+                dop[v] = img
+        # nilpotency and D(1) = 0 are derivable facts; assert them
+        for v in self.basis:
+            cur = Vec.unit(v)
+            for _ in range(len(self.basis) + 1):
+                cur = linear_map(dop, cur)
+                if not cur:
+                    break
+            if cur:
+                raise ConstructionError("derived derivation operator is not nilpotent")
+        if linear_map(dop, self.one):
+            raise ConstructionError("derived derivation does not annihilate the vacuum")
+        return dop
+
+    def d_apply(self, vec: Vec) -> Vec:
+        return linear_map(self.dop, vec)
+
+    # the algebra-side names of the module mode products
+    y_modes = ModuleStructure.yw_modes
+    y_series = ModuleStructure.yw_series
+    compose_y = ModuleStructure.compose_yw
+    iterate_y = ModuleStructure.iterate_yw
+
+    def mutate(self, name, edits, tags=()):
+        """Copy with single-entry edits {(u, n, v): new Vec-or-None}."""
+        return VertexStructure(name, self.basis,
+                               _edited_table(self.ytable, edits),
+                               self.vacuum, tags)
 
 
 # ---------------------------------------------------------------------------
@@ -392,18 +370,6 @@ def restrict(S: VertexStructure, sub_basis, name, tags=()):
 # ---------------------------------------------------------------------------
 # verdict helpers
 
-def _zero_verdict(series, window_box=None):
-    """(is_zero, witness) — exact when possible, otherwise on the window
-    (an exact series needs none)."""
-    if series.is_exact():
-        if series.is_zero():
-            return True, None
-        return False, series.first_nonzero()
-    if series.is_zero_on(window_box):
-        return True, None
-    return False, series.first_nonzero(window_box)
-
-
 def default_window(A: ModuleStructure):
     return A.support_extent() + 2 * A.max_pole_order() + 2
 
@@ -413,39 +379,21 @@ def minimal_pole_order(S: VertexStructure, u, v):
     return _pole_order([S.ytable.get((u, v), {})])
 
 
-def _search_min_m(diff, clearing, m_max, box):
-    for m in range(0, m_max + 1):
-        if witness_is_valid(diff, clearing, m, box):
-            return m
-    return None
-
-
-def witness_is_valid(diff, clearing, m, box):
-    prod = multiply(diff, clearing(m)) if m else diff
-    ok, _ = _zero_verdict(prod, box)
-    return ok
-
-
 # ---------------------------------------------------------------------------
 # the seven checkers shared by structures and modules, each run on an action
 # A and reporting under the name ``axiom`` it was asked for (jacobi for a
-# structure's regular action, m_jacobi for a module, and so on)
+# structure, m_jacobi for a module, and so on)
 
-def _jacobi_symbolic_zero(f12, g12, h02, N):
+def _jacobi_symbolic_zero(f12, g21, h20, N):
     """Window-oracle verdict on the three-term delta combination."""
     terms = []
-    f12 = f12.align(("x1", "x2"))
-    g12 = g12.align(("x1", "x2"))
-    h02 = h02.align(("x0", "x2"))
-    for key, c in f12.coeffs.items():
-        mono = tuple((v, e) for v, e in zip(("x1", "x2"), key) if e)
-        terms.append(Term(c, mono, Delta(((1, "x1"), (-1, "x2")), "x0"), ()))
-    for key, c in g12.coeffs.items():
-        mono = tuple((v, e) for v, e in zip(("x1", "x2"), key) if e)
-        terms.append(Term(c.scale(-1), mono, Delta(((-1, "x2"), (1, "x1")), "x0"), ()))
-    for key, c in h02.coeffs.items():
-        mono = tuple((v, e) for v, e in zip(("x0", "x2"), key) if e)
-        terms.append(Term(c.scale(-1), mono, Delta(((1, "x2"), (1, "x0")), "x1"), ()))
+    for series, sign, delta in (
+            (f12, 1, Delta(((1, "x1"), (-1, "x2")), "x0")),
+            (g21, -1, Delta(((-1, "x2"), (1, "x1")), "x0")),
+            (h20, -1, Delta(((1, "x2"), (1, "x0")), "x1"))):
+        for key, c in series.coeffs.items():
+            mono = mono_of(dict(zip(series.variables, key)))
+            terms.append(Term(c if sign > 0 else c.scale(-1), mono, delta, ()))
     expr = DeltaExpr(terms, ("x0", "x1", "x2"))
     out = window_coeffs(expr, {v: (-N, N) for v in ("x0", "x1", "x2")})
     if not out:
@@ -506,11 +454,6 @@ def _weak_difference(A: ModuleStructure, axiom, u, v, w, N):
     return pole_statement(A.triple(u, v, w), kind, N, N)
 
 
-def _weak_diff(S: VertexStructure, axiom, u, v, w, N):
-    """The weak-property recipe on a structure's regular action."""
-    return _weak_difference(S.regular, axiom, u, v, w, N)
-
-
 def check_weak(A: ModuleStructure, axiom, m_max=None, window=None):
     """The three weak properties with minimal witnesses."""
     N = window or default_window(A)
@@ -521,8 +464,8 @@ def check_weak(A: ModuleStructure, axiom, m_max=None, window=None):
         for v in A.over.basis:
             worst = 0
             for w in A.wbasis:
-                d, clearing, b = _weak_difference(A, axiom, u, v, w, N)
-                m = _search_min_m(d, clearing, m_max, b)
+                m = least_clearing_power(
+                    *_weak_difference(A, axiom, u, v, w, N), m_max)
                 if m is None:
                     return PropertyReport(
                         axiom, "FAIL",
@@ -542,8 +485,7 @@ def check_vf_skew_symmetry(A: ModuleStructure, axiom, m_max=None, window=None):
                 right = A.triple(v, u, w).h_at("t", "x0").flip_sign("x0")
                 right = taylor_substitute(right, "t", (1, "x2"), (1, "x0"),
                                           {"x0": (INF, N)})
-                ok, wit = _zero_verdict(left - right,
-                                        {"x0": (-N, N), "x2": (-N, N)})
+                ok, wit = zero_verdict(left - right, box(N, "x0", "x2"))
                 if not ok:
                     return PropertyReport(
                         axiom, "FAIL",
@@ -565,7 +507,7 @@ def check_d_derivative(A: ModuleStructure, axiom, m_max=None, window=None):
         for w in A.wbasis:
             lhs = A.yw_series(du, w, "x") if du else WindowedSeries.zero(("x",))
             rhs = A.yw_series(u, w, "x").derivative("x")
-            ok, wit = _zero_verdict(lhs - rhs)
+            ok, wit = zero_verdict(lhs - rhs)
             if not ok:
                 return PropertyReport(
                     axiom, "FAIL",
@@ -603,7 +545,7 @@ def check_skew_symmetry(S: VertexStructure, window=None):
         for v in S.basis:
             left = S.y_series(u, v, "x")
             right = _exp_d_apply(S, S.y_series(v, u, "x").flip_sign("x"), "x")
-            ok, wit = _zero_verdict(left - right)
+            ok, wit = zero_verdict(left - right)
             if not ok:
                 return PropertyReport(
                     "skew_symmetry", "FAIL",
@@ -621,7 +563,7 @@ def check_d_bracket(S: VertexStructure, window=None):
                 if S.dop.get(v) else WindowedSeries.zero(("x",))
             lhs = d_of - y_dv
             rhs = yuv.derivative("x")
-            ok, wit = _zero_verdict(lhs - rhs)
+            ok, wit = zero_verdict(lhs - rhs)
             if not ok:
                 return PropertyReport(
                     "d_bracket", "FAIL",
@@ -647,7 +589,7 @@ def check_strong_creation(S: VertexStructure, window=None):
     for u in S.basis:
         lhs = S.y_series(u, S.one, "x")
         rhs = exp_endo(S.dop, "x", Vec.unit(u))
-        ok, wit = _zero_verdict(lhs - rhs)
+        ok, wit = zero_verdict(lhs - rhs)
         if not ok:
             return PropertyReport(
                 "strong_creation", "FAIL",
@@ -711,7 +653,7 @@ def check_axiom(S: VertexStructure, axiom, m_max=None, window=None) -> PropertyR
         return PropertyReport(axiom, "UNTESTED",
                               {"reason": "structure has no vacuum element"})
     if axiom in ACTION_CHECKERS:
-        return ACTION_CHECKERS[axiom](S.regular, axiom, m_max, window)
+        return ACTION_CHECKERS[axiom](S, axiom, m_max, window)
     if axiom in STRUCTURE_CHECKERS:
         return STRUCTURE_CHECKERS[axiom](S, window)
     raise ValueError(f"unknown axiom {axiom!r}")

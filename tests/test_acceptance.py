@@ -26,14 +26,14 @@ from vertexcalc.rationalforms import (
     find_pole_witness,
     generate_instance,
     reconstruct_form,
+    witness_is_valid,
 )
 from vertexcalc.structures import (
     check_all,
     check_axiom,
     implication_matrix,
     minimal_pole_order,
-    witness_is_valid,
-    _weak_diff,
+    _weak_difference,
 )
 
 
@@ -116,7 +116,7 @@ def test_criterion_4_borcherds_family_axioms():
                         "weak_skew_assoc": minimal_pole_order(S, v, w),
                     }
                     for axiom, mf in formula.items():
-                        d, clearing, b = _weak_diff(S, axiom, u, v, w, N)
+                        d, clearing, b = _weak_difference(S, axiom, u, v, w, N)
                         if not witness_is_valid(d, clearing, mf, b):
                             ok = False
                             detail.append(f"{S.name} formula witness invalid")

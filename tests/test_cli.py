@@ -10,6 +10,7 @@ from vertexcalc import configio
 from vertexcalc.cli import build_parser, main
 from vertexcalc.corpus import borcherds_structure, make_module, mutants
 from vertexcalc.errors import ConfigError
+from vertexcalc.modules import MODULE_AXIOMS
 from vertexcalc.structures import AXIOMS
 
 
@@ -79,6 +80,42 @@ def test_sweep_reports_match_the_benchmark_pins(corpus_dir, capsys):
         assert main([command, str(corpus_dir), "--format", "machine"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pins[command]
+
+
+def test_verdict_and_replay_reports_match_the_benchmark_pins(corpus_dir, capsys):
+    # every single-axiom check / check-module report and every default-flag
+    # replay-elem report is byte-identical to its pin in bench/pins.json
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "bench", "pins.json")) as fh:
+        pins = json.load(fh)
+    calls = []
+    for key, digest in pins["verdict"].items():
+        member, axiom = key.split("/")
+        if axiom in MODULE_AXIOMS:
+            argv = ["check-module", str(corpus_dir / f"{member}.module.json")]
+        else:
+            argv = ["check", str(corpus_dir / f"{member}.json")]
+        calls.append((key, argv + ["--axiom", axiom], digest))
+    for key, digest in pins["replay"].items():
+        seed = key.split("/")[1]
+        calls.append((key, ["replay-elem", "--n", "1", "--seed", seed], digest))
+    assert len(calls) == 463
+    for key, argv, digest in calls:
+        capsys.readouterr()
+        main(argv + ["--format", "machine"])
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, key
+
+
+def test_replay_with_m_max_below_the_pole_order_is_untested(capsys):
+    rc = main(["replay-elem", "--n", "3", "--window", "2", "--m-max", "0",
+               "--format", "machine"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    verdicts = {r["id"]: r["verdict"] for r in data["records"]}
+    # (A) holds on these instances, but their m1 pole order exceeds 0
+    assert verdicts["replay/0/ia"] == verdicts["replay/1/ia"] == "UNTESTED"
+    assert "FAIL" not in verdicts.values()
 
 
 def test_machine_reports_are_deterministic(corpus_dir, tmp_path):

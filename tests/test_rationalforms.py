@@ -3,7 +3,7 @@ import random
 import pytest
 
 from vertexcalc import rationalforms
-from vertexcalc.errors import ConsistencyViolationError
+from vertexcalc.errors import ConsistencyViolationError, WindowUnderflowError
 from vertexcalc.rationalforms import (
     IMPLICATIONS,
     RationalForm,
@@ -251,3 +251,30 @@ def test_replay_substitutes_each_pair_side_once(monkeypatch):
         assert replay_implication(which, inst, N=5)["verdict"] == "PASS"
     # one substituted side for m2, two for m3, shared by every statement
     assert len(calls) == 3
+
+
+def test_witness_bound_below_the_pole_order_is_untested():
+    # (A) promises an m1 witness only up to the form's pole order a = 2
+    inst = instance_from_form(RationalForm({(0, 0): 1}, 2, 0, 0), N=4)
+    for m_max in (0, 1):
+        rec = replay_implication("ia", inst, N=4, m_max=m_max)
+        assert rec["hypothesis"] == "met"
+        assert rec["verdict"] == "UNTESTED"
+        assert "below the m1 pole order" in rec["reason"]
+    assert replay_implication("ia", inst, N=4, m_max=2)["verdict"] == "PASS"
+
+
+def test_no_witness_at_or_above_the_pole_order_still_raises(monkeypatch):
+    monkeypatch.setattr(rationalforms, "find_pole_witness", lambda *args: None)
+    inst = instance_from_form(RationalForm({(0, 0): 1}, 2, 0, 0), N=4)
+    for m_max in (2, 3):
+        with pytest.raises(ConsistencyViolationError, match="no witness m1"):
+            replay_implication("ia", inst, N=4, m_max=m_max)
+
+
+def test_witness_search_beyond_the_windows_names_m():
+    inst = instance_from_form(RationalForm({(0, 0): 1}, 1, 0, 0), N=2)
+    with pytest.raises(WindowUnderflowError,
+                       match="witness search at m=0 exceeded the known windows; "
+                             "regenerate the instance with larger windows"):
+        find_pole_witness(inst, "m1", 2, 60)

@@ -320,3 +320,9 @@ def test_rename_keeps_exactness_and_knowledge():
     assert out.coeff({"z": 2, "y": 1}) == 1
     p = poly(("x", "y"), {(-2, 1): 3})
     assert p.rename({"x": "y", "y": "x"}).is_exact()
+
+
+def test_align_to_own_variables_is_the_series_itself():
+    s = poly(("x", "y"), {(1, -2): 3, (0, 1): -1})
+    assert s.align(s.variables) is s
+    assert s.align(("y", "x")) is not s

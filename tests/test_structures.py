@@ -13,20 +13,21 @@ from vertexcalc.corpus import (
     truncated_polynomial_algebra,
 )
 from vertexcalc.errors import ConstructionError
+from vertexcalc.rationalforms import witness_is_valid
 from vertexcalc.scalars import Vec
 from vertexcalc.series import INF, taylor_substitute
 from vertexcalc.structures import (
     AXIOMS,
     ActionTriple,
     ModuleStructure,
+    VertexStructure,
     borcherds_construct,
     check_all,
     check_axiom,
     implication_matrix,
     minimal_pole_order,
     restrict,
-    witness_is_valid,
-    _weak_diff,
+    _weak_difference,
 )
 
 
@@ -143,7 +144,7 @@ def test_formula_witness_valid_and_minimal_below_it():
                         "weak_skew_assoc": minimal_pole_order(S, v, w),
                     }
                     for axiom, mf in table.items():
-                        d, clearing, b = _weak_diff(S, axiom, u, v, w, N)
+                        d, clearing, b = _weak_difference(S, axiom, u, v, w, N)
                         assert witness_is_valid(d, clearing, mf, b)
 
 
@@ -262,10 +263,38 @@ def test_check_all_shares_one_slot_triple_per_member(monkeypatch,
     # every slot series is built at most once per member, and the triples
     # are dropped when check_all returns
     assert slot_product_calls and max(slot_product_calls.values()) == 1
-    assert all(S.regular._triples is None for S in corpus)
+    assert all(S._triples is None for S in corpus)
     # a fresh triple for every read gives the same verdicts and witnesses
     monkeypatch.setattr(ModuleStructure, "triple",
                         lambda A, u, v, w: ActionTriple(A, u, v, w))
     fresh = [{a: r.to_json() for a, r in check_all(S).items()}
              for S in full_corpus()]
     assert shared == fresh
+
+
+def test_structure_is_its_own_module():
+    S = borcherds_structure(3)
+    assert isinstance(S, ModuleStructure)
+    assert S.over is S
+    assert S.ywtable is S.ytable and S.wbasis == S.basis
+    for name in ("y_modes", "y_series", "compose_y", "iterate_y"):
+        assert name not in vars(ModuleStructure)
+    assert VertexStructure.compose_y is ModuleStructure.compose_yw
+    assert VertexStructure.iterate_y is ModuleStructure.iterate_yw
+    assert VertexStructure.y_modes is ModuleStructure.yw_modes
+    assert VertexStructure.y_series is ModuleStructure.yw_series
+
+
+def test_weak_skew_assoc_minimal_witness_can_exceed_zero():
+    # a weak property holding for some m need not hold at m = 0: at
+    # mutant-pole, Y(e1,x)e1 = x^-1 e0, so at (e0, e1, e1) both sides of weak
+    # skew-associativity are the two expansions of (x1 - x0)^-1 e0
+    S = [m for m in mutants() if m.name == "mutant-pole"][0]
+    d, clearing, b = _weak_difference(S, "weak_skew_assoc", "e0", "e1", "e1", 5)
+    assert not witness_is_valid(d, clearing, 0, b)
+    assert witness_is_valid(d, clearing, 1, b)
+    assert minimal_pole_order(S, "e1", "e1") == 1
+    # so the first failing triple is the later (e1, e0, e1), as pinned
+    report = check_axiom(S, "weak_skew_assoc")
+    assert report.verdict == "FAIL"
+    assert report.witnesses == {"triple": ("e1", "e0", "e1"), "m_max": 3}

@@ -6,9 +6,10 @@ Module configs extend this with {"wbasis", "wmodes": [{"u", "n", "w",
 "coeff"}...], "over": "structure-name"}; the base structure is resolved as
 "<over>.json" next to the module file.
 
-A config is refused with ConfigError when it repeats a basis entry, names
-anything outside the basis it refers to, has a mode index that is not an
-integer, or a coefficient that is not a rational.
+A config is refused with ConfigError when it repeats a basis entry or a
+mode record (u, n, v) / (u, n, w), names anything outside the basis it
+refers to, has a mode index that is not an integer, or a coefficient that is
+not a rational.
 
 Machine reports are canonical JSON (sorted keys, fixed separators, no
 timestamps or durations) so identical config + seed gives identical bytes.
@@ -47,6 +48,14 @@ def _mode_index(n):
     return n
 
 
+def _add_mode(table, u, n, v, coeff, what):
+    """Enter one mode record, refusing a second record of the same (u, n, v)."""
+    modes = table.setdefault((u, v), {})
+    if n in modes:
+        raise ConfigError(f"{what} ({u}, {n}, {v}) is listed twice")
+    modes[n] = coeff
+
+
 def _coeff(data, basis, what):
     """A {basis: "p/q"} coefficient as a Vec, refusing names outside ``basis``."""
     for name in data:
@@ -76,8 +85,8 @@ def structure_from_config(data: dict) -> VertexStructure:
         for rec in data["modes"]:
             u = _member(rec["u"], basis, "mode u")
             v = _member(rec["v"], basis, "mode v")
-            table.setdefault((u, v), {})[_mode_index(rec["n"])] = \
-                _coeff(rec["coeff"], basis, "mode")
+            _add_mode(table, u, _mode_index(rec["n"]), v,
+                      _coeff(rec["coeff"], basis, "mode"), "mode")
         return VertexStructure(data["name"], basis, table, vacuum=vacuum,
                                tags=tuple(data.get("tags", ())))
     except (KeyError, TypeError, ValueError, AttributeError,
@@ -101,8 +110,8 @@ def module_from_config(data: dict, over: VertexStructure) -> ModuleStructure:
         for rec in data["wmodes"]:
             u = _member(rec["u"], over.basis, "module mode u")
             w = _member(rec["w"], wbasis, "module mode w")
-            table.setdefault((u, w), {})[_mode_index(rec["n"])] = \
-                _coeff(rec["coeff"], wbasis, "module mode")
+            _add_mode(table, u, _mode_index(rec["n"]), w,
+                      _coeff(rec["coeff"], wbasis, "module mode"), "module mode")
         return ModuleStructure(data["name"], over, wbasis, table,
                                tags=tuple(data.get("tags", ())))
     except (KeyError, TypeError, ValueError, AttributeError,

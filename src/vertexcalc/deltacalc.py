@@ -22,6 +22,10 @@ because only the tail sits in nonnegative powers.
 Every rewrite here preserves the coefficient of every monomial; the window
 oracle (`window_coeffs` / `coeff_of`) recomputes coefficients from scratch by
 iterated binomial expansion and is the independent check on the symbolic layer.
+It shares no arithmetic with `series`.  Within one memo (one `window_coeffs`
+call unless the caller passes a dict to several), each factor is expanded
+once per needed window and its expansion reused by every term holding it; no
+expansion outlives the memo.
 """
 from __future__ import annotations
 
@@ -507,8 +511,11 @@ def _in_window(mono, window):
     return all(e == 0 for e in exps.values())
 
 
-def _term_window_coeffs(t: Term, window):
-    """Exact coefficients of one term on the window (complete there)."""
+def _term_window_coeffs(t: Term, window, memo):
+    """Exact coefficients of one term on the window (complete there).
+
+    ``memo`` maps (factor, needed window) to the factor's expansion there;
+    the expansions it holds are shared, so none of them is mutated."""
     tm = dict(t.mono)
     shifted = {}
     for v in set(window) | t.variables():
@@ -521,10 +528,15 @@ def _term_window_coeffs(t: Term, window):
         factors = [("delta", t.delta)] + factors
     if not factors:
         return {t.mono: t.coeff} if _in_window(t.mono, window) else {}
-    needs = _needed_windows(factors, shifted)
-    acc = {(): 1}
-    for f, need in zip(factors, needs):
-        piece = _expand_factor(f, need)
+    acc = None
+    for f, need in zip(factors, _needed_windows(factors, shifted)):
+        memo_key = (f, tuple(sorted(need.items())))
+        piece = memo.get(memo_key)
+        if piece is None:
+            piece = memo[memo_key] = _expand_factor(f, need)
+        if acc is None:
+            acc = piece
+            continue
         new = {}
         for m1, c1 in acc.items():
             for m2, c2 in piece.items():
@@ -541,16 +553,20 @@ def _term_window_coeffs(t: Term, window):
     return out
 
 
-def window_coeffs(e: DeltaExpr, window):
+def window_coeffs(e: DeltaExpr, window, memo=None):
     """Exact coefficients of every monomial inside the window.
 
     ``window`` maps variables to (lo, hi); variables absent from it are pinned
     to exponent 0.  Raises SummabilityError if some term's coefficients are not
-    certifiably finite sums.
+    certifiably finite sums.  ``memo`` maps (factor, needed window) to the
+    factor's expansion there; calls given the same dict share expansions, and
+    without one each call uses a fresh dict.
     """
+    if memo is None:
+        memo = {}
     out = {}
     for t in e.terms:
-        for mono, c in _term_window_coeffs(t, dict(window)).items():
+        for mono, c in _term_window_coeffs(t, dict(window), memo).items():
             prev = out.get(mono)
             out[mono] = c if prev is None else coeff_add(prev, c)
     return {k: v for k, v in out.items() if not coeff_is_zero(v)}

@@ -285,10 +285,12 @@ def box(N, *variables):
 
 def check_A(inst: TripleInstance, N):
     """Verdict of the three-term delta combination on the window [-N, N]^3."""
-    w3 = box(N, "x0", "x1", "x2")
-    t1 = apply_delta((1, "x1"), (-1, "x2"), "x0", inst.f_at("x1", "x2"), w3)
-    t2 = apply_delta((-1, "x2"), (1, "x1"), "x0", inst.g_at("x2", "x1"), w3)
-    t3 = apply_delta((1, "x2"), (1, "x0"), "x1", inst.h_at("x2", "x0"), w3)
+    xs = ("x0", "x1", "x2")
+    w3 = box(N, *xs)
+    # over one variable order, t1 - t2 - t3 realigns nothing
+    t1 = apply_delta((1, "x1"), (-1, "x2"), "x0", inst.f_at("x1", "x2").align(xs), w3)
+    t2 = apply_delta((-1, "x2"), (1, "x1"), "x0", inst.g_at("x2", "x1").align(xs), w3)
+    t3 = apply_delta((1, "x2"), (1, "x0"), "x1", inst.h_at("x2", "x0").align(xs), w3)
     total = t1 - t2 - t3
     if total.is_zero_on(w3):
         return True, None

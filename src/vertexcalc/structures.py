@@ -384,8 +384,9 @@ def minimal_pole_order(S: VertexStructure, u, v):
 # A and reporting under the name ``axiom`` it was asked for (jacobi for a
 # structure, m_jacobi for a module, and so on)
 
-def _jacobi_symbolic_zero(f12, g21, h20, N):
-    """Window-oracle verdict on the three-term delta combination."""
+def _jacobi_symbolic_zero(f12, g21, h20, N, memo=None):
+    """Window-oracle verdict on the three-term delta combination; ``memo`` is
+    passed to ``deltacalc.window_coeffs``."""
     terms = []
     for series, sign, delta in (
             (f12, 1, Delta(((1, "x1"), (-1, "x2")), "x0")),
@@ -395,7 +396,7 @@ def _jacobi_symbolic_zero(f12, g21, h20, N):
             mono = mono_of(dict(zip(series.variables, key)))
             terms.append(Term(c if sign > 0 else c.scale(-1), mono, delta, ()))
     expr = DeltaExpr(terms, ("x0", "x1", "x2"))
-    out = window_coeffs(expr, {v: (-N, N) for v in ("x0", "x1", "x2")})
+    out = window_coeffs(expr, {v: (-N, N) for v in ("x0", "x1", "x2")}, memo)
     if not out:
         return True, None
     mono = sorted(out)[0]
@@ -420,6 +421,11 @@ class ActionTriple(TripleInstance):
 
 def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
     N = window or default_window(A)
+    # Route 1 expands each delta factor once per needed window and shares it
+    # across the triples of this call only: every coefficient is still
+    # recomputed by the oracle, independently of ``series``, and no
+    # expansion outlives the check.
+    memo = {}
     for u in A.over.basis:
         for v in A.over.basis:
             for w in A.wbasis:
@@ -427,7 +433,7 @@ def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
                 # route 1: symbolic delta expansion with the window oracle
                 ok_sym, wit_sym = _jacobi_symbolic_zero(
                     inst.f_at("x1", "x2"), inst.g_at("x2", "x1"),
-                    inst.h_at("x2", "x0"), N)
+                    inst.h_at("x2", "x0"), N, memo)
                 # route 2: concrete delta convolution via the (A)-checker
                 ok_ser, _ = check_A(inst, N)
                 if ok_sym != ok_ser:

@@ -227,12 +227,16 @@ MALFORMED = {
         ("check", lambda c: c["modes"][0].update(coeff={"zz": "1"})),
     "duplicate-basis-entry":
         ("check", lambda c: c["basis"].append("e0")),
+    "duplicate-mode":
+        ("check", lambda c: c["modes"].append(dict(c["modes"][0], coeff={"e0": "5"}))),
     "u-outside-base-basis":
         ("check-module", lambda c: c["wmodes"][0].update(u="zz")),
     "w-outside-module-basis":
         ("check-module", lambda c: c["wmodes"][0].update(w="zz")),
     "unknown-module-coefficient-key":
         ("check-module", lambda c: c["wmodes"][0].update(coeff={"zz": "1"})),
+    "duplicate-module-mode":
+        ("check-module", lambda c: c["wmodes"].append(dict(c["wmodes"][0]))),
 }
 
 
@@ -253,6 +257,16 @@ def test_malformed_config_is_refused_with_exit_three(corpus_dir, tmp_path,
     assert captured.out == ""
     assert captured.err.startswith("config error: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_repeated_mode_record_is_refused_and_named(corpus_dir, tmp_path, capsys):
+    # a second record of a mode used to replace the first without a word
+    config = configio.load_json(str(corpus_dir / "borcherds-k2.json"))
+    config["modes"].append({"u": "e0", "n": -1, "v": "e0", "coeff": {"e0": "5"}})
+    configio.dump_json(config, tmp_path / "borcherds-k2.json")
+    rc = main(["check", str(tmp_path / "borcherds-k2.json"), "--axiom", "jacobi"])
+    assert rc == 3
+    assert "mode (e0, -1, e0) is listed twice" in capsys.readouterr().err
 
 
 def test_config_that_is_not_an_object_is_refused(tmp_path, capsys):

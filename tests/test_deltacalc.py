@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from vertexcalc import structures
+from vertexcalc.corpus import full_corpus, full_module_corpus
 from vertexcalc.deltacalc import (
     Atom,
     Delta,
@@ -469,3 +471,35 @@ def test_rewrites_preserve_window_semantics_randomized():
         shifted = taylor_shift(e, "y", (1, "z"))
         # shifting y inside a tail only reindexes z; check the z=const slices sum
         assert same_on_window(shifted, normalize(shifted), w)
+
+
+def _jacobi_route_one_calls(monkeypatch):
+    """(expression, window) of route 1 of the Jacobi check on every triple of
+    the structure and module corpora, recorded instead of evaluated."""
+    calls = []
+    with monkeypatch.context() as mp:
+        mp.setattr(structures, "window_coeffs",
+                   lambda e, window, memo=None: calls.append((e, window)) or {})
+        for A in full_corpus() + full_module_corpus():
+            N = structures.default_window(A)
+            for u in A.over.basis:
+                for v in A.over.basis:
+                    for w in A.wbasis:
+                        inst = A.triple(u, v, w)
+                        structures._jacobi_symbolic_zero(
+                            inst.f_at("x1", "x2"), inst.g_at("x2", "x1"),
+                            inst.h_at("x2", "x0"), N)
+    return calls
+
+
+def test_shared_memo_gives_the_fresh_coefficients(monkeypatch):
+    calls = _jacobi_route_one_calls(monkeypatch)
+    assert len(calls) > 1000
+    memo = {}
+    # the smaller window first, so that a memo keyed without the needed
+    # window would hand the larger window a truncated expansion
+    for shrink in (1, 0):
+        for e, window in calls:
+            w = {v: (lo + shrink, hi - shrink) for v, (lo, hi) in window.items()}
+            assert window_coeffs(e, w, memo) == window_coeffs(e, w)
+    assert memo

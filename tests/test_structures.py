@@ -1,11 +1,14 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from vertexcalc import deltacalc
 from vertexcalc.corpus import (
     borcherds_structure,
     family,
     full_corpus,
+    full_module_corpus,
     ideal_structure,
     ideal_variants,
     mutant_expected_failures,
@@ -13,10 +16,12 @@ from vertexcalc.corpus import (
     truncated_polynomial_algebra,
 )
 from vertexcalc.errors import ConstructionError
+from vertexcalc.modules import MODULE_CHECKERS, check_module_all
 from vertexcalc.rationalforms import witness_is_valid
 from vertexcalc.scalars import Vec
 from vertexcalc.series import INF, taylor_substitute
 from vertexcalc.structures import (
+    ACTION_CHECKERS,
     AXIOMS,
     ActionTriple,
     ModuleStructure,
@@ -298,3 +303,28 @@ def test_weak_skew_assoc_minimal_witness_can_exceed_zero():
     report = check_axiom(S, "weak_skew_assoc")
     assert report.verdict == "FAIL"
     assert report.witnesses == {"triple": ("e1", "e0", "e1"), "m_max": 3}
+
+
+def test_jacobi_expands_each_factor_window_once_per_check(monkeypatch):
+    # route 1 expands each (delta factor, needed window) once per check_jacobi
+    # call, however many terms and triples share it
+    checks = []
+    expansions = Counter()
+
+    def counted(factor, need, _original=deltacalc._expand_factor):
+        expansions[(len(checks), factor, tuple(sorted(need.items())))] += 1
+        return _original(factor, need)
+
+    monkeypatch.setattr(deltacalc, "_expand_factor", counted)
+    for table, axiom in ((ACTION_CHECKERS, "jacobi"),
+                         (MODULE_CHECKERS, "m_jacobi")):
+        def entered(A, *args, _check=table[axiom]):
+            checks.append(A.name)
+            return _check(A, *args)
+        monkeypatch.setitem(table, axiom, entered)
+    for S in full_corpus():
+        check_all(S)
+    for M in full_module_corpus():
+        check_module_all(M)
+    assert len(checks) == len(full_corpus()) + len(full_module_corpus())
+    assert expansions and max(expansions.values()) == 1

@@ -38,6 +38,43 @@ def test_pyproject_declares_no_runtime_dependencies():
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
 
 
+CACHES = {"cache", "lru_cache"}
+
+
+def _process_wide_caches(path):
+    """(function name or None, line) of every functools.cache / lru_cache use:
+    the name of the function it decorates, None for any other use."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    modules, names = {"functools"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {a.asname or a.name for a in node.names if a.name in CACHES}
+    decorated = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                for sub in ast.walk(dec):
+                    decorated[id(sub)] = node.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id in names) or (
+                isinstance(node, ast.Attribute) and node.attr in CACHES
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            yield decorated.get(id(node)), node.lineno
+
+
+def test_no_process_wide_caches_but_binom_and_the_parser():
+    # a cache that outlives one command would be hit by in-process benchmark
+    # repeats but never by a CLI run, which is one process per command
+    found = set()
+    for name in sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")):
+        for func, line in _process_wide_caches(os.path.join(PACKAGE, name)):
+            found.add((name, func) if func else (name, line))
+    assert found == {("scalars.py", "binom"), ("cli.py", "build_parser")}
+
+
 @pytest.mark.parametrize(
     "demo", sorted(f for f in os.listdir(DEMOS) if f.endswith(".py")))
 def test_demo_runs(demo):

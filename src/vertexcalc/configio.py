@@ -4,12 +4,13 @@ Structure configs:  {"name", "basis": [...], "modes": [{"u", "n", "v",
 "coeff": {basis: "p/q"}}...], "vacuum": name-or-null, "tags": [...]}.
 Module configs extend this with {"wbasis", "wmodes": [{"u", "n", "w",
 "coeff"}...], "over": "structure-name"}; the base structure is resolved as
-"<over>.json" next to the module file.
+"<over>.json" next to the module file.  A config is a module config exactly
+when it has "over" (``is_module_config``); ``load_structure`` refuses one.
 
 A config is refused with ConfigError when it repeats a basis entry or a
 mode record (u, n, v) / (u, n, w), names anything outside the basis it
-refers to, has a mode index that is not an integer, or a coefficient that is
-not a rational.
+refers to, has a mode index that is not an integer or a coefficient that is
+not a rational, or lacks a required key (named as "missing key 'modes'").
 
 Machine reports are canonical JSON (sorted keys, fixed separators, no
 timestamps or durations) so identical config + seed gives identical bytes.
@@ -89,8 +90,9 @@ def structure_from_config(data: dict) -> VertexStructure:
                       _coeff(rec["coeff"], basis, "mode"), "mode")
         return VertexStructure(data["name"], basis, table, vacuum=vacuum,
                                tags=tuple(data.get("tags", ())))
-    except (KeyError, TypeError, ValueError, AttributeError,
-            ZeroDivisionError) as err:
+    except KeyError as err:
+        raise ConfigError(f"bad structure config: missing key {err}") from err
+    except (TypeError, ValueError, AttributeError, ZeroDivisionError) as err:
         raise ConfigError(f"bad structure config: {err}") from err
 
 
@@ -114,8 +116,9 @@ def module_from_config(data: dict, over: VertexStructure) -> ModuleStructure:
                       _coeff(rec["coeff"], wbasis, "module mode"), "module mode")
         return ModuleStructure(data["name"], over, wbasis, table,
                                tags=tuple(data.get("tags", ())))
-    except (KeyError, TypeError, ValueError, AttributeError,
-            ZeroDivisionError) as err:
+    except KeyError as err:
+        raise ConfigError(f"bad module config: missing key {err}") from err
+    except (TypeError, ValueError, AttributeError, ZeroDivisionError) as err:
         raise ConfigError(f"bad module config: {err}") from err
 
 
@@ -140,22 +143,27 @@ def load_json(path):
     return data
 
 
+def is_module_config(data) -> bool:
+    """Whether a config describes a module: it names the structure it is
+    over.  Every loader and the corpus reader decide by this one test."""
+    return "over" in data
+
+
 def load_structure(path) -> VertexStructure:
-    return structure_from_config(load_json(path))
+    data = load_json(path)
+    if is_module_config(data):
+        raise ConfigError(f"{path} is a module config; use check-module")
+    return structure_from_config(data)
 
 
 def load_module(path) -> ModuleStructure:
     data = load_json(path)
-    if "over" not in data:
+    if not is_module_config(data):
         raise ConfigError(f"{path} is not a module config")
     base_path = os.path.join(os.path.dirname(path) or ".", f"{data['over']}.json")
     if not os.path.exists(base_path):
         raise ConfigError(f"base structure file {base_path} not found")
     return module_from_config(data, load_structure(base_path))
-
-
-def is_module_config(data) -> bool:
-    return "wmodes" in data
 
 
 def machine_report(command, seed, params, records) -> str:

@@ -24,8 +24,10 @@ oracle (`window_coeffs` / `coeff_of`) recomputes coefficients from scratch by
 iterated binomial expansion and is the independent check on the symbolic layer.
 It shares no arithmetic with `series`.  Within one memo (one `window_coeffs`
 call unless the caller passes a dict to several), each factor is expanded
-once per needed window and its expansion reused by every term holding it; no
-expansion outlives the memo.
+once per needed window and its expansion reused by every term holding it,
+and each term shape (monomial, delta, atoms) is expanded once per window
+with coefficient 1, so a repeated shape costs only the scaling by its
+coefficient; no expansion outlives the memo.
 """
 from __future__ import annotations
 
@@ -511,8 +513,9 @@ def _in_window(mono, window):
     return all(e == 0 for e in exps.values())
 
 
-def _term_window_coeffs(t: Term, window, memo):
-    """Exact coefficients of one term on the window (complete there).
+def _unit_window_coeffs(t: Term, window, memo):
+    """Exact coefficients on the window of the term with its coefficient set
+    to 1 (complete there); they are integers.
 
     ``memo`` maps (factor, needed window) to the factor's expansion there;
     the expansions it holds are shared, so none of them is mutated."""
@@ -527,7 +530,7 @@ def _term_window_coeffs(t: Term, window, memo):
     if t.delta is not None:
         factors = [("delta", t.delta)] + factors
     if not factors:
-        return {t.mono: t.coeff} if _in_window(t.mono, window) else {}
+        return {t.mono: 1} if _in_window(t.mono, window) else {}
     acc = None
     for f, need in zip(factors, _needed_windows(factors, shifted)):
         memo_key = (f, tuple(sorted(need.items())))
@@ -547,9 +550,7 @@ def _term_window_coeffs(t: Term, window, memo):
     for m, c in acc.items():
         full = mono_mul(m, t.mono)
         if _in_window(full, window):
-            val = coeff_mul(t.coeff, c)
-            prev = out.get(full)
-            out[full] = val if prev is None else coeff_add(prev, val)
+            out[full] = c
     return out
 
 
@@ -559,16 +560,26 @@ def window_coeffs(e: DeltaExpr, window, memo=None):
     ``window`` maps variables to (lo, hi); variables absent from it are pinned
     to exponent 0.  Raises SummabilityError if some term's coefficients are not
     certifiably finite sums.  ``memo`` maps (factor, needed window) to the
-    factor's expansion there; calls given the same dict share expansions, and
-    without one each call uses a fresh dict.
+    factor's expansion there, and (monomial, delta, atoms, window) to the
+    unit expansion of a term of that shape (its window coefficients with
+    coefficient 1), which each term of the shape scales by its coefficient;
+    calls given the same dict share both, and without one each call uses a
+    fresh dict.
     """
     if memo is None:
         memo = {}
+    window = dict(window)
+    wkey = tuple(sorted(window.items()))
     out = {}
     for t in e.terms:
-        for mono, c in _term_window_coeffs(t, dict(window), memo).items():
+        key = (t.mono, t.delta, t.atoms, wkey)
+        unit = memo.get(key)
+        if unit is None:
+            unit = memo[key] = _unit_window_coeffs(t, window, memo)
+        for mono, u in unit.items():
+            val = coeff_mul(t.coeff, u)
             prev = out.get(mono)
-            out[mono] = c if prev is None else coeff_add(prev, c)
+            out[mono] = val if prev is None else coeff_add(prev, val)
     return {k: v for k, v in out.items() if not coeff_is_zero(v)}
 
 

@@ -95,7 +95,19 @@ class Vec:
         return v
 
     def __sub__(self, other):
-        return self + (-other)
+        # one pass: no negated copy of ``other``
+        out = dict(self.entries)
+        for name, value in other.entries.items():
+            new = out.get(name, 0) - value
+            if type(new) is Fraction and new.denominator == 1:
+                new = new.numerator
+            if new:
+                out[name] = new
+            else:
+                out.pop(name, None)
+        v = Vec.__new__(Vec)
+        v.entries = out
+        return v
 
     def __neg__(self):
         v = Vec.__new__(Vec)
@@ -191,6 +203,21 @@ def coeff_add(a, b):
             raise TypeError("cannot add scalar and vector coefficients")
         return a
     return a + b
+
+
+def coeff_sub(a, b):
+    """Subtract two coefficients; a Vec takes only a Vec or the scalar 0."""
+    if type(a) is not Vec:
+        if type(b) is not Vec:
+            return a - b
+        if a != 0:
+            raise TypeError("cannot subtract scalar and vector coefficients")
+        return -b
+    if type(b) is not Vec:
+        if b != 0:
+            raise TypeError("cannot subtract scalar and vector coefficients")
+        return a
+    return a - b
 
 
 def coeff_is_zero(a):

@@ -11,9 +11,11 @@ shape, never stored.
 
 Every binomial power (s_h x_h + s_t x_t)^n, whatever the sign of n, is
 expanded in nonnegative powers of its tail x_t (the formal-calculus
-convention).  ``add_power`` is the one place that writes this expansion out;
-``binomial_power``, ``taylor_substitute``, ``apply_delta`` and the rational
-forms of ``rationalforms`` all call it.
+convention).  ``add_power`` is the one place that writes this expansion out,
+for a range kmin..kmax of tail powers; ``binomial_power``,
+``taylor_substitute``, ``apply_delta`` and the rational forms of
+``rationalforms`` all call it.  ``apply_delta`` picks that range per term so
+that it writes only coefficients inside its output window.
 
 Any operation that cannot guarantee exactness of a requested coefficient
 raises instead of truncating silently.
@@ -23,7 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SummabilityError, WindowUnderflowError
-from .scalars import Vec, binom, coeff_add, coeff_is_zero, coeff_mul, linear_map
+from .scalars import (
+    Vec, binom, coeff_add, coeff_is_zero, coeff_mul, coeff_sub, linear_map)
 
 INF = None  # open window end
 
@@ -163,13 +166,25 @@ class WindowedSeries:
         return self.scale(-1)
 
     def __add__(self, other):
+        return self._merge(other, False)
+
+    def __sub__(self, other):
+        return self._merge(other, True)
+
+    def _merge(self, other, subtract):
+        """self + other, or self - other in one pass: only the coefficients
+        of ``other`` at keys new to ``self`` are negated."""
         if self.variables != other.variables:
             allv = tuple(sorted(set(self.variables) | set(other.variables)))
-            return self.align(allv) + other.align(allv)
+            return self.align(allv)._merge(other.align(allv), subtract)
+        combine = coeff_sub if subtract else coeff_add
         coeffs = dict(self.coeffs)
         for k, c in other.coeffs.items():
             prev = coeffs.get(k)
-            coeffs[k] = c if prev is None else coeff_add(prev, c)
+            if prev is not None:
+                coeffs[k] = combine(prev, c)
+            else:
+                coeffs[k] = coeff_mul(c, -1) if subtract else c
         window, shape = {}, {}
         for v in self.variables:
             ka, kb = self.known(v), other.known(v)
@@ -184,9 +199,6 @@ class WindowedSeries:
                         self.shape[v][1] and other.shape[v][1])
         out = WindowedSeries(self.variables, coeffs, window, shape)
         return out._drop_unknown()
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def _drop_unknown(self):
         """Remove stored coefficients outside the knowledge region."""
@@ -358,21 +370,22 @@ def multiply(a: WindowedSeries, b: WindowedSeries) -> WindowedSeries:
 # ---------------------------------------------------------------------------
 # binomial powers
 
-def add_power(coeffs, base, c, n, head, tail, kmax):
-    """Add c * (s_h x_h + s_t x_t)^n * x^base to ``coeffs``, tail powers 0..kmax.
+def add_power(coeffs, base, c, n, head, tail, kmax, kmin=0):
+    """Add c * (s_h x_h + s_t x_t)^n * x^base to ``coeffs``, tail powers
+    kmin..kmax.
 
     The expansion is in nonnegative powers of the tail, for any integer n:
     (s_h x_h + s_t x_t)^n = sum_k binom(n, k) (s_h x_h)^(n-k) (s_t x_t)^k,
     a finite sum (k <= n) when n >= 0.  ``coeffs`` maps exponent tuples to
     coefficients; ``base`` is an exponent tuple; ``head`` and ``tail`` are
     (sign, position in the exponent tuple).  With kmax = 0 only the head
-    term is added and the tail is never read.
+    term is added and the tail is never read; with kmin > kmax nothing is.
     """
     hs, ih = head
     ts, it = tail
     if n >= 0:
         kmax = min(kmax, n)
-    for k in range(kmax + 1):
+    for k in range(kmin, kmax + 1):
         bc = binom(n, k)
         if (n - k) % 2 and hs < 0:
             bc = -bc
@@ -514,6 +527,14 @@ def apply_delta(num_head, num_tail, denom, s: WindowedSeries, out_window):
     the denominator (it pins the delta index) and bounded above for the tail
     variable.  Raises WindowUnderflowError naming the region the series would
     have to know if its windows are too small.
+
+    Only coefficients inside ``out_window`` are written.  For an input
+    coefficient at base exponents (head part base_h, tail part base_t) and a
+    delta index n, with head exponent head_exp = base_h + n, the tail power k
+    runs from max(0, tail_lo - base_t, head_exp - head_hi) to
+    min(tail_hi - base_t, head_exp - head_lo), an open window end clipping
+    nothing; a coefficient whose other exponents lie outside the window is
+    skipped.
     """
     if denom in s.variables and any(k[s.idx(denom)] for k in s.coeffs):
         raise SummabilityError(f"series involves the delta denominator {denom!r}")
@@ -561,20 +582,33 @@ def apply_delta(num_head, num_tail, denom, s: WindowedSeries, out_window):
     # without a tail only k = 0 is expanded, and the tail is never read
     tail = head if num_tail is None else (ts, variables.index(tv))
 
+    window = {v: out_window.get(v, (0, 0)) for v in variables}
+    (hlo, hhi), (tlo, thi) = window[hv], window[variables[tail[1]]]
+    fixed = [(i, window[v]) for i, v in enumerate(variables)
+             if i not in (head[1], tail[1], idn)]
     coeffs = {}
     for key, c in s.coeffs.items():
         base = [0] * len(variables)
         for p, e in zip(base_idx, key):
             base[p] += e
-        kmax = 0 if num_tail is None else out_window[tv][1] - base[tail[1]]
+        if fixed and any((lo is not None and base[i] < lo)
+                         or (hi is not None and base[i] > hi) for i, (lo, hi) in fixed):
+            continue
+        if num_tail is None:
+            kmin_t = kmax_t = 0
+        else:
+            base_t = base[tail[1]]
+            kmin_t = 0 if tlo is None else max(0, tlo - base_t)
+            kmax_t = thi - base_t
         for n in n_values:
+            head_exp = base[head[1]] + n
+            kmin = kmin_t if hhi is None else max(kmin_t, head_exp - hhi)
+            kmax = kmax_t if hlo is None else min(kmax_t, head_exp - hlo)
             base[idn] = -n - 1  # s does not involve the denominator
-            add_power(coeffs, base, c, n, head, tail, kmax)
+            add_power(coeffs, base, c, n, head, tail, kmax, kmin)
 
-    window = {v: out_window.get(v, (0, 0)) for v in variables}
     shape = {v: (False, False) for v in variables}
-    out = WindowedSeries(variables, coeffs, window, shape)
-    return out._drop_unknown()
+    return WindowedSeries(variables, coeffs, window, shape)
 
 
 # ---------------------------------------------------------------------------

@@ -216,47 +216,75 @@ def test_replay_report_is_unchanged_under_optimize_flag():
 
 
 # defect -> (command, edit of the borcherds-k3 structure or module config)
+# defect -> (command, config the edit applies to and the command reads,
+# edit, a piece of the one-line message)
 MALFORMED = {
     "fractional-mode-index":
-        ("check", lambda c: c["modes"][0].update(n=-1.5)),
+        ("check", "base", lambda c: c["modes"][0].update(n=-1.5),
+         "mode index -1.5 is not an integer"),
     "zero-denominator":
-        ("check", lambda c: c["modes"][0].update(coeff={"e0": "1/0"})),
+        ("check", "base", lambda c: c["modes"][0].update(coeff={"e0": "1/0"}),
+         "bad structure config"),
     "vacuum-outside-basis":
-        ("check", lambda c: c.update(vacuum="zz")),
+        ("check", "base", lambda c: c.update(vacuum="zz"),
+         "vacuum 'zz' is not in the basis"),
     "unknown-coefficient-key":
-        ("check", lambda c: c["modes"][0].update(coeff={"zz": "1"})),
+        ("check", "base", lambda c: c["modes"][0].update(coeff={"zz": "1"}),
+         "mode coefficient key 'zz' is not in the basis"),
     "duplicate-basis-entry":
-        ("check", lambda c: c["basis"].append("e0")),
+        ("check", "base", lambda c: c["basis"].append("e0"),
+         "basis lists 'e0' twice"),
     "duplicate-mode":
-        ("check", lambda c: c["modes"].append(dict(c["modes"][0], coeff={"e0": "5"}))),
+        ("check", "base",
+         lambda c: c["modes"].append(dict(c["modes"][0], coeff={"e0": "5"})),
+         "mode (e0, -1, e0) is listed twice"),
+    "missing-modes":
+        ("check", "base", lambda c: c.pop("modes"),
+         "bad structure config: missing key 'modes'"),
+    "module-config-given-to-check":
+        ("check", "module", lambda c: None,
+         "m.module.json is a module config; use check-module"),
     "u-outside-base-basis":
-        ("check-module", lambda c: c["wmodes"][0].update(u="zz")),
+        ("check-module", "module", lambda c: c["wmodes"][0].update(u="zz"),
+         "module mode u 'zz' is not in the basis"),
     "w-outside-module-basis":
-        ("check-module", lambda c: c["wmodes"][0].update(w="zz")),
+        ("check-module", "module", lambda c: c["wmodes"][0].update(w="zz"),
+         "module mode w 'zz' is not in the basis"),
     "unknown-module-coefficient-key":
-        ("check-module", lambda c: c["wmodes"][0].update(coeff={"zz": "1"})),
+        ("check-module", "module",
+         lambda c: c["wmodes"][0].update(coeff={"zz": "1"}),
+         "module mode coefficient key 'zz' is not in the basis"),
     "duplicate-module-mode":
-        ("check-module", lambda c: c["wmodes"].append(dict(c["wmodes"][0]))),
+        ("check-module", "module",
+         lambda c: c["wmodes"].append(dict(c["wmodes"][0])),
+         "module mode (e0, -1, e0) is listed twice"),
+    "missing-wmodes":
+        ("check-module", "module", lambda c: c.pop("wmodes"),
+         "bad module config: missing key 'wmodes'"),
+    "structure-config-given-to-check-module":
+        ("check-module", "base", lambda c: None,
+         "borcherds-k3.json is not a module config"),
 }
 
 
 @pytest.mark.parametrize("defect", sorted(MALFORMED))
 def test_malformed_config_is_refused_with_exit_three(corpus_dir, tmp_path,
                                                      capsys, defect):
-    command, edit = MALFORMED[defect]
+    command, target, edit, message = MALFORMED[defect]
     base = configio.load_json(str(corpus_dir / "borcherds-k3.json"))
     module = configio.load_json(
         str(corpus_dir / "regular-module-k3.module.json"))
-    edit(base if command == "check" else module)
+    edit(base if target == "base" else module)
     configio.dump_json(base, tmp_path / "borcherds-k3.json")
     configio.dump_json(module, tmp_path / "m.module.json")
-    target = "borcherds-k3.json" if command == "check" else "m.module.json"
-    rc = main([command, str(tmp_path / target), "--format", "machine"])
+    path = tmp_path / ("borcherds-k3.json" if target == "base" else "m.module.json")
+    rc = main([command, str(path), "--format", "machine"])
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.out == ""
     assert captured.err.startswith("config error: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert message in captured.err
 
 
 def test_repeated_mode_record_is_refused_and_named(corpus_dir, tmp_path, capsys):

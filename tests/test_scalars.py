@@ -8,6 +8,7 @@ from vertexcalc.scalars import (
     binom,
     coeff_add,
     coeff_mul,
+    coeff_sub,
     format_scalar,
     linear_combine,
     multinomial,
@@ -173,3 +174,43 @@ def test_coefficient_dispatch_refuses_mixed_vector_arithmetic():
     for a, b in ((1, v), (v, Fraction(1, 2))):
         with pytest.raises(TypeError):
             coeff_add(a, b)
+
+
+def _random_scalar(rng):
+    if rng.random() < 0.5:
+        return rng.randint(-3, 3)
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+
+
+def _random_vec(rng):
+    return Vec({name: _random_scalar(rng) for name in rng.sample("abcd", 3)})
+
+
+def _same(x, y):
+    """Equal, and of the same type entry by entry."""
+    if type(x) is Vec:
+        return (type(y) is Vec and x.entries == y.entries
+                and all(type(c) is type(y.entries[k]) for k, c in x.entries.items()))
+    return x == y and type(x) is type(y)
+
+
+def test_one_pass_subtraction_equals_adding_the_negation():
+    # Vec.__sub__ and coeff_sub against the two-pass a + (-b) they replace
+    rng = random.Random(1010)
+    for _ in range(400):
+        a, b = _random_vec(rng), _random_vec(rng)
+        diff = a - b
+        assert _same(diff, a + (-b)), (a, b)
+        assert all(type(c) is int or c.denominator > 1 for c in diff.entries.values())
+        assert not a - a
+        x, y = _random_scalar(rng), _random_scalar(rng)
+        for p, q in ((x, y), (a, b), (0, b), (a, 0)):
+            assert _same(coeff_sub(p, q), coeff_add(p, coeff_mul(q, -1))), (p, q)
+
+
+def test_one_pass_subtraction_refuses_mixed_vector_arithmetic():
+    v = Vec({"a": 1, "b": Fraction(1, 3)})
+    for a, b in ((1, v), (Fraction(-1, 2), v), (v, 2), (v, Fraction(1, 2))):
+        with pytest.raises(TypeError):
+            coeff_sub(a, b)
+    assert coeff_sub(v, 0) is v and coeff_sub(0, v) == v.scale(-1)

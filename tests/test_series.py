@@ -282,16 +282,88 @@ def test_binomial_power_polynomial():
 @pytest.mark.parametrize("hs, ts", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
 def test_add_power_matches_the_atom_oracle(hs, ts):
     # (hs h + ts t)^n expanded by the kernel against the symbolic layer's own
-    # expansion of the same atom, for every n in [-6, 6], tail powers 0..8
-    w = {"h": (-16, 8), "t": (-2, 8)}
-    for n in range(-6, 7):
-        got = {}
-        add_power(got, (0, 0), 1, n, (hs, 0), (ts, 1), 8)
-        got = {tuple((v, e) for v, e in zip(("h", "t"), key) if e): c
-               for key, c in got.items() if c}
-        atom = DeltaExpr([make_term(1, raw_atoms=[((hs, "h"), ((ts, "t"),), n)])],
-                         ("h", "t"))
-        assert got == window_coeffs(atom, w), n
+    # expansion of the same atom, for every n in [-6, 6], tail powers kmin..8
+    for kmin in (0, 3):
+        w = {"h": (-16, 8), "t": (kmin, 8)}
+        for n in range(-6, 7):
+            got = {}
+            add_power(got, (0, 0), 1, n, (hs, 0), (ts, 1), 8, kmin)
+            got = {tuple((v, e) for v, e in zip(("h", "t"), key) if e): c
+                   for key, c in got.items() if c}
+            atom = DeltaExpr(
+                [make_term(1, raw_atoms=[((hs, "h"), ((ts, "t"),), n)])], ("h", "t"))
+            assert got == window_coeffs(atom, w), (kmin, n)
+
+
+# check_A's three deltas: (numerator head, numerator tail, denominator)
+CHECK_A_DELTAS = [((1, "x1"), (-1, "x2"), "x0"),
+                  ((-1, "x2"), (1, "x1"), "x0"),
+                  ((1, "x2"), (1, "x0"), "x1")]
+
+
+def _oracle_of_apply_delta(num_head, num_tail, denom, s, w):
+    """window_coeffs of denom^-1 delta(num/denom) * s, term by term."""
+    delta = Delta((num_head, num_tail), denom)
+    terms = [Term(c, tuple((v, e) for v, e in zip(s.variables, key) if e), delta, ())
+             for key, c in s.coeffs.items()]
+    return window_coeffs(DeltaExpr(terms, ("x0", "x1", "x2", "y")), w)
+
+
+def _as_monomials(series):
+    return {tuple(sorted((v, e) for v, e in zip(series.variables, key) if e)): c
+            for key, c in series.coeffs.items()}
+
+
+def _inside(series, window):
+    return all((lo is None or lo <= e) and (hi is None or e <= hi)
+               for key in series.coeffs
+               for e, (lo, hi) in zip(key, (window.get(v, (0, 0))
+                                            for v in series.variables)))
+
+
+@pytest.mark.parametrize("num_head, num_tail, denom", CHECK_A_DELTAS)
+def test_clipped_delta_convolution_matches_the_oracle(num_head, num_tail, denom):
+    # exact series whose monomials reach beyond every window edge, tail
+    # exponents below the tail's lower bound and exponents of a bystander
+    # variable y outside its window included, on closed and on half-open
+    # windows (y absent is pinned to 0); apply_delta writes only inside
+    rng = random.Random(10)
+    hv, tv = num_head[1], num_tail[1]
+    windows = [{"x0": (-3, 3), "x1": (-3, 3), "x2": (-3, 3), "y": (-1, 1)},
+               {"x0": (-2, 4), "x1": (-4, 2), "x2": (-1, 5), "y": (0, 2)},
+               {denom: (-2, 3), hv: (None, None), tv: (None, 4)}]
+    for trial in range(6):
+        entries = {}
+        for _ in range(12):
+            key = (0, rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-2, 2))
+            entries[key] = rng.choice([1, -2, 3, Fraction(1, 2), Fraction(-5, 3)])
+        s = poly(("x0", "x1", "x2", "y"), entries).rename(
+            {"x0": denom, "x1": hv, "x2": tv}).align(("x0", "x1", "x2", "y"))
+        for w in windows:
+            got = apply_delta(num_head, num_tail, denom, s, w)
+            assert _inside(got, w), (trial, w)
+            assert _as_monomials(got) == _oracle_of_apply_delta(
+                num_head, num_tail, denom, s, w), (trial, w)
+
+
+@pytest.mark.parametrize("num_head, num_tail, denom", CHECK_A_DELTAS)
+def test_clipped_delta_convolution_of_a_truncated_series(num_head, num_tail, denom):
+    # a truncated series: complete above -12 in the head and below 9 in the
+    # tail, with Vec coefficients, stored terms reaching past the window
+    hv, tv = num_head[1], num_tail[1]
+    entries = {(0, h, t): Vec({"a": h - t, "b": Fraction(t, 3)})
+               for h in range(-12, 10, 3) for t in range(-6, 9, 2)}
+    s = WindowedSeries(
+        ("x0", "x1", "x2"), entries,
+        window={"x0": (0, 0), "x1": (-12, None), "x2": (None, 8)},
+        shape={"x1": (False, True), "x2": (True, False)},
+    ).rename({"x0": denom, "x1": hv, "x2": tv}).align(("x0", "x1", "x2"))
+    assert not s.is_exact()
+    w = {"x0": (-3, 3), "x1": (-3, 3), "x2": (-3, 3)}
+    got = apply_delta(num_head, num_tail, denom, s, w)
+    assert got.coeffs and _inside(got, w)
+    assert _as_monomials(got) == _oracle_of_apply_delta(
+        num_head, num_tail, denom, s, w)
 
 
 def test_truncated_shape_is_inexact_and_known_on_its_window():
@@ -326,3 +398,50 @@ def test_align_to_own_variables_is_the_series_itself():
     s = poly(("x", "y"), {(1, -2): 3, (0, 1): -1})
     assert s.align(s.variables) is s
     assert s.align(("y", "x")) is not s
+
+
+def _random_coeff(rng, vectors):
+    if vectors:
+        return Vec({"a": rng.randint(-2, 2), "b": Fraction(rng.randint(-3, 3), 2)})
+    return rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-5, 5), 3)])
+
+
+def _assert_same_series(x, y):
+    assert x.variables == y.variables
+    assert x.window == y.window and x.shape == y.shape
+    assert x.coeffs == y.coeffs
+    for k, c in x.coeffs.items():
+        assert type(c) is type(y.coeffs[k])
+        if type(c) is Vec:
+            assert all(type(e) is type(y.coeffs[k].entries[n])
+                       for n, e in c.entries.items())
+
+
+@pytest.mark.parametrize("vectors", [False, True])
+def test_one_pass_series_subtraction_equals_adding_the_negation(vectors):
+    # exact and truncated operands, shared and differing variable orders,
+    # overlapping and disjoint keys
+    rng = random.Random(1011)
+    for trial in range(60):
+        def series(variables):
+            entries = {tuple(rng.randint(-2, 3) for _ in variables):
+                       _random_coeff(rng, vectors) for _ in range(6)}
+            if rng.random() < 0.5:
+                return poly(variables, entries)
+            return WindowedSeries(
+                variables, entries,
+                window={variables[0]: (-2, None), variables[1]: (None, 3)},
+                shape={variables[0]: (False, True), variables[1]: (True, False)})
+        a = series(("x", "y"))
+        b = series(rng.choice([("x", "y"), ("y", "x"), ("x", "z")]))
+        _assert_same_series(a - b, a + (-b))
+        _assert_same_series(b - a, b + (-a))
+        assert not (a - a).coeffs
+
+
+def test_series_subtraction_refuses_mixed_vector_arithmetic():
+    a = poly(("x",), {(0,): 2})
+    b = poly(("x",), {(0,): Vec({"a": 1})})
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(TypeError):
+            x - y

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from vertexcalc import deltacalc
+from vertexcalc import deltacalc, rationalforms, series, structures
 from vertexcalc.corpus import (
     borcherds_structure,
     family,
@@ -16,7 +16,7 @@ from vertexcalc.corpus import (
     truncated_polynomial_algebra,
 )
 from vertexcalc.errors import ConstructionError
-from vertexcalc.modules import MODULE_CHECKERS, check_module_all
+from vertexcalc.modules import MODULE_CHECKERS, check_module_all, check_module_axiom
 from vertexcalc.rationalforms import witness_is_valid
 from vertexcalc.scalars import Vec
 from vertexcalc.series import INF, taylor_substitute
@@ -328,3 +328,76 @@ def test_jacobi_expands_each_factor_window_once_per_check(monkeypatch):
         check_module_all(M)
     assert len(checks) == len(full_corpus()) + len(full_module_corpus())
     assert expansions and max(expansions.values()) == 1
+
+
+def test_jacobi_expands_each_term_shape_once_per_check(monkeypatch):
+    # route 1 expands each (monomial, delta, atoms, window) with coefficient
+    # 1 once per check_jacobi call; every repeat of the shape only scales it
+    checks = []
+    units = Counter()
+    terms = []
+
+    def counted(t, window, memo, _original=deltacalc._unit_window_coeffs):
+        key = (len(checks), t.mono, t.delta, t.atoms, tuple(sorted(window.items())))
+        units[key] += 1
+        return _original(t, window, memo)
+
+    def seen(e, window, memo=None, _original=structures.window_coeffs):
+        terms.append(len(e.terms))
+        return _original(e, window, memo)
+
+    monkeypatch.setattr(deltacalc, "_unit_window_coeffs", counted)
+    monkeypatch.setattr(structures, "window_coeffs", seen)
+    for table, axiom in ((ACTION_CHECKERS, "jacobi"),
+                         (MODULE_CHECKERS, "m_jacobi")):
+        def entered(A, *args, _check=table[axiom]):
+            checks.append(A.name)
+            return _check(A, *args)
+        monkeypatch.setitem(table, axiom, entered)
+    for S in full_corpus():
+        check_all(S)
+    for M in full_module_corpus():
+        check_module_all(M)
+    assert len(checks) == len(full_corpus()) + len(full_module_corpus())
+    assert units and max(units.values()) == 1
+    # the shapes repeat, so the memo saves expansions
+    assert sum(units.values()) < sum(terms)
+
+
+def test_route_two_writes_only_inside_the_delta_window(monkeypatch):
+    # series.apply_delta writes no coefficient outside out_window, on every
+    # Jacobi triple of both corpora and on replay instances 0..7
+    written = []
+    outside = []
+
+    def recorded(coeffs, *args, _original=series.add_power):
+        mine = {}
+        _original(mine, *args)
+        written.extend(mine)
+        _original(coeffs, *args)
+
+    def checked(num_head, num_tail, denom, s, out_window,
+                _original=rationalforms.apply_delta):
+        written.clear()
+        out = _original(num_head, num_tail, denom, s, out_window)
+        bounds = [out_window.get(v, (0, 0)) for v in out.variables]
+        outside.extend(
+            key for key in written
+            if any((lo is not None and e < lo) or (hi is not None and e > hi)
+                   for (lo, hi), e in zip(bounds, key)))
+        calls.append(len(written))
+        return out
+
+    calls = []
+    monkeypatch.setattr(series, "add_power", recorded)
+    monkeypatch.setattr(rationalforms, "apply_delta", checked)
+    for S in full_corpus():
+        check_axiom(S, "jacobi")
+    for M in full_module_corpus():
+        check_module_axiom(M, "m_jacobi")
+    for seed in range(8):
+        inst = rationalforms.generate_instance(seed, N=8)
+        for which in rationalforms.IMPLICATIONS:
+            rationalforms.replay_implication(which, inst, N=8, m_max=None)
+    assert len(calls) > 1000 and sum(calls) > 0
+    assert outside == []

@@ -22,7 +22,7 @@ import os
 
 from .errors import ConfigError
 from .modules import ModuleStructure
-from .scalars import Vec
+from .scalars import Vec, parse_scalar
 from .structures import VertexStructure
 
 
@@ -58,10 +58,17 @@ def _add_mode(table, u, n, v, coeff, what):
 
 
 def _coeff(data, basis, what):
-    """A {basis: "p/q"} coefficient as a Vec, refusing names outside ``basis``."""
-    for name in data:
+    """A {basis: "p/q"} coefficient as a Vec, refusing names outside ``basis``
+    and values that are not rationals (such as "1/0" or "x/y")."""
+    entries = {}
+    for name, value in data.items():
         _member(name, basis, f"{what} coefficient key")
-    return Vec.from_json(data)
+        try:
+            entries[name] = parse_scalar(value)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"{what} coefficient {value!r} of {name!r} "
+                              "is not a rational") from None
+    return Vec(entries)
 
 
 def _mode_records(table, target):

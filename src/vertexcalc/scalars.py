@@ -117,6 +117,8 @@ class Vec:
     def scale(self, c):
         if not c:
             return Vec()
+        if c == 1:  # sharing is safe: only Vec's constructors write entries
+            return self
         entries = {}
         for name, value in self.entries.items():
             # _integral inlined: a call per entry made scale three times slower

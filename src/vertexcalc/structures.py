@@ -31,11 +31,12 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial
 
-from .deltacalc import Delta, DeltaExpr, Term, mono_of, window_coeffs
+from .deltacalc import (THREE_TERM, DeltaExpr, Term, identity_lhs, mono_of,
+                        window_coeffs)
 from .errors import ConsistencyViolationError, ConstructionError
 from .rationalforms import (S1, S2, TripleInstance, box, check_A,
                             least_clearing_power, pole_statement)
-from .scalars import Vec, linear_map
+from .scalars import Vec, coeff_mul, linear_map
 from .series import (INF, WindowedSeries, exp_endo, multiply,
                      taylor_substitute, zero_verdict)
 
@@ -261,12 +262,6 @@ class VertexStructure(ModuleStructure):
     def d_apply(self, vec: Vec) -> Vec:
         return linear_map(self.dop, vec)
 
-    # the algebra-side names of the module mode products
-    y_modes = ModuleStructure.yw_modes
-    y_series = ModuleStructure.yw_series
-    compose_y = ModuleStructure.compose_yw
-    iterate_y = ModuleStructure.iterate_yw
-
     def mutate(self, name, edits, tags=()):
         """Copy with single-entry edits {(u, n, v): new Vec-or-None}."""
         return VertexStructure(name, self.basis,
@@ -384,18 +379,21 @@ def minimal_pole_order(S: VertexStructure, u, v):
 # A and reporting under the name ``axiom`` it was asked for (jacobi for a
 # structure, m_jacobi for a module, and so on)
 
+# the Jacobi identity's three signed delta terms: exactly the expression
+# that ``prove_identity("three-term")`` reduces to zero
+JACOBI_DELTAS = identity_lhs(THREE_TERM)
+
+
 def _jacobi_symbolic_zero(f12, g21, h20, N, memo=None):
-    """Window-oracle verdict on the three-term delta combination; ``memo`` is
-    passed to ``deltacalc.window_coeffs``."""
+    """Window-oracle verdict on f12, g21 and h20 times the three terms of
+    ``JACOBI_DELTAS``, summed; ``memo`` is passed to
+    ``deltacalc.window_coeffs``."""
     terms = []
-    for series, sign, delta in (
-            (f12, 1, Delta(((1, "x1"), (-1, "x2")), "x0")),
-            (g21, -1, Delta(((-1, "x2"), (1, "x1")), "x0")),
-            (h20, -1, Delta(((1, "x2"), (1, "x0")), "x1"))):
+    for series, t in zip((f12, g21, h20), JACOBI_DELTAS.terms):
         for key, c in series.coeffs.items():
             mono = mono_of(dict(zip(series.variables, key)))
-            terms.append(Term(c if sign > 0 else c.scale(-1), mono, delta, ()))
-    expr = DeltaExpr(terms, ("x0", "x1", "x2"))
+            terms.append(Term(coeff_mul(c, t.coeff), mono, t.delta, ()))
+    expr = DeltaExpr(terms, JACOBI_DELTAS.variables)
     out = window_coeffs(expr, {v: (-N, N) for v in ("x0", "x1", "x2")}, memo)
     if not out:
         return True, None
@@ -421,10 +419,10 @@ class ActionTriple(TripleInstance):
 
 def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
     N = window or default_window(A)
-    # Route 1 expands each delta factor once per needed window and shares it
-    # across the triples of this call only: every coefficient is still
-    # recomputed by the oracle, independently of ``series``, and no
-    # expansion outlives the check.
+    # Route 1 expands each term shape once per window and shares it across
+    # the triples of this call only: every coefficient is still recomputed
+    # by the oracle, independently of ``series``, and no expansion outlives
+    # the check.
     memo = {}
     for u in A.over.basis:
         for v in A.over.basis:
@@ -549,8 +547,8 @@ def _exp_d_apply(S: VertexStructure, series: WindowedSeries, xvar):
 def check_skew_symmetry(S: VertexStructure, window=None):
     for u in S.basis:
         for v in S.basis:
-            left = S.y_series(u, v, "x")
-            right = _exp_d_apply(S, S.y_series(v, u, "x").flip_sign("x"), "x")
+            left = S.yw_series(u, v, "x")
+            right = _exp_d_apply(S, S.yw_series(v, u, "x").flip_sign("x"), "x")
             ok, wit = zero_verdict(left - right)
             if not ok:
                 return PropertyReport(
@@ -562,10 +560,10 @@ def check_skew_symmetry(S: VertexStructure, window=None):
 def check_d_bracket(S: VertexStructure, window=None):
     for u in S.basis:
         for v in S.basis:
-            yuv = S.y_series(u, v, "x")
+            yuv = S.yw_series(u, v, "x")
             d_of = WindowedSeries.from_monomials(
                 ("x",), {k: S.d_apply(c) for k, c in yuv.coeffs.items()})
-            y_dv = S.y_series(u, S.dop.get(v, Vec()), "x") \
+            y_dv = S.yw_series(u, S.dop.get(v, Vec()), "x") \
                 if S.dop.get(v) else WindowedSeries.zero(("x",))
             lhs = d_of - y_dv
             rhs = yuv.derivative("x")
@@ -579,7 +577,7 @@ def check_d_bracket(S: VertexStructure, window=None):
 
 def check_creation_prop(S: VertexStructure, window=None):
     for u in S.basis:
-        modes = S.y_modes(u, S.one)
+        modes = S.yw_modes(u, S.one)
         if any(e < 0 for e in modes):
             return PropertyReport(
                 "creation_prop", "FAIL",
@@ -593,7 +591,7 @@ def check_creation_prop(S: VertexStructure, window=None):
 
 def check_strong_creation(S: VertexStructure, window=None):
     for u in S.basis:
-        lhs = S.y_series(u, S.one, "x")
+        lhs = S.yw_series(u, S.one, "x")
         rhs = exp_endo(S.dop, "x", Vec.unit(u))
         ok, wit = zero_verdict(lhs - rhs)
         if not ok:

@@ -224,7 +224,14 @@ MALFORMED = {
          "mode index -1.5 is not an integer"),
     "zero-denominator":
         ("check", "base", lambda c: c["modes"][0].update(coeff={"e0": "1/0"}),
-         "bad structure config"),
+         "mode coefficient '1/0' of 'e0' is not a rational"),
+    "non-rational-coefficient":
+        ("check", "base", lambda c: c["modes"][0].update(coeff={"e0": "x/y"}),
+         "mode coefficient 'x/y' of 'e0' is not a rational"),
+    "zero-denominator-module":
+        ("check-module", "module",
+         lambda c: c["wmodes"][0].update(coeff={"e0": "1/0"}),
+         "module mode coefficient '1/0' of 'e0' is not a rational"),
     "vacuum-outside-basis":
         ("check", "base", lambda c: c.update(vacuum="zz"),
          "vacuum 'zz' is not in the basis"),
@@ -285,6 +292,54 @@ def test_malformed_config_is_refused_with_exit_three(corpus_dir, tmp_path,
     assert captured.err.startswith("config error: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert message in captured.err
+
+
+def _ut2_records(target):
+    """Mode records of ut2, the upper-triangular 2x2 matrices with basis
+    (one, p = E11, n = E12) and Y(u,x)v = (e^(xD)u).v for D = ad(n), so that
+    D p = -n; ``target`` names the acted-on element's key."""
+    one = [("one", -1, b, b, "1") for b in ("one", "p", "n")]
+    return [{"u": u, "n": n, target: v, "coeff": {img: c}}
+            for u, n, v, img, c in one + [
+                ("p", -1, "one", "p", "1"), ("n", -1, "one", "n", "1"),
+                ("p", -1, "p", "p", "1"), ("p", -1, "n", "n", "1"),
+                ("p", -2, "one", "n", "-1")]]
+
+
+@pytest.fixture
+def ut2_dir(tmp_path):
+    """A directory holding ut2 and its regular module (same records as
+    ``wmodes``); kept out of the emitted corpus."""
+    basis = ["one", "p", "n"]
+    configio.dump_json({"name": "ut2", "basis": basis, "vacuum": "one",
+                        "modes": _ut2_records("v"), "tags": []},
+                       tmp_path / "ut2.json")
+    configio.dump_json({"name": "ut2-regular", "over": "ut2", "wbasis": basis,
+                        "wmodes": _ut2_records("w"), "tags": []},
+                       tmp_path / "ut2-regular.module.json")
+    return tmp_path
+
+
+def test_ut2_passes_weak_assoc_and_fails_jacobi(ut2_dir, capsys):
+    for command, path, prefix in (
+            ("check", "ut2.json", ""),
+            ("check-module", "ut2-regular.module.json", "m_")):
+        rc = main([command, str(ut2_dir / path), "--format", "machine"])
+        records = json.loads(capsys.readouterr().out)["records"]
+        verdicts = {r["id"].split("/")[1]: r["verdict"] for r in records}
+        assert rc == 1
+        assert verdicts[prefix + "weak_assoc"] == "PASS"
+        assert verdicts[prefix + "vacuum_prop"] == "PASS"
+        assert verdicts[prefix + "jacobi"] == "FAIL"
+
+
+@pytest.mark.xfail(strict=True, reason="module rows ignore the base "
+                   "structure's verdicts: ut2 fails jacobi, so m-main/wa on "
+                   "its regular module is violated and main-theorem exits 2")
+def test_main_theorem_passes_on_the_ut2_regular_module(ut2_dir, capsys):
+    rc = main(["main-theorem", str(ut2_dir)])
+    capsys.readouterr()
+    assert rc == 0
 
 
 def test_repeated_mode_record_is_refused_and_named(corpus_dir, tmp_path, capsys):

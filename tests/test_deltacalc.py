@@ -274,6 +274,64 @@ def test_multiply_certifies_and_refuses():
         w[v][0] <= dict(k).get(v, 0) <= w[v][1] for v in w)}
 
 
+def _product_table():
+    """(first factor, second factor, the refusal's message or None), one
+    case per refusal rule of the window oracle and of ``multiply``."""
+    xyzw = ("x", "y", "z", "w")
+
+    def one(*term):
+        return DeltaExpr([make_term(*term)], xyzw)
+
+    return {
+        "atom tail with no upper bound": (
+            one(1, (), None, [((1, "x"), ((-1, "y"),), -1)]),
+            one(1, (), None, [((1, "y"), ((-1, "x"),), -1)]),
+            "tail variable 'y' has no upper exponent bound"),
+        "delta denominator with no finite window": (
+            one(1, (), Delta(((1, "y"),), "x"), ()),
+            one(1, (), None, [((1, "x"), ((1, "z"),), -1)]),
+            "delta denominator 'x' has no finite window"),
+        "delta tail with no upper bound": (
+            one(1, (), Delta(((1, "y"), (1, "z")), "x"), ()),
+            one(1, (), None, [((1, "z"), ((1, "w"),), -1)]),
+            "tail variable 'z' has no upper exponent bound"),
+        "two deltas": (
+            one(1, (), Delta(((1, "y"),), "x"), ()),
+            one(1, (), Delta(((1, "z"),), "w"), ()),
+            "product of two delta factors is never summable"),
+        "term with no factors": (
+            one(2, (("x", -1), ("y", 3))), one(3, (("x", 2),)), None),
+        "monomial times an atom": (
+            one(3, (("x", 2),)), one(1, (), None, [((1, "x"), ((-1, "y"),), -1)]),
+            None),
+        "delta times a power in its own direction": (
+            one(1, (), Delta(((1, "y"), (-1, "z")), "x"), ()),
+            one(1, (), None, [((1, "y"), ((-1, "z"),), -2)]), None),
+        "two atoms sharing no variable": (
+            one(1, (), None, [((1, "x"), ((-1, "y"),), -1)]),
+            one(1, (), None, [((1, "z"), ((1, "w"),), -2)]), None),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_product_table()))
+def test_multiply_refuses_by_each_summability_rule(case):
+    e1, e2, refusal = _product_table()[case]
+    if refusal is None:
+        prod = multiply(e1, e2)
+        assert len(prod.terms) == 1
+        # the certified product has finite coefficients on any window
+        window_coeffs(prod, {v: (-2, 2) for v in ("x", "y", "z", "w")})
+        return
+    with pytest.raises(SummabilityError) as err:
+        multiply(e1, e2)
+    if case == "two deltas":
+        assert str(err.value) == refusal
+    else:
+        assert str(err.value).startswith("cannot certify the product term")
+        # the oracle's own refusal names the rule that refused the term
+        assert refusal in str(err.value.__cause__)
+
+
 def test_delta_times_same_direction_power_is_summable():
     t = make_term(1, (), Delta(((1, "x1"), (-1, "x2")), "x0"),
                   [((1, "x1"), ((-1, "x2"),), -2)])

@@ -126,6 +126,15 @@ def test_vec_arithmetic_keeps_integral_entries_as_int():
     assert hash(half.scale(2)) == hash(Vec({"a": 1, "b": 3}))
 
 
+def test_scaling_by_one_returns_the_vector_itself():
+    v = Vec({"a": Fraction(1, 2), "b": 3})
+    assert v.scale(1) is v
+    assert v.scale(Fraction(1)) is v
+    assert coeff_mul(v, 1) is v and coeff_mul(1, v) is v
+    assert v.scale(-1) is not v and v.scale(-1) == -v
+    assert v == Vec({"a": Fraction(1, 2), "b": 3})
+
+
 def test_to_json_is_unchanged_by_integral_storage():
     v = Vec({"a": Fraction(3, 1), "b": Fraction(-1, 2), "c": 4})
     assert v.to_json() == {"a": "3", "b": "-1/2", "c": "4"}

@@ -65,13 +65,13 @@ def test_family_mode_values_by_hand():
 def test_vacuum_acts_as_identity():
     S = borcherds_structure(4)
     for v in S.basis:
-        assert S.y_modes("e0", v) == {0: Vec.unit(v)}
+        assert S.yw_modes("e0", v) == {0: Vec.unit(v)}
 
 
 def test_compose_with_vacuum_drops_first_variable():
     S = borcherds_structure(3)
-    got = S.compose_y("e0", "x1", "e1", "x2", "e1")
-    direct = S.y_series("e1", "e1", "x2")
+    got = S.compose_yw("e0", "x1", "e1", "x2", "e1")
+    direct = S.yw_series("e1", "e1", "x2")
     assert (got - direct.align(("x1", "x2"))).is_zero()
 
 
@@ -80,8 +80,8 @@ def test_iterate_on_vacuum_is_taylor_shift():
     S = borcherds_structure(4)
     for u in S.basis:
         for w in S.basis:
-            left = S.iterate_y(u, "x0", "e0", "x2", w)
-            base = S.y_series(u, w, "t")
+            left = S.iterate_yw(u, "x0", "e0", "x2", w)
+            base = S.yw_series(u, w, "t")
             right = taylor_substitute(base, "t", (1, "x2"), (1, "x0"))
             assert (left - right.align(("x0", "x2"))).is_zero()
 
@@ -215,9 +215,9 @@ def test_d_bracket_component_form():
                 dv = S.dop.get(v, Vec())
                 rhs = Vec()
                 if du:
-                    rhs = rhs + S.y_modes(du, v).get(-n - 1, Vec())
+                    rhs = rhs + S.yw_modes(du, v).get(-n - 1, Vec())
                 if dv:
-                    rhs = rhs + S.y_modes(u, dv).get(-n - 1, Vec())
+                    rhs = rhs + S.yw_modes(u, dv).get(-n - 1, Vec())
                 assert lhs == rhs, (u, v, n)
 
 
@@ -227,7 +227,7 @@ def test_exponentiated_conjugation_form():
     S = borcherds_structure(4)
     for u in S.basis:
         for v in S.basis:
-            yuv = S.y_series(u, v, "x")
+            yuv = S.yw_series(u, v, "x")
             lhs_coeffs = {}
             for key, vec in yuv.coeffs.items():
                 piece = exp_endo(S.dop, "z", vec)
@@ -239,7 +239,7 @@ def test_exponentiated_conjugation_form():
             ezv = exp_endo(S.dop, "z", Vec.unit(v))
             rhs_coeffs = {}
             for zkey, zvec in ezv.coeffs.items():
-                for e, vec in S.y_modes(u, zvec).items():
+                for e, vec in S.yw_modes(u, zvec).items():
                     full = (e, zkey[0])
                     prev = rhs_coeffs.get(full)
                     rhs_coeffs[full] = vec if prev is None else prev + vec
@@ -283,11 +283,7 @@ def test_structure_is_its_own_module():
     assert S.over is S
     assert S.ywtable is S.ytable and S.wbasis == S.basis
     for name in ("y_modes", "y_series", "compose_y", "iterate_y"):
-        assert name not in vars(ModuleStructure)
-    assert VertexStructure.compose_y is ModuleStructure.compose_yw
-    assert VertexStructure.iterate_y is ModuleStructure.iterate_yw
-    assert VertexStructure.y_modes is ModuleStructure.yw_modes
-    assert VertexStructure.y_series is ModuleStructure.yw_series
+        assert not hasattr(VertexStructure, name)
 
 
 def test_weak_skew_assoc_minimal_witness_can_exceed_zero():
@@ -337,10 +333,10 @@ def test_jacobi_expands_each_term_shape_once_per_check(monkeypatch):
     units = Counter()
     terms = []
 
-    def counted(t, window, memo, _original=deltacalc._unit_window_coeffs):
+    def counted(t, window, _original=deltacalc._unit_window_coeffs):
         key = (len(checks), t.mono, t.delta, t.atoms, tuple(sorted(window.items())))
         units[key] += 1
-        return _original(t, window, memo)
+        return _original(t, window)
 
     def seen(e, window, memo=None, _original=structures.window_coeffs):
         terms.append(len(e.terms))
@@ -362,6 +358,66 @@ def test_jacobi_expands_each_term_shape_once_per_check(monkeypatch):
     assert units and max(units.values()) == 1
     # the shapes repeat, so the memo saves expansions
     assert sum(units.values()) < sum(terms)
+
+
+def test_route_one_checks_the_proved_three_term_identity(monkeypatch):
+    # on every Jacobi triple of both corpora, route 1 multiplies f, g and h by
+    # the three terms of identity_lhs("three-term"), in the anchor's order,
+    # and by no other delta and no other sign
+    lhs = deltacalc.identity_lhs("three-term").terms
+    exprs = []
+    monkeypatch.setattr(structures, "window_coeffs",
+                        lambda e, window, memo=None: exprs.append(e) or {})
+    triples = 0
+    for A in full_corpus() + full_module_corpus():
+        for u in A.over.basis:
+            for v in A.over.basis:
+                for w in A.wbasis:
+                    inst = A.triple(u, v, w)
+                    slots = (inst.f_at("x1", "x2"), inst.g_at("x2", "x1"),
+                             inst.h_at("x2", "x0"))
+                    structures._jacobi_symbolic_zero(*slots, 5)
+                    e = exprs.pop()
+                    assert {t.delta for t in e.terms} <= {t.delta for t in lhs}
+                    for series_, proved in zip(slots, lhs):
+                        got = {t.mono: t.coeff for t in e.terms
+                               if t.delta == proved.delta}
+                        assert all(not t.atoms for t in e.terms)
+                        assert got == {
+                            deltacalc.mono_of(dict(zip(series_.variables, k))):
+                                c.scale(proved.coeff)
+                            for k, c in series_.coeffs.items()}
+                    triples += 1
+    assert triples > 1000
+
+
+def test_jacobi_memo_holds_only_unit_expansions(monkeypatch):
+    # after check_jacobi returns, every key of the memo it handed to
+    # window_coeffs is a term shape on the check window: (monomial, delta,
+    # atoms, window), and no per-factor expansion is kept beside them
+    memos = []
+
+    def seen(e, window, memo=None, _original=structures.window_coeffs):
+        if not any(m is memo for m in memos):
+            memos.append(memo)
+        return _original(e, window, memo)
+
+    monkeypatch.setattr(structures, "window_coeffs", seen)
+    for S in full_corpus():
+        check_axiom(S, "jacobi")
+    for M in full_module_corpus():
+        check_module_axiom(M, "m_jacobi")
+    assert len(memos) == len(full_corpus()) + len(full_module_corpus())
+    deltas = {t.delta for t in deltacalc.identity_lhs("three-term").terms}
+    assert sum(map(len, memos)) > 100
+    for memo in memos:
+        for key in memo:
+            assert len(key) == 4, key
+            mono, delta, atoms, window = key
+            assert mono == deltacalc.mono_of(dict(mono))
+            assert delta in deltas and atoms == ()
+            assert [v for v, _ in window] == ["x0", "x1", "x2"]
+            assert len({bounds for _, bounds in window}) == 1
 
 
 def test_route_two_writes_only_inside_the_delta_window(monkeypatch):

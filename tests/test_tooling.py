@@ -38,6 +38,24 @@ def test_pyproject_declares_no_runtime_dependencies():
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
 
 
+def test_deltacalc_shares_no_arithmetic_with_route_two():
+    # route 1 of the Jacobi check (deltacalc's window oracle) must not borrow
+    # the series arithmetic that route 2 (rationalforms.check_A) runs on
+    path = os.path.join(PACKAGE, "deltacalc.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported.add(base)
+            imported |= {f"{base}.{a.name}" for a in node.names}
+    names = {part for name in imported for part in name.split(".") if part}
+    assert imported and not names & {"series", "rationalforms"}, sorted(imported)
+
+
 CACHES = {"cache", "lru_cache"}
 
 

@@ -59,11 +59,14 @@ def _add_mode(table, u, n, v, coeff, what):
 
 def _coeff(data, basis, what):
     """A {basis: "p/q"} coefficient as a Vec, refusing names outside ``basis``
-    and values that are not rationals (such as "1/0" or "x/y")."""
+    and values that are not rationals (such as "1/0", "x/y" or a JSON
+    boolean, which Python would read as 1 or 0)."""
     entries = {}
     for name, value in data.items():
         _member(name, basis, f"{what} coefficient key")
         try:
+            if isinstance(value, bool):
+                raise ValueError(value)
             entries[name] = parse_scalar(value)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"{what} coefficient {value!r} of {name!r} "

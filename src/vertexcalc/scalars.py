@@ -158,10 +158,6 @@ class Vec:
     def to_json(self):
         return {k: format_scalar(v) for k, v in sorted(self.entries.items())}
 
-    @classmethod
-    def from_json(cls, data):
-        return cls({k: parse_scalar(v) for k, v in data.items()})
-
 
 def linear_map(images, vec: Vec) -> Vec:
     """The linear map with basis images ``images`` applied to ``vec``."""

@@ -19,6 +19,13 @@ the action at (u, v, w), and search their witnesses with the replays' own
 one slot triple per (u, v, w), so each product is built once per member; the
 triples are dropped when the block ends.
 
+Jacobi is an identity of operators on W, linear in w, so it is checked once
+per (u, v), on the slots of every w stacked into Vec coefficients over
+(w, w').  The weak checkers and vf_skew_symmetry stay per w: ``zero_verdict``
+decides an exact series on its whole support and any other on the box, and
+whether a slot difference is exact depends on w, so a stacked verdict could
+judge an exact component on the box only.
+
 Checkers return PropertyReport records.  Identities between exact Laurent
 polynomials are decided exactly; identities involving delta factors or
 infinite expansions are decided coefficient-wise on a recorded window that
@@ -417,32 +424,75 @@ class ActionTriple(TripleInstance):
     h = cached_property(lambda t: t.A.iterate_yw(t.u, S2, t.v, S1, t.w))
 
 
+def _stacked_triple(triples):
+    """One TripleInstance whose f, g and h stack the slots of ``triples``
+    {w: triple}: the coefficient at each monomial is the Vec over labels
+    (w, w') of every triple's coefficient there.  Each slot keeps its own
+    variable order (h is stored over (s2, s1))."""
+    slots = []
+    for slot in ("f", "g", "h"):
+        variables, stacked = None, {}
+        for w, t in triples.items():
+            series = getattr(t, slot)
+            variables = series.variables
+            for key, vec in series.coeffs.items():
+                entries = stacked.setdefault(key, {})
+                for b, c in vec.entries.items():
+                    entries[(w, b)] = c
+        slots.append(WindowedSeries.from_monomials(
+            variables, {key: Vec(e) for key, e in stacked.items()}))
+    return TripleInstance(*slots)
+
+
+def _jacobi_routes(inst, N, memo, axiom, where):
+    """Route 1's (verdict, witness) on ``inst``, after route 2 agreed with
+    its verdict; ``where`` (the pair or the triple) names a disagreement."""
+    # route 1: symbolic delta expansion with the window oracle
+    ok_sym, wit_sym = _jacobi_symbolic_zero(
+        inst.f_at("x1", "x2"), inst.g_at("x2", "x1"),
+        inst.h_at("x2", "x0"), N, memo)
+    # route 2: concrete delta convolution via the (A)-checker
+    ok_ser, _ = check_A(inst, N)
+    if ok_sym != ok_ser:
+        raise ConsistencyViolationError(
+            f"{axiom} routes disagree on ({','.join(map(str, where))}): "
+            f"symbolic={ok_sym} series={ok_ser}")
+    return ok_sym, wit_sym
+
+
 def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
+    """Jacobi checked once per (u, v), on the slots of every w stacked.
+
+    The identity is one of operators on W, linear in w.  Both routes decide
+    coefficient by coefficient on the fixed box [-N, N]^3, and stacking
+    makes each coefficient the Vec over (w, w') of the triples'
+    coefficients; the routes only add and scale such Vecs, so the (w, w')
+    components never mix.  The stacked pair is therefore zero on the box
+    exactly when the triple of every w is.  A failing pair is rerun per w in
+    ``wbasis`` order: the first failing w gives the triple and route 1's
+    monomial, and a pair that fails on no triple is a consistency violation.
+    """
     N = window or default_window(A)
     # Route 1 expands each term shape once per window and shares it across
-    # the triples of this call only: every coefficient is still recomputed
+    # the pairs of this call only: every coefficient is still recomputed
     # by the oracle, independently of ``series``, and no expansion outlives
     # the check.
     memo = {}
     for u in A.over.basis:
         for v in A.over.basis:
-            for w in A.wbasis:
-                inst = A.triple(u, v, w)
-                # route 1: symbolic delta expansion with the window oracle
-                ok_sym, wit_sym = _jacobi_symbolic_zero(
-                    inst.f_at("x1", "x2"), inst.g_at("x2", "x1"),
-                    inst.h_at("x2", "x0"), N, memo)
-                # route 2: concrete delta convolution via the (A)-checker
-                ok_ser, _ = check_A(inst, N)
-                if ok_sym != ok_ser:
-                    raise ConsistencyViolationError(
-                        f"{axiom} routes disagree on ({u},{v},{w}): "
-                        f"symbolic={ok_sym} series={ok_ser}")
-                if not ok_sym:
+            triples = {w: A.triple(u, v, w) for w in A.wbasis}
+            if not triples or _jacobi_routes(
+                    _stacked_triple(triples), N, memo, axiom, (u, v))[0]:
+                continue
+            for w, inst in triples.items():
+                ok, wit = _jacobi_routes(inst, N, memo, axiom, (u, v, w))
+                if not ok:
                     return PropertyReport(
                         axiom, "FAIL",
-                        {"triple": (u, v, w), "monomial": wit_sym[0]},
-                        window=N)
+                        {"triple": (u, v, w), "monomial": wit[0]}, window=N)
+            raise ConsistencyViolationError(
+                f"{axiom} fails on the stacked pair ({u},{v}) "
+                "but on none of its triples")
     return PropertyReport(axiom, "PASS", {}, window=N)
 
 
@@ -464,6 +514,8 @@ def check_weak(A: ModuleStructure, axiom, m_max=None, window=None):
     if m_max is None:
         m_max = A.max_pole_order() + 2
     witnesses = {}
+    # per w, not stacked as in check_jacobi: whether zero_verdict judges a
+    # difference on its whole support or on the box depends on w
     for u in A.over.basis:
         for v in A.over.basis:
             worst = 0
@@ -481,6 +533,7 @@ def check_weak(A: ModuleStructure, axiom, m_max=None, window=None):
 
 def check_vf_skew_symmetry(A: ModuleStructure, axiom, m_max=None, window=None):
     N = window or default_window(A)
+    # per w for the reason check_weak gives
     for u in A.over.basis:
         for v in A.over.basis:
             for w in A.wbasis:

@@ -228,6 +228,13 @@ MALFORMED = {
     "non-rational-coefficient":
         ("check", "base", lambda c: c["modes"][0].update(coeff={"e0": "x/y"}),
          "mode coefficient 'x/y' of 'e0' is not a rational"),
+    "bool-coefficient":
+        ("check", "base", lambda c: c["modes"][0].update(coeff={"e0": True}),
+         "mode coefficient True of 'e0' is not a rational"),
+    "bool-coefficient-module":
+        ("check-module", "module",
+         lambda c: c["wmodes"][0].update(coeff={"e0": False}),
+         "module mode coefficient False of 'e0' is not a rational"),
     "zero-denominator-module":
         ("check-module", "module",
          lambda c: c["wmodes"][0].update(coeff={"e0": "1/0"}),
@@ -292,32 +299,6 @@ def test_malformed_config_is_refused_with_exit_three(corpus_dir, tmp_path,
     assert captured.err.startswith("config error: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert message in captured.err
-
-
-def _ut2_records(target):
-    """Mode records of ut2, the upper-triangular 2x2 matrices with basis
-    (one, p = E11, n = E12) and Y(u,x)v = (e^(xD)u).v for D = ad(n), so that
-    D p = -n; ``target`` names the acted-on element's key."""
-    one = [("one", -1, b, b, "1") for b in ("one", "p", "n")]
-    return [{"u": u, "n": n, target: v, "coeff": {img: c}}
-            for u, n, v, img, c in one + [
-                ("p", -1, "one", "p", "1"), ("n", -1, "one", "n", "1"),
-                ("p", -1, "p", "p", "1"), ("p", -1, "n", "n", "1"),
-                ("p", -2, "one", "n", "-1")]]
-
-
-@pytest.fixture
-def ut2_dir(tmp_path):
-    """A directory holding ut2 and its regular module (same records as
-    ``wmodes``); kept out of the emitted corpus."""
-    basis = ["one", "p", "n"]
-    configio.dump_json({"name": "ut2", "basis": basis, "vacuum": "one",
-                        "modes": _ut2_records("v"), "tags": []},
-                       tmp_path / "ut2.json")
-    configio.dump_json({"name": "ut2-regular", "over": "ut2", "wbasis": basis,
-                        "wmodes": _ut2_records("w"), "tags": []},
-                       tmp_path / "ut2-regular.module.json")
-    return tmp_path
 
 
 def test_ut2_passes_weak_assoc_and_fails_jacobi(ut2_dir, capsys):

@@ -107,7 +107,7 @@ def test_vec_never_stores_zeros():
 
 def test_vec_json_round_trip():
     v = Vec({"e0": Fraction(-1, 2), "e3": 4})
-    assert Vec.from_json(v.to_json()) == v
+    assert v.to_json() == {"e0": "-1/2", "e3": "4"}
 
 
 def test_parse_scalar_is_int_exactly_when_integral():

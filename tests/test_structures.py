@@ -1,9 +1,10 @@
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from vertexcalc import deltacalc, rationalforms, series, structures
+from vertexcalc import configio, deltacalc, rationalforms, series, structures
 from vertexcalc.corpus import (
     borcherds_structure,
     family,
@@ -11,11 +12,12 @@ from vertexcalc.corpus import (
     full_module_corpus,
     ideal_structure,
     ideal_variants,
+    make_module,
     mutant_expected_failures,
     mutants,
     truncated_polynomial_algebra,
 )
-from vertexcalc.errors import ConstructionError
+from vertexcalc.errors import ConsistencyViolationError, ConstructionError
 from vertexcalc.modules import MODULE_CHECKERS, check_module_all, check_module_axiom
 from vertexcalc.rationalforms import witness_is_valid
 from vertexcalc.scalars import Vec
@@ -457,3 +459,129 @@ def test_route_two_writes_only_inside_the_delta_window(monkeypatch):
             rationalforms.replay_implication(which, inst, N=8, m_max=None)
     assert len(calls) > 1000 and sum(calls) > 0
     assert outside == []
+
+
+# ---------------------------------------------------------------------------
+# Jacobi once per (u, v), on the slots of every w stacked
+
+
+def _per_triple_jacobi(A, axiom, N, memo):
+    """The Jacobi check run triple by triple, as it was before stacking: both
+    routes on each (u, v, w), the first failing triple reported.  Every
+    triple's verdict is kept beside the report, so the reference continues
+    past the first FAIL."""
+    verdicts, report = {}, None
+    for u in A.over.basis:
+        for v in A.over.basis:
+            for w in A.wbasis:
+                inst = A.triple(u, v, w)
+                ok_sym, wit_sym = structures._jacobi_symbolic_zero(
+                    inst.f_at("x1", "x2"), inst.g_at("x2", "x1"),
+                    inst.h_at("x2", "x0"), N, memo)
+                ok_ser, _ = rationalforms.check_A(inst, N)
+                assert ok_sym == ok_ser, (A.name, u, v, w)
+                verdicts[(u, v, w)] = ok_sym
+                if not ok_sym and report is None:
+                    report = structures.PropertyReport(
+                        axiom, "FAIL",
+                        {"triple": (u, v, w), "monomial": wit_sym[0]},
+                        window=N)
+    return report or structures.PropertyReport(axiom, "PASS", {}, window=N), verdicts
+
+
+def _seeded_edits(count, seed):
+    """``count`` members of both corpora, each with one seeded single-entry
+    edit of its mode table (a new value, or a deleted mode)."""
+    rng = random.Random(seed)
+    actions = full_corpus() + full_module_corpus()
+    out = []
+    while len(out) < count:
+        A = rng.choice(actions)
+        key = (rng.choice(A.over.basis), rng.randint(-3, 1), rng.choice(A.wbasis))
+        vec = None if rng.random() < 0.2 else Vec(
+            {rng.choice(A.wbasis): rng.choice([-2, -1, 1, Fraction(1, 2)])})
+        try:
+            out.append(A.mutate(f"{A.name}-edit{len(out)}", {key: vec}))
+        except ConstructionError:  # the edit made D non-nilpotent
+            continue
+    return out
+
+
+def _jacobi_axiom(A):
+    return "jacobi" if A.over is A else "m_jacobi"
+
+
+def test_stacked_jacobi_equals_the_per_triple_check(ut2_dir):
+    members = (full_corpus() + full_module_corpus()
+               + [configio.load_structure(str(ut2_dir / "ut2.json")),
+                  configio.load_module(str(ut2_dir / "ut2-regular.module.json"))]
+               + _seeded_edits(50, 12))
+    pairs, failing_pairs, reports = 0, 0, Counter()
+    for A in members:
+        axiom, N, memo = _jacobi_axiom(A), structures.default_window(A), {}
+        with A.shared_triples():
+            want, per_triple = _per_triple_jacobi(A, axiom, N, memo)
+            for u in A.over.basis:
+                for v in A.over.basis:
+                    triples = {w: A.triple(u, v, w) for w in A.wbasis}
+                    stacked, _ = structures._jacobi_routes(
+                        structures._stacked_triple(triples), N, memo, axiom, (u, v))
+                    assert stacked == all(per_triple[(u, v, w)] for w in triples), \
+                        (A.name, u, v)
+                    pairs += 1
+                    failing_pairs += not stacked
+            got = structures.check_jacobi(A, axiom)
+        assert got.to_json() == want.to_json(), A.name
+        reports[got.verdict] += 1
+    assert pairs > 1000 and failing_pairs > 100
+    assert reports["PASS"] > 20 and reports["FAIL"] > 20
+
+
+def test_jacobi_runs_check_a_once_per_pair_on_a_pass_member(monkeypatch):
+    calls = []
+
+    def counted(inst, N, _original=structures.check_A):
+        calls.append(inst)
+        return _original(inst, N)
+
+    monkeypatch.setattr(structures, "check_A", counted)
+    for A, axiom in ((borcherds_structure(4), "jacobi"),
+                     (make_module(4, "ideal"), "m_jacobi")):
+        calls.clear()
+        assert structures.check_jacobi(A, axiom).verdict == "PASS"
+        assert len(A.wbasis) > 1
+        assert len(calls) == len(A.over.basis) ** 2
+
+
+def test_jacobi_routes_disagreeing_on_a_stacked_pair_raise(monkeypatch):
+    S = borcherds_structure(3)
+    u = v = S.basis[0]
+
+    def flipped(inst, N, _original=structures.check_A):
+        ok, wit = _original(inst, N)
+        if type(inst) is rationalforms.TripleInstance:  # the stacked pair
+            return not ok, wit
+        return ok, wit
+
+    monkeypatch.setattr(structures, "check_A", flipped)
+    with pytest.raises(ConsistencyViolationError,
+                       match=rf"jacobi routes disagree on \({u},{v}\): "
+                             "symbolic=True series=False"):
+        check_axiom(S, "jacobi")
+
+
+def test_jacobi_pair_failing_on_no_triple_raises(monkeypatch):
+    # a stacked pair that both routes find nonzero while every triple of it
+    # is zero cannot come from a correct stacking: it is reported, not
+    # passed over
+    def perturbed(triples, _original=structures._stacked_triple):
+        inst = _original(triples)
+        key, vec = next(iter(inst.f.coeffs.items()))
+        return inst.perturb_f(key, vec)
+
+    monkeypatch.setattr(structures, "_stacked_triple", perturbed)
+    S = borcherds_structure(3)
+    with pytest.raises(ConsistencyViolationError,
+                       match=rf"fails on the stacked pair \({S.basis[0]},"
+                             rf"{S.basis[0]}\) but on none of its triples"):
+        check_axiom(S, "jacobi")

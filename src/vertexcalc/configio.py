@@ -10,7 +10,8 @@ when it has "over" (``is_module_config``); ``load_structure`` refuses one.
 A config is refused with ConfigError when it repeats a basis entry or a
 mode record (u, n, v) / (u, n, w), names anything outside the basis it
 refers to, has a mode index that is not an integer or a coefficient that is
-not a rational, or lacks a required key (named as "missing key 'modes'").
+not a rational, lacks a required key (named as "missing key 'modes'") or
+has a part of the wrong JSON type (named as "'basis' is not a JSON list").
 
 Machine reports are canonical JSON (sorted keys, fixed separators, no
 timestamps or durations) so identical config + seed gives identical bytes.
@@ -49,6 +50,13 @@ def _mode_index(n):
     return n
 
 
+def _typed(value, kind, what):
+    """``value``, refused unless it is a JSON ``kind``: "list" or "object"."""
+    if not isinstance(value, {"list": list, "object": dict}[kind]):
+        raise ConfigError(f"{what} is not a JSON {kind}")
+    return value
+
+
 def _add_mode(table, u, n, v, coeff, what):
     """Enter one mode record, refusing a second record of the same (u, n, v)."""
     modes = table.setdefault((u, v), {})
@@ -62,7 +70,7 @@ def _coeff(data, basis, what):
     and values that are not rationals (such as "1/0", "x/y" or a JSON
     boolean, which Python would read as 1 or 0)."""
     entries = {}
-    for name, value in data.items():
+    for name, value in _typed(data, "object", f"{what} 'coeff'").items():
         _member(name, basis, f"{what} coefficient key")
         try:
             if isinstance(value, bool):
@@ -88,18 +96,19 @@ def structure_to_config(S: VertexStructure) -> dict:
 
 def structure_from_config(data: dict) -> VertexStructure:
     try:
-        basis = _names(data["basis"], "basis")
+        basis = _names(_typed(data["basis"], "list", "'basis'"), "basis")
         vacuum = data.get("vacuum")
         if vacuum is not None:
             _member(vacuum, basis, "vacuum")
         table = {}
-        for rec in data["modes"]:
+        for rec in _typed(data["modes"], "list", "'modes'"):
+            _typed(rec, "object", "a 'modes' entry")
             u = _member(rec["u"], basis, "mode u")
             v = _member(rec["v"], basis, "mode v")
             _add_mode(table, u, _mode_index(rec["n"]), v,
                       _coeff(rec["coeff"], basis, "mode"), "mode")
         return VertexStructure(data["name"], basis, table, vacuum=vacuum,
-                               tags=tuple(data.get("tags", ())))
+                               tags=_typed(data.get("tags", []), "list", "'tags'"))
     except KeyError as err:
         raise ConfigError(f"bad structure config: missing key {err}") from err
     except (TypeError, ValueError, AttributeError, ZeroDivisionError) as err:
@@ -117,15 +126,16 @@ def module_from_config(data: dict, over: VertexStructure) -> ModuleStructure:
         if data["over"] != over.name:
             raise ConfigError(
                 f"module expects base {data['over']!r}, got {over.name!r}")
-        wbasis = _names(data["wbasis"], "wbasis")
+        wbasis = _names(_typed(data["wbasis"], "list", "'wbasis'"), "wbasis")
         table = {}
-        for rec in data["wmodes"]:
+        for rec in _typed(data["wmodes"], "list", "'wmodes'"):
+            _typed(rec, "object", "a 'wmodes' entry")
             u = _member(rec["u"], over.basis, "module mode u")
             w = _member(rec["w"], wbasis, "module mode w")
             _add_mode(table, u, _mode_index(rec["n"]), w,
                       _coeff(rec["coeff"], wbasis, "module mode"), "module mode")
         return ModuleStructure(data["name"], over, wbasis, table,
-                               tags=tuple(data.get("tags", ())))
+                               tags=_typed(data.get("tags", []), "list", "'tags'"))
     except KeyError as err:
         raise ConfigError(f"bad module config: missing key {err}") from err
     except (TypeError, ValueError, AttributeError, ZeroDivisionError) as err:

@@ -15,7 +15,8 @@ convention).  ``add_power`` is the one place that writes this expansion out,
 for a range kmin..kmax of tail powers; ``binomial_power``,
 ``taylor_substitute``, ``apply_delta`` and the rational forms of
 ``rationalforms`` all call it.  ``apply_delta`` picks that range per term so
-that it writes only coefficients inside its output window.
+that it writes only coefficients inside its output window, and calls
+``add_power`` only when the range is not empty.
 
 Any operation that cannot guarantee exactness of a requested coefficient
 raises instead of truncating silently.
@@ -23,6 +24,7 @@ raises instead of truncating silently.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import SummabilityError, WindowUnderflowError
 from .scalars import (
@@ -68,10 +70,6 @@ class WindowedSeries:
     @classmethod
     def zero(cls, variables):
         return cls.from_monomials(variables, {})
-
-    @classmethod
-    def constant(cls, variables, coeff):
-        return cls.from_monomials(variables, {(0,) * len(tuple(variables)): coeff})
 
     # -- bookkeeping --------------------------------------------------------
     def idx(self, var):
@@ -359,7 +357,7 @@ def multiply(a: WindowedSeries, b: WindowedSeries) -> WindowedSeries:
     coeffs = {}
     for k1, c1 in a.coeffs.items():
         for k2, c2 in b.coeffs.items():
-            key = tuple(x + y for x, y in zip(k1, k2))
+            key = tuple(map(add, k1, k2))
             c = coeff_mul(c1, c2)
             prev = coeffs.get(key)
             coeffs[key] = c if prev is None else coeff_add(prev, c)
@@ -378,26 +376,33 @@ def add_power(coeffs, base, c, n, head, tail, kmax, kmin=0):
     (s_h x_h + s_t x_t)^n = sum_k binom(n, k) (s_h x_h)^(n-k) (s_t x_t)^k,
     a finite sum (k <= n) when n >= 0.  ``coeffs`` maps exponent tuples to
     coefficients; ``base`` is an exponent tuple; ``head`` and ``tail`` are
-    (sign, position in the exponent tuple).  With kmax = 0 only the head
+    (sign +-1, position in the exponent tuple).  With kmax = 0 only the head
     term is added and the tail is never read; with kmin > kmax nothing is.
+
+    Only binom(n, kmin) is looked up; each later coefficient steps by
+    binom(n, k+1) = binom(n, k) * (n-k) // (k+1), exact for every integer n
+    because binom(n, k) * (n-k) = binom(n, k+1) * (k+1).  The sign
+    s_h^(n-k) s_t^k changes by the factor s_h s_t at each step.
     """
-    hs, ih = head
-    ts, it = tail
-    if n >= 0:
-        kmax = min(kmax, n)
+    (hs, ih), (ts, it) = head, tail
+    if n >= 0 and kmax > n:
+        kmax = n
+    if kmin > kmax:
+        return
+    bc = binom(n, kmin) * hs ** ((n - kmin) % 2) * ts ** (kmin % 2)
+    step = hs * ts
+    vec = type(c) is Vec
+    key = list(base)
+    key[ih] += n - kmin
+    key[it] += kmin
     for k in range(kmin, kmax + 1):
-        bc = binom(n, k)
-        if (n - k) % 2 and hs < 0:
-            bc = -bc
-        if k % 2 and ts < 0:
-            bc = -bc
-        key = list(base)
-        key[ih] += n - k
-        key[it] += k
-        key = tuple(key)
-        val = coeff_mul(c, bc)
-        prev = coeffs.get(key)
-        coeffs[key] = val if prev is None else coeff_add(prev, val)
+        val = c.scale(bc) if vec else c * bc
+        t = tuple(key)
+        prev = coeffs.get(t)
+        coeffs[t] = val if prev is None else coeff_add(prev, val)
+        bc = step * bc * (n - k) // (k + 1)
+        key[ih] -= 1
+        key[it] += 1
 
 
 def binomial_power(variables, head_sv, tail_sv, n):
@@ -600,10 +605,15 @@ def apply_delta(num_head, num_tail, denom, s: WindowedSeries, out_window):
             base_t = base[tail[1]]
             kmin_t = 0 if tlo is None else max(0, tlo - base_t)
             kmax_t = thi - base_t
+        if kmin_t > kmax_t:
+            continue
+        base_h = base[head[1]]
         for n in n_values:
-            head_exp = base[head[1]] + n
+            head_exp = base_h + n
             kmin = kmin_t if hhi is None else max(kmin_t, head_exp - hhi)
             kmax = kmax_t if hlo is None else min(kmax_t, head_exp - hlo)
+            if kmin > kmax or (n >= 0 and kmin > n):
+                continue  # an empty tail range: add_power would write nothing
             base[idn] = -n - 1  # s does not involve the denominator
             add_power(coeffs, base, c, n, head, tail, kmax, kmin)
 

@@ -275,6 +275,24 @@ MALFORMED = {
     "missing-wmodes":
         ("check-module", "module", lambda c: c.pop("wmodes"),
          "bad module config: missing key 'wmodes'"),
+    "coeff-not-object":
+        ("check", "base", lambda c: c["modes"][0].update(coeff=5),
+         "mode 'coeff' is not a JSON object"),
+    "mode-record-not-object":
+        ("check", "base", lambda c: c["modes"].insert(0, "x"),
+         "a 'modes' entry is not a JSON object"),
+    "modes-not-list":
+        ("check", "base", lambda c: c.update(modes={"0": c["modes"][0]}),
+         "'modes' is not a JSON list"),
+    "basis-not-list":
+        ("check", "base", lambda c: c.update(basis=5),
+         "'basis' is not a JSON list"),
+    "tags-not-list":
+        ("check", "base", lambda c: c.update(tags=5),
+         "'tags' is not a JSON list"),
+    "wmodes-coeff-not-object":
+        ("check-module", "module", lambda c: c["wmodes"][0].update(coeff=5),
+         "module mode 'coeff' is not a JSON object"),
     "structure-config-given-to-check-module":
         ("check-module", "base", lambda c: None,
          "borcherds-k3.json is not a module config"),

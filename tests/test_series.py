@@ -5,7 +5,7 @@ import pytest
 
 from vertexcalc.deltacalc import Delta, DeltaExpr, Term, make_term, window_coeffs
 from vertexcalc.errors import SummabilityError, WindowUnderflowError
-from vertexcalc.scalars import Vec, binom
+from vertexcalc.scalars import Vec, binom, coeff_add, coeff_is_zero, coeff_mul
 from vertexcalc.series import (
     WindowedSeries,
     add_power,
@@ -293,6 +293,110 @@ def test_add_power_matches_the_atom_oracle(hs, ts):
             atom = DeltaExpr(
                 [make_term(1, raw_atoms=[((hs, "h"), ((ts, "t"),), n)])], ("h", "t"))
             assert got == window_coeffs(atom, w), (kmin, n)
+
+
+def _add_power_reference(coeffs, base, c, n, head, tail, kmax, kmin=0):
+    """The kernel written term by term: one binom per tail power and a fresh
+    copy of ``base`` per key."""
+    hs, ih = head
+    ts, it = tail
+    if n >= 0:
+        kmax = min(kmax, n)
+    for k in range(kmin, kmax + 1):
+        bc = binom(n, k)
+        if (n - k) % 2 and hs < 0:
+            bc = -bc
+        if k % 2 and ts < 0:
+            bc = -bc
+        key = list(base)
+        key[ih] += n - k
+        key[it] += k
+        key = tuple(key)
+        val = coeff_mul(c, bc)
+        prev = coeffs.get(key)
+        coeffs[key] = val if prev is None else coeff_add(prev, val)
+
+
+KERNEL_COEFFS = (1, -3, Fraction(-2, 7), Vec({"e0": 2, "e1": Fraction(1, 3)}))
+
+
+def _kernel_pair(prefill, *args):
+    """(add_power's dict, the reference's dict), both started from prefill."""
+    got, want = dict(prefill), dict(prefill)
+    add_power(got, *args)
+    _add_power_reference(want, *args)
+    return list(got.items()), list(want.items())
+
+
+@pytest.mark.parametrize("hs, ts", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_add_power_equals_the_term_by_term_reference(hs, ts):
+    # same keys, values and insertion order, for fresh and filled dicts
+    for c in KERNEL_COEFFS:
+        zero = Vec() if isinstance(c, Vec) else 0
+        for n in range(-12, 13):
+            for base in ((0, 0, 0), (2, -3, 5)):
+                for kmin in (0, 3):
+                    for kmax in range(-1, 11):
+                        args = (base, c, n, (hs, 0), (ts, 2), kmax, kmin)
+                        got, want = _kernel_pair({}, *args)
+                        assert got == want, (c, n, base, kmin, kmax)
+                        # accumulate: every other key cancels to 0 exactly,
+                        # one key is not touched, one is already 0
+                        full = {}
+                        _add_power_reference(full, *args)
+                        cancelled = list(full)[::2]
+                        prefill = {(9, 9, 9): c, (8, 8, 8): zero}
+                        prefill.update((key, coeff_mul(full[key], -1))
+                                       for key in cancelled)
+                        got, want = _kernel_pair(prefill, *args)
+                        assert got == want, (c, n, base, kmin, kmax)
+                        assert all(coeff_is_zero(dict(got)[key]) for key in cancelled)
+                # head and tail at one position: only the head term
+                got, want = _kernel_pair({}, base, c, n, (hs, 1), (ts, 1), 0)
+                assert got == want and len(got) == 1
+
+
+def test_add_power_with_an_empty_tail_range_leaves_the_dict_untouched():
+    prefill = {(1, 0): 5, (0, 1): Fraction(1, 2)}
+    for n, kmin, kmax in ((-3, 3, 2), (4, 0, -1), (2, 3, 10), (0, 1, 1)):
+        coeffs = dict(prefill)
+        add_power(coeffs, (0, 0), 7, n, (1, 0), (-1, 1), kmax, kmin)
+        assert list(coeffs.items()) == list(prefill.items())
+
+
+def _product_reference(a, b):
+    """The product's coefficients by a plain double loop."""
+    out = {}
+    for k1, c1 in a.coeffs.items():
+        for k2, c2 in b.coeffs.items():
+            key = tuple(x + y for x, y in zip(k1, k2))
+            c = coeff_mul(c1, c2)
+            out[key] = coeff_add(out[key], c) if key in out else c
+    return [(k, c) for k, c in out.items() if not coeff_is_zero(c)]
+
+
+def test_multiply_equals_a_double_loop_on_random_sparse_series():
+    rng = random.Random(1307)
+    names = ("e0", "e1", "e2")
+
+    def coefficient(vector):
+        if vector:
+            return Vec({e: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                        for e in rng.sample(names, rng.randint(1, 2))})
+        return rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-4, 4), 3)))
+
+    def sparse(variables, vector):
+        return poly(variables, {
+            tuple(rng.randint(-3, 3) for _ in variables): coefficient(vector)
+            for _ in range(rng.randint(1, 9))})
+
+    for trial in range(60):
+        variables = ("x", "y", "z")[:rng.randint(1, 3)]
+        vector = trial % 3  # 0: both scalar, 1: left Vec, 2: right Vec
+        a = sparse(variables, vector == 1)
+        b = sparse(variables, vector == 2)
+        got = multiply(a, b)
+        assert list(got.coeffs.items()) == _product_reference(a, b), trial
 
 
 # check_A's three deltas: (numerator head, numerator tail, denominator)

@@ -461,6 +461,41 @@ def test_route_two_writes_only_inside_the_delta_window(monkeypatch):
     assert outside == []
 
 
+def test_route_two_calls_add_power_only_for_a_nonempty_tail_range(monkeypatch):
+    # series.apply_delta skips a (coefficient, delta index) pair whose tail
+    # range is empty: every add_power call it makes writes at least one key,
+    # on every Jacobi triple of both corpora and on replay instances 0..7
+    written = []
+    inside = []
+
+    def recorded(coeffs, *args, _original=series.add_power):
+        if inside:
+            mine = {}
+            _original(mine, *args)
+            written.append(len(mine))
+        _original(coeffs, *args)
+
+    def tracked(*args, _original=rationalforms.apply_delta):
+        inside.append(True)
+        try:
+            return _original(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(series, "add_power", recorded)
+    monkeypatch.setattr(rationalforms, "apply_delta", tracked)
+    for S in full_corpus():
+        check_axiom(S, "jacobi")
+    for M in full_module_corpus():
+        check_module_axiom(M, "m_jacobi")
+    for seed in range(8):
+        inst = rationalforms.generate_instance(seed, N=8)
+        for which in rationalforms.IMPLICATIONS:
+            rationalforms.replay_implication(which, inst, N=8, m_max=None)
+    assert len(written) > 1000
+    assert min(written) >= 1
+
+
 # ---------------------------------------------------------------------------
 # Jacobi once per (u, v), on the slots of every w stacked
 

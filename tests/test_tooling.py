@@ -56,6 +56,25 @@ def test_deltacalc_shares_no_arithmetic_with_route_two():
     assert imported and not names & {"series", "rationalforms"}, sorted(imported)
 
 
+def test_series_builds_on_errors_and_scalars_alone():
+    # the layers run scalars -> series -> rationalforms: the series kernels
+    # take nothing from the package but its errors and exact scalars
+    path = os.path.join(PACKAGE, "series.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names if a.name.startswith("vertexcalc")}
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            imported |= ({node.module} if node.module
+                         else {a.name for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("vertexcalc"):
+            imported.add(node.module)
+    names = {name.removeprefix("vertexcalc.") for name in imported}
+    assert names == {"errors", "scalars"}, sorted(imported)
+
+
 CACHES = {"cache", "lru_cache"}
 
 

@@ -11,7 +11,8 @@ A config is refused with ConfigError when it repeats a basis entry or a
 mode record (u, n, v) / (u, n, w), names anything outside the basis it
 refers to, has a mode index that is not an integer or a coefficient that is
 not a rational, lacks a required key (named as "missing key 'modes'") or
-has a part of the wrong JSON type (named as "'basis' is not a JSON list").
+has a part of the wrong JSON type (named as "'basis' is not a JSON list"
+or "'name' is not a JSON string").
 
 Machine reports are canonical JSON (sorted keys, fixed separators, no
 timestamps or durations) so identical config + seed gives identical bytes.
@@ -28,9 +29,10 @@ from .structures import VertexStructure
 
 
 def _names(names, what):
-    """A basis list as a tuple, refusing repeated entries."""
+    """A basis list of strings as a tuple, refusing repeated entries."""
     names = tuple(names)
     for i, name in enumerate(names):
+        _typed(name, "string", f"a '{what}' entry")
         if name in names[:i]:
             raise ConfigError(f"{what} lists {name!r} twice")
     return names
@@ -51,8 +53,8 @@ def _mode_index(n):
 
 
 def _typed(value, kind, what):
-    """``value``, refused unless it is a JSON ``kind``: "list" or "object"."""
-    if not isinstance(value, {"list": list, "object": dict}[kind]):
+    """``value``, refused unless it is a JSON ``kind``: list, object, string."""
+    if not isinstance(value, {"list": list, "object": dict, "string": str}[kind]):
         raise ConfigError(f"{what} is not a JSON {kind}")
     return value
 
@@ -107,7 +109,8 @@ def structure_from_config(data: dict) -> VertexStructure:
             v = _member(rec["v"], basis, "mode v")
             _add_mode(table, u, _mode_index(rec["n"]), v,
                       _coeff(rec["coeff"], basis, "mode"), "mode")
-        return VertexStructure(data["name"], basis, table, vacuum=vacuum,
+        return VertexStructure(_typed(data["name"], "string", "'name'"),
+                               basis, table, vacuum=vacuum,
                                tags=_typed(data.get("tags", []), "list", "'tags'"))
     except KeyError as err:
         raise ConfigError(f"bad structure config: missing key {err}") from err
@@ -134,7 +137,8 @@ def module_from_config(data: dict, over: VertexStructure) -> ModuleStructure:
             w = _member(rec["w"], wbasis, "module mode w")
             _add_mode(table, u, _mode_index(rec["n"]), w,
                       _coeff(rec["coeff"], wbasis, "module mode"), "module mode")
-        return ModuleStructure(data["name"], over, wbasis, table,
+        return ModuleStructure(_typed(data["name"], "string", "'name'"),
+                               over, wbasis, table,
                                tags=_typed(data.get("tags", []), "list", "'tags'"))
     except KeyError as err:
         raise ConfigError(f"bad module config: missing key {err}") from err

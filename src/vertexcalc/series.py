@@ -71,6 +71,13 @@ class WindowedSeries:
     def zero(cls, variables):
         return cls.from_monomials(variables, {})
 
+    @classmethod
+    def _of(cls, variables, coeffs, window, shape):
+        """A series of clean parts: no zero stored, every variable windowed."""
+        out = cls.__new__(cls)
+        out.variables, out.coeffs, out.window, out.shape = variables, coeffs, window, shape
+        return out
+
     # -- bookkeeping --------------------------------------------------------
     def idx(self, var):
         return self.variables.index(var)
@@ -139,12 +146,10 @@ class WindowedSeries:
         new_vars = tuple(mapping.get(v, v) for v in self.variables)
         if len(set(new_vars)) != len(new_vars):
             raise ValueError("rename must stay bijective")
-        out = WindowedSeries.__new__(WindowedSeries)
-        out.variables = new_vars
-        out.coeffs = self.coeffs
-        out.window = {n: self.window[v] for n, v in zip(new_vars, self.variables)}
-        out.shape = {n: self.shape[v] for n, v in zip(new_vars, self.variables)}
-        return out
+        return WindowedSeries._of(
+            new_vars, self.coeffs,
+            {n: self.window[v] for n, v in zip(new_vars, self.variables)},
+            {n: self.shape[v] for n, v in zip(new_vars, self.variables)})
 
     def flip_sign(self, var):
         """Substitute var -> -var."""
@@ -171,7 +176,10 @@ class WindowedSeries:
 
     def _merge(self, other, subtract):
         """self + other, or self - other in one pass: only the coefficients
-        of ``other`` at keys new to ``self`` are negated."""
+        of ``other`` at keys new to ``self`` are negated, and a zero can arise
+        only where two coefficients combine.  No series stores a coefficient
+        outside its known region, so when both operands know the same region
+        nothing is dropped and the ``_drop_unknown`` pass is skipped."""
         if self.variables != other.variables:
             allv = tuple(sorted(set(self.variables) | set(other.variables)))
             return self.align(allv)._merge(other.align(allv), subtract)
@@ -179,13 +187,16 @@ class WindowedSeries:
         coeffs = dict(self.coeffs)
         for k, c in other.coeffs.items():
             prev = coeffs.get(k)
-            if prev is not None:
-                coeffs[k] = combine(prev, c)
-            else:
+            if prev is None:
                 coeffs[k] = coeff_mul(c, -1) if subtract else c
-        window, shape = {}, {}
+            elif coeff_is_zero(new := combine(prev, c)):
+                del coeffs[k]
+            else:
+                coeffs[k] = new
+        window, shape, same_known = {}, {}, True
         for v in self.variables:
             ka, kb = self.known(v), other.known(v)
+            same_known = same_known and ka == kb
             lo = None if ka[0] is None and kb[0] is None else max(
                 x for x in (ka[0], kb[0]) if x is not None)
             hi = None if ka[1] is None and kb[1] is None else min(
@@ -195,8 +206,8 @@ class WindowedSeries:
                 max(self.window[v][1], other.window[v][1]))
             shape[v] = (self.shape[v][0] and other.shape[v][0],
                         self.shape[v][1] and other.shape[v][1])
-        out = WindowedSeries(self.variables, coeffs, window, shape)
-        return out._drop_unknown()
+        out = WindowedSeries._of(self.variables, coeffs, window, shape)
+        return out if same_known else out._drop_unknown()
 
     def _drop_unknown(self):
         """Remove stored coefficients outside the knowledge region."""
@@ -208,13 +219,8 @@ class WindowedSeries:
                     break
             else:
                 keep[key] = c
-        # the kept coefficients are already nonzero: no re-filtering
-        out = WindowedSeries.__new__(WindowedSeries)
-        out.variables = self.variables
-        out.coeffs = keep
-        out.window = dict(self.window)
-        out.shape = dict(self.shape)
-        return out
+        return WindowedSeries._of(self.variables, keep, dict(self.window),
+                                  dict(self.shape))
 
     # -- coefficient access ---------------------------------------------------
     def coeff(self, mono):
@@ -524,14 +530,16 @@ def delta_series(var, window, variables=None):
     )
 
 
-def apply_delta(num_head, num_tail, denom, s: WindowedSeries, out_window):
-    """denom^-1 delta(num/denom) * s, exact on out_window.
+def apply_delta(terms, out_window):
+    """The sum of sign * denom^-1 delta(num/denom) * s over ``terms``, a list
+    of (sign +-1, num_head, num_tail, denom, s), exact on out_window.
 
-    ``num_head``/``num_tail`` are signed variables (tail may be None), and the
-    series must not involve the denominator.  The window must be finite for
-    the denominator (it pins the delta index) and bounded above for the tail
-    variable.  Raises WindowUnderflowError naming the region the series would
-    have to know if its windows are too small.
+    ``num_head``/``num_tail`` are signed variables (tail may be None), and a
+    series must not involve its denominator.  The window must be finite for
+    each denominator (it pins the delta index) and bounded above for each
+    tail variable.  Raises WindowUnderflowError naming the region a series
+    would have to know if its windows are too small.  Every term writes into
+    one coefficient dict, over the sorted variables of all terms.
 
     Only coefficients inside ``out_window`` are written.  For an input
     coefficient at base exponents (head part base_h, tail part base_t) and a
@@ -541,84 +549,82 @@ def apply_delta(num_head, num_tail, denom, s: WindowedSeries, out_window):
     nothing; a coefficient whose other exponents lie outside the window is
     skipped.
     """
-    if denom in s.variables and any(k[s.idx(denom)] for k in s.coeffs):
-        raise SummabilityError(f"series involves the delta denominator {denom!r}")
-    hs, hv = num_head
-    dlo, dhi = out_window[denom]
-    if dlo is None or dhi is None:
-        raise SummabilityError(f"delta index needs a finite window for {denom!r}")
-    n_values = [-e - 1 for e in range(dlo, dhi + 1)]
-    nmax = max(n_values)
-    # completeness requirement in the numerator-head direction
-    klo, khi = s.known(hv) if hv in s.variables else (INF, INF)
-    if khi is not None:
-        raise WindowUnderflowError(f"series must be known-complete above in {hv!r}")
-    if klo is not None:
-        hlo = out_window.get(hv, (0, 0))[0]
-        if hlo is None or klo > hlo - nmax:
-            raise WindowUnderflowError(
-                f"series known above {klo} in {hv!r}, but the delta window needs "
-                f"{'unbounded' if hlo is None else hlo - nmax}")
-    if num_tail is not None:
-        ts, tv = num_tail
-        whi = out_window.get(tv, (0, 0))[1]
-        if whi is None:
-            raise SummabilityError(f"numerator tail {tv!r} needs a bounded window")
-        tklo, tkhi = s.known(tv) if tv in s.variables else (INF, INF)
-        if tkhi is not None and tkhi < whi:
-            raise WindowUnderflowError(
-                f"series known below {tkhi} in {tv!r}, but the window needs {whi}")
-    for v in s.variables:
-        if v in (hv, denom) or (num_tail is not None and v == num_tail[1]):
-            continue
-        wlo, whi2 = out_window.get(v, (0, 0))
-        if not _known_contains(s.known(v), wlo, whi2):
-            raise WindowUnderflowError(
-                f"series knowledge in {v!r} does not cover the requested window")
-
-    variables = list(s.variables)
-    for v in ([hv] if num_tail is None else [hv, num_tail[1]]) + [denom]:
-        if v not in variables:
-            variables.append(v)
-    variables = tuple(variables)
-    base_idx = [variables.index(v) for v in s.variables]
-    head = (hs, variables.index(hv))
-    idn = variables.index(denom)
-    # without a tail only k = 0 is expanded, and the tail is never read
-    tail = head if num_tail is None else (ts, variables.index(tv))
-
+    names = set()
+    for _, (_, hv), num_tail, denom, s in terms:
+        names.update(s.variables, (hv, denom), num_tail[1:] if num_tail else ())
+    variables = tuple(sorted(names))
     window = {v: out_window.get(v, (0, 0)) for v in variables}
-    (hlo, hhi), (tlo, thi) = window[hv], window[variables[tail[1]]]
-    fixed = [(i, window[v]) for i, v in enumerate(variables)
-             if i not in (head[1], tail[1], idn)]
     coeffs = {}
-    for key, c in s.coeffs.items():
-        base = [0] * len(variables)
-        for p, e in zip(base_idx, key):
-            base[p] += e
-        if fixed and any((lo is not None and base[i] < lo)
-                         or (hi is not None and base[i] > hi) for i, (lo, hi) in fixed):
-            continue
-        if num_tail is None:
-            kmin_t = kmax_t = 0
-        else:
-            base_t = base[tail[1]]
-            kmin_t = 0 if tlo is None else max(0, tlo - base_t)
-            kmax_t = thi - base_t
-        if kmin_t > kmax_t:
-            continue
-        base_h = base[head[1]]
-        for n in n_values:
-            head_exp = base_h + n
-            kmin = kmin_t if hhi is None else max(kmin_t, head_exp - hhi)
-            kmax = kmax_t if hlo is None else min(kmax_t, head_exp - hlo)
-            if kmin > kmax or (n >= 0 and kmin > n):
-                continue  # an empty tail range: add_power would write nothing
-            base[idn] = -n - 1  # s does not involve the denominator
-            add_power(coeffs, base, c, n, head, tail, kmax, kmin)
-
-    shape = {v: (False, False) for v in variables}
-    return WindowedSeries(variables, coeffs, window, shape)
+    for sign, (hs, hv), num_tail, denom, s in terms:
+        if denom in s.variables and any(k[s.idx(denom)] for k in s.coeffs):
+            raise SummabilityError(f"series involves the delta denominator {denom!r}")
+        dlo, dhi = out_window[denom]
+        if dlo is None or dhi is None:
+            raise SummabilityError(f"delta index needs a finite window for {denom!r}")
+        n_values = [-e - 1 for e in range(dlo, dhi + 1)]
+        nmax = max(n_values)
+        # completeness requirement in the numerator-head direction
+        klo, khi = s.known(hv) if hv in s.variables else (INF, INF)
+        if khi is not None:
+            raise WindowUnderflowError(f"series must be known-complete above in {hv!r}")
+        if klo is not None:
+            hlo = out_window.get(hv, (0, 0))[0]
+            if hlo is None or klo > hlo - nmax:
+                raise WindowUnderflowError(
+                    f"series known above {klo} in {hv!r}, but the delta window needs "
+                    f"{'unbounded' if hlo is None else hlo - nmax}")
+        if num_tail is not None:
+            ts, tv = num_tail
+            whi = out_window.get(tv, (0, 0))[1]
+            if whi is None:
+                raise SummabilityError(f"numerator tail {tv!r} needs a bounded window")
+            tklo, tkhi = s.known(tv) if tv in s.variables else (INF, INF)
+            if tkhi is not None and tkhi < whi:
+                raise WindowUnderflowError(
+                    f"series known below {tkhi} in {tv!r}, but the window needs {whi}")
+        for v in s.variables:
+            if v in (hv, denom) or (num_tail is not None and v == num_tail[1]):
+                continue
+            wlo, whi2 = out_window.get(v, (0, 0))
+            if not _known_contains(s.known(v), wlo, whi2):
+                raise WindowUnderflowError(
+                    f"series knowledge in {v!r} does not cover the requested window")
+        base_idx = [variables.index(v) for v in s.variables]
+        head = (hs, variables.index(hv))
+        idn = variables.index(denom)
+        # without a tail only k = 0 is expanded, and the tail is never read
+        tail = head if num_tail is None else (ts, variables.index(tv))
+        (hlo, hhi), (tlo, thi) = window[hv], window[variables[tail[1]]]
+        fixed = [(i, window[v]) for i, v in enumerate(variables)
+                 if i not in (head[1], tail[1], idn)]
+        for key, c in s.coeffs.items():
+            base = [0] * len(variables)
+            for p, e in zip(base_idx, key):
+                base[p] += e
+            if fixed and any((lo is not None and base[i] < lo) or (
+                    hi is not None and base[i] > hi) for i, (lo, hi) in fixed):
+                continue
+            if num_tail is None:
+                kmin_t = kmax_t = 0
+            else:
+                base_t = base[tail[1]]
+                kmin_t = 0 if tlo is None else max(0, tlo - base_t)
+                kmax_t = thi - base_t
+            if kmin_t > kmax_t:
+                continue
+            if sign < 0:
+                c = -c
+            base_h = base[head[1]]
+            for n in n_values:
+                head_exp = base_h + n
+                kmin = kmin_t if hhi is None else max(kmin_t, head_exp - hhi)
+                kmax = kmax_t if hlo is None else min(kmax_t, head_exp - hlo)
+                if kmin > kmax or (n >= 0 and kmin > n):
+                    continue  # an empty tail range: add_power would write nothing
+                base[idn] = -n - 1  # s does not involve the denominator
+                add_power(coeffs, base, c, n, head, tail, kmax, kmin)
+    return WindowedSeries(variables, coeffs, window,
+                          {v: (False, False) for v in variables})
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,12 @@ the action at (u, v, w), and search their witnesses with the replays' own
 one slot triple per (u, v, w), so each product is built once per member; the
 triples are dropped when the block ends.
 
-Jacobi is an identity of operators on W, linear in w, so it is checked once
-per (u, v), on the slots of every w stacked into Vec coefficients over
-(w, w').  The weak checkers and vf_skew_symmetry stay per w: ``zero_verdict``
-decides an exact series on its whole support and any other on the box, and
-whether a slot difference is exact depends on w, so a stacked verdict could
-judge an exact component on the box only.
+Jacobi is an identity of operators, linear in u, v and w, so it is checked
+once per member, on the slots of every (u, v, w) stacked into Vec
+coefficients over (u, v, w, w').  The weak checkers and vf_skew_symmetry stay
+per w: ``zero_verdict`` decides an exact series on its whole support and any
+other on the box, and whether a slot difference is exact depends on w, so a
+stacked verdict could judge an exact component on the box only.
 
 Checkers return PropertyReport records.  Identities between exact Laurent
 polynomials are decided exactly; identities involving delta factors or
@@ -42,7 +42,8 @@ from .deltacalc import (THREE_TERM, DeltaExpr, Term, identity_lhs, mono_of,
                         window_coeffs)
 from .errors import ConsistencyViolationError, ConstructionError
 from .rationalforms import (S1, S2, TripleInstance, box, check_A,
-                            least_clearing_power, pole_statement)
+                            least_clearing_power, pole_statement,
+                            three_term_series)
 from .scalars import Vec, coeff_mul, linear_map
 from .series import (INF, WindowedSeries, exp_endo, multiply,
                      taylor_substitute, zero_verdict)
@@ -392,20 +393,16 @@ JACOBI_DELTAS = identity_lhs(THREE_TERM)
 
 
 def _jacobi_symbolic_zero(f12, g21, h20, N, memo=None):
-    """Window-oracle verdict on f12, g21 and h20 times the three terms of
-    ``JACOBI_DELTAS``, summed; ``memo`` is passed to
-    ``deltacalc.window_coeffs``."""
+    """Route 1's window coefficients (``deltacalc.window_coeffs``, given
+    ``memo``) of f12, g21 and h20 times the three terms of
+    ``JACOBI_DELTAS``, summed: every nonzero one on the box [-N, N]^3."""
     terms = []
     for series, t in zip((f12, g21, h20), JACOBI_DELTAS.terms):
         for key, c in series.coeffs.items():
             mono = mono_of(dict(zip(series.variables, key)))
             terms.append(Term(coeff_mul(c, t.coeff), mono, t.delta, ()))
     expr = DeltaExpr(terms, JACOBI_DELTAS.variables)
-    out = window_coeffs(expr, {v: (-N, N) for v in ("x0", "x1", "x2")}, memo)
-    if not out:
-        return True, None
-    mono = sorted(out)[0]
-    return False, (dict(mono), out[mono])
+    return window_coeffs(expr, {v: (-N, N) for v in ("x0", "x1", "x2")}, memo)
 
 
 class ActionTriple(TripleInstance):
@@ -426,73 +423,85 @@ class ActionTriple(TripleInstance):
 
 def _stacked_triple(triples):
     """One TripleInstance whose f, g and h stack the slots of ``triples``
-    {w: triple}: the coefficient at each monomial is the Vec over labels
-    (w, w') of every triple's coefficient there.  Each slot keeps its own
-    variable order (h is stored over (s2, s1))."""
+    {(u, v, w): triple}: the coefficient at each monomial is the Vec over
+    labels (u, v, w, w') of every triple's coefficient there.  Each slot
+    keeps its own variable order (h is stored over (s2, s1))."""
     slots = []
     for slot in ("f", "g", "h"):
         variables, stacked = None, {}
-        for w, t in triples.items():
+        for label, t in triples.items():
             series = getattr(t, slot)
             variables = series.variables
             for key, vec in series.coeffs.items():
                 entries = stacked.setdefault(key, {})
                 for b, c in vec.entries.items():
-                    entries[(w, b)] = c
+                    entries[(*label, b)] = c
         slots.append(WindowedSeries.from_monomials(
             variables, {key: Vec(e) for key, e in stacked.items()}))
     return TripleInstance(*slots)
 
 
+def _slots(inst):
+    """The Jacobi identity's three slot series of ``inst``, in its variables."""
+    return inst.f_at("x1", "x2"), inst.g_at("x2", "x1"), inst.h_at("x2", "x0")
+
+
+def _failing_pairs(coeffs):
+    """The pairs (u, v) in the labels (u, v, w, w') of stacked coefficients."""
+    return {label[:2] for c in coeffs.values() for label in c.entries}
+
+
 def _jacobi_routes(inst, N, memo, axiom, where):
-    """Route 1's (verdict, witness) on ``inst``, after route 2 agreed with
-    its verdict; ``where`` (the pair or the triple) names a disagreement."""
+    """Route 1's verdict and first monomial on the triple ``inst``, after
+    route 2 agreed with its verdict; a disagreement names ``where``."""
     # route 1: symbolic delta expansion with the window oracle
-    ok_sym, wit_sym = _jacobi_symbolic_zero(
-        inst.f_at("x1", "x2"), inst.g_at("x2", "x1"),
-        inst.h_at("x2", "x0"), N, memo)
+    out = _jacobi_symbolic_zero(*_slots(inst), N, memo)
     # route 2: concrete delta convolution via the (A)-checker
     ok_ser, _ = check_A(inst, N)
-    if ok_sym != ok_ser:
+    if (not out) != ok_ser:
         raise ConsistencyViolationError(
             f"{axiom} routes disagree on ({','.join(map(str, where))}): "
-            f"symbolic={ok_sym} series={ok_ser}")
-    return ok_sym, wit_sym
+            f"symbolic={not out} series={ok_ser}")
+    return not out, out and dict(min(out))
 
 
 def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
-    """Jacobi checked once per (u, v), on the slots of every w stacked.
+    """Jacobi checked once per member, on one stack of every (u, v, w).
 
-    The identity is one of operators on W, linear in w.  Both routes decide
-    coefficient by coefficient on the fixed box [-N, N]^3, and stacking
-    makes each coefficient the Vec over (w, w') of the triples'
-    coefficients; the routes only add and scale such Vecs, so the (w, w')
-    components never mix.  The stacked pair is therefore zero on the box
-    exactly when the triple of every w is.  A failing pair is rerun per w in
-    ``wbasis`` order: the first failing w gives the triple and route 1's
-    monomial, and a pair that fails on no triple is a consistency violation.
+    The identity is one of operators, linear in u, v and w.  Both routes
+    decide coefficient by coefficient on the fixed box [-N, N]^3; stacked,
+    each coefficient is the Vec over (u, v, w, w') of the triples' ones, and
+    the routes only add and scale such Vecs, so label components never mix.
+    So each route's failing pairs, read off its nonzero coefficients, are
+    the pairs with a failing triple, and the two sets must be equal.  The
+    first failing pair is rerun per w in ``wbasis`` order for the triple and
+    route 1's monomial; a pair failing on no triple is a violation.
     """
     N = window or default_window(A)
-    # Route 1 expands each term shape once per window and shares it across
-    # the pairs of this call only: every coefficient is still recomputed
-    # by the oracle, independently of ``series``, and no expansion outlives
-    # the check.
+    # Route 1 expands each term shape once per window, for this call only:
+    # every coefficient is still recomputed by the oracle, independently of
+    # ``series``, and no expansion outlives the check.
     memo = {}
-    for u in A.over.basis:
-        for v in A.over.basis:
-            triples = {w: A.triple(u, v, w) for w in A.wbasis}
-            if not triples or _jacobi_routes(
-                    _stacked_triple(triples), N, memo, axiom, (u, v))[0]:
-                continue
-            for w, inst in triples.items():
-                ok, wit = _jacobi_routes(inst, N, memo, axiom, (u, v, w))
-                if not ok:
-                    return PropertyReport(
-                        axiom, "FAIL",
-                        {"triple": (u, v, w), "monomial": wit[0]}, window=N)
-            raise ConsistencyViolationError(
-                f"{axiom} fails on the stacked pair ({u},{v}) "
-                "but on none of its triples")
+    pairs = [(u, v) for u in A.over.basis for v in A.over.basis]
+    triples = {(u, v, w): A.triple(u, v, w) for u, v in pairs for w in A.wbasis}
+    if not triples:
+        return PropertyReport(axiom, "PASS", {}, window=N)
+    inst = _stacked_triple(triples)
+    sym = _failing_pairs(_jacobi_symbolic_zero(*_slots(inst), N, memo))
+    ser = _failing_pairs(three_term_series(inst, N).coeffs)
+    if sym != ser:
+        raise ConsistencyViolationError(f"{axiom} routes disagree on " + ", ".join(
+            f"({u},{v}): symbolic={(u, v) not in sym} series={(u, v) not in ser}"
+            for u, v in pairs if ((u, v) in sym) != ((u, v) in ser)))
+    for u, v in (pair for pair in pairs if pair in sym):
+        for w in A.wbasis:
+            ok, mono = _jacobi_routes(triples[u, v, w], N, memo, axiom, (u, v, w))
+            if not ok:
+                return PropertyReport(
+                    axiom, "FAIL", {"triple": (u, v, w), "monomial": mono}, window=N)
+        raise ConsistencyViolationError(
+            f"{axiom} fails on the stacked pair ({u},{v}) "
+            "but on none of its triples")
     return PropertyReport(axiom, "PASS", {}, window=N)
 
 

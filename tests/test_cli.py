@@ -293,6 +293,18 @@ MALFORMED = {
     "wmodes-coeff-not-object":
         ("check-module", "module", lambda c: c["wmodes"][0].update(coeff=5),
          "module mode 'coeff' is not a JSON object"),
+    "name-not-string":
+        ("check", "base", lambda c: c.update(name=5),
+         "'name' is not a JSON string"),
+    "basis-entry-not-string":
+        ("check", "base", lambda c: c["basis"].append(3),
+         "a 'basis' entry is not a JSON string"),
+    "module-name-not-string":
+        ("check-module", "module", lambda c: c.update(name=["m"]),
+         "'name' is not a JSON string"),
+    "wbasis-entry-not-string":
+        ("check-module", "module", lambda c: c["wbasis"].insert(0, {"e0": 1}),
+         "a 'wbasis' entry is not a JSON string"),
     "structure-config-given-to-check-module":
         ("check-module", "base", lambda c: None,
          "borcherds-k3.json is not a module config"),

@@ -5,7 +5,8 @@ import pytest
 
 from vertexcalc.deltacalc import Delta, DeltaExpr, Term, make_term, window_coeffs
 from vertexcalc.errors import SummabilityError, WindowUnderflowError
-from vertexcalc.scalars import Vec, binom, coeff_add, coeff_is_zero, coeff_mul
+from vertexcalc.scalars import (
+    Vec, binom, coeff_add, coeff_is_zero, coeff_mul, coeff_sub)
 from vertexcalc.series import (
     WindowedSeries,
     add_power,
@@ -227,7 +228,7 @@ def test_delta_series_all_coefficients_one():
 def test_apply_delta_matches_symbolic_layer():
     f = poly(("x1", "x2"), {(0, 0): 1, (1, 2): -3})
     w = {"x0": (-3, 3), "x1": (-6, 6), "x2": (-3, 6)}
-    got = apply_delta((1, "x1"), (-1, "x2"), "x0", f, w)
+    got = apply_delta([(1, (1, "x1"), (-1, "x2"), "x0", f)], w)
     sym_terms = [
         Term(c, tuple(
             (v, e) for v, e in zip(("x1", "x2"), key) if e),
@@ -250,7 +251,7 @@ def test_apply_delta_underflow_reports_needed_region():
         window={"x1": (-1, None), "x2": (None, 3)},
         shape={"x1": (False, True), "x2": (True, False)})
     with pytest.raises(WindowUnderflowError):
-        apply_delta((1, "x1"), (-1, "x2"), "x0", f,
+        apply_delta([(1, (1, "x1"), (-1, "x2"), "x0", f)],
                     {"x0": (-3, 3), "x1": (-6, 6), "x2": (-3, 6)})
 
 
@@ -444,7 +445,7 @@ def test_clipped_delta_convolution_matches_the_oracle(num_head, num_tail, denom)
         s = poly(("x0", "x1", "x2", "y"), entries).rename(
             {"x0": denom, "x1": hv, "x2": tv}).align(("x0", "x1", "x2", "y"))
         for w in windows:
-            got = apply_delta(num_head, num_tail, denom, s, w)
+            got = apply_delta([(1, num_head, num_tail, denom, s)], w)
             assert _inside(got, w), (trial, w)
             assert _as_monomials(got) == _oracle_of_apply_delta(
                 num_head, num_tail, denom, s, w), (trial, w)
@@ -464,10 +465,58 @@ def test_clipped_delta_convolution_of_a_truncated_series(num_head, num_tail, den
     ).rename({"x0": denom, "x1": hv, "x2": tv}).align(("x0", "x1", "x2"))
     assert not s.is_exact()
     w = {"x0": (-3, 3), "x1": (-3, 3), "x2": (-3, 3)}
-    got = apply_delta(num_head, num_tail, denom, s, w)
+    got = apply_delta([(1, num_head, num_tail, denom, s)], w)
     assert got.coeffs and _inside(got, w)
     assert _as_monomials(got) == _oracle_of_apply_delta(
         num_head, num_tail, denom, s, w)
+
+
+def _check_a_series(s, num_head, num_tail, denom):
+    """``s`` with its x0, x1, x2 renamed to the delta's denominator, head and
+    tail, over (x0, x1, x2, ...) again."""
+    return s.rename({"x0": denom, "x1": num_head[1], "x2": num_tail[1]}).align(
+        s.variables)
+
+
+@pytest.mark.parametrize("signs", [(1, -1, -1), (-1, 1, 1), (1, 1, -1)])
+def test_multi_term_apply_delta_is_the_sum_of_its_terms(signs):
+    # the random scalar series and the truncated Vec series of the two tests
+    # above, one per check_A delta: one multi-term call writes what the
+    # single-term calls sum to, and a sign -1 negates a term
+    rng = random.Random(10)
+    truncated = WindowedSeries(
+        ("x0", "x1", "x2"),
+        {(0, h, t): Vec({"a": h - t, "b": Fraction(t, 3)})
+         for h in range(-12, 10, 3) for t in range(-6, 9, 2)},
+        window={"x0": (0, 0), "x1": (-12, None), "x2": (None, 8)},
+        shape={"x1": (False, True), "x2": (True, False)})
+    cases = [([truncated] * 3, {"x0": (-3, 3), "x1": (-3, 3), "x2": (-3, 3)})]
+    for trial in range(4):
+        series_ = []
+        for _ in CHECK_A_DELTAS:
+            entries = {}
+            for _ in range(12):
+                key = (0, rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-2, 2))
+                entries[key] = rng.choice([1, -2, 3, Fraction(1, 2), Fraction(-5, 3)])
+            series_.append(poly(("x0", "x1", "x2", "y"), entries))
+        cases += [(series_, {"x0": (-3, 3), "x1": (-3, 3), "x2": (-3, 3), "y": (-1, 1)}),
+                  (series_, {"x0": (-2, 4), "x1": (-4, 2), "x2": (-1, 5), "y": (0, 2)})]
+    for series_, w in cases:
+        terms = [(sign, *delta, _check_a_series(s, *delta))
+                 for sign, delta, s in zip(signs, CHECK_A_DELTAS, series_)]
+        got = apply_delta(terms, w)
+        singles = [apply_delta([term], w) for term in terms]
+        for single, (sign, *rest) in zip(singles, terms):
+            unsigned = apply_delta([(1, *rest)], w)
+            assert single.coeffs == (unsigned if sign > 0 else -unsigned).coeffs
+        want = {}
+        for single in singles:
+            assert (single.variables, single.window, single.shape) == (
+                got.variables, got.window, got.shape)
+            for key, c in single.coeffs.items():
+                want[key] = coeff_add(want.get(key, 0), c)
+        assert got.coeffs
+        assert got.coeffs == {k: c for k, c in want.items() if not coeff_is_zero(c)}
 
 
 def test_truncated_shape_is_inexact_and_known_on_its_window():
@@ -513,7 +562,7 @@ def _random_coeff(rng, vectors):
 def _assert_same_series(x, y):
     assert x.variables == y.variables
     assert x.window == y.window and x.shape == y.shape
-    assert x.coeffs == y.coeffs
+    assert x.coeffs == y.coeffs and list(x.coeffs) == list(y.coeffs)
     for k, c in x.coeffs.items():
         assert type(c) is type(y.coeffs[k])
         if type(c) is Vec:
@@ -549,3 +598,83 @@ def test_series_subtraction_refuses_mixed_vector_arithmetic():
     for x, y in ((a, b), (b, a)):
         with pytest.raises(TypeError):
             x - y
+
+
+def _merge_reference(a, b, subtract):
+    """``WindowedSeries._merge`` as it was before it dropped zeros only where
+    it combines and skipped the knowledge pass: a full zero filter in the
+    constructor, then every coefficient outside the known region dropped."""
+    if a.variables != b.variables:
+        allv = tuple(sorted(set(a.variables) | set(b.variables)))
+        return _merge_reference(a.align(allv), b.align(allv), subtract)
+    combine = coeff_sub if subtract else coeff_add
+    coeffs = dict(a.coeffs)
+    for k, c in b.coeffs.items():
+        prev = coeffs.get(k)
+        if prev is not None:
+            coeffs[k] = combine(prev, c)
+        else:
+            coeffs[k] = coeff_mul(c, -1) if subtract else c
+    window, shape = {}, {}
+    for v in a.variables:
+        ka, kb = a.known(v), b.known(v)
+        lo = None if ka[0] is None and kb[0] is None else max(
+            x for x in (ka[0], kb[0]) if x is not None)
+        hi = None if ka[1] is None and kb[1] is None else min(
+            x for x in (ka[1], kb[1]) if x is not None)
+        window[v] = (lo, hi) if not (a.exact(v) and b.exact(v)) else (
+            min(a.window[v][0], b.window[v][0]),
+            max(a.window[v][1], b.window[v][1]))
+        shape[v] = (a.shape[v][0] and b.shape[v][0],
+                    a.shape[v][1] and b.shape[v][1])
+    out = WindowedSeries(a.variables, coeffs, window, shape)
+    known = [out.known(v) for v in out.variables]
+    out.coeffs = {
+        key: c for key, c in out.coeffs.items()
+        if all((lo is None or lo <= e) and (hi is None or e <= hi)
+               for (lo, hi), e in zip(known, key))}
+    return out
+
+
+@pytest.mark.parametrize("vectors", [False, True])
+def test_merge_equals_the_full_pass_merge(vectors):
+    # seeded exact and windowed operands over shared and differing variable
+    # orders, with equal and with differing known regions, keys stored only
+    # inside the known region (as every series the package builds), and
+    # coefficients that cancel: coefficients, key order, windows and shapes
+    # all equal those of the merge that filters and drops in full passes
+    rng = random.Random(1407)
+    windows = [((-2, None), (None, 3)), ((-1, None), (None, 2)), ((-3, None), (None, 3))]
+    cancelled = unknown = same = 0
+    for trial in range(200):
+        def series(variables, like=None):
+            (xlo, _), (_, yhi) = rng.choice(windows)
+            entries = {(rng.randint(xlo, 3), rng.randint(-3, yhi)):
+                       _random_coeff(rng, vectors) for _ in range(rng.randint(0, 8))}
+            if like is not None and variables == like.variables:
+                # shared keys with equal or opposite coefficients cancel
+                for key, c in list(like.coeffs.items())[:rng.randint(0, 3)]:
+                    if key[0] >= xlo and key[1] <= yhi:
+                        entries[key] = c if rng.random() < 0.5 else coeff_mul(c, -1)
+            if rng.random() < 0.4:
+                return poly(variables, entries)
+            return WindowedSeries(
+                variables, entries,
+                window={variables[0]: (xlo, None), variables[1]: (None, yhi)},
+                shape={variables[0]: (False, True), variables[1]: (True, False)})
+        a = series(("x", "y"))
+        b = series(rng.choice([("x", "y"), ("x", "y"), ("y", "x"), ("x", "z")]), a)
+        for x, y in ((a, b), (b, a), (a, a)):
+            for subtract in (False, True):
+                want = _merge_reference(x, y, subtract)
+                _assert_same_series(x - y if subtract else x + y, want)
+                if x.variables == y.variables:
+                    keys = set(x.coeffs) | set(y.coeffs)
+                    known = [want.known(v) for v in want.variables]
+                    outside = {k for k in keys if not all(
+                        (lo is None or lo <= e) and (hi is None or e <= hi)
+                        for (lo, hi), e in zip(known, k))}
+                    unknown += len(outside)
+                    cancelled += len(keys - outside - set(want.coeffs))
+                    same += all(x.known(v) == y.known(v) for v in x.variables)
+    assert cancelled > 50 and unknown > 50 and same > 300

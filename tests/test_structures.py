@@ -434,10 +434,9 @@ def test_route_two_writes_only_inside_the_delta_window(monkeypatch):
         written.extend(mine)
         _original(coeffs, *args)
 
-    def checked(num_head, num_tail, denom, s, out_window,
-                _original=rationalforms.apply_delta):
+    def checked(terms, out_window, _original=rationalforms.apply_delta):
         written.clear()
-        out = _original(num_head, num_tail, denom, s, out_window)
+        out = _original(terms, out_window)
         bounds = [out_window.get(v, (0, 0)) for v in out.variables]
         outside.extend(
             key for key in written
@@ -457,7 +456,9 @@ def test_route_two_writes_only_inside_the_delta_window(monkeypatch):
         inst = rationalforms.generate_instance(seed, N=8)
         for which in rationalforms.IMPLICATIONS:
             rationalforms.replay_implication(which, inst, N=8, m_max=None)
-    assert len(calls) > 1000 and sum(calls) > 0
+    # route 2 runs at least once per Jacobi check and once per instance
+    assert len(calls) >= len(full_corpus()) + len(full_module_corpus()) + 8
+    assert sum(calls) > 1000
     assert outside == []
 
 
@@ -467,6 +468,7 @@ def test_route_two_calls_add_power_only_for_a_nonempty_tail_range(monkeypatch):
     # on every Jacobi triple of both corpora and on replay instances 0..7
     written = []
     inside = []
+    calls = []
 
     def recorded(coeffs, *args, _original=series.add_power):
         if inside:
@@ -476,6 +478,7 @@ def test_route_two_calls_add_power_only_for_a_nonempty_tail_range(monkeypatch):
         _original(coeffs, *args)
 
     def tracked(*args, _original=rationalforms.apply_delta):
+        calls.append(args)
         inside.append(True)
         try:
             return _original(*args)
@@ -492,12 +495,13 @@ def test_route_two_calls_add_power_only_for_a_nonempty_tail_range(monkeypatch):
         inst = rationalforms.generate_instance(seed, N=8)
         for which in rationalforms.IMPLICATIONS:
             rationalforms.replay_implication(which, inst, N=8, m_max=None)
+    assert len(calls) >= len(full_corpus()) + len(full_module_corpus()) + 8
     assert len(written) > 1000
     assert min(written) >= 1
 
 
 # ---------------------------------------------------------------------------
-# Jacobi once per (u, v), on the slots of every w stacked
+# Jacobi once per member, on one stack of every (u, v, w)
 
 
 def _per_triple_jacobi(A, axiom, N, memo):
@@ -510,16 +514,16 @@ def _per_triple_jacobi(A, axiom, N, memo):
         for v in A.over.basis:
             for w in A.wbasis:
                 inst = A.triple(u, v, w)
-                ok_sym, wit_sym = structures._jacobi_symbolic_zero(
+                out = structures._jacobi_symbolic_zero(
                     inst.f_at("x1", "x2"), inst.g_at("x2", "x1"),
                     inst.h_at("x2", "x0"), N, memo)
                 ok_ser, _ = rationalforms.check_A(inst, N)
-                assert ok_sym == ok_ser, (A.name, u, v, w)
-                verdicts[(u, v, w)] = ok_sym
-                if not ok_sym and report is None:
+                assert (not out) == ok_ser, (A.name, u, v, w)
+                verdicts[(u, v, w)] = not out
+                if out and report is None:
                     report = structures.PropertyReport(
                         axiom, "FAIL",
-                        {"triple": (u, v, w), "monomial": wit_sym[0]},
+                        {"triple": (u, v, w), "monomial": dict(sorted(out)[0])},
                         window=N)
     return report or structures.PropertyReport(axiom, "PASS", {}, window=N), verdicts
 
@@ -546,25 +550,33 @@ def _jacobi_axiom(A):
     return "jacobi" if A.over is A else "m_jacobi"
 
 
+def _member_stack_failing_pairs(A, N, memo):
+    """Each route's failing pairs, read off the member stack of ``A``."""
+    triples = {(u, v, w): A.triple(u, v, w)
+               for u in A.over.basis for v in A.over.basis for w in A.wbasis}
+    inst = structures._stacked_triple(triples)
+    sym = structures._jacobi_symbolic_zero(*structures._slots(inst), N, memo)
+    ser = rationalforms.three_term_series(inst, N).coeffs
+    return structures._failing_pairs(sym), structures._failing_pairs(ser)
+
+
 def test_stacked_jacobi_equals_the_per_triple_check(ut2_dir):
     members = (full_corpus() + full_module_corpus()
                + [configio.load_structure(str(ut2_dir / "ut2.json")),
                   configio.load_module(str(ut2_dir / "ut2-regular.module.json"))]
-               + _seeded_edits(50, 12))
+               + _seeded_edits(50, 12) + _seeded_edits(200, 13))
     pairs, failing_pairs, reports = 0, 0, Counter()
     for A in members:
         axiom, N, memo = _jacobi_axiom(A), structures.default_window(A), {}
         with A.shared_triples():
             want, per_triple = _per_triple_jacobi(A, axiom, N, memo)
-            for u in A.over.basis:
-                for v in A.over.basis:
-                    triples = {w: A.triple(u, v, w) for w in A.wbasis}
-                    stacked, _ = structures._jacobi_routes(
-                        structures._stacked_triple(triples), N, memo, axiom, (u, v))
-                    assert stacked == all(per_triple[(u, v, w)] for w in triples), \
-                        (A.name, u, v)
-                    pairs += 1
-                    failing_pairs += not stacked
+            failing = {(u, v) for (u, v, _), ok in per_triple.items() if not ok}
+            # each route's failing pairs, read from the one stack of the
+            # member, are exactly the pairs with a failing triple
+            assert _member_stack_failing_pairs(A, N, memo) == (failing, failing), \
+                A.name
+            pairs += len(A.over.basis) ** 2
+            failing_pairs += len(failing)
             got = structures.check_jacobi(A, axiom)
         assert got.to_json() == want.to_json(), A.name
         reports[got.verdict] += 1
@@ -572,36 +584,42 @@ def test_stacked_jacobi_equals_the_per_triple_check(ut2_dir):
     assert reports["PASS"] > 20 and reports["FAIL"] > 20
 
 
-def test_jacobi_runs_check_a_once_per_pair_on_a_pass_member(monkeypatch):
-    calls = []
+def test_jacobi_runs_route_two_once_per_pass_member(monkeypatch):
+    stacks, reruns = [], []
 
-    def counted(inst, N, _original=structures.check_A):
-        calls.append(inst)
+    def stacked(inst, N, _original=structures.three_term_series):
+        stacks.append(inst)
         return _original(inst, N)
 
-    monkeypatch.setattr(structures, "check_A", counted)
+    def rerun(inst, N, _original=structures.check_A):
+        reruns.append(inst)
+        return _original(inst, N)
+
+    monkeypatch.setattr(structures, "three_term_series", stacked)
+    monkeypatch.setattr(structures, "check_A", rerun)
     for A, axiom in ((borcherds_structure(4), "jacobi"),
                      (make_module(4, "ideal"), "m_jacobi")):
-        calls.clear()
+        stacks.clear()
         assert structures.check_jacobi(A, axiom).verdict == "PASS"
-        assert len(A.wbasis) > 1
-        assert len(calls) == len(A.over.basis) ** 2
+        assert len(A.over.basis) > 1 and len(A.wbasis) > 1
+        assert len(stacks) == 1 and reruns == []
 
 
 def test_jacobi_routes_disagreeing_on_a_stacked_pair_raise(monkeypatch):
+    # route 2's result on the member stack with one pair's labels flipped
+    # from zero to nonzero: the pair is named, with each route's verdict
     S = borcherds_structure(3)
-    u = v = S.basis[0]
+    u, v = S.basis[1], S.basis[2]
 
-    def flipped(inst, N, _original=structures.check_A):
-        ok, wit = _original(inst, N)
-        if type(inst) is rationalforms.TripleInstance:  # the stacked pair
-            return not ok, wit
-        return ok, wit
+    def flipped(inst, N, _original=structures.three_term_series):
+        out = _original(inst, N)
+        assert not out.coeffs
+        return out.copy_meta({(0, 0, 0): Vec({(u, v, S.basis[0], S.basis[0]): 1})})
 
-    monkeypatch.setattr(structures, "check_A", flipped)
+    monkeypatch.setattr(structures, "three_term_series", flipped)
     with pytest.raises(ConsistencyViolationError,
-                       match=rf"jacobi routes disagree on \({u},{v}\): "
-                             "symbolic=True series=False"):
+                       match=rf"^jacobi routes disagree on \({u},{v}\): "
+                             "symbolic=True series=False$"):
         check_axiom(S, "jacobi")
 
 

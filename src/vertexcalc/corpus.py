@@ -134,33 +134,18 @@ def full_corpus():
 # module corpus: regular, ideal and quotient modules over each family member
 
 def _module_data(k, which):
-    """Action tables for the regular, ideal and quotient A_k-modules."""
-    if which == "regular":
-        wbasis = tuple(f"e{i}" for i in range(k))
-        action = {}
-        for i in range(k):
-            for j in range(k):
-                if i + j < k:
-                    action[(f"e{i}", f"e{j}")] = Vec.unit(f"e{i + j}")
-        return wbasis, action
-    if which == "ideal":
-        wbasis = tuple(f"e{i}" for i in range(1, k))
-        action = {}
-        for i in range(k):
-            for j in range(1, k):
-                if i + j < k:
-                    action[(f"e{i}", f"e{j}")] = Vec.unit(f"e{i + j}")
-        return wbasis, action
-    if which == "quotient":
-        # A_k / t^(k-1) A_k, basis f0..f(k-2)
-        wbasis = tuple(f"f{i}" for i in range(k - 1))
-        action = {}
-        for i in range(k):
-            for j in range(k - 1):
-                if i + j < k - 1:
-                    action[(f"e{i}", f"f{j}")] = Vec.unit(f"f{i + j}")
-        return wbasis, action
-    raise ValueError(which)
+    """Action tables for the regular, ideal and quotient A_k-modules.  Each
+    is a (prefix, lowest index, top) recipe: basis p_lo..p_(top-1) with
+    e_i . p_j = p_(i+j) when i + j < top.  The quotient A_k / t^(k-1) A_k
+    has basis f0..f(k-2)."""
+    recipes = {"regular": ("e", 0, k), "ideal": ("e", 1, k),
+               "quotient": ("f", 0, k - 1)}
+    if which not in recipes:
+        raise ValueError(which)
+    prefix, lo, top = recipes[which]
+    action = {(f"e{i}", f"{prefix}{j}"): Vec.unit(f"{prefix}{i + j}")
+              for i in range(k) for j in range(lo, top) if i + j < top}
+    return tuple(f"{prefix}{j}" for j in range(lo, top)), action
 
 
 def make_module(k, which, name=None, tags=("valid",)):

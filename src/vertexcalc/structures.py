@@ -41,9 +41,8 @@ from math import factorial
 from .deltacalc import (THREE_TERM, DeltaExpr, Term, identity_lhs, mono_of,
                         window_coeffs)
 from .errors import ConsistencyViolationError, ConstructionError
-from .rationalforms import (S1, S2, TripleInstance, box, check_A,
-                            least_clearing_power, pole_statement,
-                            three_term_series)
+from .rationalforms import (S1, S2, TripleInstance, box, least_clearing_power,
+                            pole_statement, three_term_series)
 from .scalars import Vec, coeff_mul, linear_map
 from .series import (INF, WindowedSeries, exp_endo, multiply,
                      taylor_substitute, zero_verdict)
@@ -446,23 +445,9 @@ def _slots(inst):
     return inst.f_at("x1", "x2"), inst.g_at("x2", "x1"), inst.h_at("x2", "x0")
 
 
-def _failing_pairs(coeffs):
-    """The pairs (u, v) in the labels (u, v, w, w') of stacked coefficients."""
-    return {label[:2] for c in coeffs.values() for label in c.entries}
-
-
-def _jacobi_routes(inst, N, memo, axiom, where):
-    """Route 1's verdict and first monomial on the triple ``inst``, after
-    route 2 agreed with its verdict; a disagreement names ``where``."""
-    # route 1: symbolic delta expansion with the window oracle
-    out = _jacobi_symbolic_zero(*_slots(inst), N, memo)
-    # route 2: concrete delta convolution via the (A)-checker
-    ok_ser, _ = check_A(inst, N)
-    if (not out) != ok_ser:
-        raise ConsistencyViolationError(
-            f"{axiom} routes disagree on ({','.join(map(str, where))}): "
-            f"symbolic={not out} series={ok_ser}")
-    return not out, out and dict(min(out))
+def _failing_triples(coeffs):
+    """The triples (u, v, w) in the labels (u, v, w, w') of stacked coefficients."""
+    return {label[:3] for c in coeffs.values() for label in c.entries}
 
 
 def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
@@ -472,37 +457,43 @@ def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
     decide coefficient by coefficient on the fixed box [-N, N]^3; stacked,
     each coefficient is the Vec over (u, v, w, w') of the triples' ones, and
     the routes only add and scale such Vecs, so label components never mix.
-    So each route's failing pairs, read off its nonzero coefficients, are
-    the pairs with a failing triple, and the two sets must be equal.  The
-    first failing pair is rerun per w in ``wbasis`` order for the triple and
-    route 1's monomial; a pair failing on no triple is a violation.
+    So each route's failing triples, read off its nonzero coefficients, are
+    the triples that fail alone, and the two sets must be equal.  The FAIL
+    record is the first failing triple in ``over.basis`` x ``over.basis`` x
+    ``wbasis`` order, with the least monomial of route 1's stack whose Vec
+    has a label of that triple.  Route 1 reruns on that triple alone and
+    must give the same monomial, or the stacking is a violation.
     """
     N = window or default_window(A)
     # Route 1 expands each term shape once per window, for this call only:
     # every coefficient is still recomputed by the oracle, independently of
     # ``series``, and no expansion outlives the check.
     memo = {}
-    pairs = [(u, v) for u in A.over.basis for v in A.over.basis]
-    triples = {(u, v, w): A.triple(u, v, w) for u, v in pairs for w in A.wbasis}
+    triples = {(u, v, w): A.triple(u, v, w)
+               for u in A.over.basis for v in A.over.basis for w in A.wbasis}
     if not triples:
         return PropertyReport(axiom, "PASS", {}, window=N)
     inst = _stacked_triple(triples)
-    sym = _failing_pairs(_jacobi_symbolic_zero(*_slots(inst), N, memo))
-    ser = _failing_pairs(three_term_series(inst, N).coeffs)
+    out = _jacobi_symbolic_zero(*_slots(inst), N, memo)
+    sym = _failing_triples(out)
+    ser = _failing_triples(three_term_series(inst, N).coeffs)
     if sym != ser:
         raise ConsistencyViolationError(f"{axiom} routes disagree on " + ", ".join(
-            f"({u},{v}): symbolic={(u, v) not in sym} series={(u, v) not in ser}"
-            for u, v in pairs if ((u, v) in sym) != ((u, v) in ser)))
-    for u, v in (pair for pair in pairs if pair in sym):
-        for w in A.wbasis:
-            ok, mono = _jacobi_routes(triples[u, v, w], N, memo, axiom, (u, v, w))
-            if not ok:
-                return PropertyReport(
-                    axiom, "FAIL", {"triple": (u, v, w), "monomial": mono}, window=N)
+            f"({','.join(map(str, t))}): symbolic={t not in sym} series={t not in ser}"
+            for t in triples if (t in sym) != (t in ser)))
+    first = next((t for t in triples if t in sym), None)
+    if first is None:
+        return PropertyReport(axiom, "PASS", {}, window=N)
+    mono = min(key for key, c in out.items()
+               if any(label[:3] == first for label in c.entries))
+    alone = _jacobi_symbolic_zero(*_slots(triples[first]), N, memo)
+    if min(alone, default=None) != mono:
         raise ConsistencyViolationError(
-            f"{axiom} fails on the stacked pair ({u},{v}) "
-            "but on none of its triples")
-    return PropertyReport(axiom, "PASS", {}, window=N)
+            f"{axiom} stacking is inconsistent at ({','.join(map(str, first))}): "
+            f"first monomial {dict(mono)} on the member stack, "
+            f"{dict(min(alone)) if alone else 'none'} on the triple alone")
+    return PropertyReport(
+        axiom, "FAIL", {"triple": first, "monomial": dict(mono)}, window=N)
 
 
 WEAK_PAIRS = {"weak_comm": "m1", "weak_assoc": "m2", "weak_skew_assoc": "m3"}
@@ -664,41 +655,21 @@ def check_strong_creation(S: VertexStructure, window=None):
 
 
 def check_injectivity(S: VertexStructure, window=None):
-    """Exact rank of v -> (mode table row of v) over the rationals."""
-    columns = []
-    row_index = {}
+    """Exact rank of v -> (mode table row of v) over the rationals.  Each
+    row, a Vec over (w, n, b), is reduced by the earlier pivots in order; a
+    nonzero remainder becomes a pivot, scaled to 1 at its first key."""
+    pivots = []
     for v in S.basis:
-        col = {}
-        for w in S.basis:
-            for n, vec in S.ytable.get((v, w), {}).items():
-                for b, c in vec.entries.items():
-                    key = (w, n, b)
-                    row_index.setdefault(key, len(row_index))
-                    col[key] = c
-        columns.append(col)
-    rows = len(row_index)
-    matrix = [[Fraction(0)] * len(S.basis) for _ in range(rows)]
-    for j, col in enumerate(columns):
-        for key, c in col.items():
-            matrix[row_index[key]][j] = Fraction(c)
-    rank = 0
-    col = 0
-    nrows = len(matrix)
-    for col in range(len(S.basis)):
-        pivot = None
-        for r in range(rank, nrows):
-            if matrix[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        pv = matrix[rank][col]
-        for r in range(nrows):
-            if r != rank and matrix[r][col]:
-                factor = matrix[r][col] / pv
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
-        rank += 1
+        row = Vec({(w, n, b): c for w in S.basis
+                   for n, vec in S.ytable.get((v, w), {}).items()
+                   for b, c in vec.entries.items()})
+        for key, pivot in pivots:
+            if key in row.entries:
+                row = row - pivot.scale(row.entries[key])
+        if row:
+            key = next(iter(row.entries))
+            pivots.append((key, row.scale(Fraction(1, row.entries[key]))))
+    rank = len(pivots)
     if rank < len(S.basis):
         return PropertyReport("injectivity", "FAIL",
                               {"rank": rank, "dim": len(S.basis)})

@@ -14,6 +14,7 @@ from vertexcalc.corpus import (
     ideal_variants,
     make_module,
     mutant_expected_failures,
+    module_mutants,
     mutants,
     truncated_polynomial_algebra,
 )
@@ -550,14 +551,14 @@ def _jacobi_axiom(A):
     return "jacobi" if A.over is A else "m_jacobi"
 
 
-def _member_stack_failing_pairs(A, N, memo):
-    """Each route's failing pairs, read off the member stack of ``A``."""
+def _member_stack_failing_triples(A, N, memo):
+    """Each route's failing triples, read off the member stack of ``A``."""
     triples = {(u, v, w): A.triple(u, v, w)
                for u in A.over.basis for v in A.over.basis for w in A.wbasis}
     inst = structures._stacked_triple(triples)
     sym = structures._jacobi_symbolic_zero(*structures._slots(inst), N, memo)
     ser = rationalforms.three_term_series(inst, N).coeffs
-    return structures._failing_pairs(sym), structures._failing_pairs(ser)
+    return structures._failing_triples(sym), structures._failing_triples(ser)
 
 
 def test_stacked_jacobi_equals_the_per_triple_check(ut2_dir):
@@ -565,68 +566,74 @@ def test_stacked_jacobi_equals_the_per_triple_check(ut2_dir):
                + [configio.load_structure(str(ut2_dir / "ut2.json")),
                   configio.load_module(str(ut2_dir / "ut2-regular.module.json"))]
                + _seeded_edits(50, 12) + _seeded_edits(200, 13))
-    pairs, failing_pairs, reports = 0, 0, Counter()
+    triples, failing_triples, failing_pairs, reports = 0, 0, 0, Counter()
     for A in members:
         axiom, N, memo = _jacobi_axiom(A), structures.default_window(A), {}
         with A.shared_triples():
             want, per_triple = _per_triple_jacobi(A, axiom, N, memo)
-            failing = {(u, v) for (u, v, _), ok in per_triple.items() if not ok}
-            # each route's failing pairs, read from the one stack of the
-            # member, are exactly the pairs with a failing triple
-            assert _member_stack_failing_pairs(A, N, memo) == (failing, failing), \
+            failing = {t for t, ok in per_triple.items() if not ok}
+            # each route's failing triples, read from the one stack of the
+            # member, are exactly the triples that fail alone
+            assert _member_stack_failing_triples(A, N, memo) == (failing, failing), \
                 A.name
-            pairs += len(A.over.basis) ** 2
-            failing_pairs += len(failing)
+            triples += len(per_triple)
+            failing_triples += len(failing)
+            failing_pairs += len({t[:2] for t in failing})
             got = structures.check_jacobi(A, axiom)
         assert got.to_json() == want.to_json(), A.name
         reports[got.verdict] += 1
-    assert pairs > 1000 and failing_pairs > 100
+    assert triples > 10000 and failing_triples > 1000 and failing_pairs > 100
     assert reports["PASS"] > 20 and reports["FAIL"] > 20
 
 
 def test_jacobi_runs_route_two_once_per_pass_member(monkeypatch):
-    stacks, reruns = [], []
+    # and once per FAIL member too; route 1 runs once more on a FAIL member,
+    # on its reported triple alone
+    route1, route2 = [], []
+
+    def symbolic(*args, _original=structures._jacobi_symbolic_zero):
+        route1.append(args)
+        return _original(*args)
 
     def stacked(inst, N, _original=structures.three_term_series):
-        stacks.append(inst)
+        route2.append(inst)
         return _original(inst, N)
 
-    def rerun(inst, N, _original=structures.check_A):
-        reruns.append(inst)
-        return _original(inst, N)
-
+    monkeypatch.setattr(structures, "_jacobi_symbolic_zero", symbolic)
     monkeypatch.setattr(structures, "three_term_series", stacked)
-    monkeypatch.setattr(structures, "check_A", rerun)
-    for A, axiom in ((borcherds_structure(4), "jacobi"),
-                     (make_module(4, "ideal"), "m_jacobi")):
-        stacks.clear()
-        assert structures.check_jacobi(A, axiom).verdict == "PASS"
-        assert len(A.over.basis) > 1 and len(A.wbasis) > 1
-        assert len(stacks) == 1 and reruns == []
+    members = {"jacobi": (borcherds_structure(4), mutants()[0]),
+               "m_jacobi": (make_module(4, "ideal"), module_mutants()[0])}
+    for axiom, (passing, failing) in members.items():
+        for A, verdict, route1_calls in ((passing, "PASS", 1), (failing, "FAIL", 2)):
+            route1.clear()
+            route2.clear()
+            assert structures.check_jacobi(A, axiom).verdict == verdict, A.name
+            assert len(A.over.basis) > 1 and len(A.wbasis) > 1
+            assert len(route1) == route1_calls and len(route2) == 1, A.name
 
 
 def test_jacobi_routes_disagreeing_on_a_stacked_pair_raise(monkeypatch):
-    # route 2's result on the member stack with one pair's labels flipped
-    # from zero to nonzero: the pair is named, with each route's verdict
+    # route 2's result on the member stack with one triple's labels flipped
+    # from zero to nonzero: the triple is named, with each route's verdict
     S = borcherds_structure(3)
-    u, v = S.basis[1], S.basis[2]
+    u, v, w = S.basis[1], S.basis[2], S.basis[0]
 
     def flipped(inst, N, _original=structures.three_term_series):
         out = _original(inst, N)
         assert not out.coeffs
-        return out.copy_meta({(0, 0, 0): Vec({(u, v, S.basis[0], S.basis[0]): 1})})
+        return out.copy_meta({(0, 0, 0): Vec({(u, v, w, w): 1})})
 
     monkeypatch.setattr(structures, "three_term_series", flipped)
     with pytest.raises(ConsistencyViolationError,
-                       match=rf"^jacobi routes disagree on \({u},{v}\): "
+                       match=rf"^jacobi routes disagree on \({u},{v},{w}\): "
                              "symbolic=True series=False$"):
         check_axiom(S, "jacobi")
 
 
-def test_jacobi_pair_failing_on_no_triple_raises(monkeypatch):
-    # a stacked pair that both routes find nonzero while every triple of it
-    # is zero cannot come from a correct stacking: it is reported, not
-    # passed over
+def test_jacobi_stack_disagreeing_with_its_triple_raises(monkeypatch):
+    # a stacked triple that both routes find nonzero while the triple alone
+    # is zero cannot come from a correct stacking: route 1's rerun on the
+    # reported triple catches it, and it is reported, not passed over
     def perturbed(triples, _original=structures._stacked_triple):
         inst = _original(triples)
         key, vec = next(iter(inst.f.coeffs.items()))
@@ -634,7 +641,96 @@ def test_jacobi_pair_failing_on_no_triple_raises(monkeypatch):
 
     monkeypatch.setattr(structures, "_stacked_triple", perturbed)
     S = borcherds_structure(3)
+    e0 = S.basis[0]
     with pytest.raises(ConsistencyViolationError,
-                       match=rf"fails on the stacked pair \({S.basis[0]},"
-                             rf"{S.basis[0]}\) but on none of its triples"):
+                       match=rf"^jacobi stacking is inconsistent at \({e0},{e0},{e0}\): "
+                             r"first monomial \{.*\} on the member stack, "
+                             "none on the triple alone$"):
         check_axiom(S, "jacobi")
+
+
+def test_jacobi_guard_compares_the_first_monomial(monkeypatch):
+    # route 1's rerun on the reported triple must give the stack's first
+    # monomial, not just a FAIL: a rerun whose least nonzero coefficient
+    # moved is reported as a stacking violation
+    calls = []
+
+    def shifted(*args, _original=structures._jacobi_symbolic_zero):
+        out = _original(*args)
+        calls.append(out)
+        if len(calls) == 2:
+            out = dict(out)
+            del out[min(out)]
+        return out
+
+    monkeypatch.setattr(structures, "_jacobi_symbolic_zero", shifted)
+    S = mutants()[0]
+    with pytest.raises(ConsistencyViolationError,
+                       match=r"^jacobi stacking is inconsistent at \(.+\): "
+                             r"first monomial \{.*\} on the member stack, "
+                             r"\{.*\} on the triple alone$"):
+        check_axiom(S, "jacobi")
+    assert len(calls) == 2 and len(calls[1]) > 1
+
+
+# ---------------------------------------------------------------------------
+# injectivity by sparse elimination
+
+
+def _sympy_rank(S):
+    """Rank of the mode-table rows of ``S`` by sympy's dense Matrix.rank."""
+    sympy = pytest.importorskip("sympy")
+    rows = [{(w, n, b): Fraction(c) for w in S.basis
+             for n, vec in S.ytable.get((v, w), {}).items()
+             for b, c in vec.entries.items()} for v in S.basis]
+    keys = sorted({key for row in rows for key in row}, key=repr)
+    if not keys:
+        return 0
+    return sympy.Matrix([
+        [sympy.Rational(row[key].numerator, row[key].denominator) if key in row else 0
+         for key in keys] for row in rows]).rank()
+
+
+def _random_tables(count, seed):
+    """``count`` vacuum-free structures with seeded random mode tables; some
+    elements act as a rational combination of earlier ones, so many tables
+    are rank-deficient."""
+    rng = random.Random(seed)
+    values = [-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 4)]
+    out = []
+    for i in range(count):
+        basis = tuple(f"b{j}" for j in range(rng.randint(1, 5)))
+        table = {}
+        for u in basis:
+            earlier = basis[:basis.index(u)]
+            if earlier and rng.random() < 0.4:
+                mix = {a: rng.choice(values)
+                       for a in rng.sample(earlier, rng.randint(1, len(earlier)))}
+                for w in basis:
+                    modes = {}
+                    for a, c in mix.items():
+                        for n, vec in table.get((a, w), {}).items():
+                            modes[n] = modes.get(n, Vec()) + vec.scale(c)
+                    table[(u, w)] = modes
+                continue
+            for w in basis:
+                if rng.random() < 0.4:
+                    table[(u, w)] = {
+                        n: Vec({rng.choice(basis): rng.choice(values)})
+                        for n in rng.sample(range(-3, 2), rng.randint(1, 2))}
+        out.append(VertexStructure(f"random-{i}", basis, table))
+    return out
+
+
+def test_injectivity_rank_equals_sympy_rank(ut2_dir):
+    members = (full_corpus() + [M.over for M in full_module_corpus()]
+               + [configio.load_structure(str(ut2_dir / "ut2.json"))]
+               + _random_tables(300, 21))
+    deficient = 0
+    for S in members:
+        report = structures.check_injectivity(S)
+        rank = _sympy_rank(S)
+        assert report.witnesses["rank"] == rank, S.name
+        assert (report.verdict == "PASS") == (rank == len(S.basis)), S.name
+        deficient += report.verdict == "FAIL"
+    assert len(members) > 300 and 50 < deficient < len(members) - 50

@@ -40,7 +40,8 @@ def test_pyproject_declares_no_runtime_dependencies():
 
 def test_deltacalc_shares_no_arithmetic_with_route_two():
     # route 1 of the Jacobi check (deltacalc's window oracle) must not borrow
-    # the series arithmetic that route 2 (rationalforms.check_A) runs on
+    # the series arithmetic that route 2 (rationalforms.three_term_series)
+    # runs on
     path = os.path.join(PACKAGE, "deltacalc.py")
     with open(path) as fh:
         tree = ast.parse(fh.read(), filename=path)
@@ -73,6 +74,49 @@ def test_series_builds_on_errors_and_scalars_alone():
             imported.add(node.module)
     names = {name.removeprefix("vertexcalc.") for name in imported}
     assert names == {"errors", "scalars"}, sorted(imported)
+
+
+def _package_trees():
+    """{file name: parsed module} of every source file of the package."""
+    out = {}
+    for name in sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")):
+        with open(os.path.join(PACKAGE, name)) as fh:
+            out[name] = ast.parse(fh.read(), filename=name)
+    return out
+
+
+def _referenced_names(tree):
+    """Every name a module reads, as a bare name or as an attribute."""
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_package_imports_no_name_it_never_uses():
+    # __init__ imports to re-export: that is its public API
+    unused = []
+    for name, tree in _package_trees().items():
+        if name == "__init__.py":
+            continue
+        used = _referenced_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used and alias.name != "annotations":
+                        unused.append((name, bound))
+    assert not unused, unused
+
+
+def test_package_defines_no_private_name_it_never_references():
+    trees = _package_trees()
+    used = set().union(*map(_referenced_names, trees.values()))
+    unreferenced = [
+        (name, node.name) for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in used]
+    assert not unreferenced, unreferenced
 
 
 CACHES = {"cache", "lru_cache"}

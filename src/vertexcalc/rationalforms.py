@@ -45,6 +45,7 @@ from .series import (
     add_power,
     apply_delta,
     binomial_power,
+    judged_coeffs,
     multiply,
     taylor_substitute,
     zero_verdict,
@@ -294,8 +295,7 @@ def three_term_series(inst: TripleInstance, N):
 
 def check_A(inst: TripleInstance, N):
     """Verdict of the three-term delta combination on the window [-N, N]^3."""
-    total = three_term_series(inst, N)
-    return (False, total.first_nonzero()) if total.coeffs else (True, None)
+    return zero_verdict(three_term_series(inst, N), box(N, "x0", "x1", "x2"))
 
 
 def pole_statement(inst, kind, hi, N):
@@ -305,31 +305,42 @@ def pole_statement(inst, kind, hi, N):
     return left - right, partial(clearing, kind), box(N, *PAIRS[kind].variables)
 
 
-def witness_is_valid(diff, clear, m, box):
-    """Whether clear(m) * diff vanishes: on its whole support when the
-    product is exact, on ``box`` when it is not."""
-    prod = multiply(diff, clear(m)) if m else diff
-    return zero_verdict(prod, box)[0]
-
-
-def least_clearing_power(diff, clear, box, m_max):
-    """Smallest valid witness m <= m_max of a (B)/(C)/(D) statement
-    (diff, m -> binomial^m, box), or None.  The weak checkers of
-    ``structures`` and ``find_pole_witness`` both search here."""
+def least_clearing_power(diff, clear, box, m_max, labels=(None,),
+                         labels_of=lambda c: (None,)):
+    """{label: smallest valid witness m <= m_max} of a (B)/(C)/(D) statement
+    (diff, m -> binomial^m, box) stacked over ``labels``; m is valid when
+    ``labels_of`` reads the label off no coefficient of clear(m) * diff that
+    ``zero_verdict`` judges, and is None if none is, or the WindowUnderflowError
+    of the m at which the windows ran out on the label.  Labels never mix, so
+    each is decided as alone when all share the stack's exactness and windows,
+    as one exactness class of the weak checkers does.  A replay instance is
+    the unlabelled case: one label None on every coefficient."""
+    least, open_ = {}, set(labels)
     for m in range(m_max + 1):
+        failing = set()
         try:
-            if witness_is_valid(diff, clear, m, box):
-                return m
+            for _, c in judged_coeffs(multiply(diff, clear(m)) if m else diff, box):
+                failing.update(labels_of(c))
+                if open_ <= failing:
+                    break
         except WindowUnderflowError:
-            raise WindowUnderflowError(
+            err = WindowUnderflowError(
                 f"witness search at m={m} exceeded the known windows; "
-                "regenerate the instance with larger windows") from None
-    return None
+                "regenerate the instance with larger windows")
+            return least | dict.fromkeys(open_, err)
+        least |= dict.fromkeys(open_ - failing, m)
+        open_ &= failing
+        if not open_:
+            break
+    return least | dict.fromkeys(open_)
 
 
 def find_pole_witness(inst: TripleInstance, kind, m_max, N):
     """Smallest m <= m_max clearing the pole of the kind's pair difference."""
-    return least_clearing_power(*pole_statement(inst, kind, inst.gen_hi, N), m_max)
+    m = least_clearing_power(*pole_statement(inst, kind, inst.gen_hi, N), m_max)[None]
+    if isinstance(m, WindowUnderflowError):
+        raise m
+    return m
 
 
 # ---------------------------------------------------------------------------

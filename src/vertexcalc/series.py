@@ -237,25 +237,18 @@ class WindowedSeries:
 
     def is_zero_on(self, window):
         """True iff every coefficient inside the window vanishes (all known)."""
+        return next(self.nonzero_on(window), None) is None
+
+    def nonzero_on(self, window):
+        """Iterator over the (key, coefficient) pairs inside ``window``, where
+        a variable that the window does not name has exponent 0.  Raises at
+        once unless the series knows the whole window."""
         for v, (lo, hi) in window.items():
             if not _known_contains(self.known(v), lo, hi):
                 raise WindowUnderflowError(
                     f"window {window} exceeds the known region for {v!r}: "
                     f"known {self.known(v)}")
-        for key, c in self.coeffs.items():
-            inside = True
-            for v, e in zip(self.variables, key):
-                if v in window:
-                    lo, hi = window[v]
-                    if (lo is not None and e < lo) or (hi is not None and e > hi):
-                        inside = False
-                        break
-                elif e != 0:
-                    inside = False
-                    break
-            if inside and not coeff_is_zero(c):
-                return False
-        return True
+        return _inside(self.coeffs, [window.get(v, (0, 0)) for v in self.variables])
 
     def is_zero(self):
         """Exact zero test; requires the series to be exact in every variable."""
@@ -263,19 +256,9 @@ class WindowedSeries:
             raise WindowUnderflowError("zero test on an inexact series; use is_zero_on")
         return not self.coeffs
 
-    def first_nonzero(self, window=None):
-        """Smallest monomial (by sorted key) with a nonzero coefficient."""
-        keys = sorted(self.coeffs)
-        for k in keys:
-            if window is not None:
-                ok = all(
-                    (window.get(v, (0, 0))[0] is None or window.get(v, (0, 0))[0] <= e)
-                    and (window.get(v, (0, 0))[1] is None or e <= window.get(v, (0, 0))[1])
-                    for v, e in zip(self.variables, k))
-                if not ok:
-                    continue
-            return {v: e for v, e in zip(self.variables, k) if e}, self.coeffs[k]
-        return None
+    def monomial(self, key):
+        """The monomial of an exponent tuple as {var: exp}, zero exponents left out."""
+        return {v: e for v, e in zip(self.variables, key) if e}
 
     # -- calculus ---------------------------------------------------------------
     def derivative(self, var):
@@ -310,16 +293,33 @@ class WindowedSeries:
         )
 
 
+def _inside(coeffs, bounds):
+    """The (key, coefficient) pairs of ``coeffs`` whose exponents lie in
+    ``bounds``, one (lo, hi) per position, lazily."""
+    for key, c in coeffs.items():
+        for (lo, hi), e in zip(bounds, key):
+            if (lo is not None and e < lo) or (hi is not None and e > hi):
+                break
+        else:
+            yield key, c
+
+
+def judged_coeffs(series, window_box=None):
+    """Iterator over the (key, coefficient) pairs that ``zero_verdict``
+    judges: all of an exact series, those on the window of any other."""
+    if series.is_exact():
+        return iter(series.coeffs.items())
+    return series.nonzero_on(window_box)
+
+
 def zero_verdict(series, window_box=None):
     """(is_zero, witness) — exact when possible, otherwise on the window
-    (an exact series needs none)."""
-    if series.is_exact():
-        if series.is_zero():
-            return True, None
-        return False, series.first_nonzero()
-    if series.is_zero_on(window_box):
+    (an exact series needs none); the witness is the least judged monomial
+    with its coefficient."""
+    key = min((key for key, _ in judged_coeffs(series, window_box)), default=None)
+    if key is None:
         return True, None
-    return False, series.first_nonzero(window_box)
+    return False, (series.monomial(key), series.coeffs[key])
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,14 @@ the action at (u, v, w), and search their witnesses with the replays' own
 one slot triple per (u, v, w), so each product is built once per member; the
 triples are dropped when the block ends.
 
-Jacobi is an identity of operators, linear in u, v and w, so it is checked
-once per member, on the slots of every (u, v, w) stacked into Vec
-coefficients over (u, v, w, w').  The weak checkers and vf_skew_symmetry stay
-per w: ``zero_verdict`` decides an exact series on its whole support and any
-other on the box, and whether a slot difference is exact depends on w, so a
-stacked verdict could judge an exact component on the box only.
+Jacobi, the weak properties and vf_skew_symmetry are identities of
+operators, linear in u, v and w, so each is checked once per member, on slot
+triples stacked into Vec coefficients over (u, v, w, w').  ``zero_verdict``
+decides an exact series on its whole support and any other on the box.  A
+weak or vf difference is exact unless a side that substitutes s1 has a
+negative power of s1, so those checkers stack each exactness class apart
+(which substituted sides have one): within a class every stack has the same
+exactness, windows and shapes, and each triple is decided as it is alone.
 
 Checkers return PropertyReport records.  Identities between exact Laurent
 polynomials are decided exactly; identities involving delta factors or
@@ -40,11 +42,13 @@ from math import factorial
 
 from .deltacalc import (THREE_TERM, DeltaExpr, Term, identity_lhs, mono_of,
                         window_coeffs)
-from .errors import ConsistencyViolationError, ConstructionError
-from .rationalforms import (S1, S2, TripleInstance, box, least_clearing_power,
-                            pole_statement, three_term_series)
+from .errors import (ConsistencyViolationError, ConstructionError,
+                     WindowUnderflowError)
+from .rationalforms import (PAIRS, S1, S2, TripleInstance, box,
+                            least_clearing_power, pole_statement,
+                            three_term_series)
 from .scalars import Vec, coeff_mul, linear_map
-from .series import (INF, WindowedSeries, exp_endo, multiply,
+from .series import (INF, WindowedSeries, exp_endo, judged_coeffs, multiply,
                      taylor_substitute, zero_verdict)
 
 AXIOMS = (
@@ -420,24 +424,52 @@ class ActionTriple(TripleInstance):
     h = cached_property(lambda t: t.A.iterate_yw(t.u, S2, t.v, S1, t.w))
 
 
-def _stacked_triple(triples):
-    """One TripleInstance whose f, g and h stack the slots of ``triples``
+def _member_triples(A: ModuleStructure):
+    """{(u, v, w): slot triple} of every (u, v, w), in ``over.basis`` x
+    ``over.basis`` x ``wbasis`` order."""
+    return {(u, v, w): A.triple(u, v, w)
+            for u in A.over.basis for v in A.over.basis for w in A.wbasis}
+
+
+def _stacked_triple(triples, slots="fgh"):
+    """One TripleInstance whose ``slots`` stack those of ``triples``
     {(u, v, w): triple}: the coefficient at each monomial is the Vec over
     labels (u, v, w, w') of every triple's coefficient there.  Each slot
-    keeps its own variable order (h is stored over (s2, s1))."""
-    slots = []
-    for slot in ("f", "g", "h"):
+    keeps its own variable order (h is stored over (s2, s1)); a slot not
+    named in ``slots`` is not read, and is None."""
+    out = []
+    for slot in "fgh":
         variables, stacked = None, {}
-        for label, t in triples.items():
+        for label, t in triples.items() if slot in slots else ():
             series = getattr(t, slot)
             variables = series.variables
             for key, vec in series.coeffs.items():
                 entries = stacked.setdefault(key, {})
                 for b, c in vec.entries.items():
                     entries[(*label, b)] = c
-        slots.append(WindowedSeries.from_monomials(
-            variables, {key: Vec(e) for key, e in stacked.items()}))
-    return TripleInstance(*slots)
+        out.append(WindowedSeries.from_monomials(
+            variables, {key: Vec(e) for key, e in stacked.items()})
+            if variables else None)
+    return TripleInstance(*out)
+
+
+def _classes(triples, substituted):
+    """``triples`` {(u, v, w): triple} split, in order, by exactness class:
+    which of the series ``substituted(label)``, whose s1 gets substituted,
+    have a negative power of s1, so that they expand without end and their
+    difference is judged on the box, not on its whole support."""
+    parts = {}
+    for label, t in triples.items():
+        cls = tuple(any(k[s.idx(S1)] < 0 for k in s.coeffs) for s in substituted(label))
+        parts.setdefault(cls, {})[label] = t
+    return parts.values()
+
+
+def _moved(axiom, triple, stacked, alone):
+    """The violation of a guard rerun on ``triple`` alone that moved."""
+    return ConsistencyViolationError(
+        f"{axiom} stacking is inconsistent at ({','.join(map(str, triple))}): "
+        f"{stacked}, {alone} on the triple alone")
 
 
 def _slots(inst):
@@ -469,8 +501,7 @@ def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
     # every coefficient is still recomputed by the oracle, independently of
     # ``series``, and no expansion outlives the check.
     memo = {}
-    triples = {(u, v, w): A.triple(u, v, w)
-               for u in A.over.basis for v in A.over.basis for w in A.wbasis}
+    triples = _member_triples(A)
     if not triples:
         return PropertyReport(axiom, "PASS", {}, window=N)
     inst = _stacked_triple(triples)
@@ -488,10 +519,8 @@ def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
                if any(label[:3] == first for label in c.entries))
     alone = _jacobi_symbolic_zero(*_slots(triples[first]), N, memo)
     if min(alone, default=None) != mono:
-        raise ConsistencyViolationError(
-            f"{axiom} stacking is inconsistent at ({','.join(map(str, first))}): "
-            f"first monomial {dict(mono)} on the member stack, "
-            f"{dict(min(alone)) if alone else 'none'} on the triple alone")
+        raise _moved(axiom, first, f"first monomial {dict(mono)} on the member stack",
+                     dict(min(alone)) if alone else "none")
     return PropertyReport(
         axiom, "FAIL", {"triple": first, "monomial": dict(mono)}, window=N)
 
@@ -499,55 +528,78 @@ def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
 WEAK_PAIRS = {"weak_comm": "m1", "weak_assoc": "m2", "weak_skew_assoc": "m3"}
 
 
-def _weak_difference(A: ModuleStructure, axiom, u, v, w, N):
-    """(difference series, clearing factor m -> series, window box) of a weak
-    property; ``axiom`` is weak_comm / weak_assoc / weak_skew_assoc, with or
-    without the m_ prefix.  The recipe is the property's pair in
-    ``rationalforms.PAIRS``, on the action's slot triple, with tails cut at N."""
-    kind = WEAK_PAIRS[axiom.removeprefix("m_")]
-    return pole_statement(A.triple(u, v, w), kind, N, N)
+def _weak_witnesses(kind, triples, N, m_max):
+    """{(u, v, w): least witness, None or WindowUnderflowError} of the weak
+    property of pair ``kind`` in ``rationalforms.PAIRS``, searched on one
+    stack of ``triples``, with tails cut at N."""
+    pair = PAIRS[kind]
+    inst = _stacked_triple(triples, (pair.left[0], pair.right[0]))
+    return least_clearing_power(*pole_statement(inst, kind, N, N), m_max, triples,
+                                lambda c: (label[:3] for label in c.entries))
 
 
 def check_weak(A: ModuleStructure, axiom, m_max=None, window=None):
-    """The three weak properties with minimal witnesses."""
+    """The three weak properties with minimal witnesses, searched once per
+    member on one stack per exactness class (see the module docstring).
+    The record is the first triple without a witness m <= m_max; rerun
+    alone, it must still have none, or the stacking is a violation."""
     N = window or default_window(A)
     if m_max is None:
         m_max = A.max_pole_order() + 2
-    witnesses = {}
-    # per w, not stacked as in check_jacobi: whether zero_verdict judges a
-    # difference on its whole support or on the box depends on w
-    for u in A.over.basis:
-        for v in A.over.basis:
-            worst = 0
-            for w in A.wbasis:
-                m = least_clearing_power(
-                    *_weak_difference(A, axiom, u, v, w, N), m_max)
-                if m is None:
-                    return PropertyReport(
-                        axiom, "FAIL",
-                        {"triple": (u, v, w), "m_max": m_max}, window=N)
-                worst = max(worst, m)
-            witnesses[f"{u},{v}"] = worst
+    kind = WEAK_PAIRS[axiom.removeprefix("m_")]
+    subbed = [slot for slot, _, sub in (PAIRS[kind].left, PAIRS[kind].right) if sub]
+    triples, least = _member_triples(A), {}
+    for part in _classes(triples, lambda t: [getattr(triples[t], s) for s in subbed]):
+        least |= _weak_witnesses(kind, part, N, m_max)
+    witnesses = dict.fromkeys(
+        (f"{u},{v}" for u in A.over.basis for v in A.over.basis), 0)
+    for t in triples:
+        if isinstance(m := least[t], WindowUnderflowError):
+            raise m
+        if m is None:
+            alone = _weak_witnesses(kind, {t: triples[t]}, N, m_max)[t]
+            if alone is not None:
+                raise _moved(axiom, t, f"no witness m <= {m_max} on its class "
+                             "stack", f"m = {alone}")
+            return PropertyReport(
+                axiom, "FAIL", {"triple": t, "m_max": m_max}, window=N)
+        witnesses[f"{t[0]},{t[1]}"] = max(witnesses[f"{t[0]},{t[1]}"], m)
     return PropertyReport(axiom, "PASS", {"min_m": witnesses}, window=N)
 
 
+def _vf_difference(triples, labels, N):
+    """Y(Y(u,x0)v,x2)w - Y(Y(v,-x0)u,x2+x0)w stacked over ``labels``: slot h
+    of each (u, v, w) and of (v, u, w), both labelled (u, v, w)."""
+    left = _stacked_triple({t: triples[t] for t in labels}, "h").h_at("x2", "x0")
+    right = _stacked_triple({(u, v, w): triples[v, u, w] for u, v, w in labels},
+                            "h").h_at("t", "x0").flip_sign("x0")
+    return left - taylor_substitute(right, "t", (1, "x2"), (1, "x0"),
+                                    {"x0": (INF, N)})
+
+
 def check_vf_skew_symmetry(A: ModuleStructure, axiom, m_max=None, window=None):
+    """vf skew symmetry, checked once per member on one stack per exactness
+    class (the right side substitutes s1 of slot h at (v, u, w)).  The
+    record is the first failing triple and the least judged monomial of its
+    class stack with a label of it; rerun alone, the triple must give the
+    same monomial, or the stacking is a violation."""
     N = window or default_window(A)
-    # per w for the reason check_weak gives
-    for u in A.over.basis:
-        for v in A.over.basis:
-            for w in A.wbasis:
-                # Y(Y(u,x0)v,x2)w and Y(Y(v,x0)u,t)w are slot h of two triples
-                left = A.triple(u, v, w).h_at("x2", "x0")
-                right = A.triple(v, u, w).h_at("t", "x0").flip_sign("x0")
-                right = taylor_substitute(right, "t", (1, "x2"), (1, "x0"),
-                                          {"x0": (INF, N)})
-                ok, wit = zero_verdict(left - right, box(N, "x0", "x2"))
-                if not ok:
-                    return PropertyReport(
-                        axiom, "FAIL",
-                        {"triple": (u, v, w), "monomial": wit[0]}, window=N)
-    return PropertyReport(axiom, "PASS", {}, window=N)
+    region, triples, failing = box(N, "x0", "x2"), _member_triples(A), {}
+    for part in _classes(triples, lambda t: [triples[t[1], t[0], t[2]].h]):
+        diff = _vf_difference(triples, part, N)
+        failing |= dict.fromkeys(_failing_triples(dict(judged_coeffs(diff, region))), diff)
+    first = next((t for t in triples if t in failing), None)
+    if first is None:
+        return PropertyReport(axiom, "PASS", {}, window=N)
+    diff = failing[first]
+    mono = diff.monomial(min(key for key, c in judged_coeffs(diff, region)
+                             if any(label[:3] == first for label in c.entries)))
+    _, alone = zero_verdict(_vf_difference(triples, [first], N), region)
+    if alone is None or alone[0] != mono:
+        raise _moved(axiom, first, f"first monomial {mono} on its class stack",
+                     alone[0] if alone else "none")
+    return PropertyReport(axiom, "FAIL", {"triple": first, "monomial": mono},
+                          window=N)
 
 
 def check_vacuum_prop(A: ModuleStructure, axiom, m_max=None, window=None):

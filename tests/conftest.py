@@ -3,7 +3,9 @@ from collections import Counter
 import pytest
 
 from vertexcalc import configio
-from vertexcalc.structures import ModuleStructure
+from vertexcalc.rationalforms import pole_statement
+from vertexcalc.series import multiply, zero_verdict
+from vertexcalc.structures import WEAK_PAIRS, ModuleStructure
 
 
 @pytest.fixture
@@ -43,3 +45,20 @@ def ut2_dir(tmp_path):
                         "wmodes": _ut2_records("w"), "tags": []},
                        tmp_path / "ut2-regular.module.json")
     return tmp_path
+
+
+def witness_is_valid(diff, clear, m, box):
+    """Whether clear(m) * diff vanishes: on its whole support when the
+    product is exact, on ``box`` when it is not."""
+    prod = multiply(diff, clear(m)) if m else diff
+    return zero_verdict(prod, box)[0]
+
+
+def _weak_difference(A, axiom, u, v, w, N):
+    """(difference series, clearing factor m -> series, window box) of a weak
+    property on one triple; ``axiom`` is weak_comm / weak_assoc /
+    weak_skew_assoc, with or without the m_ prefix.  The recipe is the
+    property's pair in ``rationalforms.PAIRS``, on the action's slot triple,
+    with tails cut at N."""
+    kind = WEAK_PAIRS[axiom.removeprefix("m_")]
+    return pole_statement(A.triple(u, v, w), kind, N, N)

@@ -3,6 +3,8 @@ time budgets.  Each test prints a single pass/fail line (visible with -s or
 in the captured-output section)."""
 import time
 
+from conftest import _weak_difference, witness_is_valid
+
 from vertexcalc.cli import main
 from vertexcalc.corpus import (
     family,
@@ -26,14 +28,12 @@ from vertexcalc.rationalforms import (
     find_pole_witness,
     generate_instance,
     reconstruct_form,
-    witness_is_valid,
 )
 from vertexcalc.structures import (
     check_all,
     check_axiom,
     implication_matrix,
     minimal_pole_order,
-    _weak_difference,
 )
 
 

@@ -16,11 +16,13 @@ from vertexcalc.rationalforms import (
     find_pole_witness,
     generate_instance,
     instance_from_form,
+    least_clearing_power,
     multiply,
     poly_compose_sum,
     reconstruct_form,
     replay_implication,
 )
+from vertexcalc.scalars import Vec
 from vertexcalc.series import WindowedSeries, binomial_power
 
 
@@ -278,3 +280,30 @@ def test_witness_search_beyond_the_windows_names_m():
                        match="witness search at m=0 exceeded the known windows; "
                              "regenerate the instance with larger windows"):
         find_pole_witness(inst, "m1", 2, 60)
+
+
+def test_stacked_witness_search_decides_each_label_as_alone():
+    # a stack known on x in [-5, 5] and judged on [-3, 0]; clear(1) = x^-4
+    # knows [-9, 1], clear(2) = x^-6 only [-11, -1], so the windows run out
+    # at m = 2: b is cleared at m = 0, a at m = 1, and c, still open at
+    # m = 2, gets that m's underflow
+    diff = WindowedSeries(("x",), {(0,): Vec({"a": 1, "c": 2}), (2,): Vec({"c": 1})},
+                          {"x": (-5, 5)}, {"x": (False, False)})
+
+    def clear(m):
+        return WindowedSeries.from_monomials(("x",), {(-4 if m == 1 else -6,): 1})
+
+    def search(labels, d):
+        return least_clearing_power(d, clear, {"x": (-3, 0)}, 3, labels,
+                                    lambda c: c.entries)
+
+    got = search("abc", diff)
+    assert (got["a"], got["b"]) == (1, 0)
+    assert isinstance(got["c"], WindowUnderflowError)
+    assert str(got["c"]).startswith("witness search at m=2 exceeded")
+    for label in "abc":
+        alone = search(label, diff.copy_meta({
+            k: Vec({n: x for n, x in c.entries.items() if n == label})
+            for k, c in diff.coeffs.items()}))
+        assert list(alone) == [label] and type(alone[label]) is type(got[label])
+        assert str(alone[label]) == str(got[label])

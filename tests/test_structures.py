@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from conftest import _weak_difference, witness_is_valid
 
 from vertexcalc import configio, deltacalc, rationalforms, series, structures
 from vertexcalc.corpus import (
@@ -18,9 +19,9 @@ from vertexcalc.corpus import (
     mutants,
     truncated_polynomial_algebra,
 )
-from vertexcalc.errors import ConsistencyViolationError, ConstructionError
+from vertexcalc.errors import (ConsistencyViolationError, ConstructionError,
+                               VertexCalcError, WindowUnderflowError)
 from vertexcalc.modules import MODULE_CHECKERS, check_module_all, check_module_axiom
-from vertexcalc.rationalforms import witness_is_valid
 from vertexcalc.scalars import Vec
 from vertexcalc.series import INF, taylor_substitute
 from vertexcalc.structures import (
@@ -35,7 +36,6 @@ from vertexcalc.structures import (
     implication_matrix,
     minimal_pole_order,
     restrict,
-    _weak_difference,
 )
 
 
@@ -671,6 +671,197 @@ def test_jacobi_guard_compares_the_first_monomial(monkeypatch):
                              r"\{.*\} on the triple alone$"):
         check_axiom(S, "jacobi")
     assert len(calls) == 2 and len(calls[1]) > 1
+
+
+# ---------------------------------------------------------------------------
+# the weak properties and vf skew symmetry once per member, on one stack per
+# exactness class
+
+
+def _least_clearing_power(diff, clear, b, m_max):
+    """The witness search as it was before stacking, on one triple."""
+    for m in range(m_max + 1):
+        try:
+            if witness_is_valid(diff, clear, m, b):
+                return m
+        except WindowUnderflowError:
+            raise WindowUnderflowError(
+                f"witness search at m={m} exceeded the known windows; "
+                "regenerate the instance with larger windows") from None
+    return None
+
+
+def _per_w_check_weak(A, axiom, m_max=None, window=None):
+    """check_weak as it was before stacking: the witness search on each
+    (u, v, w) alone, the first triple without a witness reported."""
+    N = window or structures.default_window(A)
+    if m_max is None:
+        m_max = A.max_pole_order() + 2
+    witnesses = {}
+    for u in A.over.basis:
+        for v in A.over.basis:
+            worst = 0
+            for w in A.wbasis:
+                m = _least_clearing_power(
+                    *_weak_difference(A, axiom, u, v, w, N), m_max)
+                if m is None:
+                    return structures.PropertyReport(
+                        axiom, "FAIL", {"triple": (u, v, w), "m_max": m_max},
+                        window=N)
+                worst = max(worst, m)
+            witnesses[f"{u},{v}"] = worst
+    return structures.PropertyReport(axiom, "PASS", {"min_m": witnesses}, window=N)
+
+
+def _per_w_check_vf(A, axiom, m_max=None, window=None):
+    """check_vf_skew_symmetry as it was before stacking: each (u, v, w)
+    alone, the first failing triple reported with its least monomial."""
+    N = window or structures.default_window(A)
+    for u in A.over.basis:
+        for v in A.over.basis:
+            for w in A.wbasis:
+                left = A.triple(u, v, w).h_at("x2", "x0")
+                right = A.triple(v, u, w).h_at("t", "x0").flip_sign("x0")
+                right = taylor_substitute(right, "t", (1, "x2"), (1, "x0"),
+                                          {"x0": (INF, N)})
+                ok, wit = series.zero_verdict(left - right,
+                                              rationalforms.box(N, "x0", "x2"))
+                if not ok:
+                    return structures.PropertyReport(
+                        axiom, "FAIL", {"triple": (u, v, w), "monomial": wit[0]},
+                        window=N)
+    return structures.PropertyReport(axiom, "PASS", {}, window=N)
+
+
+def _outcome(check, *args):
+    """The record of a check as JSON, or the type and text of what it raised."""
+    try:
+        return check(*args).to_json()
+    except VertexCalcError as err:
+        return type(err).__name__, str(err)
+
+
+def _class_count(A, kind):
+    """How many exactness classes the triples of ``A`` fall into for a weak
+    pair kind, or for vf skew symmetry (kind "vf"): which of the slot series
+    that get s1 substituted have a negative power of s1."""
+    def substituted(u, v, w):
+        if kind == "vf":
+            return [A.triple(v, u, w).h]
+        pair = rationalforms.PAIRS[kind]
+        return [getattr(A.triple(u, v, w), slot)
+                for slot, _, sub in (pair.left, pair.right) if sub]
+
+    return len({tuple(any(k[s.idx(rationalforms.S1)] < 0 for k in s.coeffs)
+                      for s in substituted(u, v, w))
+                for u in A.over.basis for v in A.over.basis for w in A.wbasis})
+
+
+def test_stacked_weak_and_vf_checks_equal_the_per_w_checks(ut2_dir):
+    members = (full_corpus() + full_module_corpus()
+               + [configio.load_structure(str(ut2_dir / "ut2.json")),
+                  configio.load_module(str(ut2_dir / "ut2-regular.module.json"))]
+               + _seeded_edits(60, 12) + _random_tables(60, 21))
+    checks = {"weak_comm": "m1", "weak_assoc": "m2", "weak_skew_assoc": "m3",
+              "vf_skew_symmetry": "vf"}
+    compared, outcomes, mixed = Counter(), Counter(), 0
+    for A in members:
+        with A.shared_triples():
+            for name, kind in checks.items():
+                axiom = name if A.over is A else "m_" + name
+                stacked, per_w = ((structures.check_vf_skew_symmetry, _per_w_check_vf)
+                                  if kind == "vf" else
+                                  (structures.check_weak, _per_w_check_weak))
+                mixed += _class_count(A, kind) > 1
+                for window in (None, 1, 2, 3):
+                    for m_max in ((None,) if kind == "vf" else (None, 0, 1)):
+                        want = _outcome(per_w, A, axiom, m_max, window)
+                        assert _outcome(stacked, A, axiom, m_max, window) == want, \
+                            (A.name, axiom, m_max, window)
+                        compared[kind] += 1
+                        outcomes[want["verdict"] if isinstance(want, dict)
+                                 else want[0]] += 1
+    assert compared["vf"] == 4 * len(members) > 600
+    assert sum(compared.values()) - compared["vf"] == 36 * len(members)
+    assert mixed >= 100
+    assert outcomes["PASS"] > 1000 and outcomes["FAIL"] > 1000
+
+
+def test_weak_and_vf_search_once_per_class_stack(monkeypatch):
+    # per member and kind, one pair_sides run (weak) or one vf difference per
+    # exactness class, and one more on a FAIL: the guard's triple alone
+    sides, vf = Counter(), []
+
+    def counted(inst, kind, hi, _original=rationalforms.pair_sides):
+        sides[kind] += 1
+        return _original(inst, kind, hi)
+
+    def counted_vf(*args, _original=structures._vf_difference):
+        vf.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(rationalforms, "pair_sides", counted)
+    monkeypatch.setattr(structures, "_vf_difference", counted_vf)
+    mixed = 0
+    for A in full_corpus() + full_module_corpus():
+        sides.clear()
+        vf.clear()
+        if A.over is A:
+            verdicts = check_all(A)
+        else:
+            verdicts = {a.removeprefix("m_"): r for a, r in check_module_all(A).items()}
+        for name, kind in (("weak_comm", "m1"), ("weak_assoc", "m2"),
+                           ("weak_skew_assoc", "m3"), ("vf_skew_symmetry", "vf")):
+            classes = _class_count(A, kind)
+            mixed += classes > 1
+            runs = len(vf) if kind == "vf" else sides[kind]
+            assert runs == classes + (verdicts[name].verdict == "FAIL"), (A.name, name)
+    assert mixed >= 1
+
+
+def test_weak_guard_compares_the_outcome(monkeypatch):
+    # the guard's search on the reported triple alone must find no witness
+    # either: a rerun that finds one is reported as a stacking violation
+    calls = []
+
+    def moved(*args, _original=structures.least_clearing_power):
+        out = _original(*args)
+        calls.append(out)
+        return dict.fromkeys(out, 0) if len(calls) == 2 else out
+
+    monkeypatch.setattr(structures, "least_clearing_power", moved)
+    S = [m for m in mutants() if m.name == "mutant-fat-vacuum"][0]
+    assert _class_count(S, "m1") == 1
+    with pytest.raises(ConsistencyViolationError,
+                       match=r"^weak_comm stacking is inconsistent at \(.+\): "
+                             r"no witness m <= \d+ on its class stack, "
+                             "m = 0 on the triple alone$"):
+        check_axiom(S, "weak_comm")
+    assert len(calls) == 2 and list(calls[1].values()) == [None]
+
+
+def test_vf_guard_compares_the_first_monomial(monkeypatch):
+    # the guard's difference of the reported triple alone must give the
+    # stack's monomial: one whose least judged monomial moved raises
+    calls = []
+
+    def shifted(*args, _original=structures._vf_difference):
+        out = _original(*args)
+        calls.append(out)
+        if len(calls) == 2:
+            out = out.copy_meta({k: c for k, c in out.coeffs.items()
+                                 if k != min(out.coeffs)})
+        return out
+
+    monkeypatch.setattr(structures, "_vf_difference", shifted)
+    S = [m for m in mutants() if m.name == "mutant-drop-mode"][0]
+    assert _class_count(S, "vf") == 1
+    with pytest.raises(ConsistencyViolationError,
+                       match=r"^vf_skew_symmetry stacking is inconsistent at "
+                             r"\(.+\): first monomial \{.*\} on its class stack, "
+                             r"\{.*\} on the triple alone$"):
+        check_axiom(S, "vf_skew_symmetry")
+    assert len(calls) == 2 and len(calls[1].coeffs) > 1
 
 
 # ---------------------------------------------------------------------------

@@ -15,22 +15,19 @@ Layers, bottom up:
 * ``configio`` / ``cli`` — config files, deterministic reports, subcommands.
 """
 
-from .scalars import Vec, binom, linear_combine, parse_scalar, format_scalar
+from .scalars import Vec, binom, parse_scalar, format_scalar
 from .deltacalc import (
     Atom,
     Delta,
     DeltaExpr,
     Term,
     coeff_of,
-    delta_substitute,
     delta_to_atoms,
     expand_deltas,
     identity_lhs,
     make_term,
-    multiply,
     normalize,
     prove_identity,
-    residue,
     taylor_shift,
     window_coeffs,
 )
@@ -38,7 +35,6 @@ from .series import (
     WindowedSeries,
     apply_delta,
     binomial_power,
-    delta_series,
     exp_endo,
     taylor_substitute,
 )

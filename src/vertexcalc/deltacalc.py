@@ -21,15 +21,21 @@ because only the tail sits in nonnegative powers.
 
 Every rewrite here preserves the coefficient of every monomial; the window
 oracle (`window_coeffs` / `coeff_of`) recomputes coefficients from scratch by
-iterated binomial expansion and is the independent check on the symbolic layer.
-It shares no arithmetic with `series`.  The oracle's memo holds unit
-expansions only: within one memo (one `window_coeffs` call unless the caller
-passes a dict to several), each term shape (monomial, delta, atoms) is
-expanded once per window with coefficient 1, so a repeated shape costs only
-the scaling by its coefficient; no expansion outlives the memo.  Route 1 of
-the Jacobi check evaluates, with this oracle, the terms of
-``identity_lhs("three-term")``, the expression ``prove_identity`` reduces to
-zero.
+its own binomial expansion and is the independent check on the symbolic layer.
+It shares no arithmetic with `series`.  It expands a power by peeling its
+tails off one at a time, each by a binomial recurrence that runs only over
+the tail powers whose head exponent can land in the window the factor needs,
+so it writes only coefficients it keeps; a term of one factor is expanded
+with its monomial applied, so each coefficient is shifted and tested against
+the window once.  The oracle's memo holds unit expansions only: within one
+memo (one `window_coeffs` call unless the caller passes a dict to several),
+each term shape (monomial, delta, atoms) is expanded once per window with
+coefficient 1, so a repeated shape costs only the scaling by its
+coefficient; no expansion outlives the memo.  A stacked coefficient (a
+``Vec``) is summed label by label, in place, into one plain dict per
+monomial and made a ``Vec`` once at the end.  Route 1 of the Jacobi check
+evaluates, with this oracle, the terms of ``identity_lhs("three-term")``, the
+expression ``prove_identity`` reduces to zero.
 """
 from __future__ import annotations
 
@@ -38,18 +44,16 @@ import json
 
 from .errors import (
     ProverFailureError,
-    ResidueRefusedError,
-    SubstitutionRefusedError,
     SummabilityError,
     UnsupportedRewriteError,
 )
 from .scalars import (
+    Vec,
     binom,
     coeff_add,
     coeff_is_zero,
     coeff_mul,
     coeff_to_json,
-    multinomial,
 )
 
 DEFAULT_VARS = ("x0", "x1", "x2")
@@ -433,84 +437,113 @@ def _needed_windows(factors, window):
     return needs
 
 
-def _expand_signed_power(head_sv, tail_svs, exp, need):
-    """Finite dict of window-relevant coefficients of (head + tail)^exp."""
+def _expand_signed_power(head_sv, tail_svs, exp, need, mono=None, out=None):
+    """Add the window-relevant coefficients of (head + tail)^exp, each
+    times the monomial ``mono`` ({var: exp}), to ``out``; returns ``out``,
+    a dict {monomial: int} (a fresh one by default).
+
+    Relevant means: the head exponent lies in the head's needed window, and
+    each tail power lies in [0, max(0, hi)] of its variable.  The tails are
+    peeled off one at a time, (h + t + rest)^n = sum_k binom(n, k) t^k
+    (h + rest)^(n-k), which gives the multinomial expansion in nonnegative
+    powers of the tail sum; see ``_peel`` for the recurrence.
+    """
     hsign, hvar = head_sv
-    sign_fix = 1
+    sign = 1
     if hsign < 0:
-        sign_fix = -1 if exp % 2 else 1
+        sign = -1 if exp % 2 else 1
         tail_svs = sv_neg(tail_svs)
-    caps = []
+    tails = []
     for s, v in tail_svs:
-        lo, hi = need.get(v, (None, None))
+        hi = need.get(v, (None, None))[1]
         if hi is None:
             raise SummabilityError(
                 f"tail variable {v!r} has no upper exponent bound; expansion is infinite")
-        caps.append(max(0, hi))
-    out = {}
+        tails.append((s, v, max(0, hi)))
+    out = {} if out is None else out
     hl, hh = need.get(hvar, (None, None))
-
-    def emit(allocs):
-        k = sum(allocs)
-        head_e = exp - k
-        if hl is not None and head_e < hl:
-            return
-        if hh is not None and head_e > hh:
-            return
-        coeff = binom(exp, k) * multinomial(allocs) * sign_fix
-        if coeff == 0:
-            return
-        mono = {hvar: head_e} if head_e else {}
-        for (s, v), a in zip(tail_svs, allocs):
-            if a % 2 and s < 0:
-                coeff = -coeff
-            if a:
-                mono[v] = mono.get(v, 0) + a
-        key = mono_of(mono)
-        out[key] = out.get(key, 0) + coeff
-
-    def rec(i, allocs):
-        if i == len(tail_svs):
-            emit(allocs)
-            return
-        for a in range(0, caps[i] + 1):
-            rec(i + 1, allocs + [a])
-
-    rec(0, [])
-    return {k: v for k, v in out.items() if v}
+    _peel(out, dict(mono) if mono else {}, hvar, hl, hh, tails, exp, sign)
+    return out
 
 
-def _expand_factor(factor, need):
+def _peel(out, mono, hvar, hl, hh, tails, n, c):
+    """Add c * (head + tails)^n times ``mono`` to ``out``, for the tail
+    powers whose head exponent can land in [hl, hh]; ``mono`` is restored.
+
+    The first tail's power k runs only over [n - hh - r, n - hl] cut to
+    [0, cap] (and k <= n when n >= 0, where binom(n, k) vanishes beyond),
+    with r the largest power the remaining tails can take.  Only
+    binom(n, kmin) is looked up; each later binomial steps by
+    binom(n, k+1) = binom(n, k) * (n-k) // (k+1), exact for every integer n,
+    and the sign s^k by the factor s.
+    """
+    if not tails:  # the bare head
+        if (hl is None or hl <= n) and (hh is None or n <= hh):
+            mono[hvar] = mono.get(hvar, 0) + n
+            key = mono_of(mono)
+            mono[hvar] -= n
+            out[key] = out.get(key, 0) + c
+        return
+    (s, v, cap), rest = tails[0], tails[1:]
+    kmin = 0 if hh is None else max(0, n - hh - sum(t[2] for t in rest))
+    kmax = cap if hl is None else min(cap, n - hl)
+    if n >= 0 and kmax > n:
+        kmax = n
+    if kmin > kmax:
+        return
+    bc = c * binom(n, kmin) * (s if kmin % 2 else 1)
+    e0 = mono.get(v, 0)
+    for k in range(kmin, kmax + 1):
+        mono[v] = e0 + k
+        _peel(out, mono, hvar, hl, hh, rest, n - k, bc)
+        bc = s * bc * (n - k) // (k + 1)
+    mono[v] = e0
+
+
+def _expand_factor(factor, need, mono=None):
+    """Window-relevant coefficients of one factor, each times ``mono``."""
     kind, payload = factor
     if kind == "atom":
         a = payload
-        return _expand_signed_power((1, a.head), a.tail, a.exp, need)
+        return _expand_signed_power((1, a.head), a.tail, a.exp, need, mono)
     d = payload
     dlo, dhi = need.get(d.denom, (None, None))
     if dlo is None or dhi is None:
         raise SummabilityError(
             f"delta denominator {d.denom!r} has no finite window; the sum over its index diverges")
     out = {}
+    mono = dict(mono) if mono else {}
+    e0 = mono.get(d.denom, 0)
     for ed in range(dlo, dhi + 1):
-        n = -ed - 1
-        for mono, c in _expand_signed_power(d.num[0], d.num[1:], n, need).items():
-            key = mono_mul(mono, ((d.denom, ed),))
-            out[key] = out.get(key, 0) + c
-    return {k: v for k, v in out.items() if v}
+        mono[d.denom] = e0 + ed
+        _expand_signed_power(d.num[0], d.num[1:], -ed - 1, need, mono, out)
+    return out
 
 
-def _in_window(mono, window):
-    exps = dict(mono)
-    for v, (lo, hi) in window.items():
-        e = exps.pop(v, 0)
-        if (lo is not None and e < lo) or (hi is not None and e > hi):
-            return False
-    return all(e == 0 for e in exps.values())
+def _window_part(coeffs, window):
+    """The nonzero entries of {monomial: c} inside the window, where a
+    variable that the window does not name is pinned to exponent 0."""
+    off_zero = {v for v, (lo, hi) in window.items()
+                if (lo is not None and lo > 0) or (hi is not None and hi < 0)}
+    out = {}
+    for mono, c in coeffs.items():
+        if not c:
+            continue
+        for v, e in mono:
+            lo, hi = window.get(v, (0, 0))
+            if (lo is not None and e < lo) or (hi is not None and e > hi):
+                break
+        else:
+            if not off_zero or off_zero <= {v for v, _ in mono}:
+                out[mono] = c
+    return out
 
 
 def _unit_window_coeffs(t: Term, window):
     """Exact coefficients on the window of the term with its coefficient set
-    to 1 (complete there); they are integers."""
+    to 1 (complete there); they are integers.  The term's monomial is
+    applied while its first factor is expanded, so each entry is shifted
+    once and tested against the window once."""
     tm = dict(t.mono)
     shifted = {}
     for v in set(window) | t.variables():
@@ -522,25 +555,18 @@ def _unit_window_coeffs(t: Term, window):
     if t.delta is not None:
         factors = [("delta", t.delta)] + factors
     if not factors:
-        return {t.mono: 1} if _in_window(t.mono, window) else {}
-    acc = None
-    for f, need in zip(factors, _needed_windows(factors, shifted)):
+        return _window_part({t.mono: 1}, window)
+    needs = _needed_windows(factors, shifted)
+    acc = _expand_factor(factors[0], needs[0], tm)
+    for f, need in zip(factors[1:], needs[1:]):
         piece = _expand_factor(f, need)
-        if acc is None:
-            acc = piece
-            continue
         new = {}
         for m1, c1 in acc.items():
             for m2, c2 in piece.items():
                 key = mono_mul(m1, m2)
                 new[key] = new.get(key, 0) + c1 * c2
-        acc = {k: v for k, v in new.items() if v}
-    out = {}
-    for m, c in acc.items():
-        full = mono_mul(m, t.mono)
-        if _in_window(full, window):
-            out[full] = c
-    return out
+        acc = new
+    return _window_part(acc, window)
 
 
 def window_coeffs(e: DeltaExpr, window, memo=None):
@@ -552,22 +578,33 @@ def window_coeffs(e: DeltaExpr, window, memo=None):
     (monomial, delta, atoms, window) to the window coefficients of a term of
     that shape with coefficient 1, which each term of the shape scales by its
     coefficient.  Calls given the same dict share them, and without one each
-    call uses a fresh dict.
+    call uses a fresh dict.  A stacked coefficient (a ``Vec``) is summed label
+    by label into one plain dict per monomial, made a ``Vec`` once at the end.
     """
     if memo is None:
         memo = {}
     window = dict(window)
     wkey = tuple(sorted(window.items()))
-    out = {}
+    out, stacks = {}, {}
     for t in e.terms:
         key = (t.mono, t.delta, t.atoms, wkey)
         unit = memo.get(key)
         if unit is None:
             unit = memo[key] = _unit_window_coeffs(t, window)
-        for mono, u in unit.items():
-            val = coeff_mul(t.coeff, u)
-            prev = out.get(mono)
-            out[mono] = val if prev is None else coeff_add(prev, val)
+        c = t.coeff
+        if type(c) is Vec:
+            entries = c.entries.items()
+            for mono, u in unit.items():
+                acc = stacks.get(mono)
+                if acc is None:
+                    acc = stacks[mono] = {}
+                for label, x in entries:
+                    acc[label] = acc.get(label, 0) + u * x
+        else:
+            for mono, u in unit.items():
+                out[mono] = out.get(mono, 0) + c * u
+    for mono, acc in stacks.items():
+        out[mono] = coeff_add(out.get(mono, 0), Vec(acc))
     return {k: v for k, v in out.items() if not coeff_is_zero(v)}
 
 
@@ -577,176 +614,6 @@ def coeff_of(e: DeltaExpr, monomial):
     window = {v: (ex, ex) for v, ex in key}
     got = window_coeffs(e, window)
     return got.get(key, 0)
-
-
-def multiply(e1: DeltaExpr, e2: DeltaExpr) -> DeltaExpr:
-    """Partial product: term-by-term, refused unless each result is summable."""
-    out = []
-    for t1 in e1.terms:
-        for t2 in e2.terms:
-            if t1.delta is not None and t2.delta is not None:
-                raise SummabilityError("product of two delta factors is never summable")
-            merged = make_term(
-                coeff_mul(t1.coeff, t2.coeff),
-                mono_mul(t1.mono, t2.mono),
-                t1.delta or t2.delta,
-                t1.raw_atoms() + t2.raw_atoms(),
-            )
-            try:  # summable iff the oracle expands it on the zero window
-                window_coeffs(DeltaExpr([merged], merged.variables()), {})
-            except SummabilityError as err:
-                raise SummabilityError(
-                    f"cannot certify the product term {merged!r}") from err
-            out.append(merged)
-    return normalize(DeltaExpr(out, e1.variables | e2.variables))
-
-
-# ---------------------------------------------------------------------------
-# delta substitution and residues
-
-def delta_substitute(e: DeltaExpr) -> DeltaExpr:
-    """Replace numerator-shaped factors next to a delta by its denominator.
-
-    For a term carrying d^-1 delta(num/d), every atom expanding the numerator
-    in the numerator's own direction is replaced by d^exp (for a negative-head
-    numerator the canonical atom is the flipped one, so the replacement
-    contributes the matching (-1)^exp).  A single-variable numerator
-    substitutes plain powers of that variable.  Certification is conservative:
-    every other atom of the term must share no variable with the numerator and
-    must not contain the denominator; otherwise the rewrite is refused.
-    Window semantics are unchanged.
-    """
-    out = []
-    for t in e.terms:
-        if t.delta is None:
-            out.append(t)
-            continue
-        d = t.delta
-        head_sign, head_var = d.num[0]
-        if head_sign > 0:
-            match_head, match_tail, flip = head_var, tuple(sorted(d.num[1:])), False
-        else:
-            match_head, match_tail, flip = head_var, tuple(sorted(sv_neg(d.num[1:]))), True
-        num_vars = {v for _, v in d.num}
-        mono = dict(t.mono)
-        coeff = t.coeff
-        kept = []
-        substituted = False
-        for a in t.atoms:
-            if a.head == match_head and a.tail == match_tail:
-                # the atom is the canonical form of num^exp (times (-1)^exp if
-                # the numerator head is negative): num^exp next to the delta
-                # equals denom^exp
-                mono[d.denom] = mono.get(d.denom, 0) + a.exp
-                if flip and a.exp % 2:
-                    coeff = coeff_mul(coeff, -1)
-                substituted = True
-                continue
-            if a.variables() & num_vars:
-                raise SubstitutionRefusedError(
-                    f"atom {a!r} shares variables with the delta numerator but is not "
-                    "an exact match; substitution not certifiable")
-            if d.denom in a.variables():
-                raise SubstitutionRefusedError(
-                    f"atom {a!r} contains the delta denominator {d.denom!r}")
-            kept.append(a)
-        if len(d.num) == 1 and head_sign > 0 and mono.get(head_var):
-            ex = mono.pop(head_var)
-            mono[d.denom] = mono.get(d.denom, 0) + ex
-            substituted = True
-        if not substituted:
-            out.append(t)
-            continue
-        out.append(make_term(coeff, mono_of(mono), d,
-                             [((1, a.head), a.tail, a.exp) for a in kept]))
-    return DeltaExpr(out, e.variables)
-
-
-def residue(e: DeltaExpr, var) -> DeltaExpr:
-    """Coefficient of var^-1 as a var-free expression.
-
-    Certified patterns per term: var only in the monomial; var as the delta
-    denominator (and nowhere else); var in exactly one expanded-power atom.
-    Anything else is refused rather than summed blindly.
-    """
-    out_terms = []
-    for t in e.terms:
-        mono = dict(t.mono)
-        e_var = mono.pop(var, 0)
-        atoms_with = [a for a in t.atoms if var in a.variables()]
-        atoms_without = [a for a in t.atoms if var not in a.variables()]
-        raw_without = [((1, a.head), a.tail, a.exp) for a in atoms_without]
-        delta_has = t.delta is not None and var in t.delta.variables()
-
-        if delta_has:
-            if atoms_with or t.delta.denom != var:
-                raise ResidueRefusedError(
-                    f"variable {var!r} entangled with a delta factor; residue not certifiable")
-            # mono var^e times sum_n num^n var^(-n-1): var^-1 needs n = e
-            out_terms.append(make_term(
-                t.coeff, mono_of(mono), None,
-                raw_without + [(t.delta.num[0], t.delta.num[1:], e_var)]))
-            continue
-        if not atoms_with:
-            if e_var == -1:
-                out_terms.append(make_term(t.coeff, mono_of(mono), t.delta, raw_without))
-            continue
-        if len(atoms_with) > 1:
-            raise ResidueRefusedError(
-                f"variable {var!r} occurs in several atoms; residue not certifiable")
-        a = atoms_with[0]
-        occurrences = [i for i, (_, v) in enumerate(a.tail) if v == var]
-        if a.head == var:
-            if occurrences:
-                raise ResidueRefusedError(
-                    f"variable {var!r} occurs in both head and tail of {a!r}")
-            k = a.exp + 1 + e_var  # head exponent exp-k must equal -1-e_var
-            if k < 0:
-                continue
-            coeff_k = binom(a.exp, k)
-            if coeff_k == 0:
-                continue
-            for allocs in _compositions(k, len(a.tail)):
-                c = coeff_k * multinomial(allocs)
-                m = dict(mono)
-                for (s, v), al in zip(a.tail, allocs):
-                    if al % 2 and s < 0:
-                        c = -c
-                    m[v] = m.get(v, 0) + al
-                out_terms.append(make_term(
-                    coeff_mul(t.coeff, c), mono_of(m), t.delta, raw_without))
-            continue
-        if len(occurrences) != 1:
-            raise ResidueRefusedError(
-                f"variable {var!r} occurs several times in the tail of {a!r}")
-        s_occ, _ = a.tail[occurrences[0]]
-        alloc = -1 - e_var
-        if alloc < 0:
-            continue
-        c = binom(a.exp, alloc)
-        if c == 0:
-            continue
-        if alloc % 2 and s_occ < 0:
-            c = -c
-        rest = tuple(x for i, x in enumerate(a.tail) if i != occurrences[0])
-        out_terms.append(make_term(
-            coeff_mul(t.coeff, c), mono_of(mono), t.delta,
-            raw_without + [((1, a.head), rest, a.exp - alloc)]))
-    return normalize(DeltaExpr(out_terms, e.variables))
-
-
-def _compositions(k, m):
-    """All m-tuples of nonnegative ints summing to k."""
-    if m == 0:
-        if k == 0:
-            yield ()
-        return
-    if m == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in _compositions(k - first, m - 1):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------

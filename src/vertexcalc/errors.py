@@ -17,14 +17,6 @@ class UnsupportedRewriteError(VertexCalcError):
     """A symbolic rewrite was asked to do something it cannot justify."""
 
 
-class SubstitutionRefusedError(VertexCalcError):
-    """The delta-substitution precondition could not be certified syntactically."""
-
-
-class ResidueRefusedError(VertexCalcError):
-    """Finiteness of a residue could not be certified syntactically."""
-
-
 class ProverFailureError(VertexCalcError):
     """An identity prover ended with a nonzero residual (implementation bug)."""
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 Scalar = (int, Fraction)
 
@@ -27,15 +27,6 @@ def binom(n: int, k: int) -> int:
     if n >= 0:
         return comb(n, k)
     return (-1) ** k * comb(k - n - 1, k)
-
-
-def multinomial(parts) -> int:
-    """(sum parts)! / prod(part!) for nonnegative integer parts."""
-    total = sum(parts)
-    out = factorial(total)
-    for p in parts:
-        out //= factorial(p)
-    return out
 
 
 def parse_scalar(s) -> int | Fraction:
@@ -166,14 +157,6 @@ def linear_map(images, vec: Vec) -> Vec:
         img = images.get(b)
         if img:
             out = out + img.scale(c)
-    return out
-
-
-def linear_combine(terms) -> Vec:
-    """Exact linear combination of (scalar, Vec) pairs, canonical result."""
-    out = Vec()
-    for c, v in terms:
-        out = out + v.scale(c)
     return out
 
 

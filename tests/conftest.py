@@ -1,9 +1,13 @@
 from collections import Counter
+from math import factorial
 
 import pytest
 
 from vertexcalc import configio
+from vertexcalc.deltacalc import mono_of, sv_neg
+from vertexcalc.errors import SummabilityError, WindowUnderflowError
 from vertexcalc.rationalforms import pole_statement
+from vertexcalc.scalars import binom
 from vertexcalc.series import multiply, zero_verdict
 from vertexcalc.structures import WEAK_PAIRS, ModuleStructure
 
@@ -62,3 +66,70 @@ def _weak_difference(A, axiom, u, v, w, N):
     with tails cut at N."""
     kind = WEAK_PAIRS[axiom.removeprefix("m_")]
     return pole_statement(A.triple(u, v, w), kind, N, N)
+
+
+def is_zero(series):
+    """Exact zero test of a series that is exact in every variable."""
+    if not series.is_exact():
+        raise WindowUnderflowError("zero test on an inexact series; use is_zero_on")
+    return not series.coeffs
+
+
+def multinomial(parts):
+    """(sum parts)! / prod(part!) for nonnegative integer parts."""
+    out = factorial(sum(parts))
+    for p in parts:
+        out //= factorial(p)
+    return out
+
+
+def expand_signed_power_reference(head_sv, tail_svs, exp, need):
+    """Window-relevant coefficients of (head + tail)^exp by enumerating every
+    allocation of tail powers, each power a in [0, max(0, hi)] of its
+    variable, with coefficient binom(exp, k) * multinomial(allocation) and
+    k the allocation's sum, kept when the head exponent exp - k lies in the
+    head's needed window.  The oracle's expansion before it stepped its
+    binomials by recurrence; kept as the reference it must equal."""
+    hsign, hvar = head_sv
+    sign_fix = 1
+    if hsign < 0:
+        sign_fix = -1 if exp % 2 else 1
+        tail_svs = sv_neg(tail_svs)
+    caps = []
+    for s, v in tail_svs:
+        lo, hi = need.get(v, (None, None))
+        if hi is None:
+            raise SummabilityError(
+                f"tail variable {v!r} has no upper exponent bound; expansion is infinite")
+        caps.append(max(0, hi))
+    out = {}
+    hl, hh = need.get(hvar, (None, None))
+
+    def emit(allocs):
+        k = sum(allocs)
+        head_e = exp - k
+        if hl is not None and head_e < hl:
+            return
+        if hh is not None and head_e > hh:
+            return
+        coeff = binom(exp, k) * multinomial(allocs) * sign_fix
+        if coeff == 0:
+            return
+        mono = {hvar: head_e} if head_e else {}
+        for (s, v), a in zip(tail_svs, allocs):
+            if a % 2 and s < 0:
+                coeff = -coeff
+            if a:
+                mono[v] = mono.get(v, 0) + a
+        key = mono_of(mono)
+        out[key] = out.get(key, 0) + coeff
+
+    def rec(i, allocs):
+        if i == len(tail_svs):
+            emit(allocs)
+            return
+        for a in range(0, caps[i] + 1):
+            rec(i + 1, allocs + [a])
+
+    rec(0, [])
+    return {k: v for k, v in out.items() if v}

@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from conftest import expand_signed_power_reference
 
 from vertexcalc import structures
 from vertexcalc.corpus import full_corpus, full_module_corpus
@@ -9,25 +11,19 @@ from vertexcalc.deltacalc import (
     Delta,
     DeltaExpr,
     Term,
+    _expand_signed_power,
     coeff_of,
-    delta_substitute,
     delta_to_atoms,
     expand_deltas,
     identity_lhs,
     make_term,
-    multiply,
     normalize,
     prove_identity,
-    residue,
     taylor_shift,
     window_coeffs,
 )
-from vertexcalc.errors import (
-    ResidueRefusedError,
-    SubstitutionRefusedError,
-    SummabilityError,
-    UnsupportedRewriteError,
-)
+from vertexcalc.errors import SummabilityError, UnsupportedRewriteError
+from vertexcalc.scalars import Vec
 
 XYZ = ("x", "y", "z")
 
@@ -250,33 +246,9 @@ def test_window_oracle_refuses_divergent_term():
         coeff_of(DeltaExpr([t], ("x", "y")), {"x": -1, "y": -1})
 
 
-def test_multiply_certifies_and_refuses():
-    xy = expr([make_term(1, raw_atoms=[((1, "x"), ((-1, "y"),), -1)])], ("x", "y"))
-    yx = expr([make_term(1, raw_atoms=[((1, "y"), ((-1, "x"),), -1)])], ("x", "y"))
-    with pytest.raises(SummabilityError):
-        multiply(xy, yx)
-    d = expr([Term(1, (), Delta(((1, "x"),), "y"), ())], ("x", "y"))
-    with pytest.raises(SummabilityError):
-        multiply(d, d)
-    # monomial times reciprocal is fine and window-consistent
-    m = expr([Term(3, (("x", 2),))], ("x", "y"))
-    prod = multiply(m, xy)
-    w = {"x": (-2, 3), "y": (0, 3)}
-    got = window_coeffs(prod, w)
-    direct = {mono: 3 * c for mono, c in window_coeffs(xy, {"x": (-4, 1), "y": (0, 3)}).items()}
-    shifted = {}
-    for mono, c in direct.items():
-        d2 = dict(mono)
-        d2["x"] = d2.get("x", 0) + 2
-        key = tuple(sorted((v, e) for v, e in d2.items() if e))
-        shifted[key] = c
-    assert got == {k: v for k, v in shifted.items() if all(
-        w[v][0] <= dict(k).get(v, 0) <= w[v][1] for v in w)}
-
-
-def _product_table():
-    """(first factor, second factor, the refusal's message or None), one
-    case per refusal rule of the window oracle and of ``multiply``."""
+def _summability_table():
+    """(term, the oracle's refusal or None), one case per summability rule
+    of the window oracle, each checked on the zero window."""
     xyzw = ("x", "y", "z", "w")
 
     def one(*term):
@@ -284,52 +256,37 @@ def _product_table():
 
     return {
         "atom tail with no upper bound": (
-            one(1, (), None, [((1, "x"), ((-1, "y"),), -1)]),
-            one(1, (), None, [((1, "y"), ((-1, "x"),), -1)]),
+            one(1, (), None, [((1, "x"), ((-1, "y"),), -1), ((1, "y"), ((-1, "x"),), -1)]),
             "tail variable 'y' has no upper exponent bound"),
         "delta denominator with no finite window": (
-            one(1, (), Delta(((1, "y"),), "x"), ()),
-            one(1, (), None, [((1, "x"), ((1, "z"),), -1)]),
+            one(1, (), Delta(((1, "y"),), "x"), [((1, "x"), ((1, "z"),), -1)]),
             "delta denominator 'x' has no finite window"),
         "delta tail with no upper bound": (
-            one(1, (), Delta(((1, "y"), (1, "z")), "x"), ()),
-            one(1, (), None, [((1, "z"), ((1, "w"),), -1)]),
+            one(1, (), Delta(((1, "y"), (1, "z")), "x"), [((1, "z"), ((1, "w"),), -1)]),
             "tail variable 'z' has no upper exponent bound"),
-        "two deltas": (
-            one(1, (), Delta(((1, "y"),), "x"), ()),
-            one(1, (), Delta(((1, "z"),), "w"), ()),
-            "product of two delta factors is never summable"),
-        "term with no factors": (
-            one(2, (("x", -1), ("y", 3))), one(3, (("x", 2),)), None),
+        "term with no factors": (one(6, (("x", 1), ("y", 3))), None),
         "monomial times an atom": (
-            one(3, (("x", 2),)), one(1, (), None, [((1, "x"), ((-1, "y"),), -1)]),
-            None),
+            one(3, (("x", 2),), None, [((1, "x"), ((-1, "y"),), -1)]), None),
         "delta times a power in its own direction": (
-            one(1, (), Delta(((1, "y"), (-1, "z")), "x"), ()),
-            one(1, (), None, [((1, "y"), ((-1, "z"),), -2)]), None),
+            one(1, (), Delta(((1, "y"), (-1, "z")), "x"), [((1, "y"), ((-1, "z"),), -2)]),
+            None),
         "two atoms sharing no variable": (
-            one(1, (), None, [((1, "x"), ((-1, "y"),), -1)]),
-            one(1, (), None, [((1, "z"), ((1, "w"),), -2)]), None),
+            one(1, (), None, [((1, "x"), ((-1, "y"),), -1), ((1, "z"), ((1, "w"),), -2)]),
+            None),
     }
 
 
-@pytest.mark.parametrize("case", sorted(_product_table()))
-def test_multiply_refuses_by_each_summability_rule(case):
-    e1, e2, refusal = _product_table()[case]
+@pytest.mark.parametrize("case", sorted(_summability_table()))
+def test_window_oracle_refuses_by_each_summability_rule(case):
+    e, refusal = _summability_table()[case]
     if refusal is None:
-        prod = multiply(e1, e2)
-        assert len(prod.terms) == 1
-        # the certified product has finite coefficients on any window
-        window_coeffs(prod, {v: (-2, 2) for v in ("x", "y", "z", "w")})
+        window_coeffs(e, {})
+        # a summable term has finite coefficients on any window
+        window_coeffs(e, {v: (-2, 2) for v in ("x", "y", "z", "w")})
         return
     with pytest.raises(SummabilityError) as err:
-        multiply(e1, e2)
-    if case == "two deltas":
-        assert str(err.value) == refusal
-    else:
-        assert str(err.value).startswith("cannot certify the product term")
-        # the oracle's own refusal names the rule that refused the term
-        assert refusal in str(err.value.__cause__)
+        window_coeffs(e, {})
+    assert refusal in str(err.value)
 
 
 def test_delta_times_same_direction_power_is_summable():
@@ -340,121 +297,82 @@ def test_delta_times_same_direction_power_is_summable():
     assert isinstance(val, int)
 
 
-# ---------------------------------------------------------------------------
-# delta substitution
-
-def test_delta_substitute_replaces_matching_atoms():
-    d = Delta(((1, "x1"), (-1, "x2")), "x0")
-    for n in (-2, -1, 1, 3):
-        t = make_term(1, (), d, [((1, "x1"), ((-1, "x2"),), n)])
-        out = delta_substitute(DeltaExpr([t], ("x0", "x1", "x2")))
-        assert len(out.terms) == 1
-        got = out.terms[0]
-        assert got.mono == (("x0", n),)
-        assert not got.atoms
-        assert got.delta == d
+def _bound(rng, open_share=0.25):
+    return None if rng.random() < open_share else rng.randint(-12, 12)
 
 
-def test_delta_substitute_constant_factor_fixed_point():
-    d = Delta(((1, "y"), (1, "z")), "x")
-    e = DeltaExpr([Term(1, (), d, ())], ("x", "y", "z"))
-    out = delta_substitute(e)
-    assert out.terms[0].shape_key() == e.terms[0].shape_key()
+def test_expansion_recurrence_equals_the_enumeration():
+    """The windowed recurrence against the enumeration of every tail
+    allocation (conftest), on seeded powers: exponents -9..9, head and tail
+    signs +-1, 0, 1 and 2 tails (a repeated tail variable among them), open
+    window ends and empty k ranges."""
+    rng = random.Random(20261018)
+    tails_pool = [(), ((1, "y"),), ((-1, "y"),), ((1, "y"), (-1, "z")),
+                  ((-1, "y"), (-1, "z")), ((1, "y"), (1, "y")), ((1, "y"), (-1, "y"))]
+    seen = {"empty": 0, "nonempty": 0, "open": 0, "refused": 0}
+    for _ in range(3000):
+        head = (rng.choice((1, -1)), "x")
+        tails = rng.choice(tails_pool)
+        exp = rng.randint(-9, 9)
+        hl, hh = _bound(rng), _bound(rng)
+        need = {"x": (hl, hh)}
+        for _, v in tails:
+            need[v] = (_bound(rng, 0), _bound(rng, 0.05) if v == "z" else rng.randint(-2, 6))
+        try:
+            want = expand_signed_power_reference(head, tails, exp, need)
+        except SummabilityError as err:
+            with pytest.raises(SummabilityError, match=str(err)):
+                _expand_signed_power(head, tails, exp, need)
+            seen["refused"] += 1
+            continue
+        got = _expand_signed_power(head, tails, exp, need)
+        assert all(type(c) is int for c in got.values())
+        # a repeated variable may leave a zero, which the oracle drops later
+        assert {k: c for k, c in got.items() if c} == want, (head, tails, exp, need)
+        seen["nonempty" if got else "empty"] += 1
+        seen["open"] += None in (hl, hh)
+    assert min(seen.values()) >= 20, seen
+    assert seen["nonempty"] >= 1000, seen
 
 
-def test_delta_substitute_window_invariance_randomized():
-    rng = random.Random(20240817)
-    d = Delta(((1, "x1"), (-1, "x2")), "x0")
-    for _ in range(10):
+def test_window_coeffs_sums_each_label_as_alone():
+    """A stacked expression (Vec coefficients over labels a, b, c) has, at
+    every monomial, the Vec of each label's own scalar run; labels never
+    mix, integral entries are ints, and zero entries are dropped."""
+    rng = random.Random(1017)
+    shapes = [((), Delta(((1, "x1"), (-1, "x2")), "x0"), ()),
+              ((("x1", -1),), Delta(((-1, "x2"), (1, "x1")), "x0"), ()),
+              ((("x0", 2),), Delta(((1, "x2"), (1, "x0")), "x1"), ()),
+              ((("x2", -2),), None, (((1, "x1"), ((-1, "x0"),), -2),)),
+              ((("x0", 1), ("x1", 1)), None, ())]
+    labels = ("a", "b", "c")
+    window = {v: (-3, 3) for v in ("x0", "x1", "x2")}
+    halves = cancelled = 0
+    for _ in range(40):
         terms = []
-        for _ in range(rng.randint(1, 3)):
-            n = rng.choice([-2, -1, 1, 2])
-            b = rng.randint(-1, 1)
-            c = rng.randint(-2, 3)
-            terms.append(make_term(
-                c, ((("x1", b),) if b else ()), d,
-                [((1, "x1"), ((-1, "x2"),), n)]))
+        for _ in range(rng.randint(2, 8)):
+            mono, delta, atoms = rng.choice(shapes)
+            entries = {lab: Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                       for lab in rng.sample(labels, rng.randint(1, 3))}
+            terms.append(make_term(Vec(entries), mono, delta, atoms))
+            if rng.random() < 0.3:  # the same shape again, cancelling a label
+                terms.append(make_term(Vec(entries).scale(-1), mono, delta, atoms))
         e = DeltaExpr(terms, ("x0", "x1", "x2"))
-        out = delta_substitute(e)
-        w = {v: (-4, 4) for v in ("x0", "x1", "x2")}
-        assert same_on_window(e, out, w)
-
-
-def test_delta_substitute_negative_head_numerator_sign():
-    d = Delta(((-1, "x2"), (1, "x1")), "x0")
-    # the canonical atom for (-x2+x1)^n carries (-1)^n; substitution restores it
-    t = make_term(1, (), d, [((-1, "x2"), ((1, "x1"),), -1)])
-    e = DeltaExpr([t], ("x0", "x1", "x2"))
-    out = delta_substitute(e)
-    w = {v: (-4, 4) for v in ("x0", "x1", "x2")}
-    assert same_on_window(e, out, w)
-
-
-def test_delta_substitute_refuses_non_matching_shared_atom():
-    d = Delta(((1, "x1"), (-1, "x2")), "x0")
-    t = make_term(1, (), d, [((1, "x2"), ((-1, "x1"),), -1)])
-    with pytest.raises(SubstitutionRefusedError):
-        delta_substitute(DeltaExpr([t], ("x0", "x1", "x2")))
-
-
-# ---------------------------------------------------------------------------
-# residue
-
-def test_residue_of_delta_term_drops_the_delta():
-    F = (("x2", 2), ("x0", 1))
-    t = Term(5, F, Delta(((1, "x2"), (1, "x0")), "x1"), ())
-    out = residue(DeltaExpr([t], ("x0", "x1", "x2")), "x1")
-    assert len(out.terms) == 1
-    assert out.terms[0].mono == tuple(sorted(F))
-    assert out.terms[0].coeff == 5
-    assert out.terms[0].delta is None
-
-
-def test_residue_of_plain_power():
-    e = expr([Term(1, (("x", 3),))])
-    assert residue(e, "x").terms == ()
-    e2 = expr([Term(7, (("x", -1), ("y", 2)))])
-    out = residue(e2, "x")
-    assert out.terms[0].mono == (("y", 2),)
-    assert out.terms[0].coeff == 7
-
-
-def test_residue_of_reciprocal_atom():
-    oracle = geometric_inverse(3)
-    e = expr([make_term(1, raw_atoms=[((1, "x"), ((-1, "y"),), -1)])], ("x", "y"))
-    out = residue(e, "x")
-    # only the (x^-1, y^0) entry of the oracle survives
-    assert oracle[(-1, 0)] == 1
-    assert len(out.terms) == 1 and out.terms[0].mono == () and out.terms[0].coeff == 1
-
-
-def test_residue_in_tail_variable():
-    # Res_y of y^-1 (x - y + z)^-1 keeps the atom with y removed
-    t = make_term(1, (("y", -1),), None, [((1, "x"), ((-1, "y"), (1, "z")), -1)])
-    out = residue(DeltaExpr([t], XYZ), "y")
-    assert out.terms[0].atoms == (Atom("x", ((1, "z"),), -1),)
-
-
-def test_residue_refusals():
-    two = make_term(1, raw_atoms=[
-        ((1, "x"), ((-1, "y"),), -1),
-        ((1, "x"), ((-1, "z"),), -2),
-    ])
-    with pytest.raises(ResidueRefusedError):
-        residue(DeltaExpr([two], XYZ), "x")
-    entangled = make_term(1, (), Delta(((1, "x"), (1, "y")), "z"), ())
-    with pytest.raises(ResidueRefusedError):
-        residue(DeltaExpr([entangled], XYZ), "x")
-
-
-def test_residue_window_agreement():
-    # residue equals the y-window slice at x^-1 for a mixed expression
-    t1 = make_term(2, (("x", -1), ("y", 1)))
-    t2 = make_term(1, raw_atoms=[((1, "x"), ((-1, "y"),), -2)])
-    e = DeltaExpr([t1, t2], ("x", "y"))
-    out = residue(e, "x")
-    for ey in range(0, 4):
-        assert coeff_of(out, {"y": ey}) == coeff_of(e, {"x": -1, "y": ey})
+        want = {}
+        for lab in labels:
+            alone = DeltaExpr([make_term(t.coeff.get(lab), t.mono, t.delta, t.raw_atoms())
+                               for t in terms], ("x0", "x1", "x2"))
+            for mono, c in window_coeffs(alone, window).items():
+                want.setdefault(mono, {})[lab] = c
+        got = window_coeffs(e, window)
+        assert got == {mono: Vec(v) for mono, v in want.items()}
+        for vec in got.values():
+            assert vec.entries and all(vec.entries.values())
+            for c in vec.entries.values():
+                assert (type(c) is int) == (Fraction(c).denominator == 1)
+                halves += type(c) is Fraction
+        cancelled += any(t.coeff == -u.coeff for t in terms for u in terms)
+    assert halves and cancelled
 
 
 # ---------------------------------------------------------------------------

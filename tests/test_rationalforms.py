@@ -22,7 +22,7 @@ from vertexcalc.rationalforms import (
     reconstruct_form,
     replay_implication,
 )
-from vertexcalc.scalars import Vec
+from vertexcalc.scalars import Vec, binom
 from vertexcalc.series import WindowedSeries, binomial_power
 
 
@@ -306,4 +306,45 @@ def test_stacked_witness_search_decides_each_label_as_alone():
             k: Vec({n: x for n, x in c.entries.items() if n == label})
             for k, c in diff.coeffs.items()}))
         assert list(alone) == [label] and type(alone[label]) is type(got[label])
+        assert str(alone[label]) == str(got[label])
+
+
+def test_witness_search_drops_cleared_labels_and_decides_each_as_alone(monkeypatch):
+    # a stack known on x in [-6, 6], judged on [-3, 3] and cleared by
+    # (x - 1)^m, whose product knows [-6 + m, 6]: "out" lives only at x^-6
+    # and x^6, off the box (cleared at m = 0), "ones" is a run of 1s that
+    # x - 1 telescopes (m = 1), "ramp" a run of k that (x - 1)^2 telescopes
+    # (m = 2), and "rand" stays open until the windows run out at m = 4
+    rng = random.Random(17)
+    scale = {n: rng.choice((1, -2, 3)) for n in ("ones", "ramp", "rand", "out")}
+    diff = WindowedSeries(("x",), {(k,): Vec({
+        "ones": scale["ones"] * (abs(k) < 5 or k == -5),
+        "ramp": scale["ramp"] * k * (abs(k) < 6),
+        "rand": scale["rand"] * rng.randint(-2, 2) * (abs(k) < 3),
+        "out": scale["out"] * (abs(k) == 6)}) for k in range(-6, 7)},
+        {"x": (-6, 6)}, {"x": (False, False)})
+
+    def clear(m):
+        return WindowedSeries.from_monomials(
+            ("x",), {(j,): binom(m, j) * (-1) ** (m - j) for j in range(m + 1)})
+
+    multiplied = []
+    monkeypatch.setattr(rationalforms, "multiply", lambda a, b: multiplied.append(
+        [set(c.entries) for c in a.coeffs.values()]) or multiply(a, b))
+    labels = ("ones", "ramp", "rand", "out")
+    got = least_clearing_power(diff, clear, {"x": (-3, 3)}, 5, labels, lambda c: c.entries)
+    assert {n: got[n] for n in labels[:2] + labels[3:]} == {"ones": 1, "ramp": 2, "out": 0}
+    assert str(got["rand"]).startswith("witness search at m=4 exceeded")
+    # the stack multiplied at m keeps only coefficients with a label open after m - 1
+    still_open = [{"ones", "ramp", "rand"}, {"ramp", "rand"}, {"rand"}, {"rand"}]
+    assert len(multiplied) == len(still_open)
+    for coeffs, open_ in zip(multiplied, still_open):
+        assert all(labels_there & open_ for labels_there in coeffs)
+    assert [len(c) for c in multiplied] == sorted((len(c) for c in multiplied), reverse=True)
+    assert len(multiplied[0]) < len(diff.coeffs)
+    for label in labels:
+        alone = least_clearing_power(
+            diff.copy_meta({k: Vec({label: c.get(label)}) for k, c in diff.coeffs.items()}),
+            clear, {"x": (-3, 3)}, 5, (label,), lambda c: c.entries)
+        assert type(alone[label]) is type(got[label])
         assert str(alone[label]) == str(got[label])

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import multinomial
 
 from vertexcalc.scalars import (
     Vec,
@@ -10,8 +11,6 @@ from vertexcalc.scalars import (
     coeff_mul,
     coeff_sub,
     format_scalar,
-    linear_combine,
-    multinomial,
     parse_scalar,
 )
 
@@ -80,21 +79,6 @@ def test_rational_string_round_trip():
     assert parse_scalar("7/3") == Fraction(7, 3)
     assert parse_scalar("-4") == Fraction(-4)
     assert parse_scalar(format_scalar(Fraction(-10, 4))) == Fraction(-5, 2)
-
-
-def test_linear_combine_cancellation():
-    v = Vec({"e1": Fraction(2, 3), "e2": 1})
-    assert linear_combine([(1, v), (-1, v)]) == Vec()
-
-
-def test_linear_combine_disjoint_supports():
-    out = linear_combine([(2, Vec.unit("e1")), (3, Vec.unit("e2"))])
-    assert out == Vec({"e1": 2, "e2": 3})
-
-
-def test_linear_combine_exact_rational_product():
-    out = linear_combine([(Fraction(1, 2), Vec({"e1": Fraction(2, 3)}))])
-    assert out == Vec({"e1": Fraction(1, 3)})
 
 
 def test_vec_never_stores_zeros():

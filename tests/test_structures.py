@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import _weak_difference, witness_is_valid
+from conftest import _weak_difference, is_zero, witness_is_valid
 
 from vertexcalc import configio, deltacalc, rationalforms, series, structures
 from vertexcalc.corpus import (
@@ -75,7 +75,7 @@ def test_compose_with_vacuum_drops_first_variable():
     S = borcherds_structure(3)
     got = S.compose_yw("e0", "x1", "e1", "x2", "e1")
     direct = S.yw_series("e1", "e1", "x2")
-    assert (got - direct.align(("x1", "x2"))).is_zero()
+    assert is_zero(got - direct.align(("x1", "x2")))
 
 
 def test_iterate_on_vacuum_is_taylor_shift():
@@ -86,7 +86,7 @@ def test_iterate_on_vacuum_is_taylor_shift():
             left = S.iterate_yw(u, "x0", "e0", "x2", w)
             base = S.yw_series(u, w, "t")
             right = taylor_substitute(base, "t", (1, "x2"), (1, "x0"))
-            assert (left - right.align(("x0", "x2"))).is_zero()
+            assert is_zero(left - right.align(("x0", "x2")))
 
 
 def test_derived_derivation_matches_construction():
@@ -248,7 +248,7 @@ def test_exponentiated_conjugation_form():
                     rhs_coeffs[full] = vec if prev is None else prev + vec
             rhs = WindowedSeries.from_monomials(("t", "z"), rhs_coeffs)
             rhs = taylor_substitute(rhs, "t", (1, "x"), (1, "z"))
-            assert (lhs - rhs.align(("x", "z"))).is_zero(), (u, v)
+            assert is_zero(lhs - rhs.align(("x", "z"))), (u, v)
 
 
 def test_vfss_equivalent_to_ss_plus_dder_at_verdict_level():
@@ -310,9 +310,9 @@ def test_jacobi_expands_each_factor_window_once_per_check(monkeypatch):
     checks = []
     expansions = Counter()
 
-    def counted(factor, need, _original=deltacalc._expand_factor):
+    def counted(factor, need, *mono, _original=deltacalc._expand_factor):
         expansions[(len(checks), factor, tuple(sorted(need.items())))] += 1
-        return _original(factor, need)
+        return _original(factor, need, *mono)
 
     monkeypatch.setattr(deltacalc, "_expand_factor", counted)
     for table, axiom in ((ACTION_CHECKERS, "jacobi"),

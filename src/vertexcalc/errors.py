@@ -17,6 +17,10 @@ class UnsupportedRewriteError(VertexCalcError):
     """A symbolic rewrite was asked to do something it cannot justify."""
 
 
+class SubstitutionRefusedError(VertexCalcError):
+    """The delta-substitution precondition could not be certified syntactically."""
+
+
 class ProverFailureError(VertexCalcError):
     """An identity prover ended with a nonzero residual (implementation bug)."""
 

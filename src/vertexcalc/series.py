@@ -507,6 +507,23 @@ def taylor_substitute(s: WindowedSeries, var, head_sv, tail_sv, out_window=None)
 # ---------------------------------------------------------------------------
 # deltas in the concrete layer
 
+def delta_series(var, window, variables=None):
+    """The one-variable delta (all coefficients 1) truncated to a window."""
+    variables = (var,) if variables is None else tuple(variables)
+    i = variables.index(var)
+    lo, hi = window
+    coeffs = {}
+    for n in range(lo, hi + 1):
+        key = [0] * len(variables)
+        key[i] = n
+        coeffs[tuple(key)] = 1
+    return WindowedSeries(
+        variables, coeffs,
+        {v: ((lo, hi) if v == var else (0, 0)) for v in variables},
+        {v: ((False, False) if v == var else (True, True)) for v in variables},
+    )
+
+
 def apply_delta(terms, out_window):
     """The sum of sign * denom^-1 delta(num/denom) * s over ``terms``, a list
     of (sign +-1, num_head, num_tail, denom, s), exact on out_window.

@@ -13,16 +13,22 @@ from vertexcalc.deltacalc import (
     Term,
     _expand_signed_power,
     coeff_of,
+    delta_substitute,
     delta_to_atoms,
     expand_deltas,
     identity_lhs,
     make_term,
+    multiply,
     normalize,
     prove_identity,
     taylor_shift,
     window_coeffs,
 )
-from vertexcalc.errors import SummabilityError, UnsupportedRewriteError
+from vertexcalc.errors import (
+    SubstitutionRefusedError,
+    SummabilityError,
+    UnsupportedRewriteError,
+)
 from vertexcalc.scalars import Vec
 
 XYZ = ("x", "y", "z")
@@ -246,9 +252,33 @@ def test_window_oracle_refuses_divergent_term():
         coeff_of(DeltaExpr([t], ("x", "y")), {"x": -1, "y": -1})
 
 
-def _summability_table():
-    """(term, the oracle's refusal or None), one case per summability rule
-    of the window oracle, each checked on the zero window."""
+def test_multiply_certifies_and_refuses():
+    xy = expr([make_term(1, raw_atoms=[((1, "x"), ((-1, "y"),), -1)])], ("x", "y"))
+    yx = expr([make_term(1, raw_atoms=[((1, "y"), ((-1, "x"),), -1)])], ("x", "y"))
+    with pytest.raises(SummabilityError):
+        multiply(xy, yx)
+    d = expr([Term(1, (), Delta(((1, "x"),), "y"), ())], ("x", "y"))
+    with pytest.raises(SummabilityError):
+        multiply(d, d)
+    # monomial times reciprocal is fine and window-consistent
+    m = expr([Term(3, (("x", 2),))], ("x", "y"))
+    prod = multiply(m, xy)
+    w = {"x": (-2, 3), "y": (0, 3)}
+    got = window_coeffs(prod, w)
+    direct = {mono: 3 * c for mono, c in window_coeffs(xy, {"x": (-4, 1), "y": (0, 3)}).items()}
+    shifted = {}
+    for mono, c in direct.items():
+        d2 = dict(mono)
+        d2["x"] = d2.get("x", 0) + 2
+        key = tuple(sorted((v, e) for v, e in d2.items() if e))
+        shifted[key] = c
+    assert got == {k: v for k, v in shifted.items() if all(
+        w[v][0] <= dict(k).get(v, 0) <= w[v][1] for v in w)}
+
+
+def _product_table():
+    """(first factor, second factor, the refusal's message or None), one
+    case per refusal rule of the window oracle and of ``multiply``."""
     xyzw = ("x", "y", "z", "w")
 
     def one(*term):
@@ -256,37 +286,52 @@ def _summability_table():
 
     return {
         "atom tail with no upper bound": (
-            one(1, (), None, [((1, "x"), ((-1, "y"),), -1), ((1, "y"), ((-1, "x"),), -1)]),
+            one(1, (), None, [((1, "x"), ((-1, "y"),), -1)]),
+            one(1, (), None, [((1, "y"), ((-1, "x"),), -1)]),
             "tail variable 'y' has no upper exponent bound"),
         "delta denominator with no finite window": (
-            one(1, (), Delta(((1, "y"),), "x"), [((1, "x"), ((1, "z"),), -1)]),
+            one(1, (), Delta(((1, "y"),), "x"), ()),
+            one(1, (), None, [((1, "x"), ((1, "z"),), -1)]),
             "delta denominator 'x' has no finite window"),
         "delta tail with no upper bound": (
-            one(1, (), Delta(((1, "y"), (1, "z")), "x"), [((1, "z"), ((1, "w"),), -1)]),
+            one(1, (), Delta(((1, "y"), (1, "z")), "x"), ()),
+            one(1, (), None, [((1, "z"), ((1, "w"),), -1)]),
             "tail variable 'z' has no upper exponent bound"),
-        "term with no factors": (one(6, (("x", 1), ("y", 3))), None),
+        "two deltas": (
+            one(1, (), Delta(((1, "y"),), "x"), ()),
+            one(1, (), Delta(((1, "z"),), "w"), ()),
+            "product of two delta factors is never summable"),
+        "term with no factors": (
+            one(2, (("x", -1), ("y", 3))), one(3, (("x", 2),)), None),
         "monomial times an atom": (
-            one(3, (("x", 2),), None, [((1, "x"), ((-1, "y"),), -1)]), None),
+            one(3, (("x", 2),)), one(1, (), None, [((1, "x"), ((-1, "y"),), -1)]),
+            None),
         "delta times a power in its own direction": (
-            one(1, (), Delta(((1, "y"), (-1, "z")), "x"), [((1, "y"), ((-1, "z"),), -2)]),
-            None),
+            one(1, (), Delta(((1, "y"), (-1, "z")), "x"), ()),
+            one(1, (), None, [((1, "y"), ((-1, "z"),), -2)]), None),
         "two atoms sharing no variable": (
-            one(1, (), None, [((1, "x"), ((-1, "y"),), -1), ((1, "z"), ((1, "w"),), -2)]),
-            None),
+            one(1, (), None, [((1, "x"), ((-1, "y"),), -1)]),
+            one(1, (), None, [((1, "z"), ((1, "w"),), -2)]), None),
     }
 
 
-@pytest.mark.parametrize("case", sorted(_summability_table()))
-def test_window_oracle_refuses_by_each_summability_rule(case):
-    e, refusal = _summability_table()[case]
+@pytest.mark.parametrize("case", sorted(_product_table()))
+def test_multiply_refuses_by_each_summability_rule(case):
+    e1, e2, refusal = _product_table()[case]
     if refusal is None:
-        window_coeffs(e, {})
-        # a summable term has finite coefficients on any window
-        window_coeffs(e, {v: (-2, 2) for v in ("x", "y", "z", "w")})
+        prod = multiply(e1, e2)
+        assert len(prod.terms) == 1
+        # the certified product has finite coefficients on any window
+        window_coeffs(prod, {v: (-2, 2) for v in ("x", "y", "z", "w")})
         return
     with pytest.raises(SummabilityError) as err:
-        window_coeffs(e, {})
-    assert refusal in str(err.value)
+        multiply(e1, e2)
+    if case == "two deltas":
+        assert str(err.value) == refusal
+    else:
+        assert str(err.value).startswith("cannot certify the product term")
+        # the oracle's own refusal names the rule that refused the term
+        assert refusal in str(err.value.__cause__)
 
 
 def test_delta_times_same_direction_power_is_summable():
@@ -295,6 +340,63 @@ def test_delta_times_same_direction_power_is_summable():
     e = DeltaExpr([t], ("x0", "x1", "x2"))
     val = coeff_of(e, {"x0": 1, "x1": -3, "x2": 1})
     assert isinstance(val, int)
+
+
+# ---------------------------------------------------------------------------
+# delta substitution
+
+def test_delta_substitute_replaces_matching_atoms():
+    d = Delta(((1, "x1"), (-1, "x2")), "x0")
+    for n in (-2, -1, 1, 3):
+        t = make_term(1, (), d, [((1, "x1"), ((-1, "x2"),), n)])
+        out = delta_substitute(DeltaExpr([t], ("x0", "x1", "x2")))
+        assert len(out.terms) == 1
+        got = out.terms[0]
+        assert got.mono == (("x0", n),)
+        assert not got.atoms
+        assert got.delta == d
+
+
+def test_delta_substitute_constant_factor_fixed_point():
+    d = Delta(((1, "y"), (1, "z")), "x")
+    e = DeltaExpr([Term(1, (), d, ())], ("x", "y", "z"))
+    out = delta_substitute(e)
+    assert out.terms[0].shape_key() == e.terms[0].shape_key()
+
+
+def test_delta_substitute_window_invariance_randomized():
+    rng = random.Random(20240817)
+    d = Delta(((1, "x1"), (-1, "x2")), "x0")
+    for _ in range(10):
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            n = rng.choice([-2, -1, 1, 2])
+            b = rng.randint(-1, 1)
+            c = rng.randint(-2, 3)
+            terms.append(make_term(
+                c, ((("x1", b),) if b else ()), d,
+                [((1, "x1"), ((-1, "x2"),), n)]))
+        e = DeltaExpr(terms, ("x0", "x1", "x2"))
+        out = delta_substitute(e)
+        w = {v: (-4, 4) for v in ("x0", "x1", "x2")}
+        assert same_on_window(e, out, w)
+
+
+def test_delta_substitute_negative_head_numerator_sign():
+    d = Delta(((-1, "x2"), (1, "x1")), "x0")
+    # the canonical atom for (-x2+x1)^n carries (-1)^n; substitution restores it
+    t = make_term(1, (), d, [((-1, "x2"), ((1, "x1"),), -1)])
+    e = DeltaExpr([t], ("x0", "x1", "x2"))
+    out = delta_substitute(e)
+    w = {v: (-4, 4) for v in ("x0", "x1", "x2")}
+    assert same_on_window(e, out, w)
+
+
+def test_delta_substitute_refuses_non_matching_shared_atom():
+    d = Delta(((1, "x1"), (-1, "x2")), "x0")
+    t = make_term(1, (), d, [((1, "x2"), ((-1, "x1"),), -1)])
+    with pytest.raises(SubstitutionRefusedError):
+        delta_substitute(DeltaExpr([t], ("x0", "x1", "x2")))
 
 
 def _bound(rng, open_share=0.25):

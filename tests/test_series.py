@@ -13,17 +13,11 @@ from vertexcalc.series import (
     add_power,
     apply_delta,
     binomial_power,
+    delta_series,
     exp_endo,
     multiply,
     taylor_substitute,
 )
-
-
-def delta(var, window):
-    """The one-variable delta, all coefficients 1, on a window."""
-    lo, hi = window
-    return WindowedSeries((var,), {(n,): 1 for n in range(lo, hi + 1)},
-                          window={var: window}, shape={var: (False, False)})
 
 
 def poly(variables, entries):
@@ -42,7 +36,7 @@ def rand_poly(rng, variables, max_deg=3, terms=4):
 # multiply
 
 def test_delta_times_one_minus_x_telescopes():
-    d = delta("x", (-7, 7))
+    d = delta_series("x", (-7, 7))
     p = poly(("x",), {(0,): 1, (1,): -1})
     prod = multiply(d, p)
     assert prod.is_zero_on({"x": (-5, 5)})
@@ -59,7 +53,7 @@ def test_geometric_series_times_one_minus_x():
 
 
 def test_delta_times_delta_refused():
-    d = delta("x", (-5, 5))
+    d = delta_series("x", (-5, 5))
     with pytest.raises(SummabilityError):
         multiply(d, d)
 
@@ -225,6 +219,12 @@ def test_exp_endo_refuses_non_nilpotent():
 
 # ---------------------------------------------------------------------------
 # delta layer
+
+def test_delta_series_all_coefficients_one():
+    d = delta_series("x", (-6, 6))
+    for n in (-2, 0, 5):
+        assert d.coeff({"x": n}) == 1
+
 
 def test_apply_delta_matches_symbolic_layer():
     f = poly(("x1", "x2"), {(0, 0): 1, (1, 2): -3})

@@ -313,11 +313,8 @@ def least_clearing_power(diff, clear, box, m_max, labels=(None,),
     ``zero_verdict`` judges, and is None if none is, or the WindowUnderflowError
     of the m at which the windows ran out on the label.  Labels never mix, so
     each is decided as alone when all share the stack's exactness and windows,
-    as one exactness class of the weak checkers does; and once a label is
-    cleared, the coefficients that carry no open label are dropped before
-    the next multiply, while the stack keeps its windows, so no label's
-    least m or underflow moves.  A replay instance is the unlabelled case:
-    one label None on every coefficient."""
+    as one exactness class of the weak checkers does.  A replay instance is
+    the unlabelled case: one label None on every coefficient."""
     least, open_ = {}, set(labels)
     for m in range(m_max + 1):
         failing = set()
@@ -331,12 +328,8 @@ def least_clearing_power(diff, clear, box, m_max, labels=(None,),
                 f"witness search at m={m} exceeded the known windows; "
                 "regenerate the instance with larger windows")
             return least | dict.fromkeys(open_, err)
-        still = open_ & failing
-        least |= dict.fromkeys(open_ - still, m)
-        if still and still != open_:
-            diff = diff.copy_meta({k: c for k, c in diff.coeffs.items()
-                                   if still.intersection(labels_of(c))})
-        open_ = still
+        least |= dict.fromkeys(open_ - failing, m)
+        open_ &= failing
         if not open_:
             break
     return least | dict.fromkeys(open_)

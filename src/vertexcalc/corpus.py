@@ -112,13 +112,15 @@ MUTANT_SPECS = [
 ]
 
 
+def _mutant(base, name, edits, broken):
+    """``base`` with ``edits``, tagged with the axioms it breaks."""
+    return base.mutate(name, edits,
+                       tags=("mutant",) + tuple(f"breaks:{a}" for a in broken))
+
+
 def mutants():
-    out = []
-    for name, k, edits, broken in MUTANT_SPECS:
-        base = borcherds_structure(k)
-        tags = ("mutant",) + tuple(f"breaks:{a}" for a in broken)
-        out.append(base.mutate(name, edits, tags=tags))
-    return out
+    return [_mutant(borcherds_structure(k), name, edits, broken)
+            for name, k, edits, broken in MUTANT_SPECS]
 
 
 def mutant_expected_failures():
@@ -159,11 +161,8 @@ def make_module(k, which, name=None, tags=("valid",)):
 
 
 def module_family():
-    out = []
-    for k in FAMILY_K:
-        for which in ("regular", "ideal", "quotient"):
-            out.append(make_module(k, which))
-    return out
+    return [make_module(k, which) for k in FAMILY_K
+            for which in ("regular", "ideal", "quotient")]
 
 
 # five curated module mutants; expected failures frozen from checker runs
@@ -190,12 +189,8 @@ MODULE_MUTANT_SPECS = [
 
 
 def module_mutants():
-    out = []
-    for name, k, which, edits, broken in MODULE_MUTANT_SPECS:
-        base = make_module(k, which)
-        tags = ("mutant",) + tuple(f"breaks:{a}" for a in broken)
-        out.append(base.mutate(name, edits, tags=tags))
-    return out
+    return [_mutant(make_module(k, which), name, edits, broken)
+            for name, k, which, edits, broken in MODULE_MUTANT_SPECS]
 
 
 def module_mutant_expected_failures():

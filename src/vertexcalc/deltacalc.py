@@ -456,6 +456,9 @@ def _expand_signed_power(head_sv, tail_svs, exp, need, mono=None, out=None):
         tail_svs = sv_neg(tail_svs)
     tails = []
     for s, v in tail_svs:
+        if v == hvar:
+            raise SummabilityError(
+                f"head variable {v!r} is also in its tail; the expansion is not summable")
         hi = need.get(v, (None, None))[1]
         if hi is None:
             raise SummabilityError(

@@ -39,6 +39,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
+from typing import NamedTuple
 
 from .deltacalc import (THREE_TERM, DeltaExpr, Term, identity_lhs, mono_of,
                         window_coeffs)
@@ -609,19 +610,24 @@ def check_vacuum_prop(A: ModuleStructure, axiom, m_max=None, window=None):
     return PropertyReport(axiom, "PASS", {})
 
 
+def _first_failing_pair(axiom, pairs, difference):
+    """FAIL at the first pair whose ``difference`` series is nonzero, else PASS."""
+    for pair in pairs:
+        ok, wit = zero_verdict(difference(*pair))
+        if not ok:
+            return PropertyReport(axiom, "FAIL", {"pair": pair, "monomial": wit[0]})
+    return PropertyReport(axiom, "PASS", {})
+
+
 def check_d_derivative(A: ModuleStructure, axiom, m_max=None, window=None):
     S = A.over
-    for u in S.basis:
+
+    def difference(u, w):
         du = S.dop.get(u, Vec())
-        for w in A.wbasis:
-            lhs = A.yw_series(du, w, "x") if du else WindowedSeries.zero(("x",))
-            rhs = A.yw_series(u, w, "x").derivative("x")
-            ok, wit = zero_verdict(lhs - rhs)
-            if not ok:
-                return PropertyReport(
-                    axiom, "FAIL",
-                    {"pair": (u, w), "monomial": wit[0]})
-    return PropertyReport(axiom, "PASS", {})
+        lhs = A.yw_series(du, w, "x") if du else WindowedSeries.zero(("x",))
+        return lhs - A.yw_series(u, w, "x").derivative("x")
+    return _first_failing_pair(axiom, [(u, w) for u in S.basis for w in A.wbasis],
+                               difference)
 
 
 ACTION_CHECKERS = {
@@ -650,34 +656,22 @@ def _exp_d_apply(S: VertexStructure, series: WindowedSeries, xvar):
 
 
 def check_skew_symmetry(S: VertexStructure, window=None):
-    for u in S.basis:
-        for v in S.basis:
-            left = S.yw_series(u, v, "x")
-            right = _exp_d_apply(S, S.yw_series(v, u, "x").flip_sign("x"), "x")
-            ok, wit = zero_verdict(left - right)
-            if not ok:
-                return PropertyReport(
-                    "skew_symmetry", "FAIL",
-                    {"pair": (u, v), "monomial": wit[0]})
-    return PropertyReport("skew_symmetry", "PASS", {})
+    return _first_failing_pair(
+        "skew_symmetry", [(u, v) for u in S.basis for v in S.basis],
+        lambda u, v: S.yw_series(u, v, "x")
+        - _exp_d_apply(S, S.yw_series(v, u, "x").flip_sign("x"), "x"))
 
 
 def check_d_bracket(S: VertexStructure, window=None):
-    for u in S.basis:
-        for v in S.basis:
-            yuv = S.yw_series(u, v, "x")
-            d_of = WindowedSeries.from_monomials(
-                ("x",), {k: S.d_apply(c) for k, c in yuv.coeffs.items()})
-            y_dv = S.yw_series(u, S.dop.get(v, Vec()), "x") \
-                if S.dop.get(v) else WindowedSeries.zero(("x",))
-            lhs = d_of - y_dv
-            rhs = yuv.derivative("x")
-            ok, wit = zero_verdict(lhs - rhs)
-            if not ok:
-                return PropertyReport(
-                    "d_bracket", "FAIL",
-                    {"pair": (u, v), "monomial": wit[0]})
-    return PropertyReport("d_bracket", "PASS", {})
+    def difference(u, v):
+        yuv = S.yw_series(u, v, "x")
+        d_of = WindowedSeries.from_monomials(
+            ("x",), {k: S.d_apply(c) for k, c in yuv.coeffs.items()})
+        y_dv = S.yw_series(u, S.dop.get(v, Vec()), "x") \
+            if S.dop.get(v) else WindowedSeries.zero(("x",))
+        return d_of - y_dv - yuv.derivative("x")
+    return _first_failing_pair("d_bracket", [(u, v) for u in S.basis for v in S.basis],
+                               difference)
 
 
 def check_creation_prop(S: VertexStructure, window=None):
@@ -754,85 +748,129 @@ def check_all(S: VertexStructure, m_max=None, window=None):
 
 
 # ---------------------------------------------------------------------------
-# replacement rows
+# replacement statements
 
+class Replacement(NamedTuple):
+    """A row of REPLACEMENTS: where the premises pass, and the base structure
+    ``over`` passes ``base``, the conclusions pass; an equivalence says
+    instead that they all pass or all fail.  ``action`` rows hold for any
+    action, a structure on itself or a module: they are the paper's
+    vacuum-free replacements, the implications (A)-(G) of ``rationalforms``
+    on the series f, g, h of one action, proved from those alone, so they
+    need nothing of ``over``.  ``structure`` rows are the paper's
+    replacements with a vacuum vector.  ``module`` rows are its final
+    section, on a module W for a vertex algebra V (Jacobi identity, vacuum
+    and creation properties; Lepowsky-Li 2004, ch. 3), so their base is
+    ``VA``: given W's vacuum property, W's Jacobi identity, weak
+    associativity and weak skew-associativity are equivalent (the main
+    theorem), and each gives the D-derivative property."""
+    id: str
+    premises: tuple
+    conclusions: tuple
+    base: tuple = ()
+    equivalence: bool = False
+
+
+R = Replacement
 MINORS = ("vacuum_prop", "creation_prop", "injectivity")
+VA = ("jacobi", "vacuum_prop", "creation_prop")  # V is a vertex algebra
 
-ALGEBRA_ROWS = [
-    ("two-of-three/ca", ("weak_comm", "weak_assoc"), ("jacobi",)),
-    ("two-of-three/cs", ("weak_comm", "weak_skew_assoc"), ("jacobi",)),
-    ("two-of-three/as", ("weak_assoc", "weak_skew_assoc"), ("jacobi",)),
-    ("main-axiom-gives-weak", ("jacobi",),
-     ("weak_comm", "weak_assoc", "weak_skew_assoc")),
-    ("main-axiom-gives-vfss", ("jacobi",), ("vf_skew_symmetry",)),
-    ("wa+vfss", ("weak_assoc", "vf_skew_symmetry"), ("jacobi",)),
-    ("wsa+vfss", ("weak_skew_assoc", "vf_skew_symmetry"), ("jacobi",)),
-    ("wc+vfss+inj", ("injectivity", "weak_comm", "vf_skew_symmetry"), ("jacobi",)),
-    ("vacuum-from-creation", ("injectivity", "vf_skew_symmetry", "creation_prop"),
-     ("vacuum_prop",)),
-    ("creation-from-vacuum", ("injectivity", "vf_skew_symmetry", "vacuum_prop"),
-     ("creation_prop",)),
-    ("vfss-gives-minor-props", ("vacuum_prop", "injectivity", "vf_skew_symmetry"),
-     ("strong_creation", "skew_symmetry", "d_derivative", "d_bracket")),
-    ("ss+dder-gives-vfss", MINORS + ("skew_symmetry", "d_derivative"),
-     ("vf_skew_symmetry",)),
-    ("ss+dbracket-gives-vfss", MINORS + ("skew_symmetry", "d_bracket"),
-     ("vf_skew_symmetry",)),
-    ("sc-from-ss", MINORS + ("skew_symmetry",), ("strong_creation",)),
-    ("sc-from-dbracket", MINORS + ("d_bracket",), ("strong_creation",)),
-    ("sc-from-dder", MINORS + ("d_derivative",), ("strong_creation",)),
-    ("ss-from-wc+dbracket", MINORS + ("weak_comm", "d_bracket"),
-     ("skew_symmetry",)),
-    ("wc+dbracket-gives-jacobi", MINORS + ("weak_comm", "d_bracket"), ("jacobi",)),
-    ("jacobi-gives-wc+dbracket", MINORS + ("jacobi",),
-     ("weak_comm", "d_bracket")),
-    ("wa-gives-dder", MINORS + ("weak_assoc",), ("d_derivative",)),
-    ("wa+sc-gives-dbracket", MINORS + ("weak_assoc", "strong_creation"),
-     ("d_bracket",)),
-    ("wa+ss-gives-jacobi", MINORS + ("weak_assoc", "skew_symmetry"), ("jacobi",)),
-    ("jacobi-gives-wa+ss", MINORS + ("jacobi",), ("weak_assoc", "skew_symmetry")),
-    ("wsa-gives-dder", MINORS + ("weak_skew_assoc",), ("d_derivative",)),
-    ("wsa+ss-gives-dbracket", MINORS + ("weak_skew_assoc", "skew_symmetry"),
-     ("d_bracket",)),
-    ("wsa+dbracket-gives-ss", MINORS + ("weak_skew_assoc", "d_bracket"),
-     ("skew_symmetry",)),
-    ("wsa+ss-gives-jacobi", MINORS + ("weak_skew_assoc", "skew_symmetry"),
-     ("jacobi",)),
-    ("wsa+dbracket-gives-jacobi", MINORS + ("weak_skew_assoc", "d_bracket"),
-     ("jacobi",)),
-    ("jacobi-gives-wsa+ss+dbracket", MINORS + ("jacobi",),
-     ("weak_skew_assoc", "skew_symmetry", "d_bracket")),
-]
+REPLACEMENTS = {
+    "action": [
+        R("two-of-three/ca", ("weak_comm", "weak_assoc"), ("jacobi",)),
+        R("two-of-three/cs", ("weak_comm", "weak_skew_assoc"), ("jacobi",)),
+        R("two-of-three/as", ("weak_assoc", "weak_skew_assoc"), ("jacobi",)),
+        R("main-axiom-gives-weak", ("jacobi",), ("weak_comm", "weak_assoc", "weak_skew_assoc")),
+        R("main-axiom-gives-vfss", ("jacobi",), ("vf_skew_symmetry",)),
+        R("wa+vfss", ("weak_assoc", "vf_skew_symmetry"), ("jacobi",)),
+        R("wsa+vfss", ("weak_skew_assoc", "vf_skew_symmetry"), ("jacobi",)),
+    ],
+    "structure": [
+        R("wc+vfss+inj", ("injectivity", "weak_comm", "vf_skew_symmetry"), ("jacobi",)),
+        R("vacuum-from-creation", ("injectivity", "vf_skew_symmetry", "creation_prop"),
+          ("vacuum_prop",)),
+        R("creation-from-vacuum", ("injectivity", "vf_skew_symmetry", "vacuum_prop"),
+          ("creation_prop",)),
+        R("vfss-gives-minor-props", ("vacuum_prop", "injectivity", "vf_skew_symmetry"),
+          ("strong_creation", "skew_symmetry", "d_derivative", "d_bracket")),
+        R("ss+dder-gives-vfss", MINORS + ("skew_symmetry", "d_derivative"),
+          ("vf_skew_symmetry",)),
+        R("ss+dbracket-gives-vfss", MINORS + ("skew_symmetry", "d_bracket"),
+          ("vf_skew_symmetry",)),
+        R("sc-from-ss", MINORS + ("skew_symmetry",), ("strong_creation",)),
+        R("sc-from-dbracket", MINORS + ("d_bracket",), ("strong_creation",)),
+        R("sc-from-dder", MINORS + ("d_derivative",), ("strong_creation",)),
+        R("ss-from-wc+dbracket", MINORS + ("weak_comm", "d_bracket"), ("skew_symmetry",)),
+        R("wc+dbracket-gives-jacobi", MINORS + ("weak_comm", "d_bracket"), ("jacobi",)),
+        R("jacobi-gives-wc+dbracket", MINORS + ("jacobi",), ("weak_comm", "d_bracket")),
+        R("wa-gives-dder", MINORS + ("weak_assoc",), ("d_derivative",)),
+        R("wa+sc-gives-dbracket", MINORS + ("weak_assoc", "strong_creation"), ("d_bracket",)),
+        R("wa+ss-gives-jacobi", MINORS + ("weak_assoc", "skew_symmetry"), ("jacobi",)),
+        R("jacobi-gives-wa+ss", MINORS + ("jacobi",), ("weak_assoc", "skew_symmetry")),
+        R("wsa-gives-dder", MINORS + ("weak_skew_assoc",), ("d_derivative",)),
+        R("wsa+ss-gives-dbracket", MINORS + ("weak_skew_assoc", "skew_symmetry"),
+          ("d_bracket",)),
+        R("wsa+dbracket-gives-ss", MINORS + ("weak_skew_assoc", "d_bracket"),
+          ("skew_symmetry",)),
+        R("wsa+ss-gives-jacobi", MINORS + ("weak_skew_assoc", "skew_symmetry"), ("jacobi",)),
+        R("wsa+dbracket-gives-jacobi", MINORS + ("weak_skew_assoc", "d_bracket"), ("jacobi",)),
+        R("jacobi-gives-wsa+ss+dbracket", MINORS + ("jacobi",),
+          ("weak_skew_assoc", "skew_symmetry", "d_bracket")),
+    ],
+    "module": [
+        R("dder-from-wa", ("vacuum_prop", "weak_assoc"), ("d_derivative",), VA),
+        R("dder-from-wsa", ("vacuum_prop", "weak_skew_assoc"), ("d_derivative",), VA),
+        R("dder-from-main-axiom", ("vacuum_prop", "jacobi"), ("d_derivative",), VA),
+        R("main/wa", ("vacuum_prop", "weak_assoc"), ("jacobi",), VA),
+        R("main/wsa", ("vacuum_prop", "weak_skew_assoc"), ("jacobi",), VA),
+        R("main/rev", ("vacuum_prop", "jacobi"), ("weak_assoc", "weak_skew_assoc"), VA),
+        R("main-equivalence", ("vacuum_prop",),
+          ("weak_assoc", "weak_skew_assoc", "jacobi"), VA, True),
+    ],
+}
+
+# each report: the action rows, then its own; the module report has always
+# opened with main-axiom-gives-weak
+ROWS = {"structure": REPLACEMENTS["action"] + REPLACEMENTS["structure"],
+        "module": sorted(REPLACEMENTS["action"],
+                         key=lambda r: r.id != "main-axiom-gives-weak")
+        + REPLACEMENTS["module"]}
 
 
-def replay_rows(member, rows, verdicts):
-    """Replay replacement rows (id, premises, conclusions) on one member.
-
-    If every premise checker passes, the conclusion checkers must pass; a
-    premises-pass/conclusion-fails event raises ConsistencyViolationError
-    with full diagnostics.  Rows whose premises are not all satisfied are
-    reported UNTESTED for that member.
-    """
+def replay_rows(A: ModuleStructure, level, verdicts, m_max=None, window=None):
+    """Replay the rows of ``level`` on the member ``A`` from its verdicts
+    (named ``m_<axiom>`` on a module, whose row ids take ``m-``).  A row
+    whose premises fail is UNTESTED.  Where they pass and its conclusions
+    fail, and only there, ``A.over`` is checked on the row's base premises:
+    one that does not pass makes the row UNTESTED, recorded as
+    ``<over>/<axiom>``; if all pass, ConsistencyViolationError is raised.  An equivalence gives
+    one record per conclusion, against the last."""
+    ax, prefix = ("m_", "m-") if level == "module" else ("", "")
     report = []
-    for row_id, premises, conclusions in rows:
-        prem = {p: verdicts[p].verdict for p in premises}
-        if any(v != "PASS" for v in prem.values()):
-            report.append({"member": member, "row": row_id,
-                           "verdict": "UNTESTED", "premises": prem})
-            continue
-        concl = {c: verdicts[c].verdict for c in conclusions}
-        if not all(v == "PASS" for v in concl.values()):
-            raise ConsistencyViolationError(
-                f"row {row_id} on {member}: premises pass {prem} "
-                f"but conclusions fail {concl}")
-        report.append({"member": member, "row": row_id,
-                       "verdict": "PASS", "premises": prem})
+    for row in ROWS[level]:
+        prem = {ax + p: verdicts[ax + p].verdict for p in row.premises}
+        concl = {ax + c: verdicts[ax + c].verdict for c in row.conclusions}
+        tested = all(v == "PASS" for v in prem.values())
+        held = {v == "PASS" for v in concl.values()}
+        failing = {}
+        if tested and (len(held) > 1 if row.equivalence else False in held):
+            base = {f"{A.over.name}/{b}": check_axiom(A.over, b, m_max, window).verdict
+                    for b in row.base}
+            failing = {k: v for k, v in base.items() if v != "PASS"}
+            if not failing:
+                raise ConsistencyViolationError(
+                    f"row {prefix}{row.id} on {A.name}: premises pass {prem} but "
+                    f"conclusions fail {concl}" + (f"; base passes {base}" if base else ""))
+        *sides, last = concl
+        records = [(f"/{s}", {"minors": tested, s: concl[s], last: concl[last]})
+                   for s in sides] if row.equivalence else [("", prem)]
+        report += [{"member": A.name, "row": prefix + row.id + suffix,
+                    "verdict": "PASS" if tested and not failing else "UNTESTED",
+                    "premises": {**p, **failing}} for suffix, p in records]
     return report
 
 
 def implication_matrix(corpus, m_max=None, window=None):
-    """Replay every encoded replacement row on every corpus member."""
-    report = []
-    for S in corpus:
-        report += replay_rows(S.name, ALGEBRA_ROWS, check_all(S, m_max, window))
-    return report
+    """Replay the action and structure rows on every corpus member."""
+    return [record for S in corpus for record in replay_rows(
+        S, "structure", check_all(S, m_max, window), m_max, window)]

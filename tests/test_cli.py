@@ -344,13 +344,22 @@ def test_ut2_passes_weak_assoc_and_fails_jacobi(ut2_dir, capsys):
         assert verdicts[prefix + "jacobi"] == "FAIL"
 
 
-@pytest.mark.xfail(strict=True, reason="module rows ignore the base "
-                   "structure's verdicts: ut2 fails jacobi, so m-main/wa on "
-                   "its regular module is violated and main-theorem exits 2")
 def test_main_theorem_passes_on_the_ut2_regular_module(ut2_dir, capsys):
-    rc = main(["main-theorem", str(ut2_dir)])
-    capsys.readouterr()
+    # ut2 is not a vertex algebra (it fails jacobi), so the main theorem
+    # says nothing of its regular module: the rows that its module would
+    # violate are UNTESTED and name the base premise that fails
+    rc = main(["main-theorem", str(ut2_dir), "--format", "machine"])
+    records = {r["id"]: r for r in json.loads(capsys.readouterr().out)["records"]}
     assert rc == 0
+    for row in ("m-main/wa", "m-main-equivalence/m_weak_assoc",
+                "m-main-equivalence/m_weak_skew_assoc"):
+        record = records[f"ut2-regular/{row}"]
+        assert record["verdict"] == "UNTESTED"
+        assert record["witness"]["ut2/jacobi"] == "FAIL"
+        assert "ut2/vacuum_prop" not in record["witness"]
+    assert records["ut2-regular/m-main/wa"]["witness"] == {
+        "m_vacuum_prop": "PASS", "m_weak_assoc": "PASS", "ut2/jacobi": "FAIL"}
+    assert main(["implication-matrix", str(ut2_dir)]) == 0
 
 
 def test_repeated_mode_record_is_refused_and_named(corpus_dir, tmp_path, capsys):

@@ -252,6 +252,23 @@ def test_window_oracle_refuses_divergent_term():
         coeff_of(DeltaExpr([t], ("x", "y")), {"x": -1, "y": -1})
 
 
+def test_window_oracle_refuses_head_variable_in_its_own_tail():
+    # (y + x)^-1 shifted x -> x + y is (y + x + y)^-1: every power of the
+    # tail y lands on the same monomials as the head y, so its coefficient at
+    # x y^-2 would read -1, -2, -4 on the windows [-2,2]^2, [-4,4]^2, [-8,8]^2
+    e = expr([make_term(1, raw_atoms=[((1, "y"), ((1, "x"),), -1)])], ("x", "y"))
+    out = taylor_shift(e, "x", (1, "y"))
+    assert out.terms[0].atoms == (Atom("y", ((1, "x"), (1, "y")), -1),)
+    for n in (2, 4, 8):
+        with pytest.raises(SummabilityError, match="'y' is also in its tail"):
+            window_coeffs(out, {"x": (-n, n), "y": (-n, n)})
+    # a nonnegative power is refused too: (y + y)^1 read 2y on [-3,3] but y
+    # on [1,1], where the head's window cut the tail's power short
+    twice = expr([make_term(1, raw_atoms=[((1, "y"), ((1, "y"),), 1)])], ("x", "y"))
+    with pytest.raises(SummabilityError):
+        window_coeffs(twice, {"y": (1, 1)})
+
+
 def test_multiply_certifies_and_refuses():
     xy = expr([make_term(1, raw_atoms=[((1, "x"), ((-1, "y"),), -1)])], ("x", "y"))
     yx = expr([make_term(1, raw_atoms=[((1, "y"), ((-1, "x"),), -1)])], ("x", "y"))

@@ -1,7 +1,9 @@
 import pytest
 
+from vertexcalc import configio, modules, structures
 from vertexcalc.corpus import (
     borcherds_structure,
+    full_corpus,
     full_module_corpus,
     make_module,
     module_family,
@@ -11,7 +13,7 @@ from vertexcalc.corpus import (
     truncated_polynomial_algebra,
     _module_data,
 )
-from vertexcalc.errors import ConstructionError
+from vertexcalc.errors import ConsistencyViolationError, ConstructionError
 from vertexcalc.modules import (
     MODULE_AXIOMS,
     ModuleStructure,
@@ -21,7 +23,8 @@ from vertexcalc.modules import (
     module_construct,
 )
 from vertexcalc.scalars import Vec
-from vertexcalc.structures import ActionTriple, check_axiom
+from vertexcalc.structures import (REPLACEMENTS, ActionTriple, PropertyReport,
+                                   check_axiom, implication_matrix, replay_rows)
 
 
 def regular_by_tables(S):
@@ -121,6 +124,70 @@ def test_harness_equivalence_rows_per_member():
         eq = [r for r in report
               if r["member"] == member and r["row"].startswith("m-main-equivalence")]
         assert len(eq) == 2
+
+
+def test_action_rows_agree_on_a_structure_and_its_regular_module():
+    # the action statements are written once: on a structure and on its
+    # regular module they give the same verdicts from the same premises
+    action = {row.id for row in REPLACEMENTS["action"]}
+    for S in full_corpus():
+        regular = ModuleStructure(S.name, S, S.basis, S.ytable)
+        on_structure = {r["row"]: r for r in implication_matrix([S])
+                        if r["row"] in action}
+        on_module = {r["row"][2:]: r for r in main_theorem_harness([regular])
+                     if r["row"][2:] in action}
+        assert set(on_structure) == set(on_module) == action, S.name
+        for row, rec in on_structure.items():
+            mrec = on_module[row]
+            assert mrec["verdict"] == rec["verdict"], (S.name, row)
+            assert {k[2:]: v for k, v in mrec["premises"].items()} \
+                == rec["premises"], (S.name, row)
+
+
+def test_main_theorem_checks_no_base_structure_unless_a_row_fails(
+        monkeypatch, ut2_dir):
+    # a base premise is checked only for a row whose own premises pass and
+    # whose conclusions fail: on the corpus no checker sees any M.over
+    seen = []
+
+    def spy(check):
+        def wrapped(A, *args, **kwargs):
+            seen.append(A)
+            return check(A, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(structures, "check_axiom", spy(structures.check_axiom))
+    for table in (structures.ACTION_CHECKERS, structures.STRUCTURE_CHECKERS,
+                  modules.MODULE_CHECKERS):
+        for name, check in table.items():
+            monkeypatch.setitem(table, name, spy(check))
+    corpus = full_module_corpus()
+    main_theorem_harness(corpus)
+    assert len(seen) == len(corpus) * len(modules.MODULE_AXIOMS)
+    assert not any(A is M.over for A in seen for M in corpus)
+    # the spies do see a base structure once a row needs it
+    ut2 = configio.load_module(str(ut2_dir / "ut2-regular.module.json"))
+    main_theorem_harness([ut2])
+    assert any(A is ut2.over for A in seen)
+
+
+def test_module_row_violated_over_a_vertex_algebra_raises_with_base_verdicts():
+    # over a base that passes every base premise, a module whose weak
+    # associativity passes and whose Jacobi identity fails contradicts the
+    # main theorem: the violation names the base verdicts it was checked on
+    M = make_module(3, "regular")
+    verdicts = check_module_all(M)
+    for axiom in ("m_jacobi", "m_weak_comm", "m_weak_skew_assoc",
+                  "m_vf_skew_symmetry"):
+        verdicts[axiom] = PropertyReport(axiom, "FAIL")
+    with pytest.raises(ConsistencyViolationError,
+                       match=r"^row m-main/wa on regular-module-k3: premises pass "
+                             r"\{'m_vacuum_prop': 'PASS', 'm_weak_assoc': 'PASS'\} "
+                             r"but conclusions fail \{'m_jacobi': 'FAIL'\}; base "
+                             r"passes \{'borcherds-k3/jacobi': 'PASS', "
+                             r"'borcherds-k3/vacuum_prop': 'PASS', "
+                             r"'borcherds-k3/creation_prop': 'PASS'\}$"):
+        replay_rows(M, "module", verdicts)
 
 
 def test_vacuum_free_module_over_ideal_structure():

@@ -13,6 +13,7 @@ import glob
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 from . import configio, corpus
 from .deltacalc import identity_lhs, prove_identity, window_coeffs
@@ -33,6 +34,17 @@ DELTA_ANCHORS = {
 }
 
 
+@contextmanager
+def _writing(path):
+    """Refuse an output path that cannot be written as a config error (exit
+    3, no traceback), naming the path and the reason."""
+    try:
+        yield
+    except OSError as err:
+        raise ConfigError(
+            f"cannot write {err.filename or path}: {err.strerror or err}") from None
+
+
 def _emit(args, command, records, started):
     params = {"window": args.window, "m_max": args.m_max}
     if args.format == "machine":
@@ -41,7 +53,7 @@ def _emit(args, command, records, started):
         body = configio.text_report(command, args.seed, params, records,
                                     durations=time.time() - started)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _writing(args.out), open(args.out, "w") as fh:
             fh.write(body)
     else:
         sys.stdout.write(body)
@@ -149,20 +161,21 @@ def cmd_rows(args, want_modules, harness, anchor):
 
 def cmd_examples(args):
     outdir = args.out or "corpus-out"
-    os.makedirs(outdir, exist_ok=True)
     written = []
-    for S in corpus.full_corpus():
-        path = os.path.join(outdir, f"{S.name}.json")
-        configio.dump_json(configio.structure_to_config(S), path)
-        written.append(path)
-    for M in corpus.full_module_corpus():
-        path = os.path.join(outdir, f"{M.name}.module.json")
-        configio.dump_json(configio.module_to_config(M), path)
-        written.append(path)
-        base = os.path.join(outdir, f"{M.over.name}.json")
-        if not os.path.exists(base):
-            configio.dump_json(configio.structure_to_config(M.over), base)
-            written.append(base)
+    with _writing(outdir):
+        os.makedirs(outdir, exist_ok=True)
+        for S in corpus.full_corpus():
+            path = os.path.join(outdir, f"{S.name}.json")
+            configio.dump_json(configio.structure_to_config(S), path)
+            written.append(path)
+        for M in corpus.full_module_corpus():
+            path = os.path.join(outdir, f"{M.name}.module.json")
+            configio.dump_json(configio.module_to_config(M), path)
+            written.append(path)
+            base = os.path.join(outdir, f"{M.over.name}.json")
+            if not os.path.exists(base):
+                configio.dump_json(configio.structure_to_config(M.over), base)
+                written.append(base)
     sys.stdout.write("\n".join(written) + "\n")
     return EXIT_PASS
 

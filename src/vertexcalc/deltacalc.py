@@ -28,10 +28,11 @@ the tail powers whose head exponent can land in the window the factor needs,
 so it writes only coefficients it keeps; a term of one factor is expanded
 with its monomial applied, so each coefficient is shifted and tested against
 the window once.  The oracle's memo holds unit expansions only: within one
-memo (one `window_coeffs` call unless the caller passes a dict to several),
-each term shape (monomial, delta, atoms) is expanded once per window with
-coefficient 1, so a repeated shape costs only the scaling by its
-coefficient; no expansion outlives the memo.  A stacked coefficient (a
+memo, each term shape (monomial, delta, atoms) is expanded once per window
+with coefficient 1, so a repeated shape costs only the scaling by its
+coefficient; no expansion outlives the memo.  Route 1 keeps one memo per
+command: the multi-member commands hand one dict to the Jacobi check of
+every member, and any other call takes a fresh one.  A stacked coefficient (a
 ``Vec``) is summed label by label, in place, into one plain dict per
 monomial and made a ``Vec`` once at the end.  Route 1 of the Jacobi check
 evaluates, with this oracle, the terms of ``identity_lhs("three-term")``, the
@@ -581,8 +582,8 @@ def window_coeffs(e: DeltaExpr, window, memo=None):
     certifiably finite sums.  ``memo`` holds unit expansions only: it maps
     (monomial, delta, atoms, window) to the window coefficients of a term of
     that shape with coefficient 1, which each term of the shape scales by its
-    coefficient.  Calls given the same dict share them, and without one each
-    call uses a fresh dict.  A stacked coefficient (a ``Vec``) is summed label
+    coefficient.  Calls given the same dict share them (route 1 keeps one
+    per command), and without one each call uses a fresh dict.  A stacked coefficient (a ``Vec``) is summed label
     by label into one plain dict per monomial, made a ``Vec`` once at the end.
     """
     if memo is None:

@@ -63,8 +63,9 @@ def check_module_axiom(M: ModuleStructure, axiom, m_max=None, window=None):
     return MODULE_CHECKERS[axiom](M, axiom, m_max, window)
 
 
-def check_module_all(M: ModuleStructure, m_max=None, window=None):
-    with M.shared_triples():
+def check_module_all(M: ModuleStructure, m_max=None, window=None, memo=None):
+    """Every module axiom of ``M``; its m_jacobi hands route 1 ``memo``, if given."""
+    with M.shared_triples(memo):
         return {a: check_module_axiom(M, a, m_max, window) for a in MODULE_AXIOMS}
 
 
@@ -81,9 +82,10 @@ def main_theorem_harness(corpus, m_max=None, window=None):
     skew-symmetry or otherwise); that combination is reported as a
     non-theorem so its absence is visible.
     """
-    report = []
+    report, memo = [], {}  # one route-1 memo for every member's m_jacobi
     for M in corpus:
-        report += replay_rows(M, "module", check_module_all(M, m_max, window), m_max, window)
+        report += replay_rows(M, "module", check_module_all(M, m_max, window, memo),
+                              m_max, window)
         report.append({"member": M.name, "row": "m-wc+vfss-not-encoded", "verdict": "UNTESTED",
                        "premises": {"reason": "module weak commutativity is not a "
                                               "sufficient replacement; no such row exists"}})

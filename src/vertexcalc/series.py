@@ -16,7 +16,11 @@ for a range kmin..kmax of tail powers; ``binomial_power``,
 ``taylor_substitute``, ``apply_delta`` and the rational forms of
 ``rationalforms`` all call it.  ``apply_delta`` picks that range per term so
 that it writes only coefficients inside its output window, and calls
-``add_power`` only when the range is not empty.
+``add_power`` only when the range is not empty.  A stacked coefficient (a
+``Vec`` over labels) is summed label by label, in place, into one plain dict
+per key; ``apply_delta`` and ``taylor_substitute`` make each key's ``Vec``
+once, after the last write, so labels never mix and no ``Vec`` is built per
+write.  Scalar coefficients take no such pass.
 
 Any operation that cannot guarantee exactness of a requested coefficient
 raises instead of truncating silently.
@@ -379,6 +383,11 @@ def add_power(coeffs, base, c, n, head, tail, kmax, kmin=0):
     (sign +-1, position in the exponent tuple).  With kmax = 0 only the head
     term is added and the tail is never read; with kmin > kmax nothing is.
 
+    A stacked coefficient (a ``Vec``) is summed label by label: at each key
+    ``coeffs`` holds a plain dict {label: rational}, written in place, and
+    the caller makes each key's ``Vec`` once, with ``_made``, after its
+    last write.  So ``coeffs`` holds scalars or such dicts, never both.
+
     Only binom(n, kmin) is looked up; each later coefficient steps by
     binom(n, k+1) = binom(n, k) * (n-k) // (k+1), exact for every integer n
     because binom(n, k) * (n-k) = binom(n, k+1) * (k+1).  The sign
@@ -391,18 +400,34 @@ def add_power(coeffs, base, c, n, head, tail, kmax, kmin=0):
         return
     bc = binom(n, kmin) * hs ** ((n - kmin) % 2) * ts ** (kmin % 2)
     step = hs * ts
-    vec = type(c) is Vec
+    entries = c.entries.items() if type(c) is Vec else None
     key = list(base)
     key[ih] += n - kmin
     key[it] += kmin
     for k in range(kmin, kmax + 1):
-        val = c.scale(bc) if vec else c * bc
         t = tuple(key)
-        prev = coeffs.get(t)
-        coeffs[t] = val if prev is None else coeff_add(prev, val)
+        if entries is None:
+            val = c * bc
+            prev = coeffs.get(t)
+            coeffs[t] = val if prev is None else coeff_add(prev, val)
+        else:
+            acc = coeffs.get(t)
+            if acc is None:
+                acc = coeffs[t] = {}
+            for label, x in entries:
+                acc[label] = acc.get(label, 0) + bc * x
         bc = step * bc * (n - k) // (k + 1)
         key[ih] -= 1
         key[it] += 1
+
+
+def _made(coeffs):
+    """``coeffs`` after its last ``add_power``, with each label dict made a
+    ``Vec`` (integral entries ints, zero entries dropped); one of scalars is
+    returned as it is."""
+    if type(next(iter(coeffs.values()), None)) is not dict:
+        return coeffs
+    return {key: Vec(acc) for key, acc in coeffs.items()}
 
 
 def binomial_power(variables, head_sv, tail_sv, n):
@@ -468,6 +493,7 @@ def taylor_substitute(s: WindowedSeries, var, head_sv, tail_sv, out_window=None)
                 base[new_vars.index(v)] += e
         kmax = n if n >= 0 else out_window[tv][1] - base[it]
         add_power(coeffs, base, c, n, (hs, ih), (ts, it), kmax)
+    coeffs = _made(coeffs)
 
     window, shape = {}, {}
     for v in new_vars:
@@ -617,7 +643,7 @@ def apply_delta(terms, out_window):
                     continue  # an empty tail range: add_power would write nothing
                 base[idn] = -n - 1  # s does not involve the denominator
                 add_power(coeffs, base, c, n, head, tail, kmax, kmin)
-    return WindowedSeries(variables, coeffs, window,
+    return WindowedSeries(variables, _made(coeffs), window,
                           {v: (False, False) for v in variables})
 
 

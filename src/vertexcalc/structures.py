@@ -17,7 +17,9 @@ the action at (u, v, w), and search their witnesses with the replays' own
 ``rationalforms.least_clearing_power``.  Within a ``shared_triples`` block (one
 ``check_all``, ``check_module_all`` or ``check`` command) the checkers share
 one slot triple per (u, v, w), so each product is built once per member; the
-triples are dropped when the block ends.
+triples are dropped when the block ends.  ``implication_matrix`` and
+``main_theorem_harness`` hand every member's block one route-1 memo, so the
+Jacobi checks of one command expand each term shape once.
 
 Jacobi, the weak properties and vf_skew_symmetry are identities of
 operators, linear in u, v and w, so each is checked once per member, on slot
@@ -155,7 +157,7 @@ class ModuleStructure:
         self.wbasis = tuple(wbasis)
         self.ywtable = _clean_table(ywtable)
         self.tags = tuple(tags)
-        self._triples = None
+        self._triples = self._memo = None
 
     def triple(self, u, v, w):
         """The slot triple at (u, v, w).  Inside ``shared_triples`` every
@@ -170,14 +172,15 @@ class ModuleStructure:
         return t
 
     @contextmanager
-    def shared_triples(self):
+    def shared_triples(self, memo=None):
         """Share slot triples between the checkers run inside this block,
-        and drop them all when it ends."""
-        self._triples = {}
+        and drop them all when it ends.  A Jacobi check inside the block
+        hands route 1 ``memo`` (see ``check_jacobi``), or a fresh dict."""
+        self._triples, self._memo = {}, memo
         try:
             yield
         finally:
-            self._triples = None
+            self._triples = self._memo = None
 
     def yw_modes(self, u, w):
         """Y_W(u,x)w as a dict exponent -> module Vec (exponent is -n-1)."""
@@ -458,10 +461,12 @@ def _classes(triples, substituted):
     """``triples`` {(u, v, w): triple} split, in order, by exactness class:
     which of the series ``substituted(label)``, whose s1 gets substituted,
     have a negative power of s1, so that they expand without end and their
-    difference is judged on the box, not on its whole support."""
+    difference is judged on the box, not on its whole support.  The slot
+    series are exact ``from_monomials`` products, whose s1 window is their
+    support, so the window's low end tells."""
     parts = {}
     for label, t in triples.items():
-        cls = tuple(any(k[s.idx(S1)] < 0 for k in s.coeffs) for s in substituted(label))
+        cls = tuple(s.window[S1][0] < 0 for s in substituted(label))
         parts.setdefault(cls, {})[label] = t
     return parts.values()
 
@@ -498,10 +503,11 @@ def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
     must give the same monomial, or the stacking is a violation.
     """
     N = window or default_window(A)
-    # Route 1 expands each term shape once per window, for this call only:
-    # every coefficient is still recomputed by the oracle, independently of
-    # ``series``, and no expansion outlives the check.
-    memo = {}
+    # Route 1 expands each term shape once per window and memo: one memo per
+    # command (``implication_matrix``, ``main_theorem_harness``), else a fresh
+    # one per check.  The oracle still recomputes every coefficient,
+    # independently of ``series``, and no expansion outlives the command.
+    memo = {} if A._memo is None else A._memo
     triples = _member_triples(A)
     if not triples:
         return PropertyReport(axiom, "PASS", {}, window=N)
@@ -742,8 +748,9 @@ def check_axiom(S: VertexStructure, axiom, m_max=None, window=None) -> PropertyR
     raise ValueError(f"unknown axiom {axiom!r}")
 
 
-def check_all(S: VertexStructure, m_max=None, window=None):
-    with S.shared_triples():
+def check_all(S: VertexStructure, m_max=None, window=None, memo=None):
+    """Every axiom of ``S``; its Jacobi check hands route 1 ``memo``, if given."""
+    with S.shared_triples(memo):
         return {axiom: check_axiom(S, axiom, m_max, window) for axiom in AXIOMS}
 
 
@@ -871,6 +878,8 @@ def replay_rows(A: ModuleStructure, level, verdicts, m_max=None, window=None):
 
 
 def implication_matrix(corpus, m_max=None, window=None):
-    """Replay the action and structure rows on every corpus member."""
+    """Replay the action and structure rows on every corpus member.  The
+    members' Jacobi checks share one route-1 memo, which dies with the call."""
+    memo = {}
     return [record for S in corpus for record in replay_rows(
-        S, "structure", check_all(S, m_max, window), m_max, window)]
+        S, "structure", check_all(S, m_max, window, memo), m_max, window)]

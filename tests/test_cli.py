@@ -403,6 +403,32 @@ def test_usage_errors_exit_three(corpus_dir, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, target, reason", [
+    (["check", "K2", "--axiom", "jacobi", "--out", "MISSING/x.json"],
+     "MISSING/x.json", "No such file or directory"),
+    (["examples", "emit", "--out", "FILE"], "FILE", "File exists"),
+    (["replay-elem", "--n", "1", "--out", "MISSING/x.json"],
+     "MISSING/x.json", "No such file or directory"),
+], ids=["check", "examples-emit", "replay-elem"])
+def test_unwritable_output_path_is_refused_with_exit_three(
+        corpus_dir, tmp_path, argv, target, reason):
+    # an output path that cannot be written is a config error: exit 3 and a
+    # one-line message naming the path, not a traceback and exit 1
+    (tmp_path / "FILE").write_text("taken\n")
+    paths = {"K2": str(corpus_dir / "borcherds-k2.json"),
+             "FILE": str(tmp_path / "FILE"),
+             "MISSING/x.json": str(tmp_path / "missing" / "x.json")}
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    run = subprocess.run(
+        [sys.executable, "-m", "vertexcalc.cli", *(paths.get(a, a) for a in argv)],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True, timeout=300)
+    assert run.returncode == 3
+    assert run.stdout == ""
+    assert run.stderr == f"config error: cannot write {paths[target]}: {reason}\n"
+    assert (tmp_path / "FILE").read_text() == "taken\n"
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--help"])

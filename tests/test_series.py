@@ -9,7 +9,9 @@ from vertexcalc.errors import SummabilityError, WindowUnderflowError
 from vertexcalc.scalars import (
     Vec, binom, coeff_add, coeff_is_zero, coeff_mul, coeff_sub)
 from vertexcalc.series import (
+    INF,
     WindowedSeries,
+    _made,
     add_power,
     apply_delta,
     binomial_power,
@@ -323,11 +325,15 @@ KERNEL_COEFFS = (1, -3, Fraction(-2, 7), Vec({"e0": 2, "e1": Fraction(1, 3)}))
 
 
 def _kernel_pair(prefill, *args):
-    """(add_power's dict, the reference's dict), both started from prefill."""
-    got, want = dict(prefill), dict(prefill)
+    """(add_power's dict, the reference's dict), both started from prefill.
+    add_power sums a Vec coefficient label by label, so its dict starts from
+    the label dicts of prefill and its Vecs are made after it returns."""
+    vec = isinstance(args[1], Vec)
+    got = {k: dict(c.entries) for k, c in prefill.items()} if vec else dict(prefill)
+    want = dict(prefill)
     add_power(got, *args)
     _add_power_reference(want, *args)
-    return list(got.items()), list(want.items())
+    return list((_made(got) if vec else got).items()), list(want.items())
 
 
 @pytest.mark.parametrize("hs, ts", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
@@ -518,6 +524,88 @@ def test_multi_term_apply_delta_is_the_sum_of_its_terms(signs):
                 want[key] = coeff_add(want.get(key, 0), c)
         assert got.coeffs
         assert got.coeffs == {k: c for k, c in want.items() if not coeff_is_zero(c)}
+
+
+STACK_VALUES = (-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2))
+
+
+def _labelled(rng, variables, labels, exps):
+    """{label: random scalar series on ``variables``, exponents from ``exps``}."""
+    out = {}
+    for lab in labels:
+        entries = {}
+        for _ in range(rng.randint(1, 6)):
+            key = tuple(rng.choice(exps) for _ in variables)
+            entries[key] = entries.get(key, 0) + rng.choice(STACK_VALUES)
+        out[lab] = poly(variables, entries)
+    return out
+
+
+def _stacked(labelled):
+    """The stack of {label: series}: at each key, the Vec over labels."""
+    stacked = {}
+    for lab, series_ in labelled.items():
+        for key, c in series_.coeffs.items():
+            stacked.setdefault(key, {})[lab] = c
+    variables = next(iter(labelled.values())).variables
+    return poly(variables, {key: Vec(e) for key, e in stacked.items()})
+
+
+def _alone(labelled, lab):
+    """Label ``lab``'s series of {label: series}, zero where it has none."""
+    return labelled.get(lab) or poly(next(iter(labelled.values())).variables, {})
+
+
+def _labelwise(got, runs):
+    """Assert that the stacked result ``got`` has, at every key, the Vec of
+    each label's own scalar run in ``runs``, with no zero entry and each
+    integral entry an int; the number of non-integral entries."""
+    want = {}
+    for lab, run in runs.items():
+        for key, c in run.coeffs.items():
+            want.setdefault(key, {})[lab] = c
+    assert got.coeffs == {key: Vec(e) for key, e in want.items()}
+    entries = [c for vec in got.coeffs.values() for c in vec.entries.values()]
+    assert all(entries)
+    assert all((type(c) is int) == (Fraction(c).denominator == 1) for c in entries)
+    return sum(type(c) is Fraction for c in entries)
+
+
+def test_stacked_delta_and_substitution_sum_each_label_as_alone():
+    """apply_delta and taylor_substitute on a stack over labels a, b, c give,
+    at every key, the Vec of each label's own scalar run: labels never mix,
+    integral entries are ints, and zero entries are dropped.  Label a has
+    one series in two delta terms of opposite sign, so it cancels."""
+    rng = random.Random(1019)
+    labels = ("a", "b", "c")
+    window = {v: (-3, 3) for v in ("x0", "x1", "x2")}
+
+    def deltas(f, g, h):
+        return [(1, (1, "x1"), (-1, "x2"), "x0", f),
+                (-1, (1, "x1"), (-1, "x2"), "x0", g),
+                (-1, (1, "x2"), (1, "x0"), "x1", h)]
+
+    def substituted(s, hi):
+        return taylor_substitute(s, "s1", (1, "x0"), (1, "s2"),
+                                 None if hi is None else {"s2": (INF, hi)})
+
+    fractions = kept = 0
+    for _ in range(30):
+        f = _labelled(rng, ("x1", "x2"), labels, range(-2, 3))
+        g = dict(_labelled(rng, ("x1", "x2"), ("b", "c"), range(-2, 3)), a=f["a"])
+        h = _labelled(rng, ("x2", "x0"), ("b", "c"), range(-2, 3))
+        got = apply_delta(deltas(*map(_stacked, (f, g, h))), window)
+        fractions += _labelwise(got, {lab: apply_delta(deltas(
+            *(_alone(x, lab) for x in (f, g, h))), window) for lab in labels})
+        assert not any("a" in c.entries for c in got.coeffs.values())
+        kept += len(got.coeffs)
+        # every label with negative powers of s1 (a truncated expansion), or
+        # none with any (exact), as within one exactness class of a checker
+        for exps, hi in ((range(-3, 0), 3), (range(0, 4), None)):
+            s = _labelled(rng, ("s1", "s2"), labels, exps)
+            fractions += _labelwise(substituted(_stacked(s), hi),
+                                    {lab: substituted(s[lab], hi) for lab in labels})
+    assert fractions and kept > 100
 
 
 def test_truncated_shape_is_inexact_and_known_on_its_window():

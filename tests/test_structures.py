@@ -21,7 +21,8 @@ from vertexcalc.corpus import (
 )
 from vertexcalc.errors import (ConsistencyViolationError, ConstructionError,
                                VertexCalcError, WindowUnderflowError)
-from vertexcalc.modules import MODULE_CHECKERS, check_module_all, check_module_axiom
+from vertexcalc.modules import (MODULE_CHECKERS, check_module_all, check_module_axiom,
+                                main_theorem_harness)
 from vertexcalc.scalars import Vec
 from vertexcalc.series import INF, taylor_substitute
 from vertexcalc.structures import (
@@ -423,6 +424,29 @@ def test_jacobi_memo_holds_only_unit_expansions(monkeypatch):
             assert len({bounds for _, bounds in window}) == 1
 
 
+def test_jacobi_expands_each_term_shape_once_per_command(monkeypatch):
+    # implication_matrix and main_theorem_harness each hand one route-1 memo
+    # to the Jacobi check of every member: each (shape, window) is expanded
+    # once per call, and the next call expands them all again, so no
+    # expansion outlives a command
+    units = Counter()
+
+    def counted(t, window, _original=deltacalc._unit_window_coeffs):
+        units[t.mono, t.delta, t.atoms, tuple(sorted(window.items()))] += 1
+        return _original(t, window)
+
+    monkeypatch.setattr(deltacalc, "_unit_window_coeffs", counted)
+    for command, corpus, shapes in ((implication_matrix, full_corpus(), 59),
+                                    (main_theorem_harness, full_module_corpus(), 55)):
+        calls = []
+        for _ in range(2):
+            units.clear()
+            command(corpus)
+            calls.append(dict(units))
+        assert len(calls[0]) == shapes and set(calls[0].values()) == {1}
+        assert calls[1] == calls[0]
+
+
 def test_route_two_writes_only_inside_the_delta_window(monkeypatch):
     # series.apply_delta writes no coefficient outside out_window, on every
     # Jacobi triple of both corpora and on replay instances 0..7
@@ -741,10 +765,10 @@ def _outcome(check, *args):
         return type(err).__name__, str(err)
 
 
-def _class_count(A, kind):
-    """How many exactness classes the triples of ``A`` fall into for a weak
-    pair kind, or for vf skew symmetry (kind "vf"): which of the slot series
-    that get s1 substituted have a negative power of s1."""
+def _scanned_classes(A, kind):
+    """{(u, v, w): exactness class} of ``A`` for a weak pair kind, or for vf
+    skew symmetry (kind "vf"), by a scan of every key: which of the slot
+    series that get s1 substituted have a negative power of s1."""
     def substituted(u, v, w):
         if kind == "vf":
             return [A.triple(v, u, w).h]
@@ -752,9 +776,14 @@ def _class_count(A, kind):
         return [getattr(A.triple(u, v, w), slot)
                 for slot, _, sub in (pair.left, pair.right) if sub]
 
-    return len({tuple(any(k[s.idx(rationalforms.S1)] < 0 for k in s.coeffs)
-                      for s in substituted(u, v, w))
-                for u in A.over.basis for v in A.over.basis for w in A.wbasis})
+    return {(u, v, w): tuple(any(k[s.idx(rationalforms.S1)] < 0 for k in s.coeffs)
+                             for s in substituted(u, v, w))
+            for u in A.over.basis for v in A.over.basis for w in A.wbasis}
+
+
+def _class_count(A, kind):
+    """How many exactness classes the triples of ``A`` fall into."""
+    return len(set(_scanned_classes(A, kind).values()))
 
 
 def test_stacked_weak_and_vf_checks_equal_the_per_w_checks(ut2_dir):
@@ -785,6 +814,37 @@ def test_stacked_weak_and_vf_checks_equal_the_per_w_checks(ut2_dir):
     assert sum(compared.values()) - compared["vf"] == 36 * len(members)
     assert mixed >= 100
     assert outcomes["PASS"] > 1000 and outcomes["FAIL"] > 1000
+
+
+def test_exactness_classes_read_off_the_window_equal_the_per_key_scan(
+        monkeypatch, ut2_dir):
+    # each weak and vf checker splits the triples by the s1 window of the
+    # substituted slot series exactly as a scan of every key splits them
+    splits = []
+
+    def spied(*args, _original=structures._classes):
+        parts = [dict(part) for part in _original(*args)]
+        splits.append([list(part) for part in parts])
+        return parts
+
+    monkeypatch.setattr(structures, "_classes", spied)
+    members = (full_corpus() + full_module_corpus()
+               + [configio.load_structure(str(ut2_dir / "ut2.json")),
+                  configio.load_module(str(ut2_dir / "ut2-regular.module.json"))]
+               + _seeded_edits(60, 12) + _random_tables(60, 21))
+    mixed = 0
+    for A in members:
+        with A.shared_triples():
+            for name, kind in (("weak_comm", "m1"), ("weak_assoc", "m2"),
+                               ("weak_skew_assoc", "m3"), ("vf_skew_symmetry", "vf")):
+                splits.clear()
+                _outcome(ACTION_CHECKERS[name], A, name if A.over is A else "m_" + name)
+                want = {}
+                for label, cls in _scanned_classes(A, kind).items():
+                    want.setdefault(cls, []).append(label)
+                assert splits[0] == list(want.values()), (A.name, name)
+                mixed += len(want) > 1
+    assert mixed >= 100
 
 
 def test_weak_and_vf_search_once_per_class_stack(monkeypatch):

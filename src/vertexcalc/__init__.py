@@ -22,12 +22,10 @@ from .deltacalc import (
     DeltaExpr,
     Term,
     coeff_of,
-    delta_substitute,
     delta_to_atoms,
     expand_deltas,
     identity_lhs,
     make_term,
-    multiply,
     normalize,
     prove_identity,
     taylor_shift,
@@ -37,7 +35,6 @@ from .series import (
     WindowedSeries,
     apply_delta,
     binomial_power,
-    delta_series,
     exp_endo,
     taylor_substitute,
 )

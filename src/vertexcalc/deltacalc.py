@@ -45,7 +45,6 @@ import json
 
 from .errors import (
     ProverFailureError,
-    SubstitutionRefusedError,
     SummabilityError,
     UnsupportedRewriteError,
 )
@@ -274,9 +273,6 @@ class DeltaExpr:
             tuple(Term(coeff_mul(t.coeff, c), t.mono, t.delta, t.atoms) for t in self.terms),
             self.variables,
         )
-
-    def is_zero(self):
-        return not normalize(self).terms
 
     def __repr__(self):
         if not self.terms:
@@ -621,89 +617,6 @@ def coeff_of(e: DeltaExpr, monomial):
     return got.get(key, 0)
 
 
-def multiply(e1: DeltaExpr, e2: DeltaExpr) -> DeltaExpr:
-    """Partial product: term-by-term, refused unless each result is summable."""
-    out = []
-    for t1 in e1.terms:
-        for t2 in e2.terms:
-            if t1.delta is not None and t2.delta is not None:
-                raise SummabilityError("product of two delta factors is never summable")
-            merged = make_term(
-                coeff_mul(t1.coeff, t2.coeff),
-                mono_mul(t1.mono, t2.mono),
-                t1.delta or t2.delta,
-                t1.raw_atoms() + t2.raw_atoms(),
-            )
-            try:  # summable iff the oracle expands it on the zero window
-                window_coeffs(DeltaExpr([merged], merged.variables()), {})
-            except SummabilityError as err:
-                raise SummabilityError(
-                    f"cannot certify the product term {merged!r}") from err
-            out.append(merged)
-    return normalize(DeltaExpr(out, e1.variables | e2.variables))
-
-
-# ---------------------------------------------------------------------------
-# delta substitution
-
-def delta_substitute(e: DeltaExpr) -> DeltaExpr:
-    """Replace numerator-shaped factors next to a delta by its denominator.
-
-    For a term carrying d^-1 delta(num/d), every atom expanding the numerator
-    in the numerator's own direction is replaced by d^exp (for a negative-head
-    numerator the canonical atom is the flipped one, so the replacement
-    contributes the matching (-1)^exp).  A single-variable numerator
-    substitutes plain powers of that variable.  Certification is conservative:
-    every other atom of the term must share no variable with the numerator and
-    must not contain the denominator; otherwise the rewrite is refused.
-    Window semantics are unchanged.
-    """
-    out = []
-    for t in e.terms:
-        if t.delta is None:
-            out.append(t)
-            continue
-        d = t.delta
-        head_sign, head_var = d.num[0]
-        if head_sign > 0:
-            match_head, match_tail, flip = head_var, tuple(sorted(d.num[1:])), False
-        else:
-            match_head, match_tail, flip = head_var, tuple(sorted(sv_neg(d.num[1:]))), True
-        num_vars = {v for _, v in d.num}
-        mono = dict(t.mono)
-        coeff = t.coeff
-        kept = []
-        substituted = False
-        for a in t.atoms:
-            if a.head == match_head and a.tail == match_tail:
-                # the atom is the canonical form of num^exp (times (-1)^exp if
-                # the numerator head is negative): num^exp next to the delta
-                # equals denom^exp
-                mono[d.denom] = mono.get(d.denom, 0) + a.exp
-                if flip and a.exp % 2:
-                    coeff = coeff_mul(coeff, -1)
-                substituted = True
-                continue
-            if a.variables() & num_vars:
-                raise SubstitutionRefusedError(
-                    f"atom {a!r} shares variables with the delta numerator but is not "
-                    "an exact match; substitution not certifiable")
-            if d.denom in a.variables():
-                raise SubstitutionRefusedError(
-                    f"atom {a!r} contains the delta denominator {d.denom!r}")
-            kept.append(a)
-        if len(d.num) == 1 and head_sign > 0 and mono.get(head_var):
-            ex = mono.pop(head_var)
-            mono[d.denom] = mono.get(d.denom, 0) + ex
-            substituted = True
-        if not substituted:
-            out.append(t)
-            continue
-        out.append(make_term(coeff, mono_of(mono), d,
-                             [((1, a.head), a.tail, a.exp) for a in kept]))
-    return DeltaExpr(out, e.variables)
-
-
 # ---------------------------------------------------------------------------
 # the identity prover
 
@@ -745,14 +658,6 @@ class ProofTrace:
             "before-hash": expr_hash(before),
             "after-hash": expr_hash(after),
         })
-
-    def to_json(self):
-        return {
-            "identity": self.which,
-            "steps": self.steps,
-            "cancel-pairs": [list(p) for p in self.pairs],
-            "residual-terms": 0 if self.residual is None else len(self.residual.terms),
-        }
 
 
 def prove_identity(which) -> ProofTrace:

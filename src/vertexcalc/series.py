@@ -166,11 +166,8 @@ class WindowedSeries:
         out.shape[var] = (u, l)
         return out
 
-    def scale(self, c):
-        return self.copy_meta({k: coeff_mul(v, c) for k, v in self.coeffs.items()})
-
     def __neg__(self):
-        return self.scale(-1)
+        return self.copy_meta({k: coeff_mul(v, -1) for k, v in self.coeffs.items()})
 
     def __add__(self, other):
         return self._merge(other, False)
@@ -533,33 +530,16 @@ def taylor_substitute(s: WindowedSeries, var, head_sv, tail_sv, out_window=None)
 # ---------------------------------------------------------------------------
 # deltas in the concrete layer
 
-def delta_series(var, window, variables=None):
-    """The one-variable delta (all coefficients 1) truncated to a window."""
-    variables = (var,) if variables is None else tuple(variables)
-    i = variables.index(var)
-    lo, hi = window
-    coeffs = {}
-    for n in range(lo, hi + 1):
-        key = [0] * len(variables)
-        key[i] = n
-        coeffs[tuple(key)] = 1
-    return WindowedSeries(
-        variables, coeffs,
-        {v: ((lo, hi) if v == var else (0, 0)) for v in variables},
-        {v: ((False, False) if v == var else (True, True)) for v in variables},
-    )
-
-
 def apply_delta(terms, out_window):
     """The sum of sign * denom^-1 delta(num/denom) * s over ``terms``, a list
     of (sign +-1, num_head, num_tail, denom, s), exact on out_window.
 
-    ``num_head``/``num_tail`` are signed variables (tail may be None), and a
-    series must not involve its denominator.  The window must be finite for
-    each denominator (it pins the delta index) and bounded above for each
-    tail variable.  Raises WindowUnderflowError naming the region a series
-    would have to know if its windows are too small.  Every term writes into
-    one coefficient dict, over the sorted variables of all terms.
+    ``num_head``/``num_tail`` are signed variables, and a series must not
+    involve its denominator.  The window must be finite for each denominator
+    (it pins the delta index) and bounded above for each tail variable.
+    Raises WindowUnderflowError naming the region a series would have to know
+    if its windows are too small.  Every term writes into one coefficient
+    dict, over the sorted variables of all terms.
 
     Only coefficients inside ``out_window`` are written.  For an input
     coefficient at base exponents (head part base_h, tail part base_t) and a
@@ -570,12 +550,12 @@ def apply_delta(terms, out_window):
     skipped.
     """
     names = set()
-    for _, (_, hv), num_tail, denom, s in terms:
-        names.update(s.variables, (hv, denom), num_tail[1:] if num_tail else ())
+    for _, (_, hv), (_, tv), denom, s in terms:
+        names.update(s.variables, (hv, tv, denom))
     variables = tuple(sorted(names))
     window = {v: out_window.get(v, (0, 0)) for v in variables}
     coeffs = {}
-    for sign, (hs, hv), num_tail, denom, s in terms:
+    for sign, (hs, hv), (ts, tv), denom, s in terms:
         if denom in s.variables and any(k[s.idx(denom)] for k in s.coeffs):
             raise SummabilityError(f"series involves the delta denominator {denom!r}")
         dlo, dhi = out_window[denom]
@@ -593,17 +573,15 @@ def apply_delta(terms, out_window):
                 raise WindowUnderflowError(
                     f"series known above {klo} in {hv!r}, but the delta window needs "
                     f"{'unbounded' if hlo is None else hlo - nmax}")
-        if num_tail is not None:
-            ts, tv = num_tail
-            whi = out_window.get(tv, (0, 0))[1]
-            if whi is None:
-                raise SummabilityError(f"numerator tail {tv!r} needs a bounded window")
-            tklo, tkhi = s.known(tv) if tv in s.variables else (INF, INF)
-            if tkhi is not None and tkhi < whi:
-                raise WindowUnderflowError(
-                    f"series known below {tkhi} in {tv!r}, but the window needs {whi}")
+        whi = out_window.get(tv, (0, 0))[1]
+        if whi is None:
+            raise SummabilityError(f"numerator tail {tv!r} needs a bounded window")
+        tkhi = s.known(tv)[1] if tv in s.variables else INF
+        if tkhi is not None and tkhi < whi:
+            raise WindowUnderflowError(
+                f"series known below {tkhi} in {tv!r}, but the window needs {whi}")
         for v in s.variables:
-            if v in (hv, denom) or (num_tail is not None and v == num_tail[1]):
+            if v in (hv, tv, denom):
                 continue
             wlo, whi2 = out_window.get(v, (0, 0))
             if not _known_contains(s.known(v), wlo, whi2):
@@ -612,9 +590,8 @@ def apply_delta(terms, out_window):
         base_idx = [variables.index(v) for v in s.variables]
         head = (hs, variables.index(hv))
         idn = variables.index(denom)
-        # without a tail only k = 0 is expanded, and the tail is never read
-        tail = head if num_tail is None else (ts, variables.index(tv))
-        (hlo, hhi), (tlo, thi) = window[hv], window[variables[tail[1]]]
+        tail = (ts, variables.index(tv))
+        (hlo, hhi), (tlo, thi) = window[hv], window[tv]
         fixed = [(i, window[v]) for i, v in enumerate(variables)
                  if i not in (head[1], tail[1], idn)]
         for key, c in s.coeffs.items():
@@ -624,12 +601,9 @@ def apply_delta(terms, out_window):
             if fixed and any((lo is not None and base[i] < lo) or (
                     hi is not None and base[i] > hi) for i, (lo, hi) in fixed):
                 continue
-            if num_tail is None:
-                kmin_t = kmax_t = 0
-            else:
-                base_t = base[tail[1]]
-                kmin_t = 0 if tlo is None else max(0, tlo - base_t)
-                kmax_t = thi - base_t
+            base_t = base[tail[1]]
+            kmin_t = 0 if tlo is None else max(0, tlo - base_t)
+            kmax_t = thi - base_t
             if kmin_t > kmax_t:
                 continue
             if sign < 0:

@@ -32,8 +32,9 @@ exactness, windows and shapes, and each triple is decided as it is alone.
 
 Checkers return PropertyReport records.  Identities between exact Laurent
 polynomials are decided exactly; identities involving delta factors or
-infinite expansions are decided coefficient-wise on a recorded window that
-contains the full support of every term plus a completeness margin.
+infinite expansions are decided coefficient-wise on a recorded window, by
+default ``default_window``: support_extent + 2 * max_pole_order + 2 of the
+action's tables.  That this window suffices is not yet proved.
 """
 from __future__ import annotations
 

@@ -15,7 +15,6 @@ from vertexcalc.series import (
     add_power,
     apply_delta,
     binomial_power,
-    delta_series,
     exp_endo,
     multiply,
     taylor_substitute,
@@ -37,8 +36,15 @@ def rand_poly(rng, variables, max_deg=3, terms=4):
 # ---------------------------------------------------------------------------
 # multiply
 
+def _delta(lo, hi):
+    """The formal delta(x) = sum_n x^n, known on [lo, hi] and unbounded in
+    both directions."""
+    return WindowedSeries(("x",), {(n,): 1 for n in range(lo, hi + 1)},
+                          window={"x": (lo, hi)}, shape={"x": (False, False)})
+
+
 def test_delta_times_one_minus_x_telescopes():
-    d = delta_series("x", (-7, 7))
+    d = _delta(-7, 7)
     p = poly(("x",), {(0,): 1, (1,): -1})
     prod = multiply(d, p)
     assert prod.is_zero_on({"x": (-5, 5)})
@@ -55,7 +61,7 @@ def test_geometric_series_times_one_minus_x():
 
 
 def test_delta_times_delta_refused():
-    d = delta_series("x", (-5, 5))
+    d = _delta(-5, 5)
     with pytest.raises(SummabilityError):
         multiply(d, d)
 
@@ -222,12 +228,6 @@ def test_exp_endo_refuses_non_nilpotent():
 # ---------------------------------------------------------------------------
 # delta layer
 
-def test_delta_series_all_coefficients_one():
-    d = delta_series("x", (-6, 6))
-    for n in (-2, 0, 5):
-        assert d.coeff({"x": n}) == 1
-
-
 def test_apply_delta_matches_symbolic_layer():
     f = poly(("x1", "x2"), {(0, 0): 1, (1, 2): -3})
     w = {"x0": (-3, 3), "x1": (-6, 6), "x2": (-3, 6)}
@@ -256,6 +256,85 @@ def test_apply_delta_underflow_reports_needed_region():
     with pytest.raises(WindowUnderflowError):
         apply_delta([(1, (1, "x1"), (-1, "x2"), "x0", f)],
                     {"x0": (-3, 3), "x1": (-6, 6), "x2": (-3, 6)})
+
+
+def _series(variables, coeffs, **known):
+    """A series whose variables named in ``known`` carry the given (window,
+    shape); every other variable is exact."""
+    return WindowedSeries(variables, coeffs,
+                          window={v: w for v, (w, _) in known.items()},
+                          shape={v: sh for v, (_, sh) in known.items()})
+
+
+APPLY_WINDOW = {"x0": (-3, 3), "x1": (-3, 3), "x2": (-3, 3)}
+EXACT_X1X2 = poly(("x1", "x2"), {(0, 0): 1})
+GEO_X = _series(("x",), {(n,): 1 for n in range(8)}, x=((None, 7), (True, False)))
+
+
+def _apply(s, **window):
+    return lambda: apply_delta([(1, (1, "x1"), (-1, "x2"), "x0", s)],
+                               {**APPLY_WINDOW, **window})
+
+
+SERIES_REFUSALS = {
+    "apply_delta: series involves the denominator": (
+        _apply(poly(("x0", "x1", "x2"), {(1, 0, 0): 1})), SummabilityError,
+        "series involves the delta denominator 'x0'"),
+    "apply_delta: denominator window open": (
+        _apply(EXACT_X1X2, x0=(None, 3)), SummabilityError,
+        "delta index needs a finite window for 'x0'"),
+    "apply_delta: head not complete above": (
+        _apply(_series(("x1", "x2"), {(0, 0): 1}, x1=((-3, 5), (False, False)))),
+        WindowUnderflowError, "series must be known-complete above in 'x1'"),
+    "apply_delta: head known too high": (
+        _apply(_series(("x1", "x2"), {(0, 0): 1}, x1=((-1, None), (False, True))),
+               x1=(-6, 6)),
+        WindowUnderflowError, "series known above -1 in 'x1', but the delta window needs -8"),
+    "apply_delta: tail window open above": (
+        _apply(EXACT_X1X2, x2=(-3, None)), SummabilityError,
+        "numerator tail 'x2' needs a bounded window"),
+    "apply_delta: tail known too low": (
+        _apply(_series(("x1", "x2"), {(0, 0): 1}, x2=((None, 3), (True, False))),
+               x2=(-3, 6)),
+        WindowUnderflowError, "series known below 3 in 'x2', but the window needs 6"),
+    "apply_delta: bystander not covered": (
+        _apply(_series(("x1", "x2", "y"), {(0, 0, 0): 1}, y=((0, 2), (False, False))),
+               y=(-1, 1)),
+        WindowUnderflowError, "series knowledge in 'y' does not cover the requested window"),
+    "taylor_substitute: tail is the target": (
+        lambda: taylor_substitute(poly(("x",), {(1,): 1}), "x", (1, "x"), (1, "x")),
+        ValueError, "tail variable must differ from the head and the target"),
+    "taylor_substitute: target not complete above": (
+        lambda: taylor_substitute(
+            _series(("x",), {(0,): 1}, x=((-2, 4), (False, False))),
+            "x", (1, "x"), (1, "y")),
+        WindowUnderflowError, "substitution target 'x' must be known-complete above"),
+    "taylor_substitute: negative powers, open tail window": (
+        lambda: taylor_substitute(poly(("x",), {(-1,): 1}), "x", (1, "x"), (1, "y")),
+        WindowUnderflowError, "negative powers of 'x': need a finite upper window for 'y'"),
+    "taylor_substitute: live inexact head": (
+        lambda: taylor_substitute(
+            _series(("x", "z"), {(1, 1): 1}, z=((0, None), (True, False))),
+            "x", (1, "z"), (1, "y")),
+        WindowUnderflowError, "substitution head 'z' already live and inexact"),
+    "multiply: shapes cannot certify": (
+        lambda: multiply(GEO_X, GEO_X.flip_sign("x")), SummabilityError,
+        "shapes cannot certify finite convolution in 'x'"),
+    "multiply: both factors inexact": (
+        lambda: multiply(GEO_X, GEO_X), WindowUnderflowError,
+        "product knows no complete window in 'x': both factors inexact"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERIES_REFUSALS))
+def test_series_layer_refusals(case):
+    # one case per refusal of apply_delta, taylor_substitute and multiply:
+    # the series side's twin of the window oracle's summability table
+    call, error, message = SERIES_REFUSALS[case]
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value).startswith(message)
 
 
 def test_series_layer_agrees_with_atom_expansion():

@@ -1,7 +1,13 @@
-"""The runtime stays standard-library only, and the demos run."""
+"""The runtime stays standard-library only, the demos run, and every
+function of the package is reached by a command or a demo."""
 import ast
+import contextlib
+import glob
+import inspect
+import io
 import os
 import re
+import runpy
 import subprocess
 import sys
 
@@ -164,3 +170,87 @@ def test_demo_runs(demo):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+# Functions that no command or demo enters, each kept for a stated reason.
+# Dunder methods (ProverFailureError.__init__, for one) are not counted.
+UNREACHED_BY_DESIGN = {
+    "deltacalc.coeff_of": "one-monomial reference read of the window oracle in tests",
+    "deltacalc.DeltaExpr.extend_universe": "tests widen an expression's variables",
+    "structures.minimal_pole_order": "reference pole order in tests",
+    "series.WindowedSeries.coeff": "tests read single coefficients",
+    "series.WindowedSeries.residue": "kept for the S3-symmetry route (ROADMAP item 5)",
+    "scalars.Vec.get": "tests read single entries",
+    "structures.PropertyReport.to_json": "tests compare whole records",
+    "corpus.mutant_expected_failures": "imported by bench/run.py",
+    "corpus.module_mutant_expected_failures": "imported by bench/run.py",
+    "structures._moved": "runs only when a replacement row is violated (a bug)",
+}
+
+
+def _defined_functions():
+    """{(file, first line, qualified name): "module.qualname"} of every
+    function the package defines, nested ones included, but for dunder
+    methods; class bodies, lambdas and comprehensions are not functions."""
+    out = {}
+    for path in sorted(glob.glob(os.path.join(os.path.realpath(PACKAGE), "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path) as fh:
+            stack = [compile(fh.read(), path, "exec")]
+        while stack:
+            for c in stack.pop().co_consts:
+                if not inspect.iscode(c):
+                    continue
+                stack.append(c)
+                name = c.co_name
+                if (c.co_flags & inspect.CO_NEWLOCALS and not name.startswith("<")
+                        and not (name.startswith("__") and name.endswith("__"))):
+                    out[(path, c.co_firstlineno, c.co_qualname)] = f"{module}.{c.co_qualname}"
+    return out
+
+
+def _entered_by_commands_and_demos(tmp_path):
+    """(file, first line, qualified name) of every function entered while
+    each command runs once in process and each demo runs."""
+    from vertexcalc import cli, scalars
+    # a cache hit enters no function, so start both process caches empty
+    cli.build_parser.cache_clear()
+    scalars.binom.cache_clear()
+    out = str(tmp_path)
+    commands = [["examples", "emit", "--out", out], ["prove-deltas"],
+                ["replay-elem", "--n", "10"], ["implication-matrix", out],
+                ["main-theorem", out, "--format", "machine"],
+                ["check", os.path.join(out, "mutant-fat-vacuum.json")],
+                ["check-module", os.path.join(out, "wmutant-fat-vacuum.module.json")]]
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            for argv in commands:
+                cli.main(argv)
+            with pytest.raises(SystemExit):
+                cli.main(["check"])
+            for demo in sorted(glob.glob(os.path.join(DEMOS, "*.py"))):
+                runpy.run_path(demo, run_name="__main__")
+    finally:
+        sys.setprofile(previous)
+    return {(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_qualname)
+            for c in codes}
+
+
+def test_every_package_function_is_reached_or_exempt(tmp_path):
+    # code that no command, demo or stated reason needs is dead: delete it
+    defined = _defined_functions()
+    names = set(defined.values())
+    assert not set(UNREACHED_BY_DESIGN) - names, sorted(set(UNREACHED_BY_DESIGN) - names)
+    entered = _entered_by_commands_and_demos(tmp_path)
+    unreached = sorted(name for key, name in defined.items()
+                       if key not in entered and name not in UNREACHED_BY_DESIGN)
+    assert not unreached, unreached

@@ -94,14 +94,14 @@ class RationalForm:
         names = {S1: v1, S2: v2}
         hvar, tvar = names[hvar], names[tvar]
         ih, it = variables.index(hvar), variables.index(tvar)
-        coeffs = {}
+        coeffs, rows = {}, {}
         for (i, j), cnum in self.numerator.items():
             base = (i - self.b, j - self.c)
             # with poles the tail exponent rises and the head exponent
             # base[ih] - a - k falls by one per tail power k
             kmax = (min(window_hi - base[it], base[ih] - self.a - window_lo)
                     if self.a else 0)
-            add_power(coeffs, base, cnum, -self.a, (hs, ih), (ts, it), kmax)
+            add_power(coeffs, rows, base, cnum, -self.a, (hs, ih), (ts, it), kmax)
         if self.a == 0:
             return WindowedSeries.from_monomials(variables, coeffs)
         window = {hvar: (window_lo, INF), tvar: (INF, window_hi)}
@@ -121,14 +121,14 @@ def poly_compose_sum(numerator, which_arg):
     which_arg="first+second": p(u,w) -> p(u+w, w) over new vars (u, w);
     which_arg="second-minus": p(u,w) -> p(w, -u+w) over (u, w).
     """
-    out = {}
+    out, rows = {}, {}
     for (i, j), c in numerator.items():
         if which_arg == "first+second":
             # (u+w)^i w^j
-            add_power(out, (0, j), c, i, (1, 0), (1, 1), i)
+            add_power(out, rows, (0, j), c, i, (1, 0), (1, 1), i)
         elif which_arg == "second-minus":
             # p(w, -u+w) = w^i (-u+w)^j
-            add_power(out, (0, i), c, j, (-1, 0), (1, 1), j)
+            add_power(out, rows, (0, i), c, j, (-1, 0), (1, 1), j)
         else:
             raise ValueError(which_arg)
     return {k: v for k, v in out.items() if v}
@@ -364,12 +364,18 @@ def _collect_polynomial(P: WindowedSeries, vars2):
 
 def _pair_matches(inst: TripleInstance, kind, form: RationalForm, N):
     """Whether the kind's pair is the direct and the reversed expansion of
-    ``form`` on [-N, N]^2."""
+    ``form`` on [-N, N]^2.
+
+    Each expansion is made on that box alone, ``expand(mode, -N, N)``: it
+    writes every tail power k whose head exponent is >= -N and whose tail
+    exponent is <= N, so every coefficient with head >= -N and tail <= N is
+    complete, and ``is_zero_on`` reads only [-N, N]^2.  Wider expansion
+    windows would add only coefficients that the comparison never reads."""
     variables = PAIRS[kind].variables
     left, right = inst.result(pair_sides, kind, inst.gen_hi)
-    lo, hi, w = inst.gen_lo, inst.gen_hi, box(N, *variables)
-    return ((form.expand("direct", lo, hi, variables) - left).is_zero_on(w)
-            and (form.expand("reversed", lo, hi, variables) - right).is_zero_on(w))
+    w = box(N, *variables)
+    return ((form.expand("direct", -N, N, variables) - left).is_zero_on(w)
+            and (form.expand("reversed", -N, N, variables) - right).is_zero_on(w))
 
 
 def reconstruct_form(inst: TripleInstance, kind, m, N):

@@ -14,13 +14,15 @@ expanded in nonnegative powers of its tail x_t (the formal-calculus
 convention).  ``add_power`` is the one place that writes this expansion out,
 for a range kmin..kmax of tail powers; ``binomial_power``,
 ``taylor_substitute``, ``apply_delta`` and the rational forms of
-``rationalforms`` all call it.  ``apply_delta`` picks that range per term so
-that it writes only coefficients inside its output window, and calls
-``add_power`` only when the range is not empty.  A stacked coefficient (a
-``Vec`` over labels) is summed label by label, in place, into one plain dict
-per key; ``apply_delta`` and ``taylor_substitute`` make each key's ``Vec``
-once, after the last write, so labels never mix and no ``Vec`` is built per
-write.  Scalar coefficients take no such pass.
+``rationalforms`` all call it.  Each such operation makes one memo of signed
+binomial rows that its calls share, and drops it when it returns.
+``apply_delta`` picks the range per term so that it writes only coefficients
+inside its output window, and visits only the delta indices whose range is
+not empty.  A scalar coefficient is summed directly.  A stacked coefficient
+(a ``Vec`` over labels) is summed label by label, in place, into one plain
+dict per key; ``apply_delta`` and ``taylor_substitute`` make each key's
+``Vec`` once, after the last write, so labels never mix and no ``Vec`` is
+built per write.
 
 Any operation that cannot guarantee exactness of a requested coefficient
 raises instead of truncating silently.
@@ -32,7 +34,7 @@ from operator import add
 
 from .errors import SummabilityError, WindowUnderflowError
 from .scalars import (
-    Vec, binom, coeff_add, coeff_is_zero, coeff_mul, coeff_sub, linear_map)
+    Vec, coeff_add, coeff_is_zero, coeff_mul, coeff_sub, linear_map)
 
 INF = None  # open window end
 
@@ -55,7 +57,7 @@ class WindowedSeries:
 
     def __init__(self, variables, coeffs, window=None, shape=None):
         self.variables = tuple(variables)
-        self.coeffs = {k: v for k, v in coeffs.items() if not coeff_is_zero(v)}
+        self.coeffs = {k: v for k, v in coeffs.items() if v}
         self.window = dict(window) if window else {}
         self.shape = dict(shape) if shape else {}
         for v in self.variables:
@@ -356,12 +358,18 @@ def multiply(a: WindowedSeries, b: WindowedSeries) -> WindowedSeries:
             raise WindowUnderflowError(
                 f"product knows no complete window in {v!r}: both factors inexact")
     coeffs = {}
-    for k1, c1 in a.coeffs.items():
-        for k2, c2 in b.coeffs.items():
-            key = tuple(map(add, k1, k2))
-            c = coeff_mul(c1, c2)
-            prev = coeffs.get(key)
-            coeffs[key] = c if prev is None else coeff_add(prev, c)
+    if any(type(c) is Vec for s in (a, b) for c in s.coeffs.values()):
+        for k1, c1 in a.coeffs.items():
+            for k2, c2 in b.coeffs.items():
+                key = tuple(map(add, k1, k2))
+                c = coeff_mul(c1, c2)
+                prev = coeffs.get(key)
+                coeffs[key] = c if prev is None else coeff_add(prev, c)
+    else:
+        for k1, c1 in a.coeffs.items():
+            for k2, c2 in b.coeffs.items():
+                key = tuple(map(add, k1, k2))
+                coeffs[key] = coeffs.get(key, 0) + c1 * c2
     out = WindowedSeries(a.variables, coeffs, window, shape)
     return out._drop_unknown()
 
@@ -369,7 +377,7 @@ def multiply(a: WindowedSeries, b: WindowedSeries) -> WindowedSeries:
 # ---------------------------------------------------------------------------
 # binomial powers
 
-def add_power(coeffs, base, c, n, head, tail, kmax, kmin=0):
+def add_power(coeffs, rows, base, c, n, head, tail, kmax, kmin=0):
     """Add c * (s_h x_h + s_t x_t)^n * x^base to ``coeffs``, tail powers
     kmin..kmax.
 
@@ -380,40 +388,46 @@ def add_power(coeffs, base, c, n, head, tail, kmax, kmin=0):
     (sign +-1, position in the exponent tuple).  With kmax = 0 only the head
     term is added and the tail is never read; with kmin > kmax nothing is.
 
+    The signed row s_h^(n-k) s_t^k binom(n, k) is read from ``rows``, a
+    memo {(n, s_h, s_t): row} that the caller makes for one operation and
+    shares among its calls.  A row starts at s_h^n and is lengthened on
+    demand by binom(n, k+1) = binom(n, k) * (n-k) // (k+1), exact for every
+    integer n because binom(n, k) * (n-k) = binom(n, k+1) * (k+1); the sign
+    changes by the factor s_h s_t at each step.
+
     A stacked coefficient (a ``Vec``) is summed label by label: at each key
     ``coeffs`` holds a plain dict {label: rational}, written in place, and
     the caller makes each key's ``Vec`` once, with ``_made``, after its
     last write.  So ``coeffs`` holds scalars or such dicts, never both.
-
-    Only binom(n, kmin) is looked up; each later coefficient steps by
-    binom(n, k+1) = binom(n, k) * (n-k) // (k+1), exact for every integer n
-    because binom(n, k) * (n-k) = binom(n, k+1) * (k+1).  The sign
-    s_h^(n-k) s_t^k changes by the factor s_h s_t at each step.
     """
     (hs, ih), (ts, it) = head, tail
     if n >= 0 and kmax > n:
         kmax = n
     if kmin > kmax:
         return
-    bc = binom(n, kmin) * hs ** ((n - kmin) % 2) * ts ** (kmin % 2)
-    step = hs * ts
-    entries = c.entries.items() if type(c) is Vec else None
+    row = rows.get((n, hs, ts))
+    if row is None:
+        row = rows[n, hs, ts] = [hs ** (n % 2)]
+    for k in range(len(row) - 1, kmax):
+        row.append(hs * ts * row[k] * (n - k) // (k + 1))
     key = list(base)
     key[ih] += n - kmin
     key[it] += kmin
-    for k in range(kmin, kmax + 1):
+    if type(c) is not Vec:
+        for bc in row[kmin:kmax + 1]:
+            t = tuple(key)
+            coeffs[t] = coeffs.get(t, 0) + c * bc
+            key[ih] -= 1
+            key[it] += 1
+        return
+    entries = c.entries.items()
+    for bc in row[kmin:kmax + 1]:
         t = tuple(key)
-        if entries is None:
-            val = c * bc
-            prev = coeffs.get(t)
-            coeffs[t] = val if prev is None else coeff_add(prev, val)
-        else:
-            acc = coeffs.get(t)
-            if acc is None:
-                acc = coeffs[t] = {}
-            for label, x in entries:
-                acc[label] = acc.get(label, 0) + bc * x
-        bc = step * bc * (n - k) // (k + 1)
+        acc = coeffs.get(t)
+        if acc is None:
+            acc = coeffs[t] = {}
+        for label, x in entries:
+            acc[label] = acc.get(label, 0) + bc * x
         key[ih] -= 1
         key[it] += 1
 
@@ -435,7 +449,7 @@ def binomial_power(variables, head_sv, tail_sv, n):
     hs, hv = head_sv
     ts, tv = tail_sv
     coeffs = {}
-    add_power(coeffs, (0,) * len(variables), 1, n,
+    add_power(coeffs, {}, (0,) * len(variables), 1, n,
               (hs, variables.index(hv)), (ts, variables.index(tv)), n)
     return WindowedSeries.from_monomials(variables, coeffs)
 
@@ -481,7 +495,7 @@ def taylor_substitute(s: WindowedSeries, var, head_sv, tail_sv, out_window=None)
     ih = new_vars.index(hv)
     it = new_vars.index(tv)
 
-    coeffs = {}
+    coeffs, rows = {}, {}
     for key, c in s.coeffs.items():
         n = key[iv]
         base = [0] * len(new_vars)
@@ -489,7 +503,7 @@ def taylor_substitute(s: WindowedSeries, var, head_sv, tail_sv, out_window=None)
             if v != var:
                 base[new_vars.index(v)] += e
         kmax = n if n >= 0 else out_window[tv][1] - base[it]
-        add_power(coeffs, base, c, n, (hs, ih), (ts, it), kmax)
+        add_power(coeffs, rows, base, c, n, (hs, ih), (ts, it), kmax)
     coeffs = _made(coeffs)
 
     window, shape = {}, {}
@@ -554,15 +568,14 @@ def apply_delta(terms, out_window):
         names.update(s.variables, (hv, tv, denom))
     variables = tuple(sorted(names))
     window = {v: out_window.get(v, (0, 0)) for v in variables}
-    coeffs = {}
+    coeffs, rows = {}, {}
     for sign, (hs, hv), (ts, tv), denom, s in terms:
         if denom in s.variables and any(k[s.idx(denom)] for k in s.coeffs):
             raise SummabilityError(f"series involves the delta denominator {denom!r}")
         dlo, dhi = out_window[denom]
         if dlo is None or dhi is None:
             raise SummabilityError(f"delta index needs a finite window for {denom!r}")
-        n_values = [-e - 1 for e in range(dlo, dhi + 1)]
-        nmax = max(n_values)
+        nmax = -dlo - 1  # the delta index n = -e - 1 runs down to -dhi - 1
         # completeness requirement in the numerator-head direction
         klo, khi = s.known(hv) if hv in s.variables else (INF, INF)
         if khi is not None:
@@ -609,14 +622,17 @@ def apply_delta(terms, out_window):
             if sign < 0:
                 c = -c
             base_h = base[head[1]]
-            for n in n_values:
+            # beyond these n every tail power puts the head off the window
+            top = nmax if hhi is None else min(nmax, hhi + kmax_t - base_h)
+            bottom = -dhi - 1 if hlo is None else max(-dhi - 1, hlo + kmin_t - base_h)
+            for n in range(top, bottom - 1, -1):
                 head_exp = base_h + n
                 kmin = kmin_t if hhi is None else max(kmin_t, head_exp - hhi)
                 kmax = kmax_t if hlo is None else min(kmax_t, head_exp - hlo)
                 if kmin > kmax or (n >= 0 and kmin > n):
                     continue  # an empty tail range: add_power would write nothing
                 base[idn] = -n - 1  # s does not involve the denominator
-                add_power(coeffs, base, c, n, head, tail, kmax, kmin)
+                add_power(coeffs, rows, base, c, n, head, tail, kmax, kmin)
     return WindowedSeries(variables, _made(coeffs), window,
                           {v: (False, False) for v in variables})
 

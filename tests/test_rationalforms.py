@@ -206,12 +206,13 @@ def test_perturbed_copy_does_not_inherit_replay_results():
     assert replay_implication("ia", inst, N=4)["verdict"] == "PASS"
 
 
-def _with_slot_changed(inst, slot, value):
+def _with_slot_changed(inst, slot, value, key=(0, 0)):
     """A copy of ``inst``, same form and windows, with ``value`` added to the
-    constant term of one slot series (inside every [-N, N]^2 box)."""
+    coefficient at ``key`` of one slot series (by default the constant term,
+    inside every [-N, N]^2 box)."""
     series = getattr(inst, slot)
     coeffs = dict(series.coeffs)
-    coeffs[(0, 0)] = coeffs.get((0, 0), 0) + value
+    coeffs[key] = coeffs.get(key, 0) + value
     slots = {"f": inst.f, "g": inst.g, "h": inst.h}
     slots[slot] = WindowedSeries(series.variables, coeffs, series.window,
                                  series.shape)
@@ -237,6 +238,24 @@ def test_reconstruction_rejects_a_changed_uncleared_side(kind, uncleared):
     bad = _with_slot_changed(inst, uncleared, 1)
     with pytest.raises(ConsistencyViolationError, match="does not re-expand"):
         reconstruct_form(bad, kind, m, 5)
+
+
+@pytest.mark.parametrize("slot", ["f", "g"])
+def test_pair_match_reads_the_whole_box_and_nothing_beyond(slot):
+    # (E) compares f(x1,x2) with the direct and g(x2,x1) with the reversed
+    # expansion; slot key (-N, N) is head -N, tail N of its expansion, a box
+    # corner, and (-N, N + 1) lies just outside the box
+    N = 5
+    form = RationalForm({(1, 1): 1, (0, 0): 3}, 1, 2, 1)
+    inst = instance_from_form(form, N=N)
+    m = find_pole_witness(inst, "m1", max(form.a, form.b, form.c) + 2, N)
+    corner = _with_slot_changed(inst, slot, 1, (-N, N))
+    assert not check_EFG(corner, "E", N)
+    with pytest.raises(ConsistencyViolationError, match="does not re-expand"):
+        reconstruct_form(corner, "m1", m, N)
+    beyond = _with_slot_changed(inst, slot, 1, (-N, N + 1))
+    assert check_EFG(beyond, "E", N)
+    reconstruct_form(beyond, "m1", m, N)
 
 
 def test_replay_substitutes_each_pair_side_once(monkeypatch):

@@ -365,12 +365,14 @@ def test_binomial_power_polynomial():
 @pytest.mark.parametrize("hs, ts", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
 def test_add_power_matches_the_atom_oracle(hs, ts):
     # (hs h + ts t)^n expanded by the kernel against the symbolic layer's own
-    # expansion of the same atom, for every n in [-6, 6], tail powers kmin..8
+    # expansion of the same atom, for every n in [-6, 6], tail powers kmin..8;
+    # every call reads one row memo
+    rows = {}
     for kmin in (0, 3):
         w = {"h": (-16, 8), "t": (kmin, 8)}
         for n in range(-6, 7):
             got = {}
-            add_power(got, (0, 0), 1, n, (hs, 0), (ts, 1), 8, kmin)
+            add_power(got, rows, (0, 0), 1, n, (hs, 0), (ts, 1), 8, kmin)
             got = {tuple((v, e) for v, e in zip(("h", "t"), key) if e): c
                    for key, c in got.items() if c}
             atom = DeltaExpr(
@@ -403,29 +405,35 @@ def _add_power_reference(coeffs, base, c, n, head, tail, kmax, kmin=0):
 KERNEL_COEFFS = (1, -3, Fraction(-2, 7), Vec({"e0": 2, "e1": Fraction(1, 3)}))
 
 
-def _kernel_pair(prefill, *args):
-    """(add_power's dict, the reference's dict), both started from prefill.
-    add_power sums a Vec coefficient label by label, so its dict starts from
-    the label dicts of prefill and its Vecs are made after it returns."""
+def _kernel_pair(prefill, rows, *args):
+    """(add_power's dict, the reference's dict), both started from prefill,
+    add_power reading the row memo ``rows``.  add_power sums a Vec
+    coefficient label by label, so its dict starts from the label dicts of
+    prefill and its Vecs are made after it returns."""
     vec = isinstance(args[1], Vec)
     got = {k: dict(c.entries) for k, c in prefill.items()} if vec else dict(prefill)
     want = dict(prefill)
-    add_power(got, *args)
+    add_power(got, rows, *args)
     _add_power_reference(want, *args)
     return list((_made(got) if vec else got).items()), list(want.items())
 
 
 @pytest.mark.parametrize("hs, ts", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
 def test_add_power_equals_the_term_by_term_reference(hs, ts):
-    # same keys, values and insertion order, for fresh and filled dicts
+    # same keys, values and insertion order, for fresh and filled dicts and
+    # for fresh and shared row memos: one memo serves every call below, its
+    # rows read short and then longer, and longer and then short
+    shared = {}
     for c in KERNEL_COEFFS:
         zero = Vec() if isinstance(c, Vec) else 0
         for n in range(-12, 13):
             for base in ((0, 0, 0), (2, -3, 5)):
                 for kmin in (0, 3):
-                    for kmax in range(-1, 11):
+                    for kmax in (2, 10, -1, 0, 6, 1, 9, 3, 4, 8, 5, 7):
                         args = (base, c, n, (hs, 0), (ts, 2), kmax, kmin)
-                        got, want = _kernel_pair({}, *args)
+                        got, want = _kernel_pair({}, {}, *args)
+                        assert got == want, (c, n, base, kmin, kmax)
+                        got, want = _kernel_pair({}, shared, *args)
                         assert got == want, (c, n, base, kmin, kmax)
                         # accumulate: every other key cancels to 0 exactly,
                         # one key is not touched, one is already 0
@@ -435,20 +443,25 @@ def test_add_power_equals_the_term_by_term_reference(hs, ts):
                         prefill = {(9, 9, 9): c, (8, 8, 8): zero}
                         prefill.update((key, coeff_mul(full[key], -1))
                                        for key in cancelled)
-                        got, want = _kernel_pair(prefill, *args)
+                        got, want = _kernel_pair(prefill, shared, *args)
                         assert got == want, (c, n, base, kmin, kmax)
                         assert all(coeff_is_zero(dict(got)[key]) for key in cancelled)
                 # head and tail at one position: only the head term
-                got, want = _kernel_pair({}, base, c, n, (hs, 1), (ts, 1), 0)
+                got, want = _kernel_pair({}, shared, base, c, n, (hs, 1), (ts, 1), 0)
                 assert got == want and len(got) == 1
+    # the memo holds the signed rows hs^(n-k) ts^k binom(n, k), nothing else
+    assert set(shared) == {(n, hs, ts) for n in range(-12, 13)}
+    for (n, _, _), row in shared.items():
+        assert row == [hs ** ((n - k) % 2) * ts ** (k % 2) * binom(n, k)
+                       for k in range(len(row))], n
 
 
 def test_add_power_with_an_empty_tail_range_leaves_the_dict_untouched():
     prefill = {(1, 0): 5, (0, 1): Fraction(1, 2)}
     for n, kmin, kmax in ((-3, 3, 2), (4, 0, -1), (2, 3, 10), (0, 1, 1)):
-        coeffs = dict(prefill)
-        add_power(coeffs, (0, 0), 7, n, (1, 0), (-1, 1), kmax, kmin)
-        assert list(coeffs.items()) == list(prefill.items())
+        coeffs, rows = dict(prefill), {}
+        add_power(coeffs, rows, (0, 0), 7, n, (1, 0), (-1, 1), kmax, kmin)
+        assert list(coeffs.items()) == list(prefill.items()) and rows == {}
 
 
 def _product_reference(a, b):
@@ -484,6 +497,26 @@ def test_multiply_equals_a_double_loop_on_random_sparse_series():
         b = sparse(variables, vector == 2)
         got = multiply(a, b)
         assert list(got.coeffs.items()) == _product_reference(a, b), trial
+
+
+def test_multiply_scalar_path_equals_the_double_loop_with_the_same_types():
+    # scalar factors are summed without coeff_add: keys, values, insertion
+    # order and each value's type (an integral Fraction stays a Fraction)
+    rng = random.Random(2103)
+    kinds = {"int": lambda: rng.randint(-4, 4),
+             "Fraction": lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))}
+    kinds["mixed"] = lambda: rng.choice((kinds["int"](), kinds["Fraction"]()))
+    pairs = [(k, k) for k in kinds] + [("int", "Fraction"), ("Fraction", "int")]
+    for left, right in pairs:
+        for trial in range(20):
+            variables = ("x", "y", "z")[:rng.randint(1, 3)]
+            a, b = (poly(variables, {
+                tuple(rng.randint(-3, 3) for _ in variables): kinds[kind]()
+                for _ in range(rng.randint(1, 9))}) for kind in (left, right))
+            got = list(multiply(a, b).coeffs.items())
+            want = _product_reference(a, b)
+            assert got == want, (left, right, trial)
+            assert [type(c) for _, c in got] == [type(c) for _, c in want]
 
 
 # check_A's three deltas: (numerator head, numerator tail, denominator)

@@ -162,6 +162,62 @@ def test_no_process_wide_caches_but_binom_and_the_parser():
     assert found == {("scalars.py", "binom"), ("cli.py", "build_parser")}
 
 
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+WRITES = {"setdefault", "append", "update", "add"}
+
+
+def _module_container_writes(tree):
+    """(function name, container name, line) of every write, inside a
+    function, to a dict, list or set bound at module level.  A write is a
+    subscript store or delete, or a setdefault, append, update or add call;
+    a function that binds the name itself, without ``global``, writes its
+    own local."""
+    containers = {
+        target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and (isinstance(node.value, CONTAINERS) or (
+            isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name)
+            and node.value.func.id in {"dict", "list", "set"}))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)}
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        local = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)} | {
+            n.id for n in ast.walk(func) if isinstance(n, ast.Name)
+            and isinstance(n.ctx, ast.Store)}
+        local -= {name for n in ast.walk(func) if isinstance(n, ast.Global)
+                  for name in n.names}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                target = node.value
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in WRITES):
+                target = node.func.value
+            else:
+                continue
+            if (isinstance(target, ast.Name) and target.id in containers
+                    and target.id not in local):
+                yield func.name, target.id, node.lineno
+
+
+def test_no_function_writes_a_module_level_container():
+    # a module-level dict, list or set written by a function is a memo that
+    # outlives one operation: keep memos local to the operation that fills them
+    probe = ast.parse(
+        "MEMO = {}\nSEEN = set()\nLOG = []\nTABLE = {'a': 1}\n"
+        "def f(k):\n    MEMO[k] = 1\n    MEMO.setdefault(k, 2)\n"
+        "    SEEN.add(k)\n    LOG.append(k)\n    MEMO.update({})\n"
+        "    return TABLE['a'] + TABLE.get(k, 0)\n"
+        "def g(k):\n    MEMO = {}\n    MEMO[k] = 1\n    return MEMO\n"
+        "def h(k):\n    global LOG\n    LOG = LOG[:]\n    del LOG[k]\n")
+    assert [(f, n) for f, n, _ in _module_container_writes(probe)] == [
+        ("f", "MEMO"), ("f", "MEMO"), ("f", "SEEN"), ("f", "LOG"), ("f", "MEMO"),
+        ("h", "LOG")]
+    written = [(name, *write) for name, tree in _package_trees().items()
+               for write in _module_container_writes(tree)]
+    assert not written, written
+
+
 @pytest.mark.parametrize(
     "demo", sorted(f for f in os.listdir(DEMOS) if f.endswith(".py")))
 def test_demo_runs(demo):
@@ -179,12 +235,12 @@ UNREACHED_BY_DESIGN = {
     "deltacalc.DeltaExpr.extend_universe": "tests widen an expression's variables",
     "structures.minimal_pole_order": "reference pole order in tests",
     "series.WindowedSeries.coeff": "tests read single coefficients",
-    "series.WindowedSeries.residue": "kept for the S3-symmetry route (ROADMAP item 5)",
+    "series.WindowedSeries.residue": "kept for the S3-symmetry route (ROADMAP item 6)",
     "scalars.Vec.get": "tests read single entries",
     "structures.PropertyReport.to_json": "tests compare whole records",
     "corpus.mutant_expected_failures": "imported by bench/run.py",
     "corpus.module_mutant_expected_failures": "imported by bench/run.py",
-    "structures._moved": "runs only when a replacement row is violated (a bug)",
+    "structures._moved": "runs only when a stacking guard's rerun alone moves (a bug)",
 }
 
 

@@ -22,21 +22,23 @@ because only the tail sits in nonnegative powers.
 Every rewrite here preserves the coefficient of every monomial; the window
 oracle (`window_coeffs` / `coeff_of`) recomputes coefficients from scratch by
 its own binomial expansion and is the independent check on the symbolic layer.
-It shares no arithmetic with `series`.  It expands a power by peeling its
-tails off one at a time, each by a binomial recurrence that runs only over
-the tail powers whose head exponent can land in the window the factor needs,
-so it writes only coefficients it keeps; a term of one factor is expanded
-with its monomial applied, so each coefficient is shifted and tested against
-the window once.  The oracle's memo holds unit expansions only: within one
-memo, each term shape (monomial, delta, atoms) is expanded once per window
+It shares no arithmetic with `series`.  It expands a power by peeling its tails
+off one at a time, each by a binomial recurrence that runs only over the tail
+powers whose head exponent can land in the window the factor needs, so it
+writes only coefficients it keeps, the last tail's in one loop; a delta's
+signed tails are prepared once for all its indices, and a term of one factor is
+expanded with its monomial applied, so each coefficient is shifted and tested
+against the window once.  The oracle's memo holds unit expansions only: within
+one memo, each term shape (monomial, delta, atoms) is expanded once per window
 with coefficient 1, so a repeated shape costs only the scaling by its
 coefficient; no expansion outlives the memo.  Route 1 keeps one memo per
-command: the multi-member commands hand one dict to the Jacobi check of
-every member, and any other call takes a fresh one.  A stacked coefficient (a
-``Vec``) is summed label by label, in place, into one plain dict per
-monomial and made a ``Vec`` once at the end.  Route 1 of the Jacobi check
-evaluates, with this oracle, the terms of ``identity_lhs("three-term")``, the
-expression ``prove_identity`` reduces to zero.
+command: the multi-member commands hand one dict to the Jacobi check of every
+member, and any other call takes a fresh one.  A stacked coefficient (a
+``Vec``) is summed label by label, in place, into one plain dict per monomial
+and made a ``Vec`` once at the end, unless its labels all cancelled; a scalar
+and a stacked coefficient at one monomial are refused.  Route 1 of the Jacobi
+check evaluates, with this oracle, the terms of ``identity_lhs("three-term")``,
+the expression ``prove_identity`` reduces to zero.
 """
 from __future__ import annotations
 
@@ -435,21 +437,13 @@ def _needed_windows(factors, window):
     return needs
 
 
-def _expand_signed_power(head_sv, tail_svs, exp, need, mono=None, out=None):
-    """Add the window-relevant coefficients of (head + tail)^exp, each
-    times the monomial ``mono`` ({var: exp}), to ``out``; returns ``out``,
-    a dict {monomial: int} (a fresh one by default).
-
-    Relevant means: the head exponent lies in the head's needed window, and
-    each tail power lies in [0, max(0, hi)] of its variable.  The tails are
-    peeled off one at a time, (h + t + rest)^n = sum_k binom(n, k) t^k
-    (h + rest)^(n-k), which gives the multinomial expansion in nonnegative
-    powers of the tail sum; see ``_peel`` for the recurrence.
-    """
+def _signed_tails(head_sv, tail_svs, need):
+    """(head sign, head variable, [(sign, var, cap)]) of (head + tail)^n:
+    tail signs flipped under a head of sign -1 (which leaves the factor
+    (-1)^n), and each cap max(0, hi) of the tail's needed window.  A tail in
+    the head variable, or without an upper bound, is refused."""
     hsign, hvar = head_sv
-    sign = 1
     if hsign < 0:
-        sign = -1 if exp % 2 else 1
         tail_svs = sv_neg(tail_svs)
     tails = []
     for s, v in tail_svs:
@@ -461,9 +455,24 @@ def _expand_signed_power(head_sv, tail_svs, exp, need, mono=None, out=None):
             raise SummabilityError(
                 f"tail variable {v!r} has no upper exponent bound; expansion is infinite")
         tails.append((s, v, max(0, hi)))
-    out = {} if out is None else out
+    return hsign, hvar, tails
+
+
+def _expand_signed_power(head_sv, tail_svs, exp, need, mono=None):
+    """The window-relevant coefficients of (head + tail)^exp, each times the
+    monomial ``mono`` ({var: exp}), as a dict {monomial: int}.
+
+    Relevant means: the head exponent lies in the head's needed window, and
+    each tail power lies in [0, max(0, hi)] of its variable.  The tails are
+    peeled off one at a time, (h + t + rest)^n = sum_k binom(n, k) t^k
+    (h + rest)^(n-k), which gives the multinomial expansion in nonnegative
+    powers of the tail sum; see ``_peel`` for the recurrence.
+    """
+    hsign, hvar, tails = _signed_tails(head_sv, tail_svs, need)
+    out = {}
     hl, hh = need.get(hvar, (None, None))
-    _peel(out, dict(mono) if mono else {}, hvar, hl, hh, tails, exp, sign)
+    _peel(out, dict(mono) if mono else {}, hvar, hl, hh, tails, exp,
+          -1 if hsign < 0 and exp % 2 else 1)
     return out
 
 
@@ -476,7 +485,8 @@ def _peel(out, mono, hvar, hl, hh, tails, n, c):
     with r the largest power the remaining tails can take.  Only
     binom(n, kmin) is looked up; each later binomial steps by
     binom(n, k+1) = binom(n, k) * (n-k) // (k+1), exact for every integer n,
-    and the sign s^k by the factor s.
+    and the sign s^k by the factor s.  The last tail's range puts every head
+    exponent n - k in [hl, hh], so its coefficients are written in one loop.
     """
     if not tails:  # the bare head
         if (hl is None or hl <= n) and (hh is None or n <= hh):
@@ -494,15 +504,25 @@ def _peel(out, mono, hvar, hl, hh, tails, n, c):
         return
     bc = c * binom(n, kmin) * (s if kmin % 2 else 1)
     e0 = mono.get(v, 0)
-    for k in range(kmin, kmax + 1):
-        mono[v] = e0 + k
-        _peel(out, mono, hvar, hl, hh, rest, n - k, bc)
-        bc = s * bc * (n - k) // (k + 1)
+    if rest:
+        for k in range(kmin, kmax + 1):
+            mono[v] = e0 + k
+            _peel(out, mono, hvar, hl, hh, rest, n - k, bc)
+            bc = s * bc * (n - k) // (k + 1)
+    else:
+        h0 = mono.get(hvar, 0)
+        for k in range(kmin, kmax + 1):
+            mono[v], mono[hvar] = e0 + k, h0 + n - k
+            key = mono_of(mono)
+            out[key] = out.get(key, 0) + bc
+            bc = s * bc * (n - k) // (k + 1)
+        mono[hvar] = h0
     mono[v] = e0
 
 
 def _expand_factor(factor, need, mono=None):
-    """Window-relevant coefficients of one factor, each times ``mono``."""
+    """Window-relevant coefficients of one factor, each times ``mono``.  A
+    delta's signed tails are prepared once, for all its indices."""
     kind, payload = factor
     if kind == "atom":
         a = payload
@@ -513,11 +533,16 @@ def _expand_factor(factor, need, mono=None):
         raise SummabilityError(
             f"delta denominator {d.denom!r} has no finite window; the sum over its index diverges")
     out = {}
+    if dlo > dhi:
+        return out
+    hsign, hvar, tails = _signed_tails(d.num[0], d.num[1:], need)
+    hl, hh = need.get(hvar, (None, None))
     mono = dict(mono) if mono else {}
     e0 = mono.get(d.denom, 0)
     for ed in range(dlo, dhi + 1):
+        n = -ed - 1
         mono[d.denom] = e0 + ed
-        _expand_signed_power(d.num[0], d.num[1:], -ed - 1, need, mono, out)
+        _peel(out, mono, hvar, hl, hh, tails, n, -1 if hsign < 0 and n % 2 else 1)
     return out
 
 
@@ -605,7 +630,10 @@ def window_coeffs(e: DeltaExpr, window, memo=None):
             for mono, u in unit.items():
                 out[mono] = out.get(mono, 0) + c * u
     for mono, acc in stacks.items():
-        out[mono] = coeff_add(out.get(mono, 0), Vec(acc))
+        # a label dict that cancelled to zero makes no Vec, unless a scalar
+        # at its monomial must be refused
+        if any(acc.values()) or out.get(mono, 0):
+            out[mono] = coeff_add(out.get(mono, 0), Vec(acc))
     return {k: v for k, v in out.items() if not coeff_is_zero(v)}
 
 

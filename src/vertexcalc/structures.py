@@ -16,10 +16,13 @@ the module itself.  The weak checkers read the same pair recipes
 the action at (u, v, w), and search their witnesses with the replays' own
 ``rationalforms.least_clearing_power``.  Within a ``shared_triples`` block (one
 ``check_all``, ``check_module_all`` or ``check`` command) the checkers share
-one slot triple per (u, v, w), so each product is built once per member; the
-triples are dropped when the block ends.  ``implication_matrix`` and
-``main_theorem_harness`` hand every member's block one route-1 memo, so the
-Jacobi checks of one command expand each term shape once.
+one slot triple per (u, v, w), so each product is built once per member, and
+one ``MemberStacks``: the member's f, g, h and swapped-h stacks, each built
+once, and each slot's per-triple flags of a negative s1 power, from which
+every exactness class is read.  All are dropped when the block ends.
+``implication_matrix`` and ``main_theorem_harness`` hand every member's
+block one route-1 memo, so the Jacobi checks of one command expand each term
+shape once.
 
 Jacobi, the weak properties and vf_skew_symmetry are identities of
 operators, linear in u, v and w, so each is checked once per member, on slot
@@ -28,7 +31,8 @@ decides an exact series on its whole support and any other on the box.  A
 weak or vf difference is exact unless a side that substitutes s1 has a
 negative power of s1, so those checkers stack each exactness class apart
 (which substituted sides have one): within a class every stack has the same
-exactness, windows and shapes, and each triple is decided as it is alone.
+exactness, windows and shapes, and each triple is decided as it is alone.  A
+class that covers the member is decided on the member stack.
 
 Checkers return PropertyReport records.  Identities between exact Laurent
 polynomials are decided exactly; identities involving delta factors or
@@ -158,7 +162,7 @@ class ModuleStructure:
         self.wbasis = tuple(wbasis)
         self.ywtable = _clean_table(ywtable)
         self.tags = tuple(tags)
-        self._triples = self._memo = None
+        self._triples = self._memo = self._stacks = None
 
     def triple(self, u, v, w):
         """The slot triple at (u, v, w).  Inside ``shared_triples`` every
@@ -174,14 +178,25 @@ class ModuleStructure:
 
     @contextmanager
     def shared_triples(self, memo=None):
-        """Share slot triples between the checkers run inside this block,
-        and drop them all when it ends.  A Jacobi check inside the block
-        hands route 1 ``memo`` (see ``check_jacobi``), or a fresh dict."""
-        self._triples, self._memo = {}, memo
+        """Share slot triples, and the member's stacks (``stacks``), between
+        the checkers run inside this block, and drop them all when it ends.
+        A Jacobi check inside the block hands route 1 ``memo`` (see
+        ``check_jacobi``), or a fresh dict."""
+        self._triples, self._memo, self._stacks = {}, memo, None
         try:
             yield
         finally:
-            self._triples = self._memo = None
+            self._triples = self._memo = self._stacks = None
+
+    def stacks(self):
+        """The member's ``MemberStacks``: inside ``shared_triples`` one per
+        block, made on first use, so the checkers of a command share its
+        stacks and flags; outside it a fresh one per call."""
+        if self._triples is None:
+            return MemberStacks(self)
+        if self._stacks is None:
+            self._stacks = MemberStacks(self)
+        return self._stacks
 
     def yw_modes(self, u, w):
         """Y_W(u,x)w as a dict exponent -> module Vec (exponent is -n-1)."""
@@ -429,47 +444,85 @@ class ActionTriple(TripleInstance):
     h = cached_property(lambda t: t.A.iterate_yw(t.u, S2, t.v, S1, t.w))
 
 
-def _member_triples(A: ModuleStructure):
-    """{(u, v, w): slot triple} of every (u, v, w), in ``over.basis`` x
-    ``over.basis`` x ``wbasis`` order."""
-    return {(u, v, w): A.triple(u, v, w)
-            for u in A.over.basis for v in A.over.basis for w in A.wbasis}
+class MemberStacks:
+    """One member's triples {(u, v, w): slot triple}, in ``over.basis`` x
+    ``over.basis`` x ``wbasis`` order and read through ``A.triple``, with,
+    per slot, its series by triple, its member stack and its exactness
+    flags, each built on first use.  The slots are f, g, h and "hs", the
+    swapped h: slot h of (v, u, w), labelled (u, v, w).  A stack of fewer
+    triples (one exactness class, or a guard's triple alone) is built
+    afresh."""
+
+    def __init__(self, A: ModuleStructure):
+        self.triples = {(u, v, w): A.triple(u, v, w)
+                        for u in A.over.basis for v in A.over.basis for w in A.wbasis}
+        self._series, self._stacks, self._flags = {}, {}, {}
+
+    def series(self, slot):
+        """{(u, v, w): slot ``slot`` of the triple there}."""
+        out = self._series.get(slot)
+        if out is None:
+            triples = self.triples
+            out = self._series[slot] = (
+                {(u, v, w): triples[v, u, w].h for u, v, w in triples} if slot == "hs"
+                else {label: getattr(t, slot) for label, t in triples.items()})
+        return out
+
+    def stack(self, slot, labels=None):
+        """Slot ``slot`` of the triples at ``labels`` stacked (``_stack``);
+        labels that cover the member, or none, give the member stack."""
+        if labels is not None and len(labels) < len(self.triples):
+            return _stack(self, slot, labels)
+        out = self._stacks.get(slot)
+        if out is None:
+            out = self._stacks[slot] = _stack(self, slot, self.triples)
+        return out
+
+    def instance(self, slots="fgh", labels=None):
+        """A TripleInstance of the stacks of ``slots``; a slot not named is
+        not read, and is None."""
+        return TripleInstance(*(self.stack(s, labels) if s in slots else None
+                                for s in "fgh"))
+
+    def flags(self, slot):
+        """{(u, v, w): whether slot ``slot`` has a negative power of s1}.
+        The slot series are exact ``from_monomials`` products, whose s1
+        window is their support, so the window's low end tells."""
+        out = self._flags.get(slot)
+        if out is None:
+            out = self._flags[slot] = {label: s.window[S1][0] < 0
+                                       for label, s in self.series(slot).items()}
+        return out
+
+    def classes(self, substituted):
+        """The labels split, in order, by exactness class: which of the slots
+        ``substituted``, whose s1 gets substituted, have a negative power of
+        s1, so that they expand without end and their difference is judged
+        on the box, not on its whole support."""
+        if not substituted:
+            return [list(self.triples)]
+        parts = {}  # every flag map is in the order of ``triples``
+        for label, cls in zip(self.triples, zip(*(self.flags(s).values()
+                                                   for s in substituted))):
+            parts.setdefault(cls, []).append(label)
+        return list(parts.values())
 
 
-def _stacked_triple(triples, slots="fgh"):
-    """One TripleInstance whose ``slots`` stack those of ``triples``
-    {(u, v, w): triple}: the coefficient at each monomial is the Vec over
-    labels (u, v, w, w') of every triple's coefficient there.  Each slot
-    keeps its own variable order (h is stored over (s2, s1)); a slot not
-    named in ``slots`` is not read, and is None."""
-    out = []
-    for slot in "fgh":
-        variables, stacked = None, {}
-        for label, t in triples.items() if slot in slots else ():
-            series = getattr(t, slot)
-            variables = series.variables
-            for key, vec in series.coeffs.items():
-                entries = stacked.setdefault(key, {})
-                for b, c in vec.entries.items():
-                    entries[(*label, b)] = c
-        out.append(WindowedSeries.from_monomials(
-            variables, {key: Vec(e) for key, e in stacked.items()})
-            if variables else None)
-    return TripleInstance(*out)
-
-
-def _classes(triples, substituted):
-    """``triples`` {(u, v, w): triple} split, in order, by exactness class:
-    which of the series ``substituted(label)``, whose s1 gets substituted,
-    have a negative power of s1, so that they expand without end and their
-    difference is judged on the box, not on its whole support.  The slot
-    series are exact ``from_monomials`` products, whose s1 window is their
-    support, so the window's low end tells."""
-    parts = {}
-    for label, t in triples.items():
-        cls = tuple(s.window[S1][0] < 0 for s in substituted(label))
-        parts.setdefault(cls, {})[label] = t
-    return parts.values()
+def _stack(member, slot, labels):
+    """Slot ``slot`` of the triples at ``labels`` of ``member`` stacked: the
+    coefficient at each monomial is the Vec over labels (u, v, w, w') of
+    every triple's coefficient there.  The slot keeps its variable order (h
+    is stored over (s2, s1))."""
+    series, variables, stacked = member.series(slot), None, {}
+    for label in labels:
+        s = series[label]
+        variables = s.variables
+        for key, vec in s.coeffs.items():
+            entries = stacked.setdefault(key, {})
+            for b, c in vec.entries.items():
+                entries[(*label, b)] = c
+    return WindowedSeries.from_monomials(
+        variables, {key: Vec(e) for key, e in stacked.items()})
 
 
 def _moved(axiom, triple, stacked, alone):
@@ -509,10 +562,11 @@ def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
     # one per check.  The oracle still recomputes every coefficient,
     # independently of ``series``, and no expansion outlives the command.
     memo = {} if A._memo is None else A._memo
-    triples = _member_triples(A)
+    member = A.stacks()
+    triples = member.triples
     if not triples:
         return PropertyReport(axiom, "PASS", {}, window=N)
-    inst = _stacked_triple(triples)
+    inst = member.instance()
     out = _jacobi_symbolic_zero(*_slots(inst), N, memo)
     sym = _failing_triples(out)
     ser = _failing_triples(three_term_series(inst, N).coeffs)
@@ -536,13 +590,13 @@ def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
 WEAK_PAIRS = {"weak_comm": "m1", "weak_assoc": "m2", "weak_skew_assoc": "m3"}
 
 
-def _weak_witnesses(kind, triples, N, m_max):
+def _weak_witnesses(kind, member, labels, N, m_max):
     """{(u, v, w): least witness, None or WindowUnderflowError} of the weak
     property of pair ``kind`` in ``rationalforms.PAIRS``, searched on one
-    stack of ``triples``, with tails cut at N."""
+    stack of the triples at ``labels`` of ``member``, with tails cut at N."""
     pair = PAIRS[kind]
-    inst = _stacked_triple(triples, (pair.left[0], pair.right[0]))
-    return least_clearing_power(*pole_statement(inst, kind, N, N), m_max, triples,
+    inst = member.instance((pair.left[0], pair.right[0]), labels)
+    return least_clearing_power(*pole_statement(inst, kind, N, N), m_max, labels,
                                 lambda c: (label[:3] for label in c.entries))
 
 
@@ -556,16 +610,16 @@ def check_weak(A: ModuleStructure, axiom, m_max=None, window=None):
         m_max = A.max_pole_order() + 2
     kind = WEAK_PAIRS[axiom.removeprefix("m_")]
     subbed = [slot for slot, _, sub in (PAIRS[kind].left, PAIRS[kind].right) if sub]
-    triples, least = _member_triples(A), {}
-    for part in _classes(triples, lambda t: [getattr(triples[t], s) for s in subbed]):
-        least |= _weak_witnesses(kind, part, N, m_max)
+    member, least = A.stacks(), {}
+    for part in member.classes(subbed):
+        least |= _weak_witnesses(kind, member, part, N, m_max)
     witnesses = dict.fromkeys(
         (f"{u},{v}" for u in A.over.basis for v in A.over.basis), 0)
-    for t in triples:
+    for t in member.triples:
         if isinstance(m := least[t], WindowUnderflowError):
             raise m
         if m is None:
-            alone = _weak_witnesses(kind, {t: triples[t]}, N, m_max)[t]
+            alone = _weak_witnesses(kind, member, [t], N, m_max)[t]
             if alone is not None:
                 raise _moved(axiom, t, f"no witness m <= {m_max} on its class "
                              "stack", f"m = {alone}")
@@ -575,12 +629,11 @@ def check_weak(A: ModuleStructure, axiom, m_max=None, window=None):
     return PropertyReport(axiom, "PASS", {"min_m": witnesses}, window=N)
 
 
-def _vf_difference(triples, labels, N):
-    """Y(Y(u,x0)v,x2)w - Y(Y(v,-x0)u,x2+x0)w stacked over ``labels``: slot h
-    of each (u, v, w) and of (v, u, w), both labelled (u, v, w)."""
-    left = _stacked_triple({t: triples[t] for t in labels}, "h").h_at("x2", "x0")
-    right = _stacked_triple({(u, v, w): triples[v, u, w] for u, v, w in labels},
-                            "h").h_at("t", "x0").flip_sign("x0")
+def _vf_difference(member, labels, N):
+    """Y(Y(u,x0)v,x2)w - Y(Y(v,-x0)u,x2+x0)w stacked over ``labels`` of
+    ``member``: its slots h and hs (slot h of (v, u, w))."""
+    left = member.stack("h", labels).rename({S1: "x2", S2: "x0"})
+    right = member.stack("hs", labels).rename({S1: "t", S2: "x0"}).flip_sign("x0")
     return left - taylor_substitute(right, "t", (1, "x2"), (1, "x0"),
                                     {"x0": (INF, N)})
 
@@ -592,17 +645,17 @@ def check_vf_skew_symmetry(A: ModuleStructure, axiom, m_max=None, window=None):
     class stack with a label of it; rerun alone, the triple must give the
     same monomial, or the stacking is a violation."""
     N = window or default_window(A)
-    region, triples, failing = box(N, "x0", "x2"), _member_triples(A), {}
-    for part in _classes(triples, lambda t: [triples[t[1], t[0], t[2]].h]):
-        diff = _vf_difference(triples, part, N)
+    region, member, failing = box(N, "x0", "x2"), A.stacks(), {}
+    for part in member.classes(["hs"]):
+        diff = _vf_difference(member, part, N)
         failing |= dict.fromkeys(_failing_triples(dict(judged_coeffs(diff, region))), diff)
-    first = next((t for t in triples if t in failing), None)
+    first = next((t for t in member.triples if t in failing), None)
     if first is None:
         return PropertyReport(axiom, "PASS", {}, window=N)
     diff = failing[first]
     mono = diff.monomial(min(key for key, c in judged_coeffs(diff, region)
                              if any(label[:3] == first for label in c.entries)))
-    _, alone = zero_verdict(_vf_difference(triples, [first], N), region)
+    _, alone = zero_verdict(_vf_difference(member, [first], N), region)
     if alone is None or alone[0] != mono:
         raise _moved(axiom, first, f"first monomial {mono} on its class stack",
                      alone[0] if alone else "none")

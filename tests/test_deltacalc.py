@@ -11,12 +11,15 @@ from vertexcalc.deltacalc import (
     Delta,
     DeltaExpr,
     Term,
+    _expand_factor,
     _expand_signed_power,
     coeff_of,
     delta_to_atoms,
     expand_deltas,
     identity_lhs,
     make_term,
+    mono_mul,
+    mono_of,
     normalize,
     prove_identity,
     taylor_shift,
@@ -355,6 +358,89 @@ def test_expansion_recurrence_equals_the_enumeration():
         seen["open"] += None in (hl, hh)
     assert min(seen.values()) >= 20, seen
     assert seen["nonempty"] >= 1000, seen
+
+
+def _delta_reference(num, denom, need):
+    """The window-relevant coefficients of denom^-1 delta(num/denom), the
+    enumeration of conftest summed over the denominator's needed window."""
+    out = {}
+    lo, hi = need[denom]
+    for ed in range(lo, hi + 1):
+        part = expand_signed_power_reference(num[0], num[1:], -ed - 1, need)
+        for key, c in part.items():
+            key = mono_mul(key, ((denom, ed),))
+            out[key] = out.get(key, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def test_delta_factor_expansion_equals_the_enumeration():
+    """A delta factor, its signed tails prepared once for all its indices
+    and its last tail written in one loop, against the enumeration at each
+    index: numerators with head sign -1 and +1 (so both parities of the
+    index meet the sign (-1)^n), one and two tails, needed windows whose
+    tail lows lie above 0, open head ends; then ``window_coeffs`` of a
+    delta term against the enumeration cut to its window, which cuts tails
+    from below."""
+    rng = random.Random(20261019)
+    nums = [((-1, "x"), (1, "y")), ((-1, "x"), (-1, "y")), ((1, "x"), (-1, "y")),
+            ((-1, "x"), (1, "y"), (-1, "z")), ((-1, "x"), (-1, "y"), (1, "z")),
+            ((1, "x"), (1, "y"), (1, "z")), ((-1, "x"), (1, "y"), (1, "y"))]
+    seen, compared = {"odd": 0, "even": 0, "one": 0, "two": 0, "cut": 0}, 0
+    for _ in range(400):
+        num = rng.choice(nums)
+        lo = rng.randint(-6, 3)
+        need = {"d": (lo, lo + rng.randint(0, 6)), "x": (_bound(rng), _bound(rng))}
+        for _, v in num[1:]:
+            need[v] = (rng.randint(-2, 3), rng.randint(-1, 6))
+        got = _expand_factor(("delta", Delta(num, "d")), need)
+        want = _delta_reference(num, "d", need)
+        assert {k: c for k, c in got.items() if c} == want, (num, need)
+        compared += len(want)
+        if num[0][0] < 0 and want:
+            # the index n = -d-1 of x_d^d is odd where d is even
+            seen["odd"] += any(dict(k).get("d", 0) % 2 == 0 for k in want)
+            seen["even"] += any(dict(k).get("d", 0) % 2 for k in want)
+        seen["one" if len(num) == 2 else "two"] += bool(want)
+    for _ in range(200):
+        num = rng.choice(nums)
+        mono = mono_of({"x": rng.randint(-2, 2), "y": rng.randint(-1, 1)})
+        window = {"d": (rng.randint(-5, 0), rng.randint(0, 4)),
+                  "x": (rng.randint(-6, 0), rng.randint(0, 6))}
+        for _, v in num[1:]:
+            window[v] = (rng.randint(-1, 3), rng.randint(3, 6))
+        coeff = Fraction(rng.randint(-3, 3) or 1, rng.choice((1, 2)))
+        got = window_coeffs(DeltaExpr([Term(coeff, mono, Delta(num, "d"))],
+                                      ("d", "x", "y", "z")), window)
+        m = dict(mono)
+        need = {v: (lo - m.get(v, 0), hi - m.get(v, 0)) for v, (lo, hi) in window.items()}
+        want = {}
+        for key, c in _delta_reference(num, "d", need).items():
+            key = mono_mul(key, mono)
+            exps = dict(key)
+            if exps.keys() <= window.keys() and all(
+                    lo <= exps.get(v, 0) <= hi for v, (lo, hi) in window.items()):
+                want[key] = coeff * c
+        assert got == want, (num, mono, window)
+        compared += len(want)
+        seen["cut"] += len(want) < len(_delta_reference(num, "d", need))
+    assert min(seen.values()) >= 50 and compared >= 4000, (seen, compared)
+
+
+def test_window_coeffs_refuses_a_scalar_and_a_stacked_coefficient_at_one_monomial():
+    # a stacked coefficient that cancelled to zero makes no Vec, but a
+    # scalar at its monomial is still refused; a scalar that cancelled is not
+    delta = Delta(((1, "x1"), (-1, "x2")), "x0")
+    window = {v: (-1, 1) for v in ("x0", "x1", "x2")}
+
+    def coeffs(*cs):
+        return window_coeffs(DeltaExpr([Term(c, (), delta) for c in cs]), window)
+
+    a = Vec({"a": 1})
+    for cs in ((1, a), (a, 2), (1, a, -a), (a, -a, Fraction(1, 2))):
+        with pytest.raises(TypeError, match="^cannot add scalar and vector coefficients$"):
+            coeffs(*cs)
+    assert coeffs(1, -1, a) == {k: a for k in coeffs(1)}
+    assert coeffs(1, -1, a, -a) == {} and coeffs(a, -a) == {}
 
 
 def test_window_coeffs_sums_each_label_as_alone():

@@ -24,7 +24,7 @@ from vertexcalc.errors import (ConsistencyViolationError, ConstructionError,
 from vertexcalc.modules import (MODULE_CHECKERS, check_module_all, check_module_axiom,
                                 main_theorem_harness)
 from vertexcalc.scalars import Vec
-from vertexcalc.series import INF, taylor_substitute
+from vertexcalc.series import INF, WindowedSeries, taylor_substitute
 from vertexcalc.structures import (
     ACTION_CHECKERS,
     AXIOMS,
@@ -34,6 +34,7 @@ from vertexcalc.structures import (
     borcherds_construct,
     check_all,
     check_axiom,
+    check_jacobi,
     implication_matrix,
     minimal_pole_order,
     restrict,
@@ -577,9 +578,7 @@ def _jacobi_axiom(A):
 
 def _member_stack_failing_triples(A, N, memo):
     """Each route's failing triples, read off the member stack of ``A``."""
-    triples = {(u, v, w): A.triple(u, v, w)
-               for u in A.over.basis for v in A.over.basis for w in A.wbasis}
-    inst = structures._stacked_triple(triples)
+    inst = A.stacks().instance()
     sym = structures._jacobi_symbolic_zero(*structures._slots(inst), N, memo)
     ser = rationalforms.three_term_series(inst, N).coeffs
     return structures._failing_triples(sym), structures._failing_triples(ser)
@@ -658,12 +657,14 @@ def test_jacobi_stack_disagreeing_with_its_triple_raises(monkeypatch):
     # a stacked triple that both routes find nonzero while the triple alone
     # is zero cannot come from a correct stacking: route 1's rerun on the
     # reported triple catches it, and it is reported, not passed over
-    def perturbed(triples, _original=structures._stacked_triple):
-        inst = _original(triples)
-        key, vec = next(iter(inst.f.coeffs.items()))
-        return inst.perturb_f(key, vec)
+    def perturbed(member, slot, labels, _original=structures._stack):
+        out = _original(member, slot, labels)
+        if slot != "f":
+            return out
+        key, vec = next(iter(out.coeffs.items()))
+        return out.copy_meta({**out.coeffs, key: vec + vec})
 
-    monkeypatch.setattr(structures, "_stacked_triple", perturbed)
+    monkeypatch.setattr(structures, "_stack", perturbed)
     S = borcherds_structure(3)
     e0 = S.basis[0]
     with pytest.raises(ConsistencyViolationError,
@@ -816,25 +817,58 @@ def test_stacked_weak_and_vf_checks_equal_the_per_w_checks(ut2_dir):
     assert outcomes["PASS"] > 1000 and outcomes["FAIL"] > 1000
 
 
+def _stack_alone(A, slot, labels):
+    """Slot ``slot`` ("hs": slot h of (v, u, w)) of the triples at ``labels``
+    of ``A`` stacked from their own series, as if no other triple existed."""
+    variables, stacked = None, {}
+    for u, v, w in labels:
+        s = A.triple(v, u, w).h if slot == "hs" else getattr(A.triple(u, v, w), slot)
+        variables = s.variables
+        for key, vec in s.coeffs.items():
+            for b, c in vec.entries.items():
+                stacked.setdefault(key, {})[(u, v, w, b)] = c
+    return WindowedSeries.from_monomials(
+        variables, {key: Vec(e) for key, e in stacked.items()})
+
+
 def test_exactness_classes_read_off_the_window_equal_the_per_key_scan(
         monkeypatch, ut2_dir):
     # each weak and vf checker splits the triples by the s1 window of the
-    # substituted slot series exactly as a scan of every key splits them
-    splits = []
+    # substituted slot series exactly as a scan of every key splits them;
+    # within one block the five stacked checkers build each member stack
+    # (f, g, h, swapped h) at most once, a guard's triple alone aside, and
+    # every stack equals the stack of its triples alone
+    splits, stacks, built = [], [], Counter()
 
-    def spied(*args, _original=structures._classes):
-        parts = [dict(part) for part in _original(*args)]
+    def spied(member, substituted, _original=structures.MemberStacks.classes):
+        parts = _original(member, substituted)
         splits.append([list(part) for part in parts])
         return parts
 
-    monkeypatch.setattr(structures, "_classes", spied)
+    def read(member, slot, labels=None, _original=structures.MemberStacks.stack):
+        out = _original(member, slot, labels)
+        stacks.append((slot, list(member.triples if labels is None else labels), out))
+        return out
+
+    def counted(member, slot, labels, _original=structures._stack):
+        if len(labels) > 1 or len(member.triples) == 1:
+            built[slot, len(labels) == len(member.triples)] += 1
+        return _original(member, slot, labels)
+
+    monkeypatch.setattr(structures.MemberStacks, "classes", spied)
+    monkeypatch.setattr(structures.MemberStacks, "stack", read)
+    monkeypatch.setattr(structures, "_stack", counted)
     members = (full_corpus() + full_module_corpus()
                + [configio.load_structure(str(ut2_dir / "ut2.json")),
                   configio.load_module(str(ut2_dir / "ut2-regular.module.json"))]
                + _seeded_edits(60, 12) + _random_tables(60, 21))
-    mixed = 0
+    mixed, compared, partial, wholes = 0, 0, 0, Counter()
     for A in members:
+        built.clear()
+        stacks.clear()
         with A.shared_triples():
+            # on the smallest box: the window does not change which stacks it reads
+            _outcome(check_jacobi, A, _jacobi_axiom(A), None, 1)
             for name, kind in (("weak_comm", "m1"), ("weak_assoc", "m2"),
                                ("weak_skew_assoc", "m3"), ("vf_skew_symmetry", "vf")):
                 splits.clear()
@@ -844,7 +878,16 @@ def test_exactness_classes_read_off_the_window_equal_the_per_key_scan(
                     want.setdefault(cls, []).append(label)
                 assert splits[0] == list(want.values()), (A.name, name)
                 mixed += len(want) > 1
-    assert mixed >= 100
+            for slot, labels, out in stacks:
+                alone = _stack_alone(A, slot, labels)
+                assert (out.variables, out.coeffs, out.window, out.shape) == (
+                    alone.variables, alone.coeffs, alone.window, alone.shape), (A.name, slot)
+                compared += 1
+        assert max(n for (_, whole), n in built.items() if whole) == 1, A.name
+        wholes.update(slot for slot, whole in built if whole)
+        partial += sum(n for (_, whole), n in built.items() if not whole)
+    assert [wholes[s] for s in "fgh"] == [len(members)] * 3 and wholes["hs"] > 100, wholes
+    assert mixed >= 100 and partial >= 100 and compared > 10 * len(members)
 
 
 def test_weak_and_vf_search_once_per_class_stack(monkeypatch):

@@ -369,13 +369,24 @@ def _pair_matches(inst: TripleInstance, kind, form: RationalForm, N):
     Each expansion is made on that box alone, ``expand(mode, -N, N)``: it
     writes every tail power k whose head exponent is >= -N and whose tail
     exponent is <= N, so every coefficient with head >= -N and tail <= N is
-    complete, and ``is_zero_on`` reads only [-N, N]^2.  Wider expansion
-    windows would add only coefficients that the comparison never reads."""
+    complete.  Wider expansion windows would add only coefficients that the
+    comparison never reads.  The sides hold the whole generation window, so
+    only their coefficients on the box are compared, none copied."""
     variables = PAIRS[kind].variables
-    left, right = inst.result(pair_sides, kind, inst.gen_hi)
     w = box(N, *variables)
-    return ((form.expand("direct", -N, N, variables) - left).is_zero_on(w)
-            and (form.expand("reversed", -N, N, variables) - right).is_zero_on(w))
+    return all(_box_coeffs(form.expand(mode, -N, N, variables), w) == _box_coeffs(side, w)
+               for mode, side in zip(("direct", "reversed"),
+                                     inst.result(pair_sides, kind, inst.gen_hi)))
+
+
+def _box_coeffs(series, w):
+    """{exponents in the order of the square box ``w``'s two variables:
+    coefficient} of ``series`` on ``w``, which it must know."""
+    series.require_known(w)
+    (x, (lo, hi)), (y, _) = w.items()
+    i, j = series.idx(x), series.idx(y)
+    return {(k[i], k[j]): c for k, c in series.coeffs.items()
+            if lo <= k[i] <= hi and lo <= k[j] <= hi}
 
 
 def reconstruct_form(inst: TripleInstance, kind, m, N):

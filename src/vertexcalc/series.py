@@ -57,7 +57,8 @@ class WindowedSeries:
 
     def __init__(self, variables, coeffs, window=None, shape=None):
         self.variables = tuple(variables)
-        self.coeffs = {k: v for k, v in coeffs.items() if v}
+        self.coeffs = {k: v for k, v in coeffs.items()
+                       if (v.entries if type(v) is Vec else v)}
         self.window = dict(window) if window else {}
         self.shape = dict(shape) if shape else {}
         for v in self.variables:
@@ -238,19 +239,19 @@ class WindowedSeries:
                     f"coefficient at {mono} not inside the exact window for {v!r}")
         return self.coeffs.get(tuple(key), 0)
 
-    def is_zero_on(self, window):
-        """True iff every coefficient inside the window vanishes (all known)."""
-        return next(self.nonzero_on(window), None) is None
-
-    def nonzero_on(self, window):
-        """Iterator over the (key, coefficient) pairs inside ``window``, where
-        a variable that the window does not name has exponent 0.  Raises at
-        once unless the series knows the whole window."""
+    def require_known(self, window):
+        """Raise unless the series knows the whole window."""
         for v, (lo, hi) in window.items():
             if not _known_contains(self.known(v), lo, hi):
                 raise WindowUnderflowError(
                     f"window {window} exceeds the known region for {v!r}: "
                     f"known {self.known(v)}")
+
+    def nonzero_on(self, window):
+        """Iterator over the (key, coefficient) pairs inside ``window``, where
+        a variable that the window does not name has exponent 0.  Raises at
+        once unless the series knows the whole window."""
+        self.require_known(window)
         return _inside(self.coeffs, [window.get(v, (0, 0)) for v in self.variables])
 
     def monomial(self, key):

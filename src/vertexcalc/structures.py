@@ -14,12 +14,16 @@ D-derivative property) each have one checker, which runs on the structure or
 the module itself.  The weak checkers read the same pair recipes
 (``rationalforms.PAIRS``) as the (B)-(G) statements, on the slot triple of
 the action at (u, v, w), and search their witnesses with the replays' own
-``rationalforms.least_clearing_power``.  Within a ``shared_triples`` block (one
+``rationalforms.least_clearing_power``.  Every slot series comes from one
+builder, ``MemberStacks``, which makes slot f (and so g) of every triple in
+one pass over the mode tables, and slot h (and so the swapped h) in another:
+each inner product is a row of a mode table, and the outer table is applied
+to its vectors as plain dicts.  Within a ``shared_triples`` block (one
 ``check_all``, ``check_module_all`` or ``check`` command) the checkers share
-one slot triple per (u, v, w), so each product is built once per member, and
-one ``MemberStacks``: the member's f, g, h and swapped-h stacks, each built
-once, and each slot's per-triple flags of a negative s1 power, from which
-every exactness class is read.  All are dropped when the block ends.
+one ``MemberStacks``: the member's slot series, each built once, its f, g, h
+and swapped-h stacks, and each slot's per-triple flags of a negative s1
+power, from which every exactness class is read.  All are dropped when the
+block ends; outside a block, a triple is read from stacks of it alone.
 ``implication_matrix`` and ``main_theorem_harness`` hand every member's
 block one route-1 memo, so the Jacobi checks of one command expand each term
 shape once.
@@ -44,7 +48,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import cached_property
 from math import factorial
 from typing import NamedTuple
 
@@ -137,6 +140,27 @@ def _support_extent(mode_dicts):
     return max([1] + [abs(n + 1) for modes in mode_dicts for n in modes])
 
 
+def _modes(table, left, right):
+    """Y(left,x)right as {exponent -n-1: {basis: coefficient}}: the mode
+    table applied to plain dicts {basis: coefficient}.  The one raw kernel
+    of ``yw_modes`` and the slot products; its sums may hold zeros and
+    integral Fractions until a ``Vec`` is made of them."""
+    out = {}
+    for a, ca in left.items():
+        for b, cb in right.items():
+            modes = table.get((a, b))
+            if not modes:
+                continue
+            c = ca * cb
+            for n, vec in modes.items():
+                acc = out.get(-n - 1)
+                if acc is None:
+                    acc = out[-n - 1] = {}
+                for k, x in vec.entries.items():
+                    acc[k] = acc.get(k, 0) + c * x
+    return out
+
+
 def _edited_table(table, edits):
     """Copy of a mode table with single-entry edits {(u, n, v): Vec-or-None}."""
     out = {pair: dict(modes) for pair, modes in table.items()}
@@ -162,85 +186,43 @@ class ModuleStructure:
         self.wbasis = tuple(wbasis)
         self.ywtable = _clean_table(ywtable)
         self.tags = tuple(tags)
-        self._triples = self._memo = self._stacks = None
+        self._memo = self._stacks = None
 
     def triple(self, u, v, w):
-        """The slot triple at (u, v, w).  Inside ``shared_triples`` every
-        checker reads one shared triple per (u, v, w); outside it each call
-        builds a fresh one, so no products outlive the checks that read them."""
-        if self._triples is None:
-            return ActionTriple(self, u, v, w)
-        key = (u, v, w)
-        t = self._triples.get(key)
-        if t is None:
-            t = self._triples[key] = ActionTriple(self, u, v, w)
-        return t
+        """The slot triple at (u, v, w), read from the member's stacks: inside
+        ``shared_triples`` the block's, so every checker reads one triple per
+        (u, v, w); outside it stacks restricted to this label, so no products
+        outlive the checks that read them."""
+        label = (u, v, w)
+        return (self._stacks or MemberStacks(self, [label])).triple(label)
 
     @contextmanager
     def shared_triples(self, memo=None):
-        """Share slot triples, and the member's stacks (``stacks``), between
-        the checkers run inside this block, and drop them all when it ends.
-        A Jacobi check inside the block hands route 1 ``memo`` (see
-        ``check_jacobi``), or a fresh dict."""
-        self._triples, self._memo, self._stacks = {}, memo, None
+        """Share one ``MemberStacks`` (``stacks``), and so its slot series and
+        triples, between the checkers run inside this block, and drop it when
+        the block ends.  A Jacobi check inside the block hands route 1
+        ``memo`` (see ``check_jacobi``), or a fresh dict."""
+        self._memo, self._stacks = memo, MemberStacks(self)
         try:
             yield
         finally:
-            self._triples = self._memo = self._stacks = None
+            self._memo = self._stacks = None
 
     def stacks(self):
-        """The member's ``MemberStacks``: inside ``shared_triples`` one per
-        block, made on first use, so the checkers of a command share its
-        stacks and flags; outside it a fresh one per call."""
-        if self._triples is None:
-            return MemberStacks(self)
-        if self._stacks is None:
-            self._stacks = MemberStacks(self)
-        return self._stacks
+        """The member's ``MemberStacks``: inside ``shared_triples`` the
+        block's, so the checkers of a command share its products, stacks and
+        flags; outside it a fresh one per call."""
+        return self._stacks or MemberStacks(self)
 
     def yw_modes(self, u, w):
         """Y_W(u,x)w as a dict exponent -> module Vec (exponent is -n-1)."""
-        uvec = u if isinstance(u, Vec) else Vec.unit(u)
-        wvec = w if isinstance(w, Vec) else Vec.unit(w)
-        out = {}
-        for a, ca in uvec.entries.items():
-            for b, cb in wvec.entries.items():
-                modes = self.ywtable.get((a, b))
-                if not modes:
-                    continue
-                c = ca * cb
-                for n, vec in modes.items():
-                    e = -n - 1
-                    prev = out.get(e)
-                    add = vec.scale(c)
-                    out[e] = add if prev is None else prev + add
-        return {e: v for e, v in out.items() if v}
+        raw = _modes(self.ywtable, u.entries if type(u) is Vec else {u: 1},
+                     w.entries if type(w) is Vec else {w: 1})
+        return {e: vec for e, entries in raw.items() if (vec := Vec(entries))}
 
     def yw_series(self, u, w, xvar="x"):
         return WindowedSeries.from_monomials(
             (xvar,), {(e,): vec for e, vec in self.yw_modes(u, w).items()})
-
-    def compose_yw(self, a, xa, b, xb, w):
-        """Y_W(a,xa) Y_W(b,xb) w as an exact two-variable series."""
-        inner = self.yw_modes(b, w)
-        out = {}
-        for eb, vec in inner.items():
-            for ea, vec2 in self.yw_modes(a, vec).items():
-                key = (ea, eb)
-                prev = out.get(key)
-                out[key] = vec2 if prev is None else prev + vec2
-        return WindowedSeries.from_monomials((xa, xb), out)
-
-    def iterate_yw(self, u, x0, v, x2, w):
-        """Y_W(Y(u,x0)v, x2)w; the inner Y comes from the base structure."""
-        inner = self.over.yw_modes(u, v)
-        out = {}
-        for e0, vec in inner.items():
-            for e2, vec2 in self.yw_modes(vec, w).items():
-                key = (e0, e2)
-                prev = out.get(key)
-                out[key] = vec2 if prev is None else prev + vec2
-        return WindowedSeries.from_monomials((x0, x2), out)
 
     def max_pole_order(self):
         return _pole_order([*self.over.ywtable.values(), *self.ywtable.values()])
@@ -429,44 +411,71 @@ def _jacobi_symbolic_zero(f12, g21, h20, N, memo=None):
 
 
 class ActionTriple(TripleInstance):
-    """The slot triple of action A at (u, v, w): f = Y(u,s1)Y(v,s2)w,
-    g = Y(v,s1)Y(u,s2)w and h = Y(Y(u,s2)v,s1)w, each built on first use, so
-    a weak checker builds only the two series its pair reads.  g is the f of
-    the triple at (v, u, w), read through ``A.triple`` so that a shared triple
-    builds each product once."""
+    """The slot triple of an action at (u, v, w): f = Y(u,s1)Y(v,s2)w,
+    g = Y(v,s1)Y(u,s2)w and h = Y(Y(u,s2)v,s1)w, a plain holder that
+    ``MemberStacks.triple`` fills from its slot series."""
 
-    def __init__(self, A: ModuleStructure, u, v, w):
-        self._results = {}
-        self.A, self.u, self.v, self.w = A, u, v, w
 
-    f = cached_property(lambda t: t.A.compose_yw(t.u, S1, t.v, S2, t.w))
-    g = cached_property(lambda t: t.A.triple(t.v, t.u, t.w).f)
-    h = cached_property(lambda t: t.A.iterate_yw(t.u, S2, t.v, S1, t.w))
+def _slot_products(A: ModuleStructure, kind, labels):
+    """{(u, v, w): slot ``kind`` of ``A`` there} for each of ``labels``, as
+    exact series: f = Y(u,s1)Y(v,s2)w over (s1, s2), or h = Y(Y(u,s2)v,s1)w
+    over (s2, s1).  The inner product is a row of a mode table, Y(v,x)w of
+    ``A`` for f and Y(u,x)v of ``A.over`` for h; the outer table is applied
+    to each of its vectors as plain dicts (``_modes``), and each coefficient
+    becomes a ``Vec`` once."""
+    variables = (S1, S2) if kind == "f" else (S2, S1)
+    table, out = A.ywtable, {}
+    for u, v, w in labels:
+        coeffs = {}
+        if kind == "f":
+            for n, vec in table.get((v, w), {}).items():
+                for e, entries in _modes(table, {u: 1}, vec.entries).items():
+                    coeffs[e, -n - 1] = Vec(entries)
+        else:
+            for n, vec in A.over.ywtable.get((u, v), {}).items():
+                for e, entries in _modes(table, vec.entries, {w: 1}).items():
+                    coeffs[-n - 1, e] = Vec(entries)
+        out[u, v, w] = WindowedSeries.from_monomials(variables, coeffs)
+    return out
 
 
 class MemberStacks:
-    """One member's triples {(u, v, w): slot triple}, in ``over.basis`` x
-    ``over.basis`` x ``wbasis`` order and read through ``A.triple``, with,
-    per slot, its series by triple, its member stack and its exactness
-    flags, each built on first use.  The slots are f, g, h and "hs", the
-    swapped h: slot h of (v, u, w), labelled (u, v, w).  A stack of fewer
-    triples (one exactness class, or a guard's triple alone) is built
-    afresh."""
+    """One member's triples (u, v, w), in ``over.basis`` x ``over.basis`` x
+    ``wbasis`` order unless ``triples`` are given, with, per slot, its series
+    by triple, its member stack and its exactness flags, each built on first
+    use.  The slots are f, g, h and "hs", the swapped h: slot h of (v, u, w),
+    labelled (u, v, w).  The first read of f or g builds slot f at every
+    triple and its swap in one pass (``_slot_products``), the first read of h
+    or hs slot h; g and hs are the f and h of the swapped triple, shared, not
+    rebuilt.  A stack of fewer triples (one exactness class, or a guard's
+    triple alone) is stacked afresh from the same series."""
 
-    def __init__(self, A: ModuleStructure):
-        self.triples = {(u, v, w): A.triple(u, v, w)
-                        for u in A.over.basis for v in A.over.basis for w in A.wbasis}
-        self._series, self._stacks, self._flags = {}, {}, {}
+    def __init__(self, A: ModuleStructure, triples=None):
+        self.A = A
+        self.triples = triples or [(u, v, w) for u in A.over.basis
+                                   for v in A.over.basis for w in A.wbasis]
+        self._series, self._stacks, self._flags, self._triples = {}, {}, {}, {}
 
     def series(self, slot):
         """{(u, v, w): slot ``slot`` of the triple there}."""
         out = self._series.get(slot)
         if out is None:
-            triples = self.triples
-            out = self._series[slot] = (
-                {(u, v, w): triples[v, u, w].h for u, v, w in triples} if slot == "hs"
-                else {label: getattr(t, slot) for label, t in triples.items()})
+            kind, swapped = ("f", "g") if slot in ("f", "g") else ("h", "hs")
+            swap = {(u, v, w): (v, u, w) for u, v, w in self.triples}
+            built = _slot_products(self.A, kind,
+                                   dict.fromkeys([*self.triples, *swap.values()]))
+            self._series[kind] = {t: built[t] for t in self.triples}
+            self._series[swapped] = {t: built[swap[t]] for t in self.triples}
+            out = self._series[slot]
         return out
+
+    def triple(self, label):
+        """The ``ActionTriple`` at ``label``, filled from slots f, g and h."""
+        t = self._triples.get(label)
+        if t is None:
+            t = self._triples[label] = ActionTriple(
+                *(self.series(slot)[label] for slot in "fgh"))
+        return t
 
     def stack(self, slot, labels=None):
         """Slot ``slot`` of the triples at ``labels`` stacked (``_stack``);
@@ -579,7 +588,7 @@ def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
         return PropertyReport(axiom, "PASS", {}, window=N)
     mono = min(key for key, c in out.items()
                if any(label[:3] == first for label in c.entries))
-    alone = _jacobi_symbolic_zero(*_slots(triples[first]), N, memo)
+    alone = _jacobi_symbolic_zero(*_slots(A.triple(*first)), N, memo)
     if min(alone, default=None) != mono:
         raise _moved(axiom, first, f"first monomial {dict(mono)} on the member stack",
                      dict(min(alone)) if alone else "none")

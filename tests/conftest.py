@@ -1,28 +1,39 @@
-from collections import Counter
+from collections import defaultdict
 from math import factorial
 
 import pytest
 
-from vertexcalc import configio
+from vertexcalc import configio, structures
 from vertexcalc.deltacalc import mono_of, sv_neg
 from vertexcalc.errors import SummabilityError, WindowUnderflowError
 from vertexcalc.rationalforms import pole_statement
 from vertexcalc.scalars import binom
 from vertexcalc.series import multiply, zero_verdict
-from vertexcalc.structures import WEAK_PAIRS, ModuleStructure
+from vertexcalc.structures import WEAK_PAIRS
 
 
 @pytest.fixture
 def slot_product_calls(monkeypatch):
-    """Counter of compose_yw / iterate_yw calls per (action, product, u, v, w)."""
-    calls = Counter()
-    for name in ("compose_yw", "iterate_yw"):
-        def counted(A, a, xa, b, xb, w, _name=name,
-                    _original=getattr(ModuleStructure, name)):
-            calls[(A, _name, a, b, w)] += 1
-            return _original(A, a, xa, b, xb, w)
-        monkeypatch.setattr(ModuleStructure, name, counted)
+    """{(action, slot kind): [number of triples of each build]}, one entry per
+    call of the slot-product builder ``structures._slot_products``."""
+    calls = defaultdict(list)
+
+    def counted(A, kind, labels, _original=structures._slot_products):
+        calls[(A, kind)].append(len(labels))
+        return _original(A, kind, labels)
+    monkeypatch.setattr(structures, "_slot_products", counted)
     return calls
+
+
+def assert_one_build_per_member_and_kind(calls, members):
+    """Each member with triples built slot f and slot h exactly once, each
+    time at every one of its triples, and never one triple at a time."""
+    for A in members:
+        triples = len(A.over.basis) ** 2 * len(A.wbasis)
+        if triples:
+            assert [calls[(A, kind)] for kind in "fh"] == [[triples]] * 2, A.name
+    assert set(calls) == {(A, kind) for A in members for kind in "fh"
+                          if len(A.over.basis) ** 2 * len(A.wbasis)}
 
 
 def _ut2_records(target):
@@ -73,6 +84,12 @@ def is_zero(series):
     if not series.is_exact():
         raise WindowUnderflowError("zero test on an inexact series; use is_zero_on")
     return not series.coeffs
+
+
+def is_zero_on(series, window):
+    """Whether every coefficient of ``series`` inside ``window`` vanishes;
+    raises unless the series knows the whole window."""
+    return next(series.nonzero_on(window), None) is None
 
 
 def multinomial(parts):

@@ -1,4 +1,5 @@
 import pytest
+from conftest import assert_one_build_per_member_and_kind
 
 from vertexcalc import configio, modules, structures
 from vertexcalc.corpus import (
@@ -23,7 +24,7 @@ from vertexcalc.modules import (
     module_construct,
 )
 from vertexcalc.scalars import Vec
-from vertexcalc.structures import (REPLACEMENTS, ActionTriple, PropertyReport,
+from vertexcalc.structures import (REPLACEMENTS, MemberStacks, PropertyReport,
                                    check_axiom, implication_matrix, replay_rows)
 
 
@@ -253,10 +254,16 @@ def test_check_module_all_shares_one_slot_triple_per_member(monkeypatch,
     corpus = full_module_corpus()
     shared = [{a: r.to_json() for a, r in check_module_all(M).items()}
               for M in corpus]
-    assert slot_product_calls and max(slot_product_calls.values()) == 1
-    assert all(M._triples is None for M in corpus)
+    # slot f and slot h are each built once per member, at every triple in
+    # one pass, and the member's stacks are dropped when check_module_all
+    # returns
+    assert_one_build_per_member_and_kind(slot_product_calls, corpus)
+    assert all(M._stacks is None for M in corpus)
+    # fresh stacks for every checker, and a triple read from stacks of it
+    # alone, give the same verdicts and witnesses
+    monkeypatch.setattr(ModuleStructure, "stacks", lambda A: MemberStacks(A))
     monkeypatch.setattr(ModuleStructure, "triple",
-                        lambda A, u, v, w: ActionTriple(A, u, v, w))
+                        lambda A, u, v, w: MemberStacks(A, [(u, v, w)]).triple((u, v, w)))
     fresh = [{a: r.to_json() for a, r in check_module_all(M).items()}
              for M in full_module_corpus()]
     assert shared == fresh

@@ -3,7 +3,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import _weak_difference, is_zero, witness_is_valid
+from conftest import (_weak_difference, assert_one_build_per_member_and_kind, is_zero,
+                      witness_is_valid)
 
 from vertexcalc import configio, deltacalc, rationalforms, series, structures
 from vertexcalc.corpus import (
@@ -23,12 +24,13 @@ from vertexcalc.errors import (ConsistencyViolationError, ConstructionError,
                                VertexCalcError, WindowUnderflowError)
 from vertexcalc.modules import (MODULE_CHECKERS, check_module_all, check_module_axiom,
                                 main_theorem_harness)
+from vertexcalc.rationalforms import S1, S2
 from vertexcalc.scalars import Vec
 from vertexcalc.series import INF, WindowedSeries, taylor_substitute
 from vertexcalc.structures import (
     ACTION_CHECKERS,
     AXIOMS,
-    ActionTriple,
+    MemberStacks,
     ModuleStructure,
     VertexStructure,
     borcherds_construct,
@@ -75,7 +77,7 @@ def test_vacuum_acts_as_identity():
 
 def test_compose_with_vacuum_drops_first_variable():
     S = borcherds_structure(3)
-    got = S.compose_yw("e0", "x1", "e1", "x2", "e1")
+    got = S.triple("e0", "e1", "e1").f_at("x1", "x2")
     direct = S.yw_series("e1", "e1", "x2")
     assert is_zero(got - direct.align(("x1", "x2")))
 
@@ -85,7 +87,7 @@ def test_iterate_on_vacuum_is_taylor_shift():
     S = borcherds_structure(4)
     for u in S.basis:
         for w in S.basis:
-            left = S.iterate_yw(u, "x0", "e0", "x2", w)
+            left = S.triple(u, "e0", w).h_at("x2", "x0")
             base = S.yw_series(u, w, "t")
             right = taylor_substitute(base, "t", (1, "x2"), (1, "x0"))
             assert is_zero(left - right.align(("x0", "x2")))
@@ -270,16 +272,76 @@ def test_check_all_shares_one_slot_triple_per_member(monkeypatch,
                                                      slot_product_calls):
     corpus = full_corpus()
     shared = [{a: r.to_json() for a, r in check_all(S).items()} for S in corpus]
-    # every slot series is built at most once per member, and the triples
-    # are dropped when check_all returns
-    assert slot_product_calls and max(slot_product_calls.values()) == 1
-    assert all(S._triples is None for S in corpus)
-    # a fresh triple for every read gives the same verdicts and witnesses
+    # slot f and slot h are each built once per member, at every triple in
+    # one pass, and the member's stacks are dropped when check_all returns
+    assert_one_build_per_member_and_kind(slot_product_calls, corpus)
+    assert all(S._stacks is None for S in corpus)
+    # fresh stacks for every checker, and a triple read from stacks of it
+    # alone, give the same verdicts and witnesses
+    monkeypatch.setattr(ModuleStructure, "stacks", lambda A: MemberStacks(A))
     monkeypatch.setattr(ModuleStructure, "triple",
-                        lambda A, u, v, w: ActionTriple(A, u, v, w))
+                        lambda A, u, v, w: MemberStacks(A, [(u, v, w)]).triple((u, v, w)))
     fresh = [{a: r.to_json() for a, r in check_all(S).items()}
              for S in full_corpus()]
     assert shared == fresh
+
+
+def _slot_reference(A, slot, u, v, w):
+    """Slot ``slot`` of ``A`` at (u, v, w) summed term by term from the mode
+    tables in Vec arithmetic: f = Y(u,s1)Y(v,s2)w has a term per mode of v on
+    w, basis element b of its image and mode of u on b; h = Y(Y(u,s2)v,s1)w a
+    term per mode of u on v, b of its image and mode of b on w.  g and hs
+    are f and h at (v, u, w)."""
+    if slot in ("g", "hs"):
+        return _slot_reference(A, "f" if slot == "g" else "h", v, u, w)
+    coeffs = {}
+    inner, outer = ((A.ywtable.get((v, w), {}), lambda b: A.ywtable.get((u, b), {}))
+                    if slot == "f" else
+                    (A.over.ytable.get((u, v), {}), lambda b: A.ywtable.get((b, w), {})))
+    for n_in, image in inner.items():
+        for b, c in image.entries.items():
+            for n_out, vec in outer(b).items():
+                key = (-n_out - 1, -n_in - 1) if slot == "f" else (-n_in - 1, -n_out - 1)
+                coeffs[key] = coeffs.get(key, Vec()) + vec.scale(c)
+    return WindowedSeries.from_monomials(
+        (S1, S2) if slot == "f" else (S2, S1), coeffs)
+
+
+def _series_facts(s):
+    """What a slot series is: variables, coefficients with each entry's type,
+    windows and shapes."""
+    return (s.variables,
+            {k: (type(c), {b: (type(x), x) for b, x in c.entries.items()})
+             for k, c in s.coeffs.items()},
+            s.window, s.shape)
+
+
+def test_slot_builder_equals_the_term_by_term_products(ut2_dir):
+    # every slot series of every member, built in one pass over the mode
+    # tables, equals the per-triple product summed term by term, and so does
+    # every fourth triple read outside a block, from stacks of it alone
+    members = (full_corpus() + full_module_corpus()
+               + [configio.load_structure(str(ut2_dir / "ut2.json")),
+                  configio.load_module(str(ut2_dir / "ut2-regular.module.json"))]
+               + _seeded_edits(60, 12) + _random_tables(60, 21))
+    compared, monomials, rationals = 0, 0, 0
+    for A in members:
+        member = A.stacks()
+        for slot in ("f", "g", "h", "hs"):
+            for (u, v, w), got in member.series(slot).items():
+                want = _slot_reference(A, slot, u, v, w)
+                assert _series_facts(got) == _series_facts(want), (A.name, slot, u, v, w)
+                compared += 1
+                monomials += len(got.coeffs)
+                rationals += sum(type(x) is Fraction for c in got.coeffs.values()
+                                 for x in c.entries.values())
+        for label in member.triples[::4]:
+            alone = A.triple(*label)
+            for slot in "fgh":
+                assert _series_facts(getattr(alone, slot)) == _series_facts(
+                    member.series(slot)[label]), (A.name, slot, label)
+    assert compared == 4 * sum(len(A.over.basis) ** 2 * len(A.wbasis) for A in members)
+    assert monomials > 12000 and rationals > 2500, (monomials, rationals)
 
 
 def test_structure_is_its_own_module():

@@ -68,10 +68,12 @@ class WindowedSeries:
     # -- construction -----------------------------------------------------
     @classmethod
     def from_monomials(cls, variables, coeffs):
-        """Exact finite-support series; monomials keyed by exponent tuples."""
+        """Exact finite-support series; monomials keyed by exponent tuples.
+        Each window is the support ((0, 0) for none), read in one pass."""
         out = cls(variables, coeffs)
-        for v in out.variables:
-            out.window[v] = out.support(v)
+        columns = zip(*out.coeffs) if out.coeffs else [(0,)] * len(out.variables)
+        for v, exps in zip(out.variables, columns):
+            out.window[v] = (min(exps), max(exps))
         return out
 
     @classmethod

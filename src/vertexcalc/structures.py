@@ -30,13 +30,14 @@ shape once.
 
 Jacobi, the weak properties and vf_skew_symmetry are identities of
 operators, linear in u, v and w, so each is checked once per member, on slot
-triples stacked into Vec coefficients over (u, v, w, w').  ``zero_verdict``
-decides an exact series on its whole support and any other on the box.  A
-weak or vf difference is exact unless a side that substitutes s1 has a
-negative power of s1, so those checkers stack each exactness class apart
-(which substituted sides have one): within a class every stack has the same
-exactness, windows and shapes, and each triple is decided as it is alone.  A
-class that covers the member is decided on the member stack.
+triples stacked into Vec coefficients keyed by the label ids of (u, v, w,
+w') (``MemberStacks.label_ids``).  ``zero_verdict`` decides an exact series
+on its whole support and any other on the box.  A weak or vf difference is
+exact unless a side that substitutes s1 has a negative power of s1, so those
+checkers stack each exactness class apart (which substituted sides have
+one): within a class every stack has the same exactness, windows and shapes,
+and each triple is decided as it is alone.  A class that covers the member
+is decided on the member stack.
 
 Checkers return PropertyReport records.  Identities between exact Laurent
 polynomials are decided exactly; identities involving delta factors or
@@ -422,9 +423,9 @@ def _slot_products(A: ModuleStructure, kind, labels):
     over (s2, s1).  The inner product is a row of a mode table, Y(v,x)w of
     ``A`` for f and Y(u,x)v of ``A.over`` for h; the outer table is applied
     to each of its vectors as plain dicts (``_modes``), and each coefficient
-    becomes a ``Vec`` once."""
+    becomes a ``Vec`` once.  Triples without a term share one zero series."""
     variables = (S1, S2) if kind == "f" else (S2, S1)
-    table, out = A.ywtable, {}
+    table, out, zero = A.ywtable, {}, WindowedSeries.zero(variables)
     for u, v, w in labels:
         coeffs = {}
         if kind == "f":
@@ -435,7 +436,7 @@ def _slot_products(A: ModuleStructure, kind, labels):
             for n, vec in A.over.ywtable.get((u, v), {}).items():
                 for e, entries in _modes(table, vec.entries, {w: 1}).items():
                     coeffs[-n - 1, e] = Vec(entries)
-        out[u, v, w] = WindowedSeries.from_monomials(variables, coeffs)
+        out[u, v, w] = WindowedSeries.from_monomials(variables, coeffs) if coeffs else zero
     return out
 
 
@@ -448,13 +449,35 @@ class MemberStacks:
     triple and its swap in one pass (``_slot_products``), the first read of h
     or hs slot h; g and hs are the f and h of the swapped triple, shared, not
     rebuilt.  A stack of fewer triples (one exactness class, or a guard's
-    triple alone) is stacked afresh from the same series."""
+    triple alone) is stacked afresh from the same series; all key a label by
+    one id (``label_ids``)."""
 
     def __init__(self, A: ModuleStructure, triples=None):
         self.A = A
         self.triples = triples or [(u, v, w) for u in A.over.basis
                                    for v in A.over.basis for w in A.wbasis]
-        self._series, self._stacks, self._flags, self._triples = {}, {}, {}, {}
+        self._series, self._stacks, self._flags, self._triples, self._ids = {}, {}, {}, {}, {}
+
+    def label_ids(self):
+        """{(u, v, w): {w': id of the label (u, v, w, w')}} of every triple,
+        built on first use: the label's mixed-radix index over (over.basis,
+        over.basis, wbasis, wbasis), so it depends on the bases alone."""
+        if not self._ids:
+            at = {u: i for i, u in enumerate(self.A.over.basis)}
+            wat = {w: i for i, w in enumerate(self.A.wbasis)}
+            nb, nw = len(at), len(wat)
+            for u, v, w in self.triples:
+                base = ((at[u] * nb + at[v]) * nw + wat[w]) * nw
+                self._ids[u, v, w] = dict(zip(wat, range(base, base + nw)))
+        return self._ids
+
+    def label_of(self, i):
+        """(u, v, w), w' of the label id ``i``: ``label_ids`` inverted."""
+        basis, wbasis = self.A.over.basis, self.A.wbasis
+        rest, b = divmod(i, len(wbasis))
+        rest, w = divmod(rest, len(wbasis))
+        u, v = divmod(rest, len(basis))
+        return (basis[u], basis[v], wbasis[w]), wbasis[b]
 
     def series(self, slot):
         """{(u, v, w): slot ``slot`` of the triple there}."""
@@ -519,17 +542,18 @@ class MemberStacks:
 
 def _stack(member, slot, labels):
     """Slot ``slot`` of the triples at ``labels`` of ``member`` stacked: the
-    coefficient at each monomial is the Vec over labels (u, v, w, w') of
-    every triple's coefficient there.  The slot keeps its variable order (h
-    is stored over (s2, s1))."""
+    coefficient at each monomial is the Vec over the label ids of (u, v, w,
+    w') (``MemberStacks.label_ids``) of every triple's coefficient there.
+    The slot keeps its variable order (h is stored over (s2, s1))."""
     series, variables, stacked = member.series(slot), None, {}
+    label_ids = member.label_ids()
     for label in labels:
-        s = series[label]
+        s, ids = series[label], label_ids[label]
         variables = s.variables
         for key, vec in s.coeffs.items():
             entries = stacked.setdefault(key, {})
             for b, c in vec.entries.items():
-                entries[(*label, b)] = c
+                entries[ids[b]] = c
     return WindowedSeries.from_monomials(
         variables, {key: Vec(e) for key, e in stacked.items()})
 
@@ -546,9 +570,10 @@ def _slots(inst):
     return inst.f_at("x1", "x2"), inst.g_at("x2", "x1"), inst.h_at("x2", "x0")
 
 
-def _failing_triples(coeffs):
-    """The triples (u, v, w) in the labels (u, v, w, w') of stacked coefficients."""
-    return {label[:3] for c in coeffs.values() for label in c.entries}
+def _failing_triples(member, coeffs):
+    """The triples (u, v, w) of the label ids in ``member``'s stacked coeffs."""
+    return {member.label_of(i)[0]
+            for i in set().union(*(c.entries for c in coeffs.values()))}
 
 
 def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
@@ -556,14 +581,15 @@ def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
 
     The identity is one of operators, linear in u, v and w.  Both routes
     decide coefficient by coefficient on the fixed box [-N, N]^3; stacked,
-    each coefficient is the Vec over (u, v, w, w') of the triples' ones, and
-    the routes only add and scale such Vecs, so label components never mix.
-    So each route's failing triples, read off its nonzero coefficients, are
-    the triples that fail alone, and the two sets must be equal.  The FAIL
-    record is the first failing triple in ``over.basis`` x ``over.basis`` x
-    ``wbasis`` order, with the least monomial of route 1's stack whose Vec
-    has a label of that triple.  Route 1 reruns on that triple alone and
-    must give the same monomial, or the stacking is a violation.
+    each coefficient is the Vec over the label ids of (u, v, w, w') of the
+    triples' ones, and the routes only add and scale such Vecs, so labels
+    never mix.  So each route's failing triples, read off its nonzero
+    coefficients, are the triples that fail alone, and the two sets must be
+    equal.  The FAIL record is the first failing triple in ``over.basis`` x
+    ``over.basis`` x ``wbasis`` order, with the least monomial of route 1's
+    stack whose Vec has a label of that triple.  Route 1 reruns on that
+    triple alone and must give the same monomial, or the stacking is a
+    violation.
     """
     N = window or default_window(A)
     # Route 1 expands each term shape once per window and memo: one memo per
@@ -577,8 +603,8 @@ def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
         return PropertyReport(axiom, "PASS", {}, window=N)
     inst = member.instance()
     out = _jacobi_symbolic_zero(*_slots(inst), N, memo)
-    sym = _failing_triples(out)
-    ser = _failing_triples(three_term_series(inst, N).coeffs)
+    sym = _failing_triples(member, out)
+    ser = _failing_triples(member, three_term_series(inst, N).coeffs)
     if sym != ser:
         raise ConsistencyViolationError(f"{axiom} routes disagree on " + ", ".join(
             f"({','.join(map(str, t))}): symbolic={t not in sym} series={t not in ser}"
@@ -586,8 +612,8 @@ def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
     first = next((t for t in triples if t in sym), None)
     if first is None:
         return PropertyReport(axiom, "PASS", {}, window=N)
-    mono = min(key for key, c in out.items()
-               if any(label[:3] == first for label in c.entries))
+    ids = member.label_ids()[first].values()
+    mono = min(key for key, c in out.items() if not c.entries.keys().isdisjoint(ids))
     alone = _jacobi_symbolic_zero(*_slots(A.triple(*first)), N, memo)
     if min(alone, default=None) != mono:
         raise _moved(axiom, first, f"first monomial {dict(mono)} on the member stack",
@@ -606,7 +632,7 @@ def _weak_witnesses(kind, member, labels, N, m_max):
     pair = PAIRS[kind]
     inst = member.instance((pair.left[0], pair.right[0]), labels)
     return least_clearing_power(*pole_statement(inst, kind, N, N), m_max, labels,
-                                lambda c: (label[:3] for label in c.entries))
+                                lambda c: (member.label_of(i)[0] for i in c.entries))
 
 
 def check_weak(A: ModuleStructure, axiom, m_max=None, window=None):
@@ -657,13 +683,14 @@ def check_vf_skew_symmetry(A: ModuleStructure, axiom, m_max=None, window=None):
     region, member, failing = box(N, "x0", "x2"), A.stacks(), {}
     for part in member.classes(["hs"]):
         diff = _vf_difference(member, part, N)
-        failing |= dict.fromkeys(_failing_triples(dict(judged_coeffs(diff, region))), diff)
+        failing |= dict.fromkeys(
+            _failing_triples(member, dict(judged_coeffs(diff, region))), diff)
     first = next((t for t in member.triples if t in failing), None)
     if first is None:
         return PropertyReport(axiom, "PASS", {}, window=N)
-    diff = failing[first]
+    diff, ids = failing[first], member.label_ids()[first].values()
     mono = diff.monomial(min(key for key, c in judged_coeffs(diff, region)
-                             if any(label[:3] == first for label in c.entries)))
+                             if not c.entries.keys().isdisjoint(ids)))
     _, alone = zero_verdict(_vf_difference(member, [first], N), region)
     if alone is None or alone[0] != mono:
         raise _moved(axiom, first, f"first monomial {mono} on its class stack",

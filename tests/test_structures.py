@@ -640,10 +640,12 @@ def _jacobi_axiom(A):
 
 def _member_stack_failing_triples(A, N, memo):
     """Each route's failing triples, read off the member stack of ``A``."""
-    inst = A.stacks().instance()
+    member = A.stacks()
+    inst = member.instance()
     sym = structures._jacobi_symbolic_zero(*structures._slots(inst), N, memo)
     ser = rationalforms.three_term_series(inst, N).coeffs
-    return structures._failing_triples(sym), structures._failing_triples(ser)
+    return (structures._failing_triples(member, sym),
+            structures._failing_triples(member, ser))
 
 
 def test_stacked_jacobi_equals_the_per_triple_check(ut2_dir):
@@ -702,11 +704,12 @@ def test_jacobi_routes_disagreeing_on_a_stacked_pair_raise(monkeypatch):
     # from zero to nonzero: the triple is named, with each route's verdict
     S = borcherds_structure(3)
     u, v, w = S.basis[1], S.basis[2], S.basis[0]
+    label = structures.MemberStacks(S).label_ids()[u, v, w][w]
 
     def flipped(inst, N, _original=structures.three_term_series):
         out = _original(inst, N)
         assert not out.coeffs
-        return out.copy_meta({(0, 0, 0): Vec({(u, v, w, w): 1})})
+        return out.copy_meta({(0, 0, 0): Vec({label: 1})})
 
     monkeypatch.setattr(structures, "three_term_series", flipped)
     with pytest.raises(ConsistencyViolationError,
@@ -885,10 +888,10 @@ def _stack_alone(A, slot, labels):
     variables, stacked = None, {}
     for u, v, w in labels:
         s = A.triple(v, u, w).h if slot == "hs" else getattr(A.triple(u, v, w), slot)
-        variables = s.variables
+        variables, ids = s.variables, A.stacks().label_ids()[u, v, w]
         for key, vec in s.coeffs.items():
             for b, c in vec.entries.items():
-                stacked.setdefault(key, {})[(u, v, w, b)] = c
+                stacked.setdefault(key, {})[ids[b]] = c
     return WindowedSeries.from_monomials(
         variables, {key: Vec(e) for key, e in stacked.items()})
 
@@ -950,6 +953,50 @@ def test_exactness_classes_read_off_the_window_equal_the_per_key_scan(
         partial += sum(n for (_, whole), n in built.items() if not whole)
     assert [wholes[s] for s in "fgh"] == [len(members)] * 3 and wholes["hs"] > 100, wholes
     assert mixed >= 100 and partial >= 100 and compared > 10 * len(members)
+
+
+def test_label_ids_decode_to_their_labels_alike_in_every_stack(ut2_dir):
+    # every label (u, v, w, w') of a member has its own id, which decodes to
+    # it; each entry of the f, g, h and swapped-h member stacks is the
+    # coefficient of the label its id decodes to, and a class stack, a
+    # triple's stack alone and the stacks of a fresh MemberStacks of the
+    # member key each label by the same id
+    members = (full_corpus() + full_module_corpus()
+               + [configio.load_structure(str(ut2_dir / "ut2.json")),
+                  configio.load_module(str(ut2_dir / "ut2-regular.module.json"))]
+               + _seeded_edits(60, 12) + _random_tables(60, 21))
+    entries, classes = 0, 0
+    for A in members:
+        member, fresh = structures.MemberStacks(A), structures.MemberStacks(A)
+        assert fresh.label_ids() == member.label_ids(), A.name
+        ids = set()
+        for t, by_w in member.label_ids().items():
+            assert list(by_w) == list(A.wbasis), (A.name, t)
+            for b, i in by_w.items():
+                assert member.label_of(i) == (t, b), (A.name, t, b)
+                ids.add(i)
+        assert len(ids) == len(member.triples) * len(A.wbasis), A.name
+        for t in member.triples[:5]:
+            alone = structures.MemberStacks(A, [t]).label_ids()
+            assert alone == {t: member.label_ids()[t]}, (A.name, t)
+        for slot in ("f", "g", "h", "hs"):
+            series, whole = member.series(slot), member.stack(slot)
+            for key, c in whole.coeffs.items():
+                for i, x in c.entries.items():
+                    t, b = member.label_of(i)
+                    assert series[t].coeffs[key].entries[b] == x, (A.name, slot, t, b)
+            count = sum(len(c.entries) for c in whole.coeffs.values())
+            assert count == sum(len(c.entries) for s in series.values()
+                                for c in s.coeffs.values()), (A.name, slot)
+            entries += count
+            assert fresh.stack(slot).coeffs == whole.coeffs, (A.name, slot)
+            parts = member.classes([slot])
+            classes += len(parts) > 1
+            for part in parts + [[t] for t in member.triples[:5]]:
+                for key, c in member.stack(slot, part).coeffs.items():
+                    assert c.entries.items() <= whole.coeffs[key].entries.items(), \
+                        (A.name, slot, part)
+    assert entries > 10000 and classes >= 100
 
 
 def test_weak_and_vf_search_once_per_class_stack(monkeypatch):

@@ -18,7 +18,7 @@ from vertexcalc.structures import (
     AXIOMS,
     borcherds_construct,
     check_axiom,
-    implication_matrix,
+    replay_corpus,
 )
 
 S = borcherds_structure(3)
@@ -50,7 +50,7 @@ bad = mutants()[0]
 rep = check_axiom(bad, "jacobi")
 print(f"\n{bad.name}: jacobi {rep.verdict}, witness {rep.witnesses}")
 
-rows = implication_matrix(full_corpus())
+rows = replay_corpus(full_corpus())
 passed = sum(1 for r in rows if r["verdict"] == "PASS")
 print(f"\nimplication matrix: {len(rows)} rows, {passed} tested-and-consistent, "
       "zero premises-pass/conclusion-fails events")

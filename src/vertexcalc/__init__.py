@@ -9,9 +9,9 @@ Layers, bottom up:
 * ``rationalforms`` — the statement family (A)-(G) and implication replays;
 * ``structures`` / ``corpus`` — finite vertex structures and their actions
   (a structure is its own regular module), twelve axiom checkers of which
-  seven run on an action, the replacement-row matrix, the built-in testbed;
-* ``modules`` — module construction, the m_* axioms on the shared action
-  checkers, and the main-theorem harness;
+  seven run on an action, one dispatcher and one replay of the replacement
+  rows for structures and modules alike, the built-in testbed;
+* ``modules`` — module construction from algebra actions;
 * ``configio`` / ``cli`` — config files, deterministic reports, subcommands.
 """
 
@@ -51,22 +51,17 @@ from .rationalforms import (
 )
 from .structures import (
     AXIOMS,
+    MODULE_AXIOMS,
+    ModuleStructure,
     PropertyReport,
     VertexStructure,
     borcherds_construct,
     check_all,
     check_axiom,
-    implication_matrix,
     minimal_pole_order,
+    replay_corpus,
     restrict,
 )
-from .modules import (
-    MODULE_AXIOMS,
-    ModuleStructure,
-    check_module_all,
-    check_module_axiom,
-    main_theorem_harness,
-    module_construct,
-)
+from .modules import module_construct
 
 __version__ = "0.1.0"

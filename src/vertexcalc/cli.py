@@ -18,9 +18,9 @@ from contextlib import contextmanager
 from . import configio, corpus
 from .deltacalc import identity_lhs, prove_identity, window_coeffs
 from .errors import ConfigError, ConsistencyViolationError, ProverFailureError, VertexCalcError
-from .modules import MODULE_AXIOMS, check_module_axiom, main_theorem_harness
 from .rationalforms import IMPLICATIONS, generate_instance, replay_implication
-from .structures import AXIOMS, check_axiom, implication_matrix
+from .structures import (AXIOMS, MODULE_AXIOMS, MemberStacks, check_axiom,
+                         member_axioms, replay_corpus)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -115,16 +115,16 @@ def cmd_replay_elem(args):
     return _verdict_exit(records)
 
 
-def cmd_check(args, load, axioms, check):
-    """check / check-module: run ``check`` for each requested axiom."""
+def cmd_check(args, load):
+    """check / check-module: check each requested axiom of the member that
+    ``load`` reads, all on one ``MemberStacks``."""
     t0 = time.time()
     member = load(args.path)
-    records = []
-    with member.shared_triples():
-        for axiom in args.axiom or axioms:
-            rep = check(member, axiom, m_max=args.m_max, window=args.window)
-            records.append({"id": f"{member.name}/{axiom}", "anchor": rep.anchor,
-                            "verdict": rep.verdict, "witness": rep.witnesses})
+    stacks, records = MemberStacks(member), []
+    for axiom in args.axiom or member_axioms(member):
+        rep = check_axiom(member, axiom, args.m_max, args.window, stacks)
+        records.append({"id": f"{member.name}/{axiom}", "anchor": rep.anchor,
+                        "verdict": rep.verdict, "witness": rep.witnesses})
     _emit(args, args.command, records, t0)
     return _verdict_exit(records)
 
@@ -147,11 +147,12 @@ def _load_corpus_dir(path, want_modules):
     return out
 
 
-def cmd_rows(args, want_modules, harness, anchor):
-    """implication-matrix / main-theorem: replay ``harness`` on a corpus."""
+def cmd_rows(args, want_modules, anchor):
+    """implication-matrix / main-theorem: replay the rows of a corpus of
+    structures or of modules."""
     t0 = time.time()
     members = _load_corpus_dir(args.path, want_modules)
-    rows = harness(members, m_max=args.m_max, window=args.window)
+    rows = replay_corpus(members, m_max=args.m_max, window=args.window)
     records = [{"id": f"{r['member']}/{r['row']}", "anchor": anchor,
                 "verdict": r["verdict"], "witness": r["premises"]}
                for r in rows]
@@ -272,16 +273,12 @@ def main(argv=None) -> int:
     handlers = {
         "prove-deltas": cmd_prove_deltas,
         "replay-elem": cmd_replay_elem,
-        "check": lambda a: cmd_check(
-            a, configio.load_structure, AXIOMS, check_axiom),
-        "check-module": lambda a: cmd_check(
-            a, configio.load_module, MODULE_AXIOMS, check_module_axiom),
+        "check": lambda a: cmd_check(a, configio.load_structure),
+        "check-module": lambda a: cmd_check(a, configio.load_module),
         "implication-matrix": lambda a: cmd_rows(
-            a, False, implication_matrix,
-            "premises -> conclusions on the recorded window"),
+            a, False, "premises -> conclusions on the recorded window"),
         "main-theorem": lambda a: cmd_rows(
-            a, True, main_theorem_harness,
-            "module replacement rows on the recorded window"),
+            a, True, "module replacement rows on the recorded window"),
         "examples": cmd_examples,
     }
     try:

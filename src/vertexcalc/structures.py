@@ -18,15 +18,18 @@ the action at (u, v, w), and search their witnesses with the replays' own
 builder, ``MemberStacks``, which makes slot f (and so g) of every triple in
 one pass over the mode tables, and slot h (and so the swapped h) in another:
 each inner product is a row of a mode table, and the outer table is applied
-to its vectors as plain dicts.  Within a ``shared_triples`` block (one
-``check_all``, ``check_module_all`` or ``check`` command) the checkers share
-one ``MemberStacks``: the member's slot series, each built once, its f, g, h
-and swapped-h stacks, and each slot's per-triple flags of a negative s1
-power, from which every exactness class is read.  All are dropped when the
-block ends; outside a block, a triple is read from stacks of it alone.
-``implication_matrix`` and ``main_theorem_harness`` hand every member's
-block one route-1 memo, so the Jacobi checks of one command expand each term
-shape once.
+to its vectors as plain dicts.
+
+``check_axiom`` is the one dispatcher, for either kind of member: AXIOMS on a
+structure, MODULE_AXIOMS (``m_`` and an action checker's name) on a module.
+The checks of one ``check_all`` or ``check`` command share one
+``MemberStacks``, passed to each action checker: the member's slot series,
+each built once, its f, g, h and swapped-h stacks, each slot's per-triple
+flags of a negative s1 power, from which every exactness class is read, and
+the route-1 memo of its Jacobi check.  Nothing is held on the member, so the
+stacks die with the command.  ``replay_corpus`` hands every member's
+``MemberStacks`` one route-1 memo, so the Jacobi checks of one command expand
+each term shape once.
 
 Jacobi, the weak properties and vf_skew_symmetry are identities of
 operators, linear in u, v and w, so each is checked once per member, on slot
@@ -47,7 +50,6 @@ action's tables.  That this window suffices is not yet proved.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
@@ -187,33 +189,6 @@ class ModuleStructure:
         self.wbasis = tuple(wbasis)
         self.ywtable = _clean_table(ywtable)
         self.tags = tuple(tags)
-        self._memo = self._stacks = None
-
-    def triple(self, u, v, w):
-        """The slot triple at (u, v, w), read from the member's stacks: inside
-        ``shared_triples`` the block's, so every checker reads one triple per
-        (u, v, w); outside it stacks restricted to this label, so no products
-        outlive the checks that read them."""
-        label = (u, v, w)
-        return (self._stacks or MemberStacks(self, [label])).triple(label)
-
-    @contextmanager
-    def shared_triples(self, memo=None):
-        """Share one ``MemberStacks`` (``stacks``), and so its slot series and
-        triples, between the checkers run inside this block, and drop it when
-        the block ends.  A Jacobi check inside the block hands route 1
-        ``memo`` (see ``check_jacobi``), or a fresh dict."""
-        self._memo, self._stacks = memo, MemberStacks(self)
-        try:
-            yield
-        finally:
-            self._memo = self._stacks = None
-
-    def stacks(self):
-        """The member's ``MemberStacks``: inside ``shared_triples`` the
-        block's, so the checkers of a command share its products, stacks and
-        flags; outside it a fresh one per call."""
-        return self._stacks or MemberStacks(self)
 
     def yw_modes(self, u, w):
         """Y_W(u,x)w as a dict exponent -> module Vec (exponent is -n-1)."""
@@ -390,8 +365,8 @@ def minimal_pole_order(S: VertexStructure, u, v):
 
 # ---------------------------------------------------------------------------
 # the seven checkers shared by structures and modules, each run on an action
-# A and reporting under the name ``axiom`` it was asked for (jacobi for a
-# structure, m_jacobi for a module, and so on)
+# A with its ``MemberStacks`` and reporting under the name ``axiom`` it was
+# asked for (jacobi for a structure, m_jacobi for a module, and so on)
 
 # the Jacobi identity's three signed delta terms: exactly the expression
 # that ``prove_identity("three-term")`` reduces to zero
@@ -409,12 +384,6 @@ def _jacobi_symbolic_zero(f12, g21, h20, N, memo=None):
             terms.append(Term(coeff_mul(c, t.coeff), mono, t.delta, ()))
     expr = DeltaExpr(terms, JACOBI_DELTAS.variables)
     return window_coeffs(expr, {v: (-N, N) for v in ("x0", "x1", "x2")}, memo)
-
-
-class ActionTriple(TripleInstance):
-    """The slot triple of an action at (u, v, w): f = Y(u,s1)Y(v,s2)w,
-    g = Y(v,s1)Y(u,s2)w and h = Y(Y(u,s2)v,s1)w, a plain holder that
-    ``MemberStacks.triple`` fills from its slot series."""
 
 
 def _slot_products(A: ModuleStructure, kind, labels):
@@ -450,13 +419,15 @@ class MemberStacks:
     or hs slot h; g and hs are the f and h of the swapped triple, shared, not
     rebuilt.  A stack of fewer triples (one exactness class, or a guard's
     triple alone) is stacked afresh from the same series; all key a label by
-    one id (``label_ids``)."""
+    one id (``label_ids``).  ``memo`` is the route-1 memo of the member's
+    Jacobi check (see ``check_jacobi``): the one given, or a fresh dict."""
 
-    def __init__(self, A: ModuleStructure, triples=None):
+    def __init__(self, A: ModuleStructure, triples=None, memo=None):
         self.A = A
         self.triples = triples or [(u, v, w) for u in A.over.basis
                                    for v in A.over.basis for w in A.wbasis]
-        self._series, self._stacks, self._flags, self._triples, self._ids = {}, {}, {}, {}, {}
+        self.memo = {} if memo is None else memo
+        self._series, self._stacks, self._flags, self._ids = {}, {}, {}, {}
 
     def label_ids(self):
         """{(u, v, w): {w': id of the label (u, v, w, w')}} of every triple,
@@ -471,13 +442,13 @@ class MemberStacks:
                 self._ids[u, v, w] = dict(zip(wat, range(base, base + nw)))
         return self._ids
 
-    def label_of(self, i):
-        """(u, v, w), w' of the label id ``i``: ``label_ids`` inverted."""
+    def triple_of(self, i):
+        """The triple (u, v, w) of the label id ``i``: ``label_ids`` inverted,
+        but for w'."""
         basis, wbasis = self.A.over.basis, self.A.wbasis
-        rest, b = divmod(i, len(wbasis))
-        rest, w = divmod(rest, len(wbasis))
+        rest, w = divmod(i // len(wbasis), len(wbasis))
         u, v = divmod(rest, len(basis))
-        return (basis[u], basis[v], wbasis[w]), wbasis[b]
+        return basis[u], basis[v], wbasis[w]
 
     def series(self, slot):
         """{(u, v, w): slot ``slot`` of the triple there}."""
@@ -491,14 +462,6 @@ class MemberStacks:
             self._series[swapped] = {t: built[swap[t]] for t in self.triples}
             out = self._series[slot]
         return out
-
-    def triple(self, label):
-        """The ``ActionTriple`` at ``label``, filled from slots f, g and h."""
-        t = self._triples.get(label)
-        if t is None:
-            t = self._triples[label] = ActionTriple(
-                *(self.series(slot)[label] for slot in "fgh"))
-        return t
 
     def stack(self, slot, labels=None):
         """Slot ``slot`` of the triples at ``labels`` stacked (``_stack``);
@@ -572,11 +535,11 @@ def _slots(inst):
 
 def _failing_triples(member, coeffs):
     """The triples (u, v, w) of the label ids in ``member``'s stacked coeffs."""
-    return {member.label_of(i)[0]
+    return {member.triple_of(i)
             for i in set().union(*(c.entries for c in coeffs.values()))}
 
 
-def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
+def check_jacobi(A: ModuleStructure, axiom, m_max, window, member):
     """Jacobi checked once per member, on one stack of every (u, v, w).
 
     The identity is one of operators, linear in u, v and w.  Both routes
@@ -588,17 +551,15 @@ def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
     equal.  The FAIL record is the first failing triple in ``over.basis`` x
     ``over.basis`` x ``wbasis`` order, with the least monomial of route 1's
     stack whose Vec has a label of that triple.  Route 1 reruns on that
-    triple alone and must give the same monomial, or the stacking is a
-    violation.
+    triple's own slot series, not stacked, and must give the same monomial,
+    or the stacking is a violation.
     """
     N = window or default_window(A)
-    # Route 1 expands each term shape once per window and memo: one memo per
-    # command (``implication_matrix``, ``main_theorem_harness``), else a fresh
-    # one per check.  The oracle still recomputes every coefficient,
-    # independently of ``series``, and no expansion outlives the command.
-    memo = {} if A._memo is None else A._memo
-    member = A.stacks()
-    triples = member.triples
+    # Route 1 expands each term shape once per window and memo: the memo of
+    # ``member``, one per command (``replay_corpus`` hands every member the
+    # same).  The oracle still recomputes every coefficient, independently
+    # of ``series``, and no expansion outlives the command.
+    memo, triples = member.memo, member.triples
     if not triples:
         return PropertyReport(axiom, "PASS", {}, window=N)
     inst = member.instance()
@@ -614,7 +575,8 @@ def check_jacobi(A: ModuleStructure, axiom, m_max=None, window=None):
         return PropertyReport(axiom, "PASS", {}, window=N)
     ids = member.label_ids()[first].values()
     mono = min(key for key, c in out.items() if not c.entries.keys().isdisjoint(ids))
-    alone = _jacobi_symbolic_zero(*_slots(A.triple(*first)), N, memo)
+    own = TripleInstance(*(member.series(slot)[first] for slot in "fgh"))
+    alone = _jacobi_symbolic_zero(*_slots(own), N, memo)
     if min(alone, default=None) != mono:
         raise _moved(axiom, first, f"first monomial {dict(mono)} on the member stack",
                      dict(min(alone)) if alone else "none")
@@ -632,10 +594,10 @@ def _weak_witnesses(kind, member, labels, N, m_max):
     pair = PAIRS[kind]
     inst = member.instance((pair.left[0], pair.right[0]), labels)
     return least_clearing_power(*pole_statement(inst, kind, N, N), m_max, labels,
-                                lambda c: (member.label_of(i)[0] for i in c.entries))
+                                lambda c: map(member.triple_of, c.entries))
 
 
-def check_weak(A: ModuleStructure, axiom, m_max=None, window=None):
+def check_weak(A: ModuleStructure, axiom, m_max, window, member):
     """The three weak properties with minimal witnesses, searched once per
     member on one stack per exactness class (see the module docstring).
     The record is the first triple without a witness m <= m_max; rerun
@@ -645,7 +607,7 @@ def check_weak(A: ModuleStructure, axiom, m_max=None, window=None):
         m_max = A.max_pole_order() + 2
     kind = WEAK_PAIRS[axiom.removeprefix("m_")]
     subbed = [slot for slot, _, sub in (PAIRS[kind].left, PAIRS[kind].right) if sub]
-    member, least = A.stacks(), {}
+    least = {}
     for part in member.classes(subbed):
         least |= _weak_witnesses(kind, member, part, N, m_max)
     witnesses = dict.fromkeys(
@@ -673,14 +635,14 @@ def _vf_difference(member, labels, N):
                                     {"x0": (INF, N)})
 
 
-def check_vf_skew_symmetry(A: ModuleStructure, axiom, m_max=None, window=None):
+def check_vf_skew_symmetry(A: ModuleStructure, axiom, m_max, window, member):
     """vf skew symmetry, checked once per member on one stack per exactness
     class (the right side substitutes s1 of slot h at (v, u, w)).  The
     record is the first failing triple and the least judged monomial of its
     class stack with a label of it; rerun alone, the triple must give the
     same monomial, or the stacking is a violation."""
     N = window or default_window(A)
-    region, member, failing = box(N, "x0", "x2"), A.stacks(), {}
+    region, failing = box(N, "x0", "x2"), {}
     for part in member.classes(["hs"]):
         diff = _vf_difference(member, part, N)
         failing |= dict.fromkeys(
@@ -699,7 +661,7 @@ def check_vf_skew_symmetry(A: ModuleStructure, axiom, m_max=None, window=None):
                           window=N)
 
 
-def check_vacuum_prop(A: ModuleStructure, axiom, m_max=None, window=None):
+def check_vacuum_prop(A: ModuleStructure, axiom, m_max, window, member):
     for w in A.wbasis:
         if A.yw_modes(A.over.one, w) != {0: Vec.unit(w)}:
             return PropertyReport(axiom, "FAIL", {"element": w})
@@ -715,7 +677,7 @@ def _first_failing_pair(axiom, pairs, difference):
     return PropertyReport(axiom, "PASS", {})
 
 
-def check_d_derivative(A: ModuleStructure, axiom, m_max=None, window=None):
+def check_d_derivative(A: ModuleStructure, axiom, m_max, window, member):
     S = A.over
 
     def difference(u, w):
@@ -827,21 +789,37 @@ STRUCTURE_CHECKERS = {
 }
 
 
-def check_axiom(S: VertexStructure, axiom, m_max=None, window=None) -> PropertyReport:
-    if axiom in VACUUM_AXIOMS and S.vacuum is None:
-        return PropertyReport(axiom, "UNTESTED",
-                              {"reason": "structure has no vacuum element"})
-    if axiom in ACTION_CHECKERS:
-        return ACTION_CHECKERS[axiom](S, axiom, m_max, window)
-    if axiom in STRUCTURE_CHECKERS:
-        return STRUCTURE_CHECKERS[axiom](S, window)
-    raise ValueError(f"unknown axiom {axiom!r}")
+MODULE_AXIOMS = tuple(f"m_{axiom}" for axiom in ACTION_CHECKERS)
 
 
-def check_all(S: VertexStructure, m_max=None, window=None, memo=None):
-    """Every axiom of ``S``; its Jacobi check hands route 1 ``memo``, if given."""
-    with S.shared_triples(memo):
-        return {axiom: check_axiom(S, axiom, m_max, window) for axiom in AXIOMS}
+def member_axioms(A: ModuleStructure):
+    """The axioms of ``A``: AXIOMS on a structure, MODULE_AXIOMS on a module."""
+    return AXIOMS if A.over is A else MODULE_AXIOMS
+
+
+def check_axiom(A: ModuleStructure, axiom, m_max=None, window=None,
+                stacks=None) -> PropertyReport:
+    """``axiom`` of ``A``, one of ``member_axioms(A)``; an action checker
+    reads ``stacks``, the ``MemberStacks`` of ``A``, or a fresh one.  An
+    axiom that needs a vacuum is UNTESTED where ``A.over`` has none."""
+    structure = A.over is A
+    if axiom not in member_axioms(A):
+        raise ValueError(f"unknown {'' if structure else 'module '}axiom {axiom!r}")
+    name = axiom.removeprefix("m_")
+    if name in VACUUM_AXIOMS and A.over.vacuum is None:
+        return PropertyReport(axiom, "UNTESTED", {"reason": (
+            "structure" if structure else "base structure") + " has no vacuum element"})
+    if name in STRUCTURE_CHECKERS:
+        return STRUCTURE_CHECKERS[name](A, window)
+    return ACTION_CHECKERS[name](A, axiom, m_max, window, stacks or MemberStacks(A))
+
+
+def check_all(A: ModuleStructure, m_max=None, window=None, memo=None):
+    """Every axiom of ``A``, all reading one ``MemberStacks``; its Jacobi
+    check hands route 1 ``memo``, if given."""
+    stacks = MemberStacks(A, memo=memo)
+    return {axiom: check_axiom(A, axiom, m_max, window, stacks)
+            for axiom in member_axioms(A)}
 
 
 # ---------------------------------------------------------------------------
@@ -934,15 +912,16 @@ ROWS = {"structure": REPLACEMENTS["action"] + REPLACEMENTS["structure"],
         + REPLACEMENTS["module"]}
 
 
-def replay_rows(A: ModuleStructure, level, verdicts, m_max=None, window=None):
-    """Replay the rows of ``level`` on the member ``A`` from its verdicts
-    (named ``m_<axiom>`` on a module, whose row ids take ``m-``).  A row
+def replay_rows(A: ModuleStructure, verdicts, m_max=None, window=None):
+    """Replay the rows of the member ``A`` (``ROWS``: structure rows on a
+    structure, module rows on a module) from its verdicts (named
+    ``m_<axiom>`` on a module, whose row ids take ``m-``).  A row
     whose premises fail is UNTESTED.  Where they pass and its conclusions
     fail, and only there, ``A.over`` is checked on the row's base premises:
     one that does not pass makes the row UNTESTED, recorded as
     ``<over>/<axiom>``; if all pass, ConsistencyViolationError is raised.  An equivalence gives
     one record per conclusion, against the last."""
-    ax, prefix = ("m_", "m-") if level == "module" else ("", "")
+    level, ax, prefix = ("structure", "", "") if A.over is A else ("module", "m_", "m-")
     report = []
     for row in ROWS[level]:
         prem = {ax + p: verdicts[ax + p].verdict for p in row.premises}
@@ -967,9 +946,18 @@ def replay_rows(A: ModuleStructure, level, verdicts, m_max=None, window=None):
     return report
 
 
-def implication_matrix(corpus, m_max=None, window=None):
-    """Replay the action and structure rows on every corpus member.  The
-    members' Jacobi checks share one route-1 memo, which dies with the call."""
-    memo = {}
-    return [record for S in corpus for record in replay_rows(
-        S, "structure", check_all(S, m_max, window, memo), m_max, window)]
+def replay_corpus(corpus, m_max=None, window=None):
+    """Replay every member's rows (``replay_rows``) on its ``check_all``
+    verdicts.  The members' Jacobi checks share one route-1 memo, which dies
+    with the call.  Module weak commutativity is never encoded as sufficient
+    (with module skew-symmetry or otherwise): each module gets an UNTESTED
+    record saying so, so that its absence is visible."""
+    report, memo = [], {}
+    for A in corpus:
+        report += replay_rows(A, check_all(A, m_max, window, memo), m_max, window)
+        if A.over is not A:
+            report.append({"member": A.name, "row": "m-wc+vfss-not-encoded",
+                           "verdict": "UNTESTED", "premises": {
+                               "reason": "module weak commutativity is not a "
+                                         "sufficient replacement; no such row exists"}})
+    return report

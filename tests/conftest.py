@@ -6,7 +6,7 @@ import pytest
 from vertexcalc import configio, structures
 from vertexcalc.deltacalc import mono_of, sv_neg
 from vertexcalc.errors import SummabilityError, WindowUnderflowError
-from vertexcalc.rationalforms import pole_statement
+from vertexcalc.rationalforms import TripleInstance, pole_statement
 from vertexcalc.scalars import binom
 from vertexcalc.series import multiply, zero_verdict
 from vertexcalc.structures import WEAK_PAIRS
@@ -69,14 +69,23 @@ def witness_is_valid(diff, clear, m, box):
     return zero_verdict(prod, box)[0]
 
 
-def _weak_difference(A, axiom, u, v, w, N):
+def slot_triple(A, u, v, w, stacks=None):
+    """The slot triple of ``A`` at (u, v, w): f = Y(u,s1)Y(v,s2)w,
+    g = Y(v,s1)Y(u,s2)w and h = Y(Y(u,s2)v,s1)w, read from ``stacks`` (a
+    ``MemberStacks`` of ``A`` shared by the caller's checks) or from stacks
+    of that triple alone."""
+    member = stacks or structures.MemberStacks(A, [(u, v, w)])
+    return TripleInstance(*(member.series(slot)[u, v, w] for slot in "fgh"))
+
+
+def _weak_difference(A, axiom, u, v, w, N, stacks=None):
     """(difference series, clearing factor m -> series, window box) of a weak
     property on one triple; ``axiom`` is weak_comm / weak_assoc /
     weak_skew_assoc, with or without the m_ prefix.  The recipe is the
-    property's pair in ``rationalforms.PAIRS``, on the action's slot triple,
-    with tails cut at N."""
+    property's pair in ``rationalforms.PAIRS``, on the action's slot triple
+    (read from ``stacks``, as ``slot_triple``), with tails cut at N."""
     kind = WEAK_PAIRS[axiom.removeprefix("m_")]
-    return pole_statement(A.triple(u, v, w), kind, N, N)
+    return pole_statement(slot_triple(A, u, v, w, stacks), kind, N, N)
 
 
 def is_zero(series):

@@ -22,7 +22,6 @@ from vertexcalc.deltacalc import (
     taylor_shift,
     window_coeffs,
 )
-from vertexcalc.modules import main_theorem_harness
 from vertexcalc.rationalforms import (
     check_A,
     find_pole_witness,
@@ -32,8 +31,8 @@ from vertexcalc.rationalforms import (
 from vertexcalc.structures import (
     check_all,
     check_axiom,
-    implication_matrix,
     minimal_pole_order,
+    replay_corpus,
 )
 
 
@@ -162,7 +161,7 @@ def test_criterion_5_randomized_implication_replays():
 def test_criterion_6_implication_matrix_consistency():
     t0 = time.time()
     corpus = full_corpus()
-    rows = implication_matrix(corpus)  # raises on any violation
+    rows = replay_corpus(corpus)  # raises on any violation
     verdicts = {r["verdict"] for r in rows}
     ok = verdicts <= {"PASS", "UNTESTED"} and len(corpus) == 18
     expected = mutant_expected_failures()
@@ -183,7 +182,7 @@ def test_criterion_6_implication_matrix_consistency():
 def test_criterion_7_main_theorem_harness():
     t0 = time.time()
     corpus = full_module_corpus()
-    rows = main_theorem_harness(corpus)  # raises on any asymmetry
+    rows = replay_corpus(corpus)  # raises on any asymmetry
     eq_rows = [r for r in rows if r["row"].startswith("m-main-equivalence")]
     ok = len(corpus) == 17 and len(eq_rows) == 2 * len(corpus)
     dt = time.time() - t0

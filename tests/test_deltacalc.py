@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import expand_signed_power_reference
+from conftest import expand_signed_power_reference, slot_triple
 
 from vertexcalc import structures
 from vertexcalc.corpus import full_corpus, full_module_corpus
@@ -568,7 +568,7 @@ def _jacobi_route_one_calls(monkeypatch):
             for u in A.over.basis:
                 for v in A.over.basis:
                     for w in A.wbasis:
-                        inst = A.triple(u, v, w)
+                        inst = slot_triple(A, u, v, w)
                         structures._jacobi_symbolic_zero(
                             inst.f_at("x1", "x2"), inst.g_at("x2", "x1"),
                             inst.h_at("x2", "x0"), N)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from conftest import assert_one_build_per_member_and_kind
 
@@ -10,22 +12,15 @@ from vertexcalc.corpus import (
     module_family,
     module_mutant_expected_failures,
     module_mutants,
-    mutants,
     truncated_polynomial_algebra,
     _module_data,
 )
 from vertexcalc.errors import ConsistencyViolationError, ConstructionError
-from vertexcalc.modules import (
-    MODULE_AXIOMS,
-    ModuleStructure,
-    check_module_all,
-    check_module_axiom,
-    main_theorem_harness,
-    module_construct,
-)
+from vertexcalc.modules import MODULE_AXIOMS, ModuleStructure, module_construct
 from vertexcalc.scalars import Vec
-from vertexcalc.structures import (REPLACEMENTS, MemberStacks, PropertyReport,
-                                   check_axiom, implication_matrix, replay_rows)
+from vertexcalc.structures import (ANCHORS, REPLACEMENTS, VACUUM_AXIOMS,
+                                   PropertyReport, check_all, check_axiom,
+                                   replay_corpus, replay_rows)
 
 
 def regular_by_tables(S):
@@ -52,7 +47,7 @@ def test_module_construct_refuses_bad_action():
 
 def test_valid_module_corpus_passes_everything():
     for M in module_family():
-        verdicts = check_module_all(M)
+        verdicts = check_all(M)
         assert all(r.verdict == "PASS" for r in verdicts.values()), M.name
 
 
@@ -67,34 +62,36 @@ def test_ideal_module_is_proper_submodule():
 def test_quotient_module_action_well_defined():
     M = make_module(4, "quotient")
     assert set(M.wbasis) == {"f0", "f1", "f2"}
-    assert check_module_axiom(M, "m_jacobi").verdict == "PASS"
+    assert check_axiom(M, "m_jacobi").verdict == "PASS"
 
 
 def test_module_checker_verdicts_match_algebra_on_regular_module():
-    pairs = {
-        "m_jacobi": "jacobi",
-        "m_weak_comm": "weak_comm",
-        "m_weak_assoc": "weak_assoc",
-        "m_weak_skew_assoc": "weak_skew_assoc",
-        "m_vf_skew_symmetry": "vf_skew_symmetry",
-        "m_vacuum_prop": "vacuum_prop",
-        "m_d_derivative": "d_derivative",
-    }
-    bases = [borcherds_structure(3)]
-    bases += [m for m in mutants()
-              if m.name in ("mutant-iterate-shift", "mutant-fat-vacuum")]
-    for S in bases:
+    # an algebra is its own regular module: on every member of the corpus
+    # each shared axiom gives the same verdict, window and witness on both
+    # sides; an UNTESTED reason names the structure on one side and the base
+    # structure on the other
+    untested = 0
+    for S in full_corpus():
         M = regular_by_tables(S)
-        for m_axiom, axiom in pairs.items():
-            got = check_module_axiom(M, m_axiom).verdict
-            want = check_axiom(S, axiom).verdict
-            assert got == want, (S.name, m_axiom)
+        for m_axiom in MODULE_AXIOMS:
+            got = check_axiom(M, m_axiom).to_json()
+            want = check_axiom(S, m_axiom.removeprefix("m_")).to_json()
+            assert (got["verdict"], got["window"]) == (want["verdict"], want["window"]), \
+                (S.name, m_axiom)
+            if want["verdict"] == "UNTESTED":
+                assert (got["witness"], want["witness"]) == (
+                    {"reason": "base structure has no vacuum element"},
+                    {"reason": "structure has no vacuum element"}), (S.name, m_axiom)
+                untested += 1
+            else:
+                assert got["witness"] == want["witness"], (S.name, m_axiom)
+    assert untested and len(full_corpus()) == 18
 
 
 def test_module_mutants_fail_their_named_axioms():
     expected = module_mutant_expected_failures()
     for M in module_mutants():
-        verdicts = check_module_all(M)
+        verdicts = check_all(M)
         failed = {a for a, r in verdicts.items() if r.verdict == "FAIL"}
         assert failed == set(expected[M.name]), (M.name, sorted(failed))
 
@@ -107,7 +104,7 @@ def test_jacobi_failing_module_mutants_fail_both_weak_replacements():
 
 
 def test_main_theorem_harness_consistent_and_informative():
-    report = main_theorem_harness(full_module_corpus())
+    report = replay_corpus(full_module_corpus())
     verdicts = {r["verdict"] for r in report}
     assert verdicts <= {"PASS", "UNTESTED"}
     # the D-derivative-from-weak-associativity row is actually exercised
@@ -119,7 +116,7 @@ def test_main_theorem_harness_consistent_and_informative():
 
 
 def test_harness_equivalence_rows_per_member():
-    report = main_theorem_harness(full_module_corpus())
+    report = replay_corpus(full_module_corpus())
     members = {r["member"] for r in report}
     for member in members:
         eq = [r for r in report
@@ -133,9 +130,9 @@ def test_action_rows_agree_on_a_structure_and_its_regular_module():
     action = {row.id for row in REPLACEMENTS["action"]}
     for S in full_corpus():
         regular = ModuleStructure(S.name, S, S.basis, S.ytable)
-        on_structure = {r["row"]: r for r in implication_matrix([S])
+        on_structure = {r["row"]: r for r in replay_corpus([S])
                         if r["row"] in action}
-        on_module = {r["row"][2:]: r for r in main_theorem_harness([regular])
+        on_module = {r["row"][2:]: r for r in replay_corpus([regular])
                      if r["row"][2:] in action}
         assert set(on_structure) == set(on_module) == action, S.name
         for row, rec in on_structure.items():
@@ -158,17 +155,17 @@ def test_main_theorem_checks_no_base_structure_unless_a_row_fails(
         return wrapped
 
     monkeypatch.setattr(structures, "check_axiom", spy(structures.check_axiom))
-    for table in (structures.ACTION_CHECKERS, structures.STRUCTURE_CHECKERS,
-                  modules.MODULE_CHECKERS):
+    for table in (structures.ACTION_CHECKERS, structures.STRUCTURE_CHECKERS):
         for name, check in table.items():
             monkeypatch.setitem(table, name, spy(check))
     corpus = full_module_corpus()
-    main_theorem_harness(corpus)
-    assert len(seen) == len(corpus) * len(modules.MODULE_AXIOMS)
+    replay_corpus(corpus)
+    # each module axiom is seen twice: dispatched by check_axiom, then checked
+    assert len(seen) == 2 * len(corpus) * len(modules.MODULE_AXIOMS)
     assert not any(A is M.over for A in seen for M in corpus)
     # the spies do see a base structure once a row needs it
     ut2 = configio.load_module(str(ut2_dir / "ut2-regular.module.json"))
-    main_theorem_harness([ut2])
+    replay_corpus([ut2])
     assert any(A is ut2.over for A in seen)
 
 
@@ -177,7 +174,7 @@ def test_module_row_violated_over_a_vertex_algebra_raises_with_base_verdicts():
     # associativity passes and whose Jacobi identity fails contradicts the
     # main theorem: the violation names the base verdicts it was checked on
     M = make_module(3, "regular")
-    verdicts = check_module_all(M)
+    verdicts = check_all(M)
     for axiom in ("m_jacobi", "m_weak_comm", "m_weak_skew_assoc",
                   "m_vf_skew_symmetry"):
         verdicts[axiom] = PropertyReport(axiom, "FAIL")
@@ -188,7 +185,7 @@ def test_module_row_violated_over_a_vertex_algebra_raises_with_base_verdicts():
                              r"passes \{'borcherds-k3/jacobi': 'PASS', "
                              r"'borcherds-k3/vacuum_prop': 'PASS', "
                              r"'borcherds-k3/creation_prop': 'PASS'\}$"):
-        replay_rows(M, "module", verdicts)
+        replay_rows(M, verdicts)
 
 
 def test_vacuum_free_module_over_ideal_structure():
@@ -200,37 +197,11 @@ def test_vacuum_free_module_over_ideal_structure():
     action = {(u, w): mult[(u, w)] for u in S.basis for w in S.basis
               if mult.get((u, w))}
     M = module_construct(S, mult, dmap, S.basis, action, "vf-module-k3")
-    assert check_module_axiom(M, "m_vacuum_prop").verdict == "UNTESTED"
-    assert check_module_axiom(M, "m_d_derivative").verdict == "UNTESTED"
+    assert check_axiom(M, "m_vacuum_prop").verdict == "UNTESTED"
+    assert check_axiom(M, "m_d_derivative").verdict == "UNTESTED"
     for axiom in ("m_jacobi", "m_weak_comm", "m_weak_assoc",
                   "m_weak_skew_assoc", "m_vf_skew_symmetry"):
-        assert check_module_axiom(M, axiom).verdict == "PASS"
-
-
-SHARED_AXIOMS = ("jacobi", "weak_comm", "weak_assoc", "weak_skew_assoc",
-                 "vf_skew_symmetry", "vacuum_prop", "d_derivative")
-
-
-def _comparable(report):
-    """Report JSON without the side-specific name, anchor and UNTESTED reason."""
-    out = report.to_json()
-    del out["axiom"], out["anchor"]
-    if out["verdict"] == "UNTESTED":
-        out["witness"] = {k: v for k, v in out["witness"].items()
-                          if k != "reason"}
-    return out
-
-
-def test_shared_checkers_agree_on_regular_module_across_corpus():
-    # an algebra is its own regular module: each shared axiom must give the
-    # same verdict, witness and window on both sides, for every member
-    from vertexcalc.corpus import full_corpus
-    for S in full_corpus():
-        M = ModuleStructure(S.name, S, S.basis, S.ytable)
-        for axiom in SHARED_AXIOMS:
-            want = _comparable(check_axiom(S, axiom))
-            got = _comparable(check_module_axiom(M, f"m_{axiom}"))
-            assert got == want, (S.name, axiom)
+        assert check_axiom(M, axiom).verdict == "PASS"
 
 
 def test_module_anchors_need_only_the_structures_module():
@@ -249,21 +220,42 @@ def test_module_anchors_need_only_the_structures_module():
         "Yw(v,x2)Yw(u,x1)w = x1^-1 d((x2+x0)/x1) Yw(Y(u,x0)v,x2)w")
 
 
-def test_check_module_all_shares_one_slot_triple_per_member(monkeypatch,
-                                                            slot_product_calls):
+def test_check_module_all_shares_one_slot_triple_per_member(slot_product_calls):
     corpus = full_module_corpus()
-    shared = [{a: r.to_json() for a, r in check_module_all(M).items()}
+    members = corpus + [M.over for M in corpus]
+    held = [dict(vars(A)) for A in members]
+    shared = [{a: r.to_json() for a, r in check_all(M).items()}
               for M in corpus]
     # slot f and slot h are each built once per member, at every triple in
-    # one pass, and the member's stacks are dropped when check_module_all
-    # returns
+    # one pass
     assert_one_build_per_member_and_kind(slot_product_calls, corpus)
-    assert all(M._stacks is None for M in corpus)
-    # fresh stacks for every checker, and a triple read from stacks of it
-    # alone, give the same verdicts and witnesses
-    monkeypatch.setattr(ModuleStructure, "stacks", lambda A: MemberStacks(A))
-    monkeypatch.setattr(ModuleStructure, "triple",
-                        lambda A, u, v, w: MemberStacks(A, [(u, v, w)]).triple((u, v, w)))
-    fresh = [{a: r.to_json() for a, r in check_module_all(M).items()}
+    # the stacks are passed to the checks, not held: check_all and the
+    # corpus replay leave every module and structure as they found it
+    replay_corpus(corpus)
+    for A, before in zip(members, held):
+        assert vars(A).keys() == before.keys(), A.name
+        assert all(vars(A)[k] is v for k, v in before.items()), A.name
+    # fresh stacks for every checker give the same verdicts and witnesses
+    fresh = [{a: check_axiom(M, a).to_json() for a in MODULE_AXIOMS}
              for M in full_module_corpus()]
     assert shared == fresh
+
+
+def test_one_dispatcher_refuses_the_other_kinds_axioms():
+    # check_axiom serves structures and modules: each refuses the other
+    # kind's names, and a module has no structure-only axiom
+    from vertexcalc.corpus import ideal_structure
+    S = ideal_structure(3)
+    M = ModuleStructure("vf-module-k3", S, S.basis, S.ytable)
+    for member, axiom in ((S, "m_jacobi"), (M, "jacobi"), (M, "injectivity")):
+        with pytest.raises(ValueError, match=f"^unknown (module )?axiom '{axiom}'$"):
+            check_axiom(member, axiom)
+    # over a base without a vacuum the UNTESTED records keep their bytes
+    for member, axioms, reason in (
+            (S, sorted(VACUUM_AXIOMS), "structure has no vacuum element"),
+            (M, ["m_d_derivative", "m_vacuum_prop"],
+             "base structure has no vacuum element")):
+        for axiom in axioms:
+            want = {"axiom": axiom, "anchor": ANCHORS[axiom], "verdict": "UNTESTED",
+                    "witness": {"reason": reason}, "window": None}
+            assert json.dumps(check_axiom(member, axiom).to_json()) == json.dumps(want)

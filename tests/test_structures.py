@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import (_weak_difference, assert_one_build_per_member_and_kind, is_zero,
-                      witness_is_valid)
+                      slot_triple, witness_is_valid)
 
 from vertexcalc import configio, deltacalc, rationalforms, series, structures
 from vertexcalc.corpus import (
@@ -22,8 +22,6 @@ from vertexcalc.corpus import (
 )
 from vertexcalc.errors import (ConsistencyViolationError, ConstructionError,
                                VertexCalcError, WindowUnderflowError)
-from vertexcalc.modules import (MODULE_CHECKERS, check_module_all, check_module_axiom,
-                                main_theorem_harness)
 from vertexcalc.rationalforms import S1, S2
 from vertexcalc.scalars import Vec
 from vertexcalc.series import INF, WindowedSeries, taylor_substitute
@@ -37,8 +35,8 @@ from vertexcalc.structures import (
     check_all,
     check_axiom,
     check_jacobi,
-    implication_matrix,
     minimal_pole_order,
+    replay_corpus,
     restrict,
 )
 
@@ -77,7 +75,7 @@ def test_vacuum_acts_as_identity():
 
 def test_compose_with_vacuum_drops_first_variable():
     S = borcherds_structure(3)
-    got = S.triple("e0", "e1", "e1").f_at("x1", "x2")
+    got = slot_triple(S, "e0", "e1", "e1").f_at("x1", "x2")
     direct = S.yw_series("e1", "e1", "x2")
     assert is_zero(got - direct.align(("x1", "x2")))
 
@@ -87,7 +85,7 @@ def test_iterate_on_vacuum_is_taylor_shift():
     S = borcherds_structure(4)
     for u in S.basis:
         for w in S.basis:
-            left = S.triple(u, "e0", w).h_at("x2", "x0")
+            left = slot_triple(S, u, "e0", w).h_at("x2", "x0")
             base = S.yw_series(u, w, "t")
             right = taylor_substitute(base, "t", (1, "x2"), (1, "x0"))
             assert is_zero(left - right.align(("x0", "x2")))
@@ -178,7 +176,7 @@ def test_mutant_failures_carry_concrete_witnesses():
 
 
 def test_implication_matrix_consistency_on_full_corpus():
-    report = implication_matrix(full_corpus())
+    report = replay_corpus(full_corpus())
     verdicts = {r["verdict"] for r in report}
     assert verdicts <= {"PASS", "UNTESTED"}
     # vacuous rows are flagged UNTESTED, not passed
@@ -268,21 +266,21 @@ def test_vfss_equivalent_to_ss_plus_dder_at_verdict_level():
         assert vf == both, S.name
 
 
-def test_check_all_shares_one_slot_triple_per_member(monkeypatch,
-                                                     slot_product_calls):
+def test_check_all_shares_one_slot_triple_per_member(slot_product_calls):
     corpus = full_corpus()
+    held = [dict(vars(S)) for S in corpus]
     shared = [{a: r.to_json() for a, r in check_all(S).items()} for S in corpus]
     # slot f and slot h are each built once per member, at every triple in
-    # one pass, and the member's stacks are dropped when check_all returns
+    # one pass
     assert_one_build_per_member_and_kind(slot_product_calls, corpus)
-    assert all(S._stacks is None for S in corpus)
-    # fresh stacks for every checker, and a triple read from stacks of it
-    # alone, give the same verdicts and witnesses
-    monkeypatch.setattr(ModuleStructure, "stacks", lambda A: MemberStacks(A))
-    monkeypatch.setattr(ModuleStructure, "triple",
-                        lambda A, u, v, w: MemberStacks(A, [(u, v, w)]).triple((u, v, w)))
-    fresh = [{a: r.to_json() for a, r in check_all(S).items()}
-             for S in full_corpus()]
+    # the stacks are passed to the checks, not held: check_all and the
+    # corpus replay leave every structure as they found it
+    replay_corpus(corpus)
+    for S, before in zip(corpus, held):
+        assert vars(S).keys() == before.keys(), S.name
+        assert all(vars(S)[k] is v for k, v in before.items()), S.name
+    # fresh stacks for every checker give the same verdicts and witnesses
+    fresh = [{a: check_axiom(S, a).to_json() for a in AXIOMS} for S in full_corpus()]
     assert shared == fresh
 
 
@@ -326,7 +324,7 @@ def test_slot_builder_equals_the_term_by_term_products(ut2_dir):
                + _seeded_edits(60, 12) + _random_tables(60, 21))
     compared, monomials, rationals = 0, 0, 0
     for A in members:
-        member = A.stacks()
+        member = MemberStacks(A)
         for slot in ("f", "g", "h", "hs"):
             for (u, v, w), got in member.series(slot).items():
                 want = _slot_reference(A, slot, u, v, w)
@@ -336,7 +334,7 @@ def test_slot_builder_equals_the_term_by_term_products(ut2_dir):
                 rationals += sum(type(x) is Fraction for c in got.coeffs.values()
                                  for x in c.entries.values())
         for label in member.triples[::4]:
-            alone = A.triple(*label)
+            alone = slot_triple(A, *label)
             for slot in "fgh":
                 assert _series_facts(getattr(alone, slot)) == _series_facts(
                     member.series(slot)[label]), (A.name, slot, label)
@@ -379,16 +377,12 @@ def test_jacobi_expands_each_factor_window_once_per_check(monkeypatch):
         return _original(factor, need, *mono)
 
     monkeypatch.setattr(deltacalc, "_expand_factor", counted)
-    for table, axiom in ((ACTION_CHECKERS, "jacobi"),
-                         (MODULE_CHECKERS, "m_jacobi")):
-        def entered(A, *args, _check=table[axiom]):
-            checks.append(A.name)
-            return _check(A, *args)
-        monkeypatch.setitem(table, axiom, entered)
-    for S in full_corpus():
-        check_all(S)
-    for M in full_module_corpus():
-        check_module_all(M)
+    def entered(A, *args, _check=ACTION_CHECKERS["jacobi"]):
+        checks.append(A.name)
+        return _check(A, *args)
+    monkeypatch.setitem(ACTION_CHECKERS, "jacobi", entered)
+    for A in full_corpus() + full_module_corpus():
+        check_all(A)
     assert len(checks) == len(full_corpus()) + len(full_module_corpus())
     assert expansions and max(expansions.values()) == 1
 
@@ -411,16 +405,12 @@ def test_jacobi_expands_each_term_shape_once_per_check(monkeypatch):
 
     monkeypatch.setattr(deltacalc, "_unit_window_coeffs", counted)
     monkeypatch.setattr(structures, "window_coeffs", seen)
-    for table, axiom in ((ACTION_CHECKERS, "jacobi"),
-                         (MODULE_CHECKERS, "m_jacobi")):
-        def entered(A, *args, _check=table[axiom]):
-            checks.append(A.name)
-            return _check(A, *args)
-        monkeypatch.setitem(table, axiom, entered)
-    for S in full_corpus():
-        check_all(S)
-    for M in full_module_corpus():
-        check_module_all(M)
+    def entered(A, *args, _check=ACTION_CHECKERS["jacobi"]):
+        checks.append(A.name)
+        return _check(A, *args)
+    monkeypatch.setitem(ACTION_CHECKERS, "jacobi", entered)
+    for A in full_corpus() + full_module_corpus():
+        check_all(A)
     assert len(checks) == len(full_corpus()) + len(full_module_corpus())
     assert units and max(units.values()) == 1
     # the shapes repeat, so the memo saves expansions
@@ -440,7 +430,7 @@ def test_route_one_checks_the_proved_three_term_identity(monkeypatch):
         for u in A.over.basis:
             for v in A.over.basis:
                 for w in A.wbasis:
-                    inst = A.triple(u, v, w)
+                    inst = slot_triple(A, u, v, w)
                     slots = (inst.f_at("x1", "x2"), inst.g_at("x2", "x1"),
                              inst.h_at("x2", "x0"))
                     structures._jacobi_symbolic_zero(*slots, 5)
@@ -473,7 +463,7 @@ def test_jacobi_memo_holds_only_unit_expansions(monkeypatch):
     for S in full_corpus():
         check_axiom(S, "jacobi")
     for M in full_module_corpus():
-        check_module_axiom(M, "m_jacobi")
+        check_axiom(M, "m_jacobi")
     assert len(memos) == len(full_corpus()) + len(full_module_corpus())
     deltas = {t.delta for t in deltacalc.identity_lhs("three-term").terms}
     assert sum(map(len, memos)) > 100
@@ -488,10 +478,10 @@ def test_jacobi_memo_holds_only_unit_expansions(monkeypatch):
 
 
 def test_jacobi_expands_each_term_shape_once_per_command(monkeypatch):
-    # implication_matrix and main_theorem_harness each hand one route-1 memo
-    # to the Jacobi check of every member: each (shape, window) is expanded
-    # once per call, and the next call expands them all again, so no
-    # expansion outlives a command
+    # replay_corpus hands one route-1 memo to the Jacobi check of every
+    # member: each (shape, window) is expanded once per call, on the
+    # structure corpus and on the module corpus, and the next call expands
+    # them all again, so no expansion outlives a command
     units = Counter()
 
     def counted(t, window, _original=deltacalc._unit_window_coeffs):
@@ -499,12 +489,11 @@ def test_jacobi_expands_each_term_shape_once_per_command(monkeypatch):
         return _original(t, window)
 
     monkeypatch.setattr(deltacalc, "_unit_window_coeffs", counted)
-    for command, corpus, shapes in ((implication_matrix, full_corpus(), 59),
-                                    (main_theorem_harness, full_module_corpus(), 55)):
+    for corpus, shapes in ((full_corpus(), 59), (full_module_corpus(), 55)):
         calls = []
         for _ in range(2):
             units.clear()
-            command(corpus)
+            replay_corpus(corpus)
             calls.append(dict(units))
         assert len(calls[0]) == shapes and set(calls[0].values()) == {1}
         assert calls[1] == calls[0]
@@ -539,7 +528,7 @@ def test_route_two_writes_only_inside_the_delta_window(monkeypatch):
     for S in full_corpus():
         check_axiom(S, "jacobi")
     for M in full_module_corpus():
-        check_module_axiom(M, "m_jacobi")
+        check_axiom(M, "m_jacobi")
     for seed in range(8):
         inst = rationalforms.generate_instance(seed, N=8)
         for which in rationalforms.IMPLICATIONS:
@@ -578,7 +567,7 @@ def test_route_two_calls_add_power_only_for_a_nonempty_tail_range(monkeypatch):
     for S in full_corpus():
         check_axiom(S, "jacobi")
     for M in full_module_corpus():
-        check_module_axiom(M, "m_jacobi")
+        check_axiom(M, "m_jacobi")
     for seed in range(8):
         inst = rationalforms.generate_instance(seed, N=8)
         for which in rationalforms.IMPLICATIONS:
@@ -592,16 +581,16 @@ def test_route_two_calls_add_power_only_for_a_nonempty_tail_range(monkeypatch):
 # Jacobi once per member, on one stack of every (u, v, w)
 
 
-def _per_triple_jacobi(A, axiom, N, memo):
+def _per_triple_jacobi(A, axiom, N, memo, stacks):
     """The Jacobi check run triple by triple, as it was before stacking: both
-    routes on each (u, v, w), the first failing triple reported.  Every
-    triple's verdict is kept beside the report, so the reference continues
-    past the first FAIL."""
+    routes on each (u, v, w) (its slot series read from ``stacks``), the
+    first failing triple reported.  Every triple's verdict is kept beside
+    the report, so the reference continues past the first FAIL."""
     verdicts, report = {}, None
     for u in A.over.basis:
         for v in A.over.basis:
             for w in A.wbasis:
-                inst = A.triple(u, v, w)
+                inst = slot_triple(A, u, v, w, stacks)
                 out = structures._jacobi_symbolic_zero(
                     inst.f_at("x1", "x2"), inst.g_at("x2", "x1"),
                     inst.h_at("x2", "x0"), N, memo)
@@ -638,9 +627,8 @@ def _jacobi_axiom(A):
     return "jacobi" if A.over is A else "m_jacobi"
 
 
-def _member_stack_failing_triples(A, N, memo):
-    """Each route's failing triples, read off the member stack of ``A``."""
-    member = A.stacks()
+def _member_stack_failing_triples(member, N, memo):
+    """Each route's failing triples, read off the member stack of ``member``."""
     inst = member.instance()
     sym = structures._jacobi_symbolic_zero(*structures._slots(inst), N, memo)
     ser = rationalforms.three_term_series(inst, N).coeffs
@@ -656,17 +644,17 @@ def test_stacked_jacobi_equals_the_per_triple_check(ut2_dir):
     triples, failing_triples, failing_pairs, reports = 0, 0, 0, Counter()
     for A in members:
         axiom, N, memo = _jacobi_axiom(A), structures.default_window(A), {}
-        with A.shared_triples():
-            want, per_triple = _per_triple_jacobi(A, axiom, N, memo)
-            failing = {t for t, ok in per_triple.items() if not ok}
-            # each route's failing triples, read from the one stack of the
-            # member, are exactly the triples that fail alone
-            assert _member_stack_failing_triples(A, N, memo) == (failing, failing), \
-                A.name
-            triples += len(per_triple)
-            failing_triples += len(failing)
-            failing_pairs += len({t[:2] for t in failing})
-            got = structures.check_jacobi(A, axiom)
+        stacks = MemberStacks(A)
+        want, per_triple = _per_triple_jacobi(A, axiom, N, memo, stacks)
+        failing = {t for t, ok in per_triple.items() if not ok}
+        # each route's failing triples, read from the one stack of the
+        # member, are exactly the triples that fail alone
+        assert _member_stack_failing_triples(stacks, N, memo) == (failing, failing), \
+            A.name
+        triples += len(per_triple)
+        failing_triples += len(failing)
+        failing_pairs += len({t[:2] for t in failing})
+        got = structures.check_jacobi(A, axiom, None, None, stacks)
         assert got.to_json() == want.to_json(), A.name
         reports[got.verdict] += 1
     assert triples > 10000 and failing_triples > 1000 and failing_pairs > 100
@@ -694,7 +682,8 @@ def test_jacobi_runs_route_two_once_per_pass_member(monkeypatch):
         for A, verdict, route1_calls in ((passing, "PASS", 1), (failing, "FAIL", 2)):
             route1.clear()
             route2.clear()
-            assert structures.check_jacobi(A, axiom).verdict == verdict, A.name
+            assert structures.check_jacobi(
+                A, axiom, None, None, MemberStacks(A)).verdict == verdict, A.name
             assert len(A.over.basis) > 1 and len(A.wbasis) > 1
             assert len(route1) == route1_calls and len(route2) == 1, A.name
 
@@ -781,9 +770,10 @@ def _least_clearing_power(diff, clear, b, m_max):
     return None
 
 
-def _per_w_check_weak(A, axiom, m_max=None, window=None):
+def _per_w_check_weak(A, axiom, m_max, window, stacks):
     """check_weak as it was before stacking: the witness search on each
-    (u, v, w) alone, the first triple without a witness reported."""
+    (u, v, w) alone (its slot series read from ``stacks``), the first
+    triple without a witness reported."""
     N = window or structures.default_window(A)
     if m_max is None:
         m_max = A.max_pole_order() + 2
@@ -793,7 +783,7 @@ def _per_w_check_weak(A, axiom, m_max=None, window=None):
             worst = 0
             for w in A.wbasis:
                 m = _least_clearing_power(
-                    *_weak_difference(A, axiom, u, v, w, N), m_max)
+                    *_weak_difference(A, axiom, u, v, w, N, stacks), m_max)
                 if m is None:
                     return structures.PropertyReport(
                         axiom, "FAIL", {"triple": (u, v, w), "m_max": m_max},
@@ -803,15 +793,16 @@ def _per_w_check_weak(A, axiom, m_max=None, window=None):
     return structures.PropertyReport(axiom, "PASS", {"min_m": witnesses}, window=N)
 
 
-def _per_w_check_vf(A, axiom, m_max=None, window=None):
+def _per_w_check_vf(A, axiom, m_max, window, stacks):
     """check_vf_skew_symmetry as it was before stacking: each (u, v, w)
-    alone, the first failing triple reported with its least monomial."""
+    alone (its slot series read from ``stacks``), the first failing triple
+    reported with its least monomial."""
     N = window or structures.default_window(A)
     for u in A.over.basis:
         for v in A.over.basis:
             for w in A.wbasis:
-                left = A.triple(u, v, w).h_at("x2", "x0")
-                right = A.triple(v, u, w).h_at("t", "x0").flip_sign("x0")
+                left = slot_triple(A, u, v, w, stacks).h_at("x2", "x0")
+                right = slot_triple(A, v, u, w, stacks).h_at("t", "x0").flip_sign("x0")
                 right = taylor_substitute(right, "t", (1, "x2"), (1, "x0"),
                                           {"x0": (INF, N)})
                 ok, wit = series.zero_verdict(left - right,
@@ -835,11 +826,13 @@ def _scanned_classes(A, kind):
     """{(u, v, w): exactness class} of ``A`` for a weak pair kind, or for vf
     skew symmetry (kind "vf"), by a scan of every key: which of the slot
     series that get s1 substituted have a negative power of s1."""
+    stacks = MemberStacks(A)
+
     def substituted(u, v, w):
         if kind == "vf":
-            return [A.triple(v, u, w).h]
+            return [slot_triple(A, v, u, w, stacks).h]
         pair = rationalforms.PAIRS[kind]
-        return [getattr(A.triple(u, v, w), slot)
+        return [getattr(slot_triple(A, u, v, w, stacks), slot)
                 for slot, _, sub in (pair.left, pair.right) if sub]
 
     return {(u, v, w): tuple(any(k[s.idx(rationalforms.S1)] < 0 for k in s.coeffs)
@@ -861,34 +854,36 @@ def test_stacked_weak_and_vf_checks_equal_the_per_w_checks(ut2_dir):
               "vf_skew_symmetry": "vf"}
     compared, outcomes, mixed = Counter(), Counter(), 0
     for A in members:
-        with A.shared_triples():
-            for name, kind in checks.items():
-                axiom = name if A.over is A else "m_" + name
-                stacked, per_w = ((structures.check_vf_skew_symmetry, _per_w_check_vf)
-                                  if kind == "vf" else
-                                  (structures.check_weak, _per_w_check_weak))
-                mixed += _class_count(A, kind) > 1
-                for window in (None, 1, 2, 3):
-                    for m_max in ((None,) if kind == "vf" else (None, 0, 1)):
-                        want = _outcome(per_w, A, axiom, m_max, window)
-                        assert _outcome(stacked, A, axiom, m_max, window) == want, \
-                            (A.name, axiom, m_max, window)
-                        compared[kind] += 1
-                        outcomes[want["verdict"] if isinstance(want, dict)
-                                 else want[0]] += 1
+        stacks = MemberStacks(A)
+        for name, kind in checks.items():
+            axiom = name if A.over is A else "m_" + name
+            stacked, per_w = ((structures.check_vf_skew_symmetry, _per_w_check_vf)
+                              if kind == "vf" else
+                              (structures.check_weak, _per_w_check_weak))
+            mixed += _class_count(A, kind) > 1
+            for window in (None, 1, 2, 3):
+                for m_max in ((None,) if kind == "vf" else (None, 0, 1)):
+                    want = _outcome(per_w, A, axiom, m_max, window, stacks)
+                    assert _outcome(stacked, A, axiom, m_max, window, stacks) == want, \
+                        (A.name, axiom, m_max, window)
+                    compared[kind] += 1
+                    outcomes[want["verdict"] if isinstance(want, dict)
+                             else want[0]] += 1
     assert compared["vf"] == 4 * len(members) > 600
     assert sum(compared.values()) - compared["vf"] == 36 * len(members)
     assert mixed >= 100
     assert outcomes["PASS"] > 1000 and outcomes["FAIL"] > 1000
 
 
-def _stack_alone(A, slot, labels):
+def _stack_alone(member, slot, labels):
     """Slot ``slot`` ("hs": slot h of (v, u, w)) of the triples at ``labels``
-    of ``A`` stacked from their own series, as if no other triple existed."""
-    variables, stacked = None, {}
+    of ``member`` (a ``MemberStacks``) stacked from their own series, as if
+    no other triple existed."""
+    variables, stacked, A = None, {}, member.A
     for u, v, w in labels:
-        s = A.triple(v, u, w).h if slot == "hs" else getattr(A.triple(u, v, w), slot)
-        variables, ids = s.variables, A.stacks().label_ids()[u, v, w]
+        s = (slot_triple(A, v, u, w, member).h if slot == "hs"
+             else getattr(slot_triple(A, u, v, w, member), slot))
+        variables, ids = s.variables, member.label_ids()[u, v, w]
         for key, vec in s.coeffs.items():
             for b, c in vec.entries.items():
                 stacked.setdefault(key, {})[ids[b]] = c
@@ -931,23 +926,24 @@ def test_exactness_classes_read_off_the_window_equal_the_per_key_scan(
     for A in members:
         built.clear()
         stacks.clear()
-        with A.shared_triples():
-            # on the smallest box: the window does not change which stacks it reads
-            _outcome(check_jacobi, A, _jacobi_axiom(A), None, 1)
-            for name, kind in (("weak_comm", "m1"), ("weak_assoc", "m2"),
-                               ("weak_skew_assoc", "m3"), ("vf_skew_symmetry", "vf")):
-                splits.clear()
-                _outcome(ACTION_CHECKERS[name], A, name if A.over is A else "m_" + name)
-                want = {}
-                for label, cls in _scanned_classes(A, kind).items():
-                    want.setdefault(cls, []).append(label)
-                assert splits[0] == list(want.values()), (A.name, name)
-                mixed += len(want) > 1
-            for slot, labels, out in stacks:
-                alone = _stack_alone(A, slot, labels)
-                assert (out.variables, out.coeffs, out.window, out.shape) == (
-                    alone.variables, alone.coeffs, alone.window, alone.shape), (A.name, slot)
-                compared += 1
+        member = MemberStacks(A)
+        # on the smallest box: the window does not change which stacks it reads
+        _outcome(check_jacobi, A, _jacobi_axiom(A), None, 1, member)
+        for name, kind in (("weak_comm", "m1"), ("weak_assoc", "m2"),
+                           ("weak_skew_assoc", "m3"), ("vf_skew_symmetry", "vf")):
+            splits.clear()
+            _outcome(ACTION_CHECKERS[name], A, name if A.over is A else "m_" + name,
+                     None, None, member)
+            want = {}
+            for label, cls in _scanned_classes(A, kind).items():
+                want.setdefault(cls, []).append(label)
+            assert splits[0] == list(want.values()), (A.name, name)
+            mixed += len(want) > 1
+        for slot, labels, out in stacks:
+            alone = _stack_alone(member, slot, labels)
+            assert (out.variables, out.coeffs, out.window, out.shape) == (
+                alone.variables, alone.coeffs, alone.window, alone.shape), (A.name, slot)
+            compared += 1
         assert max(n for (_, whole), n in built.items() if whole) == 1, A.name
         wholes.update(slot for slot, whole in built if whole)
         partial += sum(n for (_, whole), n in built.items() if not whole)
@@ -957,8 +953,8 @@ def test_exactness_classes_read_off_the_window_equal_the_per_key_scan(
 
 def test_label_ids_decode_to_their_labels_alike_in_every_stack(ut2_dir):
     # every label (u, v, w, w') of a member has its own id, which decodes to
-    # it; each entry of the f, g, h and swapped-h member stacks is the
-    # coefficient of the label its id decodes to, and a class stack, a
+    # its triple (u, v, w); each entry of the f, g, h and swapped-h member
+    # stacks is the coefficient of the label of its id, and a class stack, a
     # triple's stack alone and the stacks of a fresh MemberStacks of the
     # member key each label by the same id
     members = (full_corpus() + full_module_corpus()
@@ -973,17 +969,19 @@ def test_label_ids_decode_to_their_labels_alike_in_every_stack(ut2_dir):
         for t, by_w in member.label_ids().items():
             assert list(by_w) == list(A.wbasis), (A.name, t)
             for b, i in by_w.items():
-                assert member.label_of(i) == (t, b), (A.name, t, b)
+                assert member.triple_of(i) == t, (A.name, t, b)
                 ids.add(i)
         assert len(ids) == len(member.triples) * len(A.wbasis), A.name
         for t in member.triples[:5]:
             alone = structures.MemberStacks(A, [t]).label_ids()
             assert alone == {t: member.label_ids()[t]}, (A.name, t)
+        label_of = {i: (t, b) for t, by_w in member.label_ids().items()
+                    for b, i in by_w.items()}
         for slot in ("f", "g", "h", "hs"):
             series, whole = member.series(slot), member.stack(slot)
             for key, c in whole.coeffs.items():
                 for i, x in c.entries.items():
-                    t, b = member.label_of(i)
+                    t, b = label_of[i]
                     assert series[t].coeffs[key].entries[b] == x, (A.name, slot, t, b)
             count = sum(len(c.entries) for c in whole.coeffs.values())
             assert count == sum(len(c.entries) for s in series.values()
@@ -1018,10 +1016,7 @@ def test_weak_and_vf_search_once_per_class_stack(monkeypatch):
     for A in full_corpus() + full_module_corpus():
         sides.clear()
         vf.clear()
-        if A.over is A:
-            verdicts = check_all(A)
-        else:
-            verdicts = {a.removeprefix("m_"): r for a, r in check_module_all(A).items()}
+        verdicts = {a.removeprefix("m_"): r for a, r in check_all(A).items()}
         for name, kind in (("weak_comm", "m1"), ("weak_assoc", "m2"),
                            ("weak_skew_assoc", "m3"), ("vf_skew_symmetry", "vf")):
             classes = _class_count(A, kind)

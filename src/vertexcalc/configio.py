@@ -8,7 +8,8 @@ Module configs extend this with {"wbasis", "wmodes": [{"u", "n", "w",
 when it has "over" (``is_module_config``); ``load_structure`` refuses one.
 
 A config is refused with ConfigError when it repeats a basis entry or a
-mode record (u, n, v) / (u, n, w), names anything outside the basis it
+mode record (u, n, v) / (u, n, w), has a basis or wbasis entry with a comma
+(the weak checkers key their witnesses "u,v"), names anything outside the basis it
 refers to, has a mode index that is not an integer or a coefficient that is
 not a rational, lacks a required key (named as "missing key 'modes'") or
 has a part of the wrong JSON type (named as "'basis' is not a JSON list"
@@ -29,12 +30,15 @@ from .structures import VertexStructure
 
 
 def _names(names, what):
-    """A basis list of strings as a tuple, refusing repeated entries."""
+    """A basis list of strings as a tuple, refusing repeated entries and
+    entries with a comma (witness keys join names with one)."""
     names = tuple(names)
     for i, name in enumerate(names):
         _typed(name, "string", f"a '{what}' entry")
         if name in names[:i]:
             raise ConfigError(f"{what} lists {name!r} twice")
+        if "," in name:
+            raise ConfigError(f"{what} entry {name!r} contains a comma")
     return names
 
 

@@ -40,7 +40,8 @@ exact unless a side that substitutes s1 has a negative power of s1, so those
 checkers stack each exactness class apart (which substituted sides have
 one): within a class every stack has the same exactness, windows and shapes,
 and each triple is decided as it is alone.  A class that covers the member
-is decided on the member stack.
+is decided on the member stack.  Each FAIL record must agree with a rerun
+on its triple's own slot series, unstacked (``MemberStacks.own``).
 
 Checkers return PropertyReport records.  Identities between exact Laurent
 polynomials are decided exactly; identities involving delta factors or
@@ -386,6 +387,10 @@ def _jacobi_symbolic_zero(f12, g21, h20, N, memo=None):
     return window_coeffs(expr, {v: (-N, N) for v in ("x0", "x1", "x2")}, memo)
 
 
+# the variables of each slot's series and stacks: h is stored over (s2, s1)
+SLOT_VARIABLES = {"f": (S1, S2), "g": (S1, S2), "h": (S2, S1), "hs": (S2, S1)}
+
+
 def _slot_products(A: ModuleStructure, kind, labels):
     """{(u, v, w): slot ``kind`` of ``A`` there} for each of ``labels``, as
     exact series: f = Y(u,s1)Y(v,s2)w over (s1, s2), or h = Y(Y(u,s2)v,s1)w
@@ -393,7 +398,7 @@ def _slot_products(A: ModuleStructure, kind, labels):
     ``A`` for f and Y(u,x)v of ``A.over`` for h; the outer table is applied
     to each of its vectors as plain dicts (``_modes``), and each coefficient
     becomes a ``Vec`` once.  Triples without a term share one zero series."""
-    variables = (S1, S2) if kind == "f" else (S2, S1)
+    variables = SLOT_VARIABLES[kind]
     table, out, zero = A.ywtable, {}, WindowedSeries.zero(variables)
     for u, v, w in labels:
         coeffs = {}
@@ -410,56 +415,47 @@ def _slot_products(A: ModuleStructure, kind, labels):
 
 
 class MemberStacks:
-    """One member's triples (u, v, w), in ``over.basis`` x ``over.basis`` x
-    ``wbasis`` order unless ``triples`` are given, with, per slot, its series
-    by triple, its member stack and its exactness flags, each built on first
-    use.  The slots are f, g, h and "hs", the swapped h: slot h of (v, u, w),
-    labelled (u, v, w).  The first read of f or g builds slot f at every
-    triple and its swap in one pass (``_slot_products``), the first read of h
-    or hs slot h; g and hs are the f and h of the swapped triple, shared, not
-    rebuilt.  A stack of fewer triples (one exactness class, or a guard's
-    triple alone) is stacked afresh from the same series; all key a label by
-    one id (``label_ids``).  ``memo`` is the route-1 memo of the member's
-    Jacobi check (see ``check_jacobi``): the one given, or a fresh dict."""
+    """Every triple (u, v, w) of one member, in ``over.basis`` x ``over.basis``
+    x ``wbasis`` order, with, per slot, its series by triple, its member stack
+    and its exactness flags, each built on first use.  The slots are f, g, h
+    and "hs", the swapped h: slot h of (v, u, w), labelled (u, v, w).  The
+    first read of f or g builds slot f at every triple in one pass
+    (``_slot_products``), the first read of h or hs slot h; g and hs are the
+    f and h of the swapped triple, shared, not rebuilt.  A class stack is
+    stacked afresh from the same series, keying each label by the same id
+    (``label_ids``); the guards read a triple's own series (``own``).
+    ``memo`` is the route-1 memo of the member's Jacobi check (see
+    ``check_jacobi``): the one given, or a fresh dict."""
 
-    def __init__(self, A: ModuleStructure, triples=None, memo=None):
+    def __init__(self, A: ModuleStructure, *, memo=None):
         self.A = A
-        self.triples = triples or [(u, v, w) for u in A.over.basis
-                                   for v in A.over.basis for w in A.wbasis]
+        self.triples = [(u, v, w) for u in A.over.basis
+                        for v in A.over.basis for w in A.wbasis]
         self.memo = {} if memo is None else memo
         self._series, self._stacks, self._flags, self._ids = {}, {}, {}, {}
 
     def label_ids(self):
         """{(u, v, w): {w': id of the label (u, v, w, w')}} of every triple,
-        built on first use: the label's mixed-radix index over (over.basis,
-        over.basis, wbasis, wbasis), so it depends on the bases alone."""
+        built on first use: the triple's index in ``triples`` times
+        len(wbasis), plus the index of w' in ``wbasis``."""
         if not self._ids:
-            at = {u: i for i, u in enumerate(self.A.over.basis)}
-            wat = {w: i for i, w in enumerate(self.A.wbasis)}
-            nb, nw = len(at), len(wat)
-            for u, v, w in self.triples:
-                base = ((at[u] * nb + at[v]) * nw + wat[w]) * nw
-                self._ids[u, v, w] = dict(zip(wat, range(base, base + nw)))
+            nw = len(self.A.wbasis)
+            self._ids = {t: dict(zip(self.A.wbasis, range(i * nw, i * nw + nw)))
+                         for i, t in enumerate(self.triples)}
         return self._ids
 
     def triple_of(self, i):
-        """The triple (u, v, w) of the label id ``i``: ``label_ids`` inverted,
-        but for w'."""
-        basis, wbasis = self.A.over.basis, self.A.wbasis
-        rest, w = divmod(i // len(wbasis), len(wbasis))
-        u, v = divmod(rest, len(basis))
-        return basis[u], basis[v], wbasis[w]
+        """The triple (u, v, w) of the label id ``i``."""
+        return self.triples[i // len(self.A.wbasis)]
 
     def series(self, slot):
         """{(u, v, w): slot ``slot`` of the triple there}."""
         out = self._series.get(slot)
         if out is None:
             kind, swapped = ("f", "g") if slot in ("f", "g") else ("h", "hs")
-            swap = {(u, v, w): (v, u, w) for u, v, w in self.triples}
-            built = _slot_products(self.A, kind,
-                                   dict.fromkeys([*self.triples, *swap.values()]))
-            self._series[kind] = {t: built[t] for t in self.triples}
-            self._series[swapped] = {t: built[swap[t]] for t in self.triples}
+            built = self._series[kind] = _slot_products(self.A, kind, self.triples)
+            self._series[swapped] = {(u, v, w): built[v, u, w]
+                                     for u, v, w in self.triples}
             out = self._series[slot]
         return out
 
@@ -477,6 +473,13 @@ class MemberStacks:
         """A TripleInstance of the stacks of ``slots``; a slot not named is
         not read, and is None."""
         return TripleInstance(*(self.stack(s, labels) if s in slots else None
+                                for s in "fgh"))
+
+    def own(self, t, slots="fgh"):
+        """A TripleInstance of the slot series of the triple ``t`` itself, not
+        stacked: what every FAIL guard reruns on.  A slot not named is not
+        read, and is None."""
+        return TripleInstance(*(self.series(s)[t] if s in slots else None
                                 for s in "fgh"))
 
     def flags(self, slot):
@@ -504,21 +507,19 @@ class MemberStacks:
 
 
 def _stack(member, slot, labels):
-    """Slot ``slot`` of the triples at ``labels`` of ``member`` stacked: the
-    coefficient at each monomial is the Vec over the label ids of (u, v, w,
-    w') (``MemberStacks.label_ids``) of every triple's coefficient there.
-    The slot keeps its variable order (h is stored over (s2, s1))."""
-    series, variables, stacked = member.series(slot), None, {}
-    label_ids = member.label_ids()
+    """Slot ``slot`` of the triples at ``labels`` of ``member`` stacked, in
+    the slot's variables, so no labels stack to zero: a member or class
+    stack, whose coefficient at each monomial is the Vec over the label ids
+    (``MemberStacks.label_ids``) of every triple's coefficient there."""
+    series, label_ids, stacked = member.series(slot), member.label_ids(), {}
     for label in labels:
-        s, ids = series[label], label_ids[label]
-        variables = s.variables
-        for key, vec in s.coeffs.items():
+        ids = label_ids[label]
+        for key, vec in series[label].coeffs.items():
             entries = stacked.setdefault(key, {})
             for b, c in vec.entries.items():
                 entries[ids[b]] = c
     return WindowedSeries.from_monomials(
-        variables, {key: Vec(e) for key, e in stacked.items()})
+        SLOT_VARIABLES[slot], {key: Vec(e) for key, e in stacked.items()})
 
 
 def _moved(axiom, triple, stacked, alone):
@@ -560,8 +561,6 @@ def check_jacobi(A: ModuleStructure, axiom, m_max, window, member):
     # same).  The oracle still recomputes every coefficient, independently
     # of ``series``, and no expansion outlives the command.
     memo, triples = member.memo, member.triples
-    if not triples:
-        return PropertyReport(axiom, "PASS", {}, window=N)
     inst = member.instance()
     out = _jacobi_symbolic_zero(*_slots(inst), N, memo)
     sym = _failing_triples(member, out)
@@ -575,8 +574,7 @@ def check_jacobi(A: ModuleStructure, axiom, m_max, window, member):
         return PropertyReport(axiom, "PASS", {}, window=N)
     ids = member.label_ids()[first].values()
     mono = min(key for key, c in out.items() if not c.entries.keys().isdisjoint(ids))
-    own = TripleInstance(*(member.series(slot)[first] for slot in "fgh"))
-    alone = _jacobi_symbolic_zero(*_slots(own), N, memo)
+    alone = _jacobi_symbolic_zero(*_slots(member.own(first)), N, memo)
     if min(alone, default=None) != mono:
         raise _moved(axiom, first, f"first monomial {dict(mono)} on the member stack",
                      dict(min(alone)) if alone else "none")
@@ -587,36 +585,31 @@ def check_jacobi(A: ModuleStructure, axiom, m_max, window, member):
 WEAK_PAIRS = {"weak_comm": "m1", "weak_assoc": "m2", "weak_skew_assoc": "m3"}
 
 
-def _weak_witnesses(kind, member, labels, N, m_max):
-    """{(u, v, w): least witness, None or WindowUnderflowError} of the weak
-    property of pair ``kind`` in ``rationalforms.PAIRS``, searched on one
-    stack of the triples at ``labels`` of ``member``, with tails cut at N."""
-    pair = PAIRS[kind]
-    inst = member.instance((pair.left[0], pair.right[0]), labels)
-    return least_clearing_power(*pole_statement(inst, kind, N, N), m_max, labels,
-                                lambda c: map(member.triple_of, c.entries))
-
-
 def check_weak(A: ModuleStructure, axiom, m_max, window, member):
     """The three weak properties with minimal witnesses, searched once per
     member on one stack per exactness class (see the module docstring).
-    The record is the first triple without a witness m <= m_max; rerun
-    alone, it must still have none, or the stacking is a violation."""
+    The record is the first triple without a witness m <= m_max; rerun on
+    its own series, it must still have none, or the stacking is a violation."""
     N = window or default_window(A)
     if m_max is None:
         m_max = A.max_pole_order() + 2
     kind = WEAK_PAIRS[axiom.removeprefix("m_")]
-    subbed = [slot for slot, _, sub in (PAIRS[kind].left, PAIRS[kind].right) if sub]
+    pair = PAIRS[kind]
+    slots = (pair.left[0], pair.right[0])
+    subbed = [slot for slot, _, sub in (pair.left, pair.right) if sub]
     least = {}
     for part in member.classes(subbed):
-        least |= _weak_witnesses(kind, member, part, N, m_max)
+        least |= least_clearing_power(
+            *pole_statement(member.instance(slots, part), kind, N, N), m_max, part,
+            lambda c: map(member.triple_of, c.entries))
     witnesses = dict.fromkeys(
         (f"{u},{v}" for u in A.over.basis for v in A.over.basis), 0)
     for t in member.triples:
         if isinstance(m := least[t], WindowUnderflowError):
             raise m
         if m is None:
-            alone = _weak_witnesses(kind, member, [t], N, m_max)[t]
+            alone = least_clearing_power(
+                *pole_statement(member.own(t, slots), kind, N, N), m_max)[None]
             if alone is not None:
                 raise _moved(axiom, t, f"no witness m <= {m_max} on its class "
                              "stack", f"m = {alone}")
@@ -626,11 +619,11 @@ def check_weak(A: ModuleStructure, axiom, m_max, window, member):
     return PropertyReport(axiom, "PASS", {"min_m": witnesses}, window=N)
 
 
-def _vf_difference(member, labels, N):
-    """Y(Y(u,x0)v,x2)w - Y(Y(v,-x0)u,x2+x0)w stacked over ``labels`` of
-    ``member``: its slots h and hs (slot h of (v, u, w))."""
-    left = member.stack("h", labels).rename({S1: "x2", S2: "x0"})
-    right = member.stack("hs", labels).rename({S1: "t", S2: "x0"}).flip_sign("x0")
+def _vf_difference(h, hs, N):
+    """Y(Y(u,x0)v,x2)w - Y(Y(v,-x0)u,x2+x0)w from slot h at (u, v, w) and
+    ``hs``, slot h at (v, u, w): of one triple, or of a stack of them."""
+    left = h.rename({S1: "x2", S2: "x0"})
+    right = hs.rename({S1: "t", S2: "x0"}).flip_sign("x0")
     return left - taylor_substitute(right, "t", (1, "x2"), (1, "x0"),
                                     {"x0": (INF, N)})
 
@@ -640,11 +633,11 @@ def check_vf_skew_symmetry(A: ModuleStructure, axiom, m_max, window, member):
     class (the right side substitutes s1 of slot h at (v, u, w)).  The
     record is the first failing triple and the least judged monomial of its
     class stack with a label of it; rerun alone, the triple must give the
-    same monomial, or the stacking is a violation."""
+    same monomial on its own series, or the stacking is a violation."""
     N = window or default_window(A)
     region, failing = box(N, "x0", "x2"), {}
     for part in member.classes(["hs"]):
-        diff = _vf_difference(member, part, N)
+        diff = _vf_difference(member.stack("h", part), member.stack("hs", part), N)
         failing |= dict.fromkeys(
             _failing_triples(member, dict(judged_coeffs(diff, region))), diff)
     first = next((t for t in member.triples if t in failing), None)
@@ -653,7 +646,9 @@ def check_vf_skew_symmetry(A: ModuleStructure, axiom, m_max, window, member):
     diff, ids = failing[first], member.label_ids()[first].values()
     mono = diff.monomial(min(key for key, c in judged_coeffs(diff, region)
                              if not c.entries.keys().isdisjoint(ids)))
-    _, alone = zero_verdict(_vf_difference(member, [first], N), region)
+    u, v, w = first
+    _, alone = zero_verdict(_vf_difference(
+        member.own(first, "h").h, member.own((v, u, w), "h").h, N), region)
     if alone is None or alone[0] != mono:
         raise _moved(axiom, first, f"first monomial {mono} on its class stack",
                      alone[0] if alone else "none")

@@ -6,7 +6,7 @@ import pytest
 from vertexcalc import configio, structures
 from vertexcalc.deltacalc import mono_of, sv_neg
 from vertexcalc.errors import SummabilityError, WindowUnderflowError
-from vertexcalc.rationalforms import TripleInstance, pole_statement
+from vertexcalc.rationalforms import pole_statement
 from vertexcalc.scalars import binom
 from vertexcalc.series import multiply, zero_verdict
 from vertexcalc.structures import WEAK_PAIRS
@@ -71,11 +71,10 @@ def witness_is_valid(diff, clear, m, box):
 
 def slot_triple(A, u, v, w, stacks=None):
     """The slot triple of ``A`` at (u, v, w): f = Y(u,s1)Y(v,s2)w,
-    g = Y(v,s1)Y(u,s2)w and h = Y(Y(u,s2)v,s1)w, read from ``stacks`` (a
-    ``MemberStacks`` of ``A`` shared by the caller's checks) or from stacks
-    of that triple alone."""
-    member = stacks or structures.MemberStacks(A, [(u, v, w)])
-    return TripleInstance(*(member.series(slot)[u, v, w] for slot in "fgh"))
+    g = Y(v,s1)Y(u,s2)w and h = Y(Y(u,s2)v,s1)w: the triple's own series
+    (``MemberStacks.own``), read from ``stacks`` (a ``MemberStacks`` of ``A``
+    shared by the caller's checks) or from fresh stacks of ``A``."""
+    return (stacks or structures.MemberStacks(A)).own((u, v, w))
 
 
 def _weak_difference(A, axiom, u, v, w, N, stacks=None):

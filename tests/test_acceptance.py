@@ -29,6 +29,7 @@ from vertexcalc.rationalforms import (
     reconstruct_form,
 )
 from vertexcalc.structures import (
+    MemberStacks,
     check_all,
     check_axiom,
     minimal_pole_order,
@@ -105,7 +106,7 @@ def test_criterion_4_borcherds_family_axioms():
         if any(m != 0 for m in wc.witnesses["min_m"].values()):
             ok = False
             detail.append(f"{S.name} weak_comm minimal m != 0")
-        N = 8
+        N, stacks = 8, MemberStacks(S)
         for u in S.basis:
             for v in S.basis:
                 for w in S.basis:
@@ -115,7 +116,7 @@ def test_criterion_4_borcherds_family_axioms():
                         "weak_skew_assoc": minimal_pole_order(S, v, w),
                     }
                     for axiom, mf in formula.items():
-                        d, clearing, b = _weak_difference(S, axiom, u, v, w, N)
+                        d, clearing, b = _weak_difference(S, axiom, u, v, w, N, stacks)
                         if not witness_is_valid(d, clearing, mf, b):
                             ok = False
                             detail.append(f"{S.name} formula witness invalid")

@@ -308,6 +308,12 @@ MALFORMED = {
     "structure-config-given-to-check-module":
         ("check-module", "base", lambda c: None,
          "borcherds-k3.json is not a module config"),
+    "comma-in-basis-entry":
+        ("check", "base", lambda c: c["basis"].append("e0,e1"),
+         "basis entry 'e0,e1' contains a comma"),
+    "comma-in-wbasis-entry":
+        ("check-module", "module", lambda c: c["wbasis"].append("w,1"),
+         "wbasis entry 'w,1' contains a comma"),
 }
 
 
@@ -329,6 +335,47 @@ def test_malformed_config_is_refused_with_exit_three(corpus_dir, tmp_path,
     assert captured.err.startswith("config error: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert message in captured.err
+
+
+def test_the_zero_space_is_checked_like_any_member(corpus_dir, tmp_path, capsys):
+    # a structure with no basis, and modules with no basis over it and over
+    # borcherds-k3: every action axiom PASSes on the empty set of triples,
+    # the vacuum axioms are UNTESTED without a vacuum, injectivity PASSes
+    # with rank 0, and each of the four commands exits 0
+    base = configio.load_json(str(corpus_dir / "borcherds-k3.json"))
+    configio.dump_json(base, tmp_path / "borcherds-k3.json")
+    configio.dump_json({"name": "zero", "basis": [], "modes": [], "vacuum": None,
+                        "tags": []}, tmp_path / "zero.json")
+    for name, over in (("zero-w", "zero"), ("k3-zero-w", "borcherds-k3")):
+        configio.dump_json({"name": name, "over": over, "wbasis": [], "wmodes": [],
+                            "tags": []}, tmp_path / f"{name}.module.json")
+    untested = {"skew_symmetry", "d_derivative", "d_bracket", "vacuum_prop",
+                "creation_prop", "strong_creation"}
+    for command, path, axioms, no_vacuum, reason in (
+            ("check", "zero.json", AXIOMS, untested,
+             "structure has no vacuum element"),
+            ("check-module", "zero-w.module.json", MODULE_AXIOMS,
+             {"m_vacuum_prop", "m_d_derivative"}, "base structure has no vacuum element"),
+            ("check-module", "k3-zero-w.module.json", MODULE_AXIOMS, set(), None)):
+        rc = main([command, str(tmp_path / path), "--format", "machine"])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == "", path
+        records = {r["id"].split("/")[1]: r for r in json.loads(captured.out)["records"]}
+        assert list(records) == list(axioms), path
+        for axiom, record in records.items():
+            want = "UNTESTED" if axiom in no_vacuum else "PASS"
+            assert record["verdict"] == want, (path, axiom)
+            if axiom in no_vacuum:
+                assert record["witness"] == {"reason": reason}, (path, axiom)
+        if command == "check":
+            assert records["injectivity"]["witness"] == {"rank": 0}
+    for command in ("implication-matrix", "main-theorem"):
+        rc = main([command, str(tmp_path), "--format", "machine"])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == "", command
+        members = {r["id"].split("/")[0] for r in json.loads(captured.out)["records"]}
+        assert members >= ({"zero"} if command == "implication-matrix"
+                           else {"zero-w", "k3-zero-w"}), command
 
 
 def test_ut2_passes_weak_assoc_and_fails_jacobi(ut2_dir, capsys):

@@ -564,11 +564,11 @@ def _jacobi_route_one_calls(monkeypatch):
         mp.setattr(structures, "window_coeffs",
                    lambda e, window, memo=None: calls.append((e, window)) or {})
         for A in full_corpus() + full_module_corpus():
-            N = structures.default_window(A)
+            N, stacks = structures.default_window(A), structures.MemberStacks(A)
             for u in A.over.basis:
                 for v in A.over.basis:
                     for w in A.wbasis:
-                        inst = slot_triple(A, u, v, w)
+                        inst = slot_triple(A, u, v, w, stacks)
                         structures._jacobi_symbolic_zero(
                             inst.f_at("x1", "x2"), inst.g_at("x2", "x1"),
                             inst.h_at("x2", "x0"), N)

@@ -18,10 +18,12 @@ slots with its own variables by renaming.  For a vertex structure acting on
 w the slots hold f = Y(u,s1)Y(v,s2)w, g = Y(v,s1)Y(u,s2)w and
 h = Y(Y(u,s2)v,s1)w.
 
-The pairs of (B)-(G) are the three weak properties, the three pairwise views
-of the one S3-symmetric Jacobi identity.  ``PAIRS`` writes each recipe once:
-the pair variables, the clearing binomial and the two sides, each a slot
-series in the pair variables, possibly with s1 substituted:
+The pairs of (B)-(G) are the three weak properties, the residues of the one
+S3-symmetric Jacobi identity in x0, x1 and x2.  (A) is its three terms,
+``JACOBI``, which ``deltacalc.prove_identity`` proves, on ``jacobi_slots``;
+``PAIRS`` is read off the same terms: the pair variables, the clearing
+binomial and the two sides, each a slot series in the pair variables,
+possibly with s1 substituted:
 
   m1  weak commutativity       f(x1,x2)      g(x2,x1)       (x1-x2)^m   (B), (E)
   m2  weak associativity       f(x0+x2,x2)   h(x2,x0)       (x0+x2)^m   (C), (F)
@@ -36,8 +38,9 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
+from .deltacalc import DEFAULT_VARS, THREE_TERM, identity_lhs
 from .errors import ConsistencyViolationError, WindowUnderflowError
 from .series import (
     INF,
@@ -52,6 +55,9 @@ from .series import (
 )
 
 S1, S2 = "s1", "s2"
+
+# the Jacobi identity's three terms, each with the slot it multiplies
+JACOBI = tuple(zip("fgh", identity_lhs(THREE_TERM).terms))
 
 
 class PoleWitness(NamedTuple):
@@ -115,25 +121,6 @@ class RationalForm:
         }
 
 
-def poly_compose_sum(numerator, which_arg):
-    """Substitute one argument of a polynomial by a sum of the two variables.
-
-    which_arg="first+second": p(u,w) -> p(u+w, w) over new vars (u, w);
-    which_arg="second-minus": p(u,w) -> p(w, -u+w) over (u, w).
-    """
-    out, rows = {}, {}
-    for (i, j), c in numerator.items():
-        if which_arg == "first+second":
-            # (u+w)^i w^j
-            add_power(out, rows, (0, j), c, i, (1, 0), (1, 1), i)
-        elif which_arg == "second-minus":
-            # p(w, -u+w) = w^i (-u+w)^j
-            add_power(out, rows, (0, i), c, j, (-1, 0), (1, 1), j)
-        else:
-            raise ValueError(which_arg)
-    return {k: v for k, v in out.items() if v}
-
-
 # ---------------------------------------------------------------------------
 # the pair recipes
 
@@ -149,29 +136,47 @@ class Pair(NamedTuple):
     binomial: tuple    # (head, tail) signed slots of head + tail (s1 is v1)
     left: tuple        # the side that is the "direct" expansion
     right: tuple       # the side that is the "reversed" expansion
-    recast: Callable   # (p, a, b, c) of the (E) form -> those of this pair's
+    eliminated: str    # the Jacobi variable e whose residue is the pair,
+                       # which the binomial stands for in the pair variables
 
 
-PAIRS = {
-    "m1": Pair("commutator", ("x1", "x2"), ((1, S1), (-1, S2)),
-               ("f", {S1: "x1", S2: "x2"}, None),
-               ("g", {S1: "x2", S2: "x1"}, None),
-               lambda p, a, b, c: (p, a, b, c)),
-    "m2": Pair("associator", ("x0", "x2"), ((1, S1), (1, S2)),
-               ("f", {S2: "x2"}, ((1, "x0"), (1, "x2"))),
-               ("h", {S1: "x2", S2: "x0"}, None),
-               lambda p, a, b, c: (poly_compose_sum(p, "first+second"), b, a, c)),
-    "m3": Pair("skew", ("x0", "x1"), ((-1, S1), (1, S2)),
-               ("g", {S2: "x1"}, ((-1, "x0"), (1, "x1"))),
-               ("h", {S2: "x0"}, ((1, "x1"), (-1, "x0"))),
-               lambda p, a, b, c: (poly_compose_sum(p, "second-minus"), c, a, b)),
-}
+# A pair is the two terms of ``JACOBI`` whose delta has e as its denominator,
+# e^-1 delta((sh h + st t)/e), read at (h, t), or as its numerator head,
+# d^-1 delta((sh e + st t)/d), read at e = sh d - sh st t with s1 substituted.
+# The binomial is the left side's numerator once e is its denominator.
+PAIRS = {}
+for kind, name, e in (("m1", "commutator", "x0"), ("m2", "associator", "x1"),
+                      ("m3", "skew", "x2")):
+    sides = []
+    for slot, t in JACOBI:
+        (sh, h), (st, tail) = t.delta.num
+        if t.delta.denom == e:
+            sides.append((t.delta.num, (slot, {S1: h, S2: tail}, None)))
+        elif h == e:
+            sub = ((sh, t.delta.denom), (-sh * st, tail))
+            sides.append((sub, (slot, {S2: tail}, sub)))
+    (num, left), (_, right) = sides
+    variables = tuple(v for v in DEFAULT_VARS if v != e)
+    slot_of = dict(zip(variables, (S1, S2)))
+    PAIRS[kind] = Pair(name, variables, tuple((s, slot_of[v]) for s, v in num),
+                       left, right, e)
 
 
 def statement_form(form: RationalForm, kind):
-    """The (E), (F) or (G) form of kind m1, m2 or m3: ``form``, taken as
-    p / ((x1-x2)^a x1^b x2^c), rewritten in the pair variables."""
-    return RationalForm(*PAIRS[kind].recast(form.numerator, form.a, form.b, form.c), kind)
+    """The (E), (F) or (G) form of kind m1, m2 or m3: ``form``, read as
+    p(x1,x2) / (x0^a x1^b x2^c) with x0 = x1 - x2, rewritten in the pair
+    variables by putting the binomial for the eliminated variable."""
+    pair = PAIRS[kind]
+    e, (v1, v2) = pair.eliminated, pair.variables
+    head, tail = ((s, (S1, S2).index(slot)) for s, slot in pair.binomial)
+    numerator, rows = {}, {}
+    for (i, j), c in form.numerator.items():
+        exps = {"x1": i, "x2": j}
+        n = exps.get(e, 0)
+        add_power(numerator, rows, (exps.get(v1, 0), exps.get(v2, 0)), c, n,
+                  head, tail, n)
+    powers = dict(zip(DEFAULT_VARS, (form.a, form.b, form.c)))
+    return RationalForm(numerator, powers[e], powers[v1], powers[v2], kind)
 
 
 def clearing(kind, m):
@@ -213,15 +218,6 @@ class TripleInstance:
         if key not in self._results:
             self._results[key] = fn(self, *args)
         return self._results[key]
-
-    def f_at(self, v1, v2):
-        return self.f.rename({S1: v1, S2: v2})
-
-    def g_at(self, v1, v2):
-        return self.g.rename({S1: v1, S2: v2})
-
-    def h_at(self, v1, v2):
-        return self.h.rename({S1: v1, S2: v2})
 
     def perturb_f(self, mono, value):
         """Add value * s1^i s2^j to f; the instance stops satisfying (A)."""
@@ -284,13 +280,19 @@ def box(N, *variables):
     return {v: (-N, N) for v in variables}
 
 
+def jacobi_slots(inst):
+    """The slot series of ``inst`` that the terms of ``JACOBI`` multiply,
+    each renamed to its delta numerator's (head, tail) variables: f(x1,x2),
+    g(x2,x1) and h(x2,x0)."""
+    return tuple(getattr(inst, slot).rename(
+        {S1: t.delta.num[0][1], S2: t.delta.num[1][1]}) for slot, t in JACOBI)
+
+
 def three_term_series(inst: TripleInstance, N):
-    """The three-term delta combination of (f, g, h), written on [-N, N]^3."""
-    return apply_delta(
-        [(1, (1, "x1"), (-1, "x2"), "x0", inst.f_at("x1", "x2")),
-         (-1, (-1, "x2"), (1, "x1"), "x0", inst.g_at("x2", "x1")),
-         (-1, (1, "x2"), (1, "x0"), "x1", inst.h_at("x2", "x0"))],
-        box(N, "x0", "x1", "x2"))
+    """The terms of ``JACOBI`` on the slots of ``inst``, summed on [-N, N]^3."""
+    return apply_delta([(t.coeff, *t.delta.num, t.delta.denom, s)
+                        for (_, t), s in zip(JACOBI, jacobi_slots(inst))],
+                       box(N, "x0", "x1", "x2"))
 
 
 def check_A(inst: TripleInstance, N):

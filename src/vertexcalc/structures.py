@@ -11,14 +11,17 @@ ModuleStructure whose ``over`` is itself and whose module table is its own
 table.  So the seven axioms stated for every module (Jacobi, the three weak
 properties, vacuum-free skew symmetry, the vacuum property and the
 D-derivative property) each have one checker, which runs on the structure or
-the module itself.  The weak checkers read the same pair recipes
-(``rationalforms.PAIRS``) as the (B)-(G) statements, on the slot triple of
-the action at (u, v, w), and search their witnesses with the replays' own
-``rationalforms.least_clearing_power``.  Every slot series comes from one
-builder, ``MemberStacks``, which makes slot f (and so g) of every triple in
-one pass over the mode tables, and slot h (and so the swapped h) in another:
-each inner product is a row of a mode table, and the outer table is applied
-to its vectors as plain dicts.
+the module itself.  The Jacobi identity is written once, as
+``rationalforms.JACOBI``, the three terms that ``deltacalc.prove_identity``
+proves.  Both routes of the Jacobi checker apply them to the slots that
+``rationalforms.jacobi_slots`` renames.  The weak checkers read the pair
+recipes read off them (``rationalforms.PAIRS``), as the (B)-(G) statements
+do, on the slot triple of the action at (u, v, w), and search their
+witnesses with the replays' ``rationalforms.least_clearing_power``.
+Every slot series comes from one builder, ``MemberStacks``, which makes
+slot f (and so g) of every triple in one pass over the mode tables, and
+slot h (and so the swapped h) in another: each inner product is a row of a
+mode table, and the outer table is applied to its vectors as plain dicts.
 
 ``check_axiom`` is the one dispatcher, for either kind of member: AXIOMS on a
 structure, MODULE_AXIOMS (``m_`` and an action checker's name) on a module.
@@ -55,13 +58,12 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from .deltacalc import (THREE_TERM, DeltaExpr, Term, identity_lhs, mono_of,
-                        window_coeffs)
+from .deltacalc import DeltaExpr, Term, mono_of, window_coeffs
 from .errors import (ConsistencyViolationError, ConstructionError,
                      WindowUnderflowError)
-from .rationalforms import (PAIRS, S1, S2, TripleInstance, box,
-                            least_clearing_power, pole_statement,
-                            three_term_series)
+from .rationalforms import (JACOBI, PAIRS, S1, S2, TripleInstance, box,
+                            jacobi_slots, least_clearing_power,
+                            pole_statement, three_term_series)
 from .scalars import Vec, coeff_mul, linear_map
 from .series import (INF, WindowedSeries, exp_endo, judged_coeffs, multiply,
                      taylor_substitute, zero_verdict)
@@ -369,22 +371,17 @@ def minimal_pole_order(S: VertexStructure, u, v):
 # A with its ``MemberStacks`` and reporting under the name ``axiom`` it was
 # asked for (jacobi for a structure, m_jacobi for a module, and so on)
 
-# the Jacobi identity's three signed delta terms: exactly the expression
-# that ``prove_identity("three-term")`` reduces to zero
-JACOBI_DELTAS = identity_lhs(THREE_TERM)
-
-
 def _jacobi_symbolic_zero(f12, g21, h20, N, memo=None):
     """Route 1's window coefficients (``deltacalc.window_coeffs``, given
-    ``memo``) of f12, g21 and h20 times the three terms of
-    ``JACOBI_DELTAS``, summed: every nonzero one on the box [-N, N]^3."""
+    ``memo``) of the Jacobi slots f12, g21 and h20 (``jacobi_slots``) times
+    the three terms of ``rationalforms.JACOBI``, summed: every nonzero one
+    on the box [-N, N]^3."""
     terms = []
-    for series, t in zip((f12, g21, h20), JACOBI_DELTAS.terms):
+    for series, (_, t) in zip((f12, g21, h20), JACOBI):
         for key, c in series.coeffs.items():
             mono = mono_of(dict(zip(series.variables, key)))
             terms.append(Term(coeff_mul(c, t.coeff), mono, t.delta, ()))
-    expr = DeltaExpr(terms, JACOBI_DELTAS.variables)
-    return window_coeffs(expr, {v: (-N, N) for v in ("x0", "x1", "x2")}, memo)
+    return window_coeffs(DeltaExpr(terms), box(N, "x0", "x1", "x2"), memo)
 
 
 # the variables of each slot's series and stacks: h is stored over (s2, s1)
@@ -529,11 +526,6 @@ def _moved(axiom, triple, stacked, alone):
         f"{stacked}, {alone} on the triple alone")
 
 
-def _slots(inst):
-    """The Jacobi identity's three slot series of ``inst``, in its variables."""
-    return inst.f_at("x1", "x2"), inst.g_at("x2", "x1"), inst.h_at("x2", "x0")
-
-
 def _failing_triples(member, coeffs):
     """The triples (u, v, w) of the label ids in ``member``'s stacked coeffs."""
     return {member.triple_of(i)
@@ -562,7 +554,7 @@ def check_jacobi(A: ModuleStructure, axiom, m_max, window, member):
     # of ``series``, and no expansion outlives the command.
     memo, triples = member.memo, member.triples
     inst = member.instance()
-    out = _jacobi_symbolic_zero(*_slots(inst), N, memo)
+    out = _jacobi_symbolic_zero(*jacobi_slots(inst), N, memo)
     sym = _failing_triples(member, out)
     ser = _failing_triples(member, three_term_series(inst, N).coeffs)
     if sym != ser:
@@ -574,7 +566,7 @@ def check_jacobi(A: ModuleStructure, axiom, m_max, window, member):
         return PropertyReport(axiom, "PASS", {}, window=N)
     ids = member.label_ids()[first].values()
     mono = min(key for key, c in out.items() if not c.entries.keys().isdisjoint(ids))
-    alone = _jacobi_symbolic_zero(*_slots(member.own(first)), N, memo)
+    alone = _jacobi_symbolic_zero(*jacobi_slots(member.own(first)), N, memo)
     if min(alone, default=None) != mono:
         raise _moved(axiom, first, f"first monomial {dict(mono)} on the member stack",
                      dict(min(alone)) if alone else "none")

@@ -29,6 +29,7 @@ from vertexcalc.errors import (
     SummabilityError,
     UnsupportedRewriteError,
 )
+from vertexcalc.rationalforms import S1, S2
 from vertexcalc.scalars import Vec
 
 XYZ = ("x", "y", "z")
@@ -570,8 +571,9 @@ def _jacobi_route_one_calls(monkeypatch):
                     for w in A.wbasis:
                         inst = slot_triple(A, u, v, w, stacks)
                         structures._jacobi_symbolic_zero(
-                            inst.f_at("x1", "x2"), inst.g_at("x2", "x1"),
-                            inst.h_at("x2", "x0"), N)
+                            inst.f.rename({S1: "x1", S2: "x2"}),
+                            inst.g.rename({S1: "x2", S2: "x1"}),
+                            inst.h.rename({S1: "x2", S2: "x0"}), N)
     return calls
 
 

@@ -19,9 +19,9 @@ from vertexcalc.rationalforms import (
     instance_from_form,
     least_clearing_power,
     multiply,
-    poly_compose_sum,
     reconstruct_form,
     replay_implication,
+    statement_form,
 )
 from vertexcalc.scalars import Vec, binom
 from vertexcalc.series import WindowedSeries, binomial_power
@@ -132,19 +132,24 @@ def test_replay_hypothesis_not_met_is_distinct():
     assert rec["hypothesis"] == "not-met"
 
 
-def test_poly_compose_sum_first():
-    # p = uv: p(u+w, w) = (u+w)w = uw + w^2
-    out = poly_compose_sum({(1, 1): 1}, "first+second")
-    assert out == {(1, 1): 1, (0, 2): 1}
+def test_statement_form_of_the_associator_puts_x1_as_x0_plus_x2():
+    # p = x1 x2: p(x0+x2, x2) = (x0+x2)x2 = x0 x2 + x2^2, over (x0, x2); the
+    # pole orders of x0, x1, x2 become those of x1 = x0 + x2, x0 and x2
+    out = statement_form(RationalForm({(1, 1): 1}, 1, 2, 3), "m2")
+    assert out.numerator == {(1, 1): 1, (0, 2): 1}
+    assert (out.a, out.b, out.c, out.kind) == (2, 1, 3, "m2")
 
 
-def test_poly_compose_sum_second_minus():
-    # p = u: p(w, -u+w) = w  (first argument becomes the second variable)
-    out = poly_compose_sum({(1, 0): 1}, "second-minus")
-    assert out == {(0, 1): 1}
-    # p = w: p(w, -u+w) = -u + w
-    out2 = poly_compose_sum({(0, 1): 1}, "second-minus")
-    assert out2 == {(1, 0): -1, (0, 1): 1}
+def test_statement_form_of_the_skew_pair_puts_x2_as_minus_x0_plus_x1():
+    # p = x1: p(x1, -x0+x1) = x1, over (x0, x1); the pole orders of x0, x1,
+    # x2 become those of x2 = -x0 + x1, x0 and x1
+    out = statement_form(RationalForm({(1, 0): 1}, 1, 2, 3), "m3")
+    assert out.numerator == {(0, 1): 1}
+    assert (out.a, out.b, out.c, out.kind) == (3, 1, 2, "m3")
+    # p = x2: p(x1, -x0+x1) = -x0 + x1
+    out2 = statement_form(RationalForm({(0, 1): 1}, 0, 4, 5), "m3")
+    assert out2.numerator == {(1, 0): -1, (0, 1): 1}
+    assert (out2.a, out2.b, out2.c) == (5, 0, 4)
 
 
 def test_EFG_checks_on_generated_instance():

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from conftest import (_weak_difference, assert_one_build_per_member_and_kind, is_zero,
                       slot_triple, witness_is_valid)
 
-from vertexcalc import configio, deltacalc, rationalforms, series, structures
+from vertexcalc import cli, configio, deltacalc, rationalforms, series, structures
 from vertexcalc.corpus import (
     borcherds_structure,
     family,
@@ -75,7 +76,7 @@ def test_vacuum_acts_as_identity():
 
 def test_compose_with_vacuum_drops_first_variable():
     S = borcherds_structure(3)
-    got = slot_triple(S, "e0", "e1", "e1").f_at("x1", "x2")
+    got = slot_triple(S, "e0", "e1", "e1").f.rename({S1: "x1", S2: "x2"})
     direct = S.yw_series("e1", "e1", "x2")
     assert is_zero(got - direct.align(("x1", "x2")))
 
@@ -86,7 +87,7 @@ def test_iterate_on_vacuum_is_taylor_shift():
     stacks = MemberStacks(S)
     for u in S.basis:
         for w in S.basis:
-            left = slot_triple(S, u, "e0", w, stacks).h_at("x2", "x0")
+            left = slot_triple(S, u, "e0", w, stacks).h.rename({S1: "x2", S2: "x0"})
             base = S.yw_series(u, w, "t")
             right = taylor_substitute(base, "t", (1, "x2"), (1, "x0"))
             assert is_zero(left - right.align(("x0", "x2")))
@@ -451,8 +452,9 @@ def test_route_one_checks_the_proved_three_term_identity(monkeypatch):
             for v in A.over.basis:
                 for w in A.wbasis:
                     inst = slot_triple(A, u, v, w, stacks)
-                    slots = (inst.f_at("x1", "x2"), inst.g_at("x2", "x1"),
-                             inst.h_at("x2", "x0"))
+                    slots = (inst.f.rename({S1: "x1", S2: "x2"}),
+                             inst.g.rename({S1: "x2", S2: "x1"}),
+                             inst.h.rename({S1: "x2", S2: "x0"}))
                     structures._jacobi_symbolic_zero(*slots, 5)
                     e = exprs.pop()
                     assert {t.delta for t in e.terms} <= {t.delta for t in lhs}
@@ -612,8 +614,9 @@ def _per_triple_jacobi(A, axiom, N, memo, stacks):
             for w in A.wbasis:
                 inst = slot_triple(A, u, v, w, stacks)
                 out = structures._jacobi_symbolic_zero(
-                    inst.f_at("x1", "x2"), inst.g_at("x2", "x1"),
-                    inst.h_at("x2", "x0"), N, memo)
+                    inst.f.rename({S1: "x1", S2: "x2"}),
+                    inst.g.rename({S1: "x2", S2: "x1"}),
+                    inst.h.rename({S1: "x2", S2: "x0"}), N, memo)
                 ok_ser, _ = rationalforms.check_A(inst, N)
                 assert (not out) == ok_ser, (A.name, u, v, w)
                 verdicts[(u, v, w)] = not out
@@ -650,7 +653,7 @@ def _jacobi_axiom(A):
 def _member_stack_failing_triples(member, N, memo):
     """Each route's failing triples, read off the member stack of ``member``."""
     inst = member.instance()
-    sym = structures._jacobi_symbolic_zero(*structures._slots(inst), N, memo)
+    sym = structures._jacobi_symbolic_zero(*rationalforms.jacobi_slots(inst), N, memo)
     ser = rationalforms.three_term_series(inst, N).coeffs
     return (structures._failing_triples(member, sym),
             structures._failing_triples(member, ser))
@@ -846,8 +849,9 @@ def _per_w_check_vf(A, axiom, m_max, window, stacks):
     for u in A.over.basis:
         for v in A.over.basis:
             for w in A.wbasis:
-                left = slot_triple(A, u, v, w, stacks).h_at("x2", "x0")
-                right = slot_triple(A, v, u, w, stacks).h_at("t", "x0").flip_sign("x0")
+                left = slot_triple(A, u, v, w, stacks).h.rename({S1: "x2", S2: "x0"})
+                right = slot_triple(A, v, u, w, stacks).h.rename(
+                    {S1: "t", S2: "x0"}).flip_sign("x0")
                 right = taylor_substitute(right, "t", (1, "x2"), (1, "x0"),
                                           {"x0": (INF, N)})
                 ok, wit = series.zero_verdict(left - right,
@@ -1177,3 +1181,91 @@ def test_injectivity_rank_equals_sympy_rank(ut2_dir):
         assert (report.verdict == "PASS") == (rank == len(S.basis)), S.name
         deficient += report.verdict == "FAIL"
     assert len(members) > 300 and 50 < deficient < len(members) - 50
+
+
+# ---------------------------------------------------------------------------
+# the S3 symmetry: the three weak pairs are residues of the one Jacobi identity
+
+
+def test_report_anchors_show_the_three_jacobi_deltas_in_order():
+    # the anchors are displayed bytes; each must show the deltas of the
+    # proved recipe, rationalforms.JACOBI, in its order ("*" read as a space)
+    deltas = [re.escape(repr(t.delta).replace("*", " ")) for _, t in rationalforms.JACOBI]
+    for anchor in (structures.ANCHORS["jacobi"], structures.ANCHORS["m_jacobi"],
+                   cli.DELTA_ANCHORS["three-term"]):
+        assert re.search(".*".join(deltas), anchor), anchor
+
+
+def _on_box(series, b):
+    """{monomial as sorted (variable, exponent) pairs: coefficient} of every
+    nonzero coefficient of ``series`` on the box ``b``."""
+    return {tuple(sorted(series.monomial(k).items())): c
+            for k, c in series.nonzero_on(b)}
+
+
+def test_each_weak_pair_is_a_residue_of_route_one():
+    # Res_e e^k of the Jacobi identity, for the variable e that a pair kind
+    # eliminates, is binomial^k (left - right) of the pair once k reaches
+    # the pole order p of the third slot in e.  So the x_e^(-1-k) slice of
+    # route 1's coefficients on [-N, N]^3 equals the cleared pair difference
+    # on the pair box, with sign +1 for all three kinds.  Below p the third
+    # slot may add to the slice: k < p is not compared, but some slice must
+    # differ there, or the bound p would go untested.
+    X = ("x0", "x1", "x2")
+    compared, below = Counter(), Counter()
+    for A in full_corpus() + full_module_corpus() + _seeded_edits(60, 12):
+        N, p, stacks = structures.default_window(A), A.max_pole_order(), MemberStacks(A)
+        for t in stacks.triples:
+            inst = stacks.own(t)
+            route1 = {tuple(dict(mono).get(v, 0) for v in X): c
+                      for mono, c in structures._jacobi_symbolic_zero(
+                          *rationalforms.jacobi_slots(inst), N, stacks.memo).items()}
+            for kind, pair in rationalforms.PAIRS.items():
+                left, right = rationalforms.pair_sides(inst, kind, N)
+                diff, w = left - right, rationalforms.box(N, *pair.variables)
+                if not route1 and not diff.coeffs:
+                    continue
+                i = X.index(pair.eliminated)
+                for k in range(N):
+                    # e^k times route 1, whose e^-1 slice is route 1's e^(-1-k) one
+                    shifted = WindowedSeries.from_monomials(X, {
+                        key[:i] + (key[i] + k,) + key[i + 1:]: c
+                        for key, c in route1.items()})
+                    got = _on_box(shifted.residue(pair.eliminated), w)
+                    want = _on_box(series.multiply(diff, rationalforms.clearing(kind, k)), w)
+                    if k >= p:
+                        assert got == want, (A.name, t, kind, k)
+                        compared[kind] += len(want)
+                    else:
+                        below[kind] += got != want
+    assert compared["m1"] > 6000 and compared["m2"] > 7500 and compared["m3"] > 8000, compared
+    assert min(below[kind] for kind in rationalforms.PAIRS) > 0, below
+
+
+def test_weak_skew_assoc_at_uvw_is_weak_assoc_at_vuw_under_vf_skew_symmetry():
+    # Put x0 -> -x0 and x2 -> x1 into weak_assoc at (v, u, w): its left side
+    # becomes weak_skew_assoc's left side at (u, v, w), with the same
+    # binomial (x1-x0)^m, and vf skew symmetry at x2 = x1 - x0 maps the two
+    # right sides onto each other.  So on a member that PASSes
+    # (m_)vf_skew_symmetry each m witnesses both statements or neither, and
+    # the least witnesses agree, None included.  They are read per triple,
+    # from its own slot series, not from the first-failing records.
+    members = (full_corpus() + full_module_corpus() + _seeded_edits(60, 12)
+               + _random_tables(60, 21))
+    passing, triples, witnesses = 0, 0, Counter()
+    for A in members:
+        stacks = MemberStacks(A)
+        vf = "vf_skew_symmetry" if A.over is A else "m_vf_skew_symmetry"
+        if check_axiom(A, vf, stacks=stacks).verdict != "PASS":
+            continue
+        passing += 1
+        N, m_max = structures.default_window(A), A.max_pole_order() + 2
+        for u, v, w in stacks.triples:
+            skew, assoc = (rationalforms.least_clearing_power(
+                *rationalforms.pole_statement(stacks.own(t), kind, N, N), m_max)[None]
+                for t, kind in (((u, v, w), "m3"), ((v, u, w), "m2")))
+            assert skew == assoc, (A.name, (u, v, w), skew, assoc)
+            witnesses[skew] += 1
+            triples += 1
+    assert passing >= 45 and triples >= 1376, (passing, triples)
+    assert witnesses[0] and witnesses[None], witnesses

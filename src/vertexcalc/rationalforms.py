@@ -13,17 +13,16 @@ replayed on concrete instances: hypothesis first, then the conclusion; a
 conclusion failure under a verified hypothesis is an implementation bug and
 raises ConsistencyViolationError.
 
-Instances are stored in slot variables ("s1", "s2"); a statement plugs the
-slots with its own variables by renaming.  For a vertex structure acting on
-w the slots hold f = Y(u,s1)Y(v,s2)w, g = Y(v,s1)Y(u,s2)w and
-h = Y(Y(u,s2)v,s1)w.
+Each slot series lives in the variables of the ``JACOBI`` term that it
+multiplies, that term's delta numerator (head, tail): for a vertex structure
+acting on w, f = Y(u,x1)Y(v,x2)w, g = Y(v,x2)Y(u,x1)w and h = Y(Y(u,x0)v,x2)w,
+so no statement renames a slot.
 
 The pairs of (B)-(G) are the three weak properties, the residues of the one
 S3-symmetric Jacobi identity in x0, x1 and x2.  (A) is its three terms,
-``JACOBI``, which ``deltacalc.prove_identity`` proves, on ``jacobi_slots``;
-``PAIRS`` is read off the same terms: the pair variables, the clearing
-binomial and the two sides, each a slot series in the pair variables,
-possibly with s1 substituted:
+``JACOBI``, which ``deltacalc.prove_identity`` proves; ``PAIRS`` is read off
+the same terms: the pair variables, the clearing binomial and the two sides,
+each a slot series, possibly with the eliminated variable substituted:
 
   m1  weak commutativity       f(x1,x2)      g(x2,x1)       (x1-x2)^m   (B), (E)
   m2  weak associativity       f(x0+x2,x2)   h(x2,x0)       (x0+x2)^m   (C), (F)
@@ -54,9 +53,8 @@ from .series import (
     zero_verdict,
 )
 
-S1, S2 = "s1", "s2"
-
-# the Jacobi identity's three terms, each with the slot it multiplies
+# the Jacobi identity's three terms, each with the slot it multiplies, whose
+# series is over the term's delta numerator variables
 JACOBI = tuple(zip("fgh", identity_lhs(THREE_TERM).terms))
 
 
@@ -70,9 +68,10 @@ class RationalForm:
     """p(v1,v2) / (binomial^a * v1^b * v2^c) with a two-way pole expansion.
 
     ``numerator`` maps (i, j) exponent pairs to coefficients; a, b, c are the
-    nonnegative pole orders.  The binomial is that of pair ``kind`` in
-    ``PAIRS`` (default m1: v1 - v2); mode "direct" expands with its head
-    dominant, mode "reversed" with its tail dominant.
+    nonnegative pole orders.  (v1, v2) and the binomial are the variables and
+    the binomial of pair ``kind`` in ``PAIRS`` (default m1: x1 - x2); mode
+    "direct" expands with its head dominant, mode "reversed" with its tail
+    dominant, over (v1, v2).
     """
 
     def __init__(self, numerator, a, b, c, kind="m1"):
@@ -89,17 +88,15 @@ class RationalForm:
             return 0
         return max(max(i, j) for i, j in self.numerator)
 
-    def expand(self, mode, window_lo, window_hi, variables=(S1, S2)):
+    def expand(self, mode, window_lo, window_hi):
         """Windowed expansion; head exponents kept down to window_lo, tail up
         to window_hi.  Exact when a == 0."""
-        v1, v2 = variables
         if mode not in ("direct", "reversed"):
             raise ValueError(f"unknown expansion mode {mode!r}")
-        binomial = PAIRS[self.kind].binomial
-        (hs, hvar), (ts, tvar) = binomial if mode == "direct" else binomial[::-1]
-        names = {S1: v1, S2: v2}
-        hvar, tvar = names[hvar], names[tvar]
-        ih, it = variables.index(hvar), variables.index(tvar)
+        pair = PAIRS[self.kind]
+        (hs, hvar), (ts, tvar) = (pair.binomial if mode == "direct"
+                                  else pair.binomial[::-1])
+        ih, it = pair.variables.index(hvar), pair.variables.index(tvar)
         coeffs, rows = {}, {}
         for (i, j), cnum in self.numerator.items():
             base = (i - self.b, j - self.c)
@@ -109,10 +106,10 @@ class RationalForm:
                     if self.a else 0)
             add_power(coeffs, rows, base, cnum, -self.a, (hs, ih), (ts, it), kmax)
         if self.a == 0:
-            return WindowedSeries.from_monomials(variables, coeffs)
+            return WindowedSeries.from_monomials(pair.variables, coeffs)
         window = {hvar: (window_lo, INF), tvar: (INF, window_hi)}
         shape = {hvar: (False, True), tvar: (True, False)}
-        return WindowedSeries(variables, coeffs, window, shape)
+        return WindowedSeries(pair.variables, coeffs, window, shape)
 
     def to_json(self):
         return {
@@ -127,13 +124,13 @@ class RationalForm:
 class Pair(NamedTuple):
     """The recipe of one pair statement; see the module docstring.
 
-    A side is (slot, {slot: pair variable}, sub): the slot series renamed,
-    and if ``sub`` is a (head, tail) pair of signed variables, with s1
-    replaced by head + tail, expanded in nonnegative powers of the tail.
+    A side is (slot, sub): the slot series, and if ``sub`` is a (head, tail)
+    pair of signed variables, with ``eliminated`` replaced by head + tail,
+    expanded in nonnegative powers of the tail.
     """
     name: str          # the pair's name in consistency-violation messages
     variables: tuple   # the pair variables (v1, v2)
-    binomial: tuple    # (head, tail) signed slots of head + tail (s1 is v1)
+    binomial: tuple    # (head, tail) signed pair variables of head + tail
     left: tuple        # the side that is the "direct" expansion
     right: tuple       # the side that is the "reversed" expansion
     eliminated: str    # the Jacobi variable e whose residue is the pair,
@@ -142,7 +139,7 @@ class Pair(NamedTuple):
 
 # A pair is the two terms of ``JACOBI`` whose delta has e as its denominator,
 # e^-1 delta((sh h + st t)/e), read at (h, t), or as its numerator head,
-# d^-1 delta((sh e + st t)/d), read at e = sh d - sh st t with s1 substituted.
+# d^-1 delta((sh e + st t)/d), read at e = sh d - sh st t with e substituted.
 # The binomial is the left side's numerator once e is its denominator.
 PAIRS = {}
 for kind, name, e in (("m1", "commutator", "x0"), ("m2", "associator", "x1"),
@@ -151,14 +148,12 @@ for kind, name, e in (("m1", "commutator", "x0"), ("m2", "associator", "x1"),
     for slot, t in JACOBI:
         (sh, h), (st, tail) = t.delta.num
         if t.delta.denom == e:
-            sides.append((t.delta.num, (slot, {S1: h, S2: tail}, None)))
+            sides.append((t.delta.num, (slot, None)))
         elif h == e:
             sub = ((sh, t.delta.denom), (-sh * st, tail))
-            sides.append((sub, (slot, {S2: tail}, sub)))
-    (num, left), (_, right) = sides
-    variables = tuple(v for v in DEFAULT_VARS if v != e)
-    slot_of = dict(zip(variables, (S1, S2)))
-    PAIRS[kind] = Pair(name, variables, tuple((s, slot_of[v]) for s, v in num),
+            sides.append((sub, (slot, sub)))
+    (binomial, left), (_, right) = sides
+    PAIRS[kind] = Pair(name, tuple(v for v in DEFAULT_VARS if v != e), binomial,
                        left, right, e)
 
 
@@ -168,7 +163,7 @@ def statement_form(form: RationalForm, kind):
     variables by putting the binomial for the eliminated variable."""
     pair = PAIRS[kind]
     e, (v1, v2) = pair.eliminated, pair.variables
-    head, tail = ((s, (S1, S2).index(slot)) for s, slot in pair.binomial)
+    head, tail = ((s, pair.variables.index(v)) for s, v in pair.binomial)
     numerator, rows = {}, {}
     for (i, j), c in form.numerator.items():
         exps = {"x1": i, "x2": j}
@@ -182,27 +177,27 @@ def statement_form(form: RationalForm, kind):
 def clearing(kind, m):
     """The kind's binomial to the power m, in its pair variables."""
     pair = PAIRS[kind]
-    names = dict(zip((S1, S2), pair.variables))
-    (hs, hslot), (ts, tslot) = pair.binomial
-    return binomial_power(pair.variables, (hs, names[hslot]), (ts, names[tslot]), m)
+    return binomial_power(pair.variables, *pair.binomial, m)
 
 
 def pair_sides(inst, kind, hi):
     """The kind's (left, right) series in its pair variables; a substituted
     side is expanded up to exponent ``hi`` of its tail variable."""
-    sides = []
-    for slot, rename, sub in (PAIRS[kind].left, PAIRS[kind].right):
-        series = getattr(inst, slot).rename(rename)
+    pair, sides = PAIRS[kind], []
+    for slot, sub in (pair.left, pair.right):
+        series = getattr(inst, slot)
         if sub is not None:
             head, tail = sub
-            series = taylor_substitute(series, S1, head, tail, {tail[1]: (INF, hi)})
+            series = taylor_substitute(series, pair.eliminated, head, tail,
+                                       {tail[1]: (INF, hi)})
         sides.append(series)
     return tuple(sides)
 
 
 class TripleInstance:
-    """Concrete, immutable (f, g, h) in slot variables, with optional form and
-    the generation windows gen_lo/gen_hi that the pair statements expand at."""
+    """Concrete, immutable (f, g, h), each over its ``JACOBI`` term's
+    variables, with optional form and the generation windows gen_lo/gen_hi
+    that the pair statements expand at."""
 
     def __init__(self, f, g, h, form=None, seed=None, gen_lo=None, gen_hi=None):
         self.f, self.g, self.h = f, g, h
@@ -220,7 +215,7 @@ class TripleInstance:
         return self._results[key]
 
     def perturb_f(self, mono, value):
-        """Add value * s1^i s2^j to f; the instance stops satisfying (A)."""
+        """Add value * x1^i x2^j to f; the instance stops satisfying (A)."""
         coeffs = dict(self.f.coeffs)
         key = (mono[0], mono[1])
         coeffs[key] = coeffs.get(key, 0) + value
@@ -242,12 +237,10 @@ def instance_from_form(form: RationalForm, N, m_max=None, seed=None):
         m_max = max(form.a, form.b, form.c) + 2
     lo, hi = windows_for(N, m_max, form.degree())
     # f(x1,x2) and g(x2,x1) are the two expansions of the (E) form and
-    # h(x2,x0) the reversed one of the (F) form; g and h read their pair
-    # variables with the slots swapped
+    # h(x2,x0) the reversed one of the (F) form, in their pair variables
     E, F = statement_form(form, "m1"), statement_form(form, "m2")
-    f = E.expand("direct", lo, hi)
-    g = E.expand("reversed", lo, hi, variables=(S2, S1))
-    h = F.expand("reversed", lo, hi, variables=(S2, S1))
+    f, g = E.expand("direct", lo, hi), E.expand("reversed", lo, hi)
+    h = F.expand("reversed", lo, hi)
     return TripleInstance(f, g, h, form=form, seed=seed, gen_lo=lo, gen_hi=hi)
 
 
@@ -280,19 +273,10 @@ def box(N, *variables):
     return {v: (-N, N) for v in variables}
 
 
-def jacobi_slots(inst):
-    """The slot series of ``inst`` that the terms of ``JACOBI`` multiply,
-    each renamed to its delta numerator's (head, tail) variables: f(x1,x2),
-    g(x2,x1) and h(x2,x0)."""
-    return tuple(getattr(inst, slot).rename(
-        {S1: t.delta.num[0][1], S2: t.delta.num[1][1]}) for slot, t in JACOBI)
-
-
 def three_term_series(inst: TripleInstance, N):
     """The terms of ``JACOBI`` on the slots of ``inst``, summed on [-N, N]^3."""
-    return apply_delta([(t.coeff, *t.delta.num, t.delta.denom, s)
-                        for (_, t), s in zip(JACOBI, jacobi_slots(inst))],
-                       box(N, "x0", "x1", "x2"))
+    return apply_delta([(t.coeff, *t.delta.num, t.delta.denom, getattr(inst, slot))
+                        for slot, t in JACOBI], box(N, "x0", "x1", "x2"))
 
 
 def check_A(inst: TripleInstance, N):
@@ -374,9 +358,8 @@ def _pair_matches(inst: TripleInstance, kind, form: RationalForm, N):
     complete.  Wider expansion windows would add only coefficients that the
     comparison never reads.  The sides hold the whole generation window, so
     only their coefficients on the box are compared, none copied."""
-    variables = PAIRS[kind].variables
-    w = box(N, *variables)
-    return all(_box_coeffs(form.expand(mode, -N, N, variables), w) == _box_coeffs(side, w)
+    w = box(N, *PAIRS[kind].variables)
+    return all(_box_coeffs(form.expand(mode, -N, N), w) == _box_coeffs(side, w)
                for mode, side in zip(("direct", "reversed"),
                                      inst.result(pair_sides, kind, inst.gen_hi)))
 

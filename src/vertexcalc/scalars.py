@@ -9,13 +9,11 @@ in ``int``.  Rationals serialize as "p/q" (or "p" when the denominator is 1).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 Scalar = (int, Fraction)
 
 
-@lru_cache(maxsize=4096)
 def binom(n: int, k: int) -> int:
     """Generalized binomial coefficient n(n-1)...(n-k+1)/k! for any integer n.
 

@@ -13,11 +13,12 @@ properties, vacuum-free skew symmetry, the vacuum property and the
 D-derivative property) each have one checker, which runs on the structure or
 the module itself.  The Jacobi identity is written once, as
 ``rationalforms.JACOBI``, the three terms that ``deltacalc.prove_identity``
-proves.  Both routes of the Jacobi checker apply them to the slots that
-``rationalforms.jacobi_slots`` renames.  The weak checkers read the pair
-recipes read off them (``rationalforms.PAIRS``), as the (B)-(G) statements
-do, on the slot triple of the action at (u, v, w), and search their
-witnesses with the replays' ``rationalforms.least_clearing_power``.
+proves.  Every slot series lives in the variables of the term that it
+multiplies (``SLOT_VARIABLES``), so both routes of the Jacobi checker apply
+the terms to the slots as they are.  The weak checkers read the pair recipes
+read off them (``rationalforms.PAIRS``), as the (B)-(G) statements do, on the
+slot triple of the action at (u, v, w), and search their witnesses with the
+replays' ``rationalforms.least_clearing_power``.
 Every slot series comes from one builder, ``MemberStacks``, which makes
 slot f (and so g) of every triple in one pass over the mode tables, and
 slot h (and so the swapped h) in another: each inner product is a row of a
@@ -28,9 +29,9 @@ structure, MODULE_AXIOMS (``m_`` and an action checker's name) on a module.
 The checks of one ``check_all`` or ``check`` command share one
 ``MemberStacks``, passed to each action checker: the member's slot series,
 each built once, its f, g, h and swapped-h stacks, each slot's per-triple
-flags of a negative s1 power, from which every exactness class is read, and
-the route-1 memo of its Jacobi check.  Nothing is held on the member, so the
-stacks die with the command.  ``replay_corpus`` hands every member's
+flags of a negative power of its head variable, from which every exactness
+class is read, and the route-1 memo of its Jacobi check.  Nothing is held
+on the member, so the stacks die with the command.  ``replay_corpus`` hands every member's
 ``MemberStacks`` one route-1 memo, so the Jacobi checks of one command expand
 each term shape once.
 
@@ -39,12 +40,13 @@ operators, linear in u, v and w, so each is checked once per member, on slot
 triples stacked into Vec coefficients keyed by the label ids of (u, v, w,
 w') (``MemberStacks.label_ids``).  ``zero_verdict`` decides an exact series
 on its whole support and any other on the box.  A weak or vf difference is
-exact unless a side that substitutes s1 has a negative power of s1, so those
-checkers stack each exactness class apart (which substituted sides have
-one): within a class every stack has the same exactness, windows and shapes,
-and each triple is decided as it is alone.  A class that covers the member
-is decided on the member stack.  Each FAIL record must agree with a rerun
-on its triple's own slot series, unstacked (``MemberStacks.own``).
+exact unless a side that substitutes its head variable has a negative power
+of it, so those checkers stack each exactness class apart (which
+substituted sides have one): within a class every stack has the same
+exactness, windows and shapes, and each triple is decided as it is alone.
+A class that covers the member is decided on the member stack.  Each FAIL
+record must agree with a rerun on its triple's own slot series, unstacked
+(``MemberStacks.own``).
 
 Checkers return PropertyReport records.  Identities between exact Laurent
 polynomials are decided exactly; identities involving delta factors or
@@ -61,9 +63,9 @@ from typing import NamedTuple
 from .deltacalc import DeltaExpr, Term, mono_of, window_coeffs
 from .errors import (ConsistencyViolationError, ConstructionError,
                      WindowUnderflowError)
-from .rationalforms import (JACOBI, PAIRS, S1, S2, TripleInstance, box,
-                            jacobi_slots, least_clearing_power,
-                            pole_statement, three_term_series)
+from .rationalforms import (JACOBI, PAIRS, TripleInstance, box,
+                            least_clearing_power, pole_statement,
+                            three_term_series)
 from .scalars import Vec, coeff_mul, linear_map
 from .series import (INF, WindowedSeries, exp_endo, judged_coeffs, multiply,
                      taylor_substitute, zero_verdict)
@@ -371,42 +373,46 @@ def minimal_pole_order(S: VertexStructure, u, v):
 # A with its ``MemberStacks`` and reporting under the name ``axiom`` it was
 # asked for (jacobi for a structure, m_jacobi for a module, and so on)
 
-def _jacobi_symbolic_zero(f12, g21, h20, N, memo=None):
+def _jacobi_symbolic_zero(inst, N, memo=None):
     """Route 1's window coefficients (``deltacalc.window_coeffs``, given
-    ``memo``) of the Jacobi slots f12, g21 and h20 (``jacobi_slots``) times
-    the three terms of ``rationalforms.JACOBI``, summed: every nonzero one
-    on the box [-N, N]^3."""
+    ``memo``) of the slots of ``inst`` times the three terms of
+    ``rationalforms.JACOBI``, summed: every nonzero one on the box
+    [-N, N]^3."""
     terms = []
-    for series, (_, t) in zip((f12, g21, h20), JACOBI):
+    for slot, t in JACOBI:
+        series = getattr(inst, slot)
         for key, c in series.coeffs.items():
             mono = mono_of(dict(zip(series.variables, key)))
             terms.append(Term(coeff_mul(c, t.coeff), mono, t.delta, ()))
     return window_coeffs(DeltaExpr(terms), box(N, "x0", "x1", "x2"), memo)
 
 
-# the variables of each slot's series and stacks: h is stored over (s2, s1)
-SLOT_VARIABLES = {"f": (S1, S2), "g": (S1, S2), "h": (S2, S1), "hs": (S2, S1)}
+# the variables of each slot's stacks and own series: its ``JACOBI`` term's
+# delta numerator (head, tail), f(x1,x2), g(x2,x1) and h(x2,x0); the
+# swapped h is stored as h
+SLOT_VARIABLES = {slot: tuple(v for _, v in t.delta.num) for slot, t in JACOBI}
+SLOT_VARIABLES["hs"] = SLOT_VARIABLES["h"]
 
 
 def _slot_products(A: ModuleStructure, kind, labels):
     """{(u, v, w): slot ``kind`` of ``A`` there} for each of ``labels``, as
-    exact series: f = Y(u,s1)Y(v,s2)w over (s1, s2), or h = Y(Y(u,s2)v,s1)w
-    over (s2, s1).  The inner product is a row of a mode table, Y(v,x)w of
-    ``A`` for f and Y(u,x)v of ``A.over`` for h; the outer table is applied
-    to each of its vectors as plain dicts (``_modes``), and each coefficient
-    becomes a ``Vec`` once.  Triples without a term share one zero series."""
+    exact series over ``SLOT_VARIABLES``: f = Y(u,x1)Y(v,x2)w, or
+    h = Y(Y(u,x0)v,x2)w, each keyed by its (outer, inner) exponents, which
+    are its (head, tail).  The inner product is a row of a mode table,
+    Y(v,x)w of ``A`` for f and Y(u,x)v of ``A.over`` for h; the outer table
+    is applied to each of its vectors as plain dicts (``_modes``), and each
+    coefficient becomes a ``Vec`` once.  Triples without a term share one
+    zero series."""
     variables = SLOT_VARIABLES[kind]
     table, out, zero = A.ywtable, {}, WindowedSeries.zero(variables)
     for u, v, w in labels:
         coeffs = {}
-        if kind == "f":
-            for n, vec in table.get((v, w), {}).items():
-                for e, entries in _modes(table, {u: 1}, vec.entries).items():
-                    coeffs[e, -n - 1] = Vec(entries)
-        else:
-            for n, vec in A.over.ywtable.get((u, v), {}).items():
-                for e, entries in _modes(table, vec.entries, {w: 1}).items():
-                    coeffs[-n - 1, e] = Vec(entries)
+        inner = table.get((v, w), {}) if kind == "f" else A.over.ywtable.get((u, v), {})
+        for n, vec in inner.items():
+            outer = (_modes(table, {u: 1}, vec.entries) if kind == "f"
+                     else _modes(table, vec.entries, {w: 1}))
+            for e, entries in outer.items():
+                coeffs[e, -n - 1] = Vec(entries)
         out[u, v, w] = WindowedSeries.from_monomials(variables, coeffs) if coeffs else zero
     return out
 
@@ -418,9 +424,11 @@ class MemberStacks:
     and "hs", the swapped h: slot h of (v, u, w), labelled (u, v, w).  The
     first read of f or g builds slot f at every triple in one pass
     (``_slot_products``), the first read of h or hs slot h; g and hs are the
-    f and h of the swapped triple, shared, not rebuilt.  A class stack is
-    stacked afresh from the same series, keying each label by the same id
-    (``label_ids``); the guards read a triple's own series (``own``).
+    f and h of the swapped triple, shared, not rebuilt: g is f's series
+    read by position, its (x1, x2) standing for g's (x2, x1), and ``_stack``
+    and ``own`` name it so.  A class stack is stacked afresh from the same
+    series, keying each label by the same id (``label_ids``); the guards read
+    a triple's own series (``own``).
     ``memo`` is the route-1 memo of the member's Jacobi check (see
     ``check_jacobi``): the one given, or a fresh dict."""
 
@@ -446,7 +454,8 @@ class MemberStacks:
         return self.triples[i // len(self.A.wbasis)]
 
     def series(self, slot):
-        """{(u, v, w): slot ``slot`` of the triple there}."""
+        """{(u, v, w): slot ``slot`` of the triple there}; g's series are
+        those of f, read by position."""
         out = self._series.get(slot)
         if out is None:
             kind, swapped = ("f", "g") if slot in ("f", "g") else ("h", "hs")
@@ -474,26 +483,27 @@ class MemberStacks:
 
     def own(self, t, slots="fgh"):
         """A TripleInstance of the slot series of the triple ``t`` itself, not
-        stacked: what every FAIL guard reruns on.  A slot not named is not
-        read, and is None."""
-        return TripleInstance(*(self.series(s)[t] if s in slots else None
-                                for s in "fgh"))
+        stacked, each renamed to ``SLOT_VARIABLES``: what every FAIL guard
+        reruns on.  A slot not named is not read, and is None."""
+        return TripleInstance(*(_named(self.series(s)[t], s) if s in slots
+                                else None for s in "fgh"))
 
     def flags(self, slot):
-        """{(u, v, w): whether slot ``slot`` has a negative power of s1}.
-        The slot series are exact ``from_monomials`` products, whose s1
-        window is their support, so the window's low end tells."""
+        """{(u, v, w): whether slot ``slot`` has a negative power of its head
+        variable, the first of its series' variables.  The slot series are
+        exact ``from_monomials`` products, whose windows are their support,
+        so the head window's low end tells."""
         out = self._flags.get(slot)
         if out is None:
-            out = self._flags[slot] = {label: s.window[S1][0] < 0
+            out = self._flags[slot] = {label: s.window[s.variables[0]][0] < 0
                                        for label, s in self.series(slot).items()}
         return out
 
     def classes(self, substituted):
         """The labels split, in order, by exactness class: which of the slots
-        ``substituted``, whose s1 gets substituted, have a negative power of
-        s1, so that they expand without end and their difference is judged
-        on the box, not on its whole support."""
+        ``substituted``, whose head variable gets substituted, have a
+        negative power of it, so that they expand without end and their
+        difference is judged on the box, not on its whole support."""
         if not substituted:
             return [list(self.triples)]
         parts = {}  # every flag map is in the order of ``triples``
@@ -501,6 +511,11 @@ class MemberStacks:
                                                    for s in substituted))):
             parts.setdefault(cls, []).append(label)
         return list(parts.values())
+
+
+def _named(series, slot):
+    """A slot series renamed to the slot's ``SLOT_VARIABLES``, by position."""
+    return series.rename(dict(zip(series.variables, SLOT_VARIABLES[slot])))
 
 
 def _stack(member, slot, labels):
@@ -554,7 +569,7 @@ def check_jacobi(A: ModuleStructure, axiom, m_max, window, member):
     # of ``series``, and no expansion outlives the command.
     memo, triples = member.memo, member.triples
     inst = member.instance()
-    out = _jacobi_symbolic_zero(*jacobi_slots(inst), N, memo)
+    out = _jacobi_symbolic_zero(inst, N, memo)
     sym = _failing_triples(member, out)
     ser = _failing_triples(member, three_term_series(inst, N).coeffs)
     if sym != ser:
@@ -566,7 +581,7 @@ def check_jacobi(A: ModuleStructure, axiom, m_max, window, member):
         return PropertyReport(axiom, "PASS", {}, window=N)
     ids = member.label_ids()[first].values()
     mono = min(key for key, c in out.items() if not c.entries.keys().isdisjoint(ids))
-    alone = _jacobi_symbolic_zero(*jacobi_slots(member.own(first)), N, memo)
+    alone = _jacobi_symbolic_zero(member.own(first), N, memo)
     if min(alone, default=None) != mono:
         raise _moved(axiom, first, f"first monomial {dict(mono)} on the member stack",
                      dict(min(alone)) if alone else "none")
@@ -588,7 +603,7 @@ def check_weak(A: ModuleStructure, axiom, m_max, window, member):
     kind = WEAK_PAIRS[axiom.removeprefix("m_")]
     pair = PAIRS[kind]
     slots = (pair.left[0], pair.right[0])
-    subbed = [slot for slot, _, sub in (pair.left, pair.right) if sub]
+    subbed = [slot for slot, sub in (pair.left, pair.right) if sub]
     least = {}
     for part in member.classes(subbed):
         least |= least_clearing_power(
@@ -614,15 +629,13 @@ def check_weak(A: ModuleStructure, axiom, m_max, window, member):
 def _vf_difference(h, hs, N):
     """Y(Y(u,x0)v,x2)w - Y(Y(v,-x0)u,x2+x0)w from slot h at (u, v, w) and
     ``hs``, slot h at (v, u, w): of one triple, or of a stack of them."""
-    left = h.rename({S1: "x2", S2: "x0"})
-    right = hs.rename({S1: "t", S2: "x0"}).flip_sign("x0")
-    return left - taylor_substitute(right, "t", (1, "x2"), (1, "x0"),
-                                    {"x0": (INF, N)})
+    right = hs.rename({"x2": "t"}).flip_sign("x0")
+    return h - taylor_substitute(right, "t", (1, "x2"), (1, "x0"), {"x0": (INF, N)})
 
 
 def check_vf_skew_symmetry(A: ModuleStructure, axiom, m_max, window, member):
     """vf skew symmetry, checked once per member on one stack per exactness
-    class (the right side substitutes s1 of slot h at (v, u, w)).  The
+    class (the right side substitutes x2 of slot h at (v, u, w)).  The
     record is the first failing triple and the least judged monomial of its
     class stack with a label of it; rerun alone, the triple must give the
     same monomial on its own series, or the stacking is a violation."""

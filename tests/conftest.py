@@ -70,8 +70,8 @@ def witness_is_valid(diff, clear, m, box):
 
 
 def slot_triple(A, u, v, w, stacks=None):
-    """The slot triple of ``A`` at (u, v, w): f = Y(u,s1)Y(v,s2)w,
-    g = Y(v,s1)Y(u,s2)w and h = Y(Y(u,s2)v,s1)w: the triple's own series
+    """The slot triple of ``A`` at (u, v, w): f = Y(u,x1)Y(v,x2)w,
+    g = Y(v,x2)Y(u,x1)w and h = Y(Y(u,x0)v,x2)w: the triple's own series
     (``MemberStacks.own``), read from ``stacks`` (a ``MemberStacks`` of ``A``
     shared by the caller's checks) or from fresh stacks of ``A``."""
     return (stacks or structures.MemberStacks(A)).own((u, v, w))

@@ -6,10 +6,10 @@ import sys
 
 import pytest
 
-from vertexcalc import configio
+from vertexcalc import configio, structures
 from vertexcalc.cli import build_parser, main
 from vertexcalc.corpus import borcherds_structure, make_module, mutants
-from vertexcalc.errors import ConfigError
+from vertexcalc.errors import ConfigError, WindowUnderflowError
 from vertexcalc.modules import MODULE_AXIOMS
 from vertexcalc.structures import AXIOMS
 
@@ -417,6 +417,52 @@ def test_repeated_mode_record_is_refused_and_named(corpus_dir, tmp_path, capsys)
     rc = main(["check", str(tmp_path / "borcherds-k2.json"), "--axiom", "jacobi"])
     assert rc == 3
     assert "mode (e0, -1, e0) is listed twice" in capsys.readouterr().err
+
+
+def test_module_over_a_base_of_another_name_is_refused(corpus_dir, tmp_path, capsys):
+    # the base file named by ``over`` holds a structure of another name
+    base = configio.load_json(str(corpus_dir / "borcherds-k3.json"))
+    configio.dump_json({**base, "name": "other"}, tmp_path / "borcherds-k3.json")
+    configio.dump_json(configio.load_json(
+        str(corpus_dir / "regular-module-k3.module.json")), tmp_path / "m.module.json")
+    rc = main(["check-module", str(tmp_path / "m.module.json")])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err == ("config error: module expects base 'borcherds-k3', "
+                            "got 'other'\n")
+
+
+def test_consistency_violation_exits_two_with_one_line(corpus_dir, monkeypatch,
+                                                       capsys):
+    # a stack writer that doubles one coefficient of slot f makes the valid
+    # borcherds-k3 fail Jacobi on its member stack but not on the triple
+    # alone: the guard's violation exits 2, with no report and one line
+    def perturbed(member, slot, labels, _original=structures._stack):
+        out = _original(member, slot, labels)
+        if slot != "f":
+            return out
+        key, vec = next(iter(out.coeffs.items()))
+        return out.copy_meta({**out.coeffs, key: vec + vec})
+
+    monkeypatch.setattr(structures, "_stack", perturbed)
+    rc = main(["check", str(corpus_dir / "borcherds-k3.json"), "--format", "machine"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith(
+        "consistency violation: jacobi stacking is inconsistent at (")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_any_other_package_error_exits_three_with_one_line(corpus_dir, monkeypatch,
+                                                           capsys):
+    def underflow(*args):
+        raise WindowUnderflowError("the window ran out")
+
+    monkeypatch.setitem(structures.ACTION_CHECKERS, "jacobi", underflow)
+    rc = main(["check", str(corpus_dir / "borcherds-k3.json"), "--format", "machine"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err == "error: the window ran out\n"
 
 
 def test_config_that_is_not_an_object_is_refused(tmp_path, capsys):

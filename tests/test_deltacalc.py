@@ -29,7 +29,6 @@ from vertexcalc.errors import (
     SummabilityError,
     UnsupportedRewriteError,
 )
-from vertexcalc.rationalforms import S1, S2
 from vertexcalc.scalars import Vec
 
 XYZ = ("x", "y", "z")
@@ -569,11 +568,8 @@ def _jacobi_route_one_calls(monkeypatch):
             for u in A.over.basis:
                 for v in A.over.basis:
                     for w in A.wbasis:
-                        inst = slot_triple(A, u, v, w, stacks)
                         structures._jacobi_symbolic_zero(
-                            inst.f.rename({S1: "x1", S2: "x2"}),
-                            inst.g.rename({S1: "x2", S2: "x1"}),
-                            inst.h.rename({S1: "x2", S2: "x0"}), N)
+                            slot_triple(A, u, v, w, stacks), N)
     return calls
 
 

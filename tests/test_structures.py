@@ -23,7 +23,6 @@ from vertexcalc.corpus import (
 )
 from vertexcalc.errors import (ConsistencyViolationError, ConstructionError,
                                VertexCalcError, WindowUnderflowError)
-from vertexcalc.rationalforms import S1, S2
 from vertexcalc.scalars import Vec
 from vertexcalc.series import INF, WindowedSeries, taylor_substitute
 from vertexcalc.structures import (
@@ -36,6 +35,7 @@ from vertexcalc.structures import (
     check_all,
     check_axiom,
     check_jacobi,
+    divided_power_table,
     minimal_pole_order,
     replay_corpus,
     restrict,
@@ -60,6 +60,37 @@ def test_construct_refuses_non_commutative_product():
     assert "commutative" in str(err.value)
 
 
+def test_construct_refuses_non_associative_product():
+    # a.a = b, b.b = a, a.b = 0 is commutative, but (a.a).b = a and a.(a.b) = 0
+    basis = ("a", "b")
+    mult = {("a", "a"): Vec.unit("b"), ("b", "b"): Vec.unit("a")}
+    with pytest.raises(ConstructionError, match=r"^product not associative at \(a,a,b\)$"):
+        borcherds_construct("bad", basis, mult, {}, unit=None)
+
+
+def test_construct_refuses_a_unit_that_fails_the_unit_law():
+    # Q[t]/(t^3) with unit t: t.1 = t, not 1
+    basis, mult, dmap = truncated_polynomial_algebra(3)
+    with pytest.raises(ConstructionError, match="^unit law fails at e0$"):
+        borcherds_construct("bad", basis, mult, dmap, unit="e1")
+
+
+def test_divided_power_table_refuses_a_derivation_that_is_not_nilpotent():
+    # D a = a: the powers D^m a never vanish
+    with pytest.raises(ConstructionError, match="^derivation is not nilpotent$"):
+        divided_power_table(("a",), {"a": Vec.unit("a")}, {("a", "a"): Vec.unit("a")},
+                            ("a",))
+
+
+def test_creation_prop_fails_on_negative_powers_acting_on_the_vacuum():
+    # a mode e1_0 1 = e1 with n >= 0 puts x^-1 into Y(e1,x)1
+    S = borcherds_structure(3).mutate("neg", {("e1", 0, "e0"): Vec.unit("e1")})
+    report = check_axiom(S, "creation_prop")
+    assert report.verdict == "FAIL"
+    assert report.witnesses == {"element": "e1",
+                                "reason": "negative powers acting on the vacuum"}
+
+
 def test_family_mode_values_by_hand():
     # k=3, D = t^2 d/dt: e^(xD) t = t + t^2 x, so Y(t,x)t = t^2 and
     # Y(t,x)1 = t + t^2 x
@@ -76,7 +107,7 @@ def test_vacuum_acts_as_identity():
 
 def test_compose_with_vacuum_drops_first_variable():
     S = borcherds_structure(3)
-    got = slot_triple(S, "e0", "e1", "e1").f.rename({S1: "x1", S2: "x2"})
+    got = slot_triple(S, "e0", "e1", "e1").f
     direct = S.yw_series("e1", "e1", "x2")
     assert is_zero(got - direct.align(("x1", "x2")))
 
@@ -87,7 +118,7 @@ def test_iterate_on_vacuum_is_taylor_shift():
     stacks = MemberStacks(S)
     for u in S.basis:
         for w in S.basis:
-            left = slot_triple(S, u, "e0", w, stacks).h.rename({S1: "x2", S2: "x0"})
+            left = slot_triple(S, u, "e0", w, stacks).h
             base = S.yw_series(u, w, "t")
             right = taylor_substitute(base, "t", (1, "x2"), (1, "x0"))
             assert is_zero(left - right.align(("x0", "x2")))
@@ -312,10 +343,10 @@ def test_check_all_shares_one_slot_triple_per_member(slot_product_calls):
 
 def _slot_reference(A, slot, u, v, w):
     """Slot ``slot`` of ``A`` at (u, v, w) summed term by term from the mode
-    tables in Vec arithmetic: f = Y(u,s1)Y(v,s2)w has a term per mode of v on
-    w, basis element b of its image and mode of u on b; h = Y(Y(u,s2)v,s1)w a
-    term per mode of u on v, b of its image and mode of b on w.  g and hs
-    are f and h at (v, u, w)."""
+    tables in Vec arithmetic: f = Y(u,x1)Y(v,x2)w has a term per mode of v on
+    w, basis element b of its image and mode of u on b; h = Y(Y(u,x0)v,x2)w a
+    term per mode of u on v, b of its image and mode of b on w, each keyed
+    by its (outer, inner) exponents.  g and hs are f and h at (v, u, w)."""
     if slot in ("g", "hs"):
         return _slot_reference(A, "f" if slot == "g" else "h", v, u, w)
     coeffs = {}
@@ -325,10 +356,10 @@ def _slot_reference(A, slot, u, v, w):
     for n_in, image in inner.items():
         for b, c in image.entries.items():
             for n_out, vec in outer(b).items():
-                key = (-n_out - 1, -n_in - 1) if slot == "f" else (-n_in - 1, -n_out - 1)
+                key = (-n_out - 1, -n_in - 1)
                 coeffs[key] = coeffs.get(key, Vec()) + vec.scale(c)
     return WindowedSeries.from_monomials(
-        (S1, S2) if slot == "f" else (S2, S1), coeffs)
+        ("x1", "x2") if slot == "f" else ("x2", "x0"), coeffs)
 
 
 def _series_facts(s):
@@ -452,10 +483,11 @@ def test_route_one_checks_the_proved_three_term_identity(monkeypatch):
             for v in A.over.basis:
                 for w in A.wbasis:
                     inst = slot_triple(A, u, v, w, stacks)
-                    slots = (inst.f.rename({S1: "x1", S2: "x2"}),
-                             inst.g.rename({S1: "x2", S2: "x1"}),
-                             inst.h.rename({S1: "x2", S2: "x0"}))
-                    structures._jacobi_symbolic_zero(*slots, 5)
+                    slots = (inst.f, inst.g, inst.h)
+                    # the anchor's f(x1,x2), g(x2,x1) and h(x2,x0)
+                    assert [s.variables for s in slots] == [
+                        ("x1", "x2"), ("x2", "x1"), ("x2", "x0")]
+                    structures._jacobi_symbolic_zero(inst, 5)
                     e = exprs.pop()
                     assert {t.delta for t in e.terms} <= {t.delta for t in lhs}
                     for series_, proved in zip(slots, lhs):
@@ -613,10 +645,7 @@ def _per_triple_jacobi(A, axiom, N, memo, stacks):
         for v in A.over.basis:
             for w in A.wbasis:
                 inst = slot_triple(A, u, v, w, stacks)
-                out = structures._jacobi_symbolic_zero(
-                    inst.f.rename({S1: "x1", S2: "x2"}),
-                    inst.g.rename({S1: "x2", S2: "x1"}),
-                    inst.h.rename({S1: "x2", S2: "x0"}), N, memo)
+                out = structures._jacobi_symbolic_zero(inst, N, memo)
                 ok_ser, _ = rationalforms.check_A(inst, N)
                 assert (not out) == ok_ser, (A.name, u, v, w)
                 verdicts[(u, v, w)] = not out
@@ -653,7 +682,7 @@ def _jacobi_axiom(A):
 def _member_stack_failing_triples(member, N, memo):
     """Each route's failing triples, read off the member stack of ``member``."""
     inst = member.instance()
-    sym = structures._jacobi_symbolic_zero(*rationalforms.jacobi_slots(inst), N, memo)
+    sym = structures._jacobi_symbolic_zero(inst, N, memo)
     ser = rationalforms.three_term_series(inst, N).coeffs
     return (structures._failing_triples(member, sym),
             structures._failing_triples(member, ser))
@@ -849,9 +878,9 @@ def _per_w_check_vf(A, axiom, m_max, window, stacks):
     for u in A.over.basis:
         for v in A.over.basis:
             for w in A.wbasis:
-                left = slot_triple(A, u, v, w, stacks).h.rename({S1: "x2", S2: "x0"})
+                left = slot_triple(A, u, v, w, stacks).h
                 right = slot_triple(A, v, u, w, stacks).h.rename(
-                    {S1: "t", S2: "x0"}).flip_sign("x0")
+                    {"x2": "t"}).flip_sign("x0")
                 right = taylor_substitute(right, "t", (1, "x2"), (1, "x0"),
                                           {"x0": (INF, N)})
                 ok, wit = series.zero_verdict(left - right,
@@ -874,18 +903,18 @@ def _outcome(check, *args):
 def _scanned_classes(A, kind):
     """{(u, v, w): exactness class} of ``A`` for a weak pair kind, or for vf
     skew symmetry (kind "vf"), by a scan of every key: which of the slot
-    series that get s1 substituted have a negative power of s1."""
+    series that get a variable substituted have a negative power of it."""
     stacks = MemberStacks(A)
 
     def substituted(u, v, w):
         if kind == "vf":
-            return [slot_triple(A, v, u, w, stacks).h]
+            return [(slot_triple(A, v, u, w, stacks).h, "x2")]
         pair = rationalforms.PAIRS[kind]
-        return [getattr(slot_triple(A, u, v, w, stacks), slot)
-                for slot, _, sub in (pair.left, pair.right) if sub]
+        return [(getattr(slot_triple(A, u, v, w, stacks), slot), pair.eliminated)
+                for slot, sub in (pair.left, pair.right) if sub]
 
-    return {(u, v, w): tuple(any(k[s.idx(rationalforms.S1)] < 0 for k in s.coeffs)
-                             for s in substituted(u, v, w))
+    return {(u, v, w): tuple(any(k[s.idx(x)] < 0 for k in s.coeffs)
+                             for s, x in substituted(u, v, w))
             for u in A.over.basis for v in A.over.basis for w in A.wbasis}
 
 
@@ -942,7 +971,7 @@ def _stack_alone(member, slot, labels):
 
 def test_exactness_classes_read_off_the_window_equal_the_per_key_scan(
         monkeypatch, ut2_dir):
-    # each weak and vf checker splits the triples by the s1 window of the
+    # each weak and vf checker splits the triples by the head window of the
     # substituted slot series exactly as a scan of every key splits them;
     # on one MemberStacks the five stacked checkers build each member stack
     # (f, g, h, swapped h) at most once (the guards read a triple's own
@@ -1187,6 +1216,32 @@ def test_injectivity_rank_equals_sympy_rank(ut2_dir):
 # the S3 symmetry: the three weak pairs are residues of the one Jacobi identity
 
 
+def test_every_slot_lives_in_its_jacobi_terms_variables():
+    # f(x1,x2), g(x2,x1) and h(x2,x0), the delta numerators (head, tail) of
+    # the anchor's three terms: every slot series of a rational-form
+    # instance, every triple's own series and every member or class stack
+    # is over its term's variables, so no statement renames a slot.  An
+    # expansion orders them as its pair does, g as (x1, x2).
+    numerator = {slot: tuple(v for _, v in t.delta.num) for slot, t in rationalforms.JACOBI}
+    assert numerator == {"f": ("x1", "x2"), "g": ("x2", "x1"), "h": ("x2", "x0")}
+    for seed in range(8):
+        inst = rationalforms.generate_instance(seed, N=4, max_deg=2, max_pole=2)
+        for slot in "fgh":
+            assert set(getattr(inst, slot).variables) == set(numerator[slot]), seed
+    triples = 0
+    for A in full_corpus() + full_module_corpus():
+        stacks = MemberStacks(A)
+        for t in stacks.triples:
+            own = stacks.own(t)
+            assert {s: getattr(own, s).variables for s in "fgh"} == numerator, A.name
+            triples += 1
+        for slot in ("f", "g", "h", "hs"):
+            want = numerator[slot[0]]
+            assert stacks.stack(slot).variables == want, (A.name, slot)
+            assert stacks.stack(slot, stacks.triples[:1]).variables == want, (A.name, slot)
+    assert triples > 1000
+
+
 def test_report_anchors_show_the_three_jacobi_deltas_in_order():
     # the anchors are displayed bytes; each must show the deltas of the
     # proved recipe, rationalforms.JACOBI, in its order ("*" read as a space)
@@ -1219,7 +1274,7 @@ def test_each_weak_pair_is_a_residue_of_route_one():
             inst = stacks.own(t)
             route1 = {tuple(dict(mono).get(v, 0) for v in X): c
                       for mono, c in structures._jacobi_symbolic_zero(
-                          *rationalforms.jacobi_slots(inst), N, stacks.memo).items()}
+                          inst, N, stacks.memo).items()}
             for kind, pair in rationalforms.PAIRS.items():
                 left, right = rationalforms.pair_sides(inst, kind, N)
                 diff, w = left - right, rationalforms.box(N, *pair.variables)

@@ -152,14 +152,14 @@ def _process_wide_caches(path):
             yield decorated.get(id(node)), node.lineno
 
 
-def test_no_process_wide_caches_but_binom_and_the_parser():
+def test_no_process_wide_cache_but_the_parser():
     # a cache that outlives one command would be hit by in-process benchmark
     # repeats but never by a CLI run, which is one process per command
     found = set()
     for name in sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py")):
         for func, line in _process_wide_caches(os.path.join(PACKAGE, name)):
             found.add((name, func) if func else (name, line))
-    assert found == {("scalars.py", "binom"), ("cli.py", "build_parser")}
+    assert found == {("cli.py", "build_parser")}
 
 
 CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
@@ -269,10 +269,9 @@ def _defined_functions():
 def _entered_by_commands_and_demos(tmp_path):
     """(file, first line, qualified name) of every function entered while
     each command runs once in process and each demo runs."""
-    from vertexcalc import cli, scalars
-    # a cache hit enters no function, so start both process caches empty
+    from vertexcalc import cli
+    # a cache hit enters no function, so start the parser cache empty
     cli.build_parser.cache_clear()
-    scalars.binom.cache_clear()
     out = str(tmp_path)
     commands = [["examples", "emit", "--out", out], ["prove-deltas"],
                 ["replay-elem", "--n", "10"], ["implication-matrix", out],

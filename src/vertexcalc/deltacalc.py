@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 
 from .errors import (
     ProverFailureError,
@@ -204,20 +205,13 @@ class Term:
 def _canonical_atom(head_sv, tail_svs, exp):
     """Canonicalize one expanded power; returns (sign_factor, mono, atom_or_None)."""
     hsign, hvar = head_sv
-    tail = list(tail_svs)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(tail)):
-            want = (-tail[i][0], tail[i][1])
-            for j in range(len(tail)):
-                if i != j and tail[j] == want:
-                    for idx in sorted((i, j), reverse=True):
-                        del tail[idx]
-                    changed = True
-                    break
-            if changed:
-                break
+    # cancel the +v, -v pairs of the tail as a multiset
+    counts = Counter(tail_svs)
+    for s, v in list(counts):
+        k = min(counts[s, v], counts[-s, v])
+        counts[s, v] -= k
+        counts[-s, v] -= k
+    tail = list(counts.elements())
     factor = 1
     if hsign < 0:
         factor = -1 if exp % 2 else 1

@@ -2,8 +2,8 @@
 
 A structure is its own regular module, so everything a module shares with
 its base structure lives in ``structures``: the action type
-ModuleStructure, the seven action checkers, the m_* axiom names, the one
-dispatcher ``check_axiom`` and ``check_all``, and the one table of
+ModuleStructure, the one checker table ``CHECKERS``, the m_* axiom names,
+the one dispatcher ``check_axiom`` and ``check_all``, and the one table of
 replacement rows with its corpus replay ``replay_corpus``.  The main theorem
 is stated for a module over a vertex algebra V: with the module's minor
 axioms, its Jacobi identity is equivalent to weak associativity and to weak
@@ -24,8 +24,8 @@ from .structures import (ModuleStructure, VertexStructure, _alg_mul,
 # here by the benchmark (bench/run.py)
 MODULE_AXIOMS = structures.MODULE_AXIOMS
 
-VACUUM_MODULE_AXIOMS = {f"m_{axiom}" for axiom in
-                        structures.VACUUM_AXIOMS.intersection(structures.ACTION_CHECKERS)}
+VACUUM_MODULE_AXIOMS = {axiom for axiom in MODULE_AXIOMS
+                        if axiom.removeprefix("m_") in structures.VACUUM_AXIOMS}
 
 
 def module_construct(S: VertexStructure, mult, derivation, wbasis, action,

@@ -111,12 +111,6 @@ class RationalForm:
         shape = {hvar: (False, True), tvar: (True, False)}
         return WindowedSeries(pair.variables, coeffs, window, shape)
 
-    def to_json(self):
-        return {
-            "numerator": {f"{i},{j}": v for (i, j), v in sorted(self.numerator.items())},
-            "a": self.a, "b": self.b, "c": self.c,
-        }
-
 
 # ---------------------------------------------------------------------------
 # the pair recipes
@@ -196,14 +190,12 @@ def pair_sides(inst, kind, hi):
 
 class TripleInstance:
     """Concrete, immutable (f, g, h), each over its ``JACOBI`` term's
-    variables, with optional form and the generation windows gen_lo/gen_hi
-    that the pair statements expand at."""
+    variables, with optional form and the high end ``gen_hi`` of the
+    generation window, which the pair statements expand at."""
 
-    def __init__(self, f, g, h, form=None, seed=None, gen_lo=None, gen_hi=None):
+    def __init__(self, f, g, h, form=None, gen_hi=None):
         self.f, self.g, self.h = f, g, h
         self.form = form
-        self.seed = seed
-        self.gen_lo = gen_lo
         self.gen_hi = gen_hi
         self._results = {}
 
@@ -220,8 +212,7 @@ class TripleInstance:
         key = (mono[0], mono[1])
         coeffs[key] = coeffs.get(key, 0) + value
         f2 = WindowedSeries(self.f.variables, coeffs, self.f.window, self.f.shape)
-        return TripleInstance(f2, self.g, self.h, None, self.seed,
-                              self.gen_lo, self.gen_hi)
+        return TripleInstance(f2, self.g, self.h, None, self.gen_hi)
 
 
 def windows_for(N, m_max, degree):
@@ -231,17 +222,15 @@ def windows_for(N, m_max, degree):
     return lo, hi
 
 
-def instance_from_form(form: RationalForm, N, m_max=None, seed=None):
+def instance_from_form(form: RationalForm, N):
     """Build the (E)/(F)/(G)-matched triple generated by a rational form."""
-    if m_max is None:
-        m_max = max(form.a, form.b, form.c) + 2
-    lo, hi = windows_for(N, m_max, form.degree())
+    lo, hi = windows_for(N, max(form.a, form.b, form.c) + 2, form.degree())
     # f(x1,x2) and g(x2,x1) are the two expansions of the (E) form and
     # h(x2,x0) the reversed one of the (F) form, in their pair variables
     E, F = statement_form(form, "m1"), statement_form(form, "m2")
     f, g = E.expand("direct", lo, hi), E.expand("reversed", lo, hi)
     h = F.expand("reversed", lo, hi)
-    return TripleInstance(f, g, h, form=form, seed=seed, gen_lo=lo, gen_hi=hi)
+    return TripleInstance(f, g, h, form, hi)
 
 
 def random_form(rng: random.Random, max_deg=4, max_pole=3):
@@ -263,7 +252,7 @@ def random_form(rng: random.Random, max_deg=4, max_pole=3):
 def generate_instance(seed, N=8, max_deg=4, max_pole=3):
     rng = random.Random(seed)
     form = random_form(rng, max_deg, max_pole)
-    return instance_from_form(form, N, seed=seed)
+    return instance_from_form(form, N)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +401,7 @@ IMPLICATIONS = ("ia", "ib", "ic", "iia", "iib", "iic", "iiia", "iiib", "iiic")
 def replay_implication(which, inst: TripleInstance, N=8, m_max=None):
     """Replay one implication on an instance.
 
-    Returns a record dict {implication, hypothesis, verdict, artifacts}.  A
+    Returns a record dict {hypothesis, verdict, and a reason or witness}.  A
     verified hypothesis with a failing conclusion raises
     ConsistencyViolationError: it would falsify the encoded theorem.  Each
     statement ((A), a pole witness, (E)/(F)/(G)) is computed once per instance
@@ -422,7 +411,7 @@ def replay_implication(which, inst: TripleInstance, N=8, m_max=None):
     if m_max is None:
         m_max = (max(inst.form.a, inst.form.b, inst.form.c) + 2
                  if inst.form else N)
-    rec = {"implication": which, "window": N, "m_max": m_max}
+    rec = {}
 
     def need(hyp_ok, reason):
         if not hyp_ok:
@@ -456,11 +445,9 @@ def replay_implication(which, inst: TripleInstance, N=8, m_max=None):
         m = inst.result(find_pole_witness, kind, m_max, N)
         if not need(m is not None, f"no pole witness {kind} <= {m_max}"):
             return rec
-        form = reconstruct_form(inst, kind, m, N)  # raises on mismatch
+        reconstruct_form(inst, kind, m, N)  # raises on mismatch
         rec["verdict"] = "PASS"
         rec["witness"] = PoleWitness(m, kind)._asdict()
-        rec["form"] = form.to_json() if all(
-            isinstance(v, int) for v in form.numerator.values()) else "vector"
         return rec
 
     if which in ("iiia", "iiib", "iiic"):

@@ -24,16 +24,17 @@ slot f (and so g) of every triple in one pass over the mode tables, and
 slot h (and so the swapped h) in another: each inner product is a row of a
 mode table, and the outer table is applied to its vectors as plain dicts.
 
-``check_axiom`` is the one dispatcher, for either kind of member: AXIOMS on a
-structure, MODULE_AXIOMS (``m_`` and an action checker's name) on a module.
-The checks of one ``check_all`` or ``check`` command share one
-``MemberStacks``, passed to each action checker: the member's slot series,
-each built once, its f, g, h and swapped-h stacks, each slot's per-triple
-flags of a negative power of its head variable, from which every exactness
-class is read, and the route-1 memo of its Jacobi check.  Nothing is held
-on the member, so the stacks die with the command.  ``replay_corpus`` hands every member's
-``MemberStacks`` one route-1 memo, so the Jacobi checks of one command expand
-each term shape once.
+Every axiom has one checker in one table, ``CHECKERS``, in the order of
+AXIOMS; each takes (A, axiom, m_max, window, member) and reports under
+``axiom``.  ``check_axiom`` is the one dispatcher, for either kind of
+member: AXIOMS on a structure, MODULE_AXIOMS (``m_`` and the name of one of
+the seven axioms of every action) on a module.  The checks of one
+``check_all`` or ``check`` command share one ``MemberStacks``, passed to
+each checker: the member's slot series, each built once, its f, g, h and
+swapped-h stacks, and the route-1 memo of its Jacobi check.  Nothing is
+held on the member, so the stacks die with the command.  ``replay_corpus``
+hands every member's ``MemberStacks`` one route-1 memo, so the Jacobi
+checks of one command expand each term shape once.
 
 Jacobi, the weak properties and vf_skew_symmetry are identities of
 operators, linear in u, v and w, so each is checked once per member, on slot
@@ -69,12 +70,6 @@ from .rationalforms import (JACOBI, PAIRS, TripleInstance, box,
 from .scalars import Vec, coeff_mul, linear_map
 from .series import (INF, WindowedSeries, exp_endo, judged_coeffs, multiply,
                      taylor_substitute, zero_verdict)
-
-AXIOMS = (
-    "jacobi", "weak_comm", "weak_assoc", "weak_skew_assoc",
-    "vf_skew_symmetry", "skew_symmetry", "d_derivative", "d_bracket",
-    "vacuum_prop", "creation_prop", "strong_creation", "injectivity",
-)
 
 VACUUM_AXIOMS = {
     "skew_symmetry", "d_derivative", "d_bracket",
@@ -201,9 +196,10 @@ class ModuleStructure:
                      w.entries if type(w) is Vec else {w: 1})
         return {e: vec for e, entries in raw.items() if (vec := Vec(entries))}
 
-    def yw_series(self, u, w, xvar="x"):
+    def yw_series(self, u, w):
+        """Y_W(u,x)w as an exact series in x."""
         return WindowedSeries.from_monomials(
-            (xvar,), {(e,): vec for e, vec in self.yw_modes(u, w).items()})
+            ("x",), {(e,): vec for e, vec in self.yw_modes(u, w).items()})
 
     def max_pole_order(self):
         return _pole_order([*self.over.ywtable.values(), *self.ywtable.values()])
@@ -419,10 +415,11 @@ def _slot_products(A: ModuleStructure, kind, labels):
 
 class MemberStacks:
     """Every triple (u, v, w) of one member, in ``over.basis`` x ``over.basis``
-    x ``wbasis`` order, with, per slot, its series by triple, its member stack
-    and its exactness flags, each built on first use.  The slots are f, g, h
-    and "hs", the swapped h: slot h of (v, u, w), labelled (u, v, w).  The
-    first read of f or g builds slot f at every triple in one pass
+    x ``wbasis`` order, with, per slot, its series by triple and its member
+    stack, each built on first use; exactness classes are read off the
+    series (``classes``), not cached.  The slots are f, g, h and "hs", the
+    swapped h: slot h of (v, u, w), labelled (u, v, w).  The first read of
+    f or g builds slot f at every triple in one pass
     (``_slot_products``), the first read of h or hs slot h; g and hs are the
     f and h of the swapped triple, shared, not rebuilt: g is f's series
     read by position, its (x1, x2) standing for g's (x2, x1), and ``_stack``
@@ -437,7 +434,7 @@ class MemberStacks:
         self.triples = [(u, v, w) for u in A.over.basis
                         for v in A.over.basis for w in A.wbasis]
         self.memo = {} if memo is None else memo
-        self._series, self._stacks, self._flags, self._ids = {}, {}, {}, {}
+        self._series, self._stacks, self._ids = {}, {}, {}
 
     def label_ids(self):
         """{(u, v, w): {w': id of the label (u, v, w, w')}} of every triple,
@@ -488,27 +485,20 @@ class MemberStacks:
         return TripleInstance(*(_named(self.series(s)[t], s) if s in slots
                                 else None for s in "fgh"))
 
-    def flags(self, slot):
-        """{(u, v, w): whether slot ``slot`` has a negative power of its head
-        variable, the first of its series' variables.  The slot series are
-        exact ``from_monomials`` products, whose windows are their support,
-        so the head window's low end tells."""
-        out = self._flags.get(slot)
-        if out is None:
-            out = self._flags[slot] = {label: s.window[s.variables[0]][0] < 0
-                                       for label, s in self.series(slot).items()}
-        return out
-
     def classes(self, substituted):
         """The labels split, in order, by exactness class: which of the slots
         ``substituted``, whose head variable gets substituted, have a
         negative power of it, so that they expand without end and their
-        difference is judged on the box, not on its whole support."""
+        difference is judged on the box, not on its whole support.  The head
+        variable is the first of a slot series' variables; the slot series
+        are exact ``from_monomials`` products, whose windows are their
+        support, so the low end of the head window tells."""
         if not substituted:
             return [list(self.triples)]
-        parts = {}  # every flag map is in the order of ``triples``
-        for label, cls in zip(self.triples, zip(*(self.flags(s).values()
-                                                   for s in substituted))):
+        heads = [[s.window[s.variables[0]][0] < 0 for s in self.series(slot).values()]
+                 for slot in substituted]
+        parts = {}  # every series map is in the order of ``triples``
+        for label, cls in zip(self.triples, zip(*heads)):
             parts.setdefault(cls, []).append(label)
         return list(parts.values())
 
@@ -668,104 +658,86 @@ def check_vacuum_prop(A: ModuleStructure, axiom, m_max, window, member):
     return PropertyReport(axiom, "PASS", {})
 
 
-def _first_failing_pair(axiom, pairs, difference):
-    """FAIL at the first pair whose ``difference`` series is nonzero, else PASS."""
-    for pair in pairs:
-        ok, wit = zero_verdict(difference(*pair))
+def _first_failing(axiom, key, items, difference):
+    """FAIL at the first of ``items`` whose ``difference`` series is nonzero,
+    recorded under ``key`` with its least monomial, else PASS."""
+    for item in items:
+        ok, wit = zero_verdict(difference(item))
         if not ok:
-            return PropertyReport(axiom, "FAIL", {"pair": pair, "monomial": wit[0]})
+            return PropertyReport(axiom, "FAIL", {key: item, "monomial": wit[0]})
     return PropertyReport(axiom, "PASS", {})
 
 
 def check_d_derivative(A: ModuleStructure, axiom, m_max, window, member):
     S = A.over
 
-    def difference(u, w):
-        du = S.dop.get(u, Vec())
-        lhs = A.yw_series(du, w, "x") if du else WindowedSeries.zero(("x",))
-        return lhs - A.yw_series(u, w, "x").derivative("x")
-    return _first_failing_pair(axiom, [(u, w) for u in S.basis for w in A.wbasis],
-                               difference)
-
-
-ACTION_CHECKERS = {
-    "jacobi": check_jacobi,
-    "weak_comm": check_weak,
-    "weak_assoc": check_weak,
-    "weak_skew_assoc": check_weak,
-    "vf_skew_symmetry": check_vf_skew_symmetry,
-    "vacuum_prop": check_vacuum_prop,
-    "d_derivative": check_d_derivative,
-}
+    def difference(uw):
+        u, w = uw
+        return A.yw_series(S.dop.get(u, Vec()), w) - A.yw_series(u, w).derivative("x")
+    return _first_failing(axiom, "pair", [(u, w) for u in S.basis for w in A.wbasis],
+                          difference)
 
 
 # ---------------------------------------------------------------------------
 # the five checkers that only a structure has
 
-def _exp_d_apply(S: VertexStructure, series: WindowedSeries, xvar):
-    """e^(x D) applied to every coefficient of a one-variable series."""
+def _exp_d_apply(S: VertexStructure, series: WindowedSeries):
+    """e^(x D) applied to every coefficient of a series in x."""
     out = None
     for key, vec in series.coeffs.items():
-        expd = exp_endo(S.dop, xvar, vec)
-        shift = WindowedSeries.from_monomials((xvar,), {key: 1})
+        expd = exp_endo(S.dop, "x", vec)
+        shift = WindowedSeries.from_monomials(("x",), {key: 1})
         piece = multiply(expd, shift)
         out = piece if out is None else out + piece
-    return out if out is not None else WindowedSeries.zero((xvar,))
+    return out if out is not None else WindowedSeries.zero(("x",))
 
 
-def check_skew_symmetry(S: VertexStructure, window=None):
-    return _first_failing_pair(
-        "skew_symmetry", [(u, v) for u in S.basis for v in S.basis],
-        lambda u, v: S.yw_series(u, v, "x")
-        - _exp_d_apply(S, S.yw_series(v, u, "x").flip_sign("x"), "x"))
+def check_skew_symmetry(A: VertexStructure, axiom, m_max, window, member):
+    return _first_failing(
+        axiom, "pair", [(u, v) for u in A.basis for v in A.basis],
+        lambda uv: A.yw_series(*uv)
+        - _exp_d_apply(A, A.yw_series(*uv[::-1]).flip_sign("x")))
 
 
-def check_d_bracket(S: VertexStructure, window=None):
-    def difference(u, v):
-        yuv = S.yw_series(u, v, "x")
+def check_d_bracket(A: VertexStructure, axiom, m_max, window, member):
+    def difference(uv):
+        u, v = uv
+        yuv = A.yw_series(u, v)
         d_of = WindowedSeries.from_monomials(
-            ("x",), {k: S.d_apply(c) for k, c in yuv.coeffs.items()})
-        y_dv = S.yw_series(u, S.dop.get(v, Vec()), "x") \
-            if S.dop.get(v) else WindowedSeries.zero(("x",))
-        return d_of - y_dv - yuv.derivative("x")
-    return _first_failing_pair("d_bracket", [(u, v) for u in S.basis for v in S.basis],
-                               difference)
+            ("x",), {k: A.d_apply(c) for k, c in yuv.coeffs.items()})
+        return d_of - A.yw_series(u, A.dop.get(v, Vec())) - yuv.derivative("x")
+    return _first_failing(axiom, "pair", [(u, v) for u in A.basis for v in A.basis],
+                          difference)
 
 
-def check_creation_prop(S: VertexStructure, window=None):
-    for u in S.basis:
-        modes = S.yw_modes(u, S.one)
+def check_creation_prop(A: VertexStructure, axiom, m_max, window, member):
+    for u in A.basis:
+        modes = A.yw_modes(u, A.one)
         if any(e < 0 for e in modes):
             return PropertyReport(
-                "creation_prop", "FAIL",
+                axiom, "FAIL",
                 {"element": u, "reason": "negative powers acting on the vacuum"})
         if modes.get(0, Vec()) != Vec.unit(u):
             return PropertyReport(
-                "creation_prop", "FAIL",
+                axiom, "FAIL",
                 {"element": u, "reason": "constant term differs from u"})
-    return PropertyReport("creation_prop", "PASS", {})
+    return PropertyReport(axiom, "PASS", {})
 
 
-def check_strong_creation(S: VertexStructure, window=None):
-    for u in S.basis:
-        lhs = S.yw_series(u, S.one, "x")
-        rhs = exp_endo(S.dop, "x", Vec.unit(u))
-        ok, wit = zero_verdict(lhs - rhs)
-        if not ok:
-            return PropertyReport(
-                "strong_creation", "FAIL",
-                {"element": u, "monomial": wit[0]})
-    return PropertyReport("strong_creation", "PASS", {})
+def check_strong_creation(A: VertexStructure, axiom, m_max, window, member):
+    return _first_failing(
+        axiom, "element", A.basis,
+        lambda u: A.yw_series(u, A.one) - exp_endo(A.dop, "x", Vec.unit(u)))
 
 
-def check_injectivity(S: VertexStructure, window=None):
+def check_injectivity(A: VertexStructure, axiom, m_max, window, member):
     """Exact rank of v -> (mode table row of v) over the rationals.  Each
     row, a Vec over (w, n, b), is reduced by the earlier pivots in order; a
     nonzero remainder becomes a pivot, scaled to 1 at its first key."""
     pivots = []
-    for v in S.basis:
-        row = Vec({(w, n, b): c for w in S.basis
-                   for n, vec in S.ytable.get((v, w), {}).items()
+    for v in A.basis:
+        row = Vec({(w, n, b): c for w in A.basis
+                   for n, vec in A.ytable.get((v, w), {}).items()
                    for b, c in vec.entries.items()})
         for key, pivot in pivots:
             if key in row.entries:
@@ -774,22 +746,34 @@ def check_injectivity(S: VertexStructure, window=None):
             key = next(iter(row.entries))
             pivots.append((key, row.scale(Fraction(1, row.entries[key]))))
     rank = len(pivots)
-    if rank < len(S.basis):
-        return PropertyReport("injectivity", "FAIL",
-                              {"rank": rank, "dim": len(S.basis)})
-    return PropertyReport("injectivity", "PASS", {"rank": rank})
+    if rank < len(A.basis):
+        return PropertyReport(axiom, "FAIL", {"rank": rank, "dim": len(A.basis)})
+    return PropertyReport(axiom, "PASS", {"rank": rank})
 
 
-STRUCTURE_CHECKERS = {
+# every checker, in the order of a structure report; each takes (A, axiom,
+# m_max, window, member) and reports under ``axiom``
+CHECKERS = {
+    "jacobi": check_jacobi,
+    "weak_comm": check_weak,
+    "weak_assoc": check_weak,
+    "weak_skew_assoc": check_weak,
+    "vf_skew_symmetry": check_vf_skew_symmetry,
     "skew_symmetry": check_skew_symmetry,
+    "d_derivative": check_d_derivative,
     "d_bracket": check_d_bracket,
+    "vacuum_prop": check_vacuum_prop,
     "creation_prop": check_creation_prop,
     "strong_creation": check_strong_creation,
     "injectivity": check_injectivity,
 }
 
+AXIOMS = tuple(CHECKERS)
 
-MODULE_AXIOMS = tuple(f"m_{axiom}" for axiom in ACTION_CHECKERS)
+# the seven axioms of every action, in the order of a module report
+MODULE_AXIOMS = tuple(f"m_{axiom}" for axiom in (
+    "jacobi", "weak_comm", "weak_assoc", "weak_skew_assoc",
+    "vf_skew_symmetry", "vacuum_prop", "d_derivative"))
 
 
 def member_axioms(A: ModuleStructure):
@@ -799,9 +783,10 @@ def member_axioms(A: ModuleStructure):
 
 def check_axiom(A: ModuleStructure, axiom, m_max=None, window=None,
                 stacks=None) -> PropertyReport:
-    """``axiom`` of ``A``, one of ``member_axioms(A)``; an action checker
-    reads ``stacks``, the ``MemberStacks`` of ``A``, or a fresh one.  An
-    axiom that needs a vacuum is UNTESTED where ``A.over`` has none."""
+    """``axiom`` of ``A``, one of ``member_axioms(A)``, by its checker in
+    ``CHECKERS``, handed ``stacks``, the ``MemberStacks`` of ``A``, or a
+    fresh one.  An axiom that needs a vacuum is UNTESTED where ``A.over``
+    has none."""
     structure = A.over is A
     if axiom not in member_axioms(A):
         raise ValueError(f"unknown {'' if structure else 'module '}axiom {axiom!r}")
@@ -809,9 +794,7 @@ def check_axiom(A: ModuleStructure, axiom, m_max=None, window=None,
     if name in VACUUM_AXIOMS and A.over.vacuum is None:
         return PropertyReport(axiom, "UNTESTED", {"reason": (
             "structure" if structure else "base structure") + " has no vacuum element"})
-    if name in STRUCTURE_CHECKERS:
-        return STRUCTURE_CHECKERS[name](A, window)
-    return ACTION_CHECKERS[name](A, axiom, m_max, window, stacks or MemberStacks(A))
+    return CHECKERS[name](A, axiom, m_max, window, stacks or MemberStacks(A))
 
 
 def check_all(A: ModuleStructure, m_max=None, window=None, memo=None):

@@ -458,7 +458,7 @@ def test_any_other_package_error_exits_three_with_one_line(corpus_dir, monkeypat
     def underflow(*args):
         raise WindowUnderflowError("the window ran out")
 
-    monkeypatch.setitem(structures.ACTION_CHECKERS, "jacobi", underflow)
+    monkeypatch.setitem(structures.CHECKERS, "jacobi", underflow)
     rc = main(["check", str(corpus_dir / "borcherds-k3.json"), "--format", "machine"])
     captured = capsys.readouterr()
     assert rc == 3 and captured.out == ""

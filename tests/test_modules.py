@@ -155,9 +155,8 @@ def test_main_theorem_checks_no_base_structure_unless_a_row_fails(
         return wrapped
 
     monkeypatch.setattr(structures, "check_axiom", spy(structures.check_axiom))
-    for table in (structures.ACTION_CHECKERS, structures.STRUCTURE_CHECKERS):
-        for name, check in table.items():
-            monkeypatch.setitem(table, name, spy(check))
+    for name, check in structures.CHECKERS.items():
+        monkeypatch.setitem(structures.CHECKERS, name, spy(check))
     corpus = full_module_corpus()
     replay_corpus(corpus)
     # each module axiom is seen twice: dispatched by check_axiom, then checked

@@ -54,8 +54,7 @@ def test_expand_then_shift_equals_expand_of_shifted_form():
 def test_zero_instance_satisfies_A():
     inst_zero = instance_from_form(RationalForm({(0, 0): 1}, 0, 0, 0), N=4)
     inst = type(inst_zero)(*(WindowedSeries.zero(v) for v in (
-        ("x1", "x2"), ("x2", "x1"), ("x2", "x0"))), None, None,
-        inst_zero.gen_lo, inst_zero.gen_hi)
+        ("x1", "x2"), ("x2", "x1"), ("x2", "x0"))), None, inst_zero.gen_hi)
     ok, witness = check_A(inst, 4)
     assert ok and witness is None
 
@@ -93,8 +92,7 @@ def test_unrelated_series_have_no_witness():
     rng = random.Random(2)
     inst = generate_instance(101, N=4, max_deg=2, max_pole=1)
     other = generate_instance(202, N=4, max_deg=2, max_pole=1)
-    mixed = type(inst)(inst.f, other.g, inst.h, None, None,
-                       inst.gen_lo, inst.gen_hi)
+    mixed = type(inst)(inst.f, other.g, inst.h, None, inst.gen_hi)
     assert find_pole_witness(mixed, "m1", 4, 4) is None
 
 
@@ -222,7 +220,7 @@ def _with_slot_changed(inst, slot, value, key=(0, 0)):
     slots[slot] = WindowedSeries(series.variables, coeffs, series.window,
                                  series.shape)
     return TripleInstance(slots["f"], slots["g"], slots["h"], inst.form,
-                          inst.seed, inst.gen_lo, inst.gen_hi)
+                          inst.gen_hi)
 
 
 def test_EFG_rejects_a_changed_side():

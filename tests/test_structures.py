@@ -26,8 +26,8 @@ from vertexcalc.errors import (ConsistencyViolationError, ConstructionError,
 from vertexcalc.scalars import Vec
 from vertexcalc.series import INF, WindowedSeries, taylor_substitute
 from vertexcalc.structures import (
-    ACTION_CHECKERS,
     AXIOMS,
+    CHECKERS,
     MemberStacks,
     ModuleStructure,
     VertexStructure,
@@ -108,7 +108,7 @@ def test_vacuum_acts_as_identity():
 def test_compose_with_vacuum_drops_first_variable():
     S = borcherds_structure(3)
     got = slot_triple(S, "e0", "e1", "e1").f
-    direct = S.yw_series("e1", "e1", "x2")
+    direct = S.yw_series("e1", "e1").rename({"x": "x2"})
     assert is_zero(got - direct.align(("x1", "x2")))
 
 
@@ -119,7 +119,7 @@ def test_iterate_on_vacuum_is_taylor_shift():
     for u in S.basis:
         for w in S.basis:
             left = slot_triple(S, u, "e0", w, stacks).h
-            base = S.yw_series(u, w, "t")
+            base = S.yw_series(u, w).rename({"x": "t"})
             right = taylor_substitute(base, "t", (1, "x2"), (1, "x0"))
             assert is_zero(left - right.align(("x0", "x2")))
 
@@ -289,7 +289,7 @@ def test_exponentiated_conjugation_form():
     S = borcherds_structure(4)
     for u in S.basis:
         for v in S.basis:
-            yuv = S.yw_series(u, v, "x")
+            yuv = S.yw_series(u, v)
             lhs_coeffs = {}
             for key, vec in yuv.coeffs.items():
                 piece = exp_endo(S.dop, "z", vec)
@@ -428,10 +428,10 @@ def test_jacobi_expands_each_factor_window_once_per_check(monkeypatch):
         return _original(factor, need, *mono)
 
     monkeypatch.setattr(deltacalc, "_expand_factor", counted)
-    def entered(A, *args, _check=ACTION_CHECKERS["jacobi"]):
+    def entered(A, *args, _check=CHECKERS["jacobi"]):
         checks.append(A.name)
         return _check(A, *args)
-    monkeypatch.setitem(ACTION_CHECKERS, "jacobi", entered)
+    monkeypatch.setitem(CHECKERS, "jacobi", entered)
     for A in full_corpus() + full_module_corpus():
         check_all(A)
     assert len(checks) == len(full_corpus()) + len(full_module_corpus())
@@ -456,10 +456,10 @@ def test_jacobi_expands_each_term_shape_once_per_check(monkeypatch):
 
     monkeypatch.setattr(deltacalc, "_unit_window_coeffs", counted)
     monkeypatch.setattr(structures, "window_coeffs", seen)
-    def entered(A, *args, _check=ACTION_CHECKERS["jacobi"]):
+    def entered(A, *args, _check=CHECKERS["jacobi"]):
         checks.append(A.name)
         return _check(A, *args)
-    monkeypatch.setitem(ACTION_CHECKERS, "jacobi", entered)
+    monkeypatch.setitem(CHECKERS, "jacobi", entered)
     for A in full_corpus() + full_module_corpus():
         check_all(A)
     assert len(checks) == len(full_corpus()) + len(full_module_corpus())
@@ -1011,7 +1011,7 @@ def test_exactness_classes_read_off_the_window_equal_the_per_key_scan(
         for name, kind in (("weak_comm", "m1"), ("weak_assoc", "m2"),
                            ("weak_skew_assoc", "m3"), ("vf_skew_symmetry", "vf")):
             splits.clear()
-            _outcome(ACTION_CHECKERS[name], A, name if A.over is A else "m_" + name,
+            _outcome(CHECKERS[name], A, name if A.over is A else "m_" + name,
                      None, None, member)
             want = {}
             for label, cls in _scanned_classes(A, kind).items():
@@ -1204,7 +1204,7 @@ def test_injectivity_rank_equals_sympy_rank(ut2_dir):
                + _random_tables(300, 21))
     deficient = 0
     for S in members:
-        report = structures.check_injectivity(S)
+        report = check_axiom(S, "injectivity")
         rank = _sympy_rank(S)
         assert report.witnesses["rank"] == rank, S.name
         assert (report.verdict == "PASS") == (rank == len(S.basis)), S.name
@@ -1249,6 +1249,18 @@ def test_report_anchors_show_the_three_jacobi_deltas_in_order():
     for anchor in (structures.ANCHORS["jacobi"], structures.ANCHORS["m_jacobi"],
                    cli.DELTA_ANCHORS["three-term"]):
         assert re.search(".*".join(deltas), anchor), anchor
+
+
+def test_weak_anchors_open_with_their_pairs_binomial():
+    # each weak anchor (and its m_ twin) opens with the clearing binomial of
+    # its pair recipe, rationalforms.PAIRS, read as signed variables
+    for name, kind in structures.WEAK_PAIRS.items():
+        for anchor in (structures.ANCHORS[name], structures.ANCHORS["m_" + name]):
+            head = re.match(r"\(([^)]*)\)\^m ", anchor)
+            assert head, anchor
+            signed = {(-1 if sign == "-" else 1, var)
+                      for sign, var in re.findall(r"([+-]?)(x\d)", head.group(1))}
+            assert signed == set(rationalforms.PAIRS[kind].binomial), anchor
 
 
 def _on_box(series, b):

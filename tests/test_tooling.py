@@ -162,6 +162,21 @@ def test_no_process_wide_cache_but_the_parser():
     assert found == {("cli.py", "build_parser")}
 
 
+def test_every_axiom_has_one_checker_with_one_signature():
+    # one table decides every axiom; the module axioms keep the report order
+    # of the seven axioms of every action, and bench/run.py reads
+    # modules.VACUUM_MODULE_AXIOMS
+    from vertexcalc import modules, structures
+    for name, check in structures.CHECKERS.items():
+        assert tuple(inspect.signature(check).parameters) == (
+            "A", "axiom", "m_max", "window", "member"), name
+    assert structures.AXIOMS == tuple(structures.CHECKERS)
+    assert structures.MODULE_AXIOMS == (
+        "m_jacobi", "m_weak_comm", "m_weak_assoc", "m_weak_skew_assoc",
+        "m_vf_skew_symmetry", "m_vacuum_prop", "m_d_derivative")
+    assert modules.VACUUM_MODULE_AXIOMS == {"m_vacuum_prop", "m_d_derivative"}
+
+
 CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
 WRITES = {"setdefault", "append", "update", "add"}
 

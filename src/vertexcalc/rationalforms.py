@@ -32,15 +32,21 @@ A pair statement reads one rational form over the binomial: the left side
 is its "direct" expansion, the right side its "reversed" one.  The pole
 witnesses, the reconstruction, (E)/(F)/(G), ``instance_from_form`` and the
 weak-property checkers of ``structures`` all read the table.
+
+On Laurent polynomials, such as the slots of a finite vertex structure,
+(A) holds exactly when (E) and (F) do with no pole in the binomial:
+``exact_jacobi`` decides it so, without a window (Claim A).
 """
 from __future__ import annotations
 
 import random
 from functools import partial
+from math import comb
 from typing import NamedTuple
 
 from .deltacalc import DEFAULT_VARS, THREE_TERM, identity_lhs
 from .errors import ConsistencyViolationError, WindowUnderflowError
+from .scalars import Vec
 from .series import (
     INF,
     WindowedSeries,
@@ -271,6 +277,77 @@ def three_term_series(inst: TripleInstance, N):
 def check_A(inst: TripleInstance, N):
     """Verdict of the three-term delta combination on the window [-N, N]^3."""
     return zero_verdict(three_term_series(inst, N), box(N, "x0", "x1", "x2"))
+
+
+def _terms(series, *variables):
+    """(exponents of ``variables``, coefficient) of every term of ``series``."""
+    at = [series.variables.index(v) for v in variables]
+    return [(tuple(key[i] for i in at), c) for key, c in series.coeffs.items()]
+
+
+def exact_jacobi(inst: TripleInstance):
+    """The Jacobi identity at the slots of ``inst``, decided exactly as two
+    polynomial identities (Claim A; FHL 1993, §3; Lepowsky-Li 2004, ch. 3):
+    {key: nonzero coefficient} of their differences, empty where it holds.
+
+    Each slot must be a Laurent polynomial, exact in every variable; any
+    other series raises WindowUnderflowError, undecided.  Read f(x1,x2),
+    g(x1,x2) = Y(v,x2)Y(u,x1)w and h(x0,x2) by variable name; let p be
+    max(0, -(least x1 exponent of f)) and F = x1^p f, a polynomial in x1.
+    Jacobi holds exactly when
+
+      (E)  f(x1,x2) = g(x1,x2): key ("E", i, j), at x1^i x2^j;
+      (F)  F(x0+x2,x2) = (x0+x2)^p h(x0,x2): key ("F", i, j), at x0^i x2^j,
+           every power of x0 + x2 nonnegative, so expanded binomially.
+
+    Let J be the identity x0^-1 d((x1-x2)/x0) f - x0^-1 d((x2-x1)/(-x0)) g
+    = x1^-1 d((x2+x0)/x1) h, d the delta function.
+
+    (E) and (F) give J.  By (E) the left side is f times the difference of
+    its two deltas, which is x1^-1 d((x2+x0)/x1) (the three-term delta
+    identity; the products exist, f being a Laurent polynomial).  This delta
+    substitutes x2 + x0 for x1 in any power of x1, expanded in nonnegative
+    powers of x0: x1^-1 d((x2+x0)/x1) f = x1^-1 d((x2+x0)/x1) (x2+x0)^-p
+    F(x2+x0,x2), which is x1^-1 d((x2+x0)/x1) h by (F).
+
+    J gives (E) and (F).  Take k >= 0 with x0^k h polynomial in x0, multiply
+    J by x0^k and take the residue in x0.  x0^k times either delta on the
+    left is (x1-x2)^k times it, whose residue is 1, so the left gives
+    (x1-x2)^k (f - g).  The right side has no negative power of x0, so it
+    gives 0.  Laurent polynomials over Q have no zero divisors and W is
+    free, so (x1-x2)^k (f - g) = 0 forces (E).  Then, as above, J reads
+    x1^-1 d((x2+x0)/x1) (x1^-p F - h) = 0; multiply by x1^p, substitute,
+    and take the residue in x1, which is 1 for the delta: (F).
+
+    On a stack every label takes one p, the largest pole order of its
+    labels.  For a label of its own order q <= p, its (F) at p is its (F)
+    at q times (x0+x2)^(p-q), and multiplying a Laurent polynomial by a
+    nonzero polynomial is injective; (E) does not involve p.  The sums only
+    add and scale each label's coefficients, so labels never mix, and each
+    label is decided as if it were alone."""
+    if not all(s.is_exact() for s in (inst.f, inst.g, inst.h)):
+        raise WindowUnderflowError(
+            "the exact Jacobi route needs Laurent polynomials, exact in every variable")
+    out = {}
+
+    def add(key, c, scale):
+        acc = out.setdefault(key, {})
+        for label, x in c.entries.items():
+            acc[label] = acc.get(label, 0) + scale * x
+
+    f = _terms(inst.f, "x1", "x2")
+    for (i, j), c in f:
+        add(("E", i, j), c, 1)
+    for (i, j), c in _terms(inst.g, "x1", "x2"):
+        add(("E", i, j), c, -1)
+    p = max(0, -min((a for (a, _), _ in f), default=0))
+    for (a, b), c in f:
+        for i in range(a + p + 1):
+            add(("F", i, a + p - i + b), c, comb(a + p, i))
+    for (d, e), c in _terms(inst.h, "x0", "x2"):
+        for j in range(p + 1):
+            add(("F", d + j, e + p - j), c, -comb(p, j))
+    return {key: v for key, entries in out.items() if (v := Vec(entries))}
 
 
 def pole_statement(inst, kind, hi, N):

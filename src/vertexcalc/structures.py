@@ -14,8 +14,10 @@ D-derivative property) each have one checker, which runs on the structure or
 the module itself.  The Jacobi identity is written once, as
 ``rationalforms.JACOBI``, the three terms that ``deltacalc.prove_identity``
 proves.  Every slot series lives in the variables of the term that it
-multiplies (``SLOT_VARIABLES``), so both routes of the Jacobi checker apply
-the terms to the slots as they are.  The weak checkers read the pair recipes
+multiplies (``SLOT_VARIABLES``), so route 1 of the Jacobi checker applies
+the terms to the slots as they are; its other route,
+``rationalforms.exact_jacobi``, decides exactly, as the slots are Laurent
+polynomials (Claim A).  The weak checkers read the pair recipes
 read off them (``rationalforms.PAIRS``), as the (B)-(G) statements do, on the
 slot triple of the action at (u, v, w), and search their witnesses with the
 replays' ``rationalforms.least_clearing_power``.
@@ -50,10 +52,12 @@ record must agree with a rerun on its triple's own slot series, unstacked
 (``MemberStacks.own``).
 
 Checkers return PropertyReport records.  Identities between exact Laurent
-polynomials are decided exactly; identities involving delta factors or
-infinite expansions are decided coefficient-wise on a recorded window, by
-default ``default_window``: support_extent + 2 * max_pole_order + 2 of the
-action's tables.  That this window suffices is not yet proved.
+polynomials are decided exactly, and so is Jacobi; the weak properties and
+vf skew symmetry, whose differences may expand without end, are decided
+coefficient-wise on a recorded window, by default ``default_window``:
+support_extent + 2 * max_pole_order + 2 of the action's tables.  That this
+window suffices for them is not yet proved; for Jacobi each default check
+tests that route 1 sees on it every triple that fails exactly.
 """
 from __future__ import annotations
 
@@ -64,9 +68,8 @@ from typing import NamedTuple
 from .deltacalc import DeltaExpr, Term, mono_of, window_coeffs
 from .errors import (ConsistencyViolationError, ConstructionError,
                      WindowUnderflowError)
-from .rationalforms import (JACOBI, PAIRS, TripleInstance, box,
-                            least_clearing_power, pole_statement,
-                            three_term_series)
+from .rationalforms import (JACOBI, PAIRS, TripleInstance, box, exact_jacobi,
+                            least_clearing_power, pole_statement)
 from .scalars import Vec, coeff_mul, linear_map
 from .series import (INF, WindowedSeries, exp_endo, judged_coeffs, multiply,
                      taylor_substitute, zero_verdict)
@@ -538,21 +541,26 @@ def _failing_triples(member, coeffs):
 
 
 def check_jacobi(A: ModuleStructure, axiom, m_max, window, member):
-    """Jacobi checked once per member, on one stack of every (u, v, w).
+    """Jacobi checked once per member, on one stack of every (u, v, w), by
+    two independent routes.
 
-    The identity is one of operators, linear in u, v and w.  Both routes
-    decide coefficient by coefficient on the fixed box [-N, N]^3; stacked,
-    each coefficient is the Vec over the label ids of (u, v, w, w') of the
-    triples' ones, and the routes only add and scale such Vecs, so labels
-    never mix.  So each route's failing triples, read off its nonzero
-    coefficients, are the triples that fail alone, and the two sets must be
-    equal.  The FAIL record is the first failing triple in ``over.basis`` x
-    ``over.basis`` x ``wbasis`` order, with the least monomial of route 1's
-    stack whose Vec has a label of that triple.  Route 1 reruns on that
-    triple's own slot series, not stacked, and must give the same monomial,
-    or the stacking is a violation.
+    Stacked, each coefficient is the Vec over the label ids of (u, v, w, w')
+    of the triples' ones; both routes only add and scale such Vecs, so each
+    route's failing triples, read off its nonzero coefficients, are the
+    triples that fail alone.  The exact route (``rationalforms.exact_jacobi``,
+    Claim A) decides, so a PASS is exact.  Route 1 reads true coefficients on
+    the box [-N, N]^3, so its failing triples must be among the exact ones at
+    any window, and equal to them at a window of at least ``default_window``:
+    each default check tests that window.  The FAIL record is the first of
+    route 1's failing triples in ``over.basis`` x ``over.basis`` x ``wbasis``
+    order, with the least monomial of route 1's stack whose Vec has a label
+    of that triple.  Route 1 reruns on that triple's own slot series, not
+    stacked, and must give the same monomial, or the stacking is a
+    violation.  An exact FAIL that a smaller explicit window does not show
+    raises WindowUnderflowError.
     """
-    N = window or default_window(A)
+    least = default_window(A)
+    N = window or least
     # Route 1 expands each term shape once per window and memo: the memo of
     # ``member``, one per command (``replay_corpus`` hands every member the
     # same).  The oracle still recomputes every coefficient, independently
@@ -561,14 +569,20 @@ def check_jacobi(A: ModuleStructure, axiom, m_max, window, member):
     inst = member.instance()
     out = _jacobi_symbolic_zero(inst, N, memo)
     sym = _failing_triples(member, out)
-    ser = _failing_triples(member, three_term_series(inst, N).coeffs)
-    if sym != ser:
+    ex = _failing_triples(member, exact_jacobi(inst))
+    if not sym <= ex or (N >= least and sym != ex):
         raise ConsistencyViolationError(f"{axiom} routes disagree on " + ", ".join(
-            f"({','.join(map(str, t))}): symbolic={t not in sym} series={t not in ser}"
-            for t in triples if (t in sym) != (t in ser)))
-    first = next((t for t in triples if t in sym), None)
-    if first is None:
+            f"({','.join(map(str, t))}): symbolic={t not in sym} exact={t not in ex}"
+            for t in triples if (t in sym) != (t in ex)))
+    if not ex:
         return PropertyReport(axiom, "PASS", {}, window=N)
+    if not sym:
+        first = next(t for t in triples if t in ex)
+        raise WindowUnderflowError(
+            f"{axiom} fails at ({','.join(map(str, first))}) exactly, but on no "
+            f"coefficient of the box [-{N}, {N}]^3; use a window of at least "
+            f"{least}, the default")
+    first = next(t for t in triples if t in sym)
     ids = member.label_ids()[first].values()
     mono = min(key for key, c in out.items() if not c.entries.keys().isdisjoint(ids))
     alone = _jacobi_symbolic_zero(member.own(first), N, memo)

@@ -12,11 +12,13 @@ from vertexcalc.rationalforms import (
     box,
     check_A,
     check_EFG,
+    exact_jacobi,
     find_pole_witness,
     generate_instance,
     instance_from_form,
     least_clearing_power,
     multiply,
+    random_form,
     reconstruct_form,
     replay_implication,
     statement_form,
@@ -360,3 +362,22 @@ def test_inexact_stacked_witness_search_decides_each_label_as_alone():
             clear, {"x": (-3, 3)}, 5, (label,), lambda c: c.entries)
         assert type(alone[label]) is type(got[label])
         assert str(alone[label]) == str(got[label])
+
+
+def test_exact_jacobi_agrees_with_check_A_on_pole_free_forms():
+    # a form without poles gives a triple of polynomials: Claim A holds on
+    # it, as (A) does on the box, and a perturbed f breaks both, with (E)
+    # naming the perturbed monomial.  The exact route reads Vec
+    # coefficients, so each scalar becomes the coefficient of one label
+    def labelled(inst):
+        return TripleInstance(*(s.copy_meta({k: Vec({"w": c}) for k, c in s.coeffs.items()})
+                                for s in (inst.f, inst.g, inst.h)))
+
+    for seed in range(30):
+        form = random_form(random.Random(seed), max_pole=0)
+        inst = instance_from_form(form, N=4)
+        assert all(s.is_exact() for s in (inst.f, inst.g, inst.h))
+        assert exact_jacobi(labelled(inst)) == {} and check_A(inst, 4)[0]
+        bad = inst.perturb_f((1, -2), 3)
+        assert exact_jacobi(labelled(bad))[("E", 1, -2)] == Vec({"w": 3})
+        assert not check_A(bad, 4)[0]

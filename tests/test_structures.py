@@ -553,9 +553,18 @@ def test_jacobi_expands_each_term_shape_once_per_command(monkeypatch):
         assert calls[1] == calls[0]
 
 
+def _route_two_on_every_member_stack():
+    """Route 2 (``rationalforms.three_term_series``) on the member stack of
+    every member of both corpora, at its default window."""
+    for A in full_corpus() + full_module_corpus():
+        rationalforms.three_term_series(MemberStacks(A).instance(),
+                                        structures.default_window(A))
+
+
 def test_route_two_writes_only_inside_the_delta_window(monkeypatch):
-    # series.apply_delta writes no coefficient outside out_window, on every
-    # Jacobi triple of both corpora and on replay instances 0..7
+    # series.apply_delta writes no coefficient outside out_window, on the
+    # member stack of every member of both corpora and on replay instances
+    # 0..7
     written = []
     outside = []
 
@@ -579,15 +588,12 @@ def test_route_two_writes_only_inside_the_delta_window(monkeypatch):
     calls = []
     monkeypatch.setattr(series, "add_power", recorded)
     monkeypatch.setattr(rationalforms, "apply_delta", checked)
-    for S in full_corpus():
-        check_axiom(S, "jacobi")
-    for M in full_module_corpus():
-        check_axiom(M, "m_jacobi")
+    _route_two_on_every_member_stack()
     for seed in range(8):
         inst = rationalforms.generate_instance(seed, N=8)
         for which in rationalforms.IMPLICATIONS:
             rationalforms.replay_implication(which, inst, N=8, m_max=None)
-    # route 2 runs at least once per Jacobi check and once per instance
+    # route 2 runs at least once per member stack and once per instance
     assert len(calls) >= len(full_corpus()) + len(full_module_corpus()) + 8
     assert sum(calls) > 1000
     assert outside == []
@@ -596,7 +602,8 @@ def test_route_two_writes_only_inside_the_delta_window(monkeypatch):
 def test_route_two_calls_add_power_only_for_a_nonempty_tail_range(monkeypatch):
     # series.apply_delta skips a (coefficient, delta index) pair whose tail
     # range is empty: every add_power call it makes writes at least one key,
-    # on every Jacobi triple of both corpora and on replay instances 0..7
+    # on the member stack of every member of both corpora and on replay
+    # instances 0..7
     written = []
     inside = []
     calls = []
@@ -618,10 +625,7 @@ def test_route_two_calls_add_power_only_for_a_nonempty_tail_range(monkeypatch):
 
     monkeypatch.setattr(series, "add_power", recorded)
     monkeypatch.setattr(rationalforms, "apply_delta", tracked)
-    for S in full_corpus():
-        check_axiom(S, "jacobi")
-    for M in full_module_corpus():
-        check_axiom(M, "m_jacobi")
+    _route_two_on_every_member_stack()
     for seed in range(8):
         inst = rationalforms.generate_instance(seed, N=8)
         for which in rationalforms.IMPLICATIONS:
@@ -680,7 +684,8 @@ def _jacobi_axiom(A):
 
 
 def _member_stack_failing_triples(member, N, memo):
-    """Each route's failing triples, read off the member stack of ``member``."""
+    """Route 1's and route 2's failing triples, read off the member stack of
+    ``member``."""
     inst = member.instance()
     sym = structures._jacobi_symbolic_zero(inst, N, memo)
     ser = rationalforms.three_term_series(inst, N).coeffs
@@ -713,50 +718,152 @@ def test_stacked_jacobi_equals_the_per_triple_check(ut2_dir):
     assert reports["PASS"] > 20 and reports["FAIL"] > 20
 
 
-def test_jacobi_runs_route_two_once_per_pass_member(monkeypatch):
-    # and once per FAIL member too; route 1 runs once more on a FAIL member,
-    # on its reported triple alone
-    route1, route2 = [], []
+def test_jacobi_runs_the_exact_route_once_and_route_two_never(monkeypatch):
+    # the exact route decides once per check, on the member stack; route 2
+    # has left the checker; route 1 runs once on a PASS member, and once
+    # more on a FAIL member, on its reported triple alone
+    route1, exact, route2 = [], [], []
 
     def symbolic(*args, _original=structures._jacobi_symbolic_zero):
         route1.append(args)
         return _original(*args)
 
-    def stacked(inst, N, _original=structures.three_term_series):
+    def decided(inst, _original=structures.exact_jacobi):
+        exact.append(inst)
+        return _original(inst)
+
+    def stacked(inst, N, _original=rationalforms.three_term_series):
         route2.append(inst)
         return _original(inst, N)
 
     monkeypatch.setattr(structures, "_jacobi_symbolic_zero", symbolic)
-    monkeypatch.setattr(structures, "three_term_series", stacked)
+    monkeypatch.setattr(structures, "exact_jacobi", decided)
+    monkeypatch.setattr(rationalforms, "three_term_series", stacked)
+    assert not hasattr(structures, "three_term_series")
     members = {"jacobi": (borcherds_structure(4), mutants()[0]),
                "m_jacobi": (make_module(4, "ideal"), module_mutants()[0])}
     for axiom, (passing, failing) in members.items():
         for A, verdict, route1_calls in ((passing, "PASS", 1), (failing, "FAIL", 2)):
             route1.clear()
-            route2.clear()
+            exact.clear()
             assert structures.check_jacobi(
                 A, axiom, None, None, MemberStacks(A)).verdict == verdict, A.name
             assert len(A.over.basis) > 1 and len(A.wbasis) > 1
-            assert len(route1) == route1_calls and len(route2) == 1, A.name
+            assert len(route1) == route1_calls and len(exact) == 1, A.name
+    assert route2 == []
 
 
 def test_jacobi_routes_disagreeing_on_a_stacked_pair_raise(monkeypatch):
-    # route 2's result on the member stack with one triple's labels flipped
-    # from zero to nonzero: the triple is named, with each route's verdict
+    # the exact route's result on the member stack with one triple's labels
+    # flipped from zero to nonzero: the triple is named, with each route's
+    # verdict
     S = borcherds_structure(3)
     u, v, w = S.basis[1], S.basis[2], S.basis[0]
     label = structures.MemberStacks(S).label_ids()[u, v, w][w]
+    M = mutants()[0]
+    member = MemberStacks(M)
+    first = check_jacobi(M, "jacobi", None, 1, member).witnesses["triple"]
+    ids = set(member.label_ids()[first].values())
+    exact = structures.exact_jacobi
 
-    def flipped(inst, N, _original=structures.three_term_series):
-        out = _original(inst, N)
-        assert not out.coeffs
-        return out.copy_meta({(0, 0, 0): Vec({label: 1})})
+    def flipped(inst):
+        assert not exact(inst)
+        return {("E", 0, 0): Vec({label: 1})}
 
-    monkeypatch.setattr(structures, "three_term_series", flipped)
+    monkeypatch.setattr(structures, "exact_jacobi", flipped)
     with pytest.raises(ConsistencyViolationError,
                        match=rf"^jacobi routes disagree on \({u},{v},{w}\): "
-                             "symbolic=True series=False$"):
+                             "symbolic=True exact=False$"):
         check_axiom(S, "jacobi")
+    # route 1 flagging a triple that the exact route holds raises at any
+    # window, here below the default: a box coefficient is a true one
+    def dropped(inst):
+        out = {k: Vec({i: x for i, x in c.entries.items() if i not in ids})
+               for k, c in exact(inst).items()}
+        return {k: c for k, c in out.items() if c}
+
+    monkeypatch.setattr(structures, "exact_jacobi", dropped)
+    assert 1 < structures.default_window(M)
+    with pytest.raises(ConsistencyViolationError,
+                       match=rf"^jacobi routes disagree on \({','.join(first)}\): "
+                             "symbolic=False exact=True$"):
+        check_axiom(M, "jacobi", None, 1)
+
+
+def test_exact_route_equals_route_one_at_the_default_window():
+    # Claim A (``rationalforms.exact_jacobi``) against route 1, member by
+    # member, with one route-1 memo: at the default window their failing
+    # triples are the same; below it route 1's are among the exact ones,
+    # each box coefficient being a true one.  Many members have a pole in f
+    # (p > 0 on the stack) beside a passing triple, so the common p decides
+    # labels of several pole orders
+    members = (full_corpus() + full_module_corpus() + _seeded_edits(60, 12)
+               + _seeded_edits(200, 12) + _seeded_edits(200, 13)
+               + _random_tables(60, 21))
+    memo, fails, poles, mixed = {}, 0, 0, 0
+    for A in members:
+        member = MemberStacks(A, memo=memo)
+        inst = member.instance()
+        exact = structures._failing_triples(member, rationalforms.exact_jacobi(inst))
+        for N in (1, 2, 3, structures.default_window(A)):
+            windowed = structures._failing_triples(
+                member, structures._jacobi_symbolic_zero(inst, N, memo))
+            assert windowed <= exact, (A.name, N)
+        assert windowed == exact, A.name
+        fails += bool(exact)
+        if min((a for a, _ in inst.f.coeffs), default=0) < 0:
+            poles += 1
+            mixed += len(exact) < len(member.triples)
+    assert len(members) == 555
+    assert fails >= 450 and poles >= 180 and mixed >= 170, (fails, poles, mixed)
+
+
+# the members of _seeded_edits(60, 12) that fail Jacobi exactly while both
+# windowed routes see no coefficient of the box [-1, 1]^3
+FALSE_PASSES_AT_WINDOW_ONE = (
+    "borcherds-k3-ideal-edit7", "borcherds-k2-ideal-edit12", "ideal-module-k5-edit20",
+    "regular-module-k2-edit33", "regular-module-k4-edit48", "quotient-module-k2-edit56",
+    "regular-module-k4-edit58")
+
+
+def test_jacobi_below_the_default_window_passes_only_exact_passes():
+    # at window 1 a Jacobi PASS is an exact PASS; an exact FAIL is a FAIL, or,
+    # where the box shows none of it, a WindowUnderflowError naming the first
+    # failing triple and the default window, not the PASS that both windowed
+    # routes alone would give
+    under, verdicts = [], Counter()
+    for A in _seeded_edits(60, 12):
+        axiom, member = _jacobi_axiom(A), MemberStacks(A)
+        inst = member.instance()
+        exact = structures._failing_triples(member, rationalforms.exact_jacobi(inst))
+        try:
+            verdicts[check_jacobi(A, axiom, None, 1, member).verdict, bool(exact)] += 1
+        except WindowUnderflowError as err:
+            under.append(A.name)
+            assert not structures._jacobi_symbolic_zero(inst, 1, {}), A.name
+            assert rationalforms.check_A(inst, 1)[0], A.name
+            first = next(t for t in member.triples if t in exact)
+            assert str(err) == (
+                f"{axiom} fails at ({','.join(first)}) exactly, but on no coefficient "
+                f"of the box [-1, 1]^3; use a window of at least "
+                f"{structures.default_window(A)}, the default"), A.name
+    assert under == list(FALSE_PASSES_AT_WINDOW_ONE)
+    assert set(verdicts) == {("PASS", False), ("FAIL", True)}, verdicts
+    assert verdicts["FAIL", True] >= 40
+
+
+def test_check_below_the_default_window_exits_three_on_an_exact_fail(tmp_path, capsys):
+    A = next(A for A in _seeded_edits(60, 12) if A.name == "borcherds-k2-ideal-edit12")
+    path = str(tmp_path / "edit.json")
+    configio.dump_json(configio.structure_to_config(A), path)
+    rc = cli.main(["check", path, "--axiom", "jacobi", "--window", "1"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err.startswith("error: jacobi fails at (")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    rc = cli.main(["check", path, "--axiom", "jacobi"])
+    capsys.readouterr()
+    assert rc == 1
 
 
 def test_jacobi_stack_disagreeing_with_its_triple_raises(monkeypatch):

@@ -63,6 +63,44 @@ def test_deltacalc_shares_no_arithmetic_with_route_two():
     assert imported and not names & {"series", "rationalforms"}, sorted(imported)
 
 
+def _defined_names(path):
+    """The names that a module's top level defines, not those it imports."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_exact_jacobi_route_shares_no_name_with_the_windowed_routes():
+    # the exact Jacobi route (rationalforms.exact_jacobi and its reader
+    # _terms) reads no name that series (route 2) or deltacalc (route 1)
+    # defines: its arithmetic is math.comb and Vec over plain dicts; and it
+    # refuses, undecided, a slot series that is not a Laurent polynomial
+    from vertexcalc import rationalforms
+    from vertexcalc.errors import WindowUnderflowError
+    route = (rationalforms.exact_jacobi, rationalforms._terms)
+    tree = ast.parse("\n".join(inspect.getsource(fn) for fn in route))
+    windowed = (_defined_names(os.path.join(PACKAGE, "series.py"))
+                | _defined_names(os.path.join(PACKAGE, "deltacalc.py")))
+    assert {"apply_delta", "window_coeffs", "WindowedSeries"} <= windowed
+    assert not _referenced_names(tree) & windowed, sorted(_referenced_names(tree) & windowed)
+    refused = 0
+    for seed in range(8):
+        inst = rationalforms.generate_instance(seed)
+        if all(s.is_exact() for s in (inst.f, inst.g, inst.h)):
+            continue
+        with pytest.raises(WindowUnderflowError, match="exact in every variable"):
+            rationalforms.exact_jacobi(inst)
+        refused += 1
+    assert refused >= 6
+
+
 def test_series_builds_on_errors_and_scalars_alone():
     # the layers run scalars -> series -> rationalforms: the series kernels
     # take nothing from the package but its errors and exact scalars

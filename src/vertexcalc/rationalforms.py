@@ -34,8 +34,8 @@ witnesses, the reconstruction, (E)/(F)/(G), ``instance_from_form`` and the
 weak-property checkers of ``structures`` all read the table.
 
 On Laurent polynomials, such as the slots of a finite vertex structure,
-(A) holds exactly when (E) and (F) do with no pole in the binomial:
-``exact_jacobi`` decides it so, without a window (Claim A).
+each pair statement, and (A), is decided without a window by the closed
+forms of ``exact_difference``.
 """
 from __future__ import annotations
 
@@ -62,6 +62,12 @@ from .series import (
 # the Jacobi identity's three terms, each with the slot it multiplies, whose
 # series is over the term's delta numerator variables
 JACOBI = tuple(zip("fgh", identity_lhs(THREE_TERM).terms))
+
+# the variables of each slot's stacks and own series, in key order: its
+# ``JACOBI`` term's delta numerator (head, tail), f(x1,x2), g(x2,x1) and
+# h(x2,x0); the swapped h, slot h at (v, u, w), is stored as h
+SLOT_VARIABLES = {slot: tuple(v for _, v in t.delta.num) for slot, t in JACOBI}
+SLOT_VARIABLES["hs"] = SLOT_VARIABLES["h"]
 
 
 class PoleWitness(NamedTuple):
@@ -279,75 +285,116 @@ def check_A(inst: TripleInstance, N):
     return zero_verdict(three_term_series(inst, N), box(N, "x0", "x1", "x2"))
 
 
-def _terms(series, *variables):
-    """(exponents of ``variables``, coefficient) of every term of ``series``."""
-    at = [series.variables.index(v) for v in variables]
-    return [(tuple(key[i] for i in at), c) for key, c in series.coeffs.items()]
+def _laurent(*slots):
+    """``slots``, refused unless each is a Laurent polynomial, exact in every
+    variable."""
+    if not all(s.is_exact() for s in slots):
+        raise WindowUnderflowError(
+            "the exact route needs Laurent polynomials, exact in every variable")
+    return slots
+
+
+def exact_difference(left, right, head=None, tail=(1, 0)):
+    """{key of ``left``: nonzero Vec} of left - right', exactly, for two slot
+    stacks read by position in ``SLOT_VARIABLES`` order, with ``math.comb``
+    and ``Vec`` only.  With ``head`` None, right' is ``right`` with its key
+    reversed (g against f).  Otherwise ``left`` is over (x2, x0), the
+    variable of ``right`` at position ``head`` becomes x2 + x0, expanded
+    binomially, and its other one sign times the variable at position
+    ``at`` of left, ``tail`` = (sign, at); a negative power of the head
+    puts its Vec at a key ("pole", ...), so its labels fail.  Labels are
+    added and scaled, never mixed, so each is decided as if it were alone.
+
+    The claims, per label of a finite action, whose slots f(x1,x2),
+    g(x2,x1), h(x2,x0) and hs (h at (v, u, w)) are Laurent polynomials, for
+    the statements of ``PAIRS``.  Multiplying by a nonzero polynomial is
+    injective; a function with a pole on x0+x2 = 0, x1 = x0 or x2+x0 = 0
+    expands without end, so it is no Laurent polynomial; and in the UFD
+    Q[x1, x2, 1/x2] the primes x1 and x1-x2 differ.
+      B  weak_comm holds iff f = g, and then at m = 0.
+      C  weak_assoc holds iff f has no negative power of x1 and
+         f(x0+x2,x2) = h(x2,x0), and then at m = 0.  With p f's x1-pole
+         order and F = x1^p f, at m >= p it says F(x0+x2,x2) =
+         (x0+x2)^p h(x2,x0); put x0 = x1-x2: x1^p divides (x1-x2)^k F for
+         some k, hence F, so p = 0.  At m < p its left side has a pole.
+      D  weak_skew_assoc holds iff g has no negative power of x1 and
+         g(x2,x0+x2) = h(x2,x0), and then its least m is g's x2-pole order
+         q.  Under x2 = x1-x0 its sides expand (x1-x0)^m g(x1-x0,x1) in
+         nonnegative powers of x1 and (x1-x0)^m h(x1-x0,x0) in those of x0;
+         equal expansions are of one function (clear by a power of x1-x0),
+         which is the identity, and then g has no x1-pole, as in C.  Given
+         it, h has x2-pole order q (set x2 = 0 in x2^q g): at m >= q both
+         sides are one Laurent polynomial, and at m < q they are the two
+         expansions of a function with a pole on x1 = x0, which differ.
+      V  vf_skew_symmetry, h(x2,x0) = hs(x2+x0,-x0), holds iff hs has no
+         negative power of x2 and the identity holds as polynomials: with
+         one, the right side has a pole on x2+x0 = 0.
+      Corollary  Jacobi, x0^-1 d((x1-x2)/x0) f - x0^-1 d((x2-x1)/(-x0)) g
+         = x1^-1 d((x2+x0)/x1) h for the delta function d, holds iff the
+         identities of B and C do.  Given f = g, the left side is f times
+         x1^-1 d((x2+x0)/x1) (the three-term delta identity), a delta that
+         puts x2 + x0 for x1, expanded in nonnegative powers of x0: so C's
+         identity gives Jacobi.  Conversely, with x0^k h polynomial in x0,
+         the residue in x0 of x0^k times Jacobi is (x1-x2)^k (f - g) = 0,
+         so f = g; then the residue in x1 of Jacobi says that f(x2+x0,x2),
+         so expanded, is the Laurent polynomial h, so f has no x1-pole."""
+    out = {key: dict(c.entries) for key, c in _laurent(left, right)[0].coeffs.items()}
+    sign, at = tail
+    for key, c in right.coeffs.items():
+        if head is None:
+            terms = ((key[::-1], 1),)
+        elif key[head] < 0:
+            out["pole", *key] = c.entries
+            continue
+        else:
+            e, o = key[head], key[1 - head]
+            sgn = -1 if sign < 0 and o % 2 else 1
+            terms = [((e - i + o, i) if at == 0 else (e - i, i + o), sgn * comb(e, i))
+                     for i in range(e + 1)]
+        for k, scale in terms:
+            acc = out.setdefault(k, {})
+            for label, x in c.entries.items():
+                acc[label] = acc.get(label, 0) - scale * x
+    return {key: v for key, entries in out.items() if (v := Vec(entries))}
+
+
+def exact_weak_comm(inst: TripleInstance):
+    """Claim B: (f(x1,x2) - g(x2,x1), {}), with no positive witness."""
+    return exact_difference(inst.f, inst.g), {}
+
+
+def exact_weak_assoc(inst: TripleInstance):
+    """Claim C: (h(x2,x0) - f(x0+x2,x2), {}); f's x1-poles fail."""
+    return exact_difference(inst.h, inst.f, 0), {}
+
+
+def exact_weak_skew_assoc(inst: TripleInstance):
+    """Claim D: (h(x2,x0) - g(x2,x0+x2), {label: g's x2-pole order});
+    g's x1-poles fail."""
+    diff, poles = exact_difference(inst.h, inst.g, 1), {}
+    for (a, _), c in inst.g.coeffs.items():
+        for label in c.entries if a < 0 else ():
+            poles[label] = max(poles.get(label, 0), -a)
+    return diff, poles
+
+
+def exact_vf(h, hs):
+    """Claim V: h(x2,x0) - hs(x2+x0,-x0); hs's x2-poles fail."""
+    return exact_difference(h, hs, 0, (-1, 1))
 
 
 def exact_jacobi(inst: TripleInstance):
-    """The Jacobi identity at the slots of ``inst``, decided exactly as two
-    polynomial identities (Claim A; FHL 1993, §3; Lepowsky-Li 2004, ch. 3):
-    {key: nonzero coefficient} of their differences, empty where it holds.
-
-    Each slot must be a Laurent polynomial, exact in every variable; any
-    other series raises WindowUnderflowError, undecided.  Read f(x1,x2),
-    g(x1,x2) = Y(v,x2)Y(u,x1)w and h(x0,x2) by variable name; let p be
-    max(0, -(least x1 exponent of f)) and F = x1^p f, a polynomial in x1.
-    Jacobi holds exactly when
-
-      (E)  f(x1,x2) = g(x1,x2): key ("E", i, j), at x1^i x2^j;
-      (F)  F(x0+x2,x2) = (x0+x2)^p h(x0,x2): key ("F", i, j), at x0^i x2^j,
-           every power of x0 + x2 nonnegative, so expanded binomially.
-
-    Let J be the identity x0^-1 d((x1-x2)/x0) f - x0^-1 d((x2-x1)/(-x0)) g
-    = x1^-1 d((x2+x0)/x1) h, d the delta function.
-
-    (E) and (F) give J.  By (E) the left side is f times the difference of
-    its two deltas, which is x1^-1 d((x2+x0)/x1) (the three-term delta
-    identity; the products exist, f being a Laurent polynomial).  This delta
-    substitutes x2 + x0 for x1 in any power of x1, expanded in nonnegative
-    powers of x0: x1^-1 d((x2+x0)/x1) f = x1^-1 d((x2+x0)/x1) (x2+x0)^-p
-    F(x2+x0,x2), which is x1^-1 d((x2+x0)/x1) h by (F).
-
-    J gives (E) and (F).  Take k >= 0 with x0^k h polynomial in x0, multiply
-    J by x0^k and take the residue in x0.  x0^k times either delta on the
-    left is (x1-x2)^k times it, whose residue is 1, so the left gives
-    (x1-x2)^k (f - g).  The right side has no negative power of x0, so it
-    gives 0.  Laurent polynomials over Q have no zero divisors and W is
-    free, so (x1-x2)^k (f - g) = 0 forces (E).  Then, as above, J reads
-    x1^-1 d((x2+x0)/x1) (x1^-p F - h) = 0; multiply by x1^p, substitute,
-    and take the residue in x1, which is 1 for the delta: (F).
-
-    On a stack every label takes one p, the largest pole order of its
-    labels.  For a label of its own order q <= p, its (F) at p is its (F)
-    at q times (x0+x2)^(p-q), and multiplying a Laurent polynomial by a
-    nonzero polynomial is injective; (E) does not involve p.  The sums only
-    add and scale each label's coefficients, so labels never mix, and each
-    label is decided as if it were alone."""
-    if not all(s.is_exact() for s in (inst.f, inst.g, inst.h)):
-        raise WindowUnderflowError(
-            "the exact Jacobi route needs Laurent polynomials, exact in every variable")
-    out = {}
-
-    def add(key, c, scale):
-        acc = out.setdefault(key, {})
-        for label, x in c.entries.items():
-            acc[label] = acc.get(label, 0) + scale * x
-
-    f = _terms(inst.f, "x1", "x2")
-    for (i, j), c in f:
-        add(("E", i, j), c, 1)
-    for (i, j), c in _terms(inst.g, "x1", "x2"):
-        add(("E", i, j), c, -1)
-    p = max(0, -min((a for (a, _), _ in f), default=0))
-    for (a, b), c in f:
-        for i in range(a + p + 1):
-            add(("F", i, a + p - i + b), c, comb(a + p, i))
-    for (d, e), c in _terms(inst.h, "x0", "x2"):
-        for j in range(p + 1):
-            add(("F", d + j, e + p - j), c, -comb(p, j))
-    return {key: v for key, entries in out.items() if (v := Vec(entries))}
+    """The Jacobi identity at the slots of ``inst``, decided exactly as the
+    identities of Claims B and C, as the Corollary of ``exact_difference``
+    allows (FHL 1993, §3; Lepowsky-Li 2004, ch. 3): {key: nonzero
+    coefficient}, empty where it holds; ("E", i, j) is f - g at x1^i x2^j,
+    ("F", ...) Claim C's difference.  A slot that is not a Laurent
+    polynomial, exact in every variable, raises WindowUnderflowError,
+    undecided; slots are read in ``SLOT_VARIABLES``, whatever their order."""
+    inst = TripleInstance(*_laurent(*(getattr(inst, s).align(SLOT_VARIABLES[s])
+                                      for s in "fgh")))
+    return ({("E", *key): c for key, c in exact_weak_comm(inst)[0].items()}
+            | {("F", *key): c for key, c in exact_weak_assoc(inst)[0].items()})
 
 
 def pole_statement(inst, kind, hi, N):
@@ -363,10 +410,10 @@ def least_clearing_power(diff, clear, box, m_max, labels=(None,),
     (diff, m -> binomial^m, box) stacked over ``labels``; m is valid when
     ``labels_of`` reads the label off no coefficient of clear(m) * diff that
     ``zero_verdict`` judges, and is None if none is, or the WindowUnderflowError
-    of the m at which the windows ran out on the label.  Labels never mix, so
-    each is decided as alone when all share the stack's exactness and windows,
-    as one exactness class of the weak checkers does.  A replay instance is
-    the unlabelled case: one label None on every coefficient."""
+    of the m at which the windows ran out on the label.  Labels never mix,
+    but an exact label on an inexact stack is judged on the box only.  A
+    replay instance is the unlabelled case: one label None on every
+    coefficient."""
     least, open_ = {}, set(labels)
     for m in range(m_max + 1):
         failing = set()

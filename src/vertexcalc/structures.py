@@ -15,16 +15,16 @@ the module itself.  The Jacobi identity is written once, as
 ``rationalforms.JACOBI``, the three terms that ``deltacalc.prove_identity``
 proves.  Every slot series lives in the variables of the term that it
 multiplies (``SLOT_VARIABLES``), so route 1 of the Jacobi checker applies
-the terms to the slots as they are; its other route,
-``rationalforms.exact_jacobi``, decides exactly, as the slots are Laurent
-polynomials (Claim A).  The weak checkers read the pair recipes
-read off them (``rationalforms.PAIRS``), as the (B)-(G) statements do, on the
-slot triple of the action at (u, v, w), and search their witnesses with the
-replays' ``rationalforms.least_clearing_power``.
-Every slot series comes from one builder, ``MemberStacks``, which makes
-slot f (and so g) of every triple in one pass over the mode tables, and
-slot h (and so the swapped h) in another: each inner product is a row of a
-mode table, and the outer table is applied to its vectors as plain dicts.
+the terms to the slots as they are.  The slots are Laurent polynomials, so
+Jacobi, the weak properties and vf skew symmetry are decided exactly, by
+the closed forms of ``rationalforms.exact_difference``, and a windowed
+route cross-checks each: route 1 for Jacobi, and the pair recipes
+(``rationalforms.PAIRS``) searched with the replays'
+``rationalforms.least_clearing_power`` for the rest.  Every slot series
+comes from one builder, ``MemberStacks``, which makes slot f (and so g) of
+every triple in one pass over the mode tables, and slot h (and so the
+swapped h) in another: each inner product is a row of a mode table, and
+the outer table is applied to its vectors as plain dicts.
 
 Every axiom has one checker in one table, ``CHECKERS``, in the order of
 AXIOMS; each takes (A, axiom, m_max, window, member) and reports under
@@ -41,23 +41,17 @@ checks of one command expand each term shape once.
 Jacobi, the weak properties and vf_skew_symmetry are identities of
 operators, linear in u, v and w, so each is checked once per member, on slot
 triples stacked into Vec coefficients keyed by the label ids of (u, v, w,
-w') (``MemberStacks.label_ids``).  ``zero_verdict`` decides an exact series
-on its whole support and any other on the box.  A weak or vf difference is
-exact unless a side that substitutes its head variable has a negative power
-of it, so those checkers stack each exactness class apart (which
-substituted sides have one): within a class every stack has the same
-exactness, windows and shapes, and each triple is decided as it is alone.
-A class that covers the member is decided on the member stack.  Each FAIL
-record must agree with a rerun on its triple's own slot series, unstacked
-(``MemberStacks.own``).
+w') (``MemberStacks.label_ids``); labels never mix, so the exact route
+decides each triple as it is alone.  One rule ties each windowed route to
+its exact one (``_decided``), and each FAIL record comes from a rerun on its
+triple's own slot series, unstacked (``MemberStacks.own``), which must
+agree with the stack where the stack shows the triple failing.
 
-Checkers return PropertyReport records.  Identities between exact Laurent
-polynomials are decided exactly, and so is Jacobi; the weak properties and
-vf skew symmetry, whose differences may expand without end, are decided
-coefficient-wise on a recorded window, by default ``default_window``:
-support_extent + 2 * max_pole_order + 2 of the action's tables.  That this
-window suffices for them is not yet proved; for Jacobi each default check
-tests that route 1 sees on it every triple that fails exactly.
+Checkers return PropertyReport records, and every verdict is exact.  The
+recorded window, by default ``default_window``: support_extent + 2 *
+max_pole_order + 2 of the action's tables, is the box that the windowed
+routes read; each default check tests that they see on it every exact FAIL
+and witness, and a FAIL record's monomial is read on it.
 """
 from __future__ import annotations
 
@@ -68,7 +62,9 @@ from typing import NamedTuple
 from .deltacalc import DeltaExpr, Term, mono_of, window_coeffs
 from .errors import (ConsistencyViolationError, ConstructionError,
                      WindowUnderflowError)
-from .rationalforms import (JACOBI, PAIRS, TripleInstance, box, exact_jacobi,
+from .rationalforms import (JACOBI, PAIRS, SLOT_VARIABLES, TripleInstance, box,
+                            exact_jacobi, exact_vf, exact_weak_assoc,
+                            exact_weak_comm, exact_weak_skew_assoc,
                             least_clearing_power, pole_statement)
 from .scalars import Vec, coeff_mul, linear_map
 from .series import (INF, WindowedSeries, exp_endo, judged_coeffs, multiply,
@@ -386,13 +382,6 @@ def _jacobi_symbolic_zero(inst, N, memo=None):
     return window_coeffs(DeltaExpr(terms), box(N, "x0", "x1", "x2"), memo)
 
 
-# the variables of each slot's stacks and own series: its ``JACOBI`` term's
-# delta numerator (head, tail), f(x1,x2), g(x2,x1) and h(x2,x0); the
-# swapped h is stored as h
-SLOT_VARIABLES = {slot: tuple(v for _, v in t.delta.num) for slot, t in JACOBI}
-SLOT_VARIABLES["hs"] = SLOT_VARIABLES["h"]
-
-
 def _slot_products(A: ModuleStructure, kind, labels):
     """{(u, v, w): slot ``kind`` of ``A`` there} for each of ``labels``, as
     exact series over ``SLOT_VARIABLES``: f = Y(u,x1)Y(v,x2)w, or
@@ -419,16 +408,14 @@ def _slot_products(A: ModuleStructure, kind, labels):
 class MemberStacks:
     """Every triple (u, v, w) of one member, in ``over.basis`` x ``over.basis``
     x ``wbasis`` order, with, per slot, its series by triple and its member
-    stack, each built on first use; exactness classes are read off the
-    series (``classes``), not cached.  The slots are f, g, h and "hs", the
+    stack, each built on first use.  The slots are f, g, h and "hs", the
     swapped h: slot h of (v, u, w), labelled (u, v, w).  The first read of
     f or g builds slot f at every triple in one pass
     (``_slot_products``), the first read of h or hs slot h; g and hs are the
     f and h of the swapped triple, shared, not rebuilt: g is f's series
     read by position, its (x1, x2) standing for g's (x2, x1), and ``_stack``
-    and ``own`` name it so.  A class stack is stacked afresh from the same
-    series, keying each label by the same id (``label_ids``); the guards read
-    a triple's own series (``own``).
+    and ``own`` name it so.  A stack keys each label by its id
+    (``label_ids``); the guards read a triple's own series (``own``).
     ``memo`` is the route-1 memo of the member's Jacobi check (see
     ``check_jacobi``): the one given, or a fresh dict."""
 
@@ -465,20 +452,17 @@ class MemberStacks:
             out = self._series[slot]
         return out
 
-    def stack(self, slot, labels=None):
-        """Slot ``slot`` of the triples at ``labels`` stacked (``_stack``);
-        labels that cover the member, or none, give the member stack."""
-        if labels is not None and len(labels) < len(self.triples):
-            return _stack(self, slot, labels)
+    def stack(self, slot):
+        """The member stack of slot ``slot`` (``_stack``)."""
         out = self._stacks.get(slot)
         if out is None:
-            out = self._stacks[slot] = _stack(self, slot, self.triples)
+            out = self._stacks[slot] = _stack(self, slot)
         return out
 
-    def instance(self, slots="fgh", labels=None):
+    def instance(self, slots="fgh"):
         """A TripleInstance of the stacks of ``slots``; a slot not named is
         not read, and is None."""
-        return TripleInstance(*(self.stack(s, labels) if s in slots else None
+        return TripleInstance(*(self.stack(s) if s in slots else None
                                 for s in "fgh"))
 
     def own(self, t, slots="fgh"):
@@ -488,37 +472,19 @@ class MemberStacks:
         return TripleInstance(*(_named(self.series(s)[t], s) if s in slots
                                 else None for s in "fgh"))
 
-    def classes(self, substituted):
-        """The labels split, in order, by exactness class: which of the slots
-        ``substituted``, whose head variable gets substituted, have a
-        negative power of it, so that they expand without end and their
-        difference is judged on the box, not on its whole support.  The head
-        variable is the first of a slot series' variables; the slot series
-        are exact ``from_monomials`` products, whose windows are their
-        support, so the low end of the head window tells."""
-        if not substituted:
-            return [list(self.triples)]
-        heads = [[s.window[s.variables[0]][0] < 0 for s in self.series(slot).values()]
-                 for slot in substituted]
-        parts = {}  # every series map is in the order of ``triples``
-        for label, cls in zip(self.triples, zip(*heads)):
-            parts.setdefault(cls, []).append(label)
-        return list(parts.values())
-
 
 def _named(series, slot):
     """A slot series renamed to the slot's ``SLOT_VARIABLES``, by position."""
     return series.rename(dict(zip(series.variables, SLOT_VARIABLES[slot])))
 
 
-def _stack(member, slot, labels):
-    """Slot ``slot`` of the triples at ``labels`` of ``member`` stacked, in
-    the slot's variables, so no labels stack to zero: a member or class
-    stack, whose coefficient at each monomial is the Vec over the label ids
-    (``MemberStacks.label_ids``) of every triple's coefficient there."""
-    series, label_ids, stacked = member.series(slot), member.label_ids(), {}
-    for label in labels:
-        ids = label_ids[label]
+def _stack(member, slot):
+    """Slot ``slot`` of every triple of ``member`` stacked, in the slot's
+    variables, so no labels stack to zero: the coefficient at each monomial
+    is the Vec over the label ids (``MemberStacks.label_ids``) of every
+    triple's coefficient there."""
+    series, stacked = member.series(slot), {}
+    for label, ids in member.label_ids().items():
         for key, vec in series[label].coeffs.items():
             entries = stacked.setdefault(key, {})
             for b, c in vec.entries.items():
@@ -540,94 +506,128 @@ def _failing_triples(member, coeffs):
             for i in set().union(*(c.entries for c in coeffs.values()))}
 
 
-def check_jacobi(A: ModuleStructure, axiom, m_max, window, member):
-    """Jacobi checked once per member, on one stack of every (u, v, w), by
-    two independent routes.
+def _held(member, coeffs):
+    """{triple: 0 where it holds, None where ``coeffs`` name it failing}."""
+    return dict.fromkeys(member.triples, 0) | dict.fromkeys(_failing_triples(member, coeffs))
 
-    Stacked, each coefficient is the Vec over the label ids of (u, v, w, w')
-    of the triples' ones; both routes only add and scale such Vecs, so each
-    route's failing triples, read off its nonzero coefficients, are the
-    triples that fail alone.  The exact route (``rationalforms.exact_jacobi``,
-    Claim A) decides, so a PASS is exact.  Route 1 reads true coefficients on
-    the box [-N, N]^3, so its failing triples must be among the exact ones at
-    any window, and equal to them at a window of at least ``default_window``:
-    each default check tests that window.  The FAIL record is the first of
-    route 1's failing triples in ``over.basis`` x ``over.basis`` x ``wbasis``
-    order, with the least monomial of route 1's stack whose Vec has a label
-    of that triple.  Route 1 reruns on that triple's own slot series, not
-    stacked, and must give the same monomial, or the stacking is a
-    violation.  An exact FAIL that a smaller explicit window does not show
-    raises WindowUnderflowError.
-    """
-    least = default_window(A)
-    N = window or least
+
+def _decided(axiom, member, N, dims, windowed, exact, alone, route="windowed"):
+    """The FAIL witnesses of a check, or None on a PASS, by the one rule that
+    ties a windowed route to the exact route that decides, each {triple:
+    least witness (0 for an identity), or None where it fails}.  On the box
+    [-N, N]^dims the windowed route reads true coefficients, so its failing
+    triples must be among the exact ones and its witnesses at most the
+    exact ones, and at ``default_window`` or above the two must be equal:
+    else ConsistencyViolationError.  The record is the first exact FAIL that
+    alone(t, shown) confirms on t's own slot series, which it gives the
+    FAIL witnesses of, guarding the stack where that ``shown`` t failing.
+    Below the default window, confirming no exact FAIL, or a smaller
+    witness on an exact PASS, raises WindowUnderflowError."""
+    least = default_window(member.A)
+    where = [t for t in member.triples if windowed[t] != exact[t]]
+    said = {None: "False", 0: "True"}
+    if (where and N >= least) or any(exact[t] is not None and (
+            windowed[t] is None or windowed[t] > exact[t]) for t in where):
+        raise ConsistencyViolationError(f"{axiom} routes disagree on " + ", ".join(
+            f"({','.join(map(str, t))}): {route}={said.get(windowed[t], windowed[t])} "
+            f"exact={said.get(exact[t], exact[t])}" for t in where))
+    failing = [t for t in member.triples if exact[t] is None]
+    for t in failing:
+        if (record := alone(t, windowed[t] is None)) is not None:
+            return record
+    if not where:
+        return None
+    t = (failing or where)[0]
+    at = ",".join(map(str, t))
+    shown = (f"fails at ({at}) exactly, but on no coefficient" if failing
+             else f"needs m = {exact[t]} at ({at}) exactly, but m = {windowed[t]} clears")
+    raise WindowUnderflowError(f"{axiom} {shown} of the box [-{N}, {N}]^{dims}; use "
+                               f"a window of at least {least}, the default")
+
+
+def check_jacobi(A: ModuleStructure, axiom, m_max, window, member):
+    """Jacobi checked once per member, on one stack of every (u, v, w): the
+    exact route (``rationalforms.exact_jacobi``) decides, and route 1, on
+    the box [-N, N]^3, cross-checks it (``_decided``).  The FAIL record is
+    the first of route 1's failing triples, with the least monomial of
+    route 1's stack whose Vec has a label of that triple; route 1 reruns on
+    that triple's own slot series and must give the same monomial, or the
+    stacking is a violation."""
+    N = window or default_window(A)
     # Route 1 expands each term shape once per window and memo: the memo of
     # ``member``, one per command (``replay_corpus`` hands every member the
     # same).  The oracle still recomputes every coefficient, independently
     # of ``series``, and no expansion outlives the command.
-    memo, triples = member.memo, member.triples
-    inst = member.instance()
+    memo, inst = member.memo, member.instance()
     out = _jacobi_symbolic_zero(inst, N, memo)
-    sym = _failing_triples(member, out)
-    ex = _failing_triples(member, exact_jacobi(inst))
-    if not sym <= ex or (N >= least and sym != ex):
-        raise ConsistencyViolationError(f"{axiom} routes disagree on " + ", ".join(
-            f"({','.join(map(str, t))}): symbolic={t not in sym} exact={t not in ex}"
-            for t in triples if (t in sym) != (t in ex)))
-    if not ex:
-        return PropertyReport(axiom, "PASS", {}, window=N)
-    if not sym:
-        first = next(t for t in triples if t in ex)
-        raise WindowUnderflowError(
-            f"{axiom} fails at ({','.join(map(str, first))}) exactly, but on no "
-            f"coefficient of the box [-{N}, {N}]^3; use a window of at least "
-            f"{least}, the default")
-    first = next(t for t in triples if t in sym)
-    ids = member.label_ids()[first].values()
-    mono = min(key for key, c in out.items() if not c.entries.keys().isdisjoint(ids))
-    alone = _jacobi_symbolic_zero(member.own(first), N, memo)
-    if min(alone, default=None) != mono:
-        raise _moved(axiom, first, f"first monomial {dict(mono)} on the member stack",
-                     dict(min(alone)) if alone else "none")
-    return PropertyReport(
-        axiom, "FAIL", {"triple": first, "monomial": dict(mono)}, window=N)
+
+    def alone(t, shown):
+        if not shown:  # route 1 alone reads the same box
+            return None
+        ids = member.label_ids()[t].values()
+        mono = min(key for key, c in out.items() if not c.entries.keys().isdisjoint(ids))
+        own = _jacobi_symbolic_zero(member.own(t), N, memo)
+        if min(own, default=None) != mono:
+            raise _moved(axiom, t, f"first monomial {dict(mono)} on the member stack",
+                         dict(min(own)) if own else "none")
+        return {"triple": t, "monomial": dict(mono)}
+
+    record = _decided(axiom, member, N, 3, _held(member, out),
+                      _held(member, exact_jacobi(inst)), alone, "symbolic")
+    return PropertyReport(axiom, "FAIL" if record else "PASS", record, window=N)
 
 
+# each weak property's pair in ``rationalforms.PAIRS``, and its exact
+# decider, Claim B, C or D of ``rationalforms.exact_difference``
 WEAK_PAIRS = {"weak_comm": "m1", "weak_assoc": "m2", "weak_skew_assoc": "m3"}
+EXACT_WEAK = {"m1": exact_weak_comm, "m2": exact_weak_assoc, "m3": exact_weak_skew_assoc}
 
 
 def check_weak(A: ModuleStructure, axiom, m_max, window, member):
-    """The three weak properties with minimal witnesses, searched once per
-    member on one stack per exactness class (see the module docstring).
-    The record is the first triple without a witness m <= m_max; rerun on
-    its own series, it must still have none, or the stacking is a violation."""
+    """The three weak properties with least witnesses, decided exactly on
+    the member stacks (a triple fails where its claim's identity fails or
+    its witness exceeds m_max), and cross-checked by the windowed witness
+    search on the whole member stack (``_decided``).  At the default window
+    it searches m up to the largest exact witness, capped at m_max, so never
+    as far as 2N + 2, where a difference judged on the box clears
+    spuriously; below it, up to m_max, so that such a clearing shows the
+    window too small."""
     N = window or default_window(A)
     if m_max is None:
         m_max = A.max_pole_order() + 2
     kind = WEAK_PAIRS[axiom.removeprefix("m_")]
-    pair = PAIRS[kind]
-    slots = (pair.left[0], pair.right[0])
-    subbed = [slot for slot, sub in (pair.left, pair.right) if sub]
-    least = {}
-    for part in member.classes(subbed):
-        least |= least_clearing_power(
-            *pole_statement(member.instance(slots, part), kind, N, N), m_max, part,
-            lambda c: map(member.triple_of, c.entries))
-    witnesses = dict.fromkeys(
-        (f"{u},{v}" for u in A.over.basis for v in A.over.basis), 0)
-    for t in member.triples:
-        if isinstance(m := least[t], WindowUnderflowError):
-            raise m
-        if m is None:
-            alone = least_clearing_power(
-                *pole_statement(member.own(t, slots), kind, N, N), m_max)[None]
-            if alone is not None:
-                raise _moved(axiom, t, f"no witness m <= {m_max} on its class "
-                             "stack", f"m = {alone}")
-            return PropertyReport(
-                axiom, "FAIL", {"triple": t, "m_max": m_max}, window=N)
-        witnesses[f"{t[0]},{t[1]}"] = max(witnesses[f"{t[0]},{t[1]}"], m)
-    return PropertyReport(axiom, "PASS", {"min_m": witnesses}, window=N)
+    slots = (PAIRS[kind].left[0], PAIRS[kind].right[0])
+    diff, poles = EXACT_WEAK[kind](member.instance(slots))
+    exact = dict.fromkeys(member.triples, 0)
+    for i, m in poles.items():
+        exact[member.triple_of(i)] = max(exact[member.triple_of(i)], m)
+    exact |= dict.fromkeys(_failing_triples(member, diff))
+    bound = m_max if N < default_window(A) else min(
+        max((m for m in exact.values() if m is not None), default=0), m_max)
+
+    def search(inst, *labels):
+        out = least_clearing_power(*pole_statement(inst, kind, N, N), bound, *labels)
+        if err := next((m for m in out.values() if isinstance(m, Exception)), None):
+            raise err
+        return out
+
+    def alone(t, shown):
+        if (m := search(member.own(t, slots))[None]) is None:
+            return {"triple": t, "m_max": m_max}
+        if shown:
+            raise _moved(axiom, t, f"no witness m <= {bound} on the member stack",
+                         f"m = {m}")
+
+    exact = {t: None if m is None or m > m_max else m for t, m in exact.items()}
+    record = _decided(axiom, member, N, 2, search(
+        member.instance(slots), member.triples,
+        lambda c: map(member.triple_of, c.entries)), exact, alone)
+    if record:
+        return PropertyReport(axiom, "FAIL", record, window=N)
+    min_m = dict.fromkeys((f"{u},{v}" for u in A.over.basis for v in A.over.basis), 0)
+    for (u, v, _), m in exact.items():
+        min_m[f"{u},{v}"] = max(min_m[f"{u},{v}"], m)
+    return PropertyReport(axiom, "PASS", {"min_m": min_m}, window=N)
 
 
 def _vf_difference(h, hs, N):
@@ -638,31 +638,33 @@ def _vf_difference(h, hs, N):
 
 
 def check_vf_skew_symmetry(A: ModuleStructure, axiom, m_max, window, member):
-    """vf skew symmetry, checked once per member on one stack per exactness
-    class (the right side substitutes x2 of slot h at (v, u, w)).  The
-    record is the first failing triple and the least judged monomial of its
-    class stack with a label of it; rerun alone, the triple must give the
-    same monomial on its own series, or the stacking is a violation."""
+    """vf skew symmetry, decided exactly on the h and swapped-h member stacks
+    (Claim V of ``rationalforms.exact_difference``), and cross-checked by
+    their windowed difference, judged on the box [-N, N]^2 unless it is
+    exact (``_decided``); the record's monomial is the least judged one of
+    the triple's own difference."""
     N = window or default_window(A)
-    region, failing = box(N, "x0", "x2"), {}
-    for part in member.classes(["hs"]):
-        diff = _vf_difference(member.stack("h", part), member.stack("hs", part), N)
-        failing |= dict.fromkeys(
-            _failing_triples(member, dict(judged_coeffs(diff, region))), diff)
-    first = next((t for t in member.triples if t in failing), None)
-    if first is None:
-        return PropertyReport(axiom, "PASS", {}, window=N)
-    diff, ids = failing[first], member.label_ids()[first].values()
-    mono = diff.monomial(min(key for key, c in judged_coeffs(diff, region)
-                             if not c.entries.keys().isdisjoint(ids)))
-    u, v, w = first
-    _, alone = zero_verdict(_vf_difference(
-        member.own(first, "h").h, member.own((v, u, w), "h").h, N), region)
-    if alone is None or alone[0] != mono:
-        raise _moved(axiom, first, f"first monomial {mono} on its class stack",
-                     alone[0] if alone else "none")
-    return PropertyReport(axiom, "FAIL", {"triple": first, "monomial": mono},
-                          window=N)
+    region, h, hs = box(N, "x0", "x2"), member.stack("h"), member.stack("hs")
+    diff = _vf_difference(h, hs, N)
+    judged = dict(judged_coeffs(diff, region))
+
+    def alone(t, shown):
+        u, v, w = t
+        own = _vf_difference(member.own(t, "h").h, member.own((v, u, w), "h").h, N)
+        if shown:  # the stack's least judged monomial of t, and t's own there
+            ids = member.label_ids()[t].values()
+            mono = min(k for k, c in judged.items() if not c.entries.keys().isdisjoint(ids))
+            seen = min(own.coeffs if diff.is_exact() else dict(own.nonzero_on(region)),
+                       default=None)
+            if seen != mono:
+                raise _moved(axiom, t, f"first monomial {diff.monomial(mono)} on the "
+                             "member stack", own.monomial(seen) if seen else "none")
+        _, wit = zero_verdict(own, region)
+        return wit and {"triple": t, "monomial": wit[0]}
+
+    record = _decided(axiom, member, N, 2, _held(member, judged),
+                      _held(member, exact_vf(h, hs)), alone)
+    return PropertyReport(axiom, "FAIL" if record else "PASS", record, window=N)
 
 
 def check_vacuum_prop(A: ModuleStructure, axiom, m_max, window, member):

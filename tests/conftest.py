@@ -7,9 +7,9 @@ from vertexcalc import configio, structures
 from vertexcalc.deltacalc import mono_of, sv_neg
 from vertexcalc.errors import SummabilityError, WindowUnderflowError
 from vertexcalc.rationalforms import pole_statement
-from vertexcalc.scalars import binom
+from vertexcalc.scalars import Vec, binom
 from vertexcalc.series import multiply, zero_verdict
-from vertexcalc.structures import WEAK_PAIRS
+from vertexcalc.structures import WEAK_PAIRS, ModuleStructure, VertexStructure
 
 
 @pytest.fixture
@@ -60,6 +60,24 @@ def ut2_dir(tmp_path):
                         "wmodes": _ut2_records("w"), "tags": []},
                        tmp_path / "ut2-regular.module.json")
     return tmp_path
+
+
+def skew_pole():
+    """The vacuum-free structure on (e, k) with Y(e,x)e = e + x^-1 k, that is
+    e_(-1)e = e and e_0 e = k, and every other mode 0: g = Y(e,x2)Y(e,x1)e
+    has an x2-pole and no x1-pole, as every mode kills k, so it passes
+    weak skew-associativity with a positive witness (Claim D)."""
+    return VertexStructure("skew-pole", ("e", "k"),
+                           {("e", "e"): {-1: Vec.unit("e"), 0: Vec.unit("k")}})
+
+
+def one_skew():
+    """The module on (w, k) over ``one`` = Q 1, 1 its vacuum and Y(1,x)1 = 1,
+    with Y_W(1,x)w = w + x^-1 k and Y_W(1,x)k = 0: the module twin of
+    ``skew_pole``."""
+    one = VertexStructure("one", ("1",), {("1", "1"): {-1: Vec.unit("1")}}, vacuum="1")
+    return ModuleStructure("one-skew", one, ("w", "k"),
+                           {("1", "w"): {-1: Vec.unit("w"), 0: Vec.unit("k")}})
 
 
 def witness_is_valid(diff, clear, m, box):

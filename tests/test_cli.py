@@ -437,8 +437,8 @@ def test_consistency_violation_exits_two_with_one_line(corpus_dir, monkeypatch,
     # a stack writer that doubles one coefficient of slot f makes the valid
     # borcherds-k3 fail Jacobi on its member stack but not on the triple
     # alone: the guard's violation exits 2, with no report and one line
-    def perturbed(member, slot, labels, _original=structures._stack):
-        out = _original(member, slot, labels)
+    def perturbed(member, slot, _original=structures._stack):
+        out = _original(member, slot)
         if slot != "f":
             return out
         key, vec = next(iter(out.coeffs.items()))

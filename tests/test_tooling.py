@@ -78,19 +78,24 @@ def _defined_names(path):
 
 
 def test_exact_jacobi_route_shares_no_name_with_the_windowed_routes():
-    # the exact Jacobi route (rationalforms.exact_jacobi and its reader
-    # _terms) reads no name that series (route 2) or deltacalc (route 1)
-    # defines: its arithmetic is math.comb and Vec over plain dicts; and it
-    # refuses, undecided, a slot series that is not a Laurent polynomial
+    # the exact routes (the kernel rationalforms.exact_difference, the four
+    # claim deciders, exact_jacobi and _laurent, their refusal of inexact
+    # slots) read no name that series (route 2 and the windowed weak and vf
+    # routes) or deltacalc (route 1) defines: their arithmetic is math.comb
+    # and Vec over plain dicts; and they refuse, undecided, a slot series
+    # that is not a Laurent polynomial
     from vertexcalc import rationalforms
     from vertexcalc.errors import WindowUnderflowError
-    route = (rationalforms.exact_jacobi, rationalforms._terms)
+    route = (rationalforms.exact_difference, rationalforms.exact_weak_comm,
+             rationalforms.exact_weak_assoc, rationalforms.exact_weak_skew_assoc,
+             rationalforms.exact_vf, rationalforms.exact_jacobi, rationalforms._laurent)
     tree = ast.parse("\n".join(inspect.getsource(fn) for fn in route))
     windowed = (_defined_names(os.path.join(PACKAGE, "series.py"))
                 | _defined_names(os.path.join(PACKAGE, "deltacalc.py")))
-    assert {"apply_delta", "window_coeffs", "WindowedSeries"} <= windowed
+    assert {"apply_delta", "window_coeffs", "WindowedSeries", "taylor_substitute",
+            "multiply", "judged_coeffs"} <= windowed
     assert not _referenced_names(tree) & windowed, sorted(_referenced_names(tree) & windowed)
-    refused = 0
+    refused, declined = 0, 0
     for seed in range(8):
         inst = rationalforms.generate_instance(seed)
         if all(s.is_exact() for s in (inst.f, inst.g, inst.h)):
@@ -98,7 +103,12 @@ def test_exact_jacobi_route_shares_no_name_with_the_windowed_routes():
         with pytest.raises(WindowUnderflowError, match="exact in every variable"):
             rationalforms.exact_jacobi(inst)
         refused += 1
-    assert refused >= 6
+        for decide, slots in zip(route[1:4], ("fg", "hf", "hg")):
+            if not all(getattr(inst, s).is_exact() for s in slots):
+                with pytest.raises(WindowUnderflowError, match="exact in every variable"):
+                    decide(inst)
+                declined += 1
+    assert refused >= 6 and declined >= 16, (refused, declined)
 
 
 def test_series_builds_on_errors_and_scalars_alone():

@@ -51,14 +51,7 @@ from .errors import (
     SummabilityError,
     UnsupportedRewriteError,
 )
-from .scalars import (
-    Vec,
-    binom,
-    coeff_add,
-    coeff_is_zero,
-    coeff_mul,
-    coeff_to_json,
-)
+from .scalars import Vec, binom, format_scalar
 
 DEFAULT_VARS = ("x0", "x1", "x2")
 
@@ -230,7 +223,7 @@ def make_term(coeff, mono=(), delta=None, raw_atoms=()):
     for head_sv, tail_svs, exp in raw_atoms:
         factor, extra_mono, atom = _canonical_atom(head_sv, tail_svs, exp)
         if factor != 1:
-            coeff = coeff_mul(coeff, factor)
+            coeff = coeff * factor
         if extra_mono:
             mono = mono_mul(mono, extra_mono)
         if atom is not None:
@@ -266,7 +259,7 @@ class DeltaExpr:
 
     def scale(self, c):
         return DeltaExpr(
-            tuple(Term(coeff_mul(t.coeff, c), t.mono, t.delta, t.atoms) for t in self.terms),
+            tuple(Term(t.coeff * c, t.mono, t.delta, t.atoms) for t in self.terms),
             self.variables,
         )
 
@@ -278,7 +271,9 @@ class DeltaExpr:
     def to_records(self):
         out = []
         for t in self.terms:
-            rec = {"coeff": coeff_to_json(t.coeff), "monomial": dict(t.mono)}
+            c = t.coeff
+            rec = {"coeff": c.to_json() if type(c) is Vec else format_scalar(c),
+                   "monomial": dict(t.mono)}
             if t.delta:
                 rec["delta"] = t.delta.to_json()
             rec["atoms"] = [a.to_json() for a in t.atoms]
@@ -302,11 +297,11 @@ def normalize(e: DeltaExpr) -> DeltaExpr:
         t2 = make_term(t.coeff, t.mono, t.delta, t.raw_atoms())
         key = t2.shape_key()
         if key in buckets:
-            buckets[key] = Term(coeff_add(buckets[key].coeff, t2.coeff),
+            buckets[key] = Term(buckets[key].coeff + t2.coeff,
                                 t2.mono, t2.delta, t2.atoms)
         else:
             buckets[key] = t2
-    kept = [buckets[k] for k in sorted(buckets) if not coeff_is_zero(buckets[k].coeff)]
+    kept = [buckets[k] for k in sorted(buckets) if buckets[k].coeff]
     return DeltaExpr(kept, e.variables)
 
 
@@ -333,7 +328,7 @@ def expand_deltas(e: DeltaExpr) -> DeltaExpr:
             continue
         for piece in delta_to_atoms(t.delta, e.variables).terms:
             out.append(make_term(
-                coeff_mul(t.coeff, piece.coeff),
+                t.coeff * piece.coeff,
                 mono_mul(t.mono, piece.mono),
                 None,
                 t.raw_atoms() + piece.raw_atoms(),
@@ -627,8 +622,8 @@ def window_coeffs(e: DeltaExpr, window, memo=None):
         # a label dict that cancelled to zero makes no Vec, unless a scalar
         # at its monomial must be refused
         if any(acc.values()) or out.get(mono, 0):
-            out[mono] = coeff_add(out.get(mono, 0), Vec(acc))
-    return {k: v for k, v in out.items() if not coeff_is_zero(v)}
+            out[mono] = out.get(mono, 0) + Vec(acc)
+    return {k: v for k, v in out.items() if v}
 
 
 def coeff_of(e: DeltaExpr, monomial):
@@ -698,10 +693,7 @@ def prove_identity(which) -> ProofTrace:
         groups.setdefault(t.shape_key(), []).append((pos, t))
     pairs = []
     for members in groups.values():
-        total = 0
-        for _, t in members:
-            total = coeff_add(total, t.coeff)
-        if not coeff_is_zero(total) or len(members) != 2:
+        if sum(t.coeff for _, t in members) or len(members) != 2:
             residual = normalize(expanded)
             trace.residual = residual
             raise ProverFailureError(

@@ -46,7 +46,6 @@ from typing import NamedTuple
 
 from .deltacalc import DEFAULT_VARS, THREE_TERM, identity_lhs
 from .errors import ConsistencyViolationError, WindowUnderflowError
-from .scalars import Vec
 from .series import (
     INF,
     WindowedSeries,
@@ -295,15 +294,18 @@ def _laurent(*slots):
 
 
 def exact_difference(left, right, head=None, tail=(1, 0)):
-    """{key of ``left``: nonzero Vec} of left - right', exactly, for two slot
-    stacks read by position in ``SLOT_VARIABLES`` order, with ``math.comb``
-    and ``Vec`` only.  With ``head`` None, right' is ``right`` with its key
-    reversed (g against f).  Otherwise ``left`` is over (x2, x0), the
-    variable of ``right`` at position ``head`` becomes x2 + x0, expanded
-    binomially, and its other one sign times the variable at position
-    ``at`` of left, ``tail`` = (sign, at); a negative power of the head
-    puts its Vec at a key ("pole", ...), so its labels fail.  Labels are
-    added and scaled, never mixed, so each is decided as if it were alone.
+    """{key of ``left``: nonzero coefficient} of left - right', exactly, for
+    two slots or slot stacks read by position in ``SLOT_VARIABLES`` order,
+    with ``math.comb`` and coefficient arithmetic only.  With ``head`` None,
+    right' is ``right`` with its key reversed (g against f).  Otherwise
+    ``left`` is over (x2, x0), the variable of ``right`` at position ``head``
+    becomes x2 + x0, expanded binomially, and its other one sign times the
+    variable at position ``at`` of left, ``tail`` = (sign, at); a negative
+    power of the head puts its coefficient at a key ("pole", ...), so it
+    fails.  Coefficients are scalars or label ``Vec``s; labels are added and
+    scaled, never mixed, so each is decided as if it were alone.  The claim
+    deciders below pass slots as they are, by position; only
+    ``exact_jacobi`` aligns them to ``SLOT_VARIABLES`` first.
 
     The claims, per label of a finite action, whose slots f(x1,x2),
     g(x2,x1), h(x2,x0) and hs (h at (v, u, w)) are Laurent polynomials, for
@@ -338,13 +340,13 @@ def exact_difference(left, right, head=None, tail=(1, 0)):
          the residue in x0 of x0^k times Jacobi is (x1-x2)^k (f - g) = 0,
          so f = g; then the residue in x1 of Jacobi says that f(x2+x0,x2),
          so expanded, is the Laurent polynomial h, so f has no x1-pole."""
-    out = {key: dict(c.entries) for key, c in _laurent(left, right)[0].coeffs.items()}
+    out = dict(_laurent(left, right)[0].coeffs)
     sign, at = tail
     for key, c in right.coeffs.items():
         if head is None:
             terms = ((key[::-1], 1),)
         elif key[head] < 0:
-            out["pole", *key] = c.entries
+            out["pole", *key] = c
             continue
         else:
             e, o = key[head], key[1 - head]
@@ -352,10 +354,8 @@ def exact_difference(left, right, head=None, tail=(1, 0)):
             terms = [((e - i + o, i) if at == 0 else (e - i, i + o), sgn * comb(e, i))
                      for i in range(e + 1)]
         for k, scale in terms:
-            acc = out.setdefault(k, {})
-            for label, x in c.entries.items():
-                acc[label] = acc.get(label, 0) - scale * x
-    return {key: v for key, entries in out.items() if (v := Vec(entries))}
+            out[k] = out.get(k, 0) - scale * c
+    return {key: c for key, c in out.items() if c}
 
 
 def exact_weak_comm(inst: TripleInstance):
@@ -370,7 +370,8 @@ def exact_weak_assoc(inst: TripleInstance):
 
 def exact_weak_skew_assoc(inst: TripleInstance):
     """Claim D: (h(x2,x0) - g(x2,x0+x2), {label: g's x2-pole order});
-    g's x1-poles fail."""
+    g's x1-poles fail.  The pole witnesses are read per label, so they need
+    label ``Vec`` coefficients; the difference takes scalars too."""
     diff, poles = exact_difference(inst.h, inst.g, 1), {}
     for (a, _), c in inst.g.coeffs.items():
         for label in c.entries if a < 0 else ():

@@ -5,6 +5,11 @@ The ground field is Q throughout.  Scalars are plain ``int`` where possible and
 every ``Vec`` keep an integral value as an ``int``, so a ``Vec`` entry is an
 ``int`` exactly when it is integral and arithmetic on integral entries stays
 in ``int``.  Rationals serialize as "p/q" (or "p" when the denominator is 1).
+
+A ``Vec`` is a coefficient, as in the formal calculus over a vector space
+(Lepowsky-Li 2004, ch. 2): scalars act on it, ``v * c`` and ``c * v``, and it
+adds only to a ``Vec`` or to the scalar 0, so code summing coefficients
+needs no case for it.
 """
 from __future__ import annotations
 
@@ -66,6 +71,10 @@ class Vec:
         return cls({name: 1})
 
     def __add__(self, other):
+        if type(other) is not Vec:
+            if other != 0:
+                raise TypeError("cannot add scalar and vector coefficients")
+            return self
         out = dict(self.entries)
         for name, value in other.entries.items():
             new = out.get(name, 0) + value
@@ -79,7 +88,13 @@ class Vec:
         v.entries = out
         return v
 
+    __radd__ = __add__
+
     def __sub__(self, other):
+        if type(other) is not Vec:
+            if other != 0:
+                raise TypeError("cannot subtract scalar and vector coefficients")
+            return self
         # one pass: no negated copy of ``other``
         out = dict(self.entries)
         for name, value in other.entries.items():
@@ -94,12 +109,19 @@ class Vec:
         v.entries = out
         return v
 
+    def __rsub__(self, other):  # ``other`` is a scalar
+        if other != 0:
+            raise TypeError("cannot subtract scalar and vector coefficients")
+        return -self
+
     def __neg__(self):
         v = Vec.__new__(Vec)
         v.entries = {name: -value for name, value in self.entries.items()}
         return v
 
     def scale(self, c):
+        if type(c) is Vec:
+            raise TypeError("cannot multiply two vector coefficients")
         if not c:
             return Vec()
         if c == 1:  # sharing is safe: only Vec's constructors write entries
@@ -114,6 +136,11 @@ class Vec:
         v = Vec.__new__(Vec)
         v.entries = entries
         return v
+
+    def __mul__(self, c):
+        return self.scale(c)
+
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, Vec):
@@ -153,55 +180,3 @@ def linear_map(images, vec: Vec) -> Vec:
             out = out + img.scale(c)
     return out
 
-
-def coeff_mul(a, b):
-    """Multiply two coefficients; at most one of them may be a Vec."""
-    if type(a) is not Vec:
-        if type(b) is not Vec:
-            return a * b
-        return b.scale(a)
-    if type(b) is Vec:
-        raise TypeError("cannot multiply two vector coefficients")
-    return a.scale(b)
-
-
-def coeff_add(a, b):
-    """Add two coefficients; a Vec takes only a Vec or the scalar 0."""
-    if type(a) is not Vec:
-        if type(b) is not Vec:
-            return a + b
-        if a != 0:
-            raise TypeError("cannot add scalar and vector coefficients")
-        return b
-    if type(b) is not Vec:
-        if b != 0:
-            raise TypeError("cannot add scalar and vector coefficients")
-        return a
-    return a + b
-
-
-def coeff_sub(a, b):
-    """Subtract two coefficients; a Vec takes only a Vec or the scalar 0."""
-    if type(a) is not Vec:
-        if type(b) is not Vec:
-            return a - b
-        if a != 0:
-            raise TypeError("cannot subtract scalar and vector coefficients")
-        return -b
-    if type(b) is not Vec:
-        if b != 0:
-            raise TypeError("cannot subtract scalar and vector coefficients")
-        return a
-    return a - b
-
-
-def coeff_is_zero(a):
-    if type(a) is Vec:
-        return not a.entries
-    return a == 0
-
-
-def coeff_to_json(a):
-    if isinstance(a, Vec):
-        return a.to_json()
-    return format_scalar(a)

@@ -33,8 +33,7 @@ from fractions import Fraction
 from operator import add
 
 from .errors import SummabilityError, WindowUnderflowError
-from .scalars import (
-    Vec, coeff_add, coeff_is_zero, coeff_mul, coeff_sub, linear_map)
+from .scalars import Vec, linear_map
 
 INF = None  # open window end
 
@@ -163,7 +162,7 @@ class WindowedSeries:
     def flip_sign(self, var):
         """Substitute var -> -var."""
         i = self.idx(var)
-        coeffs = {k: (coeff_mul(c, -1) if k[i] % 2 else c) for k, c in self.coeffs.items()}
+        coeffs = {k: (-c if k[i] % 2 else c) for k, c in self.coeffs.items()}
         out = self.copy_meta(coeffs)
         lo, hi = self.window[var]
         out.window[var] = (-hi if hi is not None else INF, -lo if lo is not None else INF)
@@ -172,7 +171,7 @@ class WindowedSeries:
         return out
 
     def __neg__(self):
-        return self.copy_meta({k: coeff_mul(v, -1) for k, v in self.coeffs.items()})
+        return self.copy_meta({k: -v for k, v in self.coeffs.items()})
 
     def __add__(self, other):
         return self._merge(other, False)
@@ -189,16 +188,15 @@ class WindowedSeries:
         if self.variables != other.variables:
             allv = tuple(sorted(set(self.variables) | set(other.variables)))
             return self.align(allv)._merge(other.align(allv), subtract)
-        combine = coeff_sub if subtract else coeff_add
         coeffs = dict(self.coeffs)
         for k, c in other.coeffs.items():
             prev = coeffs.get(k)
             if prev is None:
-                coeffs[k] = coeff_mul(c, -1) if subtract else c
-            elif coeff_is_zero(new := combine(prev, c)):
-                del coeffs[k]
-            else:
+                coeffs[k] = -c if subtract else c
+            elif new := (prev - c if subtract else prev + c):
                 coeffs[k] = new
+            else:
+                del coeffs[k]
         window, shape, same_known = {}, {}, True
         for v in self.variables:
             ka, kb = self.known(v), other.known(v)
@@ -269,7 +267,7 @@ class WindowedSeries:
             if e == 0:
                 continue
             new = key[:i] + (e - 1,) + key[i + 1:]
-            coeffs[new] = coeff_mul(c, e)
+            coeffs[new] = c * e
         out = self.copy_meta(coeffs)
         lo, hi = self.window[var]
         out.window[var] = (lo - 1 if lo is not None else INF,
@@ -361,18 +359,10 @@ def multiply(a: WindowedSeries, b: WindowedSeries) -> WindowedSeries:
             raise WindowUnderflowError(
                 f"product knows no complete window in {v!r}: both factors inexact")
     coeffs = {}
-    if any(type(c) is Vec for s in (a, b) for c in s.coeffs.values()):
-        for k1, c1 in a.coeffs.items():
-            for k2, c2 in b.coeffs.items():
-                key = tuple(map(add, k1, k2))
-                c = coeff_mul(c1, c2)
-                prev = coeffs.get(key)
-                coeffs[key] = c if prev is None else coeff_add(prev, c)
-    else:
-        for k1, c1 in a.coeffs.items():
-            for k2, c2 in b.coeffs.items():
-                key = tuple(map(add, k1, k2))
-                coeffs[key] = coeffs.get(key, 0) + c1 * c2
+    for k1, c1 in a.coeffs.items():
+        for k2, c2 in b.coeffs.items():
+            key = tuple(map(add, k1, k2))
+            coeffs[key] = coeffs.get(key, 0) + c1 * c2
     out = WindowedSeries(a.variables, coeffs, window, shape)
     return out._drop_unknown()
 

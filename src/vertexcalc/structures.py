@@ -66,7 +66,7 @@ from .rationalforms import (JACOBI, PAIRS, SLOT_VARIABLES, TripleInstance, box,
                             exact_jacobi, exact_vf, exact_weak_assoc,
                             exact_weak_comm, exact_weak_skew_assoc,
                             least_clearing_power, pole_statement)
-from .scalars import Vec, coeff_mul, linear_map
+from .scalars import Vec, linear_map
 from .series import (INF, WindowedSeries, exp_endo, judged_coeffs, multiply,
                      taylor_substitute, zero_verdict)
 
@@ -378,7 +378,7 @@ def _jacobi_symbolic_zero(inst, N, memo=None):
         series = getattr(inst, slot)
         for key, c in series.coeffs.items():
             mono = mono_of(dict(zip(series.variables, key)))
-            terms.append(Term(coeff_mul(c, t.coeff), mono, t.delta, ()))
+            terms.append(Term(c * t.coeff, mono, t.delta, ()))
     return window_coeffs(DeltaExpr(terms), box(N, "x0", "x1", "x2"), memo)
 
 

@@ -367,17 +367,24 @@ def test_inexact_stacked_witness_search_decides_each_label_as_alone():
 def test_exact_jacobi_agrees_with_check_A_on_pole_free_forms():
     # a form without poles gives a triple of polynomials: Claim A holds on
     # it, as (A) does on the box, and a perturbed f breaks both, with (E)
-    # naming the perturbed monomial.  The exact route reads Vec
-    # coefficients, so each scalar becomes the coefficient of one label
+    # naming the perturbed monomial.  The exact route reads scalar
+    # coefficients and label Vecs alike: each form runs as it is, and with
+    # each scalar made the coefficient of one label
     def labelled(inst):
         return TripleInstance(*(s.copy_meta({k: Vec({"w": c}) for k, c in s.coeffs.items()})
                                 for s in (inst.f, inst.g, inst.h)))
 
-    for seed in range(30):
-        form = random_form(random.Random(seed), max_pole=0)
-        inst = instance_from_form(form, N=4)
-        assert all(s.is_exact() for s in (inst.f, inst.g, inst.h))
-        assert exact_jacobi(labelled(inst)) == {} and check_A(inst, 4)[0]
-        bad = inst.perturb_f((1, -2), 3)
-        assert exact_jacobi(labelled(bad))[("E", 1, -2)] == Vec({"w": 3})
-        assert not check_A(bad, 4)[0]
+    for wrap, three in ((lambda inst: inst, 3), (labelled, Vec({"w": 3}))):
+        for seed in range(30):
+            form = random_form(random.Random(seed), max_pole=0)
+            inst = instance_from_form(form, N=4)
+            assert all(s.is_exact() for s in (inst.f, inst.g, inst.h))
+            assert exact_jacobi(wrap(inst)) == {} and check_A(inst, 4)[0]
+            bad = inst.perturb_f((1, -2), 3)
+            got = exact_jacobi(wrap(bad))[("E", 1, -2)]
+            assert got == three and type(got) is type(three)
+            assert not check_A(bad, 4)[0]
+    inst = instance_from_form(RationalForm({(1, 0): 1}, 0, 0, 0), 4)
+    assert exact_jacobi(inst) == {}
+    assert exact_jacobi(inst.perturb_f((1, -2), 3)) == {
+        ("E", 1, -2): 3, ("F", -1, 0): -3, ("F", -2, 1): -3}

@@ -7,9 +7,6 @@ from conftest import multinomial
 from vertexcalc.scalars import (
     Vec,
     binom,
-    coeff_add,
-    coeff_mul,
-    coeff_sub,
     format_scalar,
     parse_scalar,
 )
@@ -114,7 +111,8 @@ def test_scaling_by_one_returns_the_vector_itself():
     v = Vec({"a": Fraction(1, 2), "b": 3})
     assert v.scale(1) is v
     assert v.scale(Fraction(1)) is v
-    assert coeff_mul(v, 1) is v and coeff_mul(1, v) is v
+    assert v * 1 is v and 1 * v is v
+    assert v * Fraction(1) is v and Fraction(1) * v is v
     assert v.scale(-1) is not v and v.scale(-1) == -v
     assert v == Vec({"a": Fraction(1, 2), "b": 3})
 
@@ -155,18 +153,18 @@ def test_loaded_corpus_stores_int_exactly_when_integral(tmp_path):
     assert int in seen
 
 
-def test_coefficient_dispatch_refuses_mixed_vector_arithmetic():
+def test_coefficient_operators_refuse_mixed_vector_arithmetic():
     v = Vec({"a": 1, "b": Fraction(1, 3)})
-    assert coeff_mul(Fraction(1, 2), 4) == 2
-    assert coeff_add(Fraction(1, 2), Fraction(1, 2)) == 1
-    assert coeff_mul(3, v) == coeff_mul(v, 3) == Vec({"a": 3, "b": 1})
-    assert coeff_add(0, v) is v and coeff_add(v, 0) is v
-    assert coeff_add(v, v) == v.scale(2)
-    with pytest.raises(TypeError):
-        coeff_mul(v, v)
-    for a, b in ((1, v), (v, Fraction(1, 2))):
-        with pytest.raises(TypeError):
-            coeff_add(a, b)
+    assert 3 * v == v * 3 == Vec({"a": 3, "b": 1})
+    assert Fraction(3) * v == v * Fraction(3) == Vec({"a": 3, "b": 1})
+    assert 0 + v is v and v + 0 is v and Fraction(0) + v is v
+    assert v + v == v.scale(2)
+    assert not 0 * v and not v * 0
+    with pytest.raises(TypeError, match="^cannot multiply two vector coefficients$"):
+        v * v
+    for a, b in ((1, v), (v, Fraction(1, 2)), (Fraction(-1, 2), v), (v, 2)):
+        with pytest.raises(TypeError, match="^cannot add scalar and vector coefficients$"):
+            a + b
 
 
 def _random_scalar(rng):
@@ -188,7 +186,7 @@ def _same(x, y):
 
 
 def test_one_pass_subtraction_equals_adding_the_negation():
-    # Vec.__sub__ and coeff_sub against the two-pass a + (-b) they replace
+    # Vec's subtraction operators against the two-pass a + (-b) they replace
     rng = random.Random(1010)
     for _ in range(400):
         a, b = _random_vec(rng), _random_vec(rng)
@@ -198,12 +196,14 @@ def test_one_pass_subtraction_equals_adding_the_negation():
         assert not a - a
         x, y = _random_scalar(rng), _random_scalar(rng)
         for p, q in ((x, y), (a, b), (0, b), (a, 0)):
-            assert _same(coeff_sub(p, q), coeff_add(p, coeff_mul(q, -1))), (p, q)
+            assert _same(p - q, p + q * -1), (p, q)
+            assert _same(p - q, p + -1 * q), (p, q)
 
 
 def test_one_pass_subtraction_refuses_mixed_vector_arithmetic():
     v = Vec({"a": 1, "b": Fraction(1, 3)})
     for a, b in ((1, v), (Fraction(-1, 2), v), (v, 2), (v, Fraction(1, 2))):
-        with pytest.raises(TypeError):
-            coeff_sub(a, b)
-    assert coeff_sub(v, 0) is v and coeff_sub(0, v) == v.scale(-1)
+        with pytest.raises(TypeError, match="^cannot subtract scalar and vector coefficients$"):
+            a - b
+    assert v - 0 is v and v - Fraction(0) is v
+    assert 0 - v == -v == v.scale(-1) and Fraction(0) - v == -v

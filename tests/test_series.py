@@ -6,8 +6,7 @@ from conftest import is_zero, is_zero_on
 
 from vertexcalc.deltacalc import Delta, DeltaExpr, Term, make_term, window_coeffs
 from vertexcalc.errors import SummabilityError, WindowUnderflowError
-from vertexcalc.scalars import (
-    Vec, binom, coeff_add, coeff_is_zero, coeff_mul, coeff_sub)
+from vertexcalc.scalars import Vec, binom
 from vertexcalc.series import (
     INF,
     WindowedSeries,
@@ -397,9 +396,9 @@ def _add_power_reference(coeffs, base, c, n, head, tail, kmax, kmin=0):
         key[ih] += n - k
         key[it] += k
         key = tuple(key)
-        val = coeff_mul(c, bc)
+        val = c * bc
         prev = coeffs.get(key)
-        coeffs[key] = val if prev is None else coeff_add(prev, val)
+        coeffs[key] = val if prev is None else prev + val
 
 
 KERNEL_COEFFS = (1, -3, Fraction(-2, 7), Vec({"e0": 2, "e1": Fraction(1, 3)}))
@@ -441,11 +440,10 @@ def test_add_power_equals_the_term_by_term_reference(hs, ts):
                         _add_power_reference(full, *args)
                         cancelled = list(full)[::2]
                         prefill = {(9, 9, 9): c, (8, 8, 8): zero}
-                        prefill.update((key, coeff_mul(full[key], -1))
-                                       for key in cancelled)
+                        prefill.update((key, -full[key]) for key in cancelled)
                         got, want = _kernel_pair(prefill, shared, *args)
                         assert got == want, (c, n, base, kmin, kmax)
-                        assert all(coeff_is_zero(dict(got)[key]) for key in cancelled)
+                        assert not any(dict(got)[key] for key in cancelled)
                 # head and tail at one position: only the head term
                 got, want = _kernel_pair({}, shared, base, c, n, (hs, 1), (ts, 1), 0)
                 assert got == want and len(got) == 1
@@ -470,9 +468,9 @@ def _product_reference(a, b):
     for k1, c1 in a.coeffs.items():
         for k2, c2 in b.coeffs.items():
             key = tuple(x + y for x, y in zip(k1, k2))
-            c = coeff_mul(c1, c2)
-            out[key] = coeff_add(out[key], c) if key in out else c
-    return [(k, c) for k, c in out.items() if not coeff_is_zero(c)]
+            c = c1 * c2
+            out[key] = out[key] + c if key in out else c
+    return [(k, c) for k, c in out.items() if c]
 
 
 def test_multiply_equals_a_double_loop_on_random_sparse_series():
@@ -500,7 +498,7 @@ def test_multiply_equals_a_double_loop_on_random_sparse_series():
 
 
 def test_multiply_scalar_path_equals_the_double_loop_with_the_same_types():
-    # scalar factors are summed without coeff_add: keys, values, insertion
+    # scalar factors are summed as plain numbers: keys, values, insertion
     # order and each value's type (an integral Fraction stays a Fraction)
     rng = random.Random(2103)
     kinds = {"int": lambda: rng.randint(-4, 4),
@@ -633,9 +631,9 @@ def test_multi_term_apply_delta_is_the_sum_of_its_terms(signs):
             assert (single.variables, single.window, single.shape) == (
                 got.variables, got.window, got.shape)
             for key, c in single.coeffs.items():
-                want[key] = coeff_add(want.get(key, 0), c)
+                want[key] = want.get(key, 0) + c
         assert got.coeffs
-        assert got.coeffs == {k: c for k, c in want.items() if not coeff_is_zero(c)}
+        assert got.coeffs == {k: c for k, c in want.items() if c}
 
 
 STACK_VALUES = (-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2))
@@ -808,14 +806,13 @@ def _merge_reference(a, b, subtract):
     if a.variables != b.variables:
         allv = tuple(sorted(set(a.variables) | set(b.variables)))
         return _merge_reference(a.align(allv), b.align(allv), subtract)
-    combine = coeff_sub if subtract else coeff_add
     coeffs = dict(a.coeffs)
     for k, c in b.coeffs.items():
         prev = coeffs.get(k)
         if prev is not None:
-            coeffs[k] = combine(prev, c)
+            coeffs[k] = prev - c if subtract else prev + c
         else:
-            coeffs[k] = coeff_mul(c, -1) if subtract else c
+            coeffs[k] = -c if subtract else c
     window, shape = {}, {}
     for v in a.variables:
         ka, kb = a.known(v), b.known(v)
@@ -856,7 +853,7 @@ def test_merge_equals_the_full_pass_merge(vectors):
                 # shared keys with equal or opposite coefficients cancel
                 for key, c in list(like.coeffs.items())[:rng.randint(0, 3)]:
                     if key[0] >= xlo and key[1] <= yhi:
-                        entries[key] = c if rng.random() < 0.5 else coeff_mul(c, -1)
+                        entries[key] = c if rng.random() < 0.5 else -c
             if rng.random() < 0.4:
                 return poly(variables, entries)
             return WindowedSeries(

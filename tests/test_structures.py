@@ -1548,6 +1548,16 @@ def test_check_below_the_default_window_exits_three_on_a_weak_or_vf_fail(
     capsys.readouterr()
 
 
+def test_a_vf_fail_below_the_default_window_may_name_a_monomial_off_its_box():
+    # the record's monomial is the least one of the triple's own difference,
+    # which is exact here: at window 1 it lies outside the box [-1, 1]^2
+    A = next(A for A in _seeded_edits(60, 12) if A.name == "ideal-module-k5-edit20")
+    report = check_axiom(A, "m_vf_skew_symmetry", None, 1)
+    assert (report.verdict, report.window) == ("FAIL", 1)
+    assert report.witnesses == {"triple": ("e1", "e0", "e1"),
+                                "monomial": {"x0": 1, "x2": -2}}
+
+
 def test_a_large_m_max_moves_no_weak_fail_triple():
     # the cross-check searches m only up to the largest exact witness, so a
     # large m_max never reaches 2N + 2, where a difference judged on the box

@@ -82,7 +82,8 @@ def test_exact_jacobi_route_shares_no_name_with_the_windowed_routes():
     # claim deciders, exact_jacobi and _laurent, their refusal of inexact
     # slots) read no name that series (route 2 and the windowed weak and vf
     # routes) or deltacalc (route 1) defines: their arithmetic is math.comb
-    # and Vec over plain dicts; and they refuse, undecided, a slot series
+    # and the coefficient operators; they decide an exact instance, whose
+    # coefficients are scalars; and they refuse, undecided, a slot series
     # that is not a Laurent polynomial
     from vertexcalc import rationalforms
     from vertexcalc.errors import WindowUnderflowError
@@ -99,6 +100,7 @@ def test_exact_jacobi_route_shares_no_name_with_the_windowed_routes():
     for seed in range(8):
         inst = rationalforms.generate_instance(seed)
         if all(s.is_exact() for s in (inst.f, inst.g, inst.h)):
+            assert rationalforms.exact_jacobi(inst) == {}
             continue
         with pytest.raises(WindowUnderflowError, match="exact in every variable"):
             rationalforms.exact_jacobi(inst)
@@ -143,6 +145,24 @@ def _referenced_names(tree):
     """Every name a module reads, as a bare name or as an attribute."""
     return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
             | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_coefficients_need_no_coeff_helper():
+    # a Vec is a coefficient with the operators of one, so scalars defines
+    # no coeff_* helper, and no module of the package names a coeff_* name
+    # but one defined outside scalars (deltacalc.coeff_of)
+    trees = _package_trees()
+    defined = {name: _defined_names(os.path.join(PACKAGE, name)) for name in trees}
+    assert "Vec" in defined["scalars.py"]
+    assert not {n for n in defined["scalars.py"] if n.startswith("coeff_")}
+    elsewhere = set().union(*(names for name, names in defined.items() if name != "scalars.py"))
+    named = []
+    for name, tree in trees.items():
+        imported = {a.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+        named += [(name, n) for n in sorted(_referenced_names(tree) | imported)
+                  if n.startswith("coeff_") and n not in elsewhere]
+    assert not named, named
 
 
 def test_package_imports_no_name_it_never_uses():

@@ -208,8 +208,8 @@ def _shared_flags(defaults):
     d = (lambda v: v) if defaults else (lambda v: argparse.SUPPRESS)
     sp.add_argument("--window", type=_int_at_least(1), default=d(None),
                     metavar="N",
-                    help="coefficient window half-width (default for checks: "
-                         "support extent + 2*pole order + 2; prove-deltas 6, "
+                    help="coefficient window half-width (checks: at least, and by "
+                         "default, support extent + 2*pole order + 2; prove-deltas 6, "
                          "replay-elem 8)")
     sp.add_argument("--m-max", type=_int_at_least(0), default=d(None),
                     dest="m_max", metavar="M",

@@ -46,6 +46,7 @@ from typing import NamedTuple
 
 from .deltacalc import DEFAULT_VARS, THREE_TERM, identity_lhs
 from .errors import ConsistencyViolationError, WindowUnderflowError
+from .scalars import Vec
 from .series import (
     INF,
     WindowedSeries,
@@ -284,13 +285,13 @@ def check_A(inst: TripleInstance, N):
     return zero_verdict(three_term_series(inst, N), box(N, "x0", "x1", "x2"))
 
 
-def _laurent(*slots):
-    """``slots``, refused unless each is a Laurent polynomial, exact in every
-    variable."""
-    if not all(s.is_exact() for s in slots):
+def _laurent(**slots):
+    """``slots`` {slot: series}, in order, aligned to ``SLOT_VARIABLES``;
+    refused unless each is a Laurent polynomial, exact in every variable."""
+    if not all(s.is_exact() for s in slots.values()):
         raise WindowUnderflowError(
             "the exact route needs Laurent polynomials, exact in every variable")
-    return slots
+    return [s.align(SLOT_VARIABLES[slot]) for slot, s in slots.items()]
 
 
 def exact_difference(left, right, head=None, tail=(1, 0)):
@@ -304,8 +305,8 @@ def exact_difference(left, right, head=None, tail=(1, 0)):
     power of the head puts its coefficient at a key ("pole", ...), so it
     fails.  Coefficients are scalars or label ``Vec``s; labels are added and
     scaled, never mixed, so each is decided as if it were alone.  The claim
-    deciders below pass slots as they are, by position; only
-    ``exact_jacobi`` aligns them to ``SLOT_VARIABLES`` first.
+    deciders below name their slots to ``_laurent``, which aligns each to
+    ``SLOT_VARIABLES`` first.
 
     The claims, per label of a finite action, whose slots f(x1,x2),
     g(x2,x1), h(x2,x0) and hs (h at (v, u, w)) are Laurent polynomials, for
@@ -340,7 +341,7 @@ def exact_difference(left, right, head=None, tail=(1, 0)):
          the residue in x0 of x0^k times Jacobi is (x1-x2)^k (f - g) = 0,
          so f = g; then the residue in x1 of Jacobi says that f(x2+x0,x2),
          so expanded, is the Laurent polynomial h, so f has no x1-pole."""
-    out = dict(_laurent(left, right)[0].coeffs)
+    out = dict(left.coeffs)
     sign, at = tail
     for key, c in right.coeffs.items():
         if head is None:
@@ -360,28 +361,28 @@ def exact_difference(left, right, head=None, tail=(1, 0)):
 
 def exact_weak_comm(inst: TripleInstance):
     """Claim B: (f(x1,x2) - g(x2,x1), {}), with no positive witness."""
-    return exact_difference(inst.f, inst.g), {}
+    return exact_difference(*_laurent(f=inst.f, g=inst.g)), {}
 
 
 def exact_weak_assoc(inst: TripleInstance):
     """Claim C: (h(x2,x0) - f(x0+x2,x2), {}); f's x1-poles fail."""
-    return exact_difference(inst.h, inst.f, 0), {}
+    return exact_difference(*_laurent(h=inst.h, f=inst.f), 0), {}
 
 
 def exact_weak_skew_assoc(inst: TripleInstance):
-    """Claim D: (h(x2,x0) - g(x2,x0+x2), {label: g's x2-pole order});
-    g's x1-poles fail.  The pole witnesses are read per label, so they need
-    label ``Vec`` coefficients; the difference takes scalars too."""
-    diff, poles = exact_difference(inst.h, inst.g, 1), {}
-    for (a, _), c in inst.g.coeffs.items():
-        for label in c.entries if a < 0 else ():
+    """Claim D: (h(x2,x0) - g(x2,x0+x2), {label: g's x2-pole order}), a
+    scalar coefficient being the one label None; g's x1-poles fail."""
+    h, g = _laurent(h=inst.h, g=inst.g)
+    diff, poles = exact_difference(h, g, 1), {}
+    for (a, _), c in g.coeffs.items():
+        for label in (c.entries if type(c) is Vec else (None,)) if a < 0 else ():
             poles[label] = max(poles.get(label, 0), -a)
     return diff, poles
 
 
 def exact_vf(h, hs):
     """Claim V: h(x2,x0) - hs(x2+x0,-x0); hs's x2-poles fail."""
-    return exact_difference(h, hs, 0, (-1, 1))
+    return exact_difference(*_laurent(h=h, hs=hs), 0, (-1, 1))
 
 
 def exact_jacobi(inst: TripleInstance):
@@ -392,8 +393,6 @@ def exact_jacobi(inst: TripleInstance):
     ("F", ...) Claim C's difference.  A slot that is not a Laurent
     polynomial, exact in every variable, raises WindowUnderflowError,
     undecided; slots are read in ``SLOT_VARIABLES``, whatever their order."""
-    inst = TripleInstance(*_laurent(*(getattr(inst, s).align(SLOT_VARIABLES[s])
-                                      for s in "fgh")))
     return ({("E", *key): c for key, c in exact_weak_comm(inst)[0].items()}
             | {("F", *key): c for key, c in exact_weak_assoc(inst)[0].items()})
 

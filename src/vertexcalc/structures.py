@@ -45,13 +45,14 @@ w') (``MemberStacks.label_ids``); labels never mix, so the exact route
 decides each triple as it is alone.  One rule ties each windowed route to
 its exact one (``_decided``), and each FAIL record comes from a rerun on its
 triple's own slot series, unstacked (``MemberStacks.own``), which must
-agree with the stack where the stack shows the triple failing.
+agree with the stack.
 
 Checkers return PropertyReport records, and every verdict is exact.  The
-recorded window, by default ``default_window``: support_extent + 2 *
-max_pole_order + 2 of the action's tables, is the box that the windowed
-routes read; each default check tests that they see on it every exact FAIL
-and witness, and a FAIL record's monomial is read on it.
+recorded window is the box that the windowed routes read: ``default_window``,
+support_extent + 2 * max_pole_order + 2 of the action's tables, or a larger
+one given; a smaller one is refused (``_box``).  Each check tests that they
+see on it every exact FAIL and witness, and a FAIL record's monomial is
+read on it.
 """
 from __future__ import annotations
 
@@ -358,6 +359,16 @@ def default_window(A: ModuleStructure):
     return A.support_extent() + 2 * A.max_pole_order() + 2
 
 
+def _box(A: ModuleStructure, window):
+    """The half-width N of a windowed route's box [-N, N]: ``window``, or
+    ``default_window(A)``, the floor, below which a window is refused."""
+    least = default_window(A)
+    if (window or least) < least:
+        raise WindowUnderflowError(
+            f"window {window} is below the default window {least} of {A.name}")
+    return window or least
+
+
 def minimal_pole_order(S: VertexStructure, u, v):
     """Negative of the least power of x in Y(u,x)v when negative, else 0."""
     return _pole_order([S.ytable.get((u, v), {})])
@@ -511,38 +522,20 @@ def _held(member, coeffs):
     return dict.fromkeys(member.triples, 0) | dict.fromkeys(_failing_triples(member, coeffs))
 
 
-def _decided(axiom, member, N, dims, windowed, exact, alone, route="windowed"):
+def _decided(axiom, member, windowed, exact, alone, route="windowed"):
     """The FAIL witnesses of a check, or None on a PASS, by the one rule that
     ties a windowed route to the exact route that decides, each {triple:
-    least witness (0 for an identity), or None where it fails}.  On the box
-    [-N, N]^dims the windowed route reads true coefficients, so its failing
-    triples must be among the exact ones and its witnesses at most the
-    exact ones, and at ``default_window`` or above the two must be equal:
-    else ConsistencyViolationError.  The record is the first exact FAIL that
-    alone(t, shown) confirms on t's own slot series, which it gives the
-    FAIL witnesses of, guarding the stack where that ``shown`` t failing.
-    Below the default window, confirming no exact FAIL, or a smaller
-    witness on an exact PASS, raises WindowUnderflowError."""
-    least = default_window(member.A)
+    least witness (0 for an identity), or None where it fails}: on a box of
+    at least the default window (``_box``) the two must be equal, else
+    ConsistencyViolationError.  The record is alone(t) of the first triple t
+    that fails exactly, which guards the stack on t's own slot series."""
     where = [t for t in member.triples if windowed[t] != exact[t]]
     said = {None: "False", 0: "True"}
-    if (where and N >= least) or any(exact[t] is not None and (
-            windowed[t] is None or windowed[t] > exact[t]) for t in where):
+    if where:
         raise ConsistencyViolationError(f"{axiom} routes disagree on " + ", ".join(
             f"({','.join(map(str, t))}): {route}={said.get(windowed[t], windowed[t])} "
             f"exact={said.get(exact[t], exact[t])}" for t in where))
-    failing = [t for t in member.triples if exact[t] is None]
-    for t in failing:
-        if (record := alone(t, windowed[t] is None)) is not None:
-            return record
-    if not where:
-        return None
-    t = (failing or where)[0]
-    at = ",".join(map(str, t))
-    shown = (f"fails at ({at}) exactly, but on no coefficient" if failing
-             else f"needs m = {exact[t]} at ({at}) exactly, but m = {windowed[t]} clears")
-    raise WindowUnderflowError(f"{axiom} {shown} of the box [-{N}, {N}]^{dims}; use "
-                               f"a window of at least {least}, the default")
+    return next((alone(t) for t in member.triples if exact[t] is None), None)
 
 
 def check_jacobi(A: ModuleStructure, axiom, m_max, window, member):
@@ -553,7 +546,7 @@ def check_jacobi(A: ModuleStructure, axiom, m_max, window, member):
     route 1's stack whose Vec has a label of that triple; route 1 reruns on
     that triple's own slot series and must give the same monomial, or the
     stacking is a violation."""
-    N = window or default_window(A)
+    N = _box(A, window)
     # Route 1 expands each term shape once per window and memo: the memo of
     # ``member``, one per command (``replay_corpus`` hands every member the
     # same).  The oracle still recomputes every coefficient, independently
@@ -561,9 +554,7 @@ def check_jacobi(A: ModuleStructure, axiom, m_max, window, member):
     memo, inst = member.memo, member.instance()
     out = _jacobi_symbolic_zero(inst, N, memo)
 
-    def alone(t, shown):
-        if not shown:  # route 1 alone reads the same box
-            return None
+    def alone(t):
         ids = member.label_ids()[t].values()
         mono = min(key for key, c in out.items() if not c.entries.keys().isdisjoint(ids))
         own = _jacobi_symbolic_zero(member.own(t), N, memo)
@@ -572,7 +563,7 @@ def check_jacobi(A: ModuleStructure, axiom, m_max, window, member):
                          dict(min(own)) if own else "none")
         return {"triple": t, "monomial": dict(mono)}
 
-    record = _decided(axiom, member, N, 3, _held(member, out),
+    record = _decided(axiom, member, _held(member, out),
                       _held(member, exact_jacobi(inst)), alone, "symbolic")
     return PropertyReport(axiom, "FAIL" if record else "PASS", record, window=N)
 
@@ -587,12 +578,10 @@ def check_weak(A: ModuleStructure, axiom, m_max, window, member):
     """The three weak properties with least witnesses, decided exactly on
     the member stacks (a triple fails where its claim's identity fails or
     its witness exceeds m_max), and cross-checked by the windowed witness
-    search on the whole member stack (``_decided``).  At the default window
-    it searches m up to the largest exact witness, capped at m_max, so never
-    as far as 2N + 2, where a difference judged on the box clears
-    spuriously; below it, up to m_max, so that such a clearing shows the
-    window too small."""
-    N = window or default_window(A)
+    search on the whole member stack (``_decided``), which tries m only up
+    to the largest exact witness, capped at m_max: never as far as 2N + 2,
+    where a difference judged on the box clears spuriously."""
+    N = _box(A, window)
     if m_max is None:
         m_max = A.max_pole_order() + 2
     kind = WEAK_PAIRS[axiom.removeprefix("m_")]
@@ -602,8 +591,7 @@ def check_weak(A: ModuleStructure, axiom, m_max, window, member):
     for i, m in poles.items():
         exact[member.triple_of(i)] = max(exact[member.triple_of(i)], m)
     exact |= dict.fromkeys(_failing_triples(member, diff))
-    bound = m_max if N < default_window(A) else min(
-        max((m for m in exact.values() if m is not None), default=0), m_max)
+    bound = min(max((m for m in exact.values() if m is not None), default=0), m_max)
 
     def search(inst, *labels):
         out = least_clearing_power(*pole_statement(inst, kind, N, N), bound, *labels)
@@ -611,15 +599,14 @@ def check_weak(A: ModuleStructure, axiom, m_max, window, member):
             raise err
         return out
 
-    def alone(t, shown):
-        if (m := search(member.own(t, slots))[None]) is None:
-            return {"triple": t, "m_max": m_max}
-        if shown:
+    def alone(t):
+        if (m := search(member.own(t, slots))[None]) is not None:
             raise _moved(axiom, t, f"no witness m <= {bound} on the member stack",
                          f"m = {m}")
+        return {"triple": t, "m_max": m_max}
 
     exact = {t: None if m is None or m > m_max else m for t, m in exact.items()}
-    record = _decided(axiom, member, N, 2, search(
+    record = _decided(axiom, member, search(
         member.instance(slots), member.triples,
         lambda c: map(member.triple_of, c.entries)), exact, alone)
     if record:
@@ -643,26 +630,25 @@ def check_vf_skew_symmetry(A: ModuleStructure, axiom, m_max, window, member):
     their windowed difference, judged on the box [-N, N]^2 unless it is
     exact (``_decided``); the record's monomial is the least judged one of
     the triple's own difference."""
-    N = window or default_window(A)
+    N = _box(A, window)
     region, h, hs = box(N, "x0", "x2"), member.stack("h"), member.stack("hs")
     diff = _vf_difference(h, hs, N)
     judged = dict(judged_coeffs(diff, region))
 
-    def alone(t, shown):
+    def alone(t):  # the stack's least judged monomial of t, and t's own there
         u, v, w = t
         own = _vf_difference(member.own(t, "h").h, member.own((v, u, w), "h").h, N)
-        if shown:  # the stack's least judged monomial of t, and t's own there
-            ids = member.label_ids()[t].values()
-            mono = min(k for k, c in judged.items() if not c.entries.keys().isdisjoint(ids))
-            seen = min(own.coeffs if diff.is_exact() else dict(own.nonzero_on(region)),
-                       default=None)
-            if seen != mono:
-                raise _moved(axiom, t, f"first monomial {diff.monomial(mono)} on the "
-                             "member stack", own.monomial(seen) if seen else "none")
+        ids = member.label_ids()[t].values()
+        mono = min(k for k, c in judged.items() if not c.entries.keys().isdisjoint(ids))
+        seen = min(own.coeffs if diff.is_exact() else dict(own.nonzero_on(region)),
+                   default=None)
+        if seen != mono:
+            raise _moved(axiom, t, f"first monomial {diff.monomial(mono)} on the "
+                         "member stack", own.monomial(seen) if seen else "none")
         _, wit = zero_verdict(own, region)
-        return wit and {"triple": t, "monomial": wit[0]}
+        return {"triple": t, "monomial": wit[0]}
 
-    record = _decided(axiom, member, N, 2, _held(member, judged),
+    record = _decided(axiom, member, _held(member, judged),
                       _held(member, exact_vf(h, hs)), alone)
     return PropertyReport(axiom, "FAIL" if record else "PASS", record, window=N)
 

@@ -530,12 +530,33 @@ def test_help_still_exits_zero(capsys):
 
 
 def test_smallest_allowed_window_and_m_max_are_recorded(corpus_dir, capsys):
-    rc = main(["check", str(corpus_dir / "borcherds-k3.json"), "--axiom",
-               "weak_comm", "--window", "1", "--m-max", "0",
-               "--format", "machine"])
+    # the smallest window of a check is the member's default, 3 on borcherds-k3
+    argv = ["check", str(corpus_dir / "borcherds-k3.json"), "--axiom", "weak_comm",
+            "--m-max", "0", "--format", "machine"]
+    rc = main(argv + ["--window", "3"])
     data = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert data["params"] == {"window": 1, "m_max": 0}
+    assert data["params"] == {"window": 3, "m_max": 0}
+    assert main(argv + ["--window", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: window 2 is below the default window 3 of borcherds-k3\n"
+
+
+@pytest.mark.parametrize("command, window, member", [
+    ("implication-matrix", 4, "borcherds-k5"),
+    ("main-theorem", 4, "ideal-module-k5"),
+    ("main-theorem", 2, "ideal-module-k2")])
+def test_rows_below_a_members_default_window_exit_three(corpus_dir, tmp_path, capsys,
+                                                         command, window, member):
+    # the corpus harnesses refuse the first member whose default window is
+    # larger than --window, and write no report
+    out = tmp_path / "report.json"
+    rc = main([command, str(corpus_dir), "--window", str(window), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == "" and not out.exists()
+    assert captured.err.startswith(f"error: window {window} is below the default window ")
+    assert captured.err.endswith(f" of {member}\n") and captured.err.count("\n") == 1
 
 
 def test_one_parser_serves_every_call_without_leaking_state(corpus_dir, capsys):

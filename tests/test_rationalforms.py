@@ -388,3 +388,23 @@ def test_exact_jacobi_agrees_with_check_A_on_pole_free_forms():
     assert exact_jacobi(inst) == {}
     assert exact_jacobi(inst.perturb_f((1, -2), 3)) == {
         ("E", 1, -2): 3, ("F", -1, 0): -3, ("F", -2, 1): -3}
+
+
+def test_claim_deciders_read_slots_by_name():
+    # a replay instance stores g over (x1, x2) and h over (x0, x2), not in
+    # SLOT_VARIABLES order; each claim decider names its slots, so it aligns
+    # them and decides the exact instance as the Jacobi route does.  Read by
+    # position, weak commutativity and weak associativity would fail here
+    inst = instance_from_form(RationalForm({(1, 0): 1}, 0, 0, 0), 4)
+    assert inst.g.variables != rationalforms.SLOT_VARIABLES["g"]
+    assert inst.h.variables != rationalforms.SLOT_VARIABLES["h"]
+    for decide in (rationalforms.exact_weak_comm, rationalforms.exact_weak_assoc,
+                   rationalforms.exact_weak_skew_assoc):
+        assert decide(inst) == ({}, {})
+    # with c = 1 g has an x2-pole of order 1, read off a scalar coefficient
+    # as the one label None
+    inst = instance_from_form(RationalForm({(1, 0): 1}, 0, 0, 1), 4)
+    assert rationalforms.exact_weak_comm(inst) == ({}, {})
+    assert rationalforms.exact_weak_assoc(inst) == ({}, {})
+    assert rationalforms.exact_weak_skew_assoc(inst) == ({}, {None: 1})
+    assert exact_jacobi(inst) == {}

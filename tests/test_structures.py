@@ -762,7 +762,7 @@ def test_jacobi_routes_disagreeing_on_a_stacked_pair_raise(monkeypatch):
     label = structures.MemberStacks(S).label_ids()[u, v, w][w]
     M = mutants()[0]
     member = MemberStacks(M)
-    first = check_jacobi(M, "jacobi", None, 1, member).witnesses["triple"]
+    first = check_jacobi(M, "jacobi", None, None, member).witnesses["triple"]
     ids = set(member.label_ids()[first].values())
     exact = structures.exact_jacobi
 
@@ -775,19 +775,18 @@ def test_jacobi_routes_disagreeing_on_a_stacked_pair_raise(monkeypatch):
                        match=rf"^jacobi routes disagree on \({u},{v},{w}\): "
                              "symbolic=True exact=False$"):
         check_axiom(S, "jacobi")
-    # route 1 flagging a triple that the exact route holds raises at any
-    # window, here below the default: a box coefficient is a true one
+    # route 1 flagging a triple that the exact route holds raises: a box
+    # coefficient is a true one
     def dropped(inst):
         out = {k: Vec({i: x for i, x in c.entries.items() if i not in ids})
                for k, c in exact(inst).items()}
         return {k: c for k, c in out.items() if c}
 
     monkeypatch.setattr(structures, "exact_jacobi", dropped)
-    assert 1 < structures.default_window(M)
     with pytest.raises(ConsistencyViolationError,
                        match=rf"^jacobi routes disagree on \({','.join(first)}\): "
                              "symbolic=False exact=True$"):
-        check_axiom(M, "jacobi", None, 1)
+        check_axiom(M, "jacobi")
 
 
 def test_exact_route_equals_route_one_at_the_default_window():
@@ -826,42 +825,50 @@ FALSE_PASSES_AT_WINDOW_ONE = (
     "regular-module-k4-edit58")
 
 
-def test_jacobi_below_the_default_window_passes_only_exact_passes():
-    # at window 1 a Jacobi PASS is an exact PASS; an exact FAIL is a FAIL, or,
-    # where the box shows none of it, a WindowUnderflowError naming the first
-    # failing triple and the default window, not the PASS that both windowed
-    # routes alone would give
-    under, verdicts = [], Counter()
+def _underflow(A, window):
+    return (f"window {window} is below the default window "
+            f"{structures.default_window(A)} of {A.name}")
+
+
+def test_jacobi_below_the_default_window_is_refused():
+    # the default window is a floor: a Jacobi check below it raises
+    # WindowUnderflowError before it reads a box, also on the members whose
+    # box [-1, 1]^3 shows none of their exact FAIL; at the default it FAILs
+    refused = 0
     for A in _seeded_edits(60, 12):
         axiom, member = _jacobi_axiom(A), MemberStacks(A)
-        inst = member.instance()
-        exact = structures._failing_triples(member, rationalforms.exact_jacobi(inst))
-        try:
-            verdicts[check_jacobi(A, axiom, None, 1, member).verdict, bool(exact)] += 1
-        except WindowUnderflowError as err:
-            under.append(A.name)
-            assert not structures._jacobi_symbolic_zero(inst, 1, {}), A.name
-            assert rationalforms.check_A(inst, 1)[0], A.name
-            first = next(t for t in member.triples if t in exact)
-            assert str(err) == (
-                f"{axiom} fails at ({','.join(first)}) exactly, but on no coefficient "
-                f"of the box [-1, 1]^3; use a window of at least "
-                f"{structures.default_window(A)}, the default"), A.name
-    assert under == list(FALSE_PASSES_AT_WINDOW_ONE)
-    assert set(verdicts) == {("PASS", False), ("FAIL", True)}, verdicts
-    assert verdicts["FAIL", True] >= 40
+        for N in range(1, structures.default_window(A)):
+            with pytest.raises(WindowUnderflowError, match=f"^{_underflow(A, N)}$"):
+                check_jacobi(A, axiom, None, N, member)
+            refused += 1
+        if A.name in FALSE_PASSES_AT_WINDOW_ONE:
+            assert check_jacobi(A, axiom, None, None, member).verdict == "FAIL", A.name
+    assert refused >= 150, refused
+
+
+def _cli_refusal(tmp_path, capsys, A, argv):
+    """Write ``A`` (and a module's base) as a config under ``tmp_path`` and
+    run ``argv`` on it below its default window: exit 3, one stderr line
+    and no report.  Returns the config path and its command."""
+    if A.over is A:
+        path, command = str(tmp_path / f"{A.name}.json"), "check"
+        configio.dump_json(configio.structure_to_config(A), path)
+    else:
+        path, command = str(tmp_path / f"{A.name}.module.json"), "check-module"
+        configio.dump_json(configio.module_to_config(A), path)
+        configio.dump_json(configio.structure_to_config(A.over),
+                           str(tmp_path / f"{A.over.name}.json"))
+    rc = cli.main([command, path, *argv, "--window", "1"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert captured.err == f"error: {_underflow(A, 1)}\n"
+    return path, command
 
 
 def test_check_below_the_default_window_exits_three_on_an_exact_fail(tmp_path, capsys):
     A = next(A for A in _seeded_edits(60, 12) if A.name == "borcherds-k2-ideal-edit12")
-    path = str(tmp_path / "edit.json")
-    configio.dump_json(configio.structure_to_config(A), path)
-    rc = cli.main(["check", path, "--axiom", "jacobi", "--window", "1"])
-    captured = capsys.readouterr()
-    assert rc == 3 and captured.out == ""
-    assert captured.err.startswith("error: jacobi fails at (")
-    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-    rc = cli.main(["check", path, "--axiom", "jacobi"])
+    path, command = _cli_refusal(tmp_path, capsys, A, ["--axiom", "jacobi"])
+    rc = cli.main([command, path, "--axiom", "jacobi"])
     capsys.readouterr()
     assert rc == 1
 
@@ -1030,13 +1037,6 @@ def _class_count(A, kind):
     return len(set(_scanned_classes(A, kind).values()))
 
 
-def _under_reports(record, exact):
-    """Whether a per-w record passes where ``exact`` fails, or passes with a
-    smaller witness."""
-    return (isinstance(record, dict) and record["verdict"] == "PASS"
-            and (exact["verdict"] == "FAIL" or record["witness"] != exact["witness"]))
-
-
 def test_stacked_weak_and_vf_checks_equal_the_per_w_checks(ut2_dir):
     members = (full_corpus() + full_module_corpus()
                + [configio.load_structure(str(ut2_dir / "ut2.json")),
@@ -1054,30 +1054,18 @@ def test_stacked_weak_and_vf_checks_equal_the_per_w_checks(ut2_dir):
                               (structures.check_weak, _per_w_check_weak))
             mixed += _class_count(A, kind) > 1
             for m_max in ((None,) if kind == "vf" else (None, 0, 1)):
-                # the per-w check at the default window, which the exact
-                # route must equal there
-                exact = _outcome(per_w, A, axiom, m_max, None, stacks)
-                for window in (None, 1, 2, 3):
+                # at the default window, and at a larger one
+                for window in (None, structures.default_window(A) + 1):
                     want = _outcome(per_w, A, axiom, m_max, window, stacks)
                     got = _outcome(stacked, A, axiom, m_max, window, stacks)
                     compared[kind] += 1
-                    if _under_reports(want, exact):
-                        # a smaller window whose per-w check passes an exact
-                        # FAIL, or shows a smaller witness, is refused
-                        assert got[0] == "WindowUnderflowError" and got[1].endswith(
-                            f"use a window of at least "
-                            f"{structures.default_window(A)}, the default"), \
-                            (A.name, axiom, m_max, window, got)
-                        outcomes["underflow"] += 1
-                        continue
                     assert got == want, (A.name, axiom, m_max, window)
                     outcomes[want["verdict"] if isinstance(want, dict)
                              else want[0]] += 1
-    assert compared["vf"] == 4 * len(members) > 600
-    assert sum(compared.values()) - compared["vf"] == 36 * len(members)
+    assert compared["vf"] == 2 * len(members) > 300
+    assert sum(compared.values()) - compared["vf"] == 18 * len(members)
     assert mixed >= 100
-    assert outcomes["PASS"] > 1000 and outcomes["FAIL"] > 1000
-    assert outcomes["underflow"] >= 40, outcomes
+    assert outcomes["PASS"] >= 966 and outcomes["FAIL"] >= 2174, outcomes
 
 
 def test_label_ids_decode_to_their_labels_alike_in_every_stack(ut2_dir):
@@ -1491,31 +1479,22 @@ FALSE_WEAK_AND_VF_PASSES_AT_WINDOW_ONE = (
     ("regular-module-k4-edit58", "m_weak_skew_assoc"))
 
 
-def test_weak_and_vf_below_the_default_window_pass_only_exact_passes():
-    # at window 1 no weak or vf check passes a member that fails at the
-    # default window: where the box shows none of the failure it raises
-    # WindowUnderflowError, naming the default window
-    under, verdicts = [], Counter()
+def test_weak_and_vf_below_the_default_window_are_refused():
+    # the default window is a floor: a weak or vf check below it raises
+    # WindowUnderflowError before it reads a box, also where the box
+    # [-1, 1]^2 shows none of the exact FAIL; at the default it FAILs
+    refused = 0
     for A in _seeded_edits(60, 12):
         stacks = MemberStacks(A)
         for name in WEAK_AND_VF:
             axiom = _axiom(A, name)
-            default = check_axiom(A, axiom, stacks=stacks).verdict
-            try:
-                verdict = check_axiom(A, axiom, None, 1, stacks).verdict
-            except WindowUnderflowError as err:
-                assert str(err).endswith(
-                    f"of the box [-1, 1]^2; use a window of at least "
-                    f"{structures.default_window(A)}, the default"), (A.name, axiom)
-                under.append((A.name, axiom))
-                continue
-            assert verdict == default or default == "UNTESTED", (A.name, axiom)
-            verdicts[verdict] += 1
-    assert set(FALSE_WEAK_AND_VF_PASSES_AT_WINDOW_ONE) <= set(under), under
-    assert {"regular-module-k2-edit33", "quotient-module-k2-edit56",
-            "borcherds-k3-ideal-edit7", "ideal-module-k5-edit20",
-            "wmutant-iterate-shift-edit0"} <= {name for name, _ in under}
-    assert verdicts["PASS"] >= 40 and verdicts["FAIL"] >= 150, verdicts
+            for N in range(1, structures.default_window(A)):
+                with pytest.raises(WindowUnderflowError, match=f"^{_underflow(A, N)}$"):
+                    check_axiom(A, axiom, None, N, stacks)
+                refused += 1
+            if (A.name, axiom) in FALSE_WEAK_AND_VF_PASSES_AT_WINDOW_ONE:
+                assert check_axiom(A, axiom, stacks=stacks).verdict == "FAIL", A.name
+    assert refused >= 600, refused
 
 
 @pytest.mark.parametrize("name, axiom", [
@@ -1527,35 +1506,66 @@ def test_weak_and_vf_below_the_default_window_pass_only_exact_passes():
 def test_check_below_the_default_window_exits_three_on_a_weak_or_vf_fail(
         tmp_path, capsys, name, axiom):
     A = next(A for A in _seeded_edits(60, 12) if A.name == name)
-    with pytest.raises(WindowUnderflowError):
-        check_axiom(A, axiom, None, 1)
-    path = str(tmp_path / f"{A.name}.json")
-    if A.over is A:
-        configio.dump_json(configio.structure_to_config(A), path)
-        command = "check"
-    else:
-        path = str(tmp_path / f"{A.name}.module.json")
-        configio.dump_json(configio.module_to_config(A), path)
-        configio.dump_json(configio.structure_to_config(A.over),
-                           str(tmp_path / f"{A.over.name}.json"))
-        command = "check-module"
-    rc = cli.main([command, path, "--axiom", axiom, "--window", "1"])
-    captured = capsys.readouterr()
-    assert rc == 3 and captured.out == ""
-    assert captured.err.startswith(f"error: {axiom} ")
-    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    path, command = _cli_refusal(tmp_path, capsys, A, ["--axiom", axiom])
     assert cli.main([command, path, "--axiom", axiom]) == 1
     capsys.readouterr()
 
 
-def test_a_vf_fail_below_the_default_window_may_name_a_monomial_off_its_box():
-    # the record's monomial is the least one of the triple's own difference,
-    # which is exact here: at window 1 it lies outside the box [-1, 1]^2
-    A = next(A for A in _seeded_edits(60, 12) if A.name == "ideal-module-k5-edit20")
-    report = check_axiom(A, "m_vf_skew_symmetry", None, 1)
-    assert (report.verdict, report.window) == ("FAIL", 1)
-    assert report.witnesses == {"triple": ("e1", "e0", "e1"),
-                                "monomial": {"x0": 1, "x2": -2}}
+def test_windowed_routes_below_the_default_window_are_bounded_by_the_exact_ones():
+    # the any-window oracle, on the routes themselves, since no checker
+    # reads a box below the default: a box coefficient is a true
+    # coefficient, so at every window route 1's failing triples are among
+    # the exact ones, the weak search's witnesses are at most the exact ones
+    # and the judged vf difference fails only where the exact one does.  At
+    # window 1 the pinned members are where the box shows none of a failure
+    compared, shown = Counter(), Counter()
+    for A in _seeded_edits(60, 12):
+        member = MemberStacks(A)
+        inst, h, hs = member.instance(), member.stack("h"), member.stack("hs")
+        m_max = A.max_pole_order() + 2
+        exact_jacobi = structures._failing_triples(member, rationalforms.exact_jacobi(inst))
+        exact_vf = structures._failing_triples(member, rationalforms.exact_vf(h, hs))
+        exact_weak = {}
+        for name, kind in structures.WEAK_PAIRS.items():
+            diff, poles = structures.EXACT_WEAK[kind](inst)
+            exact = dict.fromkeys(member.triples, 0)
+            for i, m in poles.items():
+                exact[member.triple_of(i)] = max(exact[member.triple_of(i)], m)
+            exact |= dict.fromkeys(structures._failing_triples(member, diff))
+            exact_weak[name] = {t: None if m is None or m > m_max else m
+                                for t, m in exact.items()}
+        for N in range(1, structures.default_window(A)):
+            route1 = structures._failing_triples(
+                member, structures._jacobi_symbolic_zero(inst, N, member.memo))
+            assert route1 <= exact_jacobi, (A.name, N)
+            compared["jacobi"] += len(member.triples)
+            if N == 1 and exact_jacobi and not route1:
+                shown["jacobi", A.name] += 1
+            for name, kind in structures.WEAK_PAIRS.items():
+                found = rationalforms.least_clearing_power(
+                    *rationalforms.pole_statement(inst, kind, N, N), m_max, member.triples,
+                    lambda c: map(member.triple_of, c.entries))
+                for t, m in exact_weak[name].items():
+                    assert not isinstance(found[t], Exception), (A.name, name, N, t)
+                    if m is not None:
+                        assert found[t] is not None and found[t] <= m, (A.name, name, N, t)
+                        compared["weak"] += 1
+                if (N == 1 and None in exact_weak[name].values()
+                        and None not in found.values()):
+                    shown[_axiom(A, name), A.name] += 1
+            judged = dict(series.judged_coeffs(structures._vf_difference(h, hs, N),
+                                        rationalforms.box(N, "x0", "x2")))
+            vf = structures._failing_triples(member, judged)
+            assert vf <= exact_vf, (A.name, N)
+            compared["vf"] += len(member.triples)
+            if N == 1 and exact_vf and not vf:
+                shown[_axiom(A, "vf_skew_symmetry"), A.name] += 1
+    assert compared["jacobi"] >= 11062 and compared["vf"] >= 11062, compared
+    assert compared["weak"] >= 29016, compared
+    assert [name for axiom, name in shown if axiom == "jacobi"] == list(
+        FALSE_PASSES_AT_WINDOW_ONE)
+    assert {(name, axiom) for axiom, name in shown} >= set(
+        FALSE_WEAK_AND_VF_PASSES_AT_WINDOW_ONE)
 
 
 def test_a_large_m_max_moves_no_weak_fail_triple():

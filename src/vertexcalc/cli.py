@@ -122,7 +122,7 @@ def cmd_check(args, load):
     member = load(args.path)
     stacks, records = MemberStacks(member), []
     for axiom in args.axiom or member_axioms(member):
-        rep = check_axiom(member, axiom, args.m_max, args.window, stacks)
+        rep = check_axiom(member, axiom, stacks)
         records.append({"id": f"{member.name}/{axiom}", "anchor": rep.anchor,
                         "verdict": rep.verdict, "witness": rep.witnesses})
     _emit(args, args.command, records, t0)
@@ -152,7 +152,7 @@ def cmd_rows(args, want_modules, anchor):
     structures or of modules."""
     t0 = time.time()
     members = _load_corpus_dir(args.path, want_modules)
-    rows = replay_corpus(members, m_max=args.m_max, window=args.window)
+    rows = replay_corpus(members)
     records = [{"id": f"{r['member']}/{r['row']}", "anchor": anchor,
                 "verdict": r["verdict"], "witness": r["premises"]}
                for r in rows]
@@ -206,14 +206,6 @@ def _int_at_least(low):
 def _shared_flags(defaults):
     sp = argparse.ArgumentParser(add_help=False)
     d = (lambda v: v) if defaults else (lambda v: argparse.SUPPRESS)
-    sp.add_argument("--window", type=_int_at_least(1), default=d(None),
-                    metavar="N",
-                    help="coefficient window half-width (checks: at least, and by "
-                         "default, support extent + 2*pole order + 2; prove-deltas 6, "
-                         "replay-elem 8)")
-    sp.add_argument("--m-max", type=_int_at_least(0), default=d(None),
-                    dest="m_max", metavar="M",
-                    help="pole-witness search bound (default: pole order + 2)")
     sp.add_argument("--seed", type=int, default=d(0), metavar="S",
                     help="base RNG seed, recorded in every report")
     sp.add_argument("--format", choices=("text", "machine"), default=d("text"))
@@ -232,16 +224,25 @@ def build_parser():
     p = _Parser(
         prog="vertexcalc", parents=[_shared_flags(defaults=True)],
         description="Exact delta-calculus prover and vertex-structure axiom checker")
+    # every report records a window and a witness bound, None unless given:
+    # a check reads both off the member, so only prove-deltas and
+    # replay-elem take them
+    p.set_defaults(window=None, m_max=None)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("prove-deltas", parents=[shared],
-                   help="prove both delta identities with traces")
+    pp = sub.add_parser("prove-deltas", parents=[shared],
+                        help="prove both delta identities with traces")
 
     rp = sub.add_parser("replay-elem", parents=[shared],
                         help="replay the implication family on seeded "
                              "random instances")
     rp.add_argument("--n", type=_int_at_least(0), default=10,
                     help="number of instances")
+    for sp, default in ((pp, 6), (rp, 8)):
+        sp.add_argument("--window", type=_int_at_least(1), metavar="N",
+                        help=f"coefficient window half-width (default {default})")
+    rp.add_argument("--m-max", type=_int_at_least(0), dest="m_max", metavar="M",
+                    help="pole-witness search bound (default: pole order + 2)")
 
     cp = sub.add_parser("check", parents=[shared],
                         help="run axiom checkers on a structure config")

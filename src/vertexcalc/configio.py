@@ -13,7 +13,7 @@ mode record (u, n, v) / (u, n, w), has a basis or wbasis entry with a comma
 refers to, has a mode index that is not an integer or a coefficient that is
 not a rational, lacks a required key (named as "missing key 'modes'") or
 has a part of the wrong JSON type (named as "'basis' is not a JSON list"
-or "'name' is not a JSON string").
+or "'name' is not a JSON string"); the message opens with the file's path.
 
 Machine reports are canonical JSON (sorted keys, fixed separators, no
 timestamps or durations) so identical config + seed gives identical bytes.
@@ -177,11 +177,20 @@ def is_module_config(data) -> bool:
     return "over" in data
 
 
+def _parsed(path, parse, *args):
+    """``parse(*args)``, with the path of the file it reads before any
+    ConfigError it raises."""
+    try:
+        return parse(*args)
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None
+
+
 def load_structure(path) -> VertexStructure:
     data = load_json(path)
     if is_module_config(data):
         raise ConfigError(f"{path} is a module config; use check-module")
-    return structure_from_config(data)
+    return _parsed(path, structure_from_config, data)
 
 
 def load_module(path) -> ModuleStructure:
@@ -191,7 +200,7 @@ def load_module(path) -> ModuleStructure:
     base_path = os.path.join(os.path.dirname(path) or ".", f"{data['over']}.json")
     if not os.path.exists(base_path):
         raise ConfigError(f"base structure file {base_path} not found")
-    return module_from_config(data, load_structure(base_path))
+    return _parsed(path, module_from_config, data, load_structure(base_path))
 
 
 def machine_report(command, seed, params, records) -> str:

@@ -329,6 +329,8 @@ def exact_difference(left, right, head=None, tail=(1, 0)):
          it, h has x2-pole order q (set x2 = 0 in x2^q g): at m >= q both
          sides are one Laurent polynomial, and at m < q they are the two
          expansions of a function with a pole on x1 = x0, which differ.
+         x2 enters g = Y(v,x2)Y(u,x1)w only through the outer Y(v,x2), so
+         q is at most the pole order of the action's tables.
       V  vf_skew_symmetry, h(x2,x0) = hs(x2+x0,-x0), holds iff hs has no
          negative power of x2 and the identity holds as polynomials: with
          one, the right side has a pole on x2+x0 = 0.

@@ -27,9 +27,9 @@ swapped h) in another: each inner product is a row of a mode table, and
 the outer table is applied to its vectors as plain dicts.
 
 Every axiom has one checker in one table, ``CHECKERS``, in the order of
-AXIOMS; each takes (A, axiom, m_max, window, member) and reports under
-``axiom``.  ``check_axiom`` is the one dispatcher, for either kind of
-member: AXIOMS on a structure, MODULE_AXIOMS (``m_`` and the name of one of
+AXIOMS; each takes (A, axiom, member) and reports under ``axiom``.
+``check_axiom`` is the one dispatcher, for either kind of member: AXIOMS
+on a structure, MODULE_AXIOMS (``m_`` and the name of one of
 the seven axioms of every action) on a module.  The checks of one
 ``check_all`` or ``check`` command share one ``MemberStacks``, passed to
 each checker: the member's slot series, each built once, its f, g, h and
@@ -48,11 +48,10 @@ triple's own slot series, unstacked (``MemberStacks.own``), which must
 agree with the stack.
 
 Checkers return PropertyReport records, and every verdict is exact.  The
-recorded window is the box that the windowed routes read: ``default_window``,
-support_extent + 2 * max_pole_order + 2 of the action's tables, or a larger
-one given; a smaller one is refused (``_box``).  Each check tests that they
-see on it every exact FAIL and witness, and a FAIL record's monomial is
-read on it.
+recorded window is the box that the windowed routes read, the member's
+``default_window``, support_extent + 2 * max_pole_order + 2 of the action's
+tables: no command sets it.  Each check tests that they see on it every
+exact FAIL and witness, and a FAIL record's monomial is read on it.
 """
 from __future__ import annotations
 
@@ -61,8 +60,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .deltacalc import DeltaExpr, Term, mono_of, window_coeffs
-from .errors import (ConsistencyViolationError, ConstructionError,
-                     WindowUnderflowError)
+from .errors import ConsistencyViolationError, ConstructionError
 from .rationalforms import (JACOBI, PAIRS, SLOT_VARIABLES, TripleInstance, box,
                             exact_jacobi, exact_vf, exact_weak_assoc,
                             exact_weak_comm, exact_weak_skew_assoc,
@@ -359,16 +357,6 @@ def default_window(A: ModuleStructure):
     return A.support_extent() + 2 * A.max_pole_order() + 2
 
 
-def _box(A: ModuleStructure, window):
-    """The half-width N of a windowed route's box [-N, N]: ``window``, or
-    ``default_window(A)``, the floor, below which a window is refused."""
-    least = default_window(A)
-    if (window or least) < least:
-        raise WindowUnderflowError(
-            f"window {window} is below the default window {least} of {A.name}")
-    return window or least
-
-
 def minimal_pole_order(S: VertexStructure, u, v):
     """Negative of the least power of x in Y(u,x)v when negative, else 0."""
     return _pole_order([S.ytable.get((u, v), {})])
@@ -525,8 +513,8 @@ def _held(member, coeffs):
 def _decided(axiom, member, windowed, exact, alone, route="windowed"):
     """The FAIL witnesses of a check, or None on a PASS, by the one rule that
     ties a windowed route to the exact route that decides, each {triple:
-    least witness (0 for an identity), or None where it fails}: on a box of
-    at least the default window (``_box``) the two must be equal, else
+    least witness (0 for an identity), or None where it fails}: on the
+    member's default window the two must be equal, else
     ConsistencyViolationError.  The record is alone(t) of the first triple t
     that fails exactly, which guards the stack on t's own slot series."""
     where = [t for t in member.triples if windowed[t] != exact[t]]
@@ -538,7 +526,7 @@ def _decided(axiom, member, windowed, exact, alone, route="windowed"):
     return next((alone(t) for t in member.triples if exact[t] is None), None)
 
 
-def check_jacobi(A: ModuleStructure, axiom, m_max, window, member):
+def check_jacobi(A: ModuleStructure, axiom, member):
     """Jacobi checked once per member, on one stack of every (u, v, w): the
     exact route (``rationalforms.exact_jacobi``) decides, and route 1, on
     the box [-N, N]^3, cross-checks it (``_decided``).  The FAIL record is
@@ -546,7 +534,7 @@ def check_jacobi(A: ModuleStructure, axiom, m_max, window, member):
     route 1's stack whose Vec has a label of that triple; route 1 reruns on
     that triple's own slot series and must give the same monomial, or the
     stacking is a violation."""
-    N = _box(A, window)
+    N = default_window(A)
     # Route 1 expands each term shape once per window and memo: the memo of
     # ``member``, one per command (``replay_corpus`` hands every member the
     # same).  The oracle still recomputes every coefficient, independently
@@ -574,16 +562,16 @@ WEAK_PAIRS = {"weak_comm": "m1", "weak_assoc": "m2", "weak_skew_assoc": "m3"}
 EXACT_WEAK = {"m1": exact_weak_comm, "m2": exact_weak_assoc, "m3": exact_weak_skew_assoc}
 
 
-def check_weak(A: ModuleStructure, axiom, m_max, window, member):
+def check_weak(A: ModuleStructure, axiom, member):
     """The three weak properties with least witnesses, decided exactly on
-    the member stacks (a triple fails where its claim's identity fails or
-    its witness exceeds m_max), and cross-checked by the windowed witness
-    search on the whole member stack (``_decided``), which tries m only up
-    to the largest exact witness, capped at m_max: never as far as 2N + 2,
-    where a difference judged on the box clears spuriously."""
-    N = _box(A, window)
-    if m_max is None:
-        m_max = A.max_pole_order() + 2
+    the member stacks (a triple fails where its claim's identity fails; where
+    it holds, its witness is at most ``A.max_pole_order()``, by Claim D),
+    and cross-checked by the windowed witness search on the whole member
+    stack (``_decided``), which tries m only up to the largest exact
+    witness: never as far as 2N + 2, where a difference judged on the box
+    clears spuriously.  A FAIL records m_max, the pole order + 2, a bound
+    that no witness reaches."""
+    N = default_window(A)
     kind = WEAK_PAIRS[axiom.removeprefix("m_")]
     slots = (PAIRS[kind].left[0], PAIRS[kind].right[0])
     diff, poles = EXACT_WEAK[kind](member.instance(slots))
@@ -591,7 +579,7 @@ def check_weak(A: ModuleStructure, axiom, m_max, window, member):
     for i, m in poles.items():
         exact[member.triple_of(i)] = max(exact[member.triple_of(i)], m)
     exact |= dict.fromkeys(_failing_triples(member, diff))
-    bound = min(max((m for m in exact.values() if m is not None), default=0), m_max)
+    bound = max((m for m in exact.values() if m is not None), default=0)
 
     def search(inst, *labels):
         out = least_clearing_power(*pole_statement(inst, kind, N, N), bound, *labels)
@@ -603,9 +591,8 @@ def check_weak(A: ModuleStructure, axiom, m_max, window, member):
         if (m := search(member.own(t, slots))[None]) is not None:
             raise _moved(axiom, t, f"no witness m <= {bound} on the member stack",
                          f"m = {m}")
-        return {"triple": t, "m_max": m_max}
+        return {"triple": t, "m_max": A.max_pole_order() + 2}
 
-    exact = {t: None if m is None or m > m_max else m for t, m in exact.items()}
     record = _decided(axiom, member, search(
         member.instance(slots), member.triples,
         lambda c: map(member.triple_of, c.entries)), exact, alone)
@@ -624,13 +611,13 @@ def _vf_difference(h, hs, N):
     return h - taylor_substitute(right, "t", (1, "x2"), (1, "x0"), {"x0": (INF, N)})
 
 
-def check_vf_skew_symmetry(A: ModuleStructure, axiom, m_max, window, member):
+def check_vf_skew_symmetry(A: ModuleStructure, axiom, member):
     """vf skew symmetry, decided exactly on the h and swapped-h member stacks
     (Claim V of ``rationalforms.exact_difference``), and cross-checked by
     their windowed difference, judged on the box [-N, N]^2 unless it is
     exact (``_decided``); the record's monomial is the least judged one of
     the triple's own difference."""
-    N = _box(A, window)
+    N = default_window(A)
     region, h, hs = box(N, "x0", "x2"), member.stack("h"), member.stack("hs")
     diff = _vf_difference(h, hs, N)
     judged = dict(judged_coeffs(diff, region))
@@ -653,7 +640,7 @@ def check_vf_skew_symmetry(A: ModuleStructure, axiom, m_max, window, member):
     return PropertyReport(axiom, "FAIL" if record else "PASS", record, window=N)
 
 
-def check_vacuum_prop(A: ModuleStructure, axiom, m_max, window, member):
+def check_vacuum_prop(A: ModuleStructure, axiom, member):
     for w in A.wbasis:
         if A.yw_modes(A.over.one, w) != {0: Vec.unit(w)}:
             return PropertyReport(axiom, "FAIL", {"element": w})
@@ -670,7 +657,7 @@ def _first_failing(axiom, key, items, difference):
     return PropertyReport(axiom, "PASS", {})
 
 
-def check_d_derivative(A: ModuleStructure, axiom, m_max, window, member):
+def check_d_derivative(A: ModuleStructure, axiom, member):
     S = A.over
 
     def difference(uw):
@@ -694,14 +681,14 @@ def _exp_d_apply(S: VertexStructure, series: WindowedSeries):
     return out if out is not None else WindowedSeries.zero(("x",))
 
 
-def check_skew_symmetry(A: VertexStructure, axiom, m_max, window, member):
+def check_skew_symmetry(A: VertexStructure, axiom, member):
     return _first_failing(
         axiom, "pair", [(u, v) for u in A.basis for v in A.basis],
         lambda uv: A.yw_series(*uv)
         - _exp_d_apply(A, A.yw_series(*uv[::-1]).flip_sign("x")))
 
 
-def check_d_bracket(A: VertexStructure, axiom, m_max, window, member):
+def check_d_bracket(A: VertexStructure, axiom, member):
     def difference(uv):
         u, v = uv
         yuv = A.yw_series(u, v)
@@ -712,7 +699,7 @@ def check_d_bracket(A: VertexStructure, axiom, m_max, window, member):
                           difference)
 
 
-def check_creation_prop(A: VertexStructure, axiom, m_max, window, member):
+def check_creation_prop(A: VertexStructure, axiom, member):
     for u in A.basis:
         modes = A.yw_modes(u, A.one)
         if any(e < 0 for e in modes):
@@ -726,13 +713,13 @@ def check_creation_prop(A: VertexStructure, axiom, m_max, window, member):
     return PropertyReport(axiom, "PASS", {})
 
 
-def check_strong_creation(A: VertexStructure, axiom, m_max, window, member):
+def check_strong_creation(A: VertexStructure, axiom, member):
     return _first_failing(
         axiom, "element", A.basis,
         lambda u: A.yw_series(u, A.one) - exp_endo(A.dop, "x", Vec.unit(u)))
 
 
-def check_injectivity(A: VertexStructure, axiom, m_max, window, member):
+def check_injectivity(A: VertexStructure, axiom, member):
     """Exact rank of v -> (mode table row of v) over the rationals.  Each
     row, a Vec over (w, n, b), is reduced by the earlier pivots in order; a
     nonzero remainder becomes a pivot, scaled to 1 at its first key."""
@@ -754,7 +741,7 @@ def check_injectivity(A: VertexStructure, axiom, m_max, window, member):
 
 
 # every checker, in the order of a structure report; each takes (A, axiom,
-# m_max, window, member) and reports under ``axiom``
+# member) and reports under ``axiom``
 CHECKERS = {
     "jacobi": check_jacobi,
     "weak_comm": check_weak,
@@ -783,8 +770,7 @@ def member_axioms(A: ModuleStructure):
     return AXIOMS if A.over is A else MODULE_AXIOMS
 
 
-def check_axiom(A: ModuleStructure, axiom, m_max=None, window=None,
-                stacks=None) -> PropertyReport:
+def check_axiom(A: ModuleStructure, axiom, stacks=None) -> PropertyReport:
     """``axiom`` of ``A``, one of ``member_axioms(A)``, by its checker in
     ``CHECKERS``, handed ``stacks``, the ``MemberStacks`` of ``A``, or a
     fresh one.  An axiom that needs a vacuum is UNTESTED where ``A.over``
@@ -796,14 +782,14 @@ def check_axiom(A: ModuleStructure, axiom, m_max=None, window=None,
     if name in VACUUM_AXIOMS and A.over.vacuum is None:
         return PropertyReport(axiom, "UNTESTED", {"reason": (
             "structure" if structure else "base structure") + " has no vacuum element"})
-    return CHECKERS[name](A, axiom, m_max, window, stacks or MemberStacks(A))
+    return CHECKERS[name](A, axiom, stacks or MemberStacks(A))
 
 
-def check_all(A: ModuleStructure, m_max=None, window=None, memo=None):
+def check_all(A: ModuleStructure, memo=None):
     """Every axiom of ``A``, all reading one ``MemberStacks``; its Jacobi
     check hands route 1 ``memo``, if given."""
     stacks = MemberStacks(A, memo=memo)
-    return {axiom: check_axiom(A, axiom, m_max, window, stacks)
+    return {axiom: check_axiom(A, axiom, stacks)
             for axiom in member_axioms(A)}
 
 
@@ -897,7 +883,7 @@ ROWS = {"structure": REPLACEMENTS["action"] + REPLACEMENTS["structure"],
         + REPLACEMENTS["module"]}
 
 
-def replay_rows(A: ModuleStructure, verdicts, m_max=None, window=None):
+def replay_rows(A: ModuleStructure, verdicts):
     """Replay the rows of the member ``A`` (``ROWS``: structure rows on a
     structure, module rows on a module) from its verdicts (named
     ``m_<axiom>`` on a module, whose row ids take ``m-``).  A row
@@ -915,7 +901,7 @@ def replay_rows(A: ModuleStructure, verdicts, m_max=None, window=None):
         held = {v == "PASS" for v in concl.values()}
         failing = {}
         if tested and (len(held) > 1 if row.equivalence else False in held):
-            base = {f"{A.over.name}/{b}": check_axiom(A.over, b, m_max, window).verdict
+            base = {f"{A.over.name}/{b}": check_axiom(A.over, b).verdict
                     for b in row.base}
             failing = {k: v for k, v in base.items() if v != "PASS"}
             if not failing:
@@ -931,7 +917,7 @@ def replay_rows(A: ModuleStructure, verdicts, m_max=None, window=None):
     return report
 
 
-def replay_corpus(corpus, m_max=None, window=None):
+def replay_corpus(corpus):
     """Replay every member's rows (``replay_rows``) on its ``check_all``
     verdicts.  The members' Jacobi checks share one route-1 memo, which dies
     with the call.  Module weak commutativity is never encoded as sufficient
@@ -939,7 +925,7 @@ def replay_corpus(corpus, m_max=None, window=None):
     record saying so, so that its absence is visible."""
     report, memo = [], {}
     for A in corpus:
-        report += replay_rows(A, check_all(A, m_max, window, memo), m_max, window)
+        report += replay_rows(A, check_all(A, memo))
         if A.over is not A:
             report.append({"member": A.name, "row": "m-wc+vfss-not-encoded",
                            "verdict": "UNTESTED", "premises": {

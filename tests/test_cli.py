@@ -428,8 +428,8 @@ def test_module_over_a_base_of_another_name_is_refused(corpus_dir, tmp_path, cap
     rc = main(["check-module", str(tmp_path / "m.module.json")])
     captured = capsys.readouterr()
     assert rc == 3 and captured.out == ""
-    assert captured.err == ("config error: module expects base 'borcherds-k3', "
-                            "got 'other'\n")
+    assert captured.err == (f"config error: {tmp_path / 'm.module.json'}: module expects "
+                            "base 'borcherds-k3', got 'other'\n")
 
 
 def test_consistency_violation_exits_two_with_one_line(corpus_dir, monkeypatch,
@@ -476,16 +476,17 @@ def test_config_that_is_not_an_object_is_refused(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["check", "X", "--window", "-2"],
-    ["check", "X", "--window", "0"],
-    ["check", "X", "--m-max", "-1"],
+    ["prove-deltas", "--window", "-2"],
+    ["replay-elem", "--window", "0"],
+    ["replay-elem", "--m-max", "two"],
     ["replay-elem", "--m-max", "-1"],
     ["replay-elem", "--n", "-3"],
-    ["--window", "0", "check", "X"],
-    ["check", "X", "--window", "two"],
+    ["--window", "6", "prove-deltas"],
+    ["replay-elem", "--window", "two"],
     ["check", "X", "--axiom", "no_such_axiom"],
     ["check-module", "X", "--axiom", "jacobi"],
     ["no-such-command"],
+    ["prove-deltas", "--m-max", "1"],  # it never read a witness bound
 ])
 def test_usage_errors_exit_three(corpus_dir, capsys, argv):
     argv = [str(corpus_dir / "borcherds-k3.json") if a == "X" else a
@@ -523,24 +524,50 @@ def test_unwritable_output_path_is_refused_with_exit_three(
 
 
 def test_help_still_exits_zero(capsys):
+    # only prove-deltas and replay-elem take a window, and only replay-elem
+    # a witness bound; a check reads both off the member
+    for command, flags in (("check", ()), ("check-module", ()),
+                           ("implication-matrix", ()), ("main-theorem", ()),
+                           ("prove-deltas", ("--window",)),
+                           ("replay-elem", ("--window", "--m-max"))):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert {f for f in ("--window", "--m-max") if f in out} == set(flags), command
+
+
+def test_check_reports_record_no_window_and_no_m_max(corpus_dir, capsys):
+    # the params of a check report stay {"window": null, "m_max": null}, the
+    # bytes that the benchmark pins, though no check takes either
+    for command, path in (("check", "borcherds-k3.json"),
+                          ("check-module", "regular-module-k3.module.json"),
+                          ("implication-matrix", ""), ("main-theorem", "")):
+        assert main([command, str(corpus_dir / path), "--format", "machine"]) in (0, 1)
+        data = json.loads(capsys.readouterr().out)
+        assert data["params"] == {"window": None, "m_max": None}, command
+
+
+CHECK_COMMANDS = {"check": "borcherds-k3.json",
+                  "check-module": "regular-module-k3.module.json",
+                  "implication-matrix": "", "main-theorem": ""}
+
+
+@pytest.mark.parametrize("command", sorted(CHECK_COMMANDS))
+@pytest.mark.parametrize("flag", [["--window", "5"], ["--m-max", "2"]], ids=["window", "m_max"])
+@pytest.mark.parametrize("before", [False, True], ids=["after", "before"])
+def test_check_commands_refuse_window_and_m_max(corpus_dir, tmp_path, capsys, monkeypatch,
+                                                command, flag, before):
+    # a usage error, before any member is read: exit 3, usage on stderr, no
+    # report on stdout and no --out file
+    monkeypatch.setattr(configio, "load_json", lambda path: pytest.fail(path))
+    out = tmp_path / "report.json"
+    argv = [command, str(corpus_dir / CHECK_COMMANDS[command]), "--out", str(out)]
     with pytest.raises(SystemExit) as exc:
-        main(["check", "--help"])
-    assert exc.value.code == 0
-    assert "--window" in capsys.readouterr().out
-
-
-def test_smallest_allowed_window_and_m_max_are_recorded(corpus_dir, capsys):
-    # the smallest window of a check is the member's default, 3 on borcherds-k3
-    argv = ["check", str(corpus_dir / "borcherds-k3.json"), "--axiom", "weak_comm",
-            "--m-max", "0", "--format", "machine"]
-    rc = main(argv + ["--window", "3"])
-    data = json.loads(capsys.readouterr().out)
-    assert rc == 0
-    assert data["params"] == {"window": 3, "m_max": 0}
-    assert main(argv + ["--window", "2"]) == 3
+        main(flag + argv if before else argv + flag)
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: window 2 is below the default window 3 of borcherds-k3\n"
+    assert exc.value.code == 3 and captured.out == "" and not out.exists()
+    assert captured.err.startswith("usage: vertexcalc ") and "error:" in captured.err
 
 
 @pytest.mark.parametrize("command, window, member", [
@@ -548,15 +575,53 @@ def test_smallest_allowed_window_and_m_max_are_recorded(corpus_dir, capsys):
     ("main-theorem", 4, "ideal-module-k5"),
     ("main-theorem", 2, "ideal-module-k2")])
 def test_rows_below_a_members_default_window_exit_three(corpus_dir, tmp_path, capsys,
-                                                         command, window, member):
-    # the corpus harnesses refuse the first member whose default window is
-    # larger than --window, and write no report
+                                                         monkeypatch, command, window,
+                                                         member):
+    # the corpus harnesses take no window, so one below a member's default
+    # is a usage error: no member of the corpus is checked first, and no
+    # report is written
+    name = member + (".module.json" if command == "main-theorem" else ".json")
+    A = (configio.load_module if command == "main-theorem"
+         else configio.load_structure)(str(corpus_dir / name))
+    assert structures.default_window(A) > window
+    monkeypatch.setattr(structures, "check_all", lambda *args: pytest.fail(args))
     out = tmp_path / "report.json"
-    rc = main([command, str(corpus_dir), "--window", str(window), "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(corpus_dir), "--window", str(window), "--out", str(out)])
     captured = capsys.readouterr()
-    assert rc == 3 and captured.out == "" and not out.exists()
-    assert captured.err.startswith(f"error: window {window} is below the default window ")
-    assert captured.err.endswith(f" of {member}\n") and captured.err.count("\n") == 1
+    assert exc.value.code == 3 and captured.out == "" and not out.exists()
+    assert captured.err.endswith(f"error: unrecognized arguments: --window {window}\n")
+
+
+@pytest.mark.parametrize("argv, params, digest", [
+    (["prove-deltas", "--window", "4"], {"window": 4, "m_max": None},
+     "f71316181d78f94b1dc334cbac96f2306563860bdfb52eb3268b03e1ef57499d"),
+    (["replay-elem", "--window", "2", "--m-max", "0"], {"window": 2, "m_max": 0},
+     "1b370cb9d424c15acad5de838ad1dc53ff70fdadb1626a01c96472f5cea6c83f"),
+], ids=["prove-deltas", "replay-elem"])
+def test_window_and_m_max_after_their_subcommand_keep_their_reports(capsys, argv,
+                                                                    params, digest):
+    # the two commands whose window and witness bound are real parameters
+    # take them after the subcommand, and their reports keep their bytes
+    assert main(argv + ["--format", "machine"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["params"] == params
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_a_malformed_config_in_a_corpus_is_named(corpus_dir, tmp_path, capsys):
+    # implication-matrix and main-theorem name the file whose config is
+    # malformed; a module whose base is malformed names the base file
+    for name in ("borcherds-k3.json", "regular-module-k3.module.json"):
+        configio.dump_json(configio.load_json(str(corpus_dir / name)), tmp_path / name)
+    base = configio.load_json(str(tmp_path / "borcherds-k3.json"))
+    configio.dump_json({**base, "basis": [["a"]]}, tmp_path / "borcherds-k3.json")
+    for command in ("implication-matrix", "main-theorem"):
+        rc = main([command, str(tmp_path), "--format", "machine"])
+        captured = capsys.readouterr()
+        assert rc == 3 and captured.out == "", command
+        assert captured.err == (f"config error: {tmp_path / 'borcherds-k3.json'}: "
+                                "a 'basis' entry is not a JSON string\n"), command
 
 
 def test_one_parser_serves_every_call_without_leaking_state(corpus_dir, capsys):

@@ -711,7 +711,7 @@ def test_stacked_jacobi_equals_the_per_triple_check(ut2_dir):
         triples += len(per_triple)
         failing_triples += len(failing)
         failing_pairs += len({t[:2] for t in failing})
-        got = structures.check_jacobi(A, axiom, None, None, stacks)
+        got = structures.check_jacobi(A, axiom, stacks)
         assert got.to_json() == want.to_json(), A.name
         reports[got.verdict] += 1
     assert triples > 10000 and failing_triples > 1000 and failing_pairs > 100
@@ -747,7 +747,7 @@ def test_jacobi_runs_the_exact_route_once_and_route_two_never(monkeypatch):
             route1.clear()
             exact.clear()
             assert structures.check_jacobi(
-                A, axiom, None, None, MemberStacks(A)).verdict == verdict, A.name
+                A, axiom, MemberStacks(A)).verdict == verdict, A.name
             assert len(A.over.basis) > 1 and len(A.wbasis) > 1
             assert len(route1) == route1_calls and len(exact) == 1, A.name
     assert route2 == []
@@ -762,7 +762,7 @@ def test_jacobi_routes_disagreeing_on_a_stacked_pair_raise(monkeypatch):
     label = structures.MemberStacks(S).label_ids()[u, v, w][w]
     M = mutants()[0]
     member = MemberStacks(M)
-    first = check_jacobi(M, "jacobi", None, None, member).witnesses["triple"]
+    first = check_jacobi(M, "jacobi", member).witnesses["triple"]
     ids = set(member.label_ids()[first].values())
     exact = structures.exact_jacobi
 
@@ -825,31 +825,26 @@ FALSE_PASSES_AT_WINDOW_ONE = (
     "regular-module-k4-edit58")
 
 
-def _underflow(A, window):
-    return (f"window {window} is below the default window "
-            f"{structures.default_window(A)} of {A.name}")
-
-
 def test_jacobi_below_the_default_window_is_refused():
-    # the default window is a floor: a Jacobi check below it raises
-    # WindowUnderflowError before it reads a box, also on the members whose
-    # box [-1, 1]^3 shows none of their exact FAIL; at the default it FAILs
-    refused = 0
+    # the box is the member's: a Jacobi check takes no window, and reads and
+    # records the default one, also on the members whose box [-1, 1]^3
+    # shows none of their exact FAIL, which FAIL there
+    failed = []
     for A in _seeded_edits(60, 12):
         axiom, member = _jacobi_axiom(A), MemberStacks(A)
-        for N in range(1, structures.default_window(A)):
-            with pytest.raises(WindowUnderflowError, match=f"^{_underflow(A, N)}$"):
-                check_jacobi(A, axiom, None, N, member)
-            refused += 1
-        if A.name in FALSE_PASSES_AT_WINDOW_ONE:
-            assert check_jacobi(A, axiom, None, None, member).verdict == "FAIL", A.name
-    assert refused >= 150, refused
+        with pytest.raises(TypeError):
+            check_axiom(A, axiom, member, 1)
+        report = check_jacobi(A, axiom, member)
+        assert report.window == structures.default_window(A), A.name
+        if report.verdict == "FAIL":
+            failed.append(A.name)
+    assert set(FALSE_PASSES_AT_WINDOW_ONE) <= set(failed), failed
 
 
 def _cli_refusal(tmp_path, capsys, A, argv):
     """Write ``A`` (and a module's base) as a config under ``tmp_path`` and
-    run ``argv`` on it below its default window: exit 3, one stderr line
-    and no report.  Returns the config path and its command."""
+    run ``argv`` on it with a window below its default: a usage error, exit
+    3 with no report.  Returns the config path and its command."""
     if A.over is A:
         path, command = str(tmp_path / f"{A.name}.json"), "check"
         configio.dump_json(configio.structure_to_config(A), path)
@@ -858,10 +853,12 @@ def _cli_refusal(tmp_path, capsys, A, argv):
         configio.dump_json(configio.module_to_config(A), path)
         configio.dump_json(configio.structure_to_config(A.over),
                            str(tmp_path / f"{A.over.name}.json"))
-    rc = cli.main([command, path, *argv, "--window", "1"])
+    assert structures.default_window(A) > 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, path, *argv, "--window", "1"])
     captured = capsys.readouterr()
-    assert rc == 3 and captured.out == ""
-    assert captured.err == f"error: {_underflow(A, 1)}\n"
+    assert exc.value.code == 3 and captured.out == ""
+    assert captured.err.endswith("error: unrecognized arguments: --window 1\n")
     return path, command
 
 
@@ -961,13 +958,11 @@ def _least_clearing_power(diff, clear, b, m_max):
     return None
 
 
-def _per_w_check_weak(A, axiom, m_max, window, stacks):
+def _per_w_check_weak(A, axiom, stacks):
     """check_weak as it was before stacking: the witness search on each
-    (u, v, w) alone (its slot series read from ``stacks``), the first
-    triple without a witness reported."""
-    N = window or structures.default_window(A)
-    if m_max is None:
-        m_max = A.max_pole_order() + 2
+    (u, v, w) alone (its slot series read from ``stacks``), up to the pole
+    order + 2, the first triple without a witness reported."""
+    N, m_max = structures.default_window(A), A.max_pole_order() + 2
     witnesses = {}
     for u in A.over.basis:
         for v in A.over.basis:
@@ -984,11 +979,11 @@ def _per_w_check_weak(A, axiom, m_max, window, stacks):
     return structures.PropertyReport(axiom, "PASS", {"min_m": witnesses}, window=N)
 
 
-def _per_w_check_vf(A, axiom, m_max, window, stacks):
+def _per_w_check_vf(A, axiom, stacks):
     """check_vf_skew_symmetry as it was before stacking: each (u, v, w)
     alone (its slot series read from ``stacks``), the first failing triple
     reported with its least monomial."""
-    N = window or structures.default_window(A)
+    N = structures.default_window(A)
     for u in A.over.basis:
         for v in A.over.basis:
             for w in A.wbasis:
@@ -1053,19 +1048,15 @@ def test_stacked_weak_and_vf_checks_equal_the_per_w_checks(ut2_dir):
                               if kind == "vf" else
                               (structures.check_weak, _per_w_check_weak))
             mixed += _class_count(A, kind) > 1
-            for m_max in ((None,) if kind == "vf" else (None, 0, 1)):
-                # at the default window, and at a larger one
-                for window in (None, structures.default_window(A) + 1):
-                    want = _outcome(per_w, A, axiom, m_max, window, stacks)
-                    got = _outcome(stacked, A, axiom, m_max, window, stacks)
-                    compared[kind] += 1
-                    assert got == want, (A.name, axiom, m_max, window)
-                    outcomes[want["verdict"] if isinstance(want, dict)
-                             else want[0]] += 1
-    assert compared["vf"] == 2 * len(members) > 300
-    assert sum(compared.values()) - compared["vf"] == 18 * len(members)
+            want = _outcome(per_w, A, axiom, stacks)
+            got = _outcome(stacked, A, axiom, stacks)
+            compared[kind] += 1
+            assert got == want, (A.name, axiom)
+            outcomes[want["verdict"] if isinstance(want, dict) else want[0]] += 1
+    assert compared["vf"] == len(members) > 150
+    assert sum(compared.values()) - compared["vf"] == 3 * len(members)
     assert mixed >= 100
-    assert outcomes["PASS"] >= 966 and outcomes["FAIL"] >= 2174, outcomes
+    assert outcomes["PASS"] >= 189 and outcomes["FAIL"] >= 431, outcomes
 
 
 def test_label_ids_decode_to_their_labels_alike_in_every_stack(ut2_dir):
@@ -1397,8 +1388,8 @@ def _claim_members():
 def test_positive_witness_members_pass_weak_skew_assoc_at_their_pole_order():
     # skew-pole and its module twin one-skew: the pole of Y(v,x2) lands on k,
     # which every mode kills, so g has an x2-pole and no x1-pole and weak
-    # skew-associativity passes with witness 1, and only there; m_max below
-    # the witness makes it fail, and no other verdict moves
+    # skew-associativity passes with witness 1, the pole order, and only
+    # there
     want = {
         "skew-pole": {"jacobi": "FAIL", "weak_comm": "FAIL", "weak_assoc": "FAIL",
                       "weak_skew_assoc": "PASS", "vf_skew_symmetry": "FAIL",
@@ -1415,13 +1406,11 @@ def test_positive_witness_members_pass_weak_skew_assoc_at_their_pole_order():
         assert {a: r.verdict for a, r in got.items()} == want[A.name], A.name
         skew = _axiom(A, "weak_skew_assoc")
         assert got[skew].witnesses == {"min_m": min_m[A.name]}, A.name
+        assert max(min_m[A.name].values()) == A.max_pole_order() == 1, A.name
         for name in WEAK_AND_VF[:2] + ("jacobi", "vf_skew_symmetry"):
             assert got[_axiom(A, name)].witnesses["triple"] == first[A.name]
-        assert check_axiom(A, skew, 0).witnesses == {"triple": first[A.name], "m_max": 0}
-        assert check_axiom(A, skew, 1).witnesses == {"min_m": min_m[A.name]}
-        for m_max in (0, 1, 20):
-            assert {a: r.verdict for a, r in check_all(A, m_max).items() if a != skew} \
-                == {a: v for a, v in want[A.name].items() if a != skew}, (A.name, m_max)
+        for name in WEAK_AND_VF[:2]:
+            assert got[_axiom(A, name)].witnesses["m_max"] == A.max_pole_order() + 2
     assert check_axiom(skew_pole(), "injectivity").witnesses == {"rank": 1, "dim": 2}
     assert check_axiom(one_skew(), "m_vacuum_prop").witnesses == {"element": "w"}
 
@@ -1480,21 +1469,21 @@ FALSE_WEAK_AND_VF_PASSES_AT_WINDOW_ONE = (
 
 
 def test_weak_and_vf_below_the_default_window_are_refused():
-    # the default window is a floor: a weak or vf check below it raises
-    # WindowUnderflowError before it reads a box, also where the box
-    # [-1, 1]^2 shows none of the exact FAIL; at the default it FAILs
-    refused = 0
+    # the box is the member's: a weak or vf check takes no window, and reads
+    # and records the default one, also where the box [-1, 1]^2 shows none
+    # of the exact FAIL, which FAILs there
+    failed = set()
     for A in _seeded_edits(60, 12):
         stacks = MemberStacks(A)
         for name in WEAK_AND_VF:
             axiom = _axiom(A, name)
-            for N in range(1, structures.default_window(A)):
-                with pytest.raises(WindowUnderflowError, match=f"^{_underflow(A, N)}$"):
-                    check_axiom(A, axiom, None, N, stacks)
-                refused += 1
-            if (A.name, axiom) in FALSE_WEAK_AND_VF_PASSES_AT_WINDOW_ONE:
-                assert check_axiom(A, axiom, stacks=stacks).verdict == "FAIL", A.name
-    assert refused >= 600, refused
+            with pytest.raises(TypeError):
+                check_axiom(A, axiom, stacks, 1)
+            report = check_axiom(A, axiom, stacks)
+            assert report.window == structures.default_window(A), (A.name, axiom)
+            if report.verdict == "FAIL":
+                failed.add((A.name, axiom))
+    assert set(FALSE_WEAK_AND_VF_PASSES_AT_WINDOW_ONE) <= failed
 
 
 @pytest.mark.parametrize("name, axiom", [
@@ -1513,12 +1502,13 @@ def test_check_below_the_default_window_exits_three_on_a_weak_or_vf_fail(
 
 def test_windowed_routes_below_the_default_window_are_bounded_by_the_exact_ones():
     # the any-window oracle, on the routes themselves, since no checker
-    # reads a box below the default: a box coefficient is a true
-    # coefficient, so at every window route 1's failing triples are among
-    # the exact ones, the weak search's witnesses are at most the exact ones
-    # and the judged vf difference fails only where the exact one does.  At
+    # reads a box but the default: a box coefficient is a true coefficient,
+    # so at every window route 1's failing triples are among the exact
+    # ones, the weak search's witnesses are at most the exact ones and the
+    # judged vf difference fails only where the exact one does.  At the
+    # default window and at default + 1 the routes equal the exact ones.  At
     # window 1 the pinned members are where the box shows none of a failure
-    compared, shown = Counter(), Counter()
+    compared, shown, equal = Counter(), Counter(), Counter()
     for A in _seeded_edits(60, 12):
         member = MemberStacks(A)
         inst, h, hs = member.instance(), member.stack("h"), member.stack("hs")
@@ -1532,12 +1522,15 @@ def test_windowed_routes_below_the_default_window_are_bounded_by_the_exact_ones(
             for i, m in poles.items():
                 exact[member.triple_of(i)] = max(exact[member.triple_of(i)], m)
             exact |= dict.fromkeys(structures._failing_triples(member, diff))
-            exact_weak[name] = {t: None if m is None or m > m_max else m
-                                for t, m in exact.items()}
-        for N in range(1, structures.default_window(A)):
+            exact_weak[name] = exact
+        default = structures.default_window(A)
+        for N in range(1, default + 2):
             route1 = structures._failing_triples(
                 member, structures._jacobi_symbolic_zero(inst, N, member.memo))
             assert route1 <= exact_jacobi, (A.name, N)
+            if N >= default:
+                assert route1 == exact_jacobi, (A.name, N)
+                equal["jacobi"] += 1
             compared["jacobi"] += len(member.triples)
             if N == 1 and exact_jacobi and not route1:
                 shown["jacobi", A.name] += 1
@@ -1550,6 +1543,9 @@ def test_windowed_routes_below_the_default_window_are_bounded_by_the_exact_ones(
                     if m is not None:
                         assert found[t] is not None and found[t] <= m, (A.name, name, N, t)
                         compared["weak"] += 1
+                if N >= default:
+                    assert found == exact_weak[name], (A.name, name, N)
+                    equal["weak"] += 1
                 if (N == 1 and None in exact_weak[name].values()
                         and None not in found.values()):
                     shown[_axiom(A, name), A.name] += 1
@@ -1558,28 +1554,49 @@ def test_windowed_routes_below_the_default_window_are_bounded_by_the_exact_ones(
             vf = structures._failing_triples(member, judged)
             assert vf <= exact_vf, (A.name, N)
             compared["vf"] += len(member.triples)
+            if N >= default:
+                assert vf == exact_vf, (A.name, N)
+                equal["vf"] += 1
             if N == 1 and exact_vf and not vf:
                 shown[_axiom(A, "vf_skew_symmetry"), A.name] += 1
     assert compared["jacobi"] >= 11062 and compared["vf"] >= 11062, compared
     assert compared["weak"] >= 29016, compared
+    assert equal == {"jacobi": 120, "weak": 360, "vf": 120}, equal
     assert [name for axiom, name in shown if axiom == "jacobi"] == list(
         FALSE_PASSES_AT_WINDOW_ONE)
     assert {(name, axiom) for axiom, name in shown} >= set(
         FALSE_WEAK_AND_VF_PASSES_AT_WINDOW_ONE)
 
 
-def test_a_large_m_max_moves_no_weak_fail_triple():
-    # the cross-check searches m only up to the largest exact witness, so a
-    # large m_max never reaches 2N + 2, where a difference judged on the box
-    # clears spuriously: mutant-pole names the same triples at m_max 20 as at
-    # the default
+def test_exact_weak_witnesses_are_at_most_the_pole_order(monkeypatch):
+    # Claim D: x2 enters g = Y(v,x2)Y(u,x1)w only through the outer Y(v,x2),
+    # so every exact weak witness is at most the pole order of the action's
+    # tables, and the cross-check, which searches m up to the largest one,
+    # never reaches 2N + 2, where a difference judged on the box clears
+    # spuriously; no m_max caps a witness
+    bounds = []
+
+    def searched(diff, clear, box, m_max, *labels, _original=structures.least_clearing_power):
+        bounds.append(m_max)
+        return _original(diff, clear, box, m_max, *labels)
+
+    monkeypatch.setattr(structures, "least_clearing_power", searched)
+    positive = 0
+    for A in _claim_members():
+        member, p = MemberStacks(A), A.max_pole_order()
+        for name, kind in structures.WEAK_PAIRS.items():
+            _, poles = structures.EXACT_WEAK[kind](member.instance())
+            assert all(m <= p for m in poles.values()), (A.name, name, poles, p)
+            positive += any(poles.values())
+            bounds.clear()
+            check_axiom(A, _axiom(A, name), member)
+            assert bounds and max(bounds) <= p < 2 * structures.default_window(A) + 2, \
+                (A.name, name, bounds)
+    assert positive >= 128, positive
+    # mutant-pole's weak FAILs name (e1, e0, e1) with m_max the pole order + 2
     S = next(m for m in mutants() if m.name == "mutant-pole")
-    for name in WEAK_AND_VF[:3]:
-        default = check_axiom(S, name).witnesses["triple"]
-        assert check_axiom(S, name, 20).witnesses == {"triple": default, "m_max": 20}
-    assert check_axiom(S, "weak_assoc").witnesses["triple"] == ("e1", "e0", "e1")
-    assert check_axiom(S, "weak_skew_assoc").witnesses["triple"] == ("e1", "e0", "e1")
-    assert 2 * structures.default_window(S) + 2 <= 20
+    for name in WEAK_AND_VF[1:3]:
+        assert check_axiom(S, name).witnesses == {"triple": ("e1", "e0", "e1"), "m_max": 3}
 
 
 def test_exact_deciders_equal_the_windowed_route_on_random_tables():

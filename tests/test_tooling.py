@@ -236,8 +236,13 @@ def test_every_axiom_has_one_checker_with_one_signature():
     # modules.VACUUM_MODULE_AXIOMS
     from vertexcalc import modules, structures
     for name, check in structures.CHECKERS.items():
-        assert tuple(inspect.signature(check).parameters) == (
-            "A", "axiom", "m_max", "window", "member"), name
+        assert tuple(inspect.signature(check).parameters) == ("A", "axiom", "member"), name
+    # the box and the witness bound belong to the member: no entry point of
+    # a check takes either
+    for func in (structures.check_axiom, structures.check_all, structures.replay_rows,
+                 structures.replay_corpus):
+        assert not {"window", "m_max"} & set(inspect.signature(func).parameters), func
+    assert not hasattr(structures, "_box")
     assert structures.AXIOMS == tuple(structures.CHECKERS)
     assert structures.MODULE_AXIOMS == (
         "m_jacobi", "m_weak_comm", "m_weak_assoc", "m_weak_skew_assoc",

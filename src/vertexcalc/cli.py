@@ -130,17 +130,21 @@ def cmd_check(args, load):
 
 
 def _load_corpus_dir(path, want_modules):
+    """The structures, or the modules, of the configs in ``path``: each file
+    read once, each base structure parsed at most once, and a config of the
+    other kind not parsed."""
     files = sorted(glob.glob(os.path.join(path, "*.json")))
     if not files:
         raise ConfigError(f"no .json configs in {path}")
-    out = []
-    for f in files:
-        data = configio.load_json(f)
-        if configio.is_module_config(data):
-            if want_modules:
-                out.append(configio.load_module(f))
-        elif not want_modules:
-            out.append(configio.load_structure(f))
+    read, bases = {f: configio.load_json(f) for f in files}, {}
+
+    def base(f):
+        if f not in bases:
+            bases[f] = configio.load_structure(f, read.get(f))
+        return bases[f]
+    out = [configio.load_module(f, data, base) if want_modules
+           else configio.load_structure(f, data)
+           for f, data in read.items() if configio.is_module_config(data) == want_modules]
     if not out:
         kind = "module" if want_modules else "structure"
         raise ConfigError(f"no {kind} configs in {path}")
@@ -268,8 +272,22 @@ def build_parser():
     return p
 
 
+def _refuse_flag_before_subcommand(parser, argv):
+    """A usage error for a flag before the subcommand that only subcommands
+    take, naming them: argparse would read its value as the subcommand."""
+    sub = next(a for a in parser._actions if a.dest == "command")
+    for arg in argv:
+        if arg in sub.choices:
+            return
+        takers = [c for c, p in sub.choices.items() if arg in p._option_string_actions]
+        if takers and arg not in parser._option_string_actions:
+            parser.error(f"argument {arg}: taken by {' and '.join(takers)} only, "
+                         "given after the subcommand")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    _refuse_flag_before_subcommand(parser, sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     handlers = {
         "prove-deltas": cmd_prove_deltas,

@@ -7,6 +7,8 @@ Module configs extend this with {"wbasis", "wmodes": [{"u", "n", "w",
 "<over>.json" next to the module file.  A config is a module config exactly
 when it has "over" (``is_module_config``); ``load_structure`` refuses one.
 
+A file that cannot be read or decoded (not UTF-8, not JSON, or nested too
+deep for the JSON parser) is refused with ConfigError ("cannot read").
 A config is refused with ConfigError when it repeats a basis entry or a
 mode record (u, n, v) / (u, n, w), has a basis or wbasis entry with a comma
 (the weak checkers key their witnesses "u,v"), names anything outside the basis it
@@ -164,7 +166,7 @@ def load_json(path):
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
         raise ConfigError(f"cannot read {path}: {err}") from err
     if not isinstance(data, dict):
         raise ConfigError(f"{path} does not hold a JSON object")
@@ -186,21 +188,24 @@ def _parsed(path, parse, *args):
         raise ConfigError(f"{path}: {err}") from None
 
 
-def load_structure(path) -> VertexStructure:
-    data = load_json(path)
+def load_structure(path, data=None) -> VertexStructure:
+    """The structure of the config at ``path``, ``data`` if it is read."""
+    data = load_json(path) if data is None else data
     if is_module_config(data):
         raise ConfigError(f"{path} is a module config; use check-module")
     return _parsed(path, structure_from_config, data)
 
 
-def load_module(path) -> ModuleStructure:
-    data = load_json(path)
+def load_module(path, data=None, base=load_structure) -> ModuleStructure:
+    """The module of the config at ``path``, ``data`` if it is read, over
+    ``base`` of its base structure's path."""
+    data = load_json(path) if data is None else data
     if not is_module_config(data):
         raise ConfigError(f"{path} is not a module config")
     base_path = os.path.join(os.path.dirname(path) or ".", f"{data['over']}.json")
     if not os.path.exists(base_path):
         raise ConfigError(f"base structure file {base_path} not found")
-    return _parsed(path, module_from_config, data, load_structure(base_path))
+    return _parsed(path, module_from_config, data, base(base_path))
 
 
 def machine_report(command, seed, params, records) -> str:

@@ -20,11 +20,11 @@ Jacobi, the weak properties and vf skew symmetry are decided exactly, by
 the closed forms of ``rationalforms.exact_difference``, and a windowed
 route cross-checks each: route 1 for Jacobi, and the pair recipes
 (``rationalforms.PAIRS``) searched with the replays'
-``rationalforms.least_clearing_power`` for the rest.  Every slot series
-comes from one builder, ``MemberStacks``, which makes slot f (and so g) of
-every triple in one pass over the mode tables, and slot h (and so the
-swapped h) in another: each inner product is a row of a mode table, and
-the outer table is applied to its vectors as plain dicts.
+``rationalforms.least_clearing_power`` for the rest.  Every slot product
+comes from one loop over the mode tables, ``_products``: each inner product
+is a row of a mode table, and the outer table is applied to its vectors as
+plain dicts.  ``MemberStacks`` writes the f and g stacks from one pass of it,
+and the h and swapped-h stacks from another.
 
 Every axiom has one checker in one table, ``CHECKERS``, in the order of
 AXIOMS; each takes (A, axiom, member) and reports under ``axiom``.
@@ -32,11 +32,11 @@ AXIOMS; each takes (A, axiom, member) and reports under ``axiom``.
 on a structure, MODULE_AXIOMS (``m_`` and the name of one of
 the seven axioms of every action) on a module.  The checks of one
 ``check_all`` or ``check`` command share one ``MemberStacks``, passed to
-each checker: the member's slot series, each built once, its f, g, h and
-swapped-h stacks, and the route-1 memo of its Jacobi check.  Nothing is
-held on the member, so the stacks die with the command.  ``replay_corpus``
-hands every member's ``MemberStacks`` one route-1 memo, so the Jacobi
-checks of one command expand each term shape once.
+each checker: its f, g, h and swapped-h stacks, each written once, and the
+route-1 memo of its Jacobi check.  Nothing is held on the member, so the
+stacks die with the command.  ``replay_corpus`` hands every member's
+``MemberStacks`` one route-1 memo, so the Jacobi checks of one command
+expand each term shape once.
 
 Jacobi, the weak properties and vf_skew_symmetry are identities of
 operators, linear in u, v and w, so each is checked once per member, on slot
@@ -381,49 +381,40 @@ def _jacobi_symbolic_zero(inst, N, memo=None):
     return window_coeffs(DeltaExpr(terms), box(N, "x0", "x1", "x2"), memo)
 
 
-def _slot_products(A: ModuleStructure, kind, labels):
-    """{(u, v, w): slot ``kind`` of ``A`` there} for each of ``labels``, as
-    exact series over ``SLOT_VARIABLES``: f = Y(u,x1)Y(v,x2)w, or
-    h = Y(Y(u,x0)v,x2)w, each keyed by its (outer, inner) exponents, which
-    are its (head, tail).  The inner product is a row of a mode table,
-    Y(v,x)w of ``A`` for f and Y(u,x)v of ``A.over`` for h; the outer table
-    is applied to each of its vectors as plain dicts (``_modes``), and each
-    coefficient becomes a ``Vec`` once.  Triples without a term share one
-    zero series."""
-    variables = SLOT_VARIABLES[kind]
-    table, out, zero = A.ywtable, {}, WindowedSeries.zero(variables)
-    for u, v, w in labels:
-        coeffs = {}
+def _products(A: ModuleStructure, kind, triples):
+    """Each product (triple, (outer, inner) exponent, {basis: coefficient}) of
+    slot ``kind`` of ``A`` at each of ``triples``, f = Y(u,x1)Y(v,x2)w or h =
+    Y(Y(u,x0)v,x2)w, whose exponents, its (head, tail), are distinct within a
+    triple.  The inner product is a row of a mode table, Y(v,x)w of ``A`` for
+    f and Y(u,x)v of ``A.over`` for h, and the outer table is applied to its
+    vectors as plain dicts (``_modes``): a coefficient may hold zeros and
+    integral Fractions until a ``Vec`` is made of it."""
+    table = A.ywtable
+    for t in triples:
+        u, v, w = t
         inner = table.get((v, w), {}) if kind == "f" else A.over.ywtable.get((u, v), {})
         for n, vec in inner.items():
             outer = (_modes(table, {u: 1}, vec.entries) if kind == "f"
                      else _modes(table, vec.entries, {w: 1}))
             for e, entries in outer.items():
-                coeffs[e, -n - 1] = Vec(entries)
-        out[u, v, w] = WindowedSeries.from_monomials(variables, coeffs) if coeffs else zero
-    return out
+                yield t, (e, -n - 1), entries
 
 
 class MemberStacks:
     """Every triple (u, v, w) of one member, in ``over.basis`` x ``over.basis``
-    x ``wbasis`` order, with, per slot, its series by triple and its member
-    stack, each built on first use.  The slots are f, g, h and "hs", the
-    swapped h: slot h of (v, u, w), labelled (u, v, w).  The first read of
-    f or g builds slot f at every triple in one pass
-    (``_slot_products``), the first read of h or hs slot h; g and hs are the
-    f and h of the swapped triple, shared, not rebuilt: g is f's series
-    read by position, its (x1, x2) standing for g's (x2, x1), and ``_stack``
-    and ``own`` name it so.  A stack keys each label by its id
-    (``label_ids``); the guards read a triple's own series (``own``).
-    ``memo`` is the route-1 memo of the member's Jacobi check (see
-    ``check_jacobi``): the one given, or a fresh dict."""
+    x ``wbasis`` order, and the member stack of each slot, f, g, h or "hs",
+    the swapped h (slot h of (v, u, w), labelled (u, v, w)): the first read
+    of f or g writes both, and of h or hs both of those (``_stacks``), each
+    keying a label by its id (``label_ids``).  The guards read a triple's
+    own series (``own``).  ``memo`` is the route-1 memo of the member's
+    Jacobi check (see ``check_jacobi``): the one given, or a fresh dict."""
 
     def __init__(self, A: ModuleStructure, *, memo=None):
         self.A = A
         self.triples = [(u, v, w) for u in A.over.basis
                         for v in A.over.basis for w in A.wbasis]
         self.memo = {} if memo is None else memo
-        self._series, self._stacks, self._ids = {}, {}, {}
+        self._stacks, self._ids = {}, {}
 
     def label_ids(self):
         """{(u, v, w): {w': id of the label (u, v, w, w')}} of every triple,
@@ -439,24 +430,12 @@ class MemberStacks:
         """The triple (u, v, w) of the label id ``i``."""
         return self.triples[i // len(self.A.wbasis)]
 
-    def series(self, slot):
-        """{(u, v, w): slot ``slot`` of the triple there}; g's series are
-        those of f, read by position."""
-        out = self._series.get(slot)
-        if out is None:
-            kind, swapped = ("f", "g") if slot in ("f", "g") else ("h", "hs")
-            built = self._series[kind] = _slot_products(self.A, kind, self.triples)
-            self._series[swapped] = {(u, v, w): built[v, u, w]
-                                     for u, v, w in self.triples}
-            out = self._series[slot]
-        return out
-
     def stack(self, slot):
-        """The member stack of slot ``slot`` (``_stack``)."""
-        out = self._stacks.get(slot)
-        if out is None:
-            out = self._stacks[slot] = _stack(self, slot)
-        return out
+        """The member stack of slot ``slot``; the first read of a slot writes
+        it with its swapped slot (``_stacks``)."""
+        if slot not in self._stacks:
+            self._stacks.update(_stacks(self, "f" if slot in ("f", "g") else "h"))
+        return self._stacks[slot]
 
     def instance(self, slots="fgh"):
         """A TripleInstance of the stacks of ``slots``; a slot not named is
@@ -464,32 +443,33 @@ class MemberStacks:
         return TripleInstance(*(self.stack(s) if s in slots else None
                                 for s in "fgh"))
 
-    def own(self, t, slots="fgh"):
+    def own(self, t):
         """A TripleInstance of the slot series of the triple ``t`` itself, not
-        stacked, each renamed to ``SLOT_VARIABLES``: what every FAIL guard
-        reruns on.  A slot not named is not read, and is None."""
-        return TripleInstance(*(_named(self.series(s)[t], s) if s in slots
-                                else None for s in "fgh"))
+        stacked: ``_products`` run on ``t`` alone, g being f's at (v, u, w)
+        read by position.  What every FAIL guard reruns on, apart from the
+        stack writer."""
+        u, v, w = t
+        return TripleInstance(*(WindowedSeries.from_monomials(SLOT_VARIABLES[slot], {
+            key: Vec(c) for _, key, c in _products(self.A, kind, [at])})
+            for slot, kind, at in (("f", "f", t), ("g", "f", (v, u, w)), ("h", "h", t))))
 
 
-def _named(series, slot):
-    """A slot series renamed to the slot's ``SLOT_VARIABLES``, by position."""
-    return series.rename(dict(zip(series.variables, SLOT_VARIABLES[slot])))
-
-
-def _stack(member, slot):
-    """Slot ``slot`` of every triple of ``member`` stacked, in the slot's
-    variables, so no labels stack to zero: the coefficient at each monomial
-    is the Vec over the label ids (``MemberStacks.label_ids``) of every
-    triple's coefficient there."""
-    series, stacked = member.series(slot), {}
-    for label, ids in member.label_ids().items():
-        for key, vec in series[label].coeffs.items():
-            entries = stacked.setdefault(key, {})
-            for b, c in vec.entries.items():
-                entries[ids[b]] = c
-    return WindowedSeries.from_monomials(
-        SLOT_VARIABLES[slot], {key: Vec(e) for key, e in stacked.items()})
+def _stacks(member, kind):
+    """{slot: member stack} of slot ``kind``, f or h, and of its swap, g or hs,
+    from one pass of ``_products`` over ``member``: a product at (u, v, w) is
+    the coefficient of the labels of (u, v, w) in one and of (v, u, w) in the
+    other.  A stack is in its slot's variables, and its coefficient at each
+    monomial is the Vec over label ids (``MemberStacks.label_ids``), so no
+    labels stack to zero."""
+    ids, stacked, swapped = member.label_ids(), {}, {}
+    for (u, v, w), key, entries in _products(member.A, kind, member.triples):
+        here, there = ids[u, v, w], ids[v, u, w]
+        row, row_swapped = stacked.setdefault(key, {}), swapped.setdefault(key, {})
+        for b, c in entries.items():
+            row[here[b]] = row_swapped[there[b]] = c
+    return {slot: WindowedSeries.from_monomials(
+                SLOT_VARIABLES[slot], {key: Vec(e) for key, e in out.items()})
+            for slot, out in ((kind, stacked), ({"f": "g", "h": "hs"}[kind], swapped))}
 
 
 def _moved(axiom, triple, stacked, alone):
@@ -588,7 +568,7 @@ def check_weak(A: ModuleStructure, axiom, member):
         return out
 
     def alone(t):
-        if (m := search(member.own(t, slots))[None]) is not None:
+        if (m := search(member.own(t))[None]) is not None:
             raise _moved(axiom, t, f"no witness m <= {bound} on the member stack",
                          f"m = {m}")
         return {"triple": t, "m_max": A.max_pole_order() + 2}
@@ -624,7 +604,7 @@ def check_vf_skew_symmetry(A: ModuleStructure, axiom, member):
 
     def alone(t):  # the stack's least judged monomial of t, and t's own there
         u, v, w = t
-        own = _vf_difference(member.own(t, "h").h, member.own((v, u, w), "h").h, N)
+        own = _vf_difference(member.own(t).h, member.own((v, u, w)).h, N)
         ids = member.label_ids()[t].values()
         mono = min(k for k, c in judged.items() if not c.entries.keys().isdisjoint(ids))
         seen = min(own.coeffs if diff.is_exact() else dict(own.nonzero_on(region)),

@@ -14,26 +14,52 @@ from vertexcalc.structures import WEAK_PAIRS, ModuleStructure, VertexStructure
 
 @pytest.fixture
 def slot_product_calls(monkeypatch):
-    """{(action, slot kind): [number of triples of each build]}, one entry per
-    call of the slot-product builder ``structures._slot_products``."""
+    """{(action, slot kind): [number of triples of each run]}, one entry per
+    call of the slot-product loop ``structures._products``."""
     calls = defaultdict(list)
 
-    def counted(A, kind, labels, _original=structures._slot_products):
-        calls[(A, kind)].append(len(labels))
-        return _original(A, kind, labels)
-    monkeypatch.setattr(structures, "_slot_products", counted)
+    def counted(A, kind, triples, _original=structures._products):
+        calls[(A, kind)].append(len(triples))
+        return _original(A, kind, triples)
+    monkeypatch.setattr(structures, "_products", counted)
     return calls
 
 
-def assert_one_build_per_member_and_kind(calls, members):
-    """Each member with triples built slot f and slot h exactly once, each
-    time at every one of its triples, and never one triple at a time."""
-    for A in members:
+# how many triples the FAIL guard of each stacked axiom reruns alone: the
+# first failing one, and for vf skew symmetry its swap too; each rerun
+# (``MemberStacks.own``) runs the products of f twice, at the triple and at
+# its swap for g, and those of h once
+GUARD_RERUNS = {"jacobi": 1, "vf_skew_symmetry": 2} | dict.fromkeys(WEAK_PAIRS, 1)
+
+
+def assert_one_build_per_member_and_kind(calls, members, reports):
+    """Each member with triples ran the products of slot f and of slot h
+    once at every one of its triples, and one triple at a time only for the
+    FAIL guards of its ``reports`` ({axiom: report JSON}, one per member):
+    a member that passes every stacked axiom builds no series of a triple."""
+    for A, report in zip(members, reports):
         triples = len(A.over.basis) ** 2 * len(A.wbasis)
-        if triples:
-            assert [calls[(A, kind)] for kind in "fh"] == [[triples]] * 2, A.name
+        reruns = sum(GUARD_RERUNS.get(axiom.removeprefix("m_"), 0)
+                     for axiom, rec in report.items() if rec["verdict"] == "FAIL")
+        alone = {"f": [1] * 2 * reruns, "h": [1] * reruns}
+        for kind in "fh" if triples else "":
+            assert sorted(calls[(A, kind)]) == sorted([triples] + alone[kind]), (A.name, kind)
     assert set(calls) == {(A, kind) for A in members for kind in "fh"
                           if len(A.over.basis) ** 2 * len(A.wbasis)}
+
+
+def double_first_coefficient(monkeypatch, slot):
+    """Make the stack writer ``structures._stacks`` double the first
+    coefficient of the member stack of ``slot``, and write the others as
+    they are: a faulty stacking that a triple's own series (``own``) does
+    not share."""
+    def perturbed(member, kind, _original=structures._stacks):
+        out = _original(member, kind)
+        if slot in out:
+            key, vec = next(iter(out[slot].coeffs.items()))
+            out[slot] = out[slot].copy_meta({**out[slot].coeffs, key: vec + vec})
+        return out
+    monkeypatch.setattr(structures, "_stacks", perturbed)
 
 
 def _ut2_records(target):

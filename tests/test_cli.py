@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import double_first_coefficient
 
 from vertexcalc import configio, structures
 from vertexcalc.cli import build_parser, main
@@ -437,14 +438,7 @@ def test_consistency_violation_exits_two_with_one_line(corpus_dir, monkeypatch,
     # a stack writer that doubles one coefficient of slot f makes the valid
     # borcherds-k3 fail Jacobi on its member stack but not on the triple
     # alone: the guard's violation exits 2, with no report and one line
-    def perturbed(member, slot, _original=structures._stack):
-        out = _original(member, slot)
-        if slot != "f":
-            return out
-        key, vec = next(iter(out.coeffs.items()))
-        return out.copy_meta({**out.coeffs, key: vec + vec})
-
-    monkeypatch.setattr(structures, "_stack", perturbed)
+    double_first_coefficient(monkeypatch, "f")
     rc = main(["check", str(corpus_dir / "borcherds-k3.json"), "--format", "machine"])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
@@ -473,6 +467,72 @@ def test_config_that_is_not_an_object_is_refused(tmp_path, capsys):
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, body", [
+    ("nested.json", b"[" * 100_000 + b"]" * 100_000),
+    ("utf16.json", b"\xff\xfe{\x00}\x00"),
+], ids=["deeply-nested", "utf16-bom"])
+def test_a_config_that_cannot_be_decoded_is_refused(tmp_path, capsys, name, body):
+    # JSON nested past the parser's recursion limit, and bytes that are not
+    # UTF-8, are refused like any unreadable config: exit 3, one line, no
+    # traceback
+    path = tmp_path / name
+    path.write_bytes(body)
+    for argv in (["check", str(path)], ["implication-matrix", str(tmp_path)]):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, argv
+        assert captured.err.startswith(f"config error: cannot read {path}: "), argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--window", "3", "check", "X"],
+     "argument --window: taken by prove-deltas and replay-elem only, "
+     "given after the subcommand"),
+    (["--m-max", "2", "replay-elem", "--n", "1"],
+     "argument --m-max: taken by replay-elem only, given after the subcommand"),
+], ids=["window", "m_max"])
+def test_a_subcommand_flag_before_the_subcommand_is_named(corpus_dir, capsys, argv,
+                                                          message):
+    # the main parser does not take the flag, and would read its value as the
+    # subcommand; the usage error names the flag and the subcommands that take
+    # it instead
+    argv = [str(corpus_dir / "borcherds-k3.json") if a == "X" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 3 and captured.out == ""
+    assert captured.err.startswith("usage: vertexcalc ")
+    assert captured.err.endswith(f"vertexcalc: error: {message}\n")
+
+
+def test_corpus_commands_read_each_config_once(corpus_dir, monkeypatch, capsys):
+    # implication-matrix and main-theorem read every file of the corpus once,
+    # parse each base structure at most once, and parse no config of the
+    # other kind
+    reads, parsed = [], []
+    for name, log in (("load_json", reads), ("structure_from_config", parsed),
+                      ("module_from_config", parsed)):
+        def counted(*args, _original=getattr(configio, name), _name=name, _log=log):
+            _log.append((_name, args[0]))
+            return _original(*args)
+        monkeypatch.setattr(configio, name, counted)
+    files = sorted(str(p) for p in corpus_dir.glob("*.json"))
+    modules = [f for f in files if f.endswith(".module.json")]
+    for command in ("implication-matrix", "main-theorem"):
+        reads.clear()
+        parsed.clear()
+        assert main([command, str(corpus_dir), "--format", "machine"]) == 0
+        capsys.readouterr()
+        assert sorted(path for _, path in reads) == files, command
+        kinds = [name for name, _ in parsed]
+        if command == "implication-matrix":
+            assert kinds == ["structure_from_config"] * (len(files) - len(modules))
+        else:
+            bases = [data["name"] for name, data in parsed if name == "structure_from_config"]
+            assert kinds.count("module_from_config") == len(modules)
+            assert len(bases) == len(set(bases)) < len(modules)
 
 
 @pytest.mark.parametrize("argv", [

@@ -225,9 +225,9 @@ def test_check_module_all_shares_one_slot_triple_per_member(slot_product_calls):
     held = [dict(vars(A)) for A in members]
     shared = [{a: r.to_json() for a, r in check_all(M).items()}
               for M in corpus]
-    # slot f and slot h are each built once per member, at every triple in
-    # one pass
-    assert_one_build_per_member_and_kind(slot_product_calls, corpus)
+    # the products of slot f and of slot h are each run once per member, at
+    # every triple in one pass, and one triple at a time only by FAIL guards
+    assert_one_build_per_member_and_kind(slot_product_calls, corpus, shared)
     # the stacks are passed to the checks, not held: check_all and the
     # corpus replay leave every module and structure as they found it
     replay_corpus(corpus)

@@ -4,8 +4,9 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import (_weak_difference, assert_one_build_per_member_and_kind, is_zero,
-                      one_skew, skew_pole, slot_triple, witness_is_valid)
+from conftest import (_weak_difference, assert_one_build_per_member_and_kind,
+                      double_first_coefficient, is_zero, one_skew, skew_pole, slot_triple,
+                      witness_is_valid)
 
 from vertexcalc import cli, configio, deltacalc, rationalforms, series, structures
 from vertexcalc.corpus import (
@@ -327,9 +328,9 @@ def test_check_all_shares_one_slot_triple_per_member(slot_product_calls):
     corpus = full_corpus()
     held = [dict(vars(S)) for S in corpus]
     shared = [{a: r.to_json() for a, r in check_all(S).items()} for S in corpus]
-    # slot f and slot h are each built once per member, at every triple in
-    # one pass
-    assert_one_build_per_member_and_kind(slot_product_calls, corpus)
+    # the products of slot f and of slot h are each run once per member, at
+    # every triple in one pass, and one triple at a time only by FAIL guards
+    assert_one_build_per_member_and_kind(slot_product_calls, corpus, shared)
     # the stacks are passed to the checks, not held: check_all and the
     # corpus replay leave every structure as they found it
     replay_corpus(corpus)
@@ -372,8 +373,10 @@ def _series_facts(s):
 
 
 def test_slot_builder_equals_the_term_by_term_products(ut2_dir):
-    # every slot series of every member, built in one pass over the mode
-    # tables, equals the per-triple product summed term by term
+    # every slot series of every member equals the per-triple product summed
+    # term by term: each triple's own series (``own``, the products of that
+    # triple alone) and each triple's series decoded from the member stacks,
+    # written in one pass over the mode tables
     members = (full_corpus() + full_module_corpus()
                + [configio.load_structure(str(ut2_dir / "ut2.json")),
                   configio.load_module(str(ut2_dir / "ut2-regular.module.json"))]
@@ -381,10 +384,24 @@ def test_slot_builder_equals_the_term_by_term_products(ut2_dir):
     compared, monomials, rationals = 0, 0, 0
     for A in members:
         member = MemberStacks(A)
+        own = {t: member.own(t) for t in member.triples}
         for slot in ("f", "g", "h", "hs"):
-            for (u, v, w), got in member.series(slot).items():
-                want = _slot_reference(A, slot, u, v, w)
-                assert _series_facts(got) == _series_facts(want), (A.name, slot, u, v, w)
+            whole, decoded = member.stack(slot), {t: {} for t in member.triples}
+            for key, c in whole.coeffs.items():
+                for i, x in c.entries.items():
+                    t = member.triple_of(i)
+                    b = A.wbasis[i % len(A.wbasis)]
+                    decoded[t].setdefault(key, {})[b] = x
+            for t, coeffs in decoded.items():
+                want = _slot_reference(A, slot, *t)
+                want = want.rename(
+                    dict(zip(want.variables, rationalforms.SLOT_VARIABLES[slot])))
+                got = WindowedSeries.from_monomials(
+                    whole.variables, {k: Vec(e) for k, e in coeffs.items()})
+                assert _series_facts(got) == _series_facts(want), (A.name, slot, t)
+                if slot != "hs":
+                    assert _series_facts(getattr(own[t], slot)) == _series_facts(want), \
+                        (A.name, slot, t)
                 compared += 1
                 monomials += len(got.coeffs)
                 rationals += sum(type(x) is Fraction for c in got.coeffs.values()
@@ -874,14 +891,7 @@ def test_jacobi_stack_disagreeing_with_its_triple_raises(monkeypatch):
     # a stacked triple that both routes find nonzero while the triple alone
     # is zero cannot come from a correct stacking: route 1's rerun on the
     # reported triple catches it, and it is reported, not passed over
-    def perturbed(member, slot, _original=structures._stack):
-        out = _original(member, slot)
-        if slot != "f":
-            return out
-        key, vec = next(iter(out.coeffs.items()))
-        return out.copy_meta({**out.coeffs, key: vec + vec})
-
-    monkeypatch.setattr(structures, "_stack", perturbed)
+    double_first_coefficient(monkeypatch, "f")
     S = borcherds_structure(3)
     e0 = S.basis[0]
     with pytest.raises(ConsistencyViolationError,
@@ -893,20 +903,15 @@ def test_jacobi_stack_disagreeing_with_its_triple_raises(monkeypatch):
 
 @pytest.mark.parametrize("axiom, slot", [
     ("weak_comm", "f"), ("weak_assoc", "h"), ("weak_skew_assoc", "g"),
-    ("vf_skew_symmetry", "h")])
+    ("vf_skew_symmetry", "h"), ("vf_skew_symmetry", "hs")])
 def test_weak_and_vf_stacks_disagreeing_with_their_triple_raise(monkeypatch, axiom,
                                                                  slot):
     # a faulty stack writer makes the valid borcherds-k3 fail at (e0, e0, e0);
-    # the guard reruns on that triple's own slot series, which ``_stack``
-    # does not write, finds it holds, and reports the stacking
-    def perturbed(member, slot_, _original=structures._stack):
-        out = _original(member, slot_)
-        if slot_ != slot:
-            return out
-        key, vec = next(iter(out.coeffs.items()))
-        return out.copy_meta({**out.coeffs, key: vec + vec})
-
-    monkeypatch.setattr(structures, "_stack", perturbed)
+    # the guard reruns on that triple's own slot series, which ``_stacks``
+    # does not write, finds it holds, and reports the stacking.  g and hs are
+    # written, not copied, from the products of f and h, so each is perturbed
+    # on its own
+    double_first_coefficient(monkeypatch, slot)
     S = borcherds_structure(3)
     e0 = S.basis[0]
     with pytest.raises(ConsistencyViolationError,
@@ -1063,8 +1068,9 @@ def test_label_ids_decode_to_their_labels_alike_in_every_stack(ut2_dir):
     # every label (u, v, w, w') of a member has its own id, which decodes to
     # its triple (u, v, w), the one at its position in ``triples``; each
     # entry of the f, g, h and swapped-h member stacks is the coefficient of
-    # the label of its id, and the stacks of a fresh MemberStacks of the
-    # member key each label by the same id
+    # the label of its id in the triple's own series (``own``; hs is h at
+    # (v, u, w)), and the stacks of a fresh MemberStacks of the member key
+    # each label by the same id
     members = (full_corpus() + full_module_corpus()
                + [configio.load_structure(str(ut2_dir / "ut2.json")),
                   configio.load_module(str(ut2_dir / "ut2-regular.module.json"))]
@@ -1083,8 +1089,11 @@ def test_label_ids_decode_to_their_labels_alike_in_every_stack(ut2_dir):
         assert len(ids) == len(member.triples) * len(A.wbasis), A.name
         label_of = {i: (t, b) for t, by_w in member.label_ids().items()
                     for b, i in by_w.items()}
+        own = {t: member.own(t) for t in member.triples}
         for slot in ("f", "g", "h", "hs"):
-            series, whole = member.series(slot), member.stack(slot)
+            series = {(u, v, w): own[v, u, w].h if slot == "hs"
+                      else getattr(own[u, v, w], slot) for u, v, w in member.triples}
+            whole = member.stack(slot)
             for key, c in whole.coeffs.items():
                 for i, x in c.entries.items():
                     t, b = label_of[i]
@@ -1098,15 +1107,16 @@ def test_label_ids_decode_to_their_labels_alike_in_every_stack(ut2_dir):
 
 
 def test_weak_and_vf_search_the_member_stack_once(monkeypatch):
-    # the checks of one check_all share one MemberStacks, whose f, g, h and
-    # swapped-h stacks are each written once; per member and kind, one
-    # pair_sides run (weak) or one vf difference on the whole member stack,
-    # and one more on a FAIL: the rerun on the reported triple alone
+    # the checks of one check_all share one MemberStacks, whose f and g
+    # stacks are written in one pass, and h and swapped-h in another, each
+    # once; per member and kind, one pair_sides run (weak) or one vf
+    # difference on the whole member stack, and one more on a FAIL: the
+    # rerun on the reported triple alone
     built, sides, vf = Counter(), Counter(), []
 
-    def stacked(member, slot, _original=structures._stack):
-        built[member.A.name, slot] += 1
-        return _original(member, slot)
+    def stacked(member, kind, _original=structures._stacks):
+        built[member.A.name, kind] += 1
+        return _original(member, kind)
 
     def counted(inst, kind, hi, _original=rationalforms.pair_sides):
         sides[kind] += 1
@@ -1116,7 +1126,7 @@ def test_weak_and_vf_search_the_member_stack_once(monkeypatch):
         vf.append(args)
         return _original(*args)
 
-    monkeypatch.setattr(structures, "_stack", stacked)
+    monkeypatch.setattr(structures, "_stacks", stacked)
     monkeypatch.setattr(rationalforms, "pair_sides", counted)
     monkeypatch.setattr(structures, "_vf_difference", counted_vf)
     members = full_corpus() + full_module_corpus() + [skew_pole(), one_skew()]
@@ -1131,8 +1141,7 @@ def test_weak_and_vf_search_the_member_stack_once(monkeypatch):
             runs = len(vf) if kind == "vf" else sides[kind]
             assert runs == 1 + failed, (A.name, name)
     assert set(built.values()) == {1}, built
-    assert {slot for _, slot in built} == {"f", "g", "h", "hs"}
-    assert sum(slot == "f" for _, slot in built) == len(members)
+    assert set(built) == {(A.name, kind) for A in members for kind in "fh"}
     assert fails[True] >= 50 and fails[False] >= 50, fails
 
 
@@ -1441,7 +1450,7 @@ def test_weak_skew_assoc_witness_is_the_x2_pole_order_of_g():
             continue
         want = {}
         for t in stacks.triples:
-            g = stacks.own(t, "g").g
+            g = stacks.own(t).g
             order = max([0] + [-k[g.idx("x2")] for k in g.coeffs])
             want[f"{t[0]},{t[1]}"] = max(want.get(f"{t[0]},{t[1]}", 0), order)
         assert report.witnesses["min_m"] == want, A.name

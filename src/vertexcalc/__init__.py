@@ -35,7 +35,6 @@ from .series import (
     WindowedSeries,
     apply_delta,
     binomial_power,
-    exp_endo,
     taylor_substitute,
 )
 from .rationalforms import (

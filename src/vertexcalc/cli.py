@@ -274,15 +274,20 @@ def build_parser():
 
 def _refuse_flag_before_subcommand(parser, argv):
     """A usage error for a flag before the subcommand that only subcommands
-    take, naming them: argparse would read its value as the subcommand."""
+    take, named with them: argparse would read its value as the subcommand.
+    A flag matches as in argparse: whole, or by an unambiguous prefix."""
     sub = next(a for a in parser._actions if a.dest == "command")
     for arg in argv:
         if arg in sub.choices:
             return
-        takers = [c for c, p in sub.choices.items() if arg in p._option_string_actions]
-        if takers and arg not in parser._option_string_actions:
-            parser.error(f"argument {arg}: taken by {' and '.join(takers)} only, "
-                         "given after the subcommand")
+        given = arg.split("=", 1)[0]
+        takers = {f: [c for c, p in sub.choices.items() if f in p._option_string_actions]
+                  for p in sub.choices.values() for f in p._option_string_actions}
+        named = [f for f in takers if f == given] or [f for f in takers if f.startswith(given)]
+        if given.startswith("--") and len(named) == 1 and not any(
+                f.startswith(given) for f in parser._option_string_actions):
+            parser.error(f"argument {named[0]}: taken by {' and '.join(takers[named[0]])} "
+                         "only, given after the subcommand")
 
 
 def main(argv=None) -> int:

@@ -7,8 +7,9 @@ Module configs extend this with {"wbasis", "wmodes": [{"u", "n", "w",
 "<over>.json" next to the module file.  A config is a module config exactly
 when it has "over" (``is_module_config``); ``load_structure`` refuses one.
 
-A file that cannot be read or decoded (not UTF-8, not JSON, or nested too
-deep for the JSON parser) is refused with ConfigError ("cannot read").
+A file that cannot be read or decoded (not UTF-8, not JSON, nested too deep
+or with a number too long for the JSON parser) is refused with ConfigError
+("cannot read").  A JSON number is read exactly, never through a float.
 A config is refused with ConfigError when it repeats a basis entry or a
 mode record (u, n, v) / (u, n, w), has a basis or wbasis entry with a comma
 (the weak checkers key their witnesses "u,v"), names anything outside the basis it
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+from fractions import Fraction
 
 from .errors import ConfigError
 from .modules import ModuleStructure
@@ -162,11 +164,27 @@ def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+class _Number(Fraction):
+    """A JSON number with a fraction or an exponent: read exactly, shown as
+    written, and refused past an exponent of +-4300, as Python refuses a
+    JSON integer of more digits."""
+
+    def __new__(cls, text):
+        if abs(int(text.lower().partition("e")[2] or 0)) > 4300:
+            raise ValueError("a JSON number has an exponent beyond +-4300")
+        number = super().__new__(cls, text)
+        number.text = text
+        return number
+
+    def __repr__(self):
+        return self.text
+
+
 def load_json(path):
     try:
         with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
+            data = json.load(fh, parse_float=_Number)
+    except (OSError, ValueError, RecursionError) as err:
         raise ConfigError(f"cannot read {path}: {err}") from err
     if not isinstance(data, dict):
         raise ConfigError(f"{path} does not hold a JSON object")

@@ -29,11 +29,10 @@ raises instead of truncating silently.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 
 from .errors import SummabilityError, WindowUnderflowError
-from .scalars import Vec, linear_map
+from .scalars import Vec
 
 INF = None  # open window end
 
@@ -74,10 +73,6 @@ class WindowedSeries:
         for v, exps in zip(out.variables, columns):
             out.window[v] = (min(exps), max(exps))
         return out
-
-    @classmethod
-    def zero(cls, variables):
-        return cls.from_monomials(variables, {})
 
     @classmethod
     def _of(cls, variables, coeffs, window, shape):
@@ -259,21 +254,6 @@ class WindowedSeries:
         return {v: e for v, e in zip(self.variables, key) if e}
 
     # -- calculus ---------------------------------------------------------------
-    def derivative(self, var):
-        i = self.idx(var)
-        coeffs = {}
-        for key, c in self.coeffs.items():
-            e = key[i]
-            if e == 0:
-                continue
-            new = key[:i] + (e - 1,) + key[i + 1:]
-            coeffs[new] = c * e
-        out = self.copy_meta(coeffs)
-        lo, hi = self.window[var]
-        out.window[var] = (lo - 1 if lo is not None else INF,
-                           hi - 1 if hi is not None else INF)
-        return out
-
     def residue(self, var):
         """Series of var^-1 coefficients, var removed from the variable list."""
         if not _known_contains(self.known(var), -1, -1):
@@ -629,27 +609,3 @@ def apply_delta(terms, out_window):
     return WindowedSeries(variables, _made(coeffs), window,
                           {v: (False, False) for v in variables})
 
-
-# ---------------------------------------------------------------------------
-# exponentials of nilpotent endomorphisms
-
-def exp_endo(dop, xvar, vec: Vec, max_steps=64):
-    """e^(x*D) v = sum_k x^k D^k v / k! for a nilpotent endomorphism D.
-
-    ``dop`` maps basis names to Vec images.  Refused if D fails to annihilate
-    the vector within max_steps applications (the series would be infinite).
-    """
-    coeffs = {}
-    cur = vec
-    k = 0
-    fact = 1
-    while cur:
-        if k > max_steps:
-            raise SummabilityError("endomorphism is not nilpotent on this vector")
-        if k:
-            fact *= k
-        c = cur.scale(Fraction(1, fact)) if fact > 1 else cur
-        coeffs[(k,)] = c
-        cur = linear_map(dop, cur)
-        k += 1
-    return WindowedSeries.from_monomials((xvar,), coeffs)

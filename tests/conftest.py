@@ -1,4 +1,6 @@
+import itertools
 from collections import defaultdict
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -7,9 +9,9 @@ from vertexcalc import configio, structures
 from vertexcalc.deltacalc import mono_of, sv_neg
 from vertexcalc.errors import SummabilityError, WindowUnderflowError
 from vertexcalc.rationalforms import pole_statement
-from vertexcalc.scalars import Vec, binom
-from vertexcalc.series import multiply, zero_verdict
-from vertexcalc.structures import WEAK_PAIRS, ModuleStructure, VertexStructure
+from vertexcalc.scalars import Vec, binom, linear_map
+from vertexcalc.series import WindowedSeries, multiply, zero_verdict
+from vertexcalc.structures import WEAK_PAIRS, ModuleStructure, PropertyReport, VertexStructure
 
 
 @pytest.fixture
@@ -104,6 +106,77 @@ def one_skew():
     one = VertexStructure("one", ("1",), {("1", "1"): {-1: Vec.unit("1")}}, vacuum="1")
     return ModuleStructure("one-skew", one, ("w", "k"),
                            {("1", "w"): {-1: Vec.unit("w"), 0: Vec.unit("k")}})
+
+
+def chain(k):
+    """chain-k: basis (1, e0, ..., e_(k-1)), vacuum 1, with 1_(-1) b = b and
+    e_i _(-j-1) 1 = e_(i+j) / j! for i + j < k, every other mode 0.  So
+    Y(e_i,x)1 = e^(xD) e_i for D e_i = e_(i+1), whose nilpotency index is k."""
+    basis = ("1",) + tuple(f"e{i}" for i in range(k))
+    table = {("1", b): {-1: Vec.unit(b)} for b in basis}
+    for i in range(k):
+        table[f"e{i}", "1"] = {-j - 1: Vec({f"e{i + j}": Fraction(1, factorial(j))})
+                               for j in range(k - i)}
+    return VertexStructure(f"chain{k}", basis, table, vacuum="1")
+
+
+def _in_x(coeffs):
+    """The exact series in x of {exponent: coefficient}."""
+    return WindowedSeries.from_monomials(("x",), {(e,): c for e, c in coeffs.items()})
+
+
+def _derivative(series):
+    """d/dx of an exact series in x."""
+    return _in_x({e - 1: c * e for (e,), c in series.coeffs.items() if e})
+
+
+def _exp_xd(S, vec):
+    """e^(xD) vec = sum_k x^k D^k vec / k! as an exact series in x, D
+    applied until it vanishes (S's D is nilpotent within its dimension)."""
+    coeffs = {}
+    while vec:
+        assert len(coeffs) <= len(S.basis), S.name
+        coeffs[len(coeffs)] = vec * Fraction(1, factorial(len(coeffs)))
+        vec = linear_map(S.dop, vec)
+    return _in_x(coeffs)
+
+
+def _exp_xd_series(S, series):
+    """e^(xD) applied to every coefficient of an exact series in x."""
+    out = _in_x({})
+    for (e,), vec in series.coeffs.items():
+        out = out + multiply(_in_x({e: 1}), _exp_xd(S, vec))
+    return out
+
+
+def d_axiom_reference(A, axiom):
+    """The record of one of the four D axioms of ``A`` (``m_d_derivative`` on
+    a module), computed as a series identity in x, independently of the mode
+    forms that ``structures`` decides: Y(u,x)w as a series, flipped in sign,
+    multiplied, differentiated and exponentiated, then judged by
+    ``zero_verdict``.  The first failing pair or element, in the checkers'
+    order, with its least monomial."""
+    S = A.over
+
+    def y(u, w):
+        return _in_x(A.yw_modes(u, w))
+    pairs = list(itertools.product(S.basis, A.wbasis))
+    key, items, difference = {
+        "d_derivative": ("pair", pairs, lambda uw: (
+            y(S.dop.get(uw[0], Vec()), uw[1]) - _derivative(y(*uw)))),
+        "d_bracket": ("pair", pairs, lambda uv: (
+            _in_x({e: linear_map(S.dop, c) for (e,), c in y(*uv).coeffs.items()})
+            - y(uv[0], S.dop.get(uv[1], Vec())) - _derivative(y(*uv)))),
+        "skew_symmetry": ("pair", pairs, lambda uv: (
+            y(*uv) - _exp_xd_series(S, y(*uv[::-1]).flip_sign("x")))),
+        "strong_creation": ("element", S.basis, lambda u: (
+            y(u, S.one) - _exp_xd(S, Vec.unit(u)))),
+    }[axiom.removeprefix("m_")]
+    for item in items:
+        ok, wit = zero_verdict(difference(item))
+        if not ok:
+            return PropertyReport(axiom, "FAIL", {key: item, "monomial": wit[0]})
+    return PropertyReport(axiom, "PASS", {})
 
 
 def witness_is_valid(diff, clear, m, box):

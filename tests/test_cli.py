@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from conftest import double_first_coefficient
+from conftest import chain, double_first_coefficient
 
 from vertexcalc import configio, structures
 from vertexcalc.cli import build_parser, main
@@ -472,11 +472,14 @@ def test_config_that_is_not_an_object_is_refused(tmp_path, capsys):
 @pytest.mark.parametrize("name, body", [
     ("nested.json", b"[" * 100_000 + b"]" * 100_000),
     ("utf16.json", b"\xff\xfe{\x00}\x00"),
-], ids=["deeply-nested", "utf16-bom"])
+    ("long-integer.json", b'{"name": ' + b"9" * 5000 + b"}"),
+    ("far-exponent.json", b'{"name": 1e999999999}'),
+], ids=["deeply-nested", "utf16-bom", "long-integer", "far-exponent"])
 def test_a_config_that_cannot_be_decoded_is_refused(tmp_path, capsys, name, body):
-    # JSON nested past the parser's recursion limit, and bytes that are not
-    # UTF-8, are refused like any unreadable config: exit 3, one line, no
-    # traceback
+    # JSON nested past the parser's recursion limit, bytes that are not
+    # UTF-8, an integer longer than Python reads, and a number whose exact
+    # value would be as long (it is never read through a float), are refused
+    # like any unreadable config: exit 3, one line, no traceback
     path = tmp_path / name
     path.write_bytes(body)
     for argv in (["check", str(path)], ["implication-matrix", str(tmp_path)]):
@@ -492,12 +495,18 @@ def test_a_config_that_cannot_be_decoded_is_refused(tmp_path, capsys, name, body
      "given after the subcommand"),
     (["--m-max", "2", "replay-elem", "--n", "1"],
      "argument --m-max: taken by replay-elem only, given after the subcommand"),
-], ids=["window", "m_max"])
+    (["--win", "3", "check", "X"],
+     "argument --window: taken by prove-deltas and replay-elem only, "
+     "given after the subcommand"),
+    (["--win=3", "check", "X"],
+     "argument --window: taken by prove-deltas and replay-elem only, "
+     "given after the subcommand"),
+], ids=["window", "m_max", "window-prefix", "window-prefix-equals"])
 def test_a_subcommand_flag_before_the_subcommand_is_named(corpus_dir, capsys, argv,
                                                           message):
     # the main parser does not take the flag, and would read its value as the
     # subcommand; the usage error names the flag and the subcommands that take
-    # it instead
+    # it instead, and matches an abbreviated flag as argparse does
     argv = [str(corpus_dir / "borcherds-k3.json") if a == "X" else a for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -505,6 +514,76 @@ def test_a_subcommand_flag_before_the_subcommand_is_named(corpus_dir, capsys, ar
     assert exc.value.code == 3 and captured.out == ""
     assert captured.err.startswith("usage: vertexcalc ")
     assert captured.err.endswith(f"vertexcalc: error: {message}\n")
+
+
+def _with_first_mode(corpus_dir, tmp_path, field, text):
+    """The path of borcherds-k2's config with the JSON text of its first mode
+    record's ``field`` (e0_(-1) e0 = e0) replaced by ``text``."""
+    raw = (corpus_dir / "borcherds-k2.json").read_text()
+    first = {"coeff": '"1"', "n": "-1"} | {field: text}
+    old = '"modes":[{"coeff":{"e0":"1"},"n":-1,'
+    assert old in raw
+    path = tmp_path / "borcherds-k2.json"
+    path.write_text(raw.replace(old, f'"modes":[{{"coeff":{{"e0":{first["coeff"]}}},'
+                                     f'"n":{first["n"]},'))
+    return path
+
+
+def test_a_json_number_is_read_exactly(corpus_dir, tmp_path, capsys):
+    # a coefficient written as a JSON number is read exactly, not through a
+    # float that would round 1.0000000000000000001 to 1: e0_(-1) e0 is then
+    # no longer e0, and the vacuum property FAILs; 1.0 is exactly 1, so the
+    # report is borcherds-k2's own
+    assert main(["check", str(corpus_dir / "borcherds-k2.json"), "--format", "machine"]) == 0
+    own = capsys.readouterr().out
+    path = _with_first_mode(corpus_dir, tmp_path, "coeff", "1.0")
+    assert main(["check", str(path), "--format", "machine"]) == 0
+    assert capsys.readouterr().out == own
+    path = _with_first_mode(corpus_dir, tmp_path, "coeff", "1.0000000000000000001")
+    assert main(["check", str(path), "--format", "machine"]) == 1
+    records = {r["id"]: r for r in json.loads(capsys.readouterr().out)["records"]}
+    assert records["borcherds-k2/vacuum_prop"]["verdict"] == "FAIL"
+    assert records["borcherds-k2/vacuum_prop"]["witness"] == {"element": "e0"}
+
+
+@pytest.mark.parametrize("text", ["-1.5", "-1.0", "-1e0", "-10E-1"])
+def test_a_mode_index_written_as_a_non_integer_number_is_refused(corpus_dir, tmp_path,
+                                                                 capsys, text):
+    # a JSON number with a fraction or an exponent is no mode index, even
+    # where its value is an integer, and the message shows it as written
+    path = _with_first_mode(corpus_dir, tmp_path, "n", text)
+    assert main(["check", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == f"config error: {path}: mode index {text} is not an integer\n"
+
+
+def test_chain70_passes_strong_creation_and_skew_symmetry(tmp_path, capsys):
+    # chain-70's D has nilpotency index 70: the D axioms sum D^j / j! up to
+    # j = 69 on the mode tables, with no step cap of their own
+    path = tmp_path / "chain70.json"
+    configio.dump_json(configio.structure_to_config(chain(70)), path)
+    argv = ["check", str(path), "--axiom", "strong_creation", "--axiom", "skew_symmetry",
+            "--format", "machine"]
+    assert main(argv) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [(r["id"], r["verdict"]) for r in records] == [
+        ("chain70/strong_creation", "PASS"), ("chain70/skew_symmetry", "PASS")]
+
+
+def test_a_structure_whose_derived_d_is_not_nilpotent_is_refused(tmp_path, capsys):
+    # basis (1, a) with a_(-2) 1 = a: D a = a is not nilpotent, and the member
+    # is refused at construction (a decision; see VertexStructure._derive_dop)
+    path = tmp_path / "not-nilpotent.json"
+    configio.dump_json({"name": "not-nilpotent", "basis": ["1", "a"], "vacuum": "1",
+                        "modes": [{"u": "1", "n": -1, "v": b, "coeff": {b: "1"}}
+                                  for b in ("1", "a")]
+                        + [{"u": "a", "n": -2, "v": "1", "coeff": {"a": "1"}}],
+                        "tags": []}, path)
+    assert main(["check", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == "error: derived derivation operator is not nilpotent\n"
 
 
 def test_corpus_commands_read_each_config_once(corpus_dir, monkeypatch, capsys):

@@ -55,7 +55,7 @@ def test_expand_then_shift_equals_expand_of_shifted_form():
 
 def test_zero_instance_satisfies_A():
     inst_zero = instance_from_form(RationalForm({(0, 0): 1}, 0, 0, 0), N=4)
-    inst = type(inst_zero)(*(WindowedSeries.zero(v) for v in (
+    inst = type(inst_zero)(*(WindowedSeries.from_monomials(v, {}) for v in (
         ("x1", "x2"), ("x2", "x1"), ("x2", "x0"))), None, inst_zero.gen_hi)
     ok, witness = check_A(inst, 4)
     assert ok and witness is None

@@ -14,7 +14,6 @@ from vertexcalc.series import (
     add_power,
     apply_delta,
     binomial_power,
-    exp_endo,
     multiply,
     taylor_substitute,
 )
@@ -161,14 +160,7 @@ def test_automorphism_property_on_polynomials():
 
 
 # ---------------------------------------------------------------------------
-# derivative / residue / coeff
-
-def test_derivative_power_rule():
-    s = poly(("x",), {(-1,): 1})
-    d = s.derivative("x")
-    assert d.coeff({"x": -2}) == -1
-    assert d.coeff({"x": -1}) == 0
-
+# residue / coeff
 
 def test_residue_reads_minus_one_slice():
     s = poly(("x",), {(-1,): 3, (2,): 1})
@@ -177,11 +169,12 @@ def test_residue_reads_minus_one_slice():
 
 
 def test_residue_of_derivative_vanishes():
+    # d/dx sum_e c_e x^e = sum_e e c_e x^(e-1) has x^-1 coefficient 0 c_0
     rng = random.Random(5)
     for _ in range(10):
         entries = {(rng.randint(-4, 4),): rng.randint(-5, 5) for _ in range(5)}
-        s = poly(("x",), entries)
-        assert s.derivative("x").residue("x").coeffs == {}
+        s = poly(("x",), {(e - 1,): e * c for (e,), c in entries.items()})
+        assert s.residue("x").coeffs == {}
 
 
 def test_coeff_outside_window_refused():
@@ -191,37 +184,6 @@ def test_coeff_outside_window_refused():
     assert geo.coeff({"x": -2}) == 0
     with pytest.raises(WindowUnderflowError):
         geo.coeff({"x": 4})
-
-
-# ---------------------------------------------------------------------------
-# exp of a nilpotent endomorphism
-
-def test_exp_endo_zero_map():
-    v = Vec({"e0": 2, "e1": -1})
-    out = exp_endo({}, "x", v)
-    assert out.coeffs == {(0,): v}
-
-
-def test_exp_endo_truncated_polynomial_derivation():
-    # D = d/dt on Q[t]/(t^3): e^(xD) t^2 = t^2 + 2 t x + x^2
-    dop = {"e1": Vec({"e0": 1}), "e2": Vec({"e1": 2})}
-    out = exp_endo(dop, "x", Vec.unit("e2"))
-    assert out.coeff({"x": 0}) == Vec.unit("e2")
-    assert out.coeff({"x": 1}) == Vec({"e1": 2})
-    assert out.coeff({"x": 2}) == Vec({"e0": 1})
-    assert out.coeff({"x": 3}) == 0
-
-
-def test_exp_endo_degree_bounded_by_nilpotency():
-    dop = {"e1": Vec({"e0": 1}), "e2": Vec({"e1": 1}), "e3": Vec({"e2": 1})}
-    out = exp_endo(dop, "x", Vec.unit("e3"))
-    assert max(k[0] for k in out.coeffs) <= 3
-
-
-def test_exp_endo_refuses_non_nilpotent():
-    dop = {"e0": Vec.unit("e0")}
-    with pytest.raises(SummabilityError):
-        exp_endo(dop, "x", Vec.unit("e0"))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 from conftest import (_weak_difference, assert_one_build_per_member_and_kind,
-                      double_first_coefficient, is_zero, one_skew, skew_pole, slot_triple,
-                      witness_is_valid)
+                      d_axiom_reference, double_first_coefficient, is_zero, one_skew,
+                      skew_pole, slot_triple, witness_is_valid)
 
 from vertexcalc import cli, configio, deltacalc, rationalforms, series, structures
 from vertexcalc.corpus import (
@@ -24,7 +24,7 @@ from vertexcalc.corpus import (
 )
 from vertexcalc.errors import (ConsistencyViolationError, ConstructionError,
                                VertexCalcError, WindowUnderflowError)
-from vertexcalc.scalars import Vec
+from vertexcalc.scalars import Vec, linear_map
 from vertexcalc.series import INF, WindowedSeries, taylor_substitute
 from vertexcalc.structures import (
     AXIOMS,
@@ -37,6 +37,7 @@ from vertexcalc.structures import (
     check_axiom,
     check_jacobi,
     divided_power_table,
+    divided_powers,
     minimal_pole_order,
     replay_corpus,
     restrict,
@@ -83,6 +84,53 @@ def test_divided_power_table_refuses_a_derivation_that_is_not_nilpotent():
                             ("a",))
 
 
+def test_divided_powers_of_the_zero_map():
+    v = Vec({"e0": 2, "e1": -1})
+    assert divided_powers({}, v, 0, "unused") == [v]
+
+
+def test_divided_powers_of_a_truncated_polynomial_derivation():
+    # D = d/dt on Q[t]/(t^3): e^(xD) t^2 = t^2 + 2 t x + x^2
+    dop = {"e1": Vec({"e0": 1}), "e2": Vec({"e1": 2})}
+    assert divided_powers(dop, Vec.unit("e2"), 3, "unused") == [
+        Vec.unit("e2"), Vec({"e1": 2}), Vec({"e0": 1})]
+
+
+def test_divided_powers_stop_at_the_nilpotency_index():
+    # D e3 = e2, D e2 = e1, D e1 = e0: D^4 e3 = 0, and D^3 e3 / 3! = e0 / 6
+    dop = {"e1": Vec({"e0": 1}), "e2": Vec({"e1": 1}), "e3": Vec({"e2": 1})}
+    powers = divided_powers(dop, Vec.unit("e3"), 4, "unused")
+    assert len(powers) == 4 and powers[3] == Vec({"e0": Fraction(1, 6)})
+
+
+def test_divided_powers_refuse_past_their_bound():
+    # D^(bound + 1) v must vanish: D a = a never does, and on chain-k's
+    # basis, D^k e0 = 0 passes the bound k - 1 and fails the bound k - 2
+    with pytest.raises(ConstructionError, match="^not nilpotent here$"):
+        divided_powers({"a": Vec.unit("a")}, Vec.unit("a"), 5, "not nilpotent here")
+    dop = {f"e{i}": Vec.unit(f"e{i + 1}") for i in range(4)}
+    assert len(divided_powers(dop, Vec.unit("e0"), 4, "unused")) == 5
+    with pytest.raises(ConstructionError, match="^refused$"):
+        divided_powers(dop, Vec.unit("e0"), 3, "refused")
+
+
+def test_d_axioms_equal_their_series_reference():
+    # the mode forms that decide the four D axioms give the records of the
+    # series identities that they are components of (``d_axiom_reference``)
+    members = full_corpus() + full_module_corpus() + _seeded_edits(200, 17)
+    compared, failed = 0, 0
+    for A in members:
+        if A.over.vacuum is None:
+            continue
+        for axiom in (("skew_symmetry", "d_derivative", "d_bracket", "strong_creation")
+                      if A.over is A else ("m_d_derivative",)):
+            got = check_axiom(A, axiom).to_json()
+            assert got == d_axiom_reference(A, axiom).to_json(), (A.name, axiom)
+            compared += 1
+            failed += got["verdict"] == "FAIL"
+    assert compared >= 484 and failed >= 327, (compared, failed)
+
+
 def test_creation_prop_fails_on_negative_powers_acting_on_the_vacuum():
     # a mode e1_0 1 = e1 with n >= 0 puts x^-1 into Y(e1,x)1
     S = borcherds_structure(3).mutate("neg", {("e1", 0, "e0"): Vec.unit("e1")})
@@ -106,10 +154,15 @@ def test_vacuum_acts_as_identity():
         assert S.yw_modes("e0", v) == {0: Vec.unit(v)}
 
 
+def _series_in(var, modes):
+    """The Laurent polynomial in ``var`` of modes {exponent: Vec}."""
+    return WindowedSeries.from_monomials((var,), {(e,): c for e, c in modes.items()})
+
+
 def test_compose_with_vacuum_drops_first_variable():
     S = borcherds_structure(3)
     got = slot_triple(S, "e0", "e1", "e1").f
-    direct = S.yw_series("e1", "e1").rename({"x": "x2"})
+    direct = _series_in("x2", S.yw_modes("e1", "e1"))
     assert is_zero(got - direct.align(("x1", "x2")))
 
 
@@ -120,7 +173,7 @@ def test_iterate_on_vacuum_is_taylor_shift():
     for u in S.basis:
         for w in S.basis:
             left = slot_triple(S, u, "e0", w, stacks).h
-            base = S.yw_series(u, w).rename({"x": "t"})
+            base = _series_in("t", S.yw_modes(u, w))
             right = taylor_substitute(base, "t", (1, "x2"), (1, "x0"))
             assert is_zero(left - right.align(("x0", "x2")))
 
@@ -261,7 +314,7 @@ def test_skew_symmetry_component_form():
                             continue
                         img = vec
                         for _ in range(j):
-                            img = S.d_apply(img)
+                            img = linear_map(S.dop, img)
                         sign = -1 if (n + j + 1) % 2 else 1
                         rhs = rhs + img.scale(Fraction(sign, factorial(j)))
                     assert modes_uv.get(n, Vec()) == rhs, (S.name, u, v, n)
@@ -273,7 +326,7 @@ def test_d_bracket_component_form():
     for u in S.basis:
         for v in S.basis:
             for n, vec in S.ytable.get((u, v), {}).items():
-                lhs = S.d_apply(vec)
+                lhs = linear_map(S.dop, vec)
                 du = S.dop.get(u, Vec())
                 dv = S.dop.get(v, Vec())
                 rhs = Vec()
@@ -285,30 +338,21 @@ def test_d_bracket_component_form():
 
 
 def test_exponentiated_conjugation_form():
-    # e^(zD) Y(u,x) v = Y(u, x+z) e^(zD) v as polynomial identity
-    from vertexcalc.series import WindowedSeries, exp_endo, multiply
+    # e^(zD) Y(u,x) v = Y(u, x+z) e^(zD) v as polynomial identity, each
+    # e^(zD) from the divided powers [D^j / j!] (``VertexStructure.exp_d``)
     S = borcherds_structure(4)
     for u in S.basis:
         for v in S.basis:
-            yuv = S.yw_series(u, v)
-            lhs_coeffs = {}
-            for key, vec in yuv.coeffs.items():
-                piece = exp_endo(S.dop, "z", vec)
-                for zkey, zvec in piece.coeffs.items():
-                    full = (key[0], zkey[0])
-                    prev = lhs_coeffs.get(full)
-                    lhs_coeffs[full] = zvec if prev is None else prev + zvec
-            lhs = WindowedSeries.from_monomials(("x", "z"), lhs_coeffs)
-            ezv = exp_endo(S.dop, "z", Vec.unit(v))
-            rhs_coeffs = {}
-            for zkey, zvec in ezv.coeffs.items():
+            lhs = {(e, j): zvec for e, vec in S.yw_modes(u, v).items()
+                   for j, zvec in enumerate(S.exp_d(vec))}
+            rhs = {}
+            for j, zvec in enumerate(S.exp_d(Vec.unit(v))):
                 for e, vec in S.yw_modes(u, zvec).items():
-                    full = (e, zkey[0])
-                    prev = rhs_coeffs.get(full)
-                    rhs_coeffs[full] = vec if prev is None else prev + vec
-            rhs = WindowedSeries.from_monomials(("t", "z"), rhs_coeffs)
-            rhs = taylor_substitute(rhs, "t", (1, "x"), (1, "z"))
-            assert is_zero(lhs - rhs.align(("x", "z"))), (u, v)
+                    rhs[e, j] = rhs.get((e, j), 0) + vec
+            rhs = taylor_substitute(WindowedSeries.from_monomials(("t", "z"), rhs),
+                                    "t", (1, "x"), (1, "z"))
+            diff = WindowedSeries.from_monomials(("x", "z"), lhs) - rhs.align(("x", "z"))
+            assert is_zero(diff), (u, v)
 
 
 def test_vfss_equivalent_to_ss_plus_dder_at_verdict_level():

@@ -10,6 +10,7 @@ import re
 import runpy
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -111,6 +112,28 @@ def test_exact_jacobi_route_shares_no_name_with_the_windowed_routes():
                     decide(inst)
                 declined += 1
     assert refused >= 6 and declined >= 16, (refused, declined)
+
+
+def test_d_axioms_share_no_name_with_the_windowed_routes():
+    # the four D checkers decide the component identities of their axioms on
+    # the plain mode dicts: they, and every helper they call, read no name
+    # that series (the windowed series) or deltacalc (route 1) defines, and
+    # the series forms they once read are gone
+    from vertexcalc import scalars, series, structures
+    route = (structures.check_d_derivative, structures.check_d_bracket,
+             structures.check_skew_symmetry, structures.check_strong_creation,
+             structures._first_failing, structures.PropertyReport,
+             structures.VertexStructure.exp_d, structures.divided_powers,
+             structures.ModuleStructure.yw_modes, structures._modes, scalars.linear_map)
+    tree = ast.parse("\n".join(textwrap.dedent(inspect.getsource(fn)) for fn in route))
+    windowed = (_defined_names(os.path.join(PACKAGE, "series.py"))
+                | _defined_names(os.path.join(PACKAGE, "deltacalc.py")))
+    assert {"WindowedSeries", "multiply", "zero_verdict", "judged_coeffs", "taylor_substitute",
+            "window_coeffs"} <= windowed
+    assert not _referenced_names(tree) & windowed, sorted(_referenced_names(tree) & windowed)
+    assert not hasattr(series, "exp_endo") and not hasattr(series.WindowedSeries, "derivative")
+    assert not hasattr(structures, "_exp_d_apply")
+    assert not hasattr(structures.ModuleStructure, "yw_series")
 
 
 def test_series_builds_on_errors_and_scalars_alone():

@@ -11,7 +11,8 @@ Layers, bottom up:
   (a structure is its own regular module), twelve axiom checkers of which
   seven run on an action, one dispatcher and one replay of the replacement
   rows for structures and modules alike, the built-in testbed;
-* ``modules`` — module construction from algebra actions;
+* ``modules`` — the module axiom names, and module construction from algebra
+  actions (``structures.module_construct``);
 * ``configio`` / ``cli`` — config files, deterministic reports, subcommands.
 """
 

@@ -169,18 +169,13 @@ def cmd_examples(args):
     written = []
     with _writing(outdir):
         os.makedirs(outdir, exist_ok=True)
-        for S in corpus.full_corpus():
-            path = os.path.join(outdir, f"{S.name}.json")
-            configio.dump_json(configio.structure_to_config(S), path)
-            written.append(path)
-        for M in corpus.full_module_corpus():
-            path = os.path.join(outdir, f"{M.name}.module.json")
-            configio.dump_json(configio.module_to_config(M), path)
-            written.append(path)
-            base = os.path.join(outdir, f"{M.over.name}.json")
-            if not os.path.exists(base):
-                configio.dump_json(configio.structure_to_config(M.over), base)
-                written.append(base)
+        for A in corpus.full_corpus() + corpus.full_module_corpus():
+            # a module, then its base structure unless that is written already
+            for B in [A] if A.over is A else [A, A.over]:
+                path = os.path.join(outdir, B.name + ("" if B.over is B else ".module") + ".json")
+                if B is A or not os.path.exists(path):
+                    configio.dump_json(configio.member_to_config(B), path)
+                    written.append(path)
     sys.stdout.write("\n".join(written) + "\n")
     return EXIT_PASS
 

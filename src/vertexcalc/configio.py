@@ -2,10 +2,13 @@
 
 Structure configs:  {"name", "basis": [...], "modes": [{"u", "n", "v",
 "coeff": {basis: "p/q"}}...], "vacuum": name-or-null, "tags": [...]}.
-Module configs extend this with {"wbasis", "wmodes": [{"u", "n", "w",
-"coeff"}...], "over": "structure-name"}; the base structure is resolved as
+Module configs have "wbasis", "wmodes" and "w" for "basis", "modes" and
+"v", and "over": "structure-name" for "vacuum", the base structure being
 "<over>.json" next to the module file.  A config is a module config exactly
-when it has "over" (``is_module_config``); ``load_structure`` refuses one.
+when it has "over" (``is_module_config``).  A structure is its own regular
+module, so one reader (``member_from_config``) and one writer
+(``member_to_config``) serve both kinds, through the keys and refusal
+labels of the kind table ``KINDS``.
 
 A file that cannot be read or decoded (not UTF-8, not JSON, nested too deep
 or with a number too long for the JSON parser) is refused with ConfigError
@@ -16,7 +19,9 @@ mode record (u, n, v) / (u, n, w), has a basis or wbasis entry with a comma
 refers to, has a mode index that is not an integer or a coefficient that is
 not a rational, lacks a required key (named as "missing key 'modes'") or
 has a part of the wrong JSON type (named as "'basis' is not a JSON list"
-or "'name' is not a JSON string"); the message opens with the file's path.
+or "'name' is not a JSON string"), and as a construction law refuses it
+(a derived D that is not nilpotent or does not kill the vacuum).  Every
+refusal of a file's member opens with the file's path (``_parsed``).
 
 Machine reports are canonical JSON (sorted keys, fixed separators, no
 timestamps or durations) so identical config + seed gives identical bytes.
@@ -27,10 +32,9 @@ import json
 import os
 from fractions import Fraction
 
-from .errors import ConfigError
-from .modules import ModuleStructure
+from .errors import ConfigError, ConstructionError
 from .scalars import Vec, parse_scalar
-from .structures import VertexStructure
+from .structures import ModuleStructure, VertexStructure
 
 
 def _names(names, what):
@@ -53,13 +57,6 @@ def _member(name, basis, what):
     return name
 
 
-def _mode_index(n):
-    """A mode index, refused unless it is a JSON integer."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ConfigError(f"mode index {n!r} is not an integer")
-    return n
-
-
 def _typed(value, kind, what):
     """``value``, refused unless it is a JSON ``kind``: list, object, string."""
     if not isinstance(value, {"list": list, "object": dict, "string": str}[kind]):
@@ -67,91 +64,83 @@ def _typed(value, kind, what):
     return value
 
 
-def _add_mode(table, u, n, v, coeff, what):
-    """Enter one mode record, refusing a second record of the same (u, n, v)."""
-    modes = table.setdefault((u, v), {})
-    if n in modes:
-        raise ConfigError(f"{what} ({u}, {n}, {v}) is listed twice")
-    modes[n] = coeff
-
-
-def _coeff(data, basis, what):
+def _coeff(data, basis, kind):
     """A {basis: "p/q"} coefficient as a Vec, refusing names outside ``basis``
     and values that are not rationals (such as "1/0", "x/y" or a JSON
-    boolean, which Python would read as 1 or 0)."""
+    boolean, which Python would read as 1 or 0), in the labels of ``kind``."""
     entries = {}
-    for name, value in _typed(data, "object", f"{what} 'coeff'").items():
-        _member(name, basis, f"{what} coefficient key")
+    for name, value in _typed(data, "object", kind.coeff).items():
+        _member(name, basis, kind.key)
         try:
             if isinstance(value, bool):
                 raise ValueError(value)
             entries[name] = parse_scalar(value)
         except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"{what} coefficient {value!r} of {name!r} "
+            raise ConfigError(f"{kind.mode} coefficient {value!r} of {name!r} "
                               "is not a rational") from None
     return Vec(entries)
 
 
-def _mode_records(table, target):
-    """A mode table as config records, the acted-on name under ``target``."""
-    return [{"u": u, "n": n, target: w, "coeff": modes[n].to_json()}
-            for (u, w), modes in sorted(table.items()) for n in sorted(modes)]
+class _Kind:
+    """The keys of one kind of member config, and the labels of its
+    refusals, each formatted once."""
+
+    def __init__(self, basis, modes, target, mode, config):
+        self.basis, self.modes, self.target, self.config = basis, modes, target, config
+        self.basis_list, self.modes_list = f"'{basis}'", f"'{modes}'"
+        self.entry, self.u, self.w = f"a '{modes}' entry", f"{mode} u", f"{mode} {target}"
+        self.mode, self.coeff, self.key = mode, f"{mode} 'coeff'", f"{mode} coefficient key"
 
 
-def structure_to_config(S: VertexStructure) -> dict:
-    return {"name": S.name, "basis": list(S.basis),
-            "modes": _mode_records(S.ytable, "v"),
-            "vacuum": S.vacuum, "tags": list(S.tags)}
+# the keys and refusal labels of each kind of member config
+KINDS = {"structure": _Kind("basis", "modes", "v", "mode", "structure"),
+         "module": _Kind("wbasis", "wmodes", "w", "module mode", "module")}
 
 
-def structure_from_config(data: dict) -> VertexStructure:
+def member_to_config(A: ModuleStructure) -> dict:
+    """The config of a structure or of a module."""
+    kind = KINDS["structure" if A.over is A else "module"]
+    own = {"vacuum": A.vacuum} if A.over is A else {"over": A.over.name}
+    return {"name": A.name, kind.basis: list(A.wbasis), **own, "tags": list(A.tags),
+            kind.modes: [{"u": u, "n": n, kind.target: w, "coeff": modes[n].to_json()}
+                         for (u, w), modes in sorted(A.ywtable.items())
+                         for n in sorted(modes)]}
+
+
+def member_from_config(data: dict, over: VertexStructure | None = None) -> ModuleStructure:
+    """The structure of a structure config, or, given the structure ``over``
+    that it names, the module of a module config."""
+    kind = KINDS["structure" if over is None else "module"]
     try:
-        basis = _names(_typed(data["basis"], "list", "'basis'"), "basis")
-        vacuum = data.get("vacuum")
-        if vacuum is not None:
-            _member(vacuum, basis, "vacuum")
-        table = {}
-        for rec in _typed(data["modes"], "list", "'modes'"):
-            _typed(rec, "object", "a 'modes' entry")
-            u = _member(rec["u"], basis, "mode u")
-            v = _member(rec["v"], basis, "mode v")
-            _add_mode(table, u, _mode_index(rec["n"]), v,
-                      _coeff(rec["coeff"], basis, "mode"), "mode")
-        return VertexStructure(_typed(data["name"], "string", "'name'"),
-                               basis, table, vacuum=vacuum,
-                               tags=_typed(data.get("tags", []), "list", "'tags'"))
-    except KeyError as err:
-        raise ConfigError(f"bad structure config: missing key {err}") from err
-    except (TypeError, ValueError, AttributeError, ZeroDivisionError) as err:
-        raise ConfigError(f"bad structure config: {err}") from err
-
-
-def module_to_config(M: ModuleStructure) -> dict:
-    return {"name": M.name, "over": M.over.name,
-            "wbasis": list(M.wbasis), "wmodes": _mode_records(M.ywtable, "w"),
-            "tags": list(M.tags)}
-
-
-def module_from_config(data: dict, over: VertexStructure) -> ModuleStructure:
-    try:
-        if data["over"] != over.name:
+        if over is not None and data["over"] != over.name:
             raise ConfigError(
                 f"module expects base {data['over']!r}, got {over.name!r}")
-        wbasis = _names(_typed(data["wbasis"], "list", "'wbasis'"), "wbasis")
-        table = {}
-        for rec in _typed(data["wmodes"], "list", "'wmodes'"):
-            _typed(rec, "object", "a 'wmodes' entry")
-            u = _member(rec["u"], over.basis, "module mode u")
-            w = _member(rec["w"], wbasis, "module mode w")
-            _add_mode(table, u, _mode_index(rec["n"]), w,
-                      _coeff(rec["coeff"], wbasis, "module mode"), "module mode")
-        return ModuleStructure(_typed(data["name"], "string", "'name'"),
-                               over, wbasis, table,
-                               tags=_typed(data.get("tags", []), "list", "'tags'"))
+        basis = _names(_typed(data[kind.basis], "list", kind.basis_list), kind.basis)
+        ubasis = basis if over is None else over.basis
+        vacuum = data.get("vacuum") if over is None else None
+        if vacuum is not None:
+            _member(vacuum, basis, "vacuum")
+        table, target = {}, kind.target
+        for rec in _typed(data[kind.modes], "list", kind.modes_list):
+            _typed(rec, "object", kind.entry)
+            u = _member(rec["u"], ubasis, kind.u)
+            w = _member(rec[target], basis, kind.w)
+            n = rec["n"]
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise ConfigError(f"mode index {n!r} is not an integer")
+            coeff, modes = _coeff(rec["coeff"], basis, kind), table.setdefault((u, w), {})
+            if n in modes:
+                raise ConfigError(f"{kind.mode} ({u}, {n}, {w}) is listed twice")
+            modes[n] = coeff
+        name = _typed(data["name"], "string", "'name'")
+        tags = _typed(data.get("tags", []), "list", "'tags'")
+        if over is None:
+            return VertexStructure(name, basis, table, vacuum=vacuum, tags=tags)
+        return ModuleStructure(name, over, basis, table, tags=tags)
     except KeyError as err:
-        raise ConfigError(f"bad module config: missing key {err}") from err
+        raise ConfigError(f"bad {kind.config} config: missing key {err}") from err
     except (TypeError, ValueError, AttributeError, ZeroDivisionError) as err:
-        raise ConfigError(f"bad module config: {err}") from err
+        raise ConfigError(f"bad {kind.config} config: {err}") from err
 
 
 def dump_json(data, path):
@@ -197,12 +186,13 @@ def is_module_config(data) -> bool:
     return "over" in data
 
 
-def _parsed(path, parse, *args):
-    """``parse(*args)``, with the path of the file it reads before any
-    ConfigError it raises."""
+def _parsed(path, data, over=None):
+    """``member_from_config(data, over)``: every refusal of the member of the
+    file at ``path``, by the reader (ConfigError) or by a construction law
+    (ConstructionError), as a ConfigError that opens with the path."""
     try:
-        return parse(*args)
-    except ConfigError as err:
+        return member_from_config(data, over)
+    except (ConfigError, ConstructionError) as err:
         raise ConfigError(f"{path}: {err}") from None
 
 
@@ -211,7 +201,7 @@ def load_structure(path, data=None) -> VertexStructure:
     data = load_json(path) if data is None else data
     if is_module_config(data):
         raise ConfigError(f"{path} is a module config; use check-module")
-    return _parsed(path, structure_from_config, data)
+    return _parsed(path, data)
 
 
 def load_module(path, data=None, base=load_structure) -> ModuleStructure:
@@ -223,7 +213,7 @@ def load_module(path, data=None, base=load_structure) -> ModuleStructure:
     base_path = os.path.join(os.path.dirname(path) or ".", f"{data['over']}.json")
     if not os.path.exists(base_path):
         raise ConfigError(f"base structure file {base_path} not found")
-    return _parsed(path, module_from_config, data, base(base_path))
+    return _parsed(path, data, base(base_path))
 
 
 def machine_report(command, seed, params, records) -> str:

@@ -13,7 +13,7 @@ oracle, to break the axioms named in its tags.
 from __future__ import annotations
 
 from .scalars import Vec
-from .structures import borcherds_construct, restrict
+from .structures import borcherds_construct, module_construct, restrict
 
 FAMILY_K = (2, 3, 4, 5)
 
@@ -151,7 +151,6 @@ def _module_data(k, which):
 
 
 def make_module(k, which, name=None, tags=("valid",)):
-    from .modules import module_construct
     S = borcherds_structure(k)
     basis, mult, dmap = truncated_polynomial_algebra(k)
     wbasis, action = _module_data(k, which)

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import NamedTuple
 
@@ -300,6 +301,16 @@ def divided_power_table(basis, derivation, product, targets):
     return table
 
 
+def _associative(basis, mult, action, targets, refusal):
+    """Refuse (ConstructionError(refusal), at the first basis triple that
+    fails) an ``action`` on ``targets`` that is not associative over the
+    product ``mult`` of ``basis``: (ab).w = a.(b.w)."""
+    for a, b, w in itertools.product(basis, basis, targets):
+        if (_alg_mul(action, mult.get((a, b), Vec()), Vec.unit(w))
+                != _alg_mul(action, Vec.unit(a), action.get((b, w), Vec()))):
+            raise ConstructionError(f"{refusal} at ({a},{b},{w})")
+
+
 def borcherds_construct(name, basis, mult, derivation, unit=None, tags=()):
     """Vertex structure Y(u,x)v = (e^(xD) u) v from a commutative algebra.
 
@@ -315,13 +326,7 @@ def borcherds_construct(name, basis, mult, derivation, unit=None, tags=()):
             ba = mult.get((b, a), Vec())
             if ab != ba:
                 raise ConstructionError(f"product not commutative at ({a},{b})")
-    for a in basis:
-        for b in basis:
-            for c in basis:
-                left = _alg_mul(mult, mult.get((a, b), Vec()), Vec.unit(c))
-                right = _alg_mul(mult, Vec.unit(a), mult.get((b, c), Vec()))
-                if left != right:
-                    raise ConstructionError(f"product not associative at ({a},{b},{c})")
+    _associative(basis, mult, mult, basis, "product not associative")
     for a in basis:
         for b in basis:
             lhs = linear_map(derivation, mult.get((a, b), Vec()))
@@ -335,6 +340,18 @@ def borcherds_construct(name, basis, mult, derivation, unit=None, tags=()):
                 raise ConstructionError(f"unit law fails at {b}")
     ytable = divided_power_table(basis, derivation, mult, basis)
     return VertexStructure(name, basis, ytable, vacuum=unit, tags=tags)
+
+
+def module_construct(S: VertexStructure, mult, derivation, wbasis, action,
+                     name, tags=()):
+    """Module Y_W(u,x)w = (e^(xD)u) . w from an algebra action: ``action``
+    maps (algebra basis, module basis) to module Vecs, and must be associative
+    over the product ``mult`` of the algebra (``_associative``), whose
+    ``derivation`` acts on the algebra side only."""
+    wbasis = tuple(wbasis)
+    _associative(S.basis, mult, action, wbasis, "action not associative over the product")
+    ywtable = divided_power_table(S.basis, derivation, action, wbasis)
+    return ModuleStructure(name, S, wbasis, ywtable, tags=tags)
 
 
 def restrict(S: VertexStructure, sub_basis, name, tags=()):
@@ -404,7 +421,8 @@ def _products(A: ModuleStructure, kind, triples):
 
 class MemberStacks:
     """Every triple (u, v, w) of one member, in ``over.basis`` x ``over.basis``
-    x ``wbasis`` order, and the member stack of each slot, f, g, h or "hs",
+    x ``wbasis`` order, listed on first read (so a check that reads no stack
+    never lists them), and the member stack of each slot, f, g, h or "hs",
     the swapped h (slot h of (v, u, w), labelled (u, v, w)): the first read
     of f or g writes both, and of h or hs both of those (``_stacks``), each
     keying a label by its id (``label_ids``).  The guards read a triple's
@@ -413,10 +431,13 @@ class MemberStacks:
 
     def __init__(self, A: ModuleStructure, *, memo=None):
         self.A = A
-        self.triples = [(u, v, w) for u in A.over.basis
-                        for v in A.over.basis for w in A.wbasis]
         self.memo = {} if memo is None else memo
         self._stacks, self._ids = {}, {}
+
+    @cached_property
+    def triples(self):
+        A = self.A
+        return [(u, v, w) for u in A.over.basis for v in A.over.basis for w in A.wbasis]
 
     def label_ids(self):
         """{(u, v, w): {w': id of the label (u, v, w, w')}} of every triple,

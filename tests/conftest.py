@@ -275,3 +275,54 @@ def expand_signed_power_reference(head_sv, tail_svs, exp, need):
 
     rec(0, [])
     return {k: v for k, v in out.items() if v}
+
+
+def borcherds_route(member, N):
+    """Route 1's coefficients of the Jacobi identity of ``member`` (a
+    ``MemberStacks``) on the box [-N, N]^3, from the Borcherds identity on
+    the mode tables: the coefficient of x0^(-l-1) x1^(-m-1) x2^(-n-1) at
+    (u, v, w) is
+
+        sum_i (-1)^i C(l,i) [u_(m+l-i) v_(n+i) w - (-1)^l v_(n+l-i) u_(m+i) w]
+        - sum_i C(m,i) (u_(l+i) v)_(m+n-i) w
+
+    over i >= 0, for l, m and n in [-N-1, N-1].  Each sum is keyed as route 1
+    keys it, ``mono_of`` of (-l-1, -m-1, -n-1), and its coefficient is a Vec
+    over the label ids of ``member.label_ids()``; only the nonzero ones are
+    kept.  The products are read straight from the mode tables ``ywtable``
+    and ``over.ywtable``, so that the route shares no code with the stack
+    writer.  A sign (-1)^l is taken from the parity of l: ``(-1) ** l`` is a
+    float for l < 0."""
+    A, ids, lo, hi = member.A, member.label_ids(), -N - 1, N - 1
+    out = defaultdict(lambda: defaultdict(int))
+
+    def add(l, m, n, labels, c, vec):
+        row = out[mono_of({"x0": -l - 1, "x1": -m - 1, "x2": -n - 1})]
+        for b, x in vec.entries.items():
+            row[labels[b]] += c * x
+
+    def sign(k):
+        return -1 if k % 2 else 1
+
+    for u, v, w in member.triples:
+        # u_a v_b w: (-1)^i C(l,i) at (l, a-l+i, b-i) to the labels of
+        # (u, v, w), and -(-1)^l (-1)^i C(l,i) at (l, b-i, a-l+i) to those of
+        # (v, u, w); both keep m and n in range for the same i
+        for b, vb in A.ywtable.get((v, w), {}).items():
+            for x, cx in vb.entries.items():
+                for a, va in A.ywtable.get((u, x), {}).items():
+                    for l in range(lo, hi + 1):
+                        top = min(b - lo, hi - a + l, l if l >= 0 else b - lo)
+                        for i in range(max(0, lo - a + l, b - hi), top + 1):
+                            c = sign(i) * binom(l, i) * cx
+                            add(l, a - l + i, b - i, ids[u, v, w], c, va)
+                            add(l, b - i, a - l + i, ids[v, u, w], -sign(l) * c, va)
+        # (u_p v)_q w: -C(m,i) at (p-i, m, q+i-m) to the labels of (u, v, w)
+        for p, uv in A.over.ywtable.get((u, v), {}).items():
+            for x, cx in uv.entries.items():
+                for q, xw in A.ywtable.get((x, w), {}).items():
+                    for m in range(lo, hi + 1):
+                        top = min(p - lo, hi - q + m, m if m >= 0 else p - lo)
+                        for i in range(max(0, p - hi, lo - q + m), top + 1):
+                            add(p - i, m, q + i - m, ids[u, v, w], -binom(m, i) * cx, xw)
+    return {key: vec for key, row in out.items() if (vec := Vec(row))}

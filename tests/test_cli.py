@@ -143,7 +143,7 @@ def test_flag_position_is_irrelevant(tmp_path):
 
 def test_structure_config_round_trip(tmp_path):
     S = borcherds_structure(4)
-    cfg = configio.structure_to_config(S)
+    cfg = configio.member_to_config(S)
     path = tmp_path / "s.json"
     configio.dump_json(cfg, path)
     S2 = configio.load_structure(str(path))
@@ -154,17 +154,17 @@ def test_structure_config_round_trip(tmp_path):
 def test_mutant_config_round_trip(tmp_path):
     S = mutants()[0]
     path = tmp_path / "m.json"
-    configio.dump_json(configio.structure_to_config(S), path)
+    configio.dump_json(configio.member_to_config(S), path)
     S2 = configio.load_structure(str(path))
     assert S2.ytable == S.ytable
 
 
 def test_module_config_round_trip(tmp_path):
     M = make_module(3, "quotient")
-    configio.dump_json(configio.structure_to_config(M.over),
+    configio.dump_json(configio.member_to_config(M.over),
                        tmp_path / f"{M.over.name}.json")
     path = tmp_path / "mod.json"
-    configio.dump_json(configio.module_to_config(M), path)
+    configio.dump_json(configio.member_to_config(M), path)
     M2 = configio.load_module(str(path))
     assert M2.ywtable == M.ywtable
     assert M2.over.ytable == M.over.ytable
@@ -173,7 +173,7 @@ def test_module_config_round_trip(tmp_path):
 def test_module_config_requires_base(tmp_path):
     M = make_module(3, "regular")
     path = tmp_path / "mod.json"
-    configio.dump_json(configio.module_to_config(M), path)
+    configio.dump_json(configio.member_to_config(M), path)
     with pytest.raises(ConfigError):
         configio.load_module(str(path))
 
@@ -185,7 +185,7 @@ def test_rationals_serialize_as_fraction_strings():
     table = {pair: dict(modes) for pair, modes in S.ytable.items()}
     table[("e1", "e1")][-1] = Vec({"e2": Fraction(1, 2)})
     from vertexcalc.structures import VertexStructure
-    cfg = configio.structure_to_config(
+    cfg = configio.member_to_config(
         VertexStructure("halved", S.basis, table, vacuum="e0"))
     rec = [m for m in cfg["modes"] if m["u"] == "e1" and m["v"] == "e1"][0]
     assert rec["coeff"] == {"e2": "1/2"}
@@ -562,7 +562,7 @@ def test_chain70_passes_strong_creation_and_skew_symmetry(tmp_path, capsys):
     # chain-70's D has nilpotency index 70: the D axioms sum D^j / j! up to
     # j = 69 on the mode tables, with no step cap of their own
     path = tmp_path / "chain70.json"
-    configio.dump_json(configio.structure_to_config(chain(70)), path)
+    configio.dump_json(configio.member_to_config(chain(70)), path)
     argv = ["check", str(path), "--axiom", "strong_creation", "--axiom", "skew_symmetry",
             "--format", "machine"]
     assert main(argv) == 0
@@ -571,19 +571,51 @@ def test_chain70_passes_strong_creation_and_skew_symmetry(tmp_path, capsys):
         ("chain70/strong_creation", "PASS"), ("chain70/skew_symmetry", "PASS")]
 
 
-def test_a_structure_whose_derived_d_is_not_nilpotent_is_refused(tmp_path, capsys):
-    # basis (1, a) with a_(-2) 1 = a: D a = a is not nilpotent, and the member
-    # is refused at construction (a decision; see VertexStructure._derive_dop)
-    path = tmp_path / "not-nilpotent.json"
-    configio.dump_json({"name": "not-nilpotent", "basis": ["1", "a"], "vacuum": "1",
+def _not_nilpotent(directory, name="not-nilpotent"):
+    """The path of a structure config ``name`` in ``directory`` on the basis
+    (1, a) with a_(-2) 1 = a, so that its derived D, D a = a, is not
+    nilpotent."""
+    path = directory / f"{name}.json"
+    configio.dump_json({"name": name, "basis": ["1", "a"], "vacuum": "1",
                         "modes": [{"u": "1", "n": -1, "v": b, "coeff": {b: "1"}}
                                   for b in ("1", "a")]
                         + [{"u": "a", "n": -2, "v": "1", "coeff": {"a": "1"}}],
                         "tags": []}, path)
+    return path
+
+
+def test_a_structure_whose_derived_d_is_not_nilpotent_is_refused(tmp_path, capsys):
+    # basis (1, a) with a_(-2) 1 = a: D a = a is not nilpotent, and the member
+    # is refused at construction (a decision; see VertexStructure._derive_dop),
+    # named by its file like any malformed config
+    path = _not_nilpotent(tmp_path)
     assert main(["check", str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
-    assert captured.err == "error: derived derivation operator is not nilpotent\n"
+    assert captured.err == f"config error: {path}: derived derivation operator is not nilpotent\n"
+
+
+def test_a_corpus_or_a_base_whose_derived_d_is_not_nilpotent_is_named(corpus_dir, tmp_path,
+                                                                      capsys):
+    # the construction law's refusal names the file that holds the member:
+    # the corpus file that implication-matrix reads beside borcherds-k2, and
+    # the base structure of a module
+    configio.dump_json(configio.load_json(str(corpus_dir / "borcherds-k2.json")),
+                       tmp_path / "borcherds-k2.json")
+    path = _not_nilpotent(tmp_path)
+    module = configio.load_json(str(corpus_dir / "regular-module-k2.module.json"))
+    module_dir = tmp_path / "module"
+    module_dir.mkdir()
+    base = _not_nilpotent(module_dir, "borcherds-k2")
+    configio.dump_json(module, module_dir / "m.module.json")
+    for argv, named in ((["implication-matrix", str(tmp_path)], path),
+                        (["check-module", str(module_dir / "m.module.json")], base),
+                        (["main-theorem", str(module_dir)], base)):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err, argv
+        assert captured.err == (f"config error: {named}: derived derivation operator "
+                                "is not nilpotent\n"), argv
 
 
 def test_corpus_commands_read_each_config_once(corpus_dir, monkeypatch, capsys):
@@ -591,12 +623,16 @@ def test_corpus_commands_read_each_config_once(corpus_dir, monkeypatch, capsys):
     # parse each base structure at most once, and parse no config of the
     # other kind
     reads, parsed = [], []
-    for name, log in (("load_json", reads), ("structure_from_config", parsed),
-                      ("module_from_config", parsed)):
-        def counted(*args, _original=getattr(configio, name), _name=name, _log=log):
-            _log.append((_name, args[0]))
-            return _original(*args)
-        monkeypatch.setattr(configio, name, counted)
+
+    def read(path, _original=configio.load_json):
+        reads.append(path)
+        return _original(path)
+
+    def member(data, over=None, _original=configio.member_from_config):
+        parsed.append(("structure" if over is None else "module", data))
+        return _original(data, over)
+    monkeypatch.setattr(configio, "load_json", read)
+    monkeypatch.setattr(configio, "member_from_config", member)
     files = sorted(str(p) for p in corpus_dir.glob("*.json"))
     modules = [f for f in files if f.endswith(".module.json")]
     for command in ("implication-matrix", "main-theorem"):
@@ -604,13 +640,13 @@ def test_corpus_commands_read_each_config_once(corpus_dir, monkeypatch, capsys):
         parsed.clear()
         assert main([command, str(corpus_dir), "--format", "machine"]) == 0
         capsys.readouterr()
-        assert sorted(path for _, path in reads) == files, command
-        kinds = [name for name, _ in parsed]
+        assert sorted(reads) == files, command
+        kinds = [kind for kind, _ in parsed]
         if command == "implication-matrix":
-            assert kinds == ["structure_from_config"] * (len(files) - len(modules))
+            assert kinds == ["structure"] * (len(files) - len(modules))
         else:
-            bases = [data["name"] for name, data in parsed if name == "structure_from_config"]
-            assert kinds.count("module_from_config") == len(modules)
+            bases = [data["name"] for kind, data in parsed if kind == "structure"]
+            assert kinds.count("module") == len(modules)
             assert len(bases) == len(set(bases)) < len(modules)
 
 

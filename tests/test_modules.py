@@ -16,9 +16,9 @@ from vertexcalc.corpus import (
     _module_data,
 )
 from vertexcalc.errors import ConsistencyViolationError, ConstructionError
-from vertexcalc.modules import MODULE_AXIOMS, ModuleStructure, module_construct
+from vertexcalc.modules import MODULE_AXIOMS, module_construct
 from vertexcalc.scalars import Vec
-from vertexcalc.structures import (ANCHORS, REPLACEMENTS, VACUUM_AXIOMS,
+from vertexcalc.structures import (ANCHORS, REPLACEMENTS, VACUUM_AXIOMS, ModuleStructure,
                                    PropertyReport, check_all, check_axiom,
                                    replay_corpus, replay_rows)
 

@@ -141,11 +141,11 @@ def test_loaded_corpus_stores_int_exactly_when_integral(tmp_path):
         if configio.is_module_config(data):
             M = configio.load_module(str(path))
             tables = (M.ywtable, M.over.ytable)
-            assert configio.module_to_config(M) == data, path.name
+            assert configio.member_to_config(M) == data, path.name
         else:
             S = configio.load_structure(str(path))
             tables = (S.ytable,)
-            assert configio.structure_to_config(S) == data, path.name
+            assert configio.member_to_config(S) == data, path.name
         for c in _rational_entries(tables):
             assert type(c) is int or (type(c) is Fraction and c.denominator > 1), \
                 (path.name, c)

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 from conftest import (_weak_difference, assert_one_build_per_member_and_kind,
-                      d_axiom_reference, double_first_coefficient, is_zero, one_skew,
-                      skew_pole, slot_triple, witness_is_valid)
+                      borcherds_route, chain, d_axiom_reference, double_first_coefficient,
+                      is_zero, one_skew, skew_pole, slot_triple, witness_is_valid)
 
 from vertexcalc import cli, configio, deltacalc, rationalforms, series, structures
 from vertexcalc.corpus import (
@@ -878,6 +878,46 @@ def test_exact_route_equals_route_one_at_the_default_window():
     assert fails >= 450 and poles >= 180 and mixed >= 170, (fails, poles, mixed)
 
 
+def test_the_borcherds_identity_on_the_mode_tables_equals_route_one():
+    # the Borcherds identity, summed on the mode tables (conftest's
+    # borcherds_route, which shares no code with the stack writer or with
+    # deltacalc), equals route 1 key for key and label for label on every
+    # member stack of both corpora and of _seeded_edits(60, 12); at every
+    # Jacobi FAIL record's monomial, its coefficient carries a label of the
+    # record's triple
+    memo, compared, fails = {}, 0, 0
+    for A in full_corpus() + full_module_corpus() + _seeded_edits(60, 12):
+        member, N = MemberStacks(A, memo=memo), structures.default_window(A)
+        oracle = borcherds_route(member, N)
+        assert oracle == structures._jacobi_symbolic_zero(member.instance(), N, memo), A.name
+        compared += sum(len(c.entries) for c in oracle.values())
+        report = check_jacobi(A, _jacobi_axiom(A), member)
+        if report.verdict == "FAIL":
+            triple, monomial = report.witnesses["triple"], report.witnesses["monomial"]
+            labels = member.label_ids()[triple].values()
+            assert not oracle[deltacalc.mono_of(monomial)].entries.keys().isdisjoint(labels), \
+                A.name
+            fails += 1
+    assert compared >= 20000 and fails >= 60, (compared, fails)
+
+
+def test_checks_that_read_no_stack_never_list_the_triples():
+    # chain70 has 357,911 triples; its vacuum, D and injectivity checks read
+    # the mode tables alone, so a MemberStacks that they share never lists
+    # them, while the first check that reads a stack does
+    S = chain(70)
+    stacks = MemberStacks(S)
+    for axiom in ("vacuum_prop", "creation_prop", "strong_creation", "injectivity",
+                  "d_derivative"):
+        assert check_axiom(S, axiom, stacks).verdict == "PASS", axiom
+    assert "triples" not in vars(stacks)
+    A = borcherds_structure(3)
+    stacks = MemberStacks(A)
+    check_axiom(A, "jacobi", stacks)
+    assert "triples" in vars(stacks)
+    assert stacks.triples == [(u, v, w) for u in A.basis for v in A.basis for w in A.basis]
+
+
 # the members of _seeded_edits(60, 12) that fail Jacobi exactly while both
 # windowed routes see no coefficient of the box [-1, 1]^3
 FALSE_PASSES_AT_WINDOW_ONE = (
@@ -908,11 +948,11 @@ def _cli_refusal(tmp_path, capsys, A, argv):
     3 with no report.  Returns the config path and its command."""
     if A.over is A:
         path, command = str(tmp_path / f"{A.name}.json"), "check"
-        configio.dump_json(configio.structure_to_config(A), path)
+        configio.dump_json(configio.member_to_config(A), path)
     else:
         path, command = str(tmp_path / f"{A.name}.module.json"), "check-module"
-        configio.dump_json(configio.module_to_config(A), path)
-        configio.dump_json(configio.structure_to_config(A.over),
+        configio.dump_json(configio.member_to_config(A), path)
+        configio.dump_json(configio.member_to_config(A.over),
                            str(tmp_path / f"{A.over.name}.json"))
     assert structures.default_window(A) > 1
     with pytest.raises(SystemExit) as exc:

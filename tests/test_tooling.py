@@ -204,6 +204,22 @@ def test_package_imports_no_name_it_never_uses():
     assert not unused, unused
 
 
+def test_no_package_module_imports_a_private_name_of_another():
+    # a name that opens with "_" is its module's own: another module of the
+    # package that needs it needs a public name.  The two readers and the two
+    # writers of the two kinds of member config are one each
+    from vertexcalc import configio
+    private = [(name, node.module, alias.name) for name, tree in _package_trees().items()
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("vertexcalc"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, private
+    for gone in ("structure_from_config", "module_from_config", "structure_to_config",
+                 "module_to_config"):
+        assert not hasattr(configio, gone), gone
+    assert callable(configio.member_from_config) and callable(configio.member_to_config)
+
+
 def test_package_defines_no_private_name_it_never_references():
     trees = _package_trees()
     used = set().union(*map(_referenced_names, trees.values()))

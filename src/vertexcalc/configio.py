@@ -4,11 +4,11 @@ Structure configs:  {"name", "basis": [...], "modes": [{"u", "n", "v",
 "coeff": {basis: "p/q"}}...], "vacuum": name-or-null, "tags": [...]}.
 Module configs have "wbasis", "wmodes" and "w" for "basis", "modes" and
 "v", and "over": "structure-name" for "vacuum", the base structure being
-"<over>.json" next to the module file.  A config is a module config exactly
-when it has "over" (``is_module_config``).  A structure is its own regular
-module, so one reader (``member_from_config``) and one writer
-(``member_to_config``) serve both kinds, through the keys and refusal
-labels of the kind table ``KINDS``.
+"<over>.json" next to the module file: a plain file name, or it is refused.
+A config is a module config exactly when it has "over" (``is_module_config``).
+A structure is its own regular module, so one reader (``member_from_config``)
+and one writer (``member_to_config``) serve both kinds, through the keys and
+refusal labels of the kind table ``KINDS``.
 
 A file that cannot be read or decoded (not UTF-8, not JSON, nested too deep
 or with a number too long for the JSON parser) is refused with ConfigError
@@ -206,11 +206,14 @@ def load_structure(path, data=None) -> VertexStructure:
 
 def load_module(path, data=None, base=load_structure) -> ModuleStructure:
     """The module of the config at ``path``, ``data`` if it is read, over
-    ``base`` of its base structure's path."""
+    ``base`` of its base structure's path, "<over>.json" next to it."""
     data = load_json(path) if data is None else data
     if not is_module_config(data):
         raise ConfigError(f"{path} is not a module config")
-    base_path = os.path.join(os.path.dirname(path) or ".", f"{data['over']}.json")
+    over = data["over"]
+    if not isinstance(over, str) or over in ("", ".", "..") or os.path.basename(over) != over:
+        raise ConfigError(f"{path}: 'over' {over!r} is not a plain file name")
+    base_path = os.path.join(os.path.dirname(path) or ".", f"{over}.json")
     if not os.path.exists(base_path):
         raise ConfigError(f"base structure file {base_path} not found")
     return _parsed(path, data, base(base_path))

@@ -202,11 +202,11 @@ def pair_sides(inst, kind, hi):
 
 class TripleInstance:
     """Concrete, immutable (f, g, h), each over its ``JACOBI`` term's
-    variables, with optional form and the high end ``gen_hi`` of the
-    generation window, which the pair statements expand at."""
+    variables, with optional form, the high end ``gen_hi`` of the generation
+    window, which the pair statements expand at, and hs, h at (v, u, w)."""
 
-    def __init__(self, f, g, h, form=None, gen_hi=None):
-        self.f, self.g, self.h = f, g, h
+    def __init__(self, f, g, h, form=None, gen_hi=None, hs=None):
+        self.f, self.g, self.h, self.hs = f, g, h, hs
         self.form = form
         self.gen_hi = gen_hi
         self._results = {}
@@ -349,7 +349,7 @@ def exact_difference(left, right, head=None, tail=(1, 0)):
         if head is None:
             terms = ((key[::-1], 1),)
         elif key[head] < 0:
-            out["pole", *key] = c
+            out[("pole", *key)] = c
             continue
         else:
             e, o = key[head], key[1 - head]

@@ -43,9 +43,10 @@ operators, linear in u, v and w, so each is checked once per member, on slot
 triples stacked into Vec coefficients keyed by the label ids of (u, v, w,
 w') (``MemberStacks.label_ids``); labels never mix, so the exact route
 decides each triple as it is alone.  One rule ties each windowed route to
-its exact one (``_decided``), and each FAIL record comes from a rerun on its
-triple's own slot series, unstacked (``MemberStacks.own``), which must
-agree with the stack.
+its exact one (``_decided``); a FAIL guard reruns one triple, the first that
+fails, on its own slot series (``MemberStacks.own``), which must agree with
+the stack.  Jacobi and vf skew symmetry share one checker,
+``_stacked_identity``.
 
 The four D axioms (skew symmetry, the D-derivative and D-bracket properties,
 strong creation) are decided on the mode tables by their component
@@ -72,7 +73,7 @@ from .rationalforms import (JACOBI, PAIRS, SLOT_VARIABLES, TripleInstance, box,
                             exact_weak_comm, exact_weak_skew_assoc,
                             least_clearing_power, pole_statement)
 from .scalars import Vec, linear_map
-from .series import INF, WindowedSeries, judged_coeffs, taylor_substitute, zero_verdict
+from .series import INF, WindowedSeries, judged_coeffs, taylor_substitute
 
 NOT_NILPOTENT = "derived derivation operator is not nilpotent"
 
@@ -460,21 +461,22 @@ class MemberStacks:
             self._stacks.update(_stacks(self, "f" if slot in ("f", "g") else "h"))
         return self._stacks[slot]
 
-    def instance(self, slots="fgh"):
-        """A TripleInstance of the stacks of ``slots``; a slot not named is
-        not read, and is None."""
-        return TripleInstance(*(self.stack(s) if s in slots else None
-                                for s in "fgh"))
+    def instance(self, slots=("f", "g", "h")):
+        """A TripleInstance of the stacks of ``slots``, of f, g, h and hs; a
+        slot not named is not read, and is None."""
+        return TripleInstance(**{s: self.stack(s) if s in slots else None
+                                 for s in SLOT_VARIABLES})
 
     def own(self, t):
         """A TripleInstance of the slot series of the triple ``t`` itself, not
-        stacked: ``_products`` run on ``t`` alone, g being f's at (v, u, w)
-        read by position.  What every FAIL guard reruns on, apart from the
-        stack writer."""
+        stacked: ``_products`` run on ``t`` alone, g and hs being f's and h's
+        at (v, u, w) read by position.  What every FAIL guard reruns on, apart
+        from the stack writer."""
         u, v, w = t
-        return TripleInstance(*(WindowedSeries.from_monomials(SLOT_VARIABLES[slot], {
+        return TripleInstance(**{slot: WindowedSeries.from_monomials(SLOT_VARIABLES[slot], {
             key: Vec(c) for _, key, c in _products(self.A, kind, [at])})
-            for slot, kind, at in (("f", "f", t), ("g", "f", (v, u, w)), ("h", "h", t))))
+            for slot, kind, at in (("f", "f", t), ("g", "f", (v, u, w)),
+                                   ("h", "h", t), ("hs", "h", (v, u, w)))})
 
 
 def _stacks(member, kind):
@@ -529,34 +531,39 @@ def _decided(axiom, member, windowed, exact, alone, route="windowed"):
     return next((alone(t) for t in member.triples if exact[t] is None), None)
 
 
-def check_jacobi(A: ModuleStructure, axiom, member):
-    """Jacobi checked once per member, on one stack of every (u, v, w): the
-    exact route (``rationalforms.exact_jacobi``) decides, and route 1, on
-    the box [-N, N]^3, cross-checks it (``_decided``).  The FAIL record is
-    the first of route 1's failing triples, with the least monomial of
-    route 1's stack whose Vec has a label of that triple; route 1 reruns on
-    that triple's own slot series and must give the same monomial, or the
-    stacking is a violation."""
-    N = default_window(A)
-    # Route 1 expands each term shape once per window and memo: the memo of
-    # ``member``, one per command (``replay_corpus`` hands every member the
-    # same).  The oracle still recomputes every coefficient, independently
-    # of ``series``, and no expansion outlives the command.
-    memo, inst = member.memo, member.instance()
-    out = _jacobi_symbolic_zero(inst, N, memo)
+def _stacked_identity(A, axiom, member, slots, exact, windowed, reader, route="windowed"):
+    """An identity checked on the member stacks of ``slots``: ``exact`` (of a
+    TripleInstance) decides it, and ``windowed`` (of one and N), {key: judged
+    nonzero coefficient}, cross-checks it (``_decided``).  The FAIL record is
+    the first failing triple, with the least key of ``windowed``'s stack that
+    has a label of it, read as a monomial by ``reader``; ``windowed`` reruns
+    on that triple alone (``MemberStacks.own``) and must give the same key."""
+    N, inst = default_window(A), member.instance(slots)
+    out = windowed(inst, N)
 
     def alone(t):
         ids = member.label_ids()[t].values()
         mono = min(key for key, c in out.items() if not c.entries.keys().isdisjoint(ids))
-        own = _jacobi_symbolic_zero(member.own(t), N, memo)
-        if min(own, default=None) != mono:
-            raise _moved(axiom, t, f"first monomial {dict(mono)} on the member stack",
-                         dict(min(own)) if own else "none")
-        return {"triple": t, "monomial": dict(mono)}
+        seen = min(windowed(member.own(t), N), default=None)
+        if seen != mono:
+            raise _moved(axiom, t, f"first monomial {reader(mono)} on the member stack",
+                         "none" if seen is None else reader(seen))
+        return {"triple": t, "monomial": reader(mono)}
 
-    record = _decided(axiom, member, _held(member, out),
-                      _held(member, exact_jacobi(inst)), alone, "symbolic")
+    record = _decided(axiom, member, _held(member, out), _held(member, exact(inst)),
+                      alone, route)
     return PropertyReport(axiom, "FAIL" if record else "PASS", record, window=N)
+
+
+def check_jacobi(A: ModuleStructure, axiom, member):
+    """Jacobi on one stack of every (u, v, w) (``_stacked_identity``): the
+    exact route (``rationalforms.exact_jacobi``) decides, and route 1, on
+    the box [-N, N]^3, cross-checks it; its keys are monomials already."""
+    # route 1 expands each term shape once per memo, ``member``'s, one per
+    # command (``replay_corpus`` hands every member the same)
+    return _stacked_identity(
+        A, axiom, member, ("f", "g", "h"), exact_jacobi,
+        lambda inst, N: _jacobi_symbolic_zero(inst, N, member.memo), dict, "symbolic")
 
 
 # each weak property's pair in ``rationalforms.PAIRS``, and its exact
@@ -615,32 +622,15 @@ def _vf_difference(h, hs, N):
 
 
 def check_vf_skew_symmetry(A: ModuleStructure, axiom, member):
-    """vf skew symmetry, decided exactly on the h and swapped-h member stacks
-    (Claim V of ``rationalforms.exact_difference``), and cross-checked by
-    their windowed difference, judged on the box [-N, N]^2 unless it is
-    exact (``_decided``); the record's monomial is the least judged one of
-    the triple's own difference."""
-    N = default_window(A)
-    region, h, hs = box(N, "x0", "x2"), member.stack("h"), member.stack("hs")
-    diff = _vf_difference(h, hs, N)
-    judged = dict(judged_coeffs(diff, region))
-
-    def alone(t):  # the stack's least judged monomial of t, and t's own there
-        u, v, w = t
-        own = _vf_difference(member.own(t).h, member.own((v, u, w)).h, N)
-        ids = member.label_ids()[t].values()
-        mono = min(k for k, c in judged.items() if not c.entries.keys().isdisjoint(ids))
-        seen = min(own.coeffs if diff.is_exact() else dict(own.nonzero_on(region)),
-                   default=None)
-        if seen != mono:
-            raise _moved(axiom, t, f"first monomial {diff.monomial(mono)} on the "
-                         "member stack", own.monomial(seen) if seen else "none")
-        _, wit = zero_verdict(own, region)
-        return {"triple": t, "monomial": wit[0]}
-
-    record = _decided(axiom, member, _held(member, judged),
-                      _held(member, exact_vf(h, hs)), alone)
-    return PropertyReport(axiom, "FAIL" if record else "PASS", record, window=N)
+    """vf skew symmetry on the h and swapped-h stacks (``_stacked_identity``):
+    decided exactly (Claim V of ``rationalforms.exact_difference``), and
+    cross-checked by their windowed difference, judged on the box [-N, N]^2
+    unless it is exact; its keys are exponent tuples in (x0, x2)."""
+    return _stacked_identity(
+        A, axiom, member, ("h", "hs"), lambda inst: exact_vf(inst.h, inst.hs),
+        lambda inst, N: dict(judged_coeffs(_vf_difference(inst.h, inst.hs, N),
+                                           box(N, "x0", "x2"))),
+        lambda key: {v: e for v, e in zip(("x0", "x2"), key) if e})
 
 
 def check_vacuum_prop(A: ModuleStructure, axiom, member):

@@ -28,10 +28,10 @@ def slot_product_calls(monkeypatch):
 
 
 # how many triples the FAIL guard of each stacked axiom reruns alone: the
-# first failing one, and for vf skew symmetry its swap too; each rerun
-# (``MemberStacks.own``) runs the products of f twice, at the triple and at
-# its swap for g, and those of h once
-GUARD_RERUNS = {"jacobi": 1, "vf_skew_symmetry": 2} | dict.fromkeys(WEAK_PAIRS, 1)
+# first failing one; each rerun (``MemberStacks.own``) runs the products of
+# f twice, at the triple and at its swap for g, and those of h twice, at the
+# triple and at its swap for hs
+GUARD_RERUNS = {"jacobi": 1, "vf_skew_symmetry": 1} | dict.fromkeys(WEAK_PAIRS, 1)
 
 
 def assert_one_build_per_member_and_kind(calls, members, reports):
@@ -43,7 +43,7 @@ def assert_one_build_per_member_and_kind(calls, members, reports):
         triples = len(A.over.basis) ** 2 * len(A.wbasis)
         reruns = sum(GUARD_RERUNS.get(axiom.removeprefix("m_"), 0)
                      for axiom, rec in report.items() if rec["verdict"] == "FAIL")
-        alone = {"f": [1] * 2 * reruns, "h": [1] * reruns}
+        alone = {"f": [1] * 2 * reruns, "h": [1] * 2 * reruns}
         for kind in "fh" if triples else "":
             assert sorted(calls[(A, kind)]) == sorted([triples] + alone[kind]), (A.name, kind)
     assert set(calls) == {(A, kind) for A in members for kind in "fh"

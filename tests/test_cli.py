@@ -433,6 +433,27 @@ def test_module_over_a_base_of_another_name_is_refused(corpus_dir, tmp_path, cap
                             "base 'borcherds-k3', got 'other'\n")
 
 
+@pytest.mark.parametrize("over, shown", [
+    (None, "None"), (["a"], "['a']"), (5, "5"), ("", "''"), (".", "'.'"),
+    ("..", "'..'"), ("../borcherds-k3", "'../borcherds-k3'"), ("a/b", "'a/b'")])
+def test_an_over_that_is_not_a_plain_file_name_is_refused(corpus_dir, tmp_path, capsys,
+                                                          over, shown):
+    # the base structure is "<over>.json" next to the module file: an
+    # "over" of another JSON type, or one that is not a plain file name, used
+    # to be read as a path (or None.json) and named no file or key
+    configio.dump_json(configio.load_json(str(corpus_dir / "borcherds-k3.json")),
+                       tmp_path / "borcherds-k3.json")
+    module = configio.load_json(str(corpus_dir / "regular-module-k3.module.json"))
+    path = tmp_path / "m.module.json"
+    configio.dump_json({**module, "over": over}, path)
+    for argv in (["check-module", str(path)], ["main-theorem", str(tmp_path)]):
+        rc = main(argv + ["--format", "machine"])
+        captured = capsys.readouterr()
+        assert rc == 3 and captured.out == "", argv
+        assert captured.err == (f"config error: {path}: 'over' {shown} "
+                                "is not a plain file name\n"), argv
+
+
 def test_consistency_violation_exits_two_with_one_line(corpus_dir, monkeypatch,
                                                        capsys):
     # a stack writer that doubles one coefficient of slot f makes the valid

@@ -1154,7 +1154,7 @@ def test_label_ids_decode_to_their_labels_alike_in_every_stack(ut2_dir):
     # entry of the f, g, h and swapped-h member stacks is the coefficient of
     # the label of its id in the triple's own series (``own``; hs is h at
     # (v, u, w)), and the stacks of a fresh MemberStacks of the member key
-    # each label by the same id
+    # each label by the same id; a triple's own hs is the h of its swap
     members = (full_corpus() + full_module_corpus()
                + [configio.load_structure(str(ut2_dir / "ut2.json")),
                   configio.load_module(str(ut2_dir / "ut2-regular.module.json"))]
@@ -1174,9 +1174,10 @@ def test_label_ids_decode_to_their_labels_alike_in_every_stack(ut2_dir):
         label_of = {i: (t, b) for t, by_w in member.label_ids().items()
                     for b, i in by_w.items()}
         own = {t: member.own(t) for t in member.triples}
+        for u, v, w in member.triples:
+            assert own[u, v, w].hs.coeffs == own[v, u, w].h.coeffs, (A.name, u, v, w)
         for slot in ("f", "g", "h", "hs"):
-            series = {(u, v, w): own[v, u, w].h if slot == "hs"
-                      else getattr(own[u, v, w], slot) for u, v, w in member.triples}
+            series = {t: getattr(own[t], slot) for t in member.triples}
             whole = member.stack(slot)
             for key, c in whole.coeffs.items():
                 for i, x in c.entries.items():

@@ -232,6 +232,41 @@ def test_package_defines_no_private_name_it_never_references():
     assert not unreferenced, unreferenced
 
 
+def _parenthesized(text):
+    """Whether the source ``text`` is one expression in parentheses: its
+    first "(" closes at its end, so that what lies between is balanced."""
+    try:
+        return text[0] + text[-1] == "()" and bool(ast.parse(f"[{text[1:-1]}]"))
+    except SyntaxError:
+        return False
+
+
+def _newer_grammar(source):
+    """The lines of ``source`` that use grammar newer than Python 3.10: a
+    starred item in an unparenthesized subscript tuple (x[a, *b]) and
+    except* (both 3.11), which ``ast.parse(..., feature_version=(3, 10))``
+    does not refuse."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.TryStar) or (
+                isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+                and any(isinstance(e, ast.Starred) for e in node.slice.elts)
+                and not _parenthesized(ast.get_source_segment(source, node.slice))):
+            yield node.lineno
+
+
+def test_package_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10: no source file may use
+    # grammar that 3.10 refuses, or the package does not import there
+    probe = ("out['pole', *key] = c\nout[('pole', *key)] = c\nx[f(*a)]\nx[*a]\n"
+             "x[(a), *(b)]\nx[(\n  a, *b)]\ntry:\n    pass\nexcept* E:\n    pass\n")
+    assert sorted(_newer_grammar(probe)) == [1, 4, 5, 8]
+    newer = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path) as fh:
+            newer += [(os.path.basename(path), line) for line in _newer_grammar(fh.read())]
+    assert not newer, newer
+
+
 CACHES = {"cache", "lru_cache"}
 
 

@@ -215,7 +215,8 @@ def load_module(path, data=None, base=load_structure) -> ModuleStructure:
         raise ConfigError(f"{path}: 'over' {over!r} is not a plain file name")
     base_path = os.path.join(os.path.dirname(path) or ".", f"{over}.json")
     if not os.path.exists(base_path):
-        raise ConfigError(f"base structure file {base_path} not found")
+        raise ConfigError(f"{path}: 'over' {over!r} names no base structure file "
+                          f"{base_path}")
     return _parsed(path, data, base(base_path))
 
 

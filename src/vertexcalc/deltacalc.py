@@ -28,17 +28,15 @@ powers whose head exponent can land in the window the factor needs, so it
 writes only coefficients it keeps, the last tail's in one loop; a delta's
 signed tails are prepared once for all its indices, and a term of one factor is
 expanded with its monomial applied, so each coefficient is shifted and tested
-against the window once.  The oracle's memo holds unit expansions only: within
-one memo, each term shape (monomial, delta, atoms) is expanded once per window
-with coefficient 1, so a repeated shape costs only the scaling by its
-coefficient; no expansion outlives the memo.  Route 1 keeps one memo per
-command: the multi-member commands hand one dict to the Jacobi check of every
-member, and any other call takes a fresh one.  A stacked coefficient (a
-``Vec``) is summed label by label, in place, into one plain dict per monomial
-and made a ``Vec`` once at the end, unless its labels all cancelled; a scalar
-and a stacked coefficient at one monomial are refused.  Route 1 of the Jacobi
-check evaluates, with this oracle, the terms of ``identity_lhs("three-term")``,
-the expression ``prove_identity`` reduces to zero.
+against the window once.  Each term is expanded with coefficient 1, and the
+expansion scaled by its coefficient.  A stacked coefficient (a ``Vec``) is
+summed label by label, in place, into one plain dict per monomial and made a
+``Vec`` once at the end, unless its labels all cancelled; a scalar and a
+stacked coefficient at one monomial are refused.  The Jacobi checker
+cross-checks on the series layer (route 2, ``rationalforms.three_term_series``).
+This oracle, route 1, evaluates the terms of ``identity_lhs("three-term")``,
+the expression ``prove_identity`` reduces to zero, and the tests keep it as
+the reference of route 2 and of the exact route.
 """
 from __future__ import annotations
 
@@ -134,14 +132,12 @@ class Delta:
         self.num = num
         self.denom = denom
 
-    def key(self):
-        return (self.num, self.denom)
-
     def __eq__(self, other):
-        return isinstance(other, Delta) and self.key() == other.key()
+        return (isinstance(other, Delta)
+                and (self.num, self.denom) == (other.num, other.denom))
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self.num, self.denom))
 
     def variables(self):
         return {v for _, v in self.num} | {self.denom}
@@ -164,7 +160,7 @@ class Term:
         self.atoms = tuple(atoms)
 
     def shape_key(self):
-        dkey = self.delta.key() if self.delta else None
+        dkey = (self.delta.num, self.delta.denom) if self.delta else None
         return (self.mono, dkey, tuple(sorted(a.key() for a in self.atoms)))
 
     def variables(self):
@@ -584,28 +580,20 @@ def _unit_window_coeffs(t: Term, window):
     return _window_part(acc, window)
 
 
-def window_coeffs(e: DeltaExpr, window, memo=None):
+def window_coeffs(e: DeltaExpr, window):
     """Exact coefficients of every monomial inside the window.
 
     ``window`` maps variables to (lo, hi); variables absent from it are pinned
     to exponent 0.  Raises SummabilityError if some term's coefficients are not
-    certifiably finite sums.  ``memo`` holds unit expansions only: it maps
-    (monomial, delta, atoms, window) to the window coefficients of a term of
-    that shape with coefficient 1, which each term of the shape scales by its
-    coefficient.  Calls given the same dict share them (route 1 keeps one
-    per command), and without one each call uses a fresh dict.  A stacked coefficient (a ``Vec``) is summed label
-    by label into one plain dict per monomial, made a ``Vec`` once at the end.
+    certifiably finite sums.  Each term is expanded once with coefficient 1
+    and scaled by its coefficient.  A stacked coefficient (a ``Vec``) is
+    summed label by label into one plain dict per monomial, made a ``Vec``
+    once at the end.
     """
-    if memo is None:
-        memo = {}
     window = dict(window)
-    wkey = tuple(sorted(window.items()))
     out, stacks = {}, {}
     for t in e.terms:
-        key = (t.mono, t.delta, t.atoms, wkey)
-        unit = memo.get(key)
-        if unit is None:
-            unit = memo[key] = _unit_window_coeffs(t, window)
+        unit = _unit_window_coeffs(t, window)
         c = t.coeff
         if type(c) is Vec:
             entries = c.entries.items()

@@ -411,11 +411,10 @@ def least_clearing_power(diff, clear, box, m_max, labels=(None,),
     """{label: smallest valid witness m <= m_max} of a (B)/(C)/(D) statement
     (diff, m -> binomial^m, box) stacked over ``labels``; m is valid when
     ``labels_of`` reads the label off no coefficient of clear(m) * diff that
-    ``zero_verdict`` judges, and is None if none is, or the WindowUnderflowError
-    of the m at which the windows ran out on the label.  Labels never mix,
-    but an exact label on an inexact stack is judged on the box only.  A
-    replay instance is the unlabelled case: one label None on every
-    coefficient."""
+    ``zero_verdict`` judges, and is None if none is.  Labels never mix, but
+    an exact label on an inexact stack is judged on the box only.  A replay
+    instance is the unlabelled case: one label None on every coefficient.
+    Raises WindowUnderflowError at the m at which the windows run out."""
     least, open_ = {}, set(labels)
     for m in range(m_max + 1):
         failing = set()
@@ -425,10 +424,9 @@ def least_clearing_power(diff, clear, box, m_max, labels=(None,),
                 if open_ <= failing:
                     break
         except WindowUnderflowError:
-            err = WindowUnderflowError(
+            raise WindowUnderflowError(
                 f"witness search at m={m} exceeded the known windows; "
-                "regenerate the instance with larger windows")
-            return least | dict.fromkeys(open_, err)
+                "regenerate the instance with larger windows") from None
         least |= dict.fromkeys(open_ - failing, m)
         open_ &= failing
         if not open_:
@@ -438,10 +436,7 @@ def least_clearing_power(diff, clear, box, m_max, labels=(None,),
 
 def find_pole_witness(inst: TripleInstance, kind, m_max, N):
     """Smallest m <= m_max clearing the pole of the kind's pair difference."""
-    m = least_clearing_power(*pole_statement(inst, kind, inst.gen_hi, N), m_max)[None]
-    if isinstance(m, WindowUnderflowError):
-        raise m
-    return m
+    return least_clearing_power(*pole_statement(inst, kind, inst.gen_hi, N), m_max)[None]
 
 
 # ---------------------------------------------------------------------------

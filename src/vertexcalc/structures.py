@@ -14,11 +14,12 @@ D-derivative property) each have one checker, which runs on the structure or
 the module itself.  The Jacobi identity is written once, as
 ``rationalforms.JACOBI``, the three terms that ``deltacalc.prove_identity``
 proves.  Every slot series lives in the variables of the term that it
-multiplies (``SLOT_VARIABLES``), so route 1 of the Jacobi checker applies
-the terms to the slots as they are.  The slots are Laurent polynomials, so
-Jacobi, the weak properties and vf skew symmetry are decided exactly, by
-the closed forms of ``rationalforms.exact_difference``, and a windowed
-route cross-checks each: route 1 for Jacobi, and the pair recipes
+multiplies (``SLOT_VARIABLES``), so route 2 of the Jacobi checker,
+``rationalforms.three_term_series``, applies the terms to the slots as they
+are.  The slots are Laurent polynomials, so Jacobi, the weak properties and
+vf skew symmetry are decided exactly, by the closed forms of
+``rationalforms.exact_difference``, and a windowed route on the series layer
+cross-checks each: route 2 for Jacobi, and the pair recipes
 (``rationalforms.PAIRS``) searched with the replays'
 ``rationalforms.least_clearing_power`` for the rest.  Every slot product
 comes from one loop over the mode tables, ``_products``: each inner product
@@ -32,11 +33,8 @@ AXIOMS; each takes (A, axiom, member) and reports under ``axiom``.
 on a structure, MODULE_AXIOMS (``m_`` and the name of one of
 the seven axioms of every action) on a module.  The checks of one
 ``check_all`` or ``check`` command share one ``MemberStacks``, passed to
-each checker: its f, g, h and swapped-h stacks, each written once, and the
-route-1 memo of its Jacobi check.  Nothing is held on the member, so the
-stacks die with the command.  ``replay_corpus`` hands every member's
-``MemberStacks`` one route-1 memo, so the Jacobi checks of one command
-expand each term shape once.
+each checker: its f, g, h and swapped-h stacks, each written once.  Nothing
+is held on the member, so the stacks die with the command.
 
 Jacobi, the weak properties and vf_skew_symmetry are identities of
 operators, linear in u, v and w, so each is checked once per member, on slot
@@ -66,12 +64,12 @@ from functools import cached_property
 from math import factorial
 from typing import NamedTuple
 
-from .deltacalc import DeltaExpr, Term, mono_of, window_coeffs
+from .deltacalc import mono_of
 from .errors import ConsistencyViolationError, ConstructionError
-from .rationalforms import (JACOBI, PAIRS, SLOT_VARIABLES, TripleInstance, box,
-                            exact_jacobi, exact_vf, exact_weak_assoc,
-                            exact_weak_comm, exact_weak_skew_assoc,
-                            least_clearing_power, pole_statement)
+from .rationalforms import (PAIRS, SLOT_VARIABLES, TripleInstance, box, exact_jacobi,
+                            exact_vf, exact_weak_assoc, exact_weak_comm,
+                            exact_weak_skew_assoc, least_clearing_power,
+                            pole_statement, three_term_series)
 from .scalars import Vec, linear_map
 from .series import INF, WindowedSeries, judged_coeffs, taylor_substitute
 
@@ -387,20 +385,6 @@ def minimal_pole_order(S: VertexStructure, u, v):
 # A with its ``MemberStacks`` and reporting under the name ``axiom`` it was
 # asked for (jacobi for a structure, m_jacobi for a module, and so on)
 
-def _jacobi_symbolic_zero(inst, N, memo=None):
-    """Route 1's window coefficients (``deltacalc.window_coeffs``, given
-    ``memo``) of the slots of ``inst`` times the three terms of
-    ``rationalforms.JACOBI``, summed: every nonzero one on the box
-    [-N, N]^3."""
-    terms = []
-    for slot, t in JACOBI:
-        series = getattr(inst, slot)
-        for key, c in series.coeffs.items():
-            mono = mono_of(dict(zip(series.variables, key)))
-            terms.append(Term(c * t.coeff, mono, t.delta, ()))
-    return window_coeffs(DeltaExpr(terms), box(N, "x0", "x1", "x2"), memo)
-
-
 def _products(A: ModuleStructure, kind, triples):
     """Each product (triple, (outer, inner) exponent, {basis: coefficient}) of
     slot ``kind`` of ``A`` at each of ``triples``, f = Y(u,x1)Y(v,x2)w or h =
@@ -427,12 +411,10 @@ class MemberStacks:
     the swapped h (slot h of (v, u, w), labelled (u, v, w)): the first read
     of f or g writes both, and of h or hs both of those (``_stacks``), each
     keying a label by its id (``label_ids``).  The guards read a triple's
-    own series (``own``).  ``memo`` is the route-1 memo of the member's
-    Jacobi check (see ``check_jacobi``): the one given, or a fresh dict."""
+    own series (``own``)."""
 
-    def __init__(self, A: ModuleStructure, *, memo=None):
+    def __init__(self, A: ModuleStructure):
         self.A = A
-        self.memo = {} if memo is None else memo
         self._stacks, self._ids = {}, {}
 
     @cached_property
@@ -515,7 +497,7 @@ def _held(member, coeffs):
     return dict.fromkeys(member.triples, 0) | dict.fromkeys(_failing_triples(member, coeffs))
 
 
-def _decided(axiom, member, windowed, exact, alone, route="windowed"):
+def _decided(axiom, member, windowed, exact, alone):
     """The FAIL witnesses of a check, or None on a PASS, by the one rule that
     ties a windowed route to the exact route that decides, each {triple:
     least witness (0 for an identity), or None where it fails}: on the
@@ -526,12 +508,12 @@ def _decided(axiom, member, windowed, exact, alone, route="windowed"):
     said = {None: "False", 0: "True"}
     if where:
         raise ConsistencyViolationError(f"{axiom} routes disagree on " + ", ".join(
-            f"({','.join(map(str, t))}): {route}={said.get(windowed[t], windowed[t])} "
+            f"({','.join(map(str, t))}): windowed={said.get(windowed[t], windowed[t])} "
             f"exact={said.get(exact[t], exact[t])}" for t in where))
     return next((alone(t) for t in member.triples if exact[t] is None), None)
 
 
-def _stacked_identity(A, axiom, member, slots, exact, windowed, reader, route="windowed"):
+def _stacked_identity(A, axiom, member, slots, exact, windowed, reader):
     """An identity checked on the member stacks of ``slots``: ``exact`` (of a
     TripleInstance) decides it, and ``windowed`` (of one and N), {key: judged
     nonzero coefficient}, cross-checks it (``_decided``).  The FAIL record is
@@ -550,20 +532,25 @@ def _stacked_identity(A, axiom, member, slots, exact, windowed, reader, route="w
                          "none" if seen is None else reader(seen))
         return {"triple": t, "monomial": reader(mono)}
 
-    record = _decided(axiom, member, _held(member, out), _held(member, exact(inst)),
-                      alone, route)
+    record = _decided(axiom, member, _held(member, out), _held(member, exact(inst)), alone)
     return PropertyReport(axiom, "FAIL" if record else "PASS", record, window=N)
+
+
+def _jacobi_series(inst, N):
+    """Route 2's coefficients of the Jacobi identity at the slots of
+    ``inst`` (``rationalforms.three_term_series``): every nonzero one on the
+    box [-N, N]^3, keyed by its monomial (``deltacalc.mono_of``)."""
+    s = three_term_series(inst, N)
+    return {mono_of(s.monomial(key)): c for key, c in s.coeffs.items()}
 
 
 def check_jacobi(A: ModuleStructure, axiom, member):
     """Jacobi on one stack of every (u, v, w) (``_stacked_identity``): the
-    exact route (``rationalforms.exact_jacobi``) decides, and route 1, on
-    the box [-N, N]^3, cross-checks it; its keys are monomials already."""
-    # route 1 expands each term shape once per memo, ``member``'s, one per
-    # command (``replay_corpus`` hands every member the same)
-    return _stacked_identity(
-        A, axiom, member, ("f", "g", "h"), exact_jacobi,
-        lambda inst, N: _jacobi_symbolic_zero(inst, N, member.memo), dict, "symbolic")
+    exact route (``rationalforms.exact_jacobi``) decides, and route 2, on
+    the box [-N, N]^3, cross-checks it (``_jacobi_series``); its keys are
+    monomials."""
+    return _stacked_identity(A, axiom, member, ("f", "g", "h"), exact_jacobi,
+                             _jacobi_series, dict)
 
 
 # each weak property's pair in ``rationalforms.PAIRS``, and its exact
@@ -592,10 +579,7 @@ def check_weak(A: ModuleStructure, axiom, member):
     bound = max((m for m in exact.values() if m is not None), default=0)
 
     def search(inst, *labels):
-        out = least_clearing_power(*pole_statement(inst, kind, N, N), bound, *labels)
-        if err := next((m for m in out.values() if isinstance(m, Exception)), None):
-            raise err
-        return out
+        return least_clearing_power(*pole_statement(inst, kind, N, N), bound, *labels)
 
     def alone(t):
         if (m := search(member.own(t))[None]) is not None:
@@ -778,10 +762,9 @@ def check_axiom(A: ModuleStructure, axiom, stacks=None) -> PropertyReport:
     return CHECKERS[name](A, axiom, stacks or MemberStacks(A))
 
 
-def check_all(A: ModuleStructure, memo=None):
-    """Every axiom of ``A``, all reading one ``MemberStacks``; its Jacobi
-    check hands route 1 ``memo``, if given."""
-    stacks = MemberStacks(A, memo=memo)
+def check_all(A: ModuleStructure):
+    """Every axiom of ``A``, all reading one ``MemberStacks``."""
+    stacks = MemberStacks(A)
     return {axiom: check_axiom(A, axiom, stacks)
             for axiom in member_axioms(A)}
 
@@ -912,13 +895,12 @@ def replay_rows(A: ModuleStructure, verdicts):
 
 def replay_corpus(corpus):
     """Replay every member's rows (``replay_rows``) on its ``check_all``
-    verdicts.  The members' Jacobi checks share one route-1 memo, which dies
-    with the call.  Module weak commutativity is never encoded as sufficient
+    verdicts.  Module weak commutativity is never encoded as sufficient
     (with module skew-symmetry or otherwise): each module gets an UNTESTED
     record saying so, so that its absence is visible."""
-    report, memo = [], {}
+    report = []
     for A in corpus:
-        report += replay_rows(A, check_all(A, memo))
+        report += replay_rows(A, check_all(A))
         if A.over is not A:
             report.append({"member": A.name, "row": "m-wc+vfss-not-encoded",
                            "verdict": "UNTESTED", "premises": {

@@ -6,9 +6,9 @@ from math import factorial
 import pytest
 
 from vertexcalc import configio, structures
-from vertexcalc.deltacalc import mono_of, sv_neg
+from vertexcalc.deltacalc import DeltaExpr, Term, mono_of, sv_neg, window_coeffs
 from vertexcalc.errors import SummabilityError, WindowUnderflowError
-from vertexcalc.rationalforms import pole_statement
+from vertexcalc.rationalforms import JACOBI, box, pole_statement
 from vertexcalc.scalars import Vec, binom, linear_map
 from vertexcalc.series import WindowedSeries, multiply, zero_verdict
 from vertexcalc.structures import WEAK_PAIRS, ModuleStructure, PropertyReport, VertexStructure
@@ -275,6 +275,21 @@ def expand_signed_power_reference(head_sv, tail_svs, exp, need):
 
     rec(0, [])
     return {k: v for k, v in out.items() if v}
+
+
+def route_one(inst, N):
+    """Route 1, the reference of both Jacobi routes of the checker: the
+    window coefficients (``deltacalc.window_coeffs``) of the slots of
+    ``inst`` times the three terms of ``rationalforms.JACOBI``, summed, each
+    slot coefficient rebuilt as a ``Term``: every nonzero one on the box
+    [-N, N]^3, keyed by its monomial."""
+    terms = []
+    for slot, t in JACOBI:
+        series = getattr(inst, slot)
+        for key, c in series.coeffs.items():
+            mono = mono_of(dict(zip(series.variables, key)))
+            terms.append(Term(c * t.coeff, mono, t.delta, ()))
+    return window_coeffs(DeltaExpr(terms), box(N, "x0", "x1", "x2"))
 
 
 def borcherds_route(member, N):

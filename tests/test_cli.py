@@ -454,6 +454,23 @@ def test_an_over_that_is_not_a_plain_file_name_is_refused(corpus_dir, tmp_path, 
                                 "is not a plain file name\n"), argv
 
 
+def test_a_missing_base_structure_file_is_named_with_its_module(corpus_dir, tmp_path,
+                                                                capsys):
+    # a module whose "over" names no file next to it is refused by its own
+    # path and key, by check-module and by the corpus reader of main-theorem
+    configio.dump_json(configio.load_json(str(corpus_dir / "borcherds-k3.json")),
+                       tmp_path / "borcherds-k3.json")
+    module = configio.load_json(str(corpus_dir / "regular-module-k3.module.json"))
+    path = tmp_path / "m.module.json"
+    configio.dump_json({**module, "over": "nosuch"}, path)
+    for argv in (["check-module", str(path)], ["main-theorem", str(tmp_path)]):
+        rc = main(argv + ["--format", "machine"])
+        captured = capsys.readouterr()
+        assert rc == 3 and captured.out == "", argv
+        assert captured.err == (f"config error: {path}: 'over' 'nosuch' names no base "
+                                f"structure file {tmp_path / 'nosuch.json'}\n"), argv
+
+
 def test_consistency_violation_exits_two_with_one_line(corpus_dir, monkeypatch,
                                                        capsys):
     # a stack writer that doubles one coefficient of slot f makes the valid

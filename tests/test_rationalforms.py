@@ -310,7 +310,7 @@ def test_stacked_witness_search_decides_each_label_as_alone():
     # a stack known on x in [-5, 5] and judged on [-3, 0]; clear(1) = x^-4
     # knows [-9, 1], clear(2) = x^-6 only [-11, -1], so the windows run out
     # at m = 2: b is cleared at m = 0, a at m = 1, and c, still open at
-    # m = 2, gets that m's underflow
+    # m = 2, makes the search raise that m's underflow, as c alone does
     diff = WindowedSeries(("x",), {(0,): Vec({"a": 1, "c": 2}), (2,): Vec({"c": 1})},
                           {"x": (-5, 5)}, {"x": (False, False)})
 
@@ -321,16 +321,21 @@ def test_stacked_witness_search_decides_each_label_as_alone():
         return least_clearing_power(d, clear, {"x": (-3, 0)}, 3, labels,
                                     lambda c: c.entries)
 
-    got = search("abc", diff)
-    assert (got["a"], got["b"]) == (1, 0)
-    assert isinstance(got["c"], WindowUnderflowError)
-    assert str(got["c"]).startswith("witness search at m=2 exceeded")
+    underflow = ("^witness search at m=2 exceeded the known windows; "
+                 "regenerate the instance with larger windows$")
+    with pytest.raises(WindowUnderflowError, match=underflow):
+        search("abc", diff)
+    got = search("ab", diff)
+    assert got == {"a": 1, "b": 0}
     for label in "abc":
-        alone = search(label, diff.copy_meta({
+        alone = diff.copy_meta({
             k: Vec({n: x for n, x in c.entries.items() if n == label})
-            for k, c in diff.coeffs.items()}))
-        assert list(alone) == [label] and type(alone[label]) is type(got[label])
-        assert str(alone[label]) == str(got[label])
+            for k, c in diff.coeffs.items()})
+        if label in got:
+            assert search(label, alone) == {label: got[label]}
+        else:
+            with pytest.raises(WindowUnderflowError, match=underflow):
+                search(label, alone)
 
 
 def test_inexact_stacked_witness_search_decides_each_label_as_alone():
@@ -338,7 +343,8 @@ def test_inexact_stacked_witness_search_decides_each_label_as_alone():
     # (x - 1)^m, whose product knows [-6 + m, 6]: "out" lives only at x^-6
     # and x^6, off the box (cleared at m = 0), "ones" is a run of 1s that
     # x - 1 telescopes (m = 1), "ramp" a run of k that (x - 1)^2 telescopes
-    # (m = 2), and "rand" stays open until the windows run out at m = 4
+    # (m = 2), and "rand" stays open until the windows run out at m = 4,
+    # where the search raises, as it does on "rand" alone
     rng = random.Random(17)
     scale = {n: rng.choice((1, -2, 3)) for n in ("ones", "ramp", "rand", "out")}
     diff = WindowedSeries(("x",), {(k,): Vec({
@@ -352,16 +358,22 @@ def test_inexact_stacked_witness_search_decides_each_label_as_alone():
         return WindowedSeries.from_monomials(
             ("x",), {(j,): binom(m, j) * (-1) ** (m - j) for j in range(m + 1)})
 
-    labels = ("ones", "ramp", "rand", "out")
-    got = least_clearing_power(diff, clear, {"x": (-3, 3)}, 5, labels, lambda c: c.entries)
-    assert {n: got[n] for n in labels[:2] + labels[3:]} == {"ones": 1, "ramp": 2, "out": 0}
-    assert str(got["rand"]).startswith("witness search at m=4 exceeded")
-    for label in labels:
-        alone = least_clearing_power(
-            diff.copy_meta({k: Vec({label: c.get(label)}) for k, c in diff.coeffs.items()}),
-            clear, {"x": (-3, 3)}, 5, (label,), lambda c: c.entries)
-        assert type(alone[label]) is type(got[label])
-        assert str(alone[label]) == str(got[label])
+    def search(labels, d):
+        return least_clearing_power(d, clear, {"x": (-3, 3)}, 5, labels, lambda c: c.entries)
+
+    underflow = ("^witness search at m=4 exceeded the known windows; "
+                 "regenerate the instance with larger windows$")
+    with pytest.raises(WindowUnderflowError, match=underflow):
+        search(("ones", "ramp", "rand", "out"), diff)
+    got = search(("ones", "ramp", "out"), diff)
+    assert got == {"ones": 1, "ramp": 2, "out": 0}
+    for label in ("ones", "ramp", "rand", "out"):
+        alone = diff.copy_meta({k: Vec({label: c.get(label)}) for k, c in diff.coeffs.items()})
+        if label in got:
+            assert search((label,), alone) == {label: got[label]}
+        else:
+            with pytest.raises(WindowUnderflowError, match=underflow):
+                search((label,), alone)
 
 
 def test_exact_jacobi_agrees_with_check_A_on_pole_free_forms():

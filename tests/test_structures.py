@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from conftest import (_weak_difference, assert_one_build_per_member_and_kind,
                       borcherds_route, chain, d_axiom_reference, double_first_coefficient,
-                      is_zero, one_skew, skew_pole, slot_triple, witness_is_valid)
+                      is_zero, one_skew, route_one, skew_pole, slot_triple,
+                      witness_is_valid)
 
 from vertexcalc import cli, configio, deltacalc, rationalforms, series, structures
 from vertexcalc.corpus import (
@@ -478,140 +479,30 @@ def test_weak_skew_assoc_minimal_witness_can_exceed_zero():
     assert report.witnesses == {"triple": ("e1", "e0", "e1"), "m_max": 3}
 
 
-def test_jacobi_expands_each_factor_window_once_per_check(monkeypatch):
-    # route 1 expands each (delta factor, needed window) once per check_jacobi
-    # call, however many terms and triples share it
-    checks = []
-    expansions = Counter()
-
-    def counted(factor, need, *mono, _original=deltacalc._expand_factor):
-        expansions[(len(checks), factor, tuple(sorted(need.items())))] += 1
-        return _original(factor, need, *mono)
-
-    monkeypatch.setattr(deltacalc, "_expand_factor", counted)
-    def entered(A, *args, _check=CHECKERS["jacobi"]):
-        checks.append(A.name)
-        return _check(A, *args)
-    monkeypatch.setitem(CHECKERS, "jacobi", entered)
-    for A in full_corpus() + full_module_corpus():
-        check_all(A)
-    assert len(checks) == len(full_corpus()) + len(full_module_corpus())
-    assert expansions and max(expansions.values()) == 1
-
-
-def test_jacobi_expands_each_term_shape_once_per_check(monkeypatch):
-    # route 1 expands each (monomial, delta, atoms, window) with coefficient
-    # 1 once per check_jacobi call; every repeat of the shape only scales it
-    checks = []
-    units = Counter()
-    terms = []
-
-    def counted(t, window, _original=deltacalc._unit_window_coeffs):
-        key = (len(checks), t.mono, t.delta, t.atoms, tuple(sorted(window.items())))
-        units[key] += 1
-        return _original(t, window)
-
-    def seen(e, window, memo=None, _original=structures.window_coeffs):
-        terms.append(len(e.terms))
-        return _original(e, window, memo)
-
-    monkeypatch.setattr(deltacalc, "_unit_window_coeffs", counted)
-    monkeypatch.setattr(structures, "window_coeffs", seen)
-    def entered(A, *args, _check=CHECKERS["jacobi"]):
-        checks.append(A.name)
-        return _check(A, *args)
-    monkeypatch.setitem(CHECKERS, "jacobi", entered)
-    for A in full_corpus() + full_module_corpus():
-        check_all(A)
-    assert len(checks) == len(full_corpus()) + len(full_module_corpus())
-    assert units and max(units.values()) == 1
-    # the shapes repeat, so the memo saves expansions
-    assert sum(units.values()) < sum(terms)
-
-
-def test_route_one_checks_the_proved_three_term_identity(monkeypatch):
-    # on every Jacobi triple of both corpora, route 1 multiplies f, g and h by
-    # the three terms of identity_lhs("three-term"), in the anchor's order,
-    # and by no other delta and no other sign
-    lhs = deltacalc.identity_lhs("three-term").terms
-    exprs = []
-    monkeypatch.setattr(structures, "window_coeffs",
-                        lambda e, window, memo=None: exprs.append(e) or {})
+def test_route_two_checks_the_proved_three_term_identity(monkeypatch):
+    # on every Jacobi triple of both corpora, route 2 hands series.apply_delta
+    # f, g and h with the deltas and signs of identity_lhs("three-term"), in
+    # the anchor's order, and no other term
+    lhs = [(t.coeff, *t.delta.num, t.delta.denom)
+           for t in deltacalc.identity_lhs("three-term").terms]
+    calls = []
+    monkeypatch.setattr(rationalforms, "apply_delta",
+                        lambda terms, out_window: calls.append(terms))
     triples = 0
     for A in full_corpus() + full_module_corpus():
         stacks = MemberStacks(A)
-        for u in A.over.basis:
-            for v in A.over.basis:
-                for w in A.wbasis:
-                    inst = slot_triple(A, u, v, w, stacks)
-                    slots = (inst.f, inst.g, inst.h)
-                    # the anchor's f(x1,x2), g(x2,x1) and h(x2,x0)
-                    assert [s.variables for s in slots] == [
-                        ("x1", "x2"), ("x2", "x1"), ("x2", "x0")]
-                    structures._jacobi_symbolic_zero(inst, 5)
-                    e = exprs.pop()
-                    assert {t.delta for t in e.terms} <= {t.delta for t in lhs}
-                    for series_, proved in zip(slots, lhs):
-                        got = {t.mono: t.coeff for t in e.terms
-                               if t.delta == proved.delta}
-                        assert all(not t.atoms for t in e.terms)
-                        assert got == {
-                            deltacalc.mono_of(dict(zip(series_.variables, k))):
-                                c.scale(proved.coeff)
-                            for k, c in series_.coeffs.items()}
-                    triples += 1
-    assert triples > 1000
-
-
-def test_jacobi_memo_holds_only_unit_expansions(monkeypatch):
-    # after check_jacobi returns, every key of the memo it handed to
-    # window_coeffs is a term shape on the check window: (monomial, delta,
-    # atoms, window), and no per-factor expansion is kept beside them
-    memos = []
-
-    def seen(e, window, memo=None, _original=structures.window_coeffs):
-        if not any(m is memo for m in memos):
-            memos.append(memo)
-        return _original(e, window, memo)
-
-    monkeypatch.setattr(structures, "window_coeffs", seen)
-    for S in full_corpus():
-        check_axiom(S, "jacobi")
-    for M in full_module_corpus():
-        check_axiom(M, "m_jacobi")
-    assert len(memos) == len(full_corpus()) + len(full_module_corpus())
-    deltas = {t.delta for t in deltacalc.identity_lhs("three-term").terms}
-    assert sum(map(len, memos)) > 100
-    for memo in memos:
-        for key in memo:
-            assert len(key) == 4, key
-            mono, delta, atoms, window = key
-            assert mono == deltacalc.mono_of(dict(mono))
-            assert delta in deltas and atoms == ()
-            assert [v for v, _ in window] == ["x0", "x1", "x2"]
-            assert len({bounds for _, bounds in window}) == 1
-
-
-def test_jacobi_expands_each_term_shape_once_per_command(monkeypatch):
-    # replay_corpus hands one route-1 memo to the Jacobi check of every
-    # member: each (shape, window) is expanded once per call, on the
-    # structure corpus and on the module corpus, and the next call expands
-    # them all again, so no expansion outlives a command
-    units = Counter()
-
-    def counted(t, window, _original=deltacalc._unit_window_coeffs):
-        units[t.mono, t.delta, t.atoms, tuple(sorted(window.items()))] += 1
-        return _original(t, window)
-
-    monkeypatch.setattr(deltacalc, "_unit_window_coeffs", counted)
-    for corpus, shapes in ((full_corpus(), 59), (full_module_corpus(), 55)):
-        calls = []
-        for _ in range(2):
-            units.clear()
-            replay_corpus(corpus)
-            calls.append(dict(units))
-        assert len(calls[0]) == shapes and set(calls[0].values()) == {1}
-        assert calls[1] == calls[0]
+        for t in stacks.triples:
+            inst = slot_triple(A, *t, stacks)
+            slots = (inst.f, inst.g, inst.h)
+            # the anchor's f(x1,x2), g(x2,x1) and h(x2,x0)
+            assert [s.variables for s in slots] == [
+                ("x1", "x2"), ("x2", "x1"), ("x2", "x0")]
+            rationalforms.three_term_series(inst, 5)
+            terms = calls.pop()
+            assert [term[:-1] for term in terms] == lhs
+            assert all(term[-1] is slot for term, slot in zip(terms, slots))
+            triples += 1
+    assert triples > 1000 and calls == []
 
 
 def _route_two_on_every_member_stack():
@@ -700,9 +591,10 @@ def test_route_two_calls_add_power_only_for_a_nonempty_tail_range(monkeypatch):
 # Jacobi once per member, on one stack of every (u, v, w)
 
 
-def _per_triple_jacobi(A, axiom, N, memo, stacks):
-    """The Jacobi check run triple by triple, as it was before stacking: both
-    routes on each (u, v, w) (its slot series read from ``stacks``), the
+def _per_triple_jacobi(A, axiom, N, stacks):
+    """The Jacobi check run triple by triple, as it was before stacking: route
+    1 (conftest's ``route_one``) and route 2 (``rationalforms.check_A``) on
+    each (u, v, w) (its slot series read from ``stacks``), the
     first failing triple reported.  Every triple's verdict is kept beside
     the report, so the reference continues past the first FAIL."""
     verdicts, report = {}, None
@@ -710,7 +602,7 @@ def _per_triple_jacobi(A, axiom, N, memo, stacks):
         for v in A.over.basis:
             for w in A.wbasis:
                 inst = slot_triple(A, u, v, w, stacks)
-                out = structures._jacobi_symbolic_zero(inst, N, memo)
+                out = route_one(inst, N)
                 ok_ser, _ = rationalforms.check_A(inst, N)
                 assert (not out) == ok_ser, (A.name, u, v, w)
                 verdicts[(u, v, w)] = not out
@@ -744,11 +636,11 @@ def _jacobi_axiom(A):
     return "jacobi" if A.over is A else "m_jacobi"
 
 
-def _member_stack_failing_triples(member, N, memo):
+def _member_stack_failing_triples(member, N):
     """Route 1's and route 2's failing triples, read off the member stack of
     ``member``."""
     inst = member.instance()
-    sym = structures._jacobi_symbolic_zero(inst, N, memo)
+    sym = route_one(inst, N)
     ser = rationalforms.three_term_series(inst, N).coeffs
     return (structures._failing_triples(member, sym),
             structures._failing_triples(member, ser))
@@ -761,14 +653,13 @@ def test_stacked_jacobi_equals_the_per_triple_check(ut2_dir):
                + _seeded_edits(50, 12) + _seeded_edits(200, 13))
     triples, failing_triples, failing_pairs, reports = 0, 0, 0, Counter()
     for A in members:
-        axiom, N, memo = _jacobi_axiom(A), structures.default_window(A), {}
+        axiom, N = _jacobi_axiom(A), structures.default_window(A)
         stacks = MemberStacks(A)
-        want, per_triple = _per_triple_jacobi(A, axiom, N, memo, stacks)
+        want, per_triple = _per_triple_jacobi(A, axiom, N, stacks)
         failing = {t for t, ok in per_triple.items() if not ok}
         # each route's failing triples, read from the one stack of the
         # member, are exactly the triples that fail alone
-        assert _member_stack_failing_triples(stacks, N, memo) == (failing, failing), \
-            A.name
+        assert _member_stack_failing_triples(stacks, N) == (failing, failing), A.name
         triples += len(per_triple)
         failing_triples += len(failing)
         failing_pairs += len({t[:2] for t in failing})
@@ -779,39 +670,33 @@ def test_stacked_jacobi_equals_the_per_triple_check(ut2_dir):
     assert reports["PASS"] > 20 and reports["FAIL"] > 20
 
 
-def test_jacobi_runs_the_exact_route_once_and_route_two_never(monkeypatch):
+def test_jacobi_runs_the_exact_route_once_and_route_two_once_more_on_a_fail(monkeypatch):
     # the exact route decides once per check, on the member stack; route 2
-    # has left the checker; route 1 runs once on a PASS member, and once
-    # more on a FAIL member, on its reported triple alone
-    route1, exact, route2 = [], [], []
+    # runs once on a PASS member, and once more on a FAIL member, on its
+    # reported triple alone; route 1 has left the checker
+    route2, exact = [], []
 
-    def symbolic(*args, _original=structures._jacobi_symbolic_zero):
-        route1.append(args)
-        return _original(*args)
+    def stacked(inst, N, _original=structures._jacobi_series):
+        route2.append(inst)
+        return _original(inst, N)
 
     def decided(inst, _original=structures.exact_jacobi):
         exact.append(inst)
         return _original(inst)
 
-    def stacked(inst, N, _original=rationalforms.three_term_series):
-        route2.append(inst)
-        return _original(inst, N)
-
-    monkeypatch.setattr(structures, "_jacobi_symbolic_zero", symbolic)
+    monkeypatch.setattr(structures, "_jacobi_series", stacked)
     monkeypatch.setattr(structures, "exact_jacobi", decided)
-    monkeypatch.setattr(rationalforms, "three_term_series", stacked)
-    assert not hasattr(structures, "three_term_series")
+    assert not hasattr(structures, "window_coeffs")
     members = {"jacobi": (borcherds_structure(4), mutants()[0]),
                "m_jacobi": (make_module(4, "ideal"), module_mutants()[0])}
     for axiom, (passing, failing) in members.items():
-        for A, verdict, route1_calls in ((passing, "PASS", 1), (failing, "FAIL", 2)):
-            route1.clear()
+        for A, verdict, route2_calls in ((passing, "PASS", 1), (failing, "FAIL", 2)):
+            route2.clear()
             exact.clear()
             assert structures.check_jacobi(
                 A, axiom, MemberStacks(A)).verdict == verdict, A.name
             assert len(A.over.basis) > 1 and len(A.wbasis) > 1
-            assert len(route1) == route1_calls and len(exact) == 1, A.name
-    assert route2 == []
+            assert len(route2) == route2_calls and len(exact) == 1, A.name
 
 
 def test_jacobi_routes_disagreeing_on_a_stacked_pair_raise(monkeypatch):
@@ -834,9 +719,9 @@ def test_jacobi_routes_disagreeing_on_a_stacked_pair_raise(monkeypatch):
     monkeypatch.setattr(structures, "exact_jacobi", flipped)
     with pytest.raises(ConsistencyViolationError,
                        match=rf"^jacobi routes disagree on \({u},{v},{w}\): "
-                             "symbolic=True exact=False$"):
+                             "windowed=True exact=False$"):
         check_axiom(S, "jacobi")
-    # route 1 flagging a triple that the exact route holds raises: a box
+    # route 2 flagging a triple that the exact route holds raises: a box
     # coefficient is a true one
     def dropped(inst):
         out = {k: Vec({i: x for i, x in c.entries.items() if i not in ids})
@@ -846,13 +731,13 @@ def test_jacobi_routes_disagreeing_on_a_stacked_pair_raise(monkeypatch):
     monkeypatch.setattr(structures, "exact_jacobi", dropped)
     with pytest.raises(ConsistencyViolationError,
                        match=rf"^jacobi routes disagree on \({','.join(first)}\): "
-                             "symbolic=False exact=True$"):
+                             "windowed=False exact=True$"):
         check_axiom(M, "jacobi")
 
 
 def test_exact_route_equals_route_one_at_the_default_window():
-    # Claim A (``rationalforms.exact_jacobi``) against route 1, member by
-    # member, with one route-1 memo: at the default window their failing
+    # the exact route (``rationalforms.exact_jacobi``) against route 1
+    # (conftest's ``route_one``), member by member: at the default window their failing
     # triples are the same; below it route 1's are among the exact ones,
     # each box coefficient being a true one.  Many members have a pole in f
     # (p > 0 on the stack) beside a passing triple, so the common p decides
@@ -860,14 +745,13 @@ def test_exact_route_equals_route_one_at_the_default_window():
     members = (full_corpus() + full_module_corpus() + _seeded_edits(60, 12)
                + _seeded_edits(200, 12) + _seeded_edits(200, 13)
                + _random_tables(60, 21))
-    memo, fails, poles, mixed = {}, 0, 0, 0
+    fails, poles, mixed = 0, 0, 0
     for A in members:
-        member = MemberStacks(A, memo=memo)
+        member = MemberStacks(A)
         inst = member.instance()
         exact = structures._failing_triples(member, rationalforms.exact_jacobi(inst))
         for N in (1, 2, 3, structures.default_window(A)):
-            windowed = structures._failing_triples(
-                member, structures._jacobi_symbolic_zero(inst, N, memo))
+            windowed = structures._failing_triples(member, route_one(inst, N))
             assert windowed <= exact, (A.name, N)
         assert windowed == exact, A.name
         fails += bool(exact)
@@ -881,15 +765,16 @@ def test_exact_route_equals_route_one_at_the_default_window():
 def test_the_borcherds_identity_on_the_mode_tables_equals_route_one():
     # the Borcherds identity, summed on the mode tables (conftest's
     # borcherds_route, which shares no code with the stack writer or with
-    # deltacalc), equals route 1 key for key and label for label on every
+    # deltacalc), equals route 1 (conftest's ``route_one``) key for key and
+    # label for label on every
     # member stack of both corpora and of _seeded_edits(60, 12); at every
     # Jacobi FAIL record's monomial, its coefficient carries a label of the
     # record's triple
-    memo, compared, fails = {}, 0, 0
+    compared, fails = 0, 0
     for A in full_corpus() + full_module_corpus() + _seeded_edits(60, 12):
-        member, N = MemberStacks(A, memo=memo), structures.default_window(A)
+        member, N = MemberStacks(A), structures.default_window(A)
         oracle = borcherds_route(member, N)
-        assert oracle == structures._jacobi_symbolic_zero(member.instance(), N, memo), A.name
+        assert oracle == route_one(member.instance(), N), A.name
         compared += sum(len(c.entries) for c in oracle.values())
         report = check_jacobi(A, _jacobi_axiom(A), member)
         if report.verdict == "FAIL":
@@ -899,6 +784,20 @@ def test_the_borcherds_identity_on_the_mode_tables_equals_route_one():
                 A.name
             fails += 1
     assert compared >= 20000 and fails >= 60, (compared, fails)
+
+
+def test_route_two_equals_route_one_on_every_member_stack():
+    # the checker's windowed route (``structures._jacobi_series``, route 2 on
+    # the series layer) equals route 1 (conftest's ``route_one``, deltacalc's
+    # window oracle) key for key and label for label on every member stack
+    # of both corpora and of _seeded_edits(60, 12), at the default window
+    compared = 0
+    for A in full_corpus() + full_module_corpus() + _seeded_edits(60, 12):
+        inst, N = MemberStacks(A).instance(), structures.default_window(A)
+        want = route_one(inst, N)
+        assert structures._jacobi_series(inst, N) == want, A.name
+        compared += sum(len(c.entries) for c in want.values())
+    assert compared >= 23000, compared
 
 
 def test_checks_that_read_no_stack_never_list_the_triples():
@@ -973,7 +872,7 @@ def test_check_below_the_default_window_exits_three_on_an_exact_fail(tmp_path, c
 
 def test_jacobi_stack_disagreeing_with_its_triple_raises(monkeypatch):
     # a stacked triple that both routes find nonzero while the triple alone
-    # is zero cannot come from a correct stacking: route 1's rerun on the
+    # is zero cannot come from a correct stacking: route 2's rerun on the
     # reported triple catches it, and it is reported, not passed over
     double_first_coefficient(monkeypatch, "f")
     S = borcherds_structure(3)
@@ -1006,12 +905,12 @@ def test_weak_and_vf_stacks_disagreeing_with_their_triple_raise(monkeypatch, axi
 
 
 def test_jacobi_guard_compares_the_first_monomial(monkeypatch):
-    # route 1's rerun on the reported triple must give the stack's first
+    # route 2's rerun on the reported triple must give the stack's first
     # monomial, not just a FAIL: a rerun whose least nonzero coefficient
     # moved is reported as a stacking violation
     calls = []
 
-    def shifted(*args, _original=structures._jacobi_symbolic_zero):
+    def shifted(*args, _original=structures._jacobi_series):
         out = _original(*args)
         calls.append(out)
         if len(calls) == 2:
@@ -1019,7 +918,7 @@ def test_jacobi_guard_compares_the_first_monomial(monkeypatch):
             del out[min(out)]
         return out
 
-    monkeypatch.setattr(structures, "_jacobi_symbolic_zero", shifted)
+    monkeypatch.setattr(structures, "_jacobi_series", shifted)
     S = mutants()[0]
     with pytest.raises(ConsistencyViolationError,
                        match=r"^jacobi stacking is inconsistent at \(.+\): "
@@ -1410,8 +1309,7 @@ def test_each_weak_pair_is_a_residue_of_route_one():
         for t in stacks.triples:
             inst = stacks.own(t)
             route1 = {tuple(dict(mono).get(v, 0) for v in X): c
-                      for mono, c in structures._jacobi_symbolic_zero(
-                          inst, N, stacks.memo).items()}
+                      for mono, c in route_one(inst, N).items()}
             for kind, pair in rationalforms.PAIRS.items():
                 left, right = rationalforms.pair_sides(inst, kind, N)
                 diff, w = left - right, rationalforms.box(N, *pair.variables)
@@ -1620,7 +1518,7 @@ def test_windowed_routes_below_the_default_window_are_bounded_by_the_exact_ones(
         default = structures.default_window(A)
         for N in range(1, default + 2):
             route1 = structures._failing_triples(
-                member, structures._jacobi_symbolic_zero(inst, N, member.memo))
+                member, route_one(inst, N))
             assert route1 <= exact_jacobi, (A.name, N)
             if N >= default:
                 assert route1 == exact_jacobi, (A.name, N)

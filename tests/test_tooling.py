@@ -46,9 +46,9 @@ def test_pyproject_declares_no_runtime_dependencies():
 
 
 def test_deltacalc_shares_no_arithmetic_with_route_two():
-    # route 1 of the Jacobi check (deltacalc's window oracle) must not borrow
-    # the series arithmetic that route 2 (rationalforms.three_term_series)
-    # runs on
+    # route 1 (deltacalc's window oracle), the tests' reference of the
+    # Jacobi checker, must not borrow the series arithmetic that the
+    # checker's route 2 (rationalforms.three_term_series) runs on
     path = os.path.join(PACKAGE, "deltacalc.py")
     with open(path) as fh:
         tree = ast.parse(fh.read(), filename=path)

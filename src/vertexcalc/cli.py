@@ -138,9 +138,9 @@ def _load_corpus_dir(path, want_modules):
         raise ConfigError(f"no .json configs in {path}")
     read, bases = {f: configio.load_json(f) for f in files}, {}
 
-    def base(f):
+    def base(f, named_by):
         if f not in bases:
-            bases[f] = configio.load_structure(f, read.get(f))
+            bases[f] = configio.load_structure(f, read.get(f), named_by=named_by)
         return bases[f]
     out = [configio.load_module(f, data, base) if want_modules
            else configio.load_structure(f, data)

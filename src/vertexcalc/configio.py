@@ -196,17 +196,21 @@ def _parsed(path, data, over=None):
         raise ConfigError(f"{path}: {err}") from None
 
 
-def load_structure(path, data=None) -> VertexStructure:
-    """The structure of the config at ``path``, ``data`` if it is read."""
+def load_structure(path, data=None, *, named_by=None) -> VertexStructure:
+    """The structure of the config at ``path``, ``data`` if it is read.  A
+    module config is refused, as the base of ``named_by``, the module key
+    that names ``path``, when one is given."""
     data = load_json(path) if data is None else data
     if is_module_config(data):
-        raise ConfigError(f"{path} is a module config; use check-module")
+        raise ConfigError(f"{path} is a module config; use check-module" if named_by is None
+                          else f"{named_by} names {path}, a module config, not a structure")
     return _parsed(path, data)
 
 
 def load_module(path, data=None, base=load_structure) -> ModuleStructure:
     """The module of the config at ``path``, ``data`` if it is read, over
-    ``base`` of its base structure's path, "<over>.json" next to it."""
+    ``base`` of its base structure's path, "<over>.json" next to it, and
+    of the module key that names it (``load_structure``'s ``named_by``)."""
     data = load_json(path) if data is None else data
     if not is_module_config(data):
         raise ConfigError(f"{path} is not a module config")
@@ -217,7 +221,7 @@ def load_module(path, data=None, base=load_structure) -> ModuleStructure:
     if not os.path.exists(base_path):
         raise ConfigError(f"{path}: 'over' {over!r} names no base structure file "
                           f"{base_path}")
-    return _parsed(path, data, base(base_path))
+    return _parsed(path, data, base(base_path, named_by=f"{path}: 'over' {over!r}"))
 
 
 def machine_report(command, seed, params, records) -> str:

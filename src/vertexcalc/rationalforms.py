@@ -117,11 +117,8 @@ class RationalForm:
             kmax = (min(window_hi - base[it], base[ih] - self.a - window_lo)
                     if self.a else 0)
             add_power(coeffs, rows, base, cnum, -self.a, (hs, ih), (ts, it), kmax)
-        if self.a == 0:
-            return WindowedSeries.from_monomials(pair.variables, coeffs)
-        window = {hvar: (window_lo, INF), tvar: (INF, window_hi)}
-        shape = {hvar: (False, True), tvar: (True, False)}
-        return WindowedSeries(pair.variables, coeffs, window, shape)
+        window = {hvar: (window_lo, INF), tvar: (INF, window_hi)} if self.a else None
+        return WindowedSeries(pair.variables, coeffs, window)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +220,7 @@ class TripleInstance:
         coeffs = dict(self.f.coeffs)
         key = (mono[0], mono[1])
         coeffs[key] = coeffs.get(key, 0) + value
-        f2 = WindowedSeries(self.f.variables, coeffs, self.f.window, self.f.shape)
+        f2 = WindowedSeries(self.f.variables, coeffs, self.f.window)
         return TripleInstance(f2, self.g, self.h, None, self.gen_hi)
 
 
@@ -477,11 +474,8 @@ def _pair_matches(inst: TripleInstance, kind, form: RationalForm, N):
 def _box_coeffs(series, w):
     """{exponents in the order of the square box ``w``'s two variables:
     coefficient} of ``series`` on ``w``, which it must know."""
-    series.require_known(w)
-    (x, (lo, hi)), (y, _) = w.items()
-    i, j = series.idx(x), series.idx(y)
-    return {(k[i], k[j]): c for k, c in series.coeffs.items()
-            if lo <= k[i] <= hi and lo <= k[j] <= hi}
+    i, j = map(series.idx, w)
+    return {(k[i], k[j]): c for k, c in series.nonzero_on(w)}
 
 
 def reconstruct_form(inst: TripleInstance, kind, m, N):

@@ -1,13 +1,14 @@
 """Sparse exact multivariate Laurent series on declared coefficient windows.
 
 A WindowedSeries stores exact coefficients for the monomials it knows about.
-Per variable it carries a *knowledge window* (lo, hi) — coefficients with that
-variable's exponent inside the window are complete, outside they are unknown —
-and truncation *shape* flags (bounded below, bounded above) used to certify
-that products are finite convolutions.  A variable whose shape is bounded on
-both sides is *exact*: the whole support lies inside the window, so the series
-is complete everywhere in that direction.  Exactness is derived from the
-shape, never stored.
+In each variable it is either *exact*, complete everywhere in that direction,
+or known only on a *knowledge window* (lo, hi): coefficients with that
+variable's exponent inside the window are complete, outside they are unknown.
+``window`` maps each inexact variable to its knowledge window; a variable not
+in it is exact.  Every product the package forms has an exact factor in each
+variable (a slot of a finite member is a Laurent polynomial, and each pole
+statement is cleared by a binomial power), so a product is a finite
+convolution, and one with no exact factor in some variable is refused.
 
 Every binomial power (s_h x_h + s_t x_t)^n, whatever the sign of n, is
 expanded in nonnegative powers of its tail x_t (the formal-calculus
@@ -47,38 +48,27 @@ def _known_contains(known, lo, hi):
 
 
 class WindowedSeries:
-    """Immutable: no code changes a series' coefficients, windows or shapes
-    once the function that built it has returned it.  Derived series may
-    therefore share the ``coeffs`` dict of the series they come from."""
+    """Coefficients keyed by exponent tuples in ``variables`` order, and the
+    knowledge ``window`` of each inexact variable; with no window the series
+    is exact, a Laurent polynomial.
 
-    __slots__ = ("variables", "coeffs", "window", "shape")
+    Immutable: no code changes a series' coefficients or windows once the
+    function that built it has returned it.  Derived series may therefore
+    share the ``coeffs`` and ``window`` dicts of the series they come from."""
 
-    def __init__(self, variables, coeffs, window=None, shape=None):
+    __slots__ = ("variables", "coeffs", "window")
+
+    def __init__(self, variables, coeffs, window=None):
         self.variables = tuple(variables)
         self.coeffs = {k: v for k, v in coeffs.items()
                        if (v.entries if type(v) is Vec else v)}
         self.window = dict(window) if window else {}
-        self.shape = dict(shape) if shape else {}
-        for v in self.variables:
-            self.window.setdefault(v, (INF, INF))
-            self.shape.setdefault(v, (True, True))
-
-    # -- construction -----------------------------------------------------
-    @classmethod
-    def from_monomials(cls, variables, coeffs):
-        """Exact finite-support series; monomials keyed by exponent tuples.
-        Each window is the support ((0, 0) for none), read in one pass."""
-        out = cls(variables, coeffs)
-        columns = zip(*out.coeffs) if out.coeffs else [(0,)] * len(out.variables)
-        for v, exps in zip(out.variables, columns):
-            out.window[v] = (min(exps), max(exps))
-        return out
 
     @classmethod
-    def _of(cls, variables, coeffs, window, shape):
-        """A series of clean parts: no zero stored, every variable windowed."""
+    def _of(cls, variables, coeffs, window):
+        """A series of clean parts: no zero stored."""
         out = cls.__new__(cls)
-        out.variables, out.coeffs, out.window, out.shape = variables, coeffs, window, shape
+        out.variables, out.coeffs, out.window = variables, coeffs, window
         return out
 
     # -- bookkeeping --------------------------------------------------------
@@ -87,7 +77,7 @@ class WindowedSeries:
 
     def known(self, var):
         """Interval on which coefficients in this variable are complete."""
-        return (INF, INF) if self.exact(var) else self.window[var]
+        return self.window.get(var, (INF, INF))
 
     def support(self, var):
         i = self.idx(var)
@@ -95,15 +85,14 @@ class WindowedSeries:
         return (min(exps), max(exps)) if exps else (0, 0)
 
     def exact(self, var):
-        """Whether the support in ``var`` is bounded on both sides, so that
-        the series is complete everywhere in that direction."""
-        return self.shape[var] == (True, True)
+        """Whether the series is complete everywhere in the direction ``var``."""
+        return var not in self.window
 
     def is_exact(self):
-        return all(self.exact(v) for v in self.variables)
+        return not self.window
 
     def copy_meta(self, coeffs):
-        return WindowedSeries(self.variables, coeffs, self.window, self.shape)
+        return WindowedSeries(self.variables, coeffs, self.window)
 
     def __repr__(self):
         n = len(self.coeffs)
@@ -132,14 +121,8 @@ class WindowedSeries:
                     new[p] = e
         # keys may collide only if a dropped variable was live, excluded above
             coeffs[tuple(new)] = c
-        window, shape = {}, {}
-        for v in variables:
-            if v in self.variables:
-                window[v] = self.window[v]
-                shape[v] = self.shape[v]
-            else:
-                window[v], shape[v] = (0, 0), (True, True)
-        return WindowedSeries(variables, coeffs, window, shape)
+        return WindowedSeries(variables, coeffs, {
+            v: w for v, w in self.window.items() if v in variables})
 
     def rename(self, mapping):
         """Bijectively rename variables; series content is untouched.
@@ -149,20 +132,18 @@ class WindowedSeries:
         new_vars = tuple(mapping.get(v, v) for v in self.variables)
         if len(set(new_vars)) != len(new_vars):
             raise ValueError("rename must stay bijective")
-        return WindowedSeries._of(
-            new_vars, self.coeffs,
-            {n: self.window[v] for n, v in zip(new_vars, self.variables)},
-            {n: self.shape[v] for n, v in zip(new_vars, self.variables)})
+        return WindowedSeries._of(new_vars, self.coeffs, {
+            mapping.get(v, v): w for v, w in self.window.items()})
 
     def flip_sign(self, var):
         """Substitute var -> -var."""
         i = self.idx(var)
         coeffs = {k: (-c if k[i] % 2 else c) for k, c in self.coeffs.items()}
         out = self.copy_meta(coeffs)
-        lo, hi = self.window[var]
-        out.window[var] = (-hi if hi is not None else INF, -lo if lo is not None else INF)
-        l, u = self.shape[var]
-        out.shape[var] = (u, l)
+        if var in self.window:
+            lo, hi = self.window[var]
+            out.window[var] = (-hi if hi is not None else INF,
+                               -lo if lo is not None else INF)
         return out
 
     def __neg__(self):
@@ -192,20 +173,18 @@ class WindowedSeries:
                 coeffs[k] = new
             else:
                 del coeffs[k]
-        window, shape, same_known = {}, {}, True
+        window, same_known = {}, True
         for v in self.variables:
+            if self.exact(v) and other.exact(v):
+                continue
             ka, kb = self.known(v), other.known(v)
             same_known = same_known and ka == kb
             lo = None if ka[0] is None and kb[0] is None else max(
                 x for x in (ka[0], kb[0]) if x is not None)
             hi = None if ka[1] is None and kb[1] is None else min(
                 x for x in (ka[1], kb[1]) if x is not None)
-            window[v] = (lo, hi) if not (self.exact(v) and other.exact(v)) else (
-                min(self.window[v][0], other.window[v][0]),
-                max(self.window[v][1], other.window[v][1]))
-            shape[v] = (self.shape[v][0] and other.shape[v][0],
-                        self.shape[v][1] and other.shape[v][1])
-        out = WindowedSeries._of(self.variables, coeffs, window, shape)
+            window[v] = (lo, hi)
+        out = WindowedSeries._of(self.variables, coeffs, window)
         return out if same_known else out._drop_unknown()
 
     def _drop_unknown(self):
@@ -218,8 +197,7 @@ class WindowedSeries:
                     break
             else:
                 keep[key] = c
-        return WindowedSeries._of(self.variables, keep, dict(self.window),
-                                  dict(self.shape))
+        return WindowedSeries._of(self.variables, keep, self.window)
 
     # -- coefficient access ---------------------------------------------------
     def coeff(self, mono):
@@ -264,11 +242,8 @@ class WindowedSeries:
         for key, c in self.coeffs.items():
             if key[i] == -1:
                 coeffs[key[:i] + key[i + 1:]] = c
-        return WindowedSeries(
-            rest, coeffs,
-            {v: self.window[v] for v in rest},
-            {v: self.shape[v] for v in rest},
-        )
+        return WindowedSeries(rest, coeffs, {
+            v: w for v, w in self.window.items() if v != var})
 
 
 def _inside(coeffs, bounds):
@@ -304,47 +279,38 @@ def zero_verdict(series, window_box=None):
 # multiplication
 
 def multiply(a: WindowedSeries, b: WindowedSeries) -> WindowedSeries:
-    """Exact product on the window the factors can certify.
+    """Exact product, known where every contributing coefficient is.
 
-    Summability is certified per variable by the shape table: one factor has
-    finite support, or both are lower-truncated, or both are upper-truncated.
-    The output window is where every contributing coefficient is known.
+    In each variable at least one factor must be exact, a Laurent polynomial
+    there, so that every coefficient is a finite convolution; the product is
+    exact where both are, and otherwise known on the inexact factor's window
+    narrowed by the exact factor's support.  A product with no exact factor
+    in some variable is refused.
     """
     if set(a.variables) != set(b.variables):
         allv = tuple(sorted(set(a.variables) | set(b.variables)))
         return multiply(a.align(allv), b.align(allv))
     b = b.align(a.variables)
-    window, shape = {}, {}
+    window = {}
     for v in a.variables:
-        fa, fb = a.shape[v], b.shape[v]
-        if not ((fa[0] and fa[1]) or (fb[0] and fb[1]) or (fa[0] and fb[0]) or (fa[1] and fb[1])):
-            raise SummabilityError(
-                f"shapes cannot certify finite convolution in {v!r}: {fa} vs {fb}")
-        shape[v] = (fa[0] and fb[0], fa[1] and fb[1])
-        if a.exact(v) and b.exact(v):
-            alo, ahi = a.window[v]
-            blo, bhi = b.window[v]
-            window[v] = (alo + blo, ahi + bhi)
-        elif a.exact(v):
-            slo, shi = a.support(v)
-            blo, bhi = b.known(v)
-            window[v] = (blo + shi if blo is not None else INF,
-                         bhi + slo if bhi is not None else INF)
+        if a.exact(v):
+            if b.exact(v):
+                continue
+            finite, (lo, hi) = a, b.known(v)
         elif b.exact(v):
-            slo, shi = b.support(v)
-            alo, ahi = a.known(v)
-            window[v] = (alo + shi if alo is not None else INF,
-                         ahi + slo if ahi is not None else INF)
+            finite, (lo, hi) = b, a.known(v)
         else:
             raise WindowUnderflowError(
                 f"product knows no complete window in {v!r}: both factors inexact")
+        slo, shi = finite.support(v)
+        window[v] = (lo + shi if lo is not None else INF,
+                     hi + slo if hi is not None else INF)
     coeffs = {}
     for k1, c1 in a.coeffs.items():
         for k2, c2 in b.coeffs.items():
             key = tuple(map(add, k1, k2))
             coeffs[key] = coeffs.get(key, 0) + c1 * c2
-    out = WindowedSeries(a.variables, coeffs, window, shape)
-    return out._drop_unknown()
+    return WindowedSeries(a.variables, coeffs, window)._drop_unknown()
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +390,7 @@ def binomial_power(variables, head_sv, tail_sv, n):
     coeffs = {}
     add_power(coeffs, {}, (0,) * len(variables), 1, n,
               (hs, variables.index(hv)), (ts, variables.index(tv)), n)
-    return WindowedSeries.from_monomials(variables, coeffs)
+    return WindowedSeries(variables, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -479,28 +445,16 @@ def taylor_substitute(s: WindowedSeries, var, head_sv, tail_sv, out_window=None)
         add_power(coeffs, rows, base, c, n, (hs, ih), (ts, it), kmax)
     coeffs = _made(coeffs)
 
-    window, shape = {}, {}
-    for v in new_vars:
-        if v in s.variables and v not in (hv, tv):
-            window[v], shape[v] = s.window[v], s.shape[v]
-        else:
-            window[v], shape[v] = (INF, INF), (True, True)
-    if not negative and s.exact(var):
-        # finite expansion into exact directions: support-derived exact windows
-        ok_spread = all(
-            v == var or v not in s.variables or s.exact(v) for v in (hv, tv))
-        if ok_spread:
-            out = WindowedSeries(new_vars, coeffs, window, shape)
-            for v in (hv, tv):
-                out.window[v] = out.support(v)
-            return out
+    window = {v: w for v, w in s.window.items() if v not in (var, hv, tv)}
+    if not negative and all(s.exact(v) for v in (var, hv, tv)):
+        # a finite expansion into exact directions is exact in both
+        return WindowedSeries(new_vars, coeffs, window)
     # truncated / inexact expansion: the head is complete above klo (shifted by
     # any pre-existing exact head exponents), the tail below the window cap
     head_lo = klo
     if hv_pre and klo is not None:
         head_lo = klo + s.support(hv)[1]
     window[hv] = (head_lo, INF)
-    shape[hv] = (False, False)
     tail_known_hi = out_window[tv][1] if negative else INF
     if tv in s.variables:
         tlo, thi = s.known(tv)
@@ -509,9 +463,7 @@ def taylor_substitute(s: WindowedSeries, var, head_sv, tail_sv, out_window=None)
         window[tv] = (tlo, tail_known_hi)
     else:
         window[tv] = (0, tail_known_hi)
-    shape[tv] = (True, False) if (tv not in s.variables or s.shape[tv][0]) else (False, False)
-    out = WindowedSeries(new_vars, coeffs, window, shape)
-    return out._drop_unknown()
+    return WindowedSeries(new_vars, coeffs, window)._drop_unknown()
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +558,5 @@ def apply_delta(terms, out_window):
                     continue  # an empty tail range: add_power would write nothing
                 base[idn] = -n - 1  # s does not involve the denominator
                 add_power(coeffs, rows, base, c, n, head, tail, kmax, kmin)
-    return WindowedSeries(variables, _made(coeffs), window,
-                          {v: (False, False) for v in variables})
+    return WindowedSeries(variables, _made(coeffs), window)
 

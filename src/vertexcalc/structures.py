@@ -455,7 +455,7 @@ class MemberStacks:
         at (v, u, w) read by position.  What every FAIL guard reruns on, apart
         from the stack writer."""
         u, v, w = t
-        return TripleInstance(**{slot: WindowedSeries.from_monomials(SLOT_VARIABLES[slot], {
+        return TripleInstance(**{slot: WindowedSeries(SLOT_VARIABLES[slot], {
             key: Vec(c) for _, key, c in _products(self.A, kind, [at])})
             for slot, kind, at in (("f", "f", t), ("g", "f", (v, u, w)),
                                    ("h", "h", t), ("hs", "h", (v, u, w)))})
@@ -474,7 +474,7 @@ def _stacks(member, kind):
         row, row_swapped = stacked.setdefault(key, {}), swapped.setdefault(key, {})
         for b, c in entries.items():
             row[here[b]] = row_swapped[there[b]] = c
-    return {slot: WindowedSeries.from_monomials(
+    return {slot: WindowedSeries(
                 SLOT_VARIABLES[slot], {key: Vec(e) for key, e in out.items()})
             for slot, out in ((kind, stacked), ({"f": "g", "h": "hs"}[kind], swapped))}
 

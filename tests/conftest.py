@@ -122,7 +122,7 @@ def chain(k):
 
 def _in_x(coeffs):
     """The exact series in x of {exponent: coefficient}."""
-    return WindowedSeries.from_monomials(("x",), {(e,): c for e, c in coeffs.items()})
+    return WindowedSeries(("x",), {(e,): c for e, c in coeffs.items()})
 
 
 def _derivative(series):

@@ -471,6 +471,23 @@ def test_a_missing_base_structure_file_is_named_with_its_module(corpus_dir, tmp_
                                 f"structure file {tmp_path / 'nosuch.json'}\n"), argv
 
 
+def test_a_base_that_is_a_module_config_is_named_with_its_module(corpus_dir, tmp_path,
+                                                                 capsys):
+    # a module whose "over" names a module config, itself or another, is
+    # refused by the module's path and key, not told to use check-module
+    module = configio.load_json(str(corpus_dir / "regular-module-k3.module.json"))
+    m2, own = tmp_path / "m2.module.json", tmp_path / "self.json"
+    for path in (m2, own):
+        configio.dump_json({**module, "over": "self"}, path)
+    for path, argv in ((m2, ["check-module", str(m2)]), (own, ["check-module", str(own)]),
+                       (m2, ["main-theorem", str(tmp_path)])):
+        rc = main(argv + ["--format", "machine"])
+        captured = capsys.readouterr()
+        assert rc == 3 and captured.out == "", argv
+        assert captured.err == (f"config error: {path}: 'over' 'self' names {own}, "
+                                "a module config, not a structure\n"), argv
+
+
 def test_consistency_violation_exits_two_with_one_line(corpus_dir, monkeypatch,
                                                        capsys):
     # a stack writer that doubles one coefficient of slot f makes the valid

@@ -55,7 +55,7 @@ def test_expand_then_shift_equals_expand_of_shifted_form():
 
 def test_zero_instance_satisfies_A():
     inst_zero = instance_from_form(RationalForm({(0, 0): 1}, 0, 0, 0), N=4)
-    inst = type(inst_zero)(*(WindowedSeries.from_monomials(v, {}) for v in (
+    inst = type(inst_zero)(*(WindowedSeries(v, {}) for v in (
         ("x1", "x2"), ("x2", "x1"), ("x2", "x0"))), None, inst_zero.gen_hi)
     ok, witness = check_A(inst, 4)
     assert ok and witness is None
@@ -219,8 +219,7 @@ def _with_slot_changed(inst, slot, value, key=(0, 0)):
     coeffs = dict(series.coeffs)
     coeffs[key] = coeffs.get(key, 0) + value
     slots = {"f": inst.f, "g": inst.g, "h": inst.h}
-    slots[slot] = WindowedSeries(series.variables, coeffs, series.window,
-                                 series.shape)
+    slots[slot] = WindowedSeries(series.variables, coeffs, series.window)
     return TripleInstance(slots["f"], slots["g"], slots["h"], inst.form,
                           inst.gen_hi)
 
@@ -312,10 +311,10 @@ def test_stacked_witness_search_decides_each_label_as_alone():
     # at m = 2: b is cleared at m = 0, a at m = 1, and c, still open at
     # m = 2, makes the search raise that m's underflow, as c alone does
     diff = WindowedSeries(("x",), {(0,): Vec({"a": 1, "c": 2}), (2,): Vec({"c": 1})},
-                          {"x": (-5, 5)}, {"x": (False, False)})
+                          {"x": (-5, 5)})
 
     def clear(m):
-        return WindowedSeries.from_monomials(("x",), {(-4 if m == 1 else -6,): 1})
+        return WindowedSeries(("x",), {(-4 if m == 1 else -6,): 1})
 
     def search(labels, d):
         return least_clearing_power(d, clear, {"x": (-3, 0)}, 3, labels,
@@ -352,10 +351,10 @@ def test_inexact_stacked_witness_search_decides_each_label_as_alone():
         "ramp": scale["ramp"] * k * (abs(k) < 6),
         "rand": scale["rand"] * rng.randint(-2, 2) * (abs(k) < 3),
         "out": scale["out"] * (abs(k) == 6)}) for k in range(-6, 7)},
-        {"x": (-6, 6)}, {"x": (False, False)})
+        {"x": (-6, 6)})
 
     def clear(m):
-        return WindowedSeries.from_monomials(
+        return WindowedSeries(
             ("x",), {(j,): binom(m, j) * (-1) ** (m - j) for j in range(m + 1)})
 
     def search(labels, d):

@@ -10,6 +10,7 @@ from vertexcalc.scalars import Vec, binom
 from vertexcalc.series import (
     INF,
     WindowedSeries,
+    _known_contains,
     _made,
     add_power,
     apply_delta,
@@ -20,7 +21,7 @@ from vertexcalc.series import (
 
 
 def poly(variables, entries):
-    return WindowedSeries.from_monomials(variables, entries)
+    return WindowedSeries(variables, entries)
 
 
 def rand_poly(rng, variables, max_deg=3, terms=4):
@@ -38,7 +39,7 @@ def _delta(lo, hi):
     """The formal delta(x) = sum_n x^n, known on [lo, hi] and unbounded in
     both directions."""
     return WindowedSeries(("x",), {(n,): 1 for n in range(lo, hi + 1)},
-                          window={"x": (lo, hi)}, shape={"x": (False, False)})
+                          window={"x": (lo, hi)})
 
 
 def test_delta_times_one_minus_x_telescopes():
@@ -51,7 +52,7 @@ def test_delta_times_one_minus_x_telescopes():
 def test_geometric_series_times_one_minus_x():
     geo = WindowedSeries(
         ("x",), {(n,): 1 for n in range(0, 8)},
-        window={"x": (None, 7)}, shape={"x": (True, False)})
+        window={"x": (None, 7)})
     p = poly(("x",), {(0,): 1, (1,): -1})
     prod = multiply(geo, p)
     one = poly(("x",), {(0,): 1})
@@ -60,7 +61,7 @@ def test_geometric_series_times_one_minus_x():
 
 def test_delta_times_delta_refused():
     d = _delta(-5, 5)
-    with pytest.raises(SummabilityError):
+    with pytest.raises(WindowUnderflowError):
         multiply(d, d)
 
 
@@ -78,7 +79,7 @@ def test_multiply_associative_when_certified():
 def test_multiply_associative_with_truncated_factor():
     geo = WindowedSeries(
         ("x",), {(n,): 1 for n in range(0, 9)},
-        window={"x": (None, 8)}, shape={"x": (True, False)})
+        window={"x": (None, 8)})
     p = poly(("x",), {(0,): 1, (1,): -1})
     q = poly(("x",), {(0,): 2, (2,): 3})
     left = multiply(multiply(geo, p), q)
@@ -90,7 +91,7 @@ def test_multiply_window_clipping_is_safe():
     # inexact * exact: the product window shrinks by the polynomial's spread
     geo = WindowedSeries(
         ("x",), {(n,): 1 for n in range(0, 6)},
-        window={"x": (None, 5)}, shape={"x": (True, False)})
+        window={"x": (None, 5)})
     p = poly(("x",), {(0,): 1, (2,): 5})
     prod = multiply(geo, p)
     assert prod.known("x") == (None, 5)
@@ -180,7 +181,7 @@ def test_residue_of_derivative_vanishes():
 def test_coeff_outside_window_refused():
     geo = WindowedSeries(
         ("x",), {(n,): 1 for n in range(0, 4)},
-        window={"x": (None, 3)}, shape={"x": (True, False)})
+        window={"x": (None, 3)})
     assert geo.coeff({"x": -2}) == 0
     with pytest.raises(WindowUnderflowError):
         geo.coeff({"x": 4})
@@ -212,24 +213,21 @@ def test_apply_delta_underflow_reports_needed_region():
     # a series only known above -1 in x1 cannot fill a window needing -6
     f = WindowedSeries(
         ("x1", "x2"), {(0, 0): 1},
-        window={"x1": (-1, None), "x2": (None, 3)},
-        shape={"x1": (False, True), "x2": (True, False)})
+        window={"x1": (-1, None), "x2": (None, 3)})
     with pytest.raises(WindowUnderflowError):
         apply_delta([(1, (1, "x1"), (-1, "x2"), "x0", f)],
                     {"x0": (-3, 3), "x1": (-6, 6), "x2": (-3, 6)})
 
 
-def _series(variables, coeffs, **known):
-    """A series whose variables named in ``known`` carry the given (window,
-    shape); every other variable is exact."""
-    return WindowedSeries(variables, coeffs,
-                          window={v: w for v, (w, _) in known.items()},
-                          shape={v: sh for v, (_, sh) in known.items()})
+def _series(variables, coeffs, **window):
+    """A series known on the given window in each variable named in
+    ``window``; every other variable is exact."""
+    return WindowedSeries(variables, coeffs, window)
 
 
 APPLY_WINDOW = {"x0": (-3, 3), "x1": (-3, 3), "x2": (-3, 3)}
 EXACT_X1X2 = poly(("x1", "x2"), {(0, 0): 1})
-GEO_X = _series(("x",), {(n,): 1 for n in range(8)}, x=((None, 7), (True, False)))
+GEO_X = _series(("x",), {(n,): 1 for n in range(8)}, x=(None, 7))
 
 
 def _apply(s, **window):
@@ -245,21 +243,21 @@ SERIES_REFUSALS = {
         _apply(EXACT_X1X2, x0=(None, 3)), SummabilityError,
         "delta index needs a finite window for 'x0'"),
     "apply_delta: head not complete above": (
-        _apply(_series(("x1", "x2"), {(0, 0): 1}, x1=((-3, 5), (False, False)))),
+        _apply(_series(("x1", "x2"), {(0, 0): 1}, x1=(-3, 5))),
         WindowUnderflowError, "series must be known-complete above in 'x1'"),
     "apply_delta: head known too high": (
-        _apply(_series(("x1", "x2"), {(0, 0): 1}, x1=((-1, None), (False, True))),
+        _apply(_series(("x1", "x2"), {(0, 0): 1}, x1=(-1, None)),
                x1=(-6, 6)),
         WindowUnderflowError, "series known above -1 in 'x1', but the delta window needs -8"),
     "apply_delta: tail window open above": (
         _apply(EXACT_X1X2, x2=(-3, None)), SummabilityError,
         "numerator tail 'x2' needs a bounded window"),
     "apply_delta: tail known too low": (
-        _apply(_series(("x1", "x2"), {(0, 0): 1}, x2=((None, 3), (True, False))),
+        _apply(_series(("x1", "x2"), {(0, 0): 1}, x2=(None, 3)),
                x2=(-3, 6)),
         WindowUnderflowError, "series known below 3 in 'x2', but the window needs 6"),
     "apply_delta: bystander not covered": (
-        _apply(_series(("x1", "x2", "y"), {(0, 0, 0): 1}, y=((0, 2), (False, False))),
+        _apply(_series(("x1", "x2", "y"), {(0, 0, 0): 1}, y=(0, 2)),
                y=(-1, 1)),
         WindowUnderflowError, "series knowledge in 'y' does not cover the requested window"),
     "taylor_substitute: tail is the target": (
@@ -267,7 +265,7 @@ SERIES_REFUSALS = {
         ValueError, "tail variable must differ from the head and the target"),
     "taylor_substitute: target not complete above": (
         lambda: taylor_substitute(
-            _series(("x",), {(0,): 1}, x=((-2, 4), (False, False))),
+            _series(("x",), {(0,): 1}, x=(-2, 4)),
             "x", (1, "x"), (1, "y")),
         WindowUnderflowError, "substitution target 'x' must be known-complete above"),
     "taylor_substitute: negative powers, open tail window": (
@@ -275,12 +273,12 @@ SERIES_REFUSALS = {
         WindowUnderflowError, "negative powers of 'x': need a finite upper window for 'y'"),
     "taylor_substitute: live inexact head": (
         lambda: taylor_substitute(
-            _series(("x", "z"), {(1, 1): 1}, z=((0, None), (True, False))),
+            _series(("x", "z"), {(1, 1): 1}, z=(0, None)),
             "x", (1, "z"), (1, "y")),
         WindowUnderflowError, "substitution head 'z' already live and inexact"),
-    "multiply: shapes cannot certify": (
-        lambda: multiply(GEO_X, GEO_X.flip_sign("x")), SummabilityError,
-        "shapes cannot certify finite convolution in 'x'"),
+    "multiply: factors truncated on opposite sides": (
+        lambda: multiply(GEO_X, GEO_X.flip_sign("x")), WindowUnderflowError,
+        "product knows no complete window in 'x': both factors inexact"),
     "multiply: both factors inexact": (
         lambda: multiply(GEO_X, GEO_X), WindowUnderflowError,
         "product knows no complete window in 'x': both factors inexact"),
@@ -539,8 +537,7 @@ def test_clipped_delta_convolution_of_a_truncated_series(num_head, num_tail, den
                for h in range(-12, 10, 3) for t in range(-6, 9, 2)}
     s = WindowedSeries(
         ("x0", "x1", "x2"), entries,
-        window={"x0": (0, 0), "x1": (-12, None), "x2": (None, 8)},
-        shape={"x1": (False, True), "x2": (True, False)},
+        window={"x1": (-12, None), "x2": (None, 8)},
     ).rename({"x0": denom, "x1": hv, "x2": tv}).align(("x0", "x1", "x2"))
     assert not s.is_exact()
     w = {"x0": (-3, 3), "x1": (-3, 3), "x2": (-3, 3)}
@@ -567,8 +564,7 @@ def test_multi_term_apply_delta_is_the_sum_of_its_terms(signs):
         ("x0", "x1", "x2"),
         {(0, h, t): Vec({"a": h - t, "b": Fraction(t, 3)})
          for h in range(-12, 10, 3) for t in range(-6, 9, 2)},
-        window={"x0": (0, 0), "x1": (-12, None), "x2": (None, 8)},
-        shape={"x1": (False, True), "x2": (True, False)})
+        window={"x1": (-12, None), "x2": (None, 8)})
     cases = [([truncated] * 3, {"x0": (-3, 3), "x1": (-3, 3), "x2": (-3, 3)})]
     for trial in range(4):
         series_ = []
@@ -590,8 +586,7 @@ def test_multi_term_apply_delta_is_the_sum_of_its_terms(signs):
             assert single.coeffs == (unsigned if sign > 0 else -unsigned).coeffs
         want = {}
         for single in singles:
-            assert (single.variables, single.window, single.shape) == (
-                got.variables, got.window, got.shape)
+            assert (single.variables, single.window) == (got.variables, got.window)
             for key, c in single.coeffs.items():
                 want[key] = want.get(key, 0) + c
         assert got.coeffs
@@ -683,7 +678,7 @@ def test_stacked_delta_and_substitution_sum_each_label_as_alone():
 def test_truncated_shape_is_inexact_and_known_on_its_window():
     geo = WindowedSeries(
         ("x",), {(n,): 1 for n in range(0, 4)},
-        window={"x": (None, 3)}, shape={"x": (True, False)})
+        window={"x": (None, 3)})
     assert not geo.exact("x") and not geo.is_exact()
     assert geo.known("x") == (None, 3)
 
@@ -691,14 +686,63 @@ def test_truncated_shape_is_inexact_and_known_on_its_window():
 def test_monomial_series_is_exact_on_its_support():
     p = poly(("x", "y"), {(-2, 1): 3, (4, 0): -1})
     assert p.exact("x") and p.exact("y") and p.is_exact()
-    assert p.window == {"x": (-2, 4), "y": (0, 1)}
-    assert p.known("x") == (None, None)
+    assert p.window == {}
+    assert p.known("x") == p.known("y") == (None, None)
+
+
+def test_each_operation_keeps_the_exactness_rule():
+    # seeded operands over (x, y), each inexact in a random set of variables:
+    # a sum, a difference or a product is exact in v exactly when both
+    # operands are (a product with neither exact in v is refused), flip_sign,
+    # align and residue keep each variable's exactness, and a series holds a
+    # window for its inexact variables alone, so an exact one holds none
+    rng = random.Random(4019)
+    variables = ("x", "y")
+    windows = ((-3, None), (None, 4), (-2, 5))
+    products = refused = 0
+
+    def series(inexact):
+        window = {v: rng.choice(windows) for v in inexact}
+        entries = {}
+        for _ in range(rng.randint(0, 6)):
+            key = (rng.randint(-3, 4), rng.randint(-3, 4))
+            if all(_known_contains(window.get(v, (INF, INF)), e, e)
+                   for v, e in zip(variables, key)):
+                entries[key] = rng.choice((1, -2, Fraction(1, 3)))
+        return WindowedSeries(variables, entries, window)
+
+    def assert_inexact_in(s, inexact):
+        assert set(s.window) == set(inexact)
+        assert all(s.exact(v) == (v not in inexact) for v in s.variables)
+        assert s.is_exact() == (not inexact) == (s.window == {})
+        assert all(s.known(v) == (INF, INF) for v in s.variables if v not in inexact)
+
+    subsets = [(), ("x",), ("y",), ("x", "y")]
+    for trial in range(200):
+        ia, ib = rng.choice(subsets), rng.choice(subsets)
+        a, b = series(ia), series(ib)
+        union = set(ia) | set(ib)
+        assert_inexact_in(a + b, union)
+        assert_inexact_in(a - b, union)
+        if set(ia) & set(ib):
+            with pytest.raises(WindowUnderflowError, match="both factors inexact"):
+                multiply(a, b)
+            refused += 1
+        else:
+            assert_inexact_in(multiply(a, b), union)
+            products += 1
+        for v in variables:
+            assert_inexact_in(a.flip_sign(v), ia)
+        assert_inexact_in(a.align(("y", "x")), ia)
+        assert_inexact_in(a.align(("x", "y", "z")), ia)
+        assert_inexact_in(a.residue("x"), set(ia) - {"x"})
+    assert products > 50 and refused > 20
 
 
 def test_rename_keeps_exactness_and_knowledge():
     geo = WindowedSeries(
         ("x", "y"), {(n, 1): 1 for n in range(0, 4)},
-        window={"x": (None, 3)}, shape={"x": (True, False)})
+        window={"x": (None, 3)})
     out = geo.rename({"x": "z"})
     assert out.variables == ("z", "y")
     assert not out.is_exact() and out.exact("y")
@@ -722,7 +766,7 @@ def _random_coeff(rng, vectors):
 
 def _assert_same_series(x, y):
     assert x.variables == y.variables
-    assert x.window == y.window and x.shape == y.shape
+    assert x.window == y.window
     assert x.coeffs == y.coeffs and list(x.coeffs) == list(y.coeffs)
     for k, c in x.coeffs.items():
         assert type(c) is type(y.coeffs[k])
@@ -744,8 +788,7 @@ def test_one_pass_series_subtraction_equals_adding_the_negation(vectors):
                 return poly(variables, entries)
             return WindowedSeries(
                 variables, entries,
-                window={variables[0]: (-2, None), variables[1]: (None, 3)},
-                shape={variables[0]: (False, True), variables[1]: (True, False)})
+                window={variables[0]: (-2, None), variables[1]: (None, 3)})
         a = series(("x", "y"))
         b = series(rng.choice([("x", "y"), ("y", "x"), ("x", "z")]))
         _assert_same_series(a - b, a + (-b))
@@ -775,19 +818,17 @@ def _merge_reference(a, b, subtract):
             coeffs[k] = prev - c if subtract else prev + c
         else:
             coeffs[k] = -c if subtract else c
-    window, shape = {}, {}
+    window = {}
     for v in a.variables:
+        if a.exact(v) and b.exact(v):
+            continue
         ka, kb = a.known(v), b.known(v)
         lo = None if ka[0] is None and kb[0] is None else max(
             x for x in (ka[0], kb[0]) if x is not None)
         hi = None if ka[1] is None and kb[1] is None else min(
             x for x in (ka[1], kb[1]) if x is not None)
-        window[v] = (lo, hi) if not (a.exact(v) and b.exact(v)) else (
-            min(a.window[v][0], b.window[v][0]),
-            max(a.window[v][1], b.window[v][1]))
-        shape[v] = (a.shape[v][0] and b.shape[v][0],
-                    a.shape[v][1] and b.shape[v][1])
-    out = WindowedSeries(a.variables, coeffs, window, shape)
+        window[v] = (lo, hi)
+    out = WindowedSeries(a.variables, coeffs, window)
     known = [out.known(v) for v in out.variables]
     out.coeffs = {
         key: c for key, c in out.coeffs.items()
@@ -801,8 +842,8 @@ def test_merge_equals_the_full_pass_merge(vectors):
     # seeded exact and windowed operands over shared and differing variable
     # orders, with equal and with differing known regions, keys stored only
     # inside the known region (as every series the package builds), and
-    # coefficients that cancel: coefficients, key order, windows and shapes
-    # all equal those of the merge that filters and drops in full passes
+    # coefficients that cancel: coefficients, key order and windows all
+    # equal those of the merge that filters and drops in full passes
     rng = random.Random(1407)
     windows = [((-2, None), (None, 3)), ((-1, None), (None, 2)), ((-3, None), (None, 3))]
     cancelled = unknown = same = 0
@@ -820,8 +861,7 @@ def test_merge_equals_the_full_pass_merge(vectors):
                 return poly(variables, entries)
             return WindowedSeries(
                 variables, entries,
-                window={variables[0]: (xlo, None), variables[1]: (None, yhi)},
-                shape={variables[0]: (False, True), variables[1]: (True, False)})
+                window={variables[0]: (xlo, None), variables[1]: (None, yhi)})
         a = series(("x", "y"))
         b = series(rng.choice([("x", "y"), ("x", "y"), ("y", "x"), ("x", "z")]), a)
         for x, y in ((a, b), (b, a), (a, a)):

@@ -157,7 +157,7 @@ def test_vacuum_acts_as_identity():
 
 def _series_in(var, modes):
     """The Laurent polynomial in ``var`` of modes {exponent: Vec}."""
-    return WindowedSeries.from_monomials((var,), {(e,): c for e, c in modes.items()})
+    return WindowedSeries((var,), {(e,): c for e, c in modes.items()})
 
 
 def test_compose_with_vacuum_drops_first_variable():
@@ -350,9 +350,9 @@ def test_exponentiated_conjugation_form():
             for j, zvec in enumerate(S.exp_d(Vec.unit(v))):
                 for e, vec in S.yw_modes(u, zvec).items():
                     rhs[e, j] = rhs.get((e, j), 0) + vec
-            rhs = taylor_substitute(WindowedSeries.from_monomials(("t", "z"), rhs),
+            rhs = taylor_substitute(WindowedSeries(("t", "z"), rhs),
                                     "t", (1, "x"), (1, "z"))
-            diff = WindowedSeries.from_monomials(("x", "z"), lhs) - rhs.align(("x", "z"))
+            diff = WindowedSeries(("x", "z"), lhs) - rhs.align(("x", "z"))
             assert is_zero(diff), (u, v)
 
 
@@ -404,17 +404,16 @@ def _slot_reference(A, slot, u, v, w):
             for n_out, vec in outer(b).items():
                 key = (-n_out - 1, -n_in - 1)
                 coeffs[key] = coeffs.get(key, Vec()) + vec.scale(c)
-    return WindowedSeries.from_monomials(
-        ("x1", "x2") if slot == "f" else ("x2", "x0"), coeffs)
+    return WindowedSeries(("x1", "x2") if slot == "f" else ("x2", "x0"), coeffs)
 
 
 def _series_facts(s):
     """What a slot series is: variables, coefficients with each entry's type,
-    windows and shapes."""
+    and windows."""
     return (s.variables,
             {k: (type(c), {b: (type(x), x) for b, x in c.entries.items()})
              for k, c in s.coeffs.items()},
-            s.window, s.shape)
+            s.window)
 
 
 def test_slot_builder_equals_the_term_by_term_products(ut2_dir):
@@ -441,7 +440,7 @@ def test_slot_builder_equals_the_term_by_term_products(ut2_dir):
                 want = _slot_reference(A, slot, *t)
                 want = want.rename(
                     dict(zip(want.variables, rationalforms.SLOT_VARIABLES[slot])))
-                got = WindowedSeries.from_monomials(
+                got = WindowedSeries(
                     whole.variables, {k: Vec(e) for k, e in coeffs.items()})
                 assert _series_facts(got) == _series_facts(want), (A.name, slot, t)
                 if slot != "hs":
@@ -1318,7 +1317,7 @@ def test_each_weak_pair_is_a_residue_of_route_one():
                 i = X.index(pair.eliminated)
                 for k in range(N):
                     # e^k times route 1, whose e^-1 slice is route 1's e^(-1-k) one
-                    shifted = WindowedSeries.from_monomials(X, {
+                    shifted = WindowedSeries(X, {
                         key[:i] + (key[i] + k,) + key[i + 1:]: c
                         for key, c in route1.items()})
                     got = _on_box(shifted.residue(pair.eliminated), w)

@@ -58,7 +58,6 @@ from .structures import (
     borcherds_construct,
     check_all,
     check_axiom,
-    minimal_pole_order,
     replay_corpus,
     restrict,
 )

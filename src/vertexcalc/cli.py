@@ -117,11 +117,12 @@ def cmd_replay_elem(args):
 
 def cmd_check(args, load):
     """check / check-module: check each requested axiom of the member that
-    ``load`` reads, all on one ``MemberStacks``."""
+    ``load`` reads once, in the order first asked, all on one
+    ``MemberStacks``."""
     t0 = time.time()
     member = load(args.path)
     stacks, records = MemberStacks(member), []
-    for axiom in args.axiom or member_axioms(member):
+    for axiom in dict.fromkeys(args.axiom or member_axioms(member)):
         rep = check_axiom(member, axiom, stacks)
         records.append({"id": f"{member.name}/{axiom}", "anchor": rep.anchor,
                         "verdict": rep.verdict, "witness": rep.witnesses})

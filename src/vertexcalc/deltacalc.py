@@ -241,9 +241,6 @@ class DeltaExpr:
             if extra:
                 raise ValueError(f"variables {sorted(extra)} outside the declared universe")
 
-    def extend_universe(self, extra_vars):
-        return DeltaExpr(self.terms, self.variables | set(extra_vars))
-
     def __add__(self, other):
         return DeltaExpr(self.terms + other.terms, self.variables | other.variables)
 
@@ -344,7 +341,7 @@ def taylor_shift(e: DeltaExpr, var, shift) -> DeltaExpr:
         raise UnsupportedRewriteError("shift variable must differ from the shifted variable")
     if svar not in e.variables:
         raise UnsupportedRewriteError(
-            f"shift variable {svar!r} not in the universe; extend_universe first")
+            f"shift variable {svar!r} not in the universe; declare it first")
     out = []
     for t in e.terms:
         mono = dict(t.mono)

@@ -31,7 +31,10 @@ each a slot series, possibly with the eliminated variable substituted:
 A pair statement reads one rational form over the binomial: the left side
 is its "direct" expansion, the right side its "reversed" one.  The pole
 witnesses, the reconstruction, (E)/(F)/(G), ``instance_from_form`` and the
-weak-property checkers of ``structures`` all read the table.
+weak-property checkers of ``structures`` all read the table.  The pole
+witness search (``least_clearing_power``) steps by the kind's binomial,
+one product per m, on the difference cropped to the region that its box
+reads; (E)/(F)/(G) read each side's box coefficients once per instance.
 
 On Laurent polynomials, such as the slots of a finite vertex structure,
 each pair statement, and (A), is decided without a window by the closed
@@ -40,7 +43,6 @@ forms of ``exact_difference``.
 from __future__ import annotations
 
 import random
-from functools import partial
 from math import comb
 from typing import NamedTuple
 
@@ -181,6 +183,11 @@ def clearing(kind, m):
     """The kind's binomial to the power m, in its pair variables."""
     pair = PAIRS[kind]
     return binomial_power(pair.variables, *pair.binomial, m)
+
+
+# each kind's binomial, the one factor of its witness search; series are
+# immutable, so every search shares it
+FACTORS = {kind: clearing(kind, 1) for kind in PAIRS}
 
 
 def pair_sides(inst, kind, hi):
@@ -398,25 +405,41 @@ def exact_jacobi(inst: TripleInstance):
 
 def pole_statement(inst, kind, hi, N):
     """The (B)/(C)/(D) statement of the kind, some power of its binomial kills
-    the pair difference on [-N, N]^2, as (left - right, m -> binomial^m, box)."""
+    the pair difference on [-N, N]^2, as (left - right, binomial, box); the
+    binomial is the kind's shared ``FACTORS`` entry, which
+    ``least_clearing_power`` steps by."""
     left, right = inst.result(pair_sides, kind, hi)
-    return left - right, partial(clearing, kind), box(N, *PAIRS[kind].variables)
+    return left - right, FACTORS[kind], box(N, *PAIRS[kind].variables)
 
 
-def least_clearing_power(diff, clear, box, m_max, labels=(None,),
+def least_clearing_power(diff, factor, box, m_max, labels=(None,),
                          labels_of=lambda c: (None,)):
     """{label: smallest valid witness m <= m_max} of a (B)/(C)/(D) statement
-    (diff, m -> binomial^m, box) stacked over ``labels``; m is valid when
-    ``labels_of`` reads the label off no coefficient of clear(m) * diff that
+    (diff, factor, box) stacked over ``labels``; m is valid when
+    ``labels_of`` reads the label off no coefficient of factor^m * diff that
     ``zero_verdict`` judges, and is None if none is.  Labels never mix, but
     an exact label on an inexact stack is judged on the box only.  A replay
     instance is the unlabelled case: one label None on every coefficient.
-    Raises WindowUnderflowError at the m at which the windows run out."""
-    least, open_ = {}, set(labels)
+    Raises WindowUnderflowError at the m at which the windows run out.
+
+    It steps: one running product, times the exact ``factor`` once per m.
+    Before the first step an inexact ``diff`` is cropped to the box widened
+    by m_max times the factor's support (s_lo, s_hi) in each variable, lo -
+    m_max * max(s_hi, 0) .. hi - m_max * min(s_lo, 0).  factor^m has m times
+    the factor's support, so a step narrows the windows as a product by
+    factor^m does; a judged coefficient at e sums those of diff at e - t, t
+    in that support, all inside the crop; and the cropped windows cover the
+    box after m steps wherever the uncropped ones do.  So the judged
+    coefficients, and the m of an underflow, are those of factor^m * diff."""
+    least, open_, prod = {}, set(labels), diff
     for m in range(m_max + 1):
         failing = set()
         try:
-            for _, c in judged_coeffs(multiply(diff, clear(m)) if m else diff, box):
+            if m == 1 and not diff.is_exact():
+                prod = diff.cropped(_reach(factor, box, m_max))
+            if m:
+                prod = multiply(prod, factor)
+            for _, c in judged_coeffs(prod, box):
                 failing.update(labels_of(c))
                 if open_ <= failing:
                     break
@@ -429,6 +452,15 @@ def least_clearing_power(diff, clear, box, m_max, labels=(None,),
         if not open_:
             break
     return least | dict.fromkeys(open_)
+
+
+def _reach(factor, box, m_max):
+    """``box`` widened by m_max times ``factor``'s support in each variable."""
+    out = {}
+    for v, (lo, hi) in box.items():
+        s_lo, s_hi = factor.support(v)
+        out[v] = (lo - m_max * max(s_hi, 0), hi - m_max * min(s_lo, 0))
+    return out
 
 
 def find_pole_witness(inst: TripleInstance, kind, m_max, N):
@@ -464,11 +496,18 @@ def _pair_matches(inst: TripleInstance, kind, form: RationalForm, N):
     exponent is <= N, so every coefficient with head >= -N and tail <= N is
     complete.  Wider expansion windows would add only coefficients that the
     comparison never reads.  The sides hold the whole generation window, so
-    only their coefficients on the box are compared, none copied."""
+    only their coefficients on the box are compared, read once per instance
+    (``_side_boxes``)."""
     w = box(N, *PAIRS[kind].variables)
-    return all(_box_coeffs(form.expand(mode, -N, N), w) == _box_coeffs(side, w)
+    return all(_box_coeffs(form.expand(mode, -N, N), w) == side
                for mode, side in zip(("direct", "reversed"),
-                                     inst.result(pair_sides, kind, inst.gen_hi)))
+                                     inst.result(_side_boxes, kind, N)))
+
+
+def _side_boxes(inst: TripleInstance, kind, N):
+    """The ``_box_coeffs`` of the kind's (left, right) sides on [-N, N]^2."""
+    w = box(N, *PAIRS[kind].variables)
+    return tuple(_box_coeffs(side, w) for side in inst.result(pair_sides, kind, inst.gen_hi))
 
 
 def _box_coeffs(series, w):

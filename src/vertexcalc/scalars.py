@@ -155,9 +155,6 @@ class Vec:
     def __bool__(self):
         return bool(self.entries)
 
-    def get(self, name):
-        return self.entries.get(name, 0)
-
     def support(self):
         return set(self.entries)
 

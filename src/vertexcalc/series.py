@@ -179,13 +179,17 @@ class WindowedSeries:
                 continue
             ka, kb = self.known(v), other.known(v)
             same_known = same_known and ka == kb
-            lo = None if ka[0] is None and kb[0] is None else max(
-                x for x in (ka[0], kb[0]) if x is not None)
-            hi = None if ka[1] is None and kb[1] is None else min(
-                x for x in (ka[1], kb[1]) if x is not None)
-            window[v] = (lo, hi)
+            window[v] = _meet(ka, kb)
         out = WindowedSeries._of(self.variables, coeffs, window)
         return out if same_known else out._drop_unknown()
+
+    def cropped(self, region):
+        """This series with each window narrowed to its meet with ``region``
+        {var: (lo, hi)}, and the keys outside dropped; never raises."""
+        window = dict(self.window)
+        for v, bounds in region.items():
+            window[v] = _meet(self.known(v), bounds)
+        return WindowedSeries._of(self.variables, self.coeffs, window)._drop_unknown()
 
     def _drop_unknown(self):
         """Remove stored coefficients outside the knowledge region."""
@@ -244,6 +248,15 @@ class WindowedSeries:
                 coeffs[key[:i] + key[i + 1:]] = c
         return WindowedSeries(rest, coeffs, {
             v: w for v, w in self.window.items() if v != var})
+
+
+def _meet(ka, kb):
+    """The intersection of two knowledge intervals, None an open end."""
+    lo = None if ka[0] is None and kb[0] is None else max(
+        x for x in (ka[0], kb[0]) if x is not None)
+    hi = None if ka[1] is None and kb[1] is None else min(
+        x for x in (ka[1], kb[1]) if x is not None)
+    return lo, hi
 
 
 def _inside(coeffs, bounds):

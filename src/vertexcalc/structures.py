@@ -375,11 +375,6 @@ def default_window(A: ModuleStructure):
     return A.support_extent() + 2 * A.max_pole_order() + 2
 
 
-def minimal_pole_order(S: VertexStructure, u, v):
-    """Negative of the least power of x in Y(u,x)v when negative, else 0."""
-    return _pole_order([S.ytable.get((u, v), {})])
-
-
 # ---------------------------------------------------------------------------
 # the seven checkers shared by structures and modules, each run on an action
 # A with its ``MemberStacks`` and reporting under the name ``axiom`` it was
@@ -411,11 +406,16 @@ class MemberStacks:
     the swapped h (slot h of (v, u, w), labelled (u, v, w)): the first read
     of f or g writes both, and of h or hs both of those (``_stacks``), each
     keying a label by its id (``label_ids``).  The guards read a triple's
-    own series (``own``)."""
+    own series (``own``), and all read the member's ``window``."""
 
     def __init__(self, A: ModuleStructure):
         self.A = A
         self._stacks, self._ids = {}, {}
+
+    @cached_property
+    def window(self):
+        """The member's ``default_window``, read off its tables once."""
+        return default_window(self.A)
 
     @cached_property
     def triples(self):
@@ -520,7 +520,7 @@ def _stacked_identity(A, axiom, member, slots, exact, windowed, reader):
     the first failing triple, with the least key of ``windowed``'s stack that
     has a label of it, read as a monomial by ``reader``; ``windowed`` reruns
     on that triple alone (``MemberStacks.own``) and must give the same key."""
-    N, inst = default_window(A), member.instance(slots)
+    N, inst = member.window, member.instance(slots)
     out = windowed(inst, N)
 
     def alone(t):
@@ -568,7 +568,7 @@ def check_weak(A: ModuleStructure, axiom, member):
     witness: never as far as 2N + 2, where a difference judged on the box
     clears spuriously.  A FAIL records m_max, the pole order + 2, a bound
     that no witness reaches."""
-    N = default_window(A)
+    N = member.window
     kind = WEAK_PAIRS[axiom.removeprefix("m_")]
     slots = (PAIRS[kind].left[0], PAIRS[kind].right[0])
     diff, poles = EXACT_WEAK[kind](member.instance(slots))

@@ -179,11 +179,43 @@ def d_axiom_reference(A, axiom):
     return PropertyReport(axiom, "PASS", {})
 
 
-def witness_is_valid(diff, clear, m, box):
-    """Whether clear(m) * diff vanishes: on its whole support when the
-    product is exact, on ``box`` when it is not."""
-    prod = multiply(diff, clear(m)) if m else diff
-    return zero_verdict(prod, box)[0]
+def witness_is_valid(diff, factor, m, box):
+    """Whether factor^m * diff vanishes: on its whole support when the
+    product is exact, on ``box`` when it is not.  The definition that the
+    stepped, cropped search must equal: factor^m is built first, and diff,
+    uncropped, is multiplied by it once."""
+    if not m:
+        return zero_verdict(diff, box)[0]
+    power = factor
+    for _ in range(m - 1):
+        power = multiply(power, factor)
+    return zero_verdict(multiply(diff, power), box)[0]
+
+
+def least_power_reference(diff, factor, box, m_max):
+    """The least m <= m_max that ``witness_is_valid`` accepts, or None: the
+    witness search as it was before stepping, cropping and stacking, which
+    raises ``least_clearing_power``'s underflow at the first m whose product
+    does not know the box."""
+    for m in range(m_max + 1):
+        try:
+            if witness_is_valid(diff, factor, m, box):
+                return m
+        except WindowUnderflowError:
+            raise WindowUnderflowError(
+                f"witness search at m={m} exceeded the known windows; "
+                "regenerate the instance with larger windows") from None
+    return None
+
+
+def minimal_pole_order(S, u, v):
+    """Negative of the least power of x in Y(u,x)v when negative, else 0."""
+    return structures._pole_order([S.ytable.get((u, v), {})])
+
+
+def extend_universe(expr, extra_vars):
+    """``expr`` over its variables and ``extra_vars``."""
+    return DeltaExpr(expr.terms, expr.variables | set(extra_vars))
 
 
 def slot_triple(A, u, v, w, stacks=None):
@@ -195,7 +227,7 @@ def slot_triple(A, u, v, w, stacks=None):
 
 
 def _weak_difference(A, axiom, u, v, w, N, stacks=None):
-    """(difference series, clearing factor m -> series, window box) of a weak
+    """(difference series, clearing binomial, window box) of a weak
     property on one triple; ``axiom`` is weak_comm / weak_assoc /
     weak_skew_assoc, with or without the m_ prefix.  The recipe is the
     property's pair in ``rationalforms.PAIRS``, on the action's slot triple

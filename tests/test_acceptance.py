@@ -3,7 +3,7 @@ time budgets.  Each test prints a single pass/fail line (visible with -s or
 in the captured-output section)."""
 import time
 
-from conftest import _weak_difference, witness_is_valid
+from conftest import _weak_difference, minimal_pole_order, witness_is_valid
 
 from vertexcalc.cli import main
 from vertexcalc.corpus import (
@@ -32,7 +32,6 @@ from vertexcalc.structures import (
     MemberStacks,
     check_all,
     check_axiom,
-    minimal_pole_order,
     replay_corpus,
 )
 
@@ -116,13 +115,13 @@ def test_criterion_4_borcherds_family_axioms():
                         "weak_skew_assoc": minimal_pole_order(S, v, w),
                     }
                     for axiom, mf in formula.items():
-                        d, clearing, b = _weak_difference(S, axiom, u, v, w, N, stacks)
-                        if not witness_is_valid(d, clearing, mf, b):
+                        d, factor, b = _weak_difference(S, axiom, u, v, w, N, stacks)
+                        if not witness_is_valid(d, factor, mf, b):
                             ok = False
                             detail.append(f"{S.name} formula witness invalid")
                         searched = next(
                             m for m in range(mf + 1)
-                            if witness_is_valid(d, clearing, m, b))
+                            if witness_is_valid(d, factor, m, b))
                         if searched > mf:
                             ok = False
     dt = time.time() - t0

@@ -865,3 +865,19 @@ def test_one_parser_serves_every_call_without_leaking_state(corpus_dir, capsys):
     assert checked_ids(["check", path, "--axiom", "jacobi"]) == ["borcherds-k4/jacobi"]
     assert checked_ids(["check", path]) == [f"borcherds-k4/{a}" for a in AXIOMS]
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("command, name, axioms", [
+    ("check", "mutant-pole.json", ["weak_comm", "jacobi", "weak_comm", "jacobi"]),
+    ("check-module", "regular-module-k3.module.json", ["m_jacobi", "m_jacobi"]),
+])
+def test_a_repeated_axiom_is_checked_once(corpus_dir, capsys, command, name, axioms):
+    # each axiom asked for is one record, in the order first asked, so no
+    # two records of one report share an id
+    argv = [command, str(corpus_dir / name), "--format", "machine"]
+    for axiom in axioms:
+        argv += ["--axiom", axiom]
+    main(argv)
+    ids = [r["id"] for r in json.loads(capsys.readouterr().out)["records"]]
+    member = json.loads((corpus_dir / name).read_text())["name"]
+    assert ids == [f"{member}/{a}" for a in dict.fromkeys(axioms)]

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import expand_signed_power_reference
+from conftest import expand_signed_power_reference, extend_universe
 
 from vertexcalc.deltacalc import (
     Atom,
@@ -173,7 +173,7 @@ def test_shift_requires_universe_membership():
     e = expr([Term(1, (("x", 1),))], ("x", "y"))
     with pytest.raises(UnsupportedRewriteError):
         taylor_shift(e, "x", (1, "w"))
-    out = taylor_shift(e.extend_universe(["w"]), "x", (1, "w"))
+    out = taylor_shift(extend_universe(e, ["w"]), "x", (1, "w"))
     assert out.terms[0].atoms[0].tail == ((1, "w"),)
 
 
@@ -466,8 +466,8 @@ def test_window_coeffs_sums_each_label_as_alone():
         e = DeltaExpr(terms, ("x0", "x1", "x2"))
         want = {}
         for lab in labels:
-            alone = DeltaExpr([make_term(t.coeff.get(lab), t.mono, t.delta, t.raw_atoms())
-                               for t in terms], ("x0", "x1", "x2"))
+            alone = DeltaExpr([make_term(t.coeff.entries.get(lab, 0), t.mono, t.delta,
+                                         t.raw_atoms()) for t in terms], ("x0", "x1", "x2"))
             for mono, c in window_coeffs(alone, window).items():
                 want.setdefault(mono, {})[lab] = c
         got = window_coeffs(e, window)

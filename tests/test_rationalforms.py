@@ -1,7 +1,8 @@
 import random
+import re
 
 import pytest
-from conftest import is_zero_on
+from conftest import is_zero_on, least_power_reference
 
 from vertexcalc import rationalforms
 from vertexcalc.errors import ConsistencyViolationError, WindowUnderflowError
@@ -18,12 +19,14 @@ from vertexcalc.rationalforms import (
     instance_from_form,
     least_clearing_power,
     multiply,
+    pair_sides,
+    pole_statement,
     random_form,
     reconstruct_form,
     replay_implication,
     statement_form,
 )
-from vertexcalc.scalars import Vec, binom
+from vertexcalc.scalars import Vec
 from vertexcalc.series import WindowedSeries, binomial_power
 
 
@@ -306,18 +309,17 @@ def test_witness_search_beyond_the_windows_names_m():
 
 
 def test_stacked_witness_search_decides_each_label_as_alone():
-    # a stack known on x in [-5, 5] and judged on [-3, 0]; clear(1) = x^-4
-    # knows [-9, 1], clear(2) = x^-6 only [-11, -1], so the windows run out
-    # at m = 2: b is cleared at m = 0, a at m = 1, and c, still open at
-    # m = 2, makes the search raise that m's underflow, as c alone does
+    # a stack known on x in [-5, 5], judged on [-3, 0] and cleared by
+    # powers of x^-4: x^-4 times it knows [-9, 1], x^-8 times it only
+    # [-13, -3], so the windows run out at m = 2: b is cleared at m = 0, a
+    # at m = 1, and c, still open at m = 2 (2c at x^-4 and c at x^-2), makes
+    # the search raise that m's underflow, as c alone does
     diff = WindowedSeries(("x",), {(0,): Vec({"a": 1, "c": 2}), (2,): Vec({"c": 1})},
                           {"x": (-5, 5)})
-
-    def clear(m):
-        return WindowedSeries(("x",), {(-4 if m == 1 else -6,): 1})
+    factor = WindowedSeries(("x",), {(-4,): 1})
 
     def search(labels, d):
-        return least_clearing_power(d, clear, {"x": (-3, 0)}, 3, labels,
+        return least_clearing_power(d, factor, {"x": (-3, 0)}, 3, labels,
                                     lambda c: c.entries)
 
     underflow = ("^witness search at m=2 exceeded the known windows; "
@@ -353,12 +355,10 @@ def test_inexact_stacked_witness_search_decides_each_label_as_alone():
         "out": scale["out"] * (abs(k) == 6)}) for k in range(-6, 7)},
         {"x": (-6, 6)})
 
-    def clear(m):
-        return WindowedSeries(
-            ("x",), {(j,): binom(m, j) * (-1) ** (m - j) for j in range(m + 1)})
+    factor = WindowedSeries(("x",), {(1,): 1, (0,): -1})
 
     def search(labels, d):
-        return least_clearing_power(d, clear, {"x": (-3, 3)}, 5, labels, lambda c: c.entries)
+        return least_clearing_power(d, factor, {"x": (-3, 3)}, 5, labels, lambda c: c.entries)
 
     underflow = ("^witness search at m=4 exceeded the known windows; "
                  "regenerate the instance with larger windows$")
@@ -367,7 +367,7 @@ def test_inexact_stacked_witness_search_decides_each_label_as_alone():
     got = search(("ones", "ramp", "out"), diff)
     assert got == {"ones": 1, "ramp": 2, "out": 0}
     for label in ("ones", "ramp", "rand", "out"):
-        alone = diff.copy_meta({k: Vec({label: c.get(label)}) for k, c in diff.coeffs.items()})
+        alone = diff.copy_meta({k: Vec({label: c.entries.get(label, 0)}) for k, c in diff.coeffs.items()})
         if label in got:
             assert search((label,), alone) == {label: got[label]}
         else:
@@ -419,3 +419,80 @@ def test_claim_deciders_read_slots_by_name():
     assert rationalforms.exact_weak_assoc(inst) == ({}, {})
     assert rationalforms.exact_weak_skew_assoc(inst) == ({}, {None: 1})
     assert exact_jacobi(inst) == {}
+
+
+def searched_or_underflow(search, *args):
+    """search(*args), or ("underflow", m) where it raises the witness
+    search's underflow at m."""
+    try:
+        return search(*args)
+    except WindowUnderflowError as err:
+        return "underflow", int(re.match(r"witness search at m=(\d+) ", str(err))[1])
+
+
+def test_stepped_cropped_search_equals_the_uncropped_definition_on_replays():
+    # the search steps by one binomial on the difference cropped to the
+    # box's reach; ``least_power_reference`` builds binomial^m and
+    # multiplies the whole difference once.  They agree on every replay
+    # instance of the benchmark pool at the CLI's N = 8 and on a few at
+    # N = 12, and on each one perturbed at x1 x2^-2, searched up to m = 3N:
+    # far enough that some windows run out, at m = 23 to 26
+    outcomes = {"witness": 0, "none": 0, "underflow": 0}
+    for N, seeds in ((8, range(128)), (12, range(8))):
+        for seed in seeds:
+            inst = generate_instance(seed, N=N)
+            m_max = max(inst.form.a, inst.form.b, inst.form.c) + 2
+            for case, bound in ((inst, m_max), (inst.perturb_f((1, -2), 3), 3 * N)):
+                case.gen_hi = inst.gen_hi
+                for kind in rationalforms.PAIRS:
+                    statement = pole_statement(case, kind, case.gen_hi, N)
+                    got = searched_or_underflow(
+                        lambda *a: least_clearing_power(*a)[None], *statement, bound)
+                    want = searched_or_underflow(least_power_reference, *statement, bound)
+                    assert got == want, (N, seed, kind, got, want)
+                    outcomes["underflow" if isinstance(got, tuple)
+                             else "none" if got is None else "witness"] += 1
+    assert outcomes["witness"] >= 700 and outcomes["none"] >= 50, outcomes
+    assert outcomes["underflow"] >= 4, outcomes
+
+
+def test_witness_search_underflow_is_raised_at_the_uncropped_m():
+    # at m = 0 as in test_witness_search_beyond_the_windows_names_m, and
+    # at m = 3 on the widest box that the difference knows, [-hi, hi]^2,
+    # whose low x1 edge lies 2 above the difference's window: each step by
+    # x1 - x2 raises that edge by one, and the m1 witness, the pole order
+    # 5, is further off
+    inst = instance_from_form(RationalForm({(0, 0): 1}, 1, 0, 0), N=2)
+    statement = pole_statement(inst, "m1", inst.gen_hi, 60)
+    for search in (lambda *a: least_clearing_power(*a)[None], least_power_reference):
+        assert searched_or_underflow(search, *statement, 2) == ("underflow", 0)
+    inst = instance_from_form(RationalForm({(0, 0): 1}, 5, 0, 0), N=2)
+    diff, _, _ = pole_statement(inst, "m1", inst.gen_hi, 2)
+    (lo, _), (_, hi) = diff.known("x1"), diff.known("x2")
+    statement = pole_statement(inst, "m1", inst.gen_hi, hi)
+    assert -hi - lo + 1 == 3
+    for search in (lambda *a: least_clearing_power(*a)[None], least_power_reference):
+        assert searched_or_underflow(search, *statement, 5) == ("underflow", 3)
+
+
+def test_each_side_box_is_read_once_per_instance_and_kind(monkeypatch):
+    # (E)/(F)/(G) and the reconstruction compare the two sides of a kind
+    # with a form on the box; each side's box coefficients are read at most
+    # once per instance, however many implications compare them
+    reads = []
+
+    def counted(series, w, _original=rationalforms._box_coeffs):
+        reads.append(id(series))
+        return _original(series, w)
+    monkeypatch.setattr(rationalforms, "_box_coeffs", counted)
+    read_sides = 0
+    for seed in range(24):
+        reads.clear()
+        inst = generate_instance(seed)
+        for which in IMPLICATIONS:
+            replay_implication(which, inst)
+        for kind in rationalforms.PAIRS:
+            for side in inst.result(pair_sides, kind, inst.gen_hi):
+                assert reads.count(id(side)) <= 1, (seed, kind)
+                read_sides += reads.count(id(side))
+    assert read_sides >= 24 * 6, read_sides

@@ -878,3 +878,24 @@ def test_merge_equals_the_full_pass_merge(vectors):
                     cancelled += len(keys - outside - set(want.coeffs))
                     same += all(x.known(v) == y.known(v) for v in x.variables)
     assert cancelled > 50 and unknown > 50 and same > 300
+
+
+def test_cropped_narrows_each_named_window_and_drops_the_keys_outside():
+    # x is known on [-4, 4] and y is exact; a crop to x in [-2, 9] and y in
+    # [-1, 1] knows x on the meet [-2, 4] and y on [-1, 1], keeps exactly
+    # the keys inside both, and leaves the series it came from as it was
+    s = WindowedSeries(("x", "y"), {(x, y): x + 10 * y + 100 for x in range(-4, 5)
+                                    for y in range(-3, 4)}, {"x": (-4, 4)})
+    before = (dict(s.coeffs), dict(s.window))
+    out = s.cropped({"x": (-2, 9), "y": (-1, 1)})
+    assert out.window == {"x": (-2, 4), "y": (-1, 1)}
+    assert out.coeffs == {k: c for k, c in s.coeffs.items()
+                          if -2 <= k[0] <= 4 and -1 <= k[1] <= 1}
+    assert (s.coeffs, s.window) == before
+    # an open end of the region keeps the window's, and a region that
+    # misses the window leaves an empty meet that knows nothing: no raise
+    assert s.cropped({"x": (INF, 0)}).window == {"x": (-4, 0)}
+    empty = s.cropped({"x": (7, 9)})
+    assert empty.window == {"x": (7, 4)} and not empty.coeffs
+    with pytest.raises(WindowUnderflowError):
+        empty.require_known({"x": (7, 7)})

@@ -6,8 +6,11 @@ from fractions import Fraction
 import pytest
 from conftest import (_weak_difference, assert_one_build_per_member_and_kind,
                       borcherds_route, chain, d_axiom_reference, double_first_coefficient,
-                      is_zero, one_skew, route_one, skew_pole, slot_triple,
-                      witness_is_valid)
+                      is_zero, minimal_pole_order, one_skew, route_one, skew_pole,
+                      slot_triple, witness_is_valid)
+# the derandomized hypothesis test below draws its examples from its own
+# source text, which calls the reference by this name
+from conftest import least_power_reference as _least_clearing_power
 
 from vertexcalc import cli, configio, deltacalc, rationalforms, series, structures
 from vertexcalc.corpus import (
@@ -23,8 +26,7 @@ from vertexcalc.corpus import (
     mutants,
     truncated_polynomial_algebra,
 )
-from vertexcalc.errors import (ConsistencyViolationError, ConstructionError,
-                               VertexCalcError, WindowUnderflowError)
+from vertexcalc.errors import ConsistencyViolationError, ConstructionError, VertexCalcError
 from vertexcalc.scalars import Vec, linear_map
 from vertexcalc.series import INF, WindowedSeries, taylor_substitute
 from vertexcalc.structures import (
@@ -39,7 +41,6 @@ from vertexcalc.structures import (
     check_jacobi,
     divided_power_table,
     divided_powers,
-    minimal_pole_order,
     replay_corpus,
     restrict,
 )
@@ -266,8 +267,8 @@ def test_formula_witness_valid_and_minimal_below_it():
                         "weak_skew_assoc": minimal_pole_order(S, v, w),
                     }
                     for axiom, mf in table.items():
-                        d, clearing, b = _weak_difference(S, axiom, u, v, w, N, stacks)
-                        assert witness_is_valid(d, clearing, mf, b)
+                        d, factor, b = _weak_difference(S, axiom, u, v, w, N, stacks)
+                        assert witness_is_valid(d, factor, mf, b)
 
 
 def test_each_mutant_fails_its_named_axioms():
@@ -468,9 +469,9 @@ def test_weak_skew_assoc_minimal_witness_can_exceed_zero():
     # mutant-pole, Y(e1,x)e1 = x^-1 e0, so at (e0, e1, e1) both sides of weak
     # skew-associativity are the two expansions of (x1 - x0)^-1 e0
     S = [m for m in mutants() if m.name == "mutant-pole"][0]
-    d, clearing, b = _weak_difference(S, "weak_skew_assoc", "e0", "e1", "e1", 5)
-    assert not witness_is_valid(d, clearing, 0, b)
-    assert witness_is_valid(d, clearing, 1, b)
+    d, factor, b = _weak_difference(S, "weak_skew_assoc", "e0", "e1", "e1", 5)
+    assert not witness_is_valid(d, factor, 0, b)
+    assert witness_is_valid(d, factor, 1, b)
     assert minimal_pole_order(S, "e1", "e1") == 1
     # so the first failing triple is the later (e1, e0, e1), as pinned
     report = check_axiom(S, "weak_skew_assoc")
@@ -930,19 +931,6 @@ def test_jacobi_guard_compares_the_first_monomial(monkeypatch):
 # ---------------------------------------------------------------------------
 # the weak properties and vf skew symmetry once per member, decided exactly
 # and cross-checked on the whole member stack
-
-
-def _least_clearing_power(diff, clear, b, m_max):
-    """The witness search as it was before stacking, on one triple."""
-    for m in range(m_max + 1):
-        try:
-            if witness_is_valid(diff, clear, m, b):
-                return m
-        except WindowUnderflowError:
-            raise WindowUnderflowError(
-                f"witness search at m={m} exceeded the known windows; "
-                "regenerate the instance with larger windows") from None
-    return None
 
 
 def _per_w_check_weak(A, axiom, stacks):
@@ -1559,6 +1547,48 @@ def test_windowed_routes_below_the_default_window_are_bounded_by_the_exact_ones(
         FALSE_WEAK_AND_VF_PASSES_AT_WINDOW_ONE)
 
 
+def _by_label(diff, labels, labels_of):
+    """{label: ``diff`` on the entries that ``labels_of`` reads the label
+    off, alone} of each of ``labels``."""
+    parts = {label: {} for label in labels}
+    for key, c in diff.coeffs.items():
+        for i, x in c.entries.items():
+            (label,) = labels_of(Vec({i: x}))
+            parts[label].setdefault(key, {})[i] = x
+    return {label: diff.copy_meta({key: Vec(e) for key, e in part.items()})
+            for label, part in parts.items()}
+
+
+def test_every_stacked_weak_search_equals_the_uncropped_definition(monkeypatch):
+    # each witness search that check_weak runs, on the whole member stack
+    # or on a guard's triple, steps by one binomial on the difference
+    # cropped to the box's reach; label by label it equals the definition
+    # (``conftest.least_power_reference``), which builds binomial^m and
+    # multiplies the label's whole difference once
+    searches, compared = [], Counter()
+
+    def recorded(*args, _original=structures.least_clearing_power):
+        out = _original(*args)
+        searches.append((args, out))
+        return out
+
+    monkeypatch.setattr(structures, "least_clearing_power", recorded)
+    for A in full_corpus() + full_module_corpus() + _seeded_edits(60, 12):
+        member = MemberStacks(A)
+        for name in structures.WEAK_PAIRS:
+            searches.clear()
+            check_axiom(A, _axiom(A, name), member)
+            for (diff, factor, box, m_max, *labelled), out in searches:
+                labels, labels_of = labelled or ((None,), lambda c: (None,))
+                for label, alone in _by_label(diff, labels, labels_of).items():
+                    want = _least_clearing_power(alone, factor, box, m_max)
+                    assert out[label] == want, (A.name, name, label, out[label], want)
+                    compared[name, "positive" if want else want] += 1
+    assert min(compared[name, m] for name in structures.WEAK_PAIRS
+               for m in (0, None)) >= 40, compared
+    assert compared["weak_skew_assoc", "positive"] >= 10, compared
+
+
 def test_exact_weak_witnesses_are_at_most_the_pole_order(monkeypatch):
     # Claim D: x2 enters g = Y(v,x2)Y(u,x1)w only through the outer Y(v,x2),
     # so every exact weak witness is at most the pole order of the action's
@@ -1567,9 +1597,9 @@ def test_exact_weak_witnesses_are_at_most_the_pole_order(monkeypatch):
     # spuriously; no m_max caps a witness
     bounds = []
 
-    def searched(diff, clear, box, m_max, *labels, _original=structures.least_clearing_power):
+    def searched(diff, factor, box, m_max, *labels, _original=structures.least_clearing_power):
         bounds.append(m_max)
-        return _original(diff, clear, box, m_max, *labels)
+        return _original(diff, factor, box, m_max, *labels)
 
     monkeypatch.setattr(structures, "least_clearing_power", searched)
     positive = 0

@@ -394,12 +394,9 @@ def test_demo_runs(demo):
 # Dunder methods (ProverFailureError.__init__, for one) are not counted.
 UNREACHED_BY_DESIGN = {
     "deltacalc.coeff_of": "one-monomial reference read of the window oracle in tests",
-    "deltacalc.DeltaExpr.extend_universe": "tests widen an expression's variables",
-    "structures.minimal_pole_order": "reference pole order in tests",
     "series.WindowedSeries.coeff": "tests read single coefficients",
     "series.WindowedSeries.residue": "test_each_weak_pair_is_a_residue_of_route_one "
                                      "reads route 1's slices with it",
-    "scalars.Vec.get": "tests read single entries",
     "structures.PropertyReport.to_json": "tests compare whole records",
     "corpus.mutant_expected_failures": "imported by bench/run.py",
     "corpus.module_mutant_expected_failures": "imported by bench/run.py",

@@ -7,8 +7,7 @@ too.  The harness replays that equivalence on every member.
 Run: python3 demos/05_modules.py
 """
 from vertexcalc.corpus import full_module_corpus, make_module, module_mutants
-from vertexcalc.modules import MODULE_AXIOMS
-from vertexcalc.structures import check_axiom, replay_corpus
+from vertexcalc.structures import MODULE_AXIOMS, check_axiom, replay_corpus
 
 M = make_module(3, "quotient")
 print(f"{M.name} over {M.over.name}: wbasis = {M.wbasis}")

@@ -4,15 +4,16 @@ Layers, bottom up:
 
 * ``scalars`` — exact rationals, generalized binomials, sparse basis vectors;
 * ``deltacalc`` — the symbolic calculus of expanded powers and delta factors,
-  with a coefficient-window oracle and the two-identity prover;
+  with a coefficient-window oracle (``window_coeffs``) and the two-identity
+  prover;
 * ``series`` — concrete windowed Laurent series, the independent substrate;
 * ``rationalforms`` — the statement family (A)-(G) and implication replays;
 * ``structures`` / ``corpus`` — finite vertex structures and their actions
   (a structure is its own regular module), twelve axiom checkers of which
   seven run on an action, one dispatcher and one replay of the replacement
-  rows for structures and modules alike, the built-in testbed;
-* ``modules`` — the module axiom names, and module construction from algebra
-  actions (``structures.module_construct``);
+  rows for structures and modules alike, module construction from algebra
+  actions (``module_construct``), the built-in testbed;
+* ``modules`` — the module axiom names, kept for the benchmark;
 * ``configio`` / ``cli`` — config files, deterministic reports, subcommands.
 """
 
@@ -22,7 +23,6 @@ from .deltacalc import (
     Delta,
     DeltaExpr,
     Term,
-    coeff_of,
     delta_to_atoms,
     expand_deltas,
     identity_lhs,
@@ -58,9 +58,11 @@ from .structures import (
     borcherds_construct,
     check_all,
     check_axiom,
+    module_construct,
     replay_corpus,
     restrict,
 )
-from .modules import module_construct
+# bench/run.py reads the module axiom names from sys.modules["vertexcalc.modules"]
+from . import modules
 
 __version__ = "0.1.0"

@@ -38,16 +38,16 @@ def truncated_polynomial_algebra(k, derivation="t^2 d/dt"):
     return basis, mult, dmap
 
 
-def borcherds_structure(k, tags=("valid",)):
+def borcherds_structure(k):
     basis, mult, dmap = truncated_polynomial_algebra(k)
     return borcherds_construct(
-        f"borcherds-k{k}", basis, mult, dmap, unit="e0", tags=tags)
+        f"borcherds-k{k}", basis, mult, dmap, unit="e0", tags=("valid",))
 
 
-def ideal_structure(k, tags=("valid", "vacuum-free")):
+def ideal_structure(k):
     S = borcherds_structure(k)
     return restrict(S, tuple(f"e{i}" for i in range(1, k)),
-                    f"borcherds-k{k}-ideal", tags=tags)
+                    f"borcherds-k{k}-ideal", tags=("valid", "vacuum-free"))
 
 
 def family():
@@ -150,13 +150,12 @@ def _module_data(k, which):
     return tuple(f"{prefix}{j}" for j in range(lo, top)), action
 
 
-def make_module(k, which, name=None, tags=("valid",)):
+def make_module(k, which):
     S = borcherds_structure(k)
     basis, mult, dmap = truncated_polynomial_algebra(k)
     wbasis, action = _module_data(k, which)
     return module_construct(
-        S, mult, dmap, wbasis, action,
-        name or f"{which}-module-k{k}", tags=tags)
+        S, mult, dmap, wbasis, action, f"{which}-module-k{k}", tags=("valid",))
 
 
 def module_family():

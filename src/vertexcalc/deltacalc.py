@@ -20,23 +20,22 @@ Cancellation across the head is never performed: (x + y - x)^n stays inert,
 because only the tail sits in nonnegative powers.
 
 Every rewrite here preserves the coefficient of every monomial; the window
-oracle (`window_coeffs` / `coeff_of`) recomputes coefficients from scratch by
-its own binomial expansion and is the independent check on the symbolic layer.
-It shares no arithmetic with `series`.  It expands a power by peeling its tails
+oracle (`window_coeffs`) recomputes coefficients from scratch by its own
+binomial expansion and is the independent check on the symbolic layer.  It
+shares no arithmetic with `series`.  It expands a power by peeling its tails
 off one at a time, each by a binomial recurrence that runs only over the tail
 powers whose head exponent can land in the window the factor needs, so it
 writes only coefficients it keeps, the last tail's in one loop; a delta's
 signed tails are prepared once for all its indices, and a term of one factor is
 expanded with its monomial applied, so each coefficient is shifted and tested
 against the window once.  Each term is expanded with coefficient 1, and the
-expansion scaled by its coefficient.  A stacked coefficient (a ``Vec``) is
-summed label by label, in place, into one plain dict per monomial and made a
-``Vec`` once at the end, unless its labels all cancelled; a scalar and a
-stacked coefficient at one monomial are refused.  The Jacobi checker
-cross-checks on the series layer (route 2, ``rationalforms.three_term_series``).
-This oracle, route 1, evaluates the terms of ``identity_lhs("three-term")``,
-the expression ``prove_identity`` reduces to zero, and the tests keep it as
-the reference of route 2 and of the exact route.
+expansion scaled by its coefficient, a scalar or a stacked ``Vec``, and summed
+by the coefficient operators, which refuse a scalar and a ``Vec`` at one
+monomial.  The Jacobi checker cross-checks on the series layer (route 2,
+``rationalforms.three_term_series``).  This oracle, route 1, evaluates the
+terms of ``identity_lhs("three-term")``, the expression ``prove_identity``
+reduces to zero, and the tests keep it as the reference of route 2 and of the
+exact route.
 """
 from __future__ import annotations
 
@@ -583,40 +582,16 @@ def window_coeffs(e: DeltaExpr, window):
     ``window`` maps variables to (lo, hi); variables absent from it are pinned
     to exponent 0.  Raises SummabilityError if some term's coefficients are not
     certifiably finite sums.  Each term is expanded once with coefficient 1
-    and scaled by its coefficient.  A stacked coefficient (a ``Vec``) is
-    summed label by label into one plain dict per monomial, made a ``Vec``
-    once at the end.
+    and scaled by its coefficient, a scalar or a stacked ``Vec``; the
+    coefficient operators refuse a scalar and a ``Vec`` at one monomial.
     """
     window = dict(window)
-    out, stacks = {}, {}
+    out = {}
     for t in e.terms:
-        unit = _unit_window_coeffs(t, window)
         c = t.coeff
-        if type(c) is Vec:
-            entries = c.entries.items()
-            for mono, u in unit.items():
-                acc = stacks.get(mono)
-                if acc is None:
-                    acc = stacks[mono] = {}
-                for label, x in entries:
-                    acc[label] = acc.get(label, 0) + u * x
-        else:
-            for mono, u in unit.items():
-                out[mono] = out.get(mono, 0) + c * u
-    for mono, acc in stacks.items():
-        # a label dict that cancelled to zero makes no Vec, unless a scalar
-        # at its monomial must be refused
-        if any(acc.values()) or out.get(mono, 0):
-            out[mono] = out.get(mono, 0) + Vec(acc)
+        for mono, u in _unit_window_coeffs(t, window).items():
+            out[mono] = out.get(mono, 0) + c * u
     return {k: v for k, v in out.items() if v}
-
-
-def coeff_of(e: DeltaExpr, monomial):
-    """Exact coefficient of one monomial ({var: exp} mapping or mono tuple)."""
-    key = mono_of(dict(monomial))
-    window = {v: (ex, ex) for v, ex in key}
-    got = window_coeffs(e, window)
-    return got.get(key, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,10 @@ dict per key; ``apply_delta`` and ``taylor_substitute`` make each key's
 ``Vec`` once, after the last write, so labels never mix and no ``Vec`` is
 built per write.
 
-Any operation that cannot guarantee exactness of a requested coefficient
-raises instead of truncating silently.
+A coefficient is read from ``coeffs`` by its exponent tuple, in
+``variables`` order; ``require_known`` and ``nonzero_on`` refuse a window
+that the series does not know.  Any operation that cannot guarantee
+exactness of a requested coefficient raises instead of truncating silently.
 """
 from __future__ import annotations
 
@@ -204,18 +206,6 @@ class WindowedSeries:
         return WindowedSeries._of(self.variables, keep, self.window)
 
     # -- coefficient access ---------------------------------------------------
-    def coeff(self, mono):
-        """Exact coefficient of a monomial given as {var: exp}."""
-        key = [0] * len(self.variables)
-        for v, e in mono.items():
-            key[self.idx(v)] = e
-        for v, e in zip(self.variables, key):
-            lo, hi = self.known(v)
-            if (lo is not None and e < lo) or (hi is not None and e > hi):
-                raise WindowUnderflowError(
-                    f"coefficient at {mono} not inside the exact window for {v!r}")
-        return self.coeffs.get(tuple(key), 0)
-
     def require_known(self, window):
         """Raise unless the series knows the whole window."""
         for v, (lo, hi) in window.items():
@@ -234,20 +224,6 @@ class WindowedSeries:
     def monomial(self, key):
         """The monomial of an exponent tuple as {var: exp}, zero exponents left out."""
         return {v: e for v, e in zip(self.variables, key) if e}
-
-    # -- calculus ---------------------------------------------------------------
-    def residue(self, var):
-        """Series of var^-1 coefficients, var removed from the variable list."""
-        if not _known_contains(self.known(var), -1, -1):
-            raise WindowUnderflowError(f"residue needs the var^-1 slice of {var!r}")
-        i = self.idx(var)
-        rest = self.variables[:i] + self.variables[i + 1:]
-        coeffs = {}
-        for key, c in self.coeffs.items():
-            if key[i] == -1:
-                coeffs[key[:i] + key[i + 1:]] = c
-        return WindowedSeries(rest, coeffs, {
-            v: w for v, w in self.window.items() if v != var})
 
 
 def _meet(ka, kb):

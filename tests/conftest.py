@@ -236,6 +236,24 @@ def _weak_difference(A, axiom, u, v, w, N, stacks=None):
     return pole_statement(slot_triple(A, u, v, w, stacks), kind, N, N)
 
 
+def coeff_at(series, mono):
+    """The coefficient of ``series`` at the monomial {var: exp}; raises
+    unless the series knows it."""
+    key = tuple(mono.get(v, 0) for v in series.variables)
+    series.require_known({v: (e, e) for v, e in zip(series.variables, key)})
+    return series.coeffs.get(key, 0)
+
+
+def residue(series, var):
+    """The var^-1 slice of ``series``, a series in its other variables;
+    raises unless the series knows that slice."""
+    series.require_known({var: (-1, -1)})
+    i = series.variables.index(var)
+    return WindowedSeries(series.variables[:i] + series.variables[i + 1:],
+                          {k[:i] + k[i + 1:]: c for k, c in series.coeffs.items() if k[i] == -1},
+                          {v: w for v, w in series.window.items() if v != var})
+
+
 def is_zero(series):
     """Exact zero test of a series that is exact in every variable."""
     if not series.is_exact():

@@ -11,8 +11,7 @@ from vertexcalc import configio, structures
 from vertexcalc.cli import build_parser, main
 from vertexcalc.corpus import borcherds_structure, make_module, mutants
 from vertexcalc.errors import ConfigError, WindowUnderflowError
-from vertexcalc.modules import MODULE_AXIOMS
-from vertexcalc.structures import AXIOMS
+from vertexcalc.structures import AXIOMS, MODULE_AXIOMS
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,6 @@ from vertexcalc.deltacalc import (
     Term,
     _expand_factor,
     _expand_signed_power,
-    coeff_of,
     delta_to_atoms,
     expand_deltas,
     identity_lhs,
@@ -59,10 +58,12 @@ def geometric_inverse(max_y):
 def test_geometric_oracle_fixes_reciprocal_coefficients():
     oracle = geometric_inverse(4)
     e = expr([make_term(1, raw_atoms=[((1, "x"), ((-1, "y"),), -1)])])
-    assert coeff_of(e, {"x": -1, "y": 0}) == oracle[(-1, 0)] == 1
+    got = window_coeffs(e, {"x": (-5, 2), "y": (0, 4)})
+    assert got == {mono_of({"x": a, "y": b}): c for (a, b), c in oracle.items()}
+    assert got[(("x", -1),)] == oracle[(-1, 0)] == 1
     # frozen from the oracle (not 3): binom(-1,2) * (-1)^2 = 1
-    assert coeff_of(e, {"x": -3, "y": 2}) == oracle[(-3, 2)] == 1
-    assert coeff_of(e, {"x": 2, "y": 0}) == 0
+    assert got[(("x", -3), ("y", 2))] == oracle[(-3, 2)] == 1
+    assert (("x", 2),) not in got
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +98,8 @@ def test_delta_to_atoms_preserves_window_semantics():
 def test_delta_atom_has_all_coefficients_one():
     # d^-1 delta(x/d) has coefficient 1 exactly at x^n d^(-n-1)
     e = expr([Term(1, (), Delta(((1, "x"),), "y"), ())], ("x", "y"))
-    for n in (-2, 0, 5):
-        assert coeff_of(e, {"x": n, "y": -n - 1}) == 1
-        assert coeff_of(e, {"x": n, "y": 0}) == 0 if n != -1 else True
+    got = window_coeffs(e, {"x": (-6, 6), "y": (-6, 6)})
+    assert got == {mono_of({"x": n, "y": -n - 1}): 1 for n in range(-6, 6)}
 
 
 def test_delta_rejects_denominator_in_numerator():
@@ -236,8 +236,9 @@ def test_coeff_homomorphism_under_addition():
     a = expr([make_term(1, raw_atoms=[((1, "x"), ((-1, "y"),), -1)])])
     b = expr([make_term(2, (("x", -1),), None, [((1, "y"), ((-1, "z"),), -2)])])
     for _ in range(20):
-        m = {"x": rng.randint(-3, 3), "y": rng.randint(-3, 3), "z": rng.randint(-3, 3)}
-        assert coeff_of(a + b, m) == coeff_of(a, m) + coeff_of(b, m)
+        w = {v: tuple(sorted((rng.randint(-3, 3), rng.randint(-3, 3)))) for v in XYZ}
+        got, ga, gb = (window_coeffs(e, w) for e in (a + b, a, b))
+        assert got == {k: c for k in ga.keys() | gb.keys() if (c := ga.get(k, 0) + gb.get(k, 0))}
 
 
 def test_window_oracle_refuses_divergent_term():
@@ -246,7 +247,7 @@ def test_window_oracle_refuses_divergent_term():
         ((1, "y"), ((-1, "x"),), -1),
     ])
     with pytest.raises(SummabilityError):
-        coeff_of(DeltaExpr([t], ("x", "y")), {"x": -1, "y": -1})
+        window_coeffs(DeltaExpr([t], ("x", "y")), {"x": (-1, -1), "y": (-1, -1)})
 
 
 def test_window_oracle_refuses_head_variable_in_its_own_tail():
@@ -316,8 +317,11 @@ def test_delta_times_same_direction_power_is_summable():
     t = make_term(1, (), Delta(((1, "x1"), (-1, "x2")), "x0"),
                   [((1, "x1"), ((-1, "x2"),), -2)])
     e = DeltaExpr([t], ("x0", "x1", "x2"))
-    val = coeff_of(e, {"x0": 1, "x1": -3, "x2": 1})
-    assert isinstance(val, int)
+    got = window_coeffs(e, {v: (-3, 3) for v in ("x0", "x1", "x2")})
+    # the delta turns (x1-x2)^-2 into x0^-2: at x0^-1 the factor is
+    # (x1-x2)^-2, whose x1^-3 x2 coefficient is C(-2,1)(-1) = 2
+    assert got[(("x0", -1), ("x1", -3), ("x2", 1))] == 2
+    assert all(isinstance(c, int) for c in got.values())
 
 
 def _bound(rng, open_share=0.25):

@@ -3,7 +3,7 @@ import json
 import pytest
 from conftest import assert_one_build_per_member_and_kind
 
-from vertexcalc import configio, modules, structures
+from vertexcalc import configio, structures
 from vertexcalc.corpus import (
     borcherds_structure,
     full_corpus,
@@ -16,11 +16,10 @@ from vertexcalc.corpus import (
     _module_data,
 )
 from vertexcalc.errors import ConsistencyViolationError, ConstructionError
-from vertexcalc.modules import MODULE_AXIOMS, module_construct
 from vertexcalc.scalars import Vec
-from vertexcalc.structures import (ANCHORS, REPLACEMENTS, VACUUM_AXIOMS, ModuleStructure,
-                                   PropertyReport, check_all, check_axiom,
-                                   replay_corpus, replay_rows)
+from vertexcalc.structures import (ANCHORS, MODULE_AXIOMS, REPLACEMENTS, VACUUM_AXIOMS,
+                                   ModuleStructure, PropertyReport, check_all, check_axiom,
+                                   module_construct, replay_corpus, replay_rows)
 
 
 def regular_by_tables(S):
@@ -160,7 +159,7 @@ def test_main_theorem_checks_no_base_structure_unless_a_row_fails(
     corpus = full_module_corpus()
     replay_corpus(corpus)
     # each module axiom is seen twice: dispatched by check_axiom, then checked
-    assert len(seen) == 2 * len(corpus) * len(modules.MODULE_AXIOMS)
+    assert len(seen) == 2 * len(corpus) * len(MODULE_AXIOMS)
     assert not any(A is M.over for A in seen for M in corpus)
     # the spies do see a base structure once a row needs it
     ut2 = configio.load_module(str(ut2_dir / "ut2-regular.module.json"))

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from conftest import (_weak_difference, assert_one_build_per_member_and_kind,
                       borcherds_route, chain, d_axiom_reference, double_first_coefficient,
-                      is_zero, minimal_pole_order, one_skew, route_one, skew_pole,
-                      slot_triple, witness_is_valid)
+                      is_zero, minimal_pole_order, one_skew, residue, route_one,
+                      skew_pole, slot_triple, witness_is_valid)
 # the derandomized hypothesis test below draws its examples from its own
 # source text, which calls the reference by this name
 from conftest import least_power_reference as _least_clearing_power
@@ -1308,7 +1308,7 @@ def test_each_weak_pair_is_a_residue_of_route_one():
                     shifted = WindowedSeries(X, {
                         key[:i] + (key[i] + k,) + key[i + 1:]: c
                         for key, c in route1.items()})
-                    got = _on_box(shifted.residue(pair.eliminated), w)
+                    got = _on_box(residue(shifted, pair.eliminated), w)
                     want = _on_box(series.multiply(diff, rationalforms.clearing(kind, k)), w)
                     if k >= p:
                         assert got == want, (A.name, t, kind, k)
@@ -1635,6 +1635,12 @@ def test_exact_deciders_equal_the_windowed_route_on_random_tables():
                          database=None)
     @hypothesis.given(st.lists(st.lists(entry, max_size=2), min_size=4, max_size=4),
                       st.booleans())
+    # the draws follow from this function's source text; each of these tables
+    # has a triple with a positive weak_skew_assoc witness (m = 2, 1 and 1),
+    # so the floor on those below holds whatever the draws
+    @hypothesis.example([[(1, -1, "a")], [], [(-1, 2, "a")], []], False)
+    @hypothesis.example([[(0, -1, "b"), (-1, 2, "a")], [], [], [(-2, 1, "b")]], False)
+    @hypothesis.example([[(0, 2, "a")], [(1, 1, "b")], [(-1, 2, "a")], [(1, -1, "b")]], True)
     def check(cells, kill_b):
         # with ``kill_b`` every mode kills b, so a pole landing on b can pass
         # weak skew-associativity with a positive witness, as in skew-pole

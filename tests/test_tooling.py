@@ -5,6 +5,7 @@ import contextlib
 import glob
 import inspect
 import io
+import json
 import os
 import re
 import runpy
@@ -171,20 +172,17 @@ def _referenced_names(tree):
 
 
 def test_coefficients_need_no_coeff_helper():
-    # a Vec is a coefficient with the operators of one, so scalars defines
-    # no coeff_* helper, and no module of the package names a coeff_* name
-    # but one defined outside scalars (deltacalc.coeff_of)
+    # a Vec is a coefficient with the operators of one, so no module of the
+    # package defines, imports or names a coeff_* helper
     trees = _package_trees()
-    defined = {name: _defined_names(os.path.join(PACKAGE, name)) for name in trees}
-    assert "Vec" in defined["scalars.py"]
-    assert not {n for n in defined["scalars.py"] if n.startswith("coeff_")}
-    elsewhere = set().union(*(names for name, names in defined.items() if name != "scalars.py"))
+    assert "Vec" in _defined_names(os.path.join(PACKAGE, "scalars.py"))
     named = []
     for name, tree in trees.items():
         imported = {a.name for node in ast.walk(tree)
                     if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
-        named += [(name, n) for n in sorted(_referenced_names(tree) | imported)
-                  if n.startswith("coeff_") and n not in elsewhere]
+        defined = _defined_names(os.path.join(PACKAGE, name))
+        named += [(name, n) for n in sorted(_referenced_names(tree) | imported | defined)
+                  if n.startswith("coeff_")]
     assert not named, named
 
 
@@ -324,6 +322,32 @@ def test_every_axiom_has_one_checker_with_one_signature():
     assert modules.VACUUM_MODULE_AXIOMS == {"m_vacuum_prop", "m_d_derivative"}
 
 
+def test_the_benchmark_finds_the_names_it_reads():
+    # bench/run.py imports vertexcalc.cli afresh and then reads the module
+    # axiom names from sys.modules["vertexcalc.modules"], which nothing but
+    # the package's own __init__ imports; its load_members reads the names
+    # below, so a rename or a deletion would fail every benchmark run
+    probe = ("import json, sys\n"
+             "import vertexcalc.cli\n"
+             "m = sys.modules['vertexcalc.modules']\n"
+             "print(json.dumps([list(m.MODULE_AXIOMS), sorted(m.VACUUM_MODULE_AXIOMS)]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    from vertexcalc import configio, corpus, rationalforms, structures
+    assert json.loads(proc.stdout) == [list(structures.MODULE_AXIOMS),
+                                       ["m_d_derivative", "m_vacuum_prop"]]
+    for module, names in ((configio, ("load_json", "is_module_config", "load_module",
+                                      "load_structure")),
+                          (corpus, ("mutant_expected_failures",
+                                    "module_mutant_expected_failures"))):
+        for name in names:
+            assert callable(getattr(module, name, None)), (module.__name__, name)
+    assert structures.AXIOMS and structures.VACUUM_AXIOMS <= set(structures.AXIOMS)
+    assert rationalforms.IMPLICATIONS
+
+
 CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
 WRITES = {"setdefault", "append", "update", "add"}
 
@@ -393,10 +417,6 @@ def test_demo_runs(demo):
 # Functions that no command or demo enters, each kept for a stated reason.
 # Dunder methods (ProverFailureError.__init__, for one) are not counted.
 UNREACHED_BY_DESIGN = {
-    "deltacalc.coeff_of": "one-monomial reference read of the window oracle in tests",
-    "series.WindowedSeries.coeff": "tests read single coefficients",
-    "series.WindowedSeries.residue": "test_each_weak_pair_is_a_residue_of_route_one "
-                                     "reads route 1's slices with it",
     "structures.PropertyReport.to_json": "tests compare whole records",
     "corpus.mutant_expected_failures": "imported by bench/run.py",
     "corpus.module_mutant_expected_failures": "imported by bench/run.py",

@@ -134,6 +134,8 @@ def _load_corpus_dir(path, want_modules):
     """The structures, or the modules, of the configs in ``path``: each file
     read once, each base structure parsed at most once, and a config of the
     other kind not parsed."""
+    if not os.path.isdir(path):
+        raise ConfigError(f"{path} is not a directory")
     files = sorted(glob.glob(os.path.join(path, "*.json")))
     if not files:
         raise ConfigError(f"no .json configs in {path}")

@@ -17,9 +17,10 @@ A config is refused with ConfigError when it repeats a basis entry or a
 mode record (u, n, v) / (u, n, w), has a basis or wbasis entry with a comma
 (the weak checkers key their witnesses "u,v"), names anything outside the basis it
 refers to, has a mode index that is not an integer or a coefficient that is
-not a rational, lacks a required key (named as "missing key 'modes'") or
-has a part of the wrong JSON type (named as "'basis' is not a JSON list"
-or "'name' is not a JSON string"), and as a construction law refuses it
+not a rational (or is a string with an exponent beyond +-4300), lacks a
+required key (named as "missing key 'modes'") or has a part of the wrong
+JSON type (named as "'basis' is not a JSON list" or "'name' is not a JSON
+string"), and as a construction law refuses it
 (a derived D that is not nilpotent or does not kill the vacuum).  Every
 refusal of a file's member opens with the file's path (``_parsed``).
 
@@ -65,15 +66,19 @@ def _typed(value, kind, what):
 
 
 def _coeff(data, basis, kind):
-    """A {basis: "p/q"} coefficient as a Vec, refusing names outside ``basis``
-    and values that are not rationals (such as "1/0", "x/y" or a JSON
-    boolean, which Python would read as 1 or 0), in the labels of ``kind``."""
+    """A {basis: "p/q"} coefficient as a Vec, refusing names outside ``basis``,
+    values that are not rationals (such as "1/0", "x/y" or a JSON boolean,
+    which Python would read as 1 or 0) and strings with an exponent beyond
+    +-4300 (``_far``), in the labels of ``kind``."""
     entries = {}
     for name, value in _typed(data, "object", kind.coeff).items():
         _member(name, basis, kind.key)
         try:
             if isinstance(value, bool):
                 raise ValueError(value)
+            if isinstance(value, str) and _far(value):
+                raise ConfigError(f"{kind.mode} coefficient {value!r} of {name!r} "
+                                  "has an exponent beyond +-4300")
             entries[name] = parse_scalar(value)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"{kind.mode} coefficient {value!r} of {name!r} "
@@ -153,13 +158,19 @@ def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def _far(text):
+    """Whether the number ``text`` has an exponent beyond +-4300, as Python
+    refuses a JSON integer of more digits; ValueError if no integer follows
+    its "e"."""
+    return abs(int(text.lower().partition("e")[2] or 0)) > 4300
+
+
 class _Number(Fraction):
     """A JSON number with a fraction or an exponent: read exactly, shown as
-    written, and refused past an exponent of +-4300, as Python refuses a
-    JSON integer of more digits."""
+    written, and refused past an exponent of +-4300 (``_far``)."""
 
     def __new__(cls, text):
-        if abs(int(text.lower().partition("e")[2] or 0)) > 4300:
+        if _far(text):
             raise ValueError("a JSON number has an exponent beyond +-4300")
         number = super().__new__(cls, text)
         number.text = text

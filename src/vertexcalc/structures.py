@@ -19,9 +19,10 @@ multiplies (``SLOT_VARIABLES``), so route 2 of the Jacobi checker,
 are.  The slots are Laurent polynomials, so Jacobi, the weak properties and
 vf skew symmetry are decided exactly, by the closed forms of
 ``rationalforms.exact_difference``, and a windowed route on the series layer
-cross-checks each: route 2 for Jacobi, and the pair recipes
-(``rationalforms.PAIRS``) searched with the replays'
-``rationalforms.least_clearing_power`` for the rest.  Every slot product
+cross-checks each: route 2 for Jacobi, the pair recipes
+(``rationalforms.PAIRS``) for the weak properties and the difference of the
+h stacks for vf skew symmetry, each searched with the replays'
+``rationalforms.least_clearing_power``.  Every slot product
 comes from one loop over the mode tables, ``_products``: each inner product
 is a row of a mode table, and the outer table is applied to its vectors as
 plain dicts.  ``MemberStacks`` writes the f and g stacks from one pass of it,
@@ -40,11 +41,12 @@ Jacobi, the weak properties and vf_skew_symmetry are identities of
 operators, linear in u, v and w, so each is checked once per member, on slot
 triples stacked into Vec coefficients keyed by the label ids of (u, v, w,
 w') (``MemberStacks.label_ids``); labels never mix, so the exact route
-decides each triple as it is alone.  One rule ties each windowed route to
-its exact one (``_decided``); a FAIL guard reruns one triple, the first that
-fails, on its own slot series (``MemberStacks.own``), which must agree with
-the stack.  Jacobi and vf skew symmetry share one checker,
-``_stacked_identity``.
+decides each triple as it is alone.  All five share one checker,
+``check_stacked``, which reads one row of the table ``STACKED`` per axiom:
+the slots it stacks, its exact decider and its windowed statement.  One rule
+ties the windowed route to the exact one, and one FAIL guard reruns one
+triple, the first that fails, on its own slot series (``MemberStacks.own``),
+which must agree with the stack.
 
 The four D axioms (skew symmetry, the D-derivative and D-bracket properties,
 strong creation) are decided on the mode tables by their component
@@ -432,10 +434,6 @@ class MemberStacks:
                          for i, t in enumerate(self.triples)}
         return self._ids
 
-    def triple_of(self, i):
-        """The triple (u, v, w) of the label id ``i``."""
-        return self.triples[i // len(self.A.wbasis)]
-
     def stack(self, slot):
         """The member stack of slot ``slot``; the first read of a slot writes
         it with its swapped slot (``_stacks``)."""
@@ -486,118 +484,6 @@ def _moved(axiom, triple, stacked, alone):
         f"{stacked}, {alone} on the triple alone")
 
 
-def _failing_triples(member, coeffs):
-    """The triples (u, v, w) of the label ids in ``member``'s stacked coeffs."""
-    return {member.triple_of(i)
-            for i in set().union(*(c.entries for c in coeffs.values()))}
-
-
-def _held(member, coeffs):
-    """{triple: 0 where it holds, None where ``coeffs`` name it failing}."""
-    return dict.fromkeys(member.triples, 0) | dict.fromkeys(_failing_triples(member, coeffs))
-
-
-def _decided(axiom, member, windowed, exact, alone):
-    """The FAIL witnesses of a check, or None on a PASS, by the one rule that
-    ties a windowed route to the exact route that decides, each {triple:
-    least witness (0 for an identity), or None where it fails}: on the
-    member's default window the two must be equal, else
-    ConsistencyViolationError.  The record is alone(t) of the first triple t
-    that fails exactly, which guards the stack on t's own slot series."""
-    where = [t for t in member.triples if windowed[t] != exact[t]]
-    said = {None: "False", 0: "True"}
-    if where:
-        raise ConsistencyViolationError(f"{axiom} routes disagree on " + ", ".join(
-            f"({','.join(map(str, t))}): windowed={said.get(windowed[t], windowed[t])} "
-            f"exact={said.get(exact[t], exact[t])}" for t in where))
-    return next((alone(t) for t in member.triples if exact[t] is None), None)
-
-
-def _stacked_identity(A, axiom, member, slots, exact, windowed, reader):
-    """An identity checked on the member stacks of ``slots``: ``exact`` (of a
-    TripleInstance) decides it, and ``windowed`` (of one and N), {key: judged
-    nonzero coefficient}, cross-checks it (``_decided``).  The FAIL record is
-    the first failing triple, with the least key of ``windowed``'s stack that
-    has a label of it, read as a monomial by ``reader``; ``windowed`` reruns
-    on that triple alone (``MemberStacks.own``) and must give the same key."""
-    N, inst = member.window, member.instance(slots)
-    out = windowed(inst, N)
-
-    def alone(t):
-        ids = member.label_ids()[t].values()
-        mono = min(key for key, c in out.items() if not c.entries.keys().isdisjoint(ids))
-        seen = min(windowed(member.own(t), N), default=None)
-        if seen != mono:
-            raise _moved(axiom, t, f"first monomial {reader(mono)} on the member stack",
-                         "none" if seen is None else reader(seen))
-        return {"triple": t, "monomial": reader(mono)}
-
-    record = _decided(axiom, member, _held(member, out), _held(member, exact(inst)), alone)
-    return PropertyReport(axiom, "FAIL" if record else "PASS", record, window=N)
-
-
-def _jacobi_series(inst, N):
-    """Route 2's coefficients of the Jacobi identity at the slots of
-    ``inst`` (``rationalforms.three_term_series``): every nonzero one on the
-    box [-N, N]^3, keyed by its monomial (``deltacalc.mono_of``)."""
-    s = three_term_series(inst, N)
-    return {mono_of(s.monomial(key)): c for key, c in s.coeffs.items()}
-
-
-def check_jacobi(A: ModuleStructure, axiom, member):
-    """Jacobi on one stack of every (u, v, w) (``_stacked_identity``): the
-    exact route (``rationalforms.exact_jacobi``) decides, and route 2, on
-    the box [-N, N]^3, cross-checks it (``_jacobi_series``); its keys are
-    monomials."""
-    return _stacked_identity(A, axiom, member, ("f", "g", "h"), exact_jacobi,
-                             _jacobi_series, dict)
-
-
-# each weak property's pair in ``rationalforms.PAIRS``, and its exact
-# decider, Claim B, C or D of ``rationalforms.exact_difference``
-WEAK_PAIRS = {"weak_comm": "m1", "weak_assoc": "m2", "weak_skew_assoc": "m3"}
-EXACT_WEAK = {"m1": exact_weak_comm, "m2": exact_weak_assoc, "m3": exact_weak_skew_assoc}
-
-
-def check_weak(A: ModuleStructure, axiom, member):
-    """The three weak properties with least witnesses, decided exactly on
-    the member stacks (a triple fails where its claim's identity fails; where
-    it holds, its witness is at most ``A.max_pole_order()``, by Claim D),
-    and cross-checked by the windowed witness search on the whole member
-    stack (``_decided``), which tries m only up to the largest exact
-    witness: never as far as 2N + 2, where a difference judged on the box
-    clears spuriously.  A FAIL records m_max, the pole order + 2, a bound
-    that no witness reaches."""
-    N = member.window
-    kind = WEAK_PAIRS[axiom.removeprefix("m_")]
-    slots = (PAIRS[kind].left[0], PAIRS[kind].right[0])
-    diff, poles = EXACT_WEAK[kind](member.instance(slots))
-    exact = dict.fromkeys(member.triples, 0)
-    for i, m in poles.items():
-        exact[member.triple_of(i)] = max(exact[member.triple_of(i)], m)
-    exact |= dict.fromkeys(_failing_triples(member, diff))
-    bound = max((m for m in exact.values() if m is not None), default=0)
-
-    def search(inst, *labels):
-        return least_clearing_power(*pole_statement(inst, kind, N, N), bound, *labels)
-
-    def alone(t):
-        if (m := search(member.own(t))[None]) is not None:
-            raise _moved(axiom, t, f"no witness m <= {bound} on the member stack",
-                         f"m = {m}")
-        return {"triple": t, "m_max": A.max_pole_order() + 2}
-
-    record = _decided(axiom, member, search(
-        member.instance(slots), member.triples,
-        lambda c: map(member.triple_of, c.entries)), exact, alone)
-    if record:
-        return PropertyReport(axiom, "FAIL", record, window=N)
-    min_m = dict.fromkeys((f"{u},{v}" for u in A.over.basis for v in A.over.basis), 0)
-    for (u, v, _), m in exact.items():
-        min_m[f"{u},{v}"] = max(min_m[f"{u},{v}"], m)
-    return PropertyReport(axiom, "PASS", {"min_m": min_m}, window=N)
-
-
 def _vf_difference(h, hs, N):
     """Y(Y(u,x0)v,x2)w - Y(Y(v,-x0)u,x2+x0)w from slot h at (u, v, w) and
     ``hs``, slot h at (v, u, w): of one triple, or of a stack of them."""
@@ -605,16 +491,97 @@ def _vf_difference(h, hs, N):
     return h - taylor_substitute(right, "t", (1, "x2"), (1, "x0"), {"x0": (INF, N)})
 
 
-def check_vf_skew_symmetry(A: ModuleStructure, axiom, member):
-    """vf skew symmetry on the h and swapped-h stacks (``_stacked_identity``):
-    decided exactly (Claim V of ``rationalforms.exact_difference``), and
-    cross-checked by their windowed difference, judged on the box [-N, N]^2
-    unless it is exact; its keys are exponent tuples in (x0, x2)."""
-    return _stacked_identity(
-        A, axiom, member, ("h", "hs"), lambda inst: exact_vf(inst.h, inst.hs),
-        lambda inst, N: dict(judged_coeffs(_vf_difference(inst.h, inst.hs, N),
-                                           box(N, "x0", "x2"))),
-        lambda key: {v: e for v, e in zip(("x0", "x2"), key) if e})
+class Stacked(NamedTuple):
+    """A row of STACKED: an identity of operators, checked on the member
+    stacks of ``slots``.  ``exact`` (of a TripleInstance) decides it: its
+    exact difference, {key: nonzero coefficient}, and the least witness of
+    each label id where one exceeds 0.  ``statement`` (of a TripleInstance
+    and the window N) is its windowed route, (difference, clearing factor,
+    box) for ``rationalforms.least_clearing_power``; an identity without a
+    factor holds at m = 0 or not at all.  A judged key is ranked as its
+    exponent tuple, or by ``rank`` of its monomial."""
+    slots: tuple
+    exact: object
+    statement: object
+    rank: object = None
+
+
+# each weak property's pair in ``rationalforms.PAIRS``
+WEAK_PAIRS = {"weak_comm": "m1", "weak_assoc": "m2", "weak_skew_assoc": "m3"}
+
+# Jacobi, decided as the identities of Claims B and C, cross-checked by route
+# 2 on the box [-N, N]^3; the weak properties by Claims B, C and D, each
+# cross-checked by its pair; vf skew symmetry by Claim V, cross-checked by
+# the difference of the h and swapped-h stacks, judged on [-N, N]^2
+STACKED = {
+    "jacobi": Stacked(
+        ("f", "g", "h"), lambda inst: (exact_jacobi(inst), {}),
+        lambda inst, N: (three_term_series(inst, N), None, box(N, "x0", "x1", "x2")),
+        mono_of),
+    **{name: Stacked((PAIRS[kind].left[0], PAIRS[kind].right[0]), exact,
+                     lambda inst, N, kind=kind: pole_statement(inst, kind, N, N))
+       for (name, kind), exact in zip(WEAK_PAIRS.items(), (
+           exact_weak_comm, exact_weak_assoc, exact_weak_skew_assoc))},
+    "vf_skew_symmetry": Stacked(
+        ("h", "hs"), lambda inst: (exact_vf(inst.h, inst.hs), {}),
+        lambda inst, N: (_vf_difference(inst.h, inst.hs, N), None, box(N, "x0", "x2"))),
+}
+
+
+def check_stacked(A: ModuleStructure, axiom, member):
+    """The row of ``axiom`` in STACKED on the member stacks: the exact route
+    decides each triple, and the windowed statement, searched up to the
+    largest exact witness (never as far as 2N + 2, where a difference judged
+    on the box clears spuriously), must give each the same witness, else
+    ConsistencyViolationError.  A FAIL names the first failing triple t and
+    records, for an identity, the least judged monomial of the stack with a
+    label of t, and for a weak property m_max, the pole order + 2, which no
+    witness reaches.  Its guard reruns the statement on t alone
+    (``MemberStacks.own``), which must give the same least monomial and no
+    witness.  A weak PASS records the least witness of each (u, v)."""
+    row, N = STACKED[axiom.removeprefix("m_")], member.window
+    triples, nw = member.triples, len(A.wbasis)
+    diff, poles = row.exact(inst := member.instance(row.slots))
+    exact = [0] * len(triples)  # by triple index, label id // nw
+    for i, m in poles.items():
+        exact[i // nw] = max(exact[i // nw], m)
+    for i in {i for c in diff.values() for i in c.entries}:
+        exact[i // nw] = None
+    bound = max((m for m in exact if m is not None), default=0)
+    stack, factor, region = row.statement(inst, N)
+    windowed = least_clearing_power(stack, factor, region, bound, range(len(triples)),
+                                    lambda c: {i // nw for i in c.entries})
+    if where := [k for k, m in enumerate(exact) if windowed[k] != m]:
+        said = {None: "False", 0: "True"}
+        raise ConsistencyViolationError(f"{axiom} routes disagree on " + ", ".join(
+            f"({','.join(map(str, triples[k]))}): windowed="
+            f"{said.get(windowed[k], windowed[k])} exact={said.get(exact[k], exact[k])}"
+            for k in where))
+    k = next((k for k, m in enumerate(exact) if m is None), None)
+    if k is None and factor is None:
+        return PropertyReport(axiom, "PASS", {}, window=N)
+    if k is None:
+        min_m = dict.fromkeys((f"{u},{v}" for u in A.over.basis for v in A.over.basis), 0)
+        for (u, v, _), m in zip(triples, exact):
+            min_m[f"{u},{v}"] = max(min_m[f"{u},{v}"], m)
+        return PropertyReport(axiom, "PASS", {"min_m": min_m}, window=N)
+
+    def least(series, keys):
+        return min(keys, default=None, key=row.rank and (
+            lambda key: row.rank(series.monomial(key))))
+
+    t, ids = triples[k], range(k * nw, k * nw + nw)
+    monomial = stack.monomial(least(stack, (key for key, c in judged_coeffs(stack, region)
+                                            if not c.entries.keys().isdisjoint(ids))))
+    alone, _, _ = row.statement(member.own(t), N)
+    seen = least(alone, (key for key, _ in judged_coeffs(alone, region)))
+    if seen is None or alone.monomial(seen) != monomial:
+        raise _moved(axiom, t, f"first monomial {monomial} on the member stack",
+                     "none" if seen is None else alone.monomial(seen))
+    if (m := least_clearing_power(alone, factor, region, bound)[None]) is not None:
+        raise _moved(axiom, t, f"no witness m <= {bound} on the member stack", f"m = {m}")
+    record = {"monomial": monomial} if factor is None else {"m_max": A.max_pole_order() + 2}
+    return PropertyReport(axiom, "FAIL", {"triple": t, **record}, window=N)
 
 
 def check_vacuum_prop(A: ModuleStructure, axiom, member):
@@ -720,11 +687,11 @@ def check_injectivity(A: VertexStructure, axiom, member):
 # every checker, in the order of a structure report; each takes (A, axiom,
 # member) and reports under ``axiom``
 CHECKERS = {
-    "jacobi": check_jacobi,
-    "weak_comm": check_weak,
-    "weak_assoc": check_weak,
-    "weak_skew_assoc": check_weak,
-    "vf_skew_symmetry": check_vf_skew_symmetry,
+    "jacobi": check_stacked,
+    "weak_comm": check_stacked,
+    "weak_assoc": check_stacked,
+    "weak_skew_assoc": check_stacked,
+    "vf_skew_symmetry": check_stacked,
     "skew_symmetry": check_skew_symmetry,
     "d_derivative": check_d_derivative,
     "d_bracket": check_d_bracket,

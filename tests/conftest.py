@@ -226,6 +226,17 @@ def slot_triple(A, u, v, w, stacks=None):
     return (stacks or structures.MemberStacks(A)).own((u, v, w))
 
 
+def triple_of(member, i):
+    """The triple (u, v, w) of the label id ``i`` of the ``MemberStacks``
+    ``member``: the one at index i // len(wbasis) of its ``triples``."""
+    return member.triples[i // len(member.A.wbasis)]
+
+
+def failing_triples(member, coeffs):
+    """The triples (u, v, w) of the label ids in ``member``'s stacked coeffs."""
+    return {triple_of(member, i) for c in coeffs.values() for i in c.entries}
+
+
 def _weak_difference(A, axiom, u, v, w, N, stacks=None):
     """(difference series, clearing binomial, window box) of a weak
     property on one triple; ``axiom`` is weak_comm / weak_assoc /

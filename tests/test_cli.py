@@ -69,6 +69,18 @@ def test_implication_matrix_and_main_theorem(corpus_dir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["implication-matrix", "main-theorem"])
+def test_a_corpus_path_that_is_no_directory_is_named(corpus_dir, tmp_path, capsys,
+                                                     command):
+    # a config file or a missing path given for the corpus directory is
+    # refused as no directory, not as a directory without configs
+    for path in (corpus_dir / "borcherds-k3.json", tmp_path / "missing"):
+        assert main([command, str(path)]) == 3, path
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {path} is not a directory\n"
+
+
 def test_sweep_reports_match_the_benchmark_pins(corpus_dir, capsys):
     # the two corpus-wide machine reports are byte-identical to the ones the
     # benchmark pins in bench/pins.json, so report drift fails here too
@@ -235,6 +247,15 @@ MALFORMED = {
         ("check-module", "module",
          lambda c: c["wmodes"][0].update(coeff={"e0": False}),
          "module mode coefficient False of 'e0' is not a rational"),
+    "far-exponent-coefficient":
+        ("check", "base", lambda c: c["modes"][0].update(coeff={"e0": "1e3000000"}),
+         "borcherds-k3.json: mode coefficient '1e3000000' of 'e0' has an exponent "
+         "beyond +-4300"),
+    "far-exponent-coefficient-module":
+        ("check-module", "module",
+         lambda c: c["wmodes"][0].update(coeff={"e0": " -2.5E-9999"}),
+         "m.module.json: module mode coefficient ' -2.5E-9999' of 'e0' has an "
+         "exponent beyond +-4300"),
     "zero-denominator-module":
         ("check-module", "module",
          lambda c: c["wmodes"][0].update(coeff={"e0": "1/0"}),

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from conftest import (_weak_difference, assert_one_build_per_member_and_kind,
                       borcherds_route, chain, d_axiom_reference, double_first_coefficient,
-                      is_zero, minimal_pole_order, one_skew, residue, route_one,
-                      skew_pole, slot_triple, witness_is_valid)
+                      failing_triples, is_zero, minimal_pole_order, one_skew, residue,
+                      route_one, skew_pole, slot_triple, triple_of, witness_is_valid)
 # the derandomized hypothesis test below draws its examples from its own
 # source text, which calls the reference by this name
 from conftest import least_power_reference as _least_clearing_power
@@ -38,7 +38,7 @@ from vertexcalc.structures import (
     borcherds_construct,
     check_all,
     check_axiom,
-    check_jacobi,
+    check_stacked,
     divided_power_table,
     divided_powers,
     replay_corpus,
@@ -434,7 +434,7 @@ def test_slot_builder_equals_the_term_by_term_products(ut2_dir):
             whole, decoded = member.stack(slot), {t: {} for t in member.triples}
             for key, c in whole.coeffs.items():
                 for i, x in c.entries.items():
-                    t = member.triple_of(i)
+                    t = triple_of(member, i)
                     b = A.wbasis[i % len(A.wbasis)]
                     decoded[t].setdefault(key, {})[b] = x
             for t, coeffs in decoded.items():
@@ -642,8 +642,7 @@ def _member_stack_failing_triples(member, N):
     inst = member.instance()
     sym = route_one(inst, N)
     ser = rationalforms.three_term_series(inst, N).coeffs
-    return (structures._failing_triples(member, sym),
-            structures._failing_triples(member, ser))
+    return failing_triples(member, sym), failing_triples(member, ser)
 
 
 def test_stacked_jacobi_equals_the_per_triple_check(ut2_dir):
@@ -651,7 +650,7 @@ def test_stacked_jacobi_equals_the_per_triple_check(ut2_dir):
                + [configio.load_structure(str(ut2_dir / "ut2.json")),
                   configio.load_module(str(ut2_dir / "ut2-regular.module.json"))]
                + _seeded_edits(50, 12) + _seeded_edits(200, 13))
-    triples, failing_triples, failing_pairs, reports = 0, 0, 0, Counter()
+    triples, failed_triples, failing_pairs, reports = 0, 0, 0, Counter()
     for A in members:
         axiom, N = _jacobi_axiom(A), structures.default_window(A)
         stacks = MemberStacks(A)
@@ -661,12 +660,12 @@ def test_stacked_jacobi_equals_the_per_triple_check(ut2_dir):
         # member, are exactly the triples that fail alone
         assert _member_stack_failing_triples(stacks, N) == (failing, failing), A.name
         triples += len(per_triple)
-        failing_triples += len(failing)
+        failed_triples += len(failing)
         failing_pairs += len({t[:2] for t in failing})
-        got = structures.check_jacobi(A, axiom, stacks)
+        got = structures.check_stacked(A, axiom, stacks)
         assert got.to_json() == want.to_json(), A.name
         reports[got.verdict] += 1
-    assert triples > 10000 and failing_triples > 1000 and failing_pairs > 100
+    assert triples > 10000 and failed_triples > 1000 and failing_pairs > 100
     assert reports["PASS"] > 20 and reports["FAIL"] > 20
 
 
@@ -676,7 +675,7 @@ def test_jacobi_runs_the_exact_route_once_and_route_two_once_more_on_a_fail(monk
     # reported triple alone; route 1 has left the checker
     route2, exact = [], []
 
-    def stacked(inst, N, _original=structures._jacobi_series):
+    def stacked(inst, N, _original=structures.three_term_series):
         route2.append(inst)
         return _original(inst, N)
 
@@ -684,7 +683,7 @@ def test_jacobi_runs_the_exact_route_once_and_route_two_once_more_on_a_fail(monk
         exact.append(inst)
         return _original(inst)
 
-    monkeypatch.setattr(structures, "_jacobi_series", stacked)
+    monkeypatch.setattr(structures, "three_term_series", stacked)
     monkeypatch.setattr(structures, "exact_jacobi", decided)
     assert not hasattr(structures, "window_coeffs")
     members = {"jacobi": (borcherds_structure(4), mutants()[0]),
@@ -693,7 +692,7 @@ def test_jacobi_runs_the_exact_route_once_and_route_two_once_more_on_a_fail(monk
         for A, verdict, route2_calls in ((passing, "PASS", 1), (failing, "FAIL", 2)):
             route2.clear()
             exact.clear()
-            assert structures.check_jacobi(
+            assert structures.check_stacked(
                 A, axiom, MemberStacks(A)).verdict == verdict, A.name
             assert len(A.over.basis) > 1 and len(A.wbasis) > 1
             assert len(route2) == route2_calls and len(exact) == 1, A.name
@@ -708,7 +707,7 @@ def test_jacobi_routes_disagreeing_on_a_stacked_pair_raise(monkeypatch):
     label = structures.MemberStacks(S).label_ids()[u, v, w][w]
     M = mutants()[0]
     member = MemberStacks(M)
-    first = check_jacobi(M, "jacobi", member).witnesses["triple"]
+    first = check_stacked(M, "jacobi", member).witnesses["triple"]
     ids = set(member.label_ids()[first].values())
     exact = structures.exact_jacobi
 
@@ -749,9 +748,9 @@ def test_exact_route_equals_route_one_at_the_default_window():
     for A in members:
         member = MemberStacks(A)
         inst = member.instance()
-        exact = structures._failing_triples(member, rationalforms.exact_jacobi(inst))
+        exact = failing_triples(member, rationalforms.exact_jacobi(inst))
         for N in (1, 2, 3, structures.default_window(A)):
-            windowed = structures._failing_triples(member, route_one(inst, N))
+            windowed = failing_triples(member, route_one(inst, N))
             assert windowed <= exact, (A.name, N)
         assert windowed == exact, A.name
         fails += bool(exact)
@@ -776,7 +775,7 @@ def test_the_borcherds_identity_on_the_mode_tables_equals_route_one():
         oracle = borcherds_route(member, N)
         assert oracle == route_one(member.instance(), N), A.name
         compared += sum(len(c.entries) for c in oracle.values())
-        report = check_jacobi(A, _jacobi_axiom(A), member)
+        report = check_stacked(A, _jacobi_axiom(A), member)
         if report.verdict == "FAIL":
             triple, monomial = report.witnesses["triple"], report.witnesses["monomial"]
             labels = member.label_ids()[triple].values()
@@ -787,15 +786,19 @@ def test_the_borcherds_identity_on_the_mode_tables_equals_route_one():
 
 
 def test_route_two_equals_route_one_on_every_member_stack():
-    # the checker's windowed route (``structures._jacobi_series``, route 2 on
-    # the series layer) equals route 1 (conftest's ``route_one``, deltacalc's
-    # window oracle) key for key and label for label on every member stack
-    # of both corpora and of _seeded_edits(60, 12), at the default window
+    # the checker's windowed route (Jacobi's statement in
+    # ``structures.STACKED``, route 2 on the series layer), keyed by
+    # ``deltacalc.mono_of``, equals route 1 (conftest's ``route_one``,
+    # deltacalc's window oracle) key for key and label for label on every
+    # member stack of both corpora and of _seeded_edits(60, 12), at the
+    # default window
     compared = 0
     for A in full_corpus() + full_module_corpus() + _seeded_edits(60, 12):
         inst, N = MemberStacks(A).instance(), structures.default_window(A)
         want = route_one(inst, N)
-        assert structures._jacobi_series(inst, N) == want, A.name
+        s = structures.STACKED["jacobi"].statement(inst, N)[0]
+        assert {deltacalc.mono_of(s.monomial(k)): c for k, c in s.coeffs.items()} == want, \
+            A.name
         compared += sum(len(c.entries) for c in want.values())
     assert compared >= 23000, compared
 
@@ -834,7 +837,7 @@ def test_jacobi_below_the_default_window_is_refused():
         axiom, member = _jacobi_axiom(A), MemberStacks(A)
         with pytest.raises(TypeError):
             check_axiom(A, axiom, member, 1)
-        report = check_jacobi(A, axiom, member)
+        report = check_stacked(A, axiom, member)
         assert report.window == structures.default_window(A), A.name
         if report.verdict == "FAIL":
             failed.append(A.name)
@@ -910,22 +913,22 @@ def test_jacobi_guard_compares_the_first_monomial(monkeypatch):
     # moved is reported as a stacking violation
     calls = []
 
-    def shifted(*args, _original=structures._jacobi_series):
+    def shifted(*args, _original=structures.three_term_series):
         out = _original(*args)
         calls.append(out)
         if len(calls) == 2:
-            out = dict(out)
-            del out[min(out)]
+            least = min(out.coeffs, key=lambda k: deltacalc.mono_of(out.monomial(k)))
+            out = out.copy_meta({k: c for k, c in out.coeffs.items() if k != least})
         return out
 
-    monkeypatch.setattr(structures, "_jacobi_series", shifted)
+    monkeypatch.setattr(structures, "three_term_series", shifted)
     S = mutants()[0]
     with pytest.raises(ConsistencyViolationError,
                        match=r"^jacobi stacking is inconsistent at \(.+\): "
                              r"first monomial \{.*\} on the member stack, "
                              r"\{.*\} on the triple alone$"):
         check_axiom(S, "jacobi")
-    assert len(calls) == 2 and len(calls[1]) > 1
+    assert len(calls) == 2 and len(calls[1].coeffs) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -934,7 +937,7 @@ def test_jacobi_guard_compares_the_first_monomial(monkeypatch):
 
 
 def _per_w_check_weak(A, axiom, stacks):
-    """check_weak as it was before stacking: the witness search on each
+    """The weak check as it was before stacking: the witness search on each
     (u, v, w) alone (its slot series read from ``stacks``), up to the pole
     order + 2, the first triple without a witness reported."""
     N, m_max = structures.default_window(A), A.max_pole_order() + 2
@@ -955,7 +958,7 @@ def _per_w_check_weak(A, axiom, stacks):
 
 
 def _per_w_check_vf(A, axiom, stacks):
-    """check_vf_skew_symmetry as it was before stacking: each (u, v, w)
+    """The vf skew symmetry check as it was before stacking: each (u, v, w)
     alone (its slot series read from ``stacks``), the first failing triple
     reported with its least monomial."""
     N = structures.default_window(A)
@@ -1019,9 +1022,9 @@ def test_stacked_weak_and_vf_checks_equal_the_per_w_checks(ut2_dir):
         stacks = MemberStacks(A)
         for name, kind in checks.items():
             axiom = name if A.over is A else "m_" + name
-            stacked, per_w = ((structures.check_vf_skew_symmetry, _per_w_check_vf)
+            stacked, per_w = ((structures.check_stacked, _per_w_check_vf)
                               if kind == "vf" else
-                              (structures.check_weak, _per_w_check_weak))
+                              (structures.check_stacked, _per_w_check_weak))
             mixed += _class_count(A, kind) > 1
             want = _outcome(per_w, A, axiom, stacks)
             got = _outcome(stacked, A, axiom, stacks)
@@ -1053,8 +1056,7 @@ def test_label_ids_decode_to_their_labels_alike_in_every_stack(ut2_dir):
         for t, by_w in member.label_ids().items():
             assert list(by_w) == list(A.wbasis), (A.name, t)
             for b, i in by_w.items():
-                assert member.triple_of(i) == member.triples[i // len(A.wbasis)] == t, \
-                    (A.name, t, b)
+                assert triple_of(member, i) == t, (A.name, t, b)
                 ids.add(i)
         assert len(ids) == len(member.triples) * len(A.wbasis), A.name
         label_of = {i: (t, b) for t, by_w in member.label_ids().items()
@@ -1135,6 +1137,33 @@ def test_weak_guard_compares_the_outcome(monkeypatch):
                              "m = 0 on the triple alone$"):
         check_axiom(S, "weak_comm")
     assert len(calls) == 2 and list(calls[1].values()) == [None]
+
+
+@pytest.mark.parametrize("name", ["weak_comm", "weak_assoc", "weak_skew_assoc"])
+def test_weak_guard_compares_the_first_monomial(monkeypatch, name):
+    # the guard's rerun on the reported triple alone must give the stack's
+    # least judged key at m = 0, not only no witness: a rerun whose least
+    # judged coefficient is dropped, its difference still nonzero, is
+    # reported as a stacking violation
+    calls = []
+
+    def dropped(*args, _original=structures.pole_statement):
+        diff, factor, box = _original(*args)
+        calls.append(diff)
+        if len(calls) == 2:
+            least = min(k for k, _ in series.judged_coeffs(diff, box))
+            diff = diff.copy_meta({k: c for k, c in diff.coeffs.items() if k != least})
+            assert any(True for _ in series.judged_coeffs(diff, box))
+        return diff, factor, box
+
+    monkeypatch.setattr(structures, "pole_statement", dropped)
+    S = next(m for m in mutants() if m.name == "mutant-pole")
+    with pytest.raises(ConsistencyViolationError,
+                       match=rf"^{name} stacking is inconsistent at \(.+\): "
+                             r"first monomial \{.+\} on the member stack, "
+                             r"\{.+\} on the triple alone$"):
+        check_axiom(S, name)
+    assert len(calls) == 2
 
 
 def test_vf_guard_compares_the_first_monomial(monkeypatch):
@@ -1492,20 +1521,19 @@ def test_windowed_routes_below_the_default_window_are_bounded_by_the_exact_ones(
         member = MemberStacks(A)
         inst, h, hs = member.instance(), member.stack("h"), member.stack("hs")
         m_max = A.max_pole_order() + 2
-        exact_jacobi = structures._failing_triples(member, rationalforms.exact_jacobi(inst))
-        exact_vf = structures._failing_triples(member, rationalforms.exact_vf(h, hs))
+        exact_jacobi = failing_triples(member, rationalforms.exact_jacobi(inst))
+        exact_vf = failing_triples(member, rationalforms.exact_vf(h, hs))
         exact_weak = {}
         for name, kind in structures.WEAK_PAIRS.items():
-            diff, poles = structures.EXACT_WEAK[kind](inst)
+            diff, poles = structures.STACKED[name].exact(inst)
             exact = dict.fromkeys(member.triples, 0)
             for i, m in poles.items():
-                exact[member.triple_of(i)] = max(exact[member.triple_of(i)], m)
-            exact |= dict.fromkeys(structures._failing_triples(member, diff))
+                exact[triple_of(member, i)] = max(exact[triple_of(member, i)], m)
+            exact |= dict.fromkeys(failing_triples(member, diff))
             exact_weak[name] = exact
         default = structures.default_window(A)
         for N in range(1, default + 2):
-            route1 = structures._failing_triples(
-                member, route_one(inst, N))
+            route1 = failing_triples(member, route_one(inst, N))
             assert route1 <= exact_jacobi, (A.name, N)
             if N >= default:
                 assert route1 == exact_jacobi, (A.name, N)
@@ -1516,7 +1544,7 @@ def test_windowed_routes_below_the_default_window_are_bounded_by_the_exact_ones(
             for name, kind in structures.WEAK_PAIRS.items():
                 found = rationalforms.least_clearing_power(
                     *rationalforms.pole_statement(inst, kind, N, N), m_max, member.triples,
-                    lambda c: map(member.triple_of, c.entries))
+                    lambda c: (triple_of(member, i) for i in c.entries))
                 for t, m in exact_weak[name].items():
                     assert not isinstance(found[t], Exception), (A.name, name, N, t)
                     if m is not None:
@@ -1530,7 +1558,7 @@ def test_windowed_routes_below_the_default_window_are_bounded_by_the_exact_ones(
                     shown[_axiom(A, name), A.name] += 1
             judged = dict(series.judged_coeffs(structures._vf_difference(h, hs, N),
                                         rationalforms.box(N, "x0", "x2")))
-            vf = structures._failing_triples(member, judged)
+            vf = failing_triples(member, judged)
             assert vf <= exact_vf, (A.name, N)
             compared["vf"] += len(member.triples)
             if N >= default:
@@ -1560,11 +1588,11 @@ def _by_label(diff, labels, labels_of):
 
 
 def test_every_stacked_weak_search_equals_the_uncropped_definition(monkeypatch):
-    # each witness search that check_weak runs, on the whole member stack
-    # or on a guard's triple, steps by one binomial on the difference
-    # cropped to the box's reach; label by label it equals the definition
-    # (``conftest.least_power_reference``), which builds binomial^m and
-    # multiplies the label's whole difference once
+    # each witness search that check_stacked runs for a weak property, on
+    # the whole member stack or on a guard's triple, steps by one binomial
+    # on the difference cropped to the box's reach; label by label it
+    # equals the definition (``conftest.least_power_reference``), which
+    # builds binomial^m and multiplies the label's whole difference once
     searches, compared = [], Counter()
 
     def recorded(*args, _original=structures.least_clearing_power):
@@ -1606,7 +1634,7 @@ def test_exact_weak_witnesses_are_at_most_the_pole_order(monkeypatch):
     for A in _claim_members():
         member, p = MemberStacks(A), A.max_pole_order()
         for name, kind in structures.WEAK_PAIRS.items():
-            _, poles = structures.EXACT_WEAK[kind](member.instance())
+            _, poles = structures.STACKED[name].exact(member.instance())
             assert all(m <= p for m in poles.values()), (A.name, name, poles, p)
             positive += any(poles.values())
             bounds.clear()
@@ -1651,18 +1679,18 @@ def test_exact_deciders_equal_the_windowed_route_on_random_tables():
         stacks = MemberStacks(A)
         N, m_max = structures.default_window(A), A.max_pole_order() + 2
         for name, kind in structures.WEAK_PAIRS.items():
-            diff, poles = structures.EXACT_WEAK[kind](stacks.instance())
+            diff, poles = structures.STACKED[name].exact(stacks.instance())
             exact = dict.fromkeys(stacks.triples, 0)
             for i, m in poles.items():
-                exact[stacks.triple_of(i)] = max(exact[stacks.triple_of(i)], m)
-            exact |= dict.fromkeys(structures._failing_triples(stacks, diff))
+                exact[triple_of(stacks, i)] = max(exact[triple_of(stacks, i)], m)
+            exact |= dict.fromkeys(failing_triples(stacks, diff))
             for u, v, w in stacks.triples:
                 m = _least_clearing_power(
                     *_weak_difference(A, name, u, v, w, N, stacks), m_max)
                 e = exact[u, v, w]
                 assert m == (None if e is None or e > m_max else e), (name, (u, v, w))
                 seen[name, "fail" if m is None else "pass" if m == 0 else "positive"] += 1
-        failing = structures._failing_triples(stacks, rationalforms.exact_vf(
+        failing = failing_triples(stacks, rationalforms.exact_vf(
             stacks.stack("h"), stacks.stack("hs")))
         for u, v, w in stacks.triples:
             alone = structures._vf_difference(slot_triple(A, u, v, w, stacks).h,

@@ -322,6 +322,27 @@ def test_every_axiom_has_one_checker_with_one_signature():
     assert modules.VACUUM_MODULE_AXIOMS == {"m_vacuum_prop", "m_d_derivative"}
 
 
+def test_the_stacked_axioms_have_one_checker_and_one_search():
+    # Jacobi, the three weak properties and vf skew symmetry go through one
+    # checker, and no other code of structures runs the witness search or
+    # raises the guard's violation, so no second stacked path can return
+    from vertexcalc import structures
+    stacked = ("jacobi", "weak_comm", "weak_assoc", "weak_skew_assoc", "vf_skew_symmetry")
+    assert {structures.CHECKERS[axiom] for axiom in stacked} == {structures.check_stacked}
+    path = os.path.join(PACKAGE, "structures.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    callers = {"least_clearing_power": set(), "_moved": set()}
+    for node in tree.body:
+        owner = getattr(node, "name", f"line {node.lineno}")
+        for call in ast.walk(node):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id in callers):
+                callers[call.func.id].add(owner)
+    assert callers == {"least_clearing_power": {"check_stacked"},
+                       "_moved": {"check_stacked"}}, callers
+
+
 def test_the_benchmark_finds_the_names_it_reads():
     # bench/run.py imports vertexcalc.cli afresh and then reads the module
     # axiom names from sys.modules["vertexcalc.modules"], which nothing but
